@@ -219,7 +219,7 @@ def pipeline_surge(seed: int, bounded: bool):
     led = tele.provenance
 
     # --- the retention oracle: what survived the surge ------------------
-    kept = sum(1 for tid in must_keep if store.has_trace(tid))
+    kept = sum(1 for tid in must_keep if store.trace(tid))
     series = len(ops_meter.series())
     spans_started = len(store)
     if bounded:
@@ -301,7 +301,7 @@ def test_ablation_telemetry_pipeline(benchmark, report):
     assert bounded["must_keep"] > 0
     assert bounded["must_keep_kept"] == bounded["must_keep"]
     store = bounded["dri"].telemetry.store
-    assert store.has_trace(bounded["containment_trace"])
+    assert store.trace(bounded["containment_trace"])
     assert bounded["containment_trace"] in store.protected_ids()
 
     # (c) cardinality: the per-op label family explodes unbudgeted but

@@ -23,6 +23,8 @@ from repro.errors import RecoveryError
 
 __all__ = ["AuditEvent", "AuditLog", "CombinedAuditView", "Outcome"]
 
+_JSON_SCALARS = frozenset({str, int, float, bool, type(None)})
+
 
 class Outcome:
     """String constants for the ``outcome`` field of an event.
@@ -153,7 +155,11 @@ class AuditLog(Durable):
     @staticmethod
     def _plain(value: object) -> object:
         """Coerce an attr value to plain JSON data (repr as a last resort)
-        so the canonical form survives a journal round-trip unchanged."""
+        so the canonical form survives a journal round-trip unchanged.
+        An exact JSON scalar is its own round-trip; subclasses (enums)
+        and containers go through the encoder."""
+        if type(value) in _JSON_SCALARS:
+            return value
         try:
             return json.loads(json.dumps(value))
         except (TypeError, ValueError):
@@ -174,7 +180,8 @@ class AuditLog(Durable):
         object.__setattr__(event, "digest", digest)
         self._head = digest
         self._events.append(event)
-        self._jpublish("audit.emit", **self._event_dict(event))
+        if self.journal is not None:
+            self._jpublish("audit.emit", **self._event_dict(event))
         dead: List[Callable[[AuditEvent], None]] = []
         for sub in self._subscribers:
             try:

@@ -15,8 +15,9 @@ expect: the broker rotates keys and verifiers pick by ``kid``.
 from __future__ import annotations
 
 import hmac as _hmac
+from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives import hashes, hmac
@@ -40,6 +41,11 @@ SUPPORTED_ALGORITHMS = ("EdDSA", "ES256", "RS256", "HS256")
 
 _P256_COORD_BYTES = 32
 
+# successful verifications each VerifyingKey remembers (least recently
+# used dropped first); the login path re-presents a token within a
+# handful of other verifications, so a small memo catches every repeat
+VERIFIED_MEMO_SIZE = 32
+
 
 def _int_to_fixed(n: int, size: int) -> bytes:
     return n.to_bytes(size, "big")
@@ -57,10 +63,25 @@ class VerifyingKey:
         self.alg = alg
         self.kid = kid
         self._public = public_key
+        # (data, signature) pairs this key has verified, most recent last.
+        # Validity is a pure function of key, message and signature, so an
+        # entry never needs invalidating; whether the signed *claims* are
+        # still acceptable is the validators' check on every presentation.
+        self._verified: "OrderedDict[Tuple[bytes, bytes], None]" = OrderedDict()
 
     # ------------------------------------------------------------------
     def verify(self, data: bytes, signature: bytes) -> None:
         """Raise :class:`SignatureInvalid` unless ``signature`` is valid."""
+        pair = (data, signature)
+        if pair in self._verified:
+            self._verified.move_to_end(pair)
+            return
+        self._check(data, signature)
+        self._verified[pair] = None
+        if len(self._verified) > VERIFIED_MEMO_SIZE:
+            self._verified.popitem(last=False)
+
+    def _check(self, data: bytes, signature: bytes) -> None:
         try:
             if self.alg == "EdDSA":
                 self._public.verify(signature, data)  # type: ignore[attr-defined]

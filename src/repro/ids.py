@@ -10,11 +10,13 @@ within the simulation's threat model.
 from __future__ import annotations
 
 import random
-from typing import Dict
+from typing import Dict, List
 
 __all__ = ["IdFactory"]
 
 _ALPHABET = "abcdefghijklmnopqrstuvwxyz0123456789"
+_SIZE = len(_ALPHABET)
+_BITS = _SIZE.bit_length()
 
 
 class IdFactory:
@@ -41,7 +43,16 @@ class IdFactory:
         """A random token string of ``nchars`` characters."""
         if nchars <= 0:
             raise ValueError("nchars must be positive")
-        return "".join(self._rng.choice(_ALPHABET) for _ in range(nchars))
+        # the stream ``rng.choice(_ALPHABET)`` draws per character —
+        # ``_BITS`` at a time, values past the alphabet rejected — so
+        # seeded runs mint the ids and secrets they always did
+        getrandbits = self._rng.getrandbits
+        chars: List[str] = []
+        while len(chars) < nchars:
+            r = getrandbits(_BITS)
+            if r < _SIZE:
+                chars.append(_ALPHABET[r])
+        return "".join(chars)
 
     def jti(self) -> str:
         """A unique token identifier (sequential prefix + random suffix)."""

@@ -203,7 +203,8 @@ class OidcProvider(Service, Durable):
         ttl: Optional[float] = None,
     ) -> Session:
         session = self.sessions.create(subject, claims, amr=amr, ttl=ttl)
-        self._jpublish("oidc.session", **self._session_dict(session))
+        if self.journal is not None:
+            self._jpublish("oidc.session", **self._session_dict(session))
         self._audit(subject, "session.create", session.sid, Outcome.SUCCESS, amr=amr)
         return session
 
@@ -291,7 +292,8 @@ class OidcProvider(Service, Durable):
             auth_time=session.auth_time,
             expires_at=self.clock.now() + self.code_ttl,
         )
-        self._jpublish("oidc.code", **asdict(code))
+        if self.journal is not None:
+            self._jpublish("oidc.code", **asdict(code))
         self._codes[code.code] = code
         self._audit(
             session.subject, "authorize.code_issued", client.client_id, Outcome.SUCCESS,

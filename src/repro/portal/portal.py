@@ -87,6 +87,7 @@ class UserPortal(Service, Durable):
         self._projects: Dict[str, Project] = {}
         self._invitations: Dict[str, Invitation] = {}
         self._users: Dict[str, PortalUser] = {}
+        self._reset_authz_index()
         # continuous authorization: the identity graph mints the user's
         # canonical SPIFFE id at onboarding and aliases their per-project
         # UNIX accounts to it; authz_resync(uid, project, account) is the
@@ -138,7 +139,7 @@ class UserPortal(Service, Durable):
             created_at=now,
         )
         self._jpublish("portal.project", **self._project_dict(project))
-        self._projects[project.project_id] = project
+        self._add_project(project)
         invitation = self._make_invitation(
             project.project_id, Role.PI, pi_email, invited_by=str(claims["sub"])
         )
@@ -271,6 +272,7 @@ class UserPortal(Service, Durable):
                   "name": str(claims.get("name", "")), "first_seen": now},
         )
         project.members[uid] = membership
+        self._index_member(membership)
         invitation.accepted_by = uid
         if uid not in self._users:
             self._users[uid] = PortalUser(
@@ -307,7 +309,8 @@ class UserPortal(Service, Durable):
         email = request.query.get("email", "").lower()
         roles: List[Dict[str, object]] = []
         now = self.clock.now()
-        for project in self._projects.values():
+        for project_id in self._projects_of.get(uid, ()):
+            project = self._projects[project_id]
             if project.status != ProjectStatus.ACTIVE:
                 continue
             m = project.member(uid)
@@ -323,8 +326,8 @@ class UserPortal(Service, Durable):
                 )
         pending = [
             {"project_id": inv.project_id, "role": inv.role.value}
-            for inv in self._invitations.values()
-            if inv.pending(now) and inv.email.lower() == email
+            for inv in self._invitations_for.get(email, {}).values()
+            if inv.pending(now)
         ]
         return HttpResponse.json(
             {"uid": uid, "roles": roles, "pending_invitations": pending}
@@ -435,8 +438,39 @@ class UserPortal(Service, Durable):
             expires_at=now + INVITATION_TTL,
         )
         self._jpublish("portal.invitation", **self._invitation_dict(invitation))
-        self._invitations[invitation.code] = invitation
+        self._add_invitation(invitation)
         return invitation
+
+    # GET /authz runs on every login, so it reads two indices instead of
+    # scanning: a user's projects and an email's invitations, each in the
+    # order ``_projects`` / ``_invitations`` hold them.
+    def _reset_authz_index(self) -> None:
+        self._project_seq: Dict[str, int] = {}
+        self._projects_of: Dict[str, List[str]] = {}
+        self._invitations_for: Dict[str, Dict[str, Invitation]] = {}
+
+    def _add_project(self, project: Project) -> None:
+        self._projects[project.project_id] = project
+        self._project_seq.setdefault(project.project_id, len(self._project_seq))
+        for membership in project.members.values():
+            self._index_member(membership)
+
+    def _index_member(self, membership: Membership) -> None:
+        mine = self._projects_of.setdefault(membership.uid, [])
+        if membership.project_id not in mine:
+            mine.append(membership.project_id)
+            mine.sort(key=self._project_seq.__getitem__)
+
+    def _add_invitation(self, invitation: Invitation) -> None:
+        self._invitations[invitation.code] = invitation
+        self._invitations_for.setdefault(
+            invitation.email.lower(), {})[invitation.code] = invitation
+
+    def _drop_invitations(self, project_id: str) -> None:
+        for code in [c for c, inv in self._invitations.items()
+                     if inv.project_id == project_id]:
+            invitation = self._invitations.pop(code)
+            del self._invitations_for[invitation.email.lower()][code]
 
     def _remove_member(self, project: Project, uid: str) -> None:
         membership = project.members.get(uid)
@@ -457,9 +491,7 @@ class UserPortal(Service, Durable):
         project.status = status
         # drop pending invitations — "all information related to the project
         # ... is removed from the authorisation list"
-        for code in [c for c, inv in self._invitations.items()
-                     if inv.project_id == project.project_id]:
-            del self._invitations[code]
+        self._drop_invitations(project.project_id)
         self._record(actor, f"project.{status.value}", project.project_id,
                      Outcome.INFO, members_removed=len(members))
         return len(members)
@@ -498,6 +530,17 @@ class UserPortal(Service, Durable):
             "invited_by": inv.invited_by, "created_at": inv.created_at,
             "expires_at": inv.expires_at, "accepted_by": inv.accepted_by,
         }
+
+    @staticmethod
+    def _invitation_from(d: Dict[str, object]) -> Invitation:
+        return Invitation(
+            code=str(d["code"]), project_id=str(d["project_id"]),
+            role=Role(d["role"]), email=str(d["email"]),
+            invited_by=str(d["invited_by"]),
+            created_at=float(d["created_at"]),
+            expires_at=float(d["expires_at"]),
+            accepted_by=d["accepted_by"],
+        )
 
     def _project_dict(self, project: Project) -> Dict[str, object]:
         alloc = project.allocation
@@ -546,22 +589,14 @@ class UserPortal(Service, Durable):
         self._projects = {}
         self._invitations = {}
         self._users = {}
+        self._reset_authz_index()
         self.unix_accounts.wipe()
 
     def load_state(self, state: Dict[str, object]) -> None:
         for d in state["projects"]:
-            project = self._project_from(d)
-            self._projects[project.project_id] = project
+            self._add_project(self._project_from(d))
         for d in state["invitations"]:
-            inv = Invitation(
-                code=str(d["code"]), project_id=str(d["project_id"]),
-                role=Role(d["role"]), email=str(d["email"]),
-                invited_by=str(d["invited_by"]),
-                created_at=float(d["created_at"]),
-                expires_at=float(d["expires_at"]),
-                accepted_by=d["accepted_by"],
-            )
-            self._invitations[inv.code] = inv
+            self._add_invitation(self._invitation_from(d))
         for d in state["users"]:
             self._users[str(d["uid"])] = PortalUser(
                 uid=str(d["uid"]), email=str(d["email"]),
@@ -574,23 +609,15 @@ class UserPortal(Service, Durable):
         """Replay one journaled mutation.  Replay never calls
         ``on_revoke`` — the broker journals its own revocations."""
         if kind == "portal.project":
-            project = self._project_from(data)
-            self._projects[project.project_id] = project
+            self._add_project(self._project_from(data))
         elif kind == "portal.invitation":
-            inv = Invitation(
-                code=str(data["code"]), project_id=str(data["project_id"]),
-                role=Role(data["role"]), email=str(data["email"]),
-                invited_by=str(data["invited_by"]),
-                created_at=float(data["created_at"]),
-                expires_at=float(data["expires_at"]),
-                accepted_by=data["accepted_by"],
-            )
-            self._invitations[inv.code] = inv
+            self._add_invitation(self._invitation_from(data))
         elif kind == "portal.accept":
             membership = self._membership_from(data["membership"])
             project = self._projects.get(membership.project_id)
             if project is not None:
                 project.members[membership.uid] = membership
+                self._index_member(membership)
             inv = self._invitations.get(str(data["code"]))
             if inv is not None:
                 inv.accepted_by = membership.uid
@@ -619,9 +646,7 @@ class UserPortal(Service, Durable):
             project = self._projects.get(str(data["project_id"]))
             if project is not None:
                 project.status = ProjectStatus(data["status"])
-            for code in [c for c, inv in self._invitations.items()
-                         if inv.project_id == data["project_id"]]:
-                del self._invitations[code]
+            self._drop_invitations(str(data["project_id"]))
         elif kind == "portal.usage":
             project = self._projects.get(str(data["project_id"]))
             if project is not None:

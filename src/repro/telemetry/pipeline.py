@@ -107,6 +107,9 @@ class BoundedSpanStore(SpanStore):
         super().__init__()
         self.config = config
         self._protected: Set[str] = set()
+        # ids of evicted traces: an audit record may reach the SOC after
+        # its trace was compacted away, and must not read as forged
+        self._evicted_ids: Set[str] = set()
         self.rollups: Dict[Tuple[str, str], RedAggregate] = {}
         self.evicted_spans = 0
         self.evicted_traces = 0
@@ -127,6 +130,11 @@ class BoundedSpanStore(SpanStore):
             return True
         return any(s.status in _PROTECTED_STATUSES
                    for s in self._by_trace.get(trace_id, ()))
+
+    def has_trace(self, trace_id: str) -> bool:
+        """True for every trace id this store ever admitted, retained
+        or evicted (``trace()`` returns the spans still held)."""
+        return super().has_trace(trace_id) or trace_id in self._evicted_ids
 
     # --------------------------------------------------------- ingestion
     def add(self, span: Span) -> Span:
@@ -191,6 +199,7 @@ class BoundedSpanStore(SpanStore):
                 agg.fold(span)
         if doomed:
             self.evicted_spans += self._drop_traces(doomed)
+            self._evicted_ids.update(doomed)
             self.evicted_traces += len(doomed)
         self.compactions += 1
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Deque, List, Optional, Tuple
 
 __all__ = ["SloMonitor", "BurnRateAlert", "burn_rate"]
@@ -70,8 +71,9 @@ class SloMonitor:
                  cooldown: float = 600.0) -> None:
         if not 0.0 < objective < 1.0:
             raise ValueError("objective must be in (0, 1)")
-        if fast_window >= slow_window:
-            raise ValueError("fast window must be shorter than slow window")
+        if not 0.0 < fast_window < slow_window:
+            raise ValueError(
+                "fast window must be positive and shorter than slow window")
         self.name = name
         self.service = service
         self.objective = objective
@@ -80,9 +82,15 @@ class SloMonitor:
         self.threshold = threshold
         self.min_events = min_events
         self.cooldown = cooldown
-        # (time, ok) events; slow window is a superset of fast, so one
-        # deque bounded by the slow window serves both.
-        self._events: Deque[Tuple[float, bool]] = deque()
+        # (time, ok) events of the slow window, split where the fast
+        # window starts: an event enters ``_recent``, ages into ``_older``
+        # and is dropped once, so the per-window totals below are kept
+        # by counting at those three moments instead of rescanning.
+        # Times must be non-decreasing (the simulated clock's are).
+        self._recent: Deque[Tuple[float, bool]] = deque()
+        self._older: Deque[Tuple[float, bool]] = deque()
+        self._recent_errors = 0
+        self._older_errors = 0
         self._subscribers: List[Callable[[BurnRateAlert], None]] = []
         self._last_alert: Optional[float] = None
         self.alerts: List[BurnRateAlert] = []
@@ -92,7 +100,9 @@ class SloMonitor:
         self._subscribers.append(callback)
 
     def record(self, time: float, ok: bool) -> Optional[BurnRateAlert]:
-        self._events.append((time, ok))
+        self._recent.append((time, ok))
+        if not ok:
+            self._recent_errors += 1
         self._trim(time)
         alert = self._evaluate(time)
         if alert is not None:
@@ -103,14 +113,25 @@ class SloMonitor:
 
     # ---------------------------------------------------------- internals
     def _trim(self, now: float) -> None:
+        recent, older = self._recent, self._older
+        horizon = now - self.fast_window
+        while recent[0][0] < horizon:  # never empties: the newest is `now`
+            event = recent.popleft()
+            older.append(event)
+            if not event[1]:
+                self._recent_errors -= 1
+                self._older_errors += 1
         horizon = now - self.slow_window
-        while self._events and self._events[0][0] < horizon:
-            self._events.popleft()
+        while older and older[0][0] < horizon:
+            if not older.popleft()[1]:
+                self._older_errors -= 1
 
     def error_rate(self, now: float, window: float) -> float:
+        """Share of retained events at or after ``now - window`` that
+        failed — any window, any ``now``; a scan, so not for the feed."""
         horizon = now - window
         total = errors = 0
-        for when, ok in self._events:
+        for when, ok in chain(self._older, self._recent):
             if when >= horizon:
                 total += 1
                 if not ok:
@@ -121,12 +142,16 @@ class SloMonitor:
         return burn_rate(self.error_rate(now, window), self.objective)
 
     def _evaluate(self, now: float) -> Optional[BurnRateAlert]:
-        if len(self._events) < self.min_events:
+        recent = len(self._recent)
+        total = recent + len(self._older)
+        if total < self.min_events:
             return None
         if self._last_alert is not None and now - self._last_alert < self.cooldown:
             return None
-        fast = self.burn(now, self.fast_window)
-        slow = self.burn(now, self.slow_window)
+        # after _trim(now) the two deques are exactly the two windows
+        fast = burn_rate(self._recent_errors / recent, self.objective)
+        slow = burn_rate(
+            (self._recent_errors + self._older_errors) / total, self.objective)
         if fast < self.threshold or slow < self.threshold:
             return None
         self._last_alert = now
@@ -134,5 +159,5 @@ class SloMonitor:
             time=now, slo=self.name, service=self.service,
             fast_burn=fast, slow_burn=slow, threshold=self.threshold,
             fast_window=self.fast_window, slow_window=self.slow_window,
-            events_in_slow_window=len(self._events),
+            events_in_slow_window=total,
         )

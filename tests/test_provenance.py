@@ -213,14 +213,18 @@ class TestBoundedSpanStore:
         assert store.compactions >= 1
         # class 1: error/shed statuses and explicit pins survive
         for tid in (err.trace_id, shed.trace_id, pinned):
-            assert store.has_trace(tid)
+            assert store.trace(tid)
         # unfinished traces are untouchable
-        assert store.has_trace(hung.trace_id)
+        assert store.trace(hung.trace_id)
         # class 2: the slowest OK trace of the window survives
-        assert store.has_trace(slow)
+        assert store.trace(slow)
         # the rest was evicted — into rollups, not into nothing
-        gone = [t for t in victims if not store.has_trace(t)]
+        gone = [t for t in victims if not store.trace(t)]
         assert gone
+        # ...but the store still vouches for the ids it admitted, so a
+        # late-shipped audit record of an evicted trace is not "forged"
+        assert all(store.has_trace(t) for t in gone)
+        assert not store.has_trace("never-admitted")
         agg = store.rollups[("svc", SpanStatus.OK)]
         assert agg.count == store.evicted_spans == len(gone)
         assert agg.duration_sum == pytest.approx(0.01 * len(gone))
@@ -237,7 +241,7 @@ class TestBoundedSpanStore:
         tids = [self._ok_trace(clock, tracer) for _ in range(30)]
         # rate 1.0 samples every trace in: nothing is evictable, and the
         # store reports the overshoot rather than lying
-        assert all(store.has_trace(t) for t in tids)
+        assert all(store.trace(t) for t in tids)
         assert store.evicted_spans == 0
         assert len(store) == 30 > cfg.max_spans
 
