@@ -178,10 +178,11 @@ class AuditLog(Durable):
             self._head.encode() + event.canonical()
         ).hexdigest()
         object.__setattr__(event, "digest", digest)
+        if self.journal is not None:
+            # write-ahead: a fenced emit raises here, chain untouched
+            self._jpublish("audit.emit", **self._event_dict(event))
         self._head = digest
         self._events.append(event)
-        if self.journal is not None:
-            self._jpublish("audit.emit", **self._event_dict(event))
         dead: List[Callable[[AuditEvent], None]] = []
         for sub in self._subscribers:
             try:
@@ -304,6 +305,14 @@ class AuditLog(Durable):
             "head": self._head,
             "events": [self._event_dict(e) for e in self._events],
         }
+
+    def checkpoint(self) -> None:
+        """Seal instead of re-encoding the trail: every pending entry is
+        an ``audit.emit`` whose record *is* the next item of ``events``.
+        Only the unfenced writer gets here, before its next append and
+        with every journaled emit applied, so ``_head`` is the digest of
+        the last record being sealed."""
+        self.journal.snapshot({"head": self._head}, seal="events")
 
     def wipe_state(self) -> None:
         """Crash: the stored trail is gone.  Live subscribers (the SIEM

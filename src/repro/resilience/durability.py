@@ -7,11 +7,21 @@ This module gives the simulation the same guarantees, deterministically:
 
 * :class:`ServiceJournal` — one write-ahead stream per service.  Every
   mutation is appended *before* local state changes (WAL discipline), as
-  a clock-stamped :class:`JournalEntry` whose payload is forced through a
-  JSON round-trip so only plain, replayable data enters the journal.
-* Snapshots — :meth:`ServiceJournal.snapshot` captures the full durable
+  a clock-stamped :class:`JournalEntry`.  The journal stores what a WAL
+  stores: the payload is encoded to canonical JSON once, at append, and
+  decoded only when read (recovery, standby catch-up, tests).  Encoding
+  is the admission filter — only plain, replayable data gets in — and
+  every read decodes afresh, so nothing handed out aliases the log.
+* Snapshots — :meth:`ServiceJournal.snapshot` checkpoints the durable
   state and truncates the entries it makes redundant; recovery is
-  "load snapshot, replay the tail".
+  "load snapshot, replay the tail".  A *full* snapshot encodes the whole
+  state (mutable services, and every attach-time baseline).  A *sealed*
+  one is for append-only state: the pending entries' records — already
+  encoded — move onto a named run of the snapshot, so the checkpoint
+  costs what is pending, not what has accumulated.  Either way the
+  checkpoint is taken *before* the entry that trips the cadence is
+  appended: WAL-disciplined services mutate after the append returns,
+  so only then does live state equal snapshot + journaled entries.
 * Fencing epochs — the journal tracks the epoch of its single legitimate
   writer.  :meth:`ServiceJournal.acquire_epoch` bumps it (promotion,
   restart); an append presenting a stale epoch raises
@@ -37,7 +47,6 @@ repeated replays.
 
 from __future__ import annotations
 
-import copy
 import hashlib
 import json
 from dataclasses import dataclass
@@ -63,8 +72,8 @@ RESTART_COST = 0.005
 REPLAY_COST_PER_ENTRY = 0.0002
 
 
-def _jsonable(data):
-    """Force ``data`` through a JSON round-trip.
+def _encode(data, *, compact: bool = False) -> str:
+    """Canonical (sorted-key) JSON text of ``data``.
 
     This is the journal's admission filter: only plain, deterministic,
     replayable values get in.  Live objects (keys, sockets, services)
@@ -72,7 +81,8 @@ def _jsonable(data):
     exist on a recovering node.
     """
     try:
-        return json.loads(json.dumps(data, sort_keys=True))
+        return json.dumps(data, sort_keys=True,
+                          separators=(",", ":") if compact else None)
     except (TypeError, ValueError) as exc:
         raise ConfigurationError(
             f"journal payload is not JSON-serializable: {exc}"
@@ -81,13 +91,21 @@ def _jsonable(data):
 
 @dataclass(frozen=True)
 class JournalEntry:
-    """One committed mutation: (sequence, time, writer epoch, kind, data)."""
+    """One committed mutation: (sequence, time, writer epoch, kind, record).
+
+    ``record`` is the payload as encoded at append; :attr:`data` decodes
+    it afresh on every read, so no reader can edit the log.
+    """
 
     seq: int
     time: float
     epoch: int
     kind: str
-    data: Dict[str, object]
+    record: str
+
+    @property
+    def data(self) -> Dict[str, object]:
+        return json.loads(self.record)
 
 
 class ServiceJournal:
@@ -97,7 +115,12 @@ class ServiceJournal:
         self.store = store
         self.name = name
         self._entries: List[JournalEntry] = []
-        self._snapshot: Optional[Dict[str, object]] = None
+        # the snapshot, as encoded text: the last full state, then — for
+        # an append-only service — the last sealed checkpoint's (run
+        # name, other fields) and the records sealed onto that run since
+        self._snapshot: Optional[str] = None
+        self._seal: Optional[Tuple[str, str]] = None
+        self._sealed: List[str] = []
         self._snapshot_seq = 0
         self._seq = 0
         self._epoch = 0
@@ -132,23 +155,41 @@ class ServiceJournal:
         self._seq += 1
         entry = JournalEntry(
             seq=self._seq, time=self.store.clock.now(),
-            epoch=self._epoch, kind=kind, data=_jsonable(data),
+            epoch=self._epoch, kind=kind, record=_encode(data),
         )
         self._entries.append(entry)
         self.appends += 1
         return entry
 
-    def snapshot(self, state: Dict[str, object]) -> None:
-        """Capture the full durable state; truncate the entries it covers."""
-        self._snapshot = _jsonable(state)
+    def snapshot(self, state: Dict[str, object], *,
+                 seal: Optional[str] = None) -> None:
+        """Checkpoint the durable state; truncate the entries it covers.
+
+        By default ``state`` is the full durable state.  With ``seal``,
+        ``state`` holds every field *except* the append-only run named
+        ``seal``: each pending entry's record is one more item of that
+        run and is moved onto it as it stands, so the cost is that of
+        the pending entries however long the run has grown.
+        """
+        if seal is None:
+            self._snapshot, self._seal, self._sealed = _encode(state), None, []
+        else:
+            self._seal = (seal, _encode(state))
+            self._sealed.extend(e.record for e in self._entries)
         self._snapshot_seq = self._seq
-        self._entries = [e for e in self._entries if e.seq > self._snapshot_seq]
+        self._entries = []
         self.snapshots += 1
 
     # -------------------------------------------------------------- reads
     def load(self) -> Tuple[Optional[Dict[str, object]], List[JournalEntry]]:
-        """(snapshot-or-None, entries newer than the snapshot), copied."""
-        snap = copy.deepcopy(self._snapshot) if self._snapshot is not None else None
+        """(snapshot-or-None, entries newer than the snapshot), decoded
+        afresh: the caller owns everything returned."""
+        snap = None if self._snapshot is None else json.loads(self._snapshot)
+        if self._seal is not None:
+            run, fields = self._seal
+            snap = {**(snap or {}), **json.loads(fields)}
+            snap.setdefault(run, []).extend(
+                json.loads("[%s]" % ",".join(self._sealed)))
         return snap, list(self._entries)
 
     @property
@@ -271,12 +312,27 @@ class Durable:
 
     # ------------------------------------------------------------ publish
     def _jpublish(self, kind: str, /, **data: object) -> None:
-        """WAL append for one mutation; no-op when not journaled."""
-        if self.journal is None:
+        """WAL append for one mutation; no-op when not journaled.
+
+        At the cadence the checkpoint comes *first*: the caller mutates
+        only after this returns, so before the append live state equals
+        snapshot + every journaled entry, and after it the state would
+        lack the mutation whose entry the snapshot truncates.  A fenced
+        writer checkpoints nothing — its append is about to be refused.
+        """
+        journal = self.journal
+        if journal is None:
             return
-        self.journal.append(kind, data, epoch=self.fencing_epoch)
-        if self.journal.pending_entries() >= self.snapshot_every:
-            self.journal.snapshot(self.durable_state())
+        if (journal.pending_entries() >= self.snapshot_every
+                and journal.epoch == self.fencing_epoch):
+            self.checkpoint()
+        journal.append(kind, data, epoch=self.fencing_epoch)
+
+    def checkpoint(self) -> None:
+        """Periodic checkpoint: a full-state snapshot.  A service whose
+        durable state only ever grows by its journaled records overrides
+        this to seal them instead (see :meth:`ServiceJournal.snapshot`)."""
+        self.journal.snapshot(self.durable_state())
 
     # ------------------------------------------------------------ recover
     def recover(self, *, acquire_epoch: bool = True) -> RecoveryReport:
@@ -301,7 +357,7 @@ class Durable:
         if snap is not None:
             self.load_state(snap)
         for entry in entries:
-            self.apply_entry(entry.kind, copy.deepcopy(entry.data))
+            self.apply_entry(entry.kind, entry.data)
         if acquire_epoch:
             self.fencing_epoch = self.journal.acquire_epoch()
         clock.advance(RESTART_COST + REPLAY_COST_PER_ENTRY * len(entries))
@@ -323,8 +379,5 @@ class Durable:
     # --------------------------------------------------------------- hash
     def state_hash(self) -> str:
         """Canonical sha256 over the durable state (replay determinism)."""
-        canon = json.dumps(
-            _jsonable(self.durable_state()),
-            sort_keys=True, separators=(",", ":"),
-        )
+        canon = _encode(self.durable_state(), compact=True)
         return hashlib.sha256(canon.encode()).hexdigest()

@@ -340,3 +340,110 @@ def test_restart_of_promoted_pair_rejoins_as_fenced_standby():
         old_broker.tokens.mint("zombie", "jupyter", "pi")
     # and the active broker keeps serving through all of it
     assert wf.mint(wf.personas["pi"], "jupyter", "pi").ok
+
+
+# ======================================================================
+# checkpoint cadence and write-ahead ordering
+# ======================================================================
+def _crash_and_compare(svc):
+    before = svc.state_hash()
+    svc.wipe_state()
+    assert svc.recover().state_hash == before
+
+
+@pytest.mark.parametrize("kind", ["ca.sign", "rbac.mint", "oidc.session"])
+def test_mutation_at_the_snapshot_cadence_survives_a_crash(kind):
+    """The periodic checkpoint is taken *before* the entry that trips the
+    cadence is appended.  Taken after it, the snapshot lacked the
+    mutation (services mutate once ``_jpublish`` returns) whose entry it
+    had just truncated: every 256th certificate, token or session was
+    lost on crash, and the CA reused the lost serial."""
+    dri = build_isambard(seed=1, durability=True)
+    ca, broker = dri.ssh_ca, dri.broker
+    jwk = SshKeyPair.generate().public_jwk()
+
+    def sign(i):
+        ca.provision_host_certificate(f"host-{i}", jwk)
+        serial = ca._serial
+        return lambda: ca._serial >= serial and serial in ca._issued_certs
+
+    def mint(i):
+        jti = broker.tokens.mint(f"user-{i}", "jupyter", "researcher")[1].jti
+        return lambda: jti in broker.tokens._issued
+
+    def session(i):
+        sid = broker.create_session(f"user-{i}", {}, amr=["pwd"]).sid
+        return lambda: broker.sessions.get(sid) is not None
+
+    svc, mutate = {"ca.sign": (ca, sign), "rbac.mint": (broker, mint),
+                   "oidc.session": (broker, session)}[kind]
+    checkpoints = svc.journal.snapshots
+    made = []
+    while svc.journal.snapshots == checkpoints:
+        made.append(mutate(len(made)))
+    # on the boundary, then one and two mutations past it
+    for _ in range(3):
+        _crash_and_compare(svc)
+        assert all(still_there() for still_there in made[-4:])
+        made.append(mutate(len(made)))
+    if kind == "ca.sign":
+        assert ca._serial == len(made) + 2    # two host certs at build time
+        assert sorted(ca._issued_certs) == list(range(1, ca._serial + 1))
+
+
+def test_fenced_writer_neither_appends_nor_checkpoints():
+    """A deposed writer whose journal is due a checkpoint must not take
+    one: its stale state would truncate the new writer's entries."""
+    dri = build_isambard(seed=2, durability=True)
+    ca = dri.ssh_ca
+    jwk = SshKeyPair.generate().public_jwk()
+    for _ in range(ca.snapshot_every - ca.journal.pending_entries()):
+        ca.provision_host_certificate("host", jwk)
+    assert ca.journal.pending_entries() == ca.snapshot_every
+    ca.journal.acquire_epoch()                  # someone else was promoted
+    snapshots, serial = ca.journal.snapshots, ca._serial
+    with pytest.raises(EpochFenced):
+        ca.provision_host_certificate("late", jwk)
+    assert ca.journal.snapshots == snapshots
+    assert ca.journal.pending_entries() == ca.snapshot_every
+    assert ca._serial == serial
+
+
+def test_fenced_audit_emit_changes_nothing():
+    """``AuditLog.emit`` is write-ahead like every other Durable: with a
+    stale epoch it raises before the chain, the trail or any subscriber
+    has seen the event — so log and journal cannot disagree."""
+    dri = build_isambard(seed=3, durability=True)
+    log = dri.logs["fds"]
+    log.record(0.0, "test", "alice", "probe", "r", "info")
+    head, length, appends = log._head, len(log), log.journal.appends
+    seen = []
+    log.subscribe(seen.append)
+    log.journal.acquire_epoch()
+    with pytest.raises(EpochFenced):
+        log.record(1.0, "test", "alice", "probe", "r", "info")
+    assert (log._head, len(log), log.journal.appends) == (head, length, appends)
+    assert seen == []
+    report = log.recover()                      # re-acquires the epoch
+    assert report.state_hash == log.state_hash()
+    assert len(log) == length and log.verify_chain()[0]
+    log.record(2.0, "test", "alice", "probe", "r", "info")
+    assert len(log) == length + 1 and len(seen) == 1
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "known defect, older than the encoded journal: the journal stores "
+    "sorted-key JSON and canonical() reprs each attr, so a dict attr "
+    "emitted in another key order is recovered reordered and "
+    "verify_recovery refuses the log; AuditLog._plain is pinned to the "
+    "plain JSON round trip by test_hot_path_bookkeeping, so the fix "
+    "needs its own issue"))
+def test_dict_attr_key_order_survives_the_journal():
+    dri = build_isambard(seed=4, durability=True)
+    log = dri.logs["fds"]
+    event = log.record(0.0, "test", "alice", "probe", "r", "info",
+                       detail={"b": 1, "a": {"z": 2, "y": 3}})
+    dri.crash("audit-fds")
+    assert dri.restart("audit-fds") is not None
+    assert log.verify_chain() == (True, None)
+    assert log.events()[-1].digest == event.digest == log._head
