@@ -26,6 +26,16 @@ __all__ = ["AuditEvent", "AuditLog", "CombinedAuditView", "Outcome"]
 _JSON_SCALARS = frozenset({str, int, float, bool, type(None)})
 
 
+def _sorted_object(pairs):
+    # keys are strings by now; a stable sort keeps json's last-wins rule
+    # for keys that only collide once coerced (1 and "1")
+    return dict(sorted(pairs, key=lambda pair: pair[0]))
+
+
+# built once: json.loads would construct a decoder per call for the hook
+_decode_sorted = json.JSONDecoder(object_pairs_hook=_sorted_object).decode
+
+
 class Outcome:
     """String constants for the ``outcome`` field of an event.
 
@@ -157,11 +167,12 @@ class AuditLog(Durable):
         """Coerce an attr value to plain JSON data (repr as a last resort)
         so the canonical form survives a journal round-trip unchanged.
         An exact JSON scalar is its own round-trip; subclasses (enums)
-        and containers go through the encoder."""
+        and containers go through the encoder, and objects come back
+        with their keys sorted — the order the journal stores them in."""
         if type(value) in _JSON_SCALARS:
             return value
         try:
-            return json.loads(json.dumps(value))
+            return _decode_sorted(json.dumps(value))
         except (TypeError, ValueError):
             return repr(value)
 

@@ -1,0 +1,169 @@
+"""Wire continuous authorization into a built deployment.
+
+``build_isambard`` calls :func:`add_assurance_floor` while it assembles
+the policy pack and :func:`install` once the Fig. 1 base (and the
+durability tier, if on) exists.  See ``docs/architecture.md``,
+"Continuous authorization".
+"""
+
+from __future__ import annotations
+
+from typing import Dict, List
+
+from repro.authz import AuthzRuntime
+from repro.authz.authorizer import (
+    AuthzGuard,
+    ContinuousAuthorizer,
+    PolicyDecisionPoint,
+)
+from repro.authz.identity import IdentityGraph
+from repro.authz.pipeline import RevocationPipeline
+from repro.authz.registry import SessionRegistry
+
+__all__ = ["add_assurance_floor", "install"]
+
+
+def add_assurance_floor(engine, cfg) -> None:
+    """The one rule that must sit *ahead of* the standard pack's
+    capability allow: a live session whose identity's LoA stepped below
+    the floor is denied on re-evaluation and handed to the revocation
+    pipeline."""
+    engine.deny(
+        "assurance-below-floor",
+        lambda c, floor=cfg.min_loa: (
+            bool(c.attrs.get("continuous")) and c.loa < floor),
+        reason="identity assurance below the continuous-session floor",
+    )
+
+
+def install(dri, cfg) -> None:
+    """Identity graph, session registry, journaled revocation pipeline,
+    fail-closed PDP guard and the re-evaluation loop — attached to every
+    admission path and every revocation source of the deployment."""
+    clock, tele, logs = dri.clock, dri.telemetry, dri.logs
+    graph = IdentityGraph(cfg.trust_domain, authority=dri.spire)
+    registry = SessionRegistry(clock, graph=graph)
+    pdp = PolicyDecisionPoint(
+        clock, dri.policy_engine,
+        provenance=tele.provenance if tele is not None else None,
+    )
+    guard = AuthzGuard(
+        clock, pdp, staleness_bound=cfg.staleness_bound,
+        audit=logs["fds"], telemetry=tele,
+    )
+    pipeline = RevocationPipeline(
+        clock, registry=registry, audit=logs["sec"],
+        telemetry=tele, retry_interval=cfg.retry_interval,
+    )
+    authorizer = ContinuousAuthorizer(
+        clock, registry=registry, pipeline=pipeline, pdp=pdp,
+        guard=guard, audit=logs["sec"], config=cfg,
+    )
+
+    if tele is not None:
+        # provenance enricher: fields the audit bridge cannot see at
+        # the emitting surface — assurance tier, SOC threat score,
+        # PDP heartbeat age, policy pack version — resolved at
+        # record time from the continuous-authorization state
+        def enrich_decision(subject: str) -> Dict[str, object]:
+            return {
+                "pack_version": dri.policy_engine.pack_version,
+                "loa": authorizer._loa.get(subject, cfg.min_loa),
+                "threat_score": authorizer._risk.get(subject, 0.0),
+                "pdp_staleness": round(guard.age(), 6),
+            }
+
+        tele.provenance.enricher = enrich_decision
+
+    def accounts_of(uid: str) -> List[str]:
+        accounts = graph.accounts_of(uid)
+        return accounts if accounts else [uid]
+
+    # the four enforcement fans, in SURFACES order (tokens first so
+    # a revoked principal cannot re-mint while later fans run)
+    def teardown_tokens(intent) -> int:
+        # whole-user: a pipeline teardown severs the principal, not
+        # one project — intent.project stays as audit metadata only
+        summary = dri.broker.revoke_user_access(intent.uid, None)
+        return sum(int(v) for v in summary.values())
+
+    def teardown_ssh(intent) -> int:
+        n = dri.ssh_ca.revoke_certificates_for(intent.uid)
+        for acct in accounts_of(intent.uid):
+            for sshd in dri.login_nodes:
+                n += sshd.close_sessions_for(acct)
+        return n
+
+    def teardown_tunnels(intent) -> int:
+        return (dri.zenith.revoke_web_sessions_for(intent.uid)
+                + dri.zenith.kill_tunnels_registered_by(intent.uid))
+
+    def teardown_compute(intent) -> int:
+        n = dri.jupyter.close_sessions_for(intent.uid)
+        for acct in accounts_of(intent.uid):
+            for slurm in dri.schedulers:
+                n += slurm.cancel_account(acct, by="revocation-pipeline")
+        return n
+
+    pipeline.register_point("tokens", teardown_tokens)
+    pipeline.register_point("ssh", teardown_ssh)
+    pipeline.register_point("tunnels", teardown_tunnels)
+    pipeline.register_point("compute", teardown_compute)
+
+    # every admission path tracks its grant and fails closed when
+    # the PDP is unreachable past the staleness bound
+    dri.ssh_ca.session_registry = registry
+    for surface in (dri.broker.tokens, dri.zenith, dri.jupyter,
+                    *dri.login_nodes, *dri.schedulers):
+        surface.session_registry = registry
+        surface.authz_guard = guard
+    # without durability the sshds have no issuance registry wired;
+    # the CA-side revocation set must still bite on live certs
+    for sshd in dri.login_nodes:
+        if sshd.cert_registry is None:
+            sshd.cert_registry = (
+                lambda serial, key_id:
+                dri.ssh_ca.cert_registered(serial, key_id))
+
+    # portal: principals get canonical ids at onboarding, revocations
+    # ride the pipeline (one intent, four surfaces, crash-safe), and its
+    # recovery resync re-drives any teardown a crash interrupted
+    dri.portal.session_registry = registry
+    dri.portal.on_revoke = (
+        lambda uid, project, account: pipeline.revoke(
+            uid=uid, project=project, reason="portal-revocation",
+            by="portal"))
+    dri.portal.authz_resync = (
+        lambda uid, project, account: pipeline.revoke(
+            uid=uid, project=project,
+            reason="portal-recovery-resync", by="portal-recovery"))
+
+    # kill switch delegates to the pipeline; SOC alerts feed the
+    # threat score the containment policy rule denies on
+    dri.killswitch.pipeline = pipeline
+    dri.killswitch.on_contain = authorizer.note_containment
+    dri.soc.escalate = authorizer.on_alert
+
+    # chaos: pdp_down / teardown_stuck / revocation_storm faults
+    def pdp_restore() -> None:
+        pdp.restore()
+        guard.heartbeat()
+        pipeline.drive_pending()
+        authorizer.reevaluate_all()
+
+    dri.faults.register_pdp_hooks(pdp.down, pdp_restore)
+    dri.faults.register_teardown_hooks(pipeline.stick, pipeline.unstick)
+    dri.faults.register_storm_hook(pipeline.inject_storm)
+
+    if dri.durability is not None:
+        # the outbox is the durable piece: journal it so a crash
+        # between intent publish and enforcement resumes on recover —
+        # the journal replays the intents and verify_recovery re-drives
+        # everything still pending
+        pipeline.attach_journal(dri.durability.stream("authz-pipeline"))
+        dri.add_crash_target("authz", lambda: pipeline, lambda up: None)
+    authorizer.start()
+    dri.authz = AuthzRuntime(
+        config=cfg, graph=graph, registry=registry,
+        pipeline=pipeline, pdp=pdp, guard=guard, authorizer=authorizer,
+    )

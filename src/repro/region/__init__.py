@@ -51,7 +51,6 @@ class RegionConfig:
     """
 
     names: Tuple[str, ...] = ("eu", "us")
-    replicas_per_region: int = 2
     # simulated seconds for a bus event to reach a peer region
     replication_delay: float = 0.5
     # extra simulated seconds the geo-router charges a cross-region detour

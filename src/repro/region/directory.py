@@ -237,6 +237,22 @@ class RegionDirectory:
         return flushed
 
     # ------------------------------------------------------------------
+    # the regions as one fleet (what a crash or a failover of the shared
+    # state backend does to them)
+    # ------------------------------------------------------------------
+    def repoint(self, origin) -> None:
+        """Every region's workers serve from ``origin`` (the promoted
+        state backend) from now on."""
+        for region in self._regions.values():
+            region.pool.repoint(origin)
+
+    def set_serving(self, up: bool) -> None:
+        """Total outage and recovery: every region down, or every dead
+        region back under a fresh epoch."""
+        for name in self.names():
+            (self.region_up if up else self.region_down)(name)
+
+    # ------------------------------------------------------------------
     # chaos wiring
     # ------------------------------------------------------------------
     def register_fault_hooks(self, faults) -> None:

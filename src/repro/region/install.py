@@ -1,0 +1,99 @@
+"""Wire the multi-region tier into a built deployment.
+
+``build_isambard`` calls :func:`install` after the scale tier moved the
+broker's state backend to ``broker-origin`` and the durability tier
+created the journal store: each named region gets its own replica pool,
+journal and invalidation-bus shard, and a latency-aware geo-router takes
+the public ``broker`` name.  See ``docs/scaling.md``, "Multi-region
+active-active".
+"""
+
+from __future__ import annotations
+
+from ..net.zones import OperatingDomain, Zone
+from ..scale.autoscaler import Autoscaler
+from ..scale.balancer import make_policy, pod_admission
+from ..scale.cache import publish_on
+from ..siem.detections import CacheStalenessRule
+from .bus import RegionBusAdapter, ReplicatedInvalidationBus
+from .directory import RegionDirectory
+from .region import Region
+from .router import GeoRouter
+
+__all__ = ["install"]
+
+REPLICAS_PER_REGION = 2
+
+
+def install(dri, cfg) -> None:
+    clock, tele, scale = dri.clock, dri.telemetry, dri.scale
+    dri.region_config = cfg
+    # One bus shard per region: local publishes stay synchronous
+    # (preserving the in-region guarantee) and fan out to peers after
+    # replication_delay.  The home shard is the bus the shared caches
+    # are already bound to, so they keep their synchronous eviction for
+    # home-region traffic; the adapter routes every publish to whichever
+    # region is serving the revoking request (falling back to home).
+    rbus = dri.region_bus = ReplicatedInvalidationBus(
+        clock, cfg.names, replication_delay=cfg.replication_delay,
+        local_buses={cfg.home: dri.invalidation_bus}, telemetry=tele,
+    )
+    publish_on(RegionBusAdapter(rbus, cfg.home), dri)
+
+    directory = dri.region_directory = RegionDirectory(
+        clock, rbus,
+        heartbeat_interval=cfg.heartbeat_interval,
+        lag_check_interval=cfg.lag_check_interval,
+        audit=dri.logs["fds"], telemetry=tele,
+        # recovering regions resync their revocation view from the
+        # *active* broker's authoritative token store
+        revoked_source=lambda: dri.broker.tokens.revoked_jtis(),
+    )
+    for name in cfg.names:
+        region = Region(
+            name, clock, dri.network, OperatingDomain.FDS, Zone.ACCESS,
+            dri.broker, rbus, dri.durability.stream(f"region-{name}"),
+            replicas=REPLICAS_PER_REGION,
+            min_replicas=scale.min_replicas, max_replicas=scale.max_replicas,
+            introspection_ttl=scale.introspection_ttl,
+            staleness_bound=cfg.staleness_bound,
+            admission_factory=pod_admission(clock, dri.overload),
+            lb_policy=make_policy(scale.policy),
+            telemetry=tele, audit=dri.logs["fds"],
+            breaker_listener=tele and tele.on_breaker_transition,
+            tail=dri.tail,
+        )
+        directory.add(region)
+        if dri.caches:      # listed beside the shared ones; none with caching off
+            dri.caches[f"introspection-{name}"] = region.introspection_cache
+        if scale.autoscale and tele is not None:
+            autoscaler = Autoscaler(
+                clock, region.pool, tele, interval=scale.autoscale_interval,
+                watch_services=("broker",), audit=dri.logs["fds"],
+                audit_source=f"autoscaler-{name}",
+            )
+            autoscaler.start()
+            dri.region_autoscalers.append(autoscaler)
+    # No MDC-side introspection cache here: bound to the home shard, it
+    # would only see another region's revocation after replication — or
+    # never, across a partition.  Introspections round-trip to the
+    # geo-router and the per-region caches (TTL clamped to the bound)
+    # absorb the load.
+    dri.geo_router = GeoRouter(
+        "broker", clock, directory,
+        inter_region_latency=cfg.inter_region_latency,
+        pins=dict(cfg.client_regions),
+        audit=dri.logs["fds"], telemetry=tele, tail=dri.tail,
+    )
+    dri.network.attach(dri.geo_router, OperatingDomain.FDS, Zone.ACCESS,
+                       name="broker")
+    dri.edge.register_origin("broker", dri.geo_router)
+    dri.front_broker(directory)
+    directory.register_fault_hooks(dri.faults)
+    directory.start()
+    # cached serves inside the advertised window are the contract, not
+    # an incident: the staleness detector tolerates them and the
+    # RegionLagRule takes over past the bound
+    for rule in dri.soc.rules:
+        if isinstance(rule, CacheStalenessRule):
+            rule.tolerance = cfg.staleness_bound

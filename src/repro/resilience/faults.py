@@ -46,11 +46,26 @@ Supported fault kinds (per endpoint, or per (domain, zone) flow):
 Injected failures raise :class:`~repro.errors.FaultInjected`, a subclass
 of :class:`~repro.errors.ServiceUnavailable` — clients cannot tell chaos
 from a real outage, which is the point.
+
+The kinds up to *partition* are **windows**: a :class:`Fault` record that
+:meth:`FaultInjector.perturb` consults per message.  The kinds from
+*crash* down are **scheduled**: the injector cannot itself wipe a
+service, fence a region or wedge a teardown, so the tier that can
+registers a hook pair (``register_*_hooks``) and the public method
+(``crash``, ``region_down``, ``region_partition``, ``pdp_down``,
+``teardown_stuck``, ``revocation_storm``, ``shard_down``,
+``metadata_feed_stale``) only validates, builds the record and hands it
+to one primitive, :meth:`FaultInjector._schedule`: fire the hook at the
+fault's start (at once when that is not in the future, from the clock
+otherwise, skipped if the fault was cleared first), count the firing
+(one hit, one offer, the kind's counter), and — when the caller gave a
+duration — schedule the undo hook, which for every kind but ``crash``
+and ``region_down`` also marks the fault cleared.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.clock import SimClock
@@ -145,56 +160,36 @@ class FaultInjector:
         self.injected_failures = 0
         self.injected_latency = 0.0
         self.failures_by_endpoint: Dict[str, int] = {}
-        # crash hooks: endpoint -> (crash_fn, restart_fn), registered by
-        # the deployment (only it knows how to wipe and recover a service)
-        self._crash_hooks: Dict[str, Tuple[object, object]] = {}
+        # what the tiers taught the injector, keyed by fault kind (or by
+        # (kind, target) where hooks are per endpoint/region): only the
+        # deployment knows how to wipe and recover a service, fence a
+        # region, wedge an enforcement surface or silence a registrar
+        self._hooks: Dict[object, object] = {}
+        # one counter per scheduled kind: how many actually fired
         self.crashes_injected = 0
-        # region hooks: region -> (down_fn, up_fn); plus one pair of link
-        # hooks (sever_fn, heal_fn) for inter-region partitions — both
-        # registered by the multi-region deployment tier
-        self._region_hooks: Dict[str, Tuple[object, object]] = {}
-        self._region_link_hooks: Optional[Tuple[object, object]] = None
         self.regions_downed = 0
         self.region_partitions = 0
-        # region -> callable returning the region's current replica
-        # endpoint names, so gray_region() can fan a slow_replica fault
-        # over whatever the fleet looks like when it is scheduled
-        self._region_endpoint_fns: Dict[str, object] = {}
         self.gray_regions = 0
-        # continuous-authorization hooks, registered by the authz tier:
-        # (down_fn, restore_fn) for the PDP, (stick_fn, unstick_fn) for
-        # per-surface teardown wedges, storm_fn(count) for revocation
-        # storms.  Their marker endpoints carry an "authz:" prefix that
-        # never matches a real dst name, so perturb() ignores them.
-        self._pdp_hooks: Optional[Tuple[object, object]] = None
-        self._teardown_hooks: Optional[Tuple[object, object]] = None
-        self._storm_hook = None
         self.pdp_outages = 0
         self.teardowns_stuck = 0
         self.revocation_storms = 0
-        # federation-directory hooks, registered by the directory tier:
-        # (down_fn, up_fn) taking (tier, shard) for shard faults, and
-        # (stale_fn, fresh_fn) taking a feed name for registrar outages.
-        # Marker endpoints use "shard:"/"feed:" prefixes that never match
-        # a real dst name, so perturb() ignores them.
-        self._shard_hooks: Optional[Tuple[object, object]] = None
-        self._feed_hooks: Optional[Tuple[object, object]] = None
         self.shards_downed = 0
         self.feeds_staled = 0
 
     # ------------------------------------------------------------------
-    # scheduling faults
+    # window faults: consulted per message by perturb()
     # ------------------------------------------------------------------
     def _add(self, fault: Fault) -> Fault:
         self.faults.append(fault)
         return fault
 
+    def _when(self, at: Optional[float]) -> float:
+        return self.clock.now() if at is None else at
+
     def outage(self, endpoint: str, *, start: Optional[float] = None,
                duration: Optional[float] = None) -> Fault:
         """Hard-down window for ``endpoint``."""
-        return self._add(Fault(OUTAGE, endpoint,
-                               self.clock.now() if start is None else start,
-                               duration))
+        return self._add(Fault(OUTAGE, endpoint, self._when(start), duration))
 
     def brownout(self, endpoint: str, probability: float, *,
                  start: Optional[float] = None,
@@ -203,8 +198,7 @@ class FaultInjector:
         if not 0.0 <= probability <= 1.0:
             raise ConfigurationError(
                 f"brownout probability must be in [0, 1], got {probability}")
-        return self._add(Fault(BROWNOUT, endpoint,
-                               self.clock.now() if start is None else start,
+        return self._add(Fault(BROWNOUT, endpoint, self._when(start),
                                duration, probability=probability))
 
     def latency_spike(self, endpoint: str, extra: float, *,
@@ -213,8 +207,7 @@ class FaultInjector:
         """Messages to ``endpoint`` cost ``extra`` additional seconds."""
         if extra < 0:
             raise ConfigurationError(f"extra latency must be >= 0, got {extra}")
-        return self._add(Fault(LATENCY, endpoint,
-                               self.clock.now() if start is None else start,
+        return self._add(Fault(LATENCY, endpoint, self._when(start),
                                duration, extra_latency=extra))
 
     def slow_replica(self, endpoint: str, extra: float, *,
@@ -226,8 +219,7 @@ class FaultInjector:
         if extra <= 0:
             raise ConfigurationError(
                 f"slow_replica extra latency must be > 0, got {extra}")
-        return self._add(Fault(SLOW_REPLICA, endpoint,
-                               self.clock.now() if start is None else start,
+        return self._add(Fault(SLOW_REPLICA, endpoint, self._when(start),
                                duration, extra_latency=extra))
 
     def flap(self, endpoint: str, period: float, *, up_fraction: float = 0.5,
@@ -237,18 +229,62 @@ class FaultInjector:
         then down for the remainder."""
         if period <= 0 or not 0.0 <= up_fraction <= 1.0:
             raise ConfigurationError("flap needs period > 0 and up_fraction in [0, 1]")
-        return self._add(Fault(FLAP, endpoint,
-                               self.clock.now() if start is None else start,
-                               duration, period=period, up_fraction=up_fraction))
+        return self._add(Fault(FLAP, endpoint, self._when(start), duration,
+                               period=period, up_fraction=up_fraction))
 
     def partition(self, loc_a: Tuple[object, object], loc_b: Tuple[object, object],
                   *, start: Optional[float] = None,
                   duration: Optional[float] = None) -> Fault:
         """Sever traffic between two (domain, zone) locations, both ways.
         A ``None`` zone matches the whole domain."""
-        return self._add(Fault(PARTITION, None,
-                               self.clock.now() if start is None else start,
-                               duration, loc_a=tuple(loc_a), loc_b=tuple(loc_b)))
+        return self._add(Fault(PARTITION, None, self._when(start), duration,
+                               loc_a=tuple(loc_a), loc_b=tuple(loc_b)))
+
+    # ------------------------------------------------------------------
+    # scheduled faults: fire a tier's hook at an instant, undo it later
+    # ------------------------------------------------------------------
+    def _hooks_for(self, key: object, missing: str):
+        hooks = self._hooks.get(key)
+        if hooks is None:
+            raise ConfigurationError(missing)
+        return hooks
+
+    def _schedule(self, fault: Fault, counter: Optional[str], fire,
+                  undo=None, undo_after: Optional[float] = None, *,
+                  clears: bool = True) -> Fault:
+        """The one scheduling primitive behind every hook-driven kind.
+
+        ``fire`` runs at ``fault.start`` — immediately when that is not
+        in the future, otherwise from the clock, where it lands in the
+        middle of whatever is in flight — unless the fault was cleared
+        first; a firing counts one hit, one offer and one on the kind's
+        ``counter`` (``None``: ``fire`` does its own accounting).  With
+        ``undo_after`` the ``undo`` hook is scheduled that long after
+        the start, and — for the kinds whose window ends with the heal
+        (``clears``) — marks the fault cleared.
+        """
+        self._add(fault)
+
+        def _fire() -> None:
+            if fault.cleared:
+                return
+            if counter is not None:
+                fault.hits += 1
+                fault.offers += 1
+                setattr(self, counter, getattr(self, counter) + 1)
+            fire()
+
+        if fault.start <= self.clock.now():
+            _fire()
+        else:
+            self.clock.call_at(fault.start, _fire)
+        if undo_after is not None:
+            def _undo() -> None:
+                undo()
+                if clears:
+                    fault.clear()
+            self.clock.call_at(fault.start + undo_after, _undo)
+        return fault
 
     def register_crash_hooks(self, endpoint: str, crash_fn, restart_fn) -> None:
         """Teach the injector how to kill and restart ``endpoint``.
@@ -257,7 +293,7 @@ class FaultInjector:
         state; ``restart_fn`` must bring it back (recovering from the
         journal if the deployment is durable, cold and empty otherwise).
         """
-        self._crash_hooks[endpoint] = (crash_fn, restart_fn)
+        self._hooks[CRASH, endpoint] = (crash_fn, restart_fn)
 
     def crash(self, endpoint: str, *, at: Optional[float] = None,
               restart_after: Optional[float] = None) -> Fault:
@@ -271,32 +307,13 @@ class FaultInjector:
         the crash; omit it to leave the service down until the caller
         restarts it explicitly.
         """
-        if endpoint not in self._crash_hooks:
-            raise ConfigurationError(
-                f"no crash hooks registered for endpoint {endpoint!r}")
-        crash_fn, restart_fn = self._crash_hooks[endpoint]
-        start = self.clock.now() if at is None else at
-        fault = self._add(Fault(CRASH, endpoint, start))
+        crash_fn, restart_fn = self._hooks_for(
+            (CRASH, endpoint),
+            f"no crash hooks registered for endpoint {endpoint!r}")
+        return self._schedule(
+            Fault(CRASH, endpoint, self._when(at)), "crashes_injected",
+            crash_fn, restart_fn, restart_after, clears=False)
 
-        def _fire() -> None:
-            if fault.cleared:
-                return
-            fault.hits += 1
-            fault.offers += 1
-            self.crashes_injected += 1
-            crash_fn()
-
-        if start <= self.clock.now():
-            _fire()
-        else:
-            self.clock.call_at(start, _fire)
-        if restart_after is not None:
-            self.clock.call_at(start + restart_after, restart_fn)
-        return fault
-
-    # ------------------------------------------------------------------
-    # region-scale faults (multi-region deployments register the hooks)
-    # ------------------------------------------------------------------
     def register_region_hooks(self, region: str, down_fn, up_fn) -> None:
         """Teach the injector how to kill and recover a whole region.
 
@@ -305,7 +322,7 @@ class FaultInjector:
         under a *fresh* epoch with caches flushed and revocation state
         resynced from the authoritative store.
         """
-        self._region_hooks[region] = (down_fn, up_fn)
+        self._hooks[REGION_DOWN, region] = (down_fn, up_fn)
 
     def register_region_link_hooks(self, sever_fn, heal_fn) -> None:
         """Register the pair that severs/heals inter-region links.
@@ -314,7 +331,7 @@ class FaultInjector:
         replication *and* cross-region routing in both directions, heal
         must restore them and flush parked replication deterministically.
         """
-        self._region_link_hooks = (sever_fn, heal_fn)
+        self._hooks["region_link"] = (sever_fn, heal_fn)
 
     def region_down(self, region: str, *, at: Optional[float] = None,
                     restore_after: Optional[float] = None) -> Fault:
@@ -324,35 +341,19 @@ class FaultInjector:
         ``restore_after`` schedules recovery that many seconds later;
         omit it to leave the region down until recovered explicitly.
         """
-        if region not in self._region_hooks:
-            raise ConfigurationError(
-                f"no region hooks registered for region {region!r}")
-        down_fn, up_fn = self._region_hooks[region]
-        start = self.clock.now() if at is None else at
-        fault = self._add(Fault(REGION_DOWN, f"region:{region}", start,
-                                restore_after))
-
-        def _fire() -> None:
-            if fault.cleared:
-                return
-            fault.hits += 1
-            fault.offers += 1
-            self.regions_downed += 1
-            down_fn()
-
-        if start <= self.clock.now():
-            _fire()
-        else:
-            self.clock.call_at(start, _fire)
-        if restore_after is not None:
-            self.clock.call_at(start + restore_after, up_fn)
-        return fault
+        down_fn, up_fn = self._hooks_for(
+            (REGION_DOWN, region),
+            f"no region hooks registered for region {region!r}")
+        return self._schedule(
+            Fault(REGION_DOWN, f"region:{region}", self._when(at),
+                  restore_after),
+            "regions_downed", down_fn, up_fn, restore_after, clears=False)
 
     def register_region_endpoints(self, region: str, endpoints_fn) -> None:
         """Teach the injector which replica endpoints make up ``region``
         (``endpoints_fn`` returns the *current* list, so the fan-out
         follows autoscaling)."""
-        self._region_endpoint_fns[region] = endpoints_fn
+        self._hooks[SLOW_REPLICA, region] = endpoints_fn
 
     def gray_region(self, region: str, extra: float, *,
                     start: Optional[float] = None,
@@ -361,13 +362,12 @@ class FaultInjector:
         in ``region`` gets a :meth:`slow_replica` fault.  The region
         keeps serving (slowly), its bus keeps replicating, so the lag
         watchdog never fires — only latency-aware routing notices."""
-        fn = self._region_endpoint_fns.get(region)
-        if fn is None:
-            raise ConfigurationError(
-                f"no region endpoints registered for region {region!r}")
+        endpoints_fn = self._hooks_for(
+            (SLOW_REPLICA, region),
+            f"no region endpoints registered for region {region!r}")
         self.gray_regions += 1
         return [self.slow_replica(ep, extra, start=start, duration=duration)
-                for ep in fn()]
+                for ep in endpoints_fn()]
 
     def region_partition(self, region_a: str, region_b: str, *,
                          at: Optional[float] = None,
@@ -377,43 +377,25 @@ class FaultInjector:
         deterministically; otherwise call the returned fault's hooks via
         :meth:`heal_region_partition` (or let the deployment heal).
         """
-        if self._region_link_hooks is None:
-            raise ConfigurationError("no region link hooks registered")
-        sever_fn, heal_fn = self._region_link_hooks
-        start = self.clock.now() if at is None else at
+        sever_fn, heal_fn = self._hooks_for(
+            "region_link", "no region link hooks registered")
         # loc_a/loc_b are recorded for observability; the "region" marker
         # never equals an OperatingDomain, so perturb() ignores this fault
-        fault = self._add(Fault(PARTITION, None, start, duration,
-                                loc_a=("region", region_a),
-                                loc_b=("region", region_b)))
+        return self._schedule(
+            Fault(PARTITION, None, self._when(at), duration,
+                  loc_a=("region", region_a), loc_b=("region", region_b)),
+            "region_partitions",
+            lambda: sever_fn(region_a, region_b),
+            lambda: heal_fn(region_a, region_b), duration)
 
-        def _sever() -> None:
-            if fault.cleared:
-                return
-            fault.hits += 1
-            fault.offers += 1
-            self.region_partitions += 1
-            sever_fn(region_a, region_b)
-
-        if start <= self.clock.now():
-            _sever()
-        else:
-            self.clock.call_at(start, _sever)
-        if duration is not None:
-            def _heal() -> None:
-                heal_fn(region_a, region_b)
-                fault.clear()
-            self.clock.call_at(start + duration, _heal)
-        return fault
-
-    # ------------------------------------------------------------------
-    # continuous-authorization faults (the authz tier registers the hooks)
-    # ------------------------------------------------------------------
+    # The kinds below mark their faults with "authz:", "shard:" and
+    # "feed:" endpoints that never match a real dst name, so perturb()
+    # ignores them.
     def register_pdp_hooks(self, down_fn, restore_fn) -> None:
         """Teach the injector how to kill and restore the policy decision
         point.  ``restore_fn`` must also re-heartbeat the guards and
         re-drive anything the pipeline left pending."""
-        self._pdp_hooks = (down_fn, restore_fn)
+        self._hooks[PDP_DOWN] = (down_fn, restore_fn)
 
     def pdp_down(self, *, at: Optional[float] = None,
                  restore_after: Optional[float] = None) -> Fault:
@@ -424,107 +406,60 @@ class FaultInjector:
         schedules the heal; omit it to leave the PDP down until restored
         explicitly.
         """
-        if self._pdp_hooks is None:
-            raise ConfigurationError("no PDP hooks registered")
-        down_fn, restore_fn = self._pdp_hooks
-        start = self.clock.now() if at is None else at
-        fault = self._add(Fault(PDP_DOWN, "authz:pdp", start, restore_after))
-
-        def _fire() -> None:
-            if fault.cleared:
-                return
-            fault.hits += 1
-            fault.offers += 1
-            self.pdp_outages += 1
-            down_fn()
-
-        if start <= self.clock.now():
-            _fire()
-        else:
-            self.clock.call_at(start, _fire)
-        if restore_after is not None:
-            def _restore() -> None:
-                restore_fn()
-                fault.clear()
-            self.clock.call_at(start + restore_after, _restore)
-        return fault
+        down_fn, restore_fn = self._hooks_for(
+            PDP_DOWN, "no PDP hooks registered")
+        return self._schedule(
+            Fault(PDP_DOWN, "authz:pdp", self._when(at), restore_after),
+            "pdp_outages", down_fn, restore_fn, restore_after)
 
     def register_teardown_hooks(self, stick_fn, unstick_fn) -> None:
         """Register the pair that wedges/unwedges one enforcement
         surface's teardown; both take the surface name."""
-        self._teardown_hooks = (stick_fn, unstick_fn)
+        self._hooks[TEARDOWN_STUCK] = (stick_fn, unstick_fn)
 
     def teardown_stuck(self, surface: str, *, at: Optional[float] = None,
                        duration: Optional[float] = None) -> Fault:
         """Wedge one enforcement surface: revocations journal and fan out
         everywhere else, but this surface confirms nothing until the
         fault ends (the pipeline's retry loop then converges it)."""
-        if self._teardown_hooks is None:
-            raise ConfigurationError("no teardown hooks registered")
-        stick_fn, unstick_fn = self._teardown_hooks
-        start = self.clock.now() if at is None else at
-        fault = self._add(Fault(TEARDOWN_STUCK, f"authz:{surface}", start,
-                                duration))
-
-        def _stick() -> None:
-            if fault.cleared:
-                return
-            fault.hits += 1
-            fault.offers += 1
-            self.teardowns_stuck += 1
-            stick_fn(surface)
-
-        if start <= self.clock.now():
-            _stick()
-        else:
-            self.clock.call_at(start, _stick)
-        if duration is not None:
-            def _unstick() -> None:
-                unstick_fn(surface)
-                fault.clear()
-            self.clock.call_at(start + duration, _unstick)
-        return fault
+        stick_fn, unstick_fn = self._hooks_for(
+            TEARDOWN_STUCK, "no teardown hooks registered")
+        return self._schedule(
+            Fault(TEARDOWN_STUCK, f"authz:{surface}", self._when(at),
+                  duration),
+            "teardowns_stuck", lambda: stick_fn(surface),
+            lambda: unstick_fn(surface), duration)
 
     def register_storm_hook(self, storm_fn) -> None:
         """Register the callable that fires ``count`` revocations across
         identities with live grants (the pipeline coalesces duplicates)."""
-        self._storm_hook = storm_fn
+        self._hooks[REVOCATION_STORM] = storm_fn
 
     def revocation_storm(self, count: int, *,
                          at: Optional[float] = None) -> Fault:
         """Land a burst of ``count`` revocation requests on the pipeline
         at one instant — the retry-storm guard and coalescing are what
         keep this from amplifying into N full teardowns."""
-        if self._storm_hook is None:
-            raise ConfigurationError("no storm hook registered")
+        storm_fn = self._hooks_for(
+            REVOCATION_STORM, "no storm hook registered")
         if count <= 0:
             raise ConfigurationError(f"storm count must be > 0, got {count}")
-        storm_fn = self._storm_hook
-        start = self.clock.now() if at is None else at
-        fault = self._add(Fault(REVOCATION_STORM, "authz:pipeline", start))
+        fault = Fault(REVOCATION_STORM, "authz:pipeline", self._when(at))
 
-        def _fire() -> None:
-            if fault.cleared:
-                return
+        def _storm() -> None:
+            # every request is an offer; the hits are what got through
             fired = storm_fn(count)
             fault.hits += int(fired)
             fault.offers += count
             self.revocation_storms += 1
 
-        if start <= self.clock.now():
-            _fire()
-        else:
-            self.clock.call_at(start, _fire)
-        return fault
+        return self._schedule(fault, None, _storm)
 
-    # ------------------------------------------------------------------
-    # federation-directory faults (the directory tier registers the hooks)
-    # ------------------------------------------------------------------
     def register_shard_hooks(self, down_fn, up_fn) -> None:
         """Register the pair that downs/restores one directory shard;
         both take ``(tier, shard)`` — tier is ``"accounts"`` or
         ``"metadata"``, shard the shard name (e.g. ``"acct-03"``)."""
-        self._shard_hooks = (down_fn, up_fn)
+        self._hooks[SHARD_DOWN] = (down_fn, up_fn)
 
     def shard_down(self, tier: str, shard: str, *, at: Optional[float] = None,
                    restore_after: Optional[float] = None) -> Fault:
@@ -536,73 +471,37 @@ class FaultInjector:
         schedules the heal; omit it to leave the shard down until
         restored explicitly.
         """
-        if self._shard_hooks is None:
-            raise ConfigurationError("no shard hooks registered")
-        down_fn, up_fn = self._shard_hooks
-        start = self.clock.now() if at is None else at
-        fault = self._add(Fault(SHARD_DOWN, f"shard:{tier}/{shard}", start,
-                                restore_after))
-
-        def _fire() -> None:
-            if fault.cleared:
-                return
-            fault.hits += 1
-            fault.offers += 1
-            self.shards_downed += 1
-            down_fn(tier, shard)
-
-        if start <= self.clock.now():
-            _fire()
-        else:
-            self.clock.call_at(start, _fire)
-        if restore_after is not None:
-            def _restore() -> None:
-                up_fn(tier, shard)
-                fault.clear()
-            self.clock.call_at(start + restore_after, _restore)
-        return fault
+        down_fn, up_fn = self._hooks_for(
+            SHARD_DOWN, "no shard hooks registered")
+        return self._schedule(
+            Fault(SHARD_DOWN, f"shard:{tier}/{shard}", self._when(at),
+                  restore_after),
+            "shards_downed", lambda: down_fn(tier, shard),
+            lambda: up_fn(tier, shard), restore_after)
 
     def register_feed_hooks(self, stale_fn, fresh_fn) -> None:
         """Register the pair that downs/restores a metadata feed's
         registrar; both take the feed name."""
-        self._feed_hooks = (stale_fn, fresh_fn)
+        self._hooks[METADATA_FEED_STALE] = (stale_fn, fresh_fn)
 
     def metadata_feed_stale(self, feed: str, *, at: Optional[float] = None,
                             duration: Optional[float] = None) -> Fault:
         """Silence one federation registrar: polls fail, no new deltas
         arrive, and the feed's already-ingested entries age toward their
         validity horizon — past it, logins through them fail closed."""
-        if self._feed_hooks is None:
-            raise ConfigurationError("no feed hooks registered")
-        stale_fn, fresh_fn = self._feed_hooks
-        start = self.clock.now() if at is None else at
-        fault = self._add(Fault(METADATA_FEED_STALE, f"feed:{feed}", start,
-                                duration))
-
-        def _stale() -> None:
-            if fault.cleared:
-                return
-            fault.hits += 1
-            fault.offers += 1
-            self.feeds_staled += 1
-            stale_fn(feed)
-
-        if start <= self.clock.now():
-            _stale()
-        else:
-            self.clock.call_at(start, _stale)
-        if duration is not None:
-            def _fresh() -> None:
-                fresh_fn(feed)
-                fault.clear()
-            self.clock.call_at(start + duration, _fresh)
-        return fault
+        stale_fn, fresh_fn = self._hooks_for(
+            METADATA_FEED_STALE, "no feed hooks registered")
+        return self._schedule(
+            Fault(METADATA_FEED_STALE, f"feed:{feed}", self._when(at),
+                  duration),
+            "feeds_staled", lambda: stale_fn(feed), lambda: fresh_fn(feed),
+            duration)
 
     def heal_region_partition(self, region_a: str, region_b: str) -> None:
         """Explicitly heal a previously severed inter-region link."""
-        if self._region_link_hooks is None:
-            raise ConfigurationError("no region link hooks registered")
-        self._region_link_hooks[1](region_a, region_b)
+        _, heal_fn = self._hooks_for(
+            "region_link", "no region link hooks registered")
+        heal_fn(region_a, region_b)
         for f in self.faults:
             if (f.kind == PARTITION and f.loc_a == ("region", region_a)
                     and f.loc_b == ("region", region_b) and not f.cleared):

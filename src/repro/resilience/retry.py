@@ -1,9 +1,8 @@
 """Retry with exponential backoff, and the per-client resilience wrapper.
 
 ``RetryPolicy`` describes *how* to retry: attempt budget, exponential
-backoff with deterministic jitter (an injected ``random.Random``), an
-optional total-time deadline, and which exception classes are considered
-transient.  Backoff advances the shared :class:`~repro.clock.SimClock`
+backoff with deterministic jitter (an injected ``random.Random``) and
+an optional total-time deadline.  Backoff advances the shared :class:`~repro.clock.SimClock`
 instead of sleeping, so retries cost measurable simulated time and fire
 any scheduled events (forwarder flushes, detection timers) that fall
 inside the wait — exactly as a real wait would.
@@ -19,7 +18,7 @@ applied (see :mod:`repro.resilience.faults`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Tuple, Type
+from typing import Callable, Dict, Optional
 
 from repro.clock import SimClock
 from repro.errors import (
@@ -42,6 +41,10 @@ __all__ = [
 ]
 
 
+# the exception classes a client treats as transient
+RETRY_ON = (ServiceUnavailable, RateLimited)
+
+
 @dataclass(frozen=True)
 class RetryPolicy:
     """How a client retries transient failures.
@@ -61,14 +64,14 @@ class RetryPolicy:
         Optional cap on *total* simulated time spent (including waits);
         a retry that would overrun it is abandoned and the last error
         re-raised.
-    retry_on:
-        Exception classes treated as transient.  :class:`RateLimited`
-        is retryable by default but handled specially: when the server
-        supplied a ``retry_after`` hint, the client waits exactly that
-        long — no jitter, and the wait does not advance the exponential
-        backoff schedule (being shed is not evidence the next backoff
-        step should double).  :class:`DeadlineExceeded` is never
-        retried even if listed here — expired work cannot succeed.
+
+    What is retried is fixed (:data:`RETRY_ON`).  :class:`RateLimited`
+    is handled specially: when the server supplied a ``retry_after``
+    hint, the client waits exactly that long — no jitter, and the wait
+    does not advance the exponential backoff schedule (being shed is not
+    evidence the next backoff step should double).
+    :class:`DeadlineExceeded` is never retried — expired work cannot
+    succeed.
     """
 
     max_attempts: int = 4
@@ -77,7 +80,6 @@ class RetryPolicy:
     max_delay: float = 2.0
     jitter: float = 0.5
     deadline: Optional[float] = None
-    retry_on: Tuple[Type[BaseException], ...] = (ServiceUnavailable, RateLimited)
 
     def backoff(self, attempt: int, rng) -> float:
         """Wait before attempt ``attempt + 1`` (``attempt`` is 1-based)."""
@@ -234,7 +236,7 @@ def call_with_resilience(
                     metrics.expired += 1
                     metrics.failures += 1
                 raise
-            except policy.retry_on as exc:
+            except RETRY_ON as exc:
                 if isinstance(exc, AttemptTimeout) and hedge_armed:
                     # the tightly bounded first attempt tripped its hedge
                     # delay: abandon the straggler and immediately issue

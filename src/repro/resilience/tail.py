@@ -83,8 +83,7 @@ class TailConfig:
     eject_latency_ratio:
         Eject a member whose latency EWMA exceeds this multiple of the
         pool's median member EWMA.
-    eject_error_threshold:
-        … or whose error EWMA (fraction of failed attempts) exceeds this.
+        (or whose error EWMA exceeds ``EJECT_ERROR_THRESHOLD``).
     eject_min_samples, eject_duration, eject_max_backoff_mult,
     max_eject_fraction:
         Evidence floor, base ejection length (doubling per consecutive
@@ -113,7 +112,6 @@ class TailConfig:
     hedge_budget_ratio: float = 0.05
     # latency-outlier ejection
     eject_latency_ratio: float = 4.0
-    eject_error_threshold: float = 0.5
     eject_min_samples: int = 8
     eject_duration: float = 10.0
     eject_max_backoff_mult: float = 8.0
@@ -272,6 +270,11 @@ class RetryBudget:
         return False
 
 
+# the error EWMA (fraction of failed attempts) past which a member is an
+# outlier whatever its latency
+EJECT_ERROR_THRESHOLD = 0.5
+
+
 class OutlierEjector:
     """Latency/error-outlier ejection with probation, for any string-keyed
     fleet (pool replicas, or regions under the geo-router).
@@ -279,7 +282,7 @@ class OutlierEjector:
     A member is *ejected* when, with at least ``eject_min_samples`` of
     evidence, its latency EWMA exceeds ``eject_latency_ratio`` × the
     median member EWMA, or its error EWMA exceeds
-    ``eject_error_threshold``.  Ejection is temporary: after
+    ``EJECT_ERROR_THRESHOLD``.  Ejection is temporary: after
     ``eject_duration`` (doubling per consecutive re-ejection, capped at
     ``eject_max_backoff_mult``×) the member re-enters on *probation* —
     its stats reset so the next few requests re-probe it with fresh
@@ -371,7 +374,7 @@ class OutlierEjector:
         peers = [m for m in fleet if m != member
                  and self._latency.get(m) is not None]
         outlier = False
-        if self._errors.get(member, 0.0) > self.cfg.eject_error_threshold:
+        if self._errors.get(member, 0.0) > EJECT_ERROR_THRESHOLD:
             outlier = True
         elif peers:
             lat = self._latency.get(member)

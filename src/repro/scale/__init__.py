@@ -59,9 +59,7 @@ class ScaleConfig:
     broker_replicas: int = 2
     policy: str = "least-outstanding"  # round-robin | consistent-hash
     caching: bool = True               # off = pool/LB only (ablation arm)
-    decision_ttl: float = 60.0         # cached token-validation verdicts
     negative_ttl: float = 10.0         # cached denials (revoked/forged)
-    jwks_ttl: float = 600.0            # shared JWKS documents
     introspection_ttl: float = 30.0    # remote introspection verdicts
     cert_ttl: float = 300.0            # parsed+verified SSH certificates
     autoscale: bool = False

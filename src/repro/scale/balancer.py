@@ -29,6 +29,7 @@ from ..errors import (
 )
 from ..net.http import HttpRequest, HttpResponse, Service
 from ..resilience.breaker import CircuitBreaker
+from ..resilience.overload import AdmissionController
 from ..resilience.tail import (
     HedgeBudget,
     LatencyTracker,
@@ -46,6 +47,8 @@ __all__ = [
     "RoundRobinPolicy",
     "LeastOutstandingPolicy",
     "ConsistentHashPolicy",
+    "make_policy",
+    "pod_admission",
 ]
 
 
@@ -160,6 +163,20 @@ class ReplicaPool:
             self.remove_replica()
         return self.size()
 
+    # ------------------------------------------------------------------
+    # the fleet as a whole (what a crash or a failover of the shared
+    # state backend does to it)
+    def repoint(self, origin: Service) -> None:
+        """Serve from ``origin`` (the promoted state backend) from now on."""
+        self.origin = origin
+        for worker in self._workers.values():
+            worker.origin = origin
+
+    def set_serving(self, up: bool) -> None:
+        """Every pod dark (its backend died) or serving again."""
+        for name in self._workers:
+            self.network.endpoint(name).up = up
+
 
 # ----------------------------------------------------------------------
 # balancing policies
@@ -223,6 +240,14 @@ class LeastOutstandingPolicy:
         self._served.pop(replica, None)
 
 
+def pod_admission(clock, overload):
+    """Per-worker admission factory for a broker fleet: each pod gets its
+    own broker-sized bucket.  ``None`` without an overload config."""
+    if overload is None:
+        return None
+    return lambda worker: AdmissionController(worker, clock, overload.broker)
+
+
 class ConsistentHashPolicy:
     """Session/tunnel affinity on a bounded-load hash ring.
 
@@ -272,6 +297,21 @@ class ConsistentHashPolicy:
     def release(self, replica: str) -> None:
         if replica in self.ring.members:
             self.ring.release(replica)
+
+
+def make_policy(name: str):
+    """A fresh instance of the balancing policy ``ScaleConfig.policy``
+    names — policies are stateful, so each balancer needs its own."""
+    return {
+        "round-robin": RoundRobinPolicy,
+        "least-outstanding": LeastOutstandingPolicy,
+        "consistent-hash": lambda: ConsistentHashPolicy(
+            # session/tunnel affinity: pin on the credential, else on
+            # the calling endpoint
+            lambda req: (req.headers.get("Authorization")
+                         or req.headers.get("Cookie")
+                         or req.source)),
+    }[name]()
 
 
 # ----------------------------------------------------------------------

@@ -29,7 +29,8 @@ from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from ..clock import SimClock
 
-__all__ = ["CacheStats", "TtlCache", "InvalidationBus", "LoadInFlight"]
+__all__ = ["CacheStats", "TtlCache", "InvalidationBus", "LoadInFlight",
+           "publish_on"]
 
 
 class LoadInFlight(RuntimeError):
@@ -447,3 +448,14 @@ class InvalidationBus:
 
     def subscriber_count(self, topic: str) -> int:
         return len(self._subs.get(topic, ()))
+
+
+def publish_on(bus, dri) -> None:
+    """Point every token/key authority of the deployment ``dri`` at
+    ``bus`` (anything with the bus's ``publish``): the broker's token
+    service for RBAC revocations, every OIDC provider for access-token
+    revocations and JWKS rotations."""
+    dri.broker.tokens.bus = bus
+    for provider in (dri.broker, dri.myaccessid, dri.lastresort,
+                     dri.admin_idp, *dri.idps.values()):
+        provider.invalidation_bus = bus

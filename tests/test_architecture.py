@@ -1,0 +1,104 @@
+"""Structure ratchet: the builder stays readable, the tiers stay separate.
+
+``build_isambard`` is the Fig. 1 base plus one ``install`` call per
+enabled tier; each tier's wiring lives in its own package's
+``install`` module and reads its collaborators off the deployment
+handle.  These checks keep it that way without running anything: they
+parse the sources.  If one fails, move the new wiring into the tier it
+belongs to (docs/extending.md, "Add or remove a tier") rather than
+raising the limit.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+DEPLOYMENT = SRC / "repro" / "core" / "deployment.py"
+
+MAX_BUILDER_LINES = 450
+MAX_TIER_CONDITIONALS = 20
+
+# a conditional is tier-conditional when its test names a tier's flag,
+# config or runtime object
+TIER_WORDS = ("resilien", "overload", "durab", "failover", "telemetry", "tele",
+              "scale", "region", "tail", "authz", "pipeline", "directory",
+              "runtime", "store", "standby", "pool", "bus", "router")
+
+TIER_PACKAGES = {
+    "resilience": "repro.resilience",
+    "scale": "repro.scale",
+    "region": "repro.region",
+    "authz": "repro.authz",
+    "directory": "repro.federation.directory",
+}
+INSTALL_MODULES = {f"{pkg}.install" for pkg in TIER_PACKAGES.values()}
+BASE_PACKAGES = ("net", "oidc", "broker", "portal", "sshca", "tunnels",
+                 "cluster", "siem", "policy")
+
+
+def _builder() -> ast.FunctionDef:
+    tree = ast.parse(DEPLOYMENT.read_text())
+    return next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef)
+                and node.name == "build_isambard")
+
+
+def test_builder_body_fits_on_a_few_screens():
+    fn = _builder()
+    first = fn.body[1] if ast.get_docstring(fn) is not None else fn.body[0]
+    assert fn.end_lineno - first.lineno + 1 <= MAX_BUILDER_LINES
+
+
+def test_builder_branches_on_a_tier_at_most_a_handful_of_times():
+    conditionals = []
+    for node in ast.walk(_builder()):
+        if isinstance(node, (ast.If, ast.IfExp)):
+            words = {n.id for n in ast.walk(node.test)
+                     if isinstance(n, ast.Name)}
+            words |= {n.attr for n in ast.walk(node.test)
+                      if isinstance(n, ast.Attribute)}
+            if any(t in w.lower() for w in words for t in TIER_WORDS):
+                conditionals.append(node.lineno)
+    assert len(conditionals) <= MAX_TIER_CONDITIONALS, conditionals
+
+
+def _imports(path: Path) -> set:
+    """Every module ``path`` imports, absolute; ``from p import a`` counts
+    as both ``p`` and ``p.a`` (``a`` may be a submodule)."""
+    package = path.relative_to(SRC).parts[:-1]
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = list(package[:len(package) - node.level + 1]
+                        if node.level else ())
+            module = ".".join(base + ([node.module] if node.module else []))
+            found.add(module)
+            found.update(f"{module}.{alias.name}" for alias in node.names)
+    return found
+
+
+def _package_files(dotted: str):
+    return sorted((SRC / Path(*dotted.split("."))).rglob("*.py"))
+
+
+@pytest.mark.parametrize("tier", sorted(TIER_PACKAGES))
+def test_tier_reaches_neither_the_builder_nor_another_tiers_install(tier):
+    own = TIER_PACKAGES[tier]
+    for path in _package_files(own):
+        for module in _imports(path):
+            assert not module.startswith("repro.core"), (path, module)
+            if module in INSTALL_MODULES:
+                assert module == f"{own}.install", (path, module)
+
+
+@pytest.mark.parametrize("package", BASE_PACKAGES)
+def test_base_package_imports_no_tier_install(package):
+    for path in _package_files(f"repro.{package}"):
+        assert not _imports(path) & INSTALL_MODULES, path
+

@@ -161,7 +161,8 @@ def test_secret_draws_the_stream_rng_choice_draws(seed):
 
 
 # ---------------------------------------------------------------------------
-# AuditLog._plain: scalars pass through, everything else round-trips
+# AuditLog._plain: scalars pass through, everything else round-trips and
+# comes back with sorted keys (the order the journal stores)
 # ---------------------------------------------------------------------------
 class Colour(enum.Enum):
     RED = "red"
@@ -177,8 +178,11 @@ class Opaque:
 
 
 def _round_trip(value):
+    # keys are sorted *after* coercion to strings: sort_keys on the first
+    # pass would refuse {1: ..., None: ...}, which plain JSON accepts
     try:
-        return json.loads(json.dumps(value))
+        return json.loads(json.dumps(json.loads(json.dumps(value)),
+                                     sort_keys=True))
     except (TypeError, ValueError):
         return repr(value)
 

@@ -104,17 +104,12 @@ class Opaque:
         return "<opaque>"
 
 
-# dict attrs are drawn with their keys in sorted order: the journal has
-# always re-sorted them, which breaks the chain of an unsorted one on
-# recovery — on both sides of this differential alike (the strict xfail
-# in test_durability.py::test_dict_attr_key_order_survives_the_journal)
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers(-10 ** 6, 10 ** 6)
     | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=8),
     lambda inner: st.lists(inner, max_size=3)
     | st.tuples(inner, inner)
-    | st.dictionaries(st.text(max_size=4), inner, max_size=3).map(
-        lambda d: dict(sorted(d.items()))),
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
     max_leaves=6,
 )
 attr_values = json_values | st.sampled_from(
