@@ -9,7 +9,7 @@ journalled intent's request-to-all-surfaces-confirmed latency — across
 five arms:
 
 * **baseline** — no faults: every intent must fan out to all four
-  surfaces within the advertised ``ttr_bound``;
+  surfaces within the advertised ``TTR_BOUND``;
 * **crash** — the pipeline host dies *between* journalling the intent
   and enforcement; recovery must resume and finish every teardown;
 * **pdp down (partition)** — the policy decision point is unreachable
@@ -18,7 +18,7 @@ five arms:
   needs no PDP — keeps working;
 * **teardown stuck** — one enforcement surface wedges for ``D``
   seconds: TTR for the affected intents is bounded by
-  ``D + retry_interval``;
+  ``D + RETRY_INTERVAL``;
 * **revocation storm** — N× duplicate revocations against the same
   identities: still-pending intents coalesce, so the storm does one
   teardown per identity, not N.
@@ -31,7 +31,7 @@ on any of the four surfaces for any revoked identity.
 
 import os
 
-from repro.authz import AuthzConfig
+from repro.authz import RETRY_INTERVAL, STALENESS_BOUND, TTR_BOUND
 from repro.core import build_isambard
 from repro.core.metrics import format_table
 
@@ -39,8 +39,6 @@ QUICK = os.environ.get("ABL12_QUICK") == "1"
 N_RESEARCHERS = 2 if QUICK else 5
 STUCK_FOR = 5.0
 STORM_MULT = 6  # duplicate revocations per identity in the storm arm
-
-CFG = AuthzConfig()  # advertised bounds the arms are asserted against
 
 
 # ----------------------------------------------------------------------
@@ -102,7 +100,7 @@ def arm_baseline(seed: int):
     for uid in uids:
         dri.authz.pipeline.revoke(uid=uid, reason="abl12-baseline", by="bench")
     stats = ttr_stats(finished(dri, uids))
-    assert stats["p99"] <= CFG.ttr_bound
+    assert stats["p99"] <= TTR_BOUND
     assert survivors(dri, uids) == 0
     return {"stats": stats, "survivors": survivors(dri, uids),
             "note": "no faults"}
@@ -124,7 +122,7 @@ def arm_crash(seed: int):
     assert resumed == len(uids)  # every journalled intent was resumed
     for s in ("tokens", "ssh", "tunnels", "compute"):
         pipe.unstick(s)
-    dri.clock.advance(CFG.retry_interval + 0.1)
+    dri.clock.advance(RETRY_INTERVAL + 0.1)
     stats = ttr_stats(finished(dri, uids))
     assert not pipe.pending_intents()
     assert survivors(dri, uids) == 0
@@ -136,11 +134,11 @@ def arm_pdp_down(seed: int):
     """PDP partitioned away: admission fails closed, revocation works."""
     dri, uids = onboard(seed)
     guard = dri.authz.guard
-    outage = CFG.staleness_bound + 20.0
+    outage = STALENESS_BOUND + 20.0
     dri.faults.pdp_down(restore_after=outage)
 
     # within the bound: surfaces still admit on the last good heartbeat
-    dri.clock.advance(CFG.staleness_bound - 1.0)
+    dri.clock.advance(STALENESS_BOUND - 1.0)
     resp = dri.workflows.mint(dri.workflows.personas["res0"],
                               "jupyter", "researcher")
     assert resp.ok
@@ -177,15 +175,15 @@ def arm_pdp_down(seed: int):
 
 
 def arm_stuck(seed: int):
-    """One enforcement surface wedges; TTR ≤ D + retry_interval."""
+    """One enforcement surface wedges; TTR ≤ D + RETRY_INTERVAL."""
     dri, uids = onboard(seed)
     dri.faults.teardown_stuck("compute", duration=STUCK_FOR)
     for uid in uids:
         dri.authz.pipeline.revoke(uid=uid, reason="abl12-stuck", by="bench")
     assert dri.authz.pipeline.pending_intents()  # compute arm is wedged
-    dri.clock.advance(STUCK_FOR + CFG.retry_interval + 0.1)
+    dri.clock.advance(STUCK_FOR + RETRY_INTERVAL + 0.1)
     stats = ttr_stats(finished(dri, uids))
-    assert stats["p99"] <= STUCK_FOR + CFG.retry_interval + 0.5
+    assert stats["p99"] <= STUCK_FOR + RETRY_INTERVAL + 0.5
     assert not dri.authz.pipeline.pending_intents()
     assert survivors(dri, uids) == 0
     return {"stats": stats, "survivors": 0,
@@ -204,7 +202,7 @@ def arm_storm(seed: int):
     assert pipe.revocations <= len(identities)
     coalesced = pipe.storms_coalesced
     assert coalesced == storm - pipe.revocations
-    dri.clock.advance(STUCK_FOR + CFG.retry_interval + 0.1)
+    dri.clock.advance(STUCK_FOR + RETRY_INTERVAL + 0.1)
     stats = ttr_stats(finished(dri, uids))
     assert not pipe.pending_intents()
     assert dri.authz.registry.identities_with_live_grants() == []
@@ -215,7 +213,7 @@ def arm_storm(seed: int):
 
 
 # ----------------------------------------------------------------------
-def test_ablation_authz(benchmark, report):
+def test_ablation_authz(report):
     arms = [
         ("baseline", arm_baseline, 120),
         ("crash mid-revocation", arm_crash, 121),
@@ -226,15 +224,12 @@ def test_ablation_authz(benchmark, report):
     rows = []
     results = {}
     for name, fn, seed in arms:
-        if name == "baseline":
-            out = benchmark.pedantic(fn, args=(seed,), rounds=1, iterations=1)
-        else:
-            out = fn(seed)
+        out = fn(seed)
         results[name] = out
         s = out["stats"]
         rows.append([
             name, str(s["n"]), f"{s['p50']:.3f}", f"{s['p99']:.3f}",
-            f"{CFG.ttr_bound:.0f}", str(out["survivors"]), out["note"],
+            f"{TTR_BOUND:.0f}", str(out["survivors"]), out["note"],
         ])
 
     # cross-arm shape: the no-fault TTR is (near-)instant, the stuck arm

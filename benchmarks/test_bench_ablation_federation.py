@@ -184,7 +184,7 @@ def test_ablation_national_federation(report):
             step_lat = []
             k = 0
             while not mig.done:
-                mig.step(batch=CONFIG.migration_batch)
+                mig.step()
                 for _ in range(20):  # interleave lookups with the moves
                     i = (k * 6_151) % N_USERS
                     k += 1

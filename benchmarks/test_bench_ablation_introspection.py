@@ -43,9 +43,8 @@ def acceptance_after_revocation(introspect: bool, seed: int):
     return dri, window, auth_hops
 
 
-def test_ablation_introspection(benchmark, report):
-    dri_on, window_on, hops_on = benchmark.pedantic(
-        acceptance_after_revocation, args=(True, 91), rounds=1, iterations=1)
+def test_ablation_introspection(report):
+    dri_on, window_on, hops_on = acceptance_after_revocation(True, 91)
     dri_off, window_off, hops_off = acceptance_after_revocation(False, 92)
 
     # shape: introspection closes the revocation gap completely; without

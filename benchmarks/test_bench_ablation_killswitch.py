@@ -27,14 +27,12 @@ def containment_for_interval(interval: float, seed: int, *, auto: bool = True):
     return dri, t
 
 
-def test_ablation_killswitch(benchmark, report):
+def test_ablation_killswitch(report):
     rows = []
     times = {}
     for i, interval in enumerate(INTERVALS):
         if interval == 5.0:
-            dri, t = benchmark.pedantic(
-                containment_for_interval, args=(5.0, 71),
-                rounds=1, iterations=1)
+            dri, t = containment_for_interval(5.0, 71)
         else:
             dri, t = containment_for_interval(interval, seed=70 + i)
         times[interval] = t

@@ -7,7 +7,7 @@ geo-router:
 
 (a) **region loss mid-surge**: the geo-router re-routes the lost
     region's callers to the survivor with a bounded p99 — the detour
-    costs ``inter_region_latency``, not availability;
+    costs ``INTER_REGION_LATENCY``, not availability;
 
 (b) **bounded revocation staleness under partition**: a region deaf to
     the bus may serve a revoked token from cache, but never past the
@@ -39,6 +39,8 @@ from repro.errors import (
 )
 from repro.net.http import HttpRequest
 from repro.region import ACTIVE, RegionConfig
+from repro.region.directory import LAG_CHECK_INTERVAL
+from repro.region.router import INTER_REGION_LATENCY
 from repro.siem import CacheStalenessRule, RegionLagRule
 
 QUICK = os.environ.get("ABL10_QUICK") == "1"
@@ -171,7 +173,7 @@ def multiregion_surge(seed: int, fault: str = "none"):
             except EpochFenced:
                 zombie_fenced = True
         dri.region_directory.heal("eu", "us")
-        clock.advance(3.0 * CFG.lag_check_interval)  # watchdog recovery
+        clock.advance(3.0 * LAG_CHECK_INTERVAL)  # watchdog recovery
     dri.ship_logs()
 
     mint_jtis = []
@@ -200,10 +202,9 @@ def multiregion_surge(seed: int, fault: str = "none"):
     }
 
 
-def test_ablation_multiregion(benchmark, report):
+def test_ablation_multiregion(report):
     baseline = multiregion_surge(1000)
-    loss = benchmark.pedantic(multiregion_surge, args=(1001, "region_loss"),
-                              rounds=1, iterations=1)
+    loss = multiregion_surge(1001, "region_loss")
     part = multiregion_surge(1002, "partition")
     bounce = multiregion_surge(1003, "bounce")
 
@@ -222,7 +223,7 @@ def test_ablation_multiregion(benchmark, report):
     # degrades proportionally to the fault, it does not run away
     assert loss["stats"]["p99"] <= (
         baseline["stats"]["p99"]
-        + loss["reroutes"] * CFG.inter_region_latency + 0.05)
+        + loss["reroutes"] * INTER_REGION_LATENCY + 0.05)
     # the lost region recovered and serves again after restore
     assert loss["dri"].region_directory.region("us").state == ACTIVE
 

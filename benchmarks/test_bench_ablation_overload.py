@@ -211,15 +211,11 @@ def surge(protected: bool, seed: int, n_surge: int):
     }
 
 
-def test_ablation_overload(benchmark, report):
+def test_ablation_overload(report):
     n_max = SURGES[-1]
     on_runs = {}
     for n in SURGES:
-        if n == n_max:
-            on_runs[n] = benchmark.pedantic(
-                surge, args=(True, 71, n), rounds=1, iterations=1)
-        else:
-            on_runs[n] = surge(True, 71, n)
+        on_runs[n] = surge(True, 71, n)
     off = surge(False, 72, n_max)
     on = on_runs[n_max]
 

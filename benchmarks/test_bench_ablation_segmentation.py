@@ -37,9 +37,8 @@ def exposure_rows(label, tm):
     return rows
 
 
-def test_ablation_segmentation(benchmark, report):
-    (seg, seg_tm) = benchmark.pedantic(build, args=(True, 31),
-                                       rounds=1, iterations=1)
+def test_ablation_segmentation(report):
+    seg, seg_tm = build(True, 31)
     flat, flat_tm = build(False, 32)
 
     rows = exposure_rows("segmented (Fig.1)", seg_tm) + \

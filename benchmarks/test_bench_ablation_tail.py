@@ -276,13 +276,12 @@ def retry_storm(seed: int, guarded: bool):
     }
 
 
-def test_ablation_tail(benchmark, report):
+def test_ablation_tail(report):
     baseline = tail_surge(1100, "baseline")
     deadlines = tail_surge(1101, "deadlines")
     hedge = tail_surge(1102, "hedge")
     eject = tail_surge(1103, "eject")
-    allon = benchmark.pedantic(tail_surge, args=(1104, "all"),
-                               rounds=1, iterations=1)
+    allon = tail_surge(1104, "all")
     storm_off = retry_storm(1105, guarded=False)
     storm_on = retry_storm(1105, guarded=True)
 

@@ -32,12 +32,11 @@ def window_for_ttl(ttl: float, seed: int) -> float:
                                   probe_interval=max(ttl / 20, 5.0))
 
 
-def test_ablation_token_ttl(benchmark, report):
+def test_ablation_token_ttl(report):
     windows = {}
     for i, ttl in enumerate(TTLS):
         if ttl == 900.0:
-            windows[ttl] = benchmark.pedantic(
-                window_for_ttl, args=(900.0, 41), rounds=1, iterations=1)
+            windows[ttl] = window_for_ttl(900.0, 41)
         else:
             windows[ttl] = window_for_ttl(ttl, seed=50 + i)
 

@@ -20,11 +20,11 @@ def dri():
     return build_isambard(seed=2)
 
 
-def test_fig2_login_page(dri, benchmark, report):
+def test_fig2_login_page(dri, report):
     agent = UserAgent("fig2-laptop")
     dri.network.attach(agent, OperatingDomain.EXTERNAL, Zone.INTERNET)
 
-    resp = benchmark(lambda: agent.get(make_url("broker", "/login"))[0])
+    resp = agent.get(make_url("broker", "/login"))[0]
     assert resp.ok
     providers = resp.body["providers"]
     assert {p["kind"] for p in providers} == {"federated", "lastresort", "admin"}

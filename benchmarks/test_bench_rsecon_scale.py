@@ -78,14 +78,13 @@ def run_workshop(n: int, seed: int):
     return dri, dri.workflows.rsecon_workshop(n)
 
 
-def test_rsecon_scale(benchmark, report):
+def test_rsecon_scale(report):
     rows = []
     paper_row = None
     breakdown = ""
     for n in COHORTS:
         if n == 45:
-            dri, result = benchmark.pedantic(
-                run_workshop, args=(45, 45), rounds=1, iterations=1)
+            dri, result = run_workshop(45, 45)
             paper_row = result
             breakdown = slowest_login_breakdown(dri, result)
         else:
@@ -244,16 +243,11 @@ def scale_surge(replicas: int, caching: bool, seed: int,
     }
 
 
-def test_ablation_scale(benchmark, report):
+def test_ablation_scale(report):
     arms = {}  # (replicas, caching) -> run
     for r in REPLICAS:
         for caching in (False, True):
-            if r == REPLICAS[-1] and caching:
-                arms[(r, caching)] = benchmark.pedantic(
-                    scale_surge, args=(r, True, 900 + r),
-                    rounds=1, iterations=1)
-            else:
-                arms[(r, caching)] = scale_surge(r, caching, 900 + r)
+            arms[(r, caching)] = scale_surge(r, caching, 900 + r)
     auto = scale_surge(1, True, 950, autoscale=True)
 
     # (a) capacity scales: loss falls monotonically with replica count,

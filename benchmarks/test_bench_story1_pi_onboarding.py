@@ -3,8 +3,7 @@
 Reproduces §IV.A.1 including both its branches (PI via the MyAccessID
 federation, and via the identity of last resort when the institution is
 outside it), the authorisation-led-registration denial, and time-limited
-revocation.  ``benchmark`` times the full story end-to-end on a fresh
-deployment.
+revocation.
 """
 
 import pytest
@@ -21,10 +20,8 @@ def run_story(via: str, seed: int):
     return dri, result
 
 
-def test_story1_pi_onboarding(benchmark, report):
-    dri, federated = benchmark.pedantic(
-        run_story, args=("myaccessid", 3), rounds=3, iterations=1
-    )
+def test_story1_pi_onboarding(report):
+    dri, federated = run_story("myaccessid", 3)
     assert federated.ok, federated.steps
 
     # branch 2: the PI's institution is not in the federation

@@ -20,8 +20,8 @@ def run_story(seed: int):
     return dri, result
 
 
-def test_story2_admin_registration(benchmark, report):
-    dri, result = benchmark.pedantic(run_story, args=(6,), rounds=3, iterations=1)
+def test_story2_admin_registration(report):
+    dri, result = run_story(6)
     assert result.ok, result.steps
 
     rows = [["full onboarding + hardware-key login", "ok"]]

@@ -21,8 +21,8 @@ def run_story(seed: int):
     return dri, s1, s3
 
 
-def test_story3_researcher_setup(benchmark, report):
-    dri, s1, s3 = benchmark.pedantic(run_story, args=(8,), rounds=3, iterations=1)
+def test_story3_researcher_setup(report):
+    dri, s1, s3 = run_story(8)
     assert s3.ok, s3.steps
     project_id = s1.data["project_id"]
     wf = dri.workflows

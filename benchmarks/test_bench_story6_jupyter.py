@@ -23,8 +23,8 @@ def run_story(seed: int):
     return dri, s6
 
 
-def test_story6_jupyter(benchmark, report):
-    dri, s6 = benchmark.pedantic(run_story, args=(14,), rounds=3, iterations=1)
+def test_story6_jupyter(report):
+    dri, s6 = run_story(14)
     assert s6.ok, s6.steps
     wf = dri.workflows
     rows = [["authorised researcher via edge + Zenith", "notebook spawned",

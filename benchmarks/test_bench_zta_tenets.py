@@ -30,9 +30,8 @@ def exercised_deployment(seed: int):
     return dri
 
 
-def test_zta_tenets(benchmark, report):
-    dri = benchmark.pedantic(exercised_deployment, args=(21,),
-                             rounds=1, iterations=1)
+def test_zta_tenets(report):
+    dri = exercised_deployment(21)
     reports = check_tenets(dri)
     assert len(reports) == 7
     failing = [r for r in reports if not r.passed]

@@ -18,14 +18,27 @@ from repro.authz.authorizer import (
     ContinuousAuthorizer,
     PolicyDecisionPoint,
 )
-from repro.authz.config import SURFACES, AuthzConfig
+from repro.authz.config import (
+    MIN_LOA,
+    REEVAL_INTERVAL,
+    RETRY_INTERVAL,
+    STALENESS_BOUND,
+    SURFACES,
+    TRUST_DOMAIN,
+    TTR_BOUND,
+)
 from repro.authz.identity import IdentityGraph
 from repro.authz.pipeline import RevocationIntent, RevocationPipeline
 from repro.authz.registry import Grant, SessionRegistry
 
 __all__ = [
     "SURFACES",
-    "AuthzConfig",
+    "TRUST_DOMAIN",
+    "STALENESS_BOUND",
+    "REEVAL_INTERVAL",
+    "RETRY_INTERVAL",
+    "TTR_BOUND",
+    "MIN_LOA",
     "AuthzGuard",
     "AuthzRuntime",
     "ContinuousAuthorizer",
@@ -42,7 +55,6 @@ __all__ = [
 class AuthzRuntime:
     """Everything the deployment wires for continuous authorization."""
 
-    config: AuthzConfig
     graph: IdentityGraph
     registry: SessionRegistry
     pipeline: RevocationPipeline

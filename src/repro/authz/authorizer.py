@@ -29,7 +29,7 @@ from repro.clock import SimClock
 from repro.errors import ServiceUnavailable
 from repro.policy.engine import AccessContext, PolicyEngine
 
-from repro.authz.config import AuthzConfig
+from repro.authz.config import MIN_LOA, REEVAL_INTERVAL, STALENESS_BOUND
 from repro.authz.pipeline import RevocationPipeline
 from repro.authz.registry import SessionRegistry
 
@@ -96,7 +96,7 @@ class AuthzGuard:
     """
 
     def __init__(self, clock: SimClock, pdp: PolicyDecisionPoint, *,
-                 staleness_bound: float = 30.0,
+                 staleness_bound: float = STALENESS_BOUND,
                  audit: Optional[AuditLog] = None,
                  telemetry=None) -> None:
         self.clock = clock
@@ -169,15 +169,13 @@ class ContinuousAuthorizer:
                  pipeline: RevocationPipeline,
                  pdp: PolicyDecisionPoint,
                  guard: AuthzGuard,
-                 audit: Optional[AuditLog] = None,
-                 config: Optional[AuthzConfig] = None) -> None:
+                 audit: Optional[AuditLog] = None) -> None:
         self.clock = clock
         self.registry = registry
         self.pipeline = pipeline
         self.pdp = pdp
         self.guard = guard
         self.audit = audit
-        self.config = config if config is not None else AuthzConfig()
         self._risk: Dict[str, float] = {}    # uid -> SOC risk score
         self._loa: Dict[str, int] = {}       # uid -> current assurance
         self._started = False
@@ -190,7 +188,7 @@ class ContinuousAuthorizer:
         if self._started:
             return
         self._started = True
-        self.clock.call_later(self.config.reeval_interval, self._tick)
+        self.clock.call_later(REEVAL_INTERVAL, self._tick)
 
     def _tick(self) -> None:
         self.ticks += 1
@@ -198,7 +196,7 @@ class ContinuousAuthorizer:
             self.guard.heartbeat()
             self.pipeline.drive_pending()
             self.reevaluate_all()
-        self.clock.call_later(self.config.reeval_interval, self._tick)
+        self.clock.call_later(REEVAL_INTERVAL, self._tick)
 
     def reevaluate_all(self) -> int:
         """One sweep over every identity with live grants."""
@@ -213,7 +211,7 @@ class ContinuousAuthorizer:
         ctx = AccessContext(
             subject=uid, role="user", capability="session.continue",
             resource="live-session",
-            loa=self._loa.get(uid, self.config.min_loa),
+            loa=self._loa.get(uid, MIN_LOA),
             risk_score=self._risk.get(uid, 0.0),
             time=self.clock.now(),
             attrs={"continuous": True, "spiffe_id": spiffe_id},

@@ -1,10 +1,9 @@
-"""Configuration for the continuous-authorization subsystem."""
+"""Constants of the continuous-authorization subsystem."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-__all__ = ["AuthzConfig", "SURFACES"]
+__all__ = ["SURFACES", "TRUST_DOMAIN", "STALENESS_BOUND", "REEVAL_INTERVAL",
+           "RETRY_INTERVAL", "TTR_BOUND", "MIN_LOA"]
 
 # The four enforcement surfaces every revocation intent fans out to, in
 # the order the pipeline drives them.  "tokens" first: once the broker's
@@ -12,40 +11,24 @@ __all__ = ["AuthzConfig", "SURFACES"]
 # other surfaces while they are being swept.
 SURFACES = ("tokens", "ssh", "tunnels", "compute")
 
-
-@dataclass(frozen=True)
-class AuthzConfig:
-    """Knobs for the continuous-authorization pipeline.
-
-    Parameters
-    ----------
-    trust_domain:
-        SPIFFE trust domain canonical identities are minted under.
-    staleness_bound:
-        How long an enforcement surface may keep admitting on the last
-        good PDP heartbeat once the PDP goes unreachable.  Past the
-        bound every guarded surface *fails closed* (denies) rather than
-        serving a stale ALLOW — the same contract as the multi-region
-        lag watchdog.
-    reeval_interval:
-        Cadence of the continuous re-evaluation loop that re-checks
-        every live grant against the policy engine.
-    retry_interval:
-        How often the pipeline re-drives revocation intents whose
-        enforcement surfaces failed or are stuck.
-    ttr_bound:
-        The advertised time-to-revoke bound under no faults: a
-        revocation intent must reach all four surfaces within this many
-        simulated seconds (benches assert TTR p99 against it).
-    min_loa:
-        Assurance floor for *continuing* sessions: when a subject's
-        level of assurance drops below this, the re-evaluation loop
-        tears their live grants down.
-    """
-
-    trust_domain: str = "isambard.example"
-    staleness_bound: float = 30.0
-    reeval_interval: float = 10.0
-    retry_interval: float = 2.0
-    ttr_bound: float = 60.0
-    min_loa: int = 1
+# SPIFFE trust domain canonical identities are minted under
+TRUST_DOMAIN = "isambard.example"
+# How long an enforcement surface may keep admitting on the last good PDP
+# heartbeat once the PDP goes unreachable.  Past the bound every guarded
+# surface *fails closed* (denies) rather than serving a stale ALLOW — the
+# same contract as the multi-region lag watchdog.
+STALENESS_BOUND = 30.0
+# Cadence of the continuous re-evaluation loop that re-checks every live
+# grant against the policy engine
+REEVAL_INTERVAL = 10.0
+# How often the pipeline re-drives revocation intents whose enforcement
+# surfaces failed or are stuck
+RETRY_INTERVAL = 2.0
+# The advertised time-to-revoke bound under no faults: a revocation
+# intent must reach all four surfaces within this many simulated seconds
+# (benches assert TTR p99 against it)
+TTR_BOUND = 60.0
+# Assurance floor for *continuing* sessions: when a subject's level of
+# assurance drops below this, the re-evaluation loop tears their live
+# grants down
+MIN_LOA = 1

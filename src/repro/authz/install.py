@@ -16,6 +16,7 @@ from repro.authz.authorizer import (
     ContinuousAuthorizer,
     PolicyDecisionPoint,
 )
+from repro.authz.config import MIN_LOA, TRUST_DOMAIN
 from repro.authz.identity import IdentityGraph
 from repro.authz.pipeline import RevocationPipeline
 from repro.authz.registry import SessionRegistry
@@ -23,41 +24,35 @@ from repro.authz.registry import SessionRegistry
 __all__ = ["add_assurance_floor", "install"]
 
 
-def add_assurance_floor(engine, cfg) -> None:
+def add_assurance_floor(engine) -> None:
     """The one rule that must sit *ahead of* the standard pack's
     capability allow: a live session whose identity's LoA stepped below
     the floor is denied on re-evaluation and handed to the revocation
     pipeline."""
     engine.deny(
         "assurance-below-floor",
-        lambda c, floor=cfg.min_loa: (
-            bool(c.attrs.get("continuous")) and c.loa < floor),
+        lambda c: bool(c.attrs.get("continuous")) and c.loa < MIN_LOA,
         reason="identity assurance below the continuous-session floor",
     )
 
 
-def install(dri, cfg) -> None:
+def install(dri) -> None:
     """Identity graph, session registry, journaled revocation pipeline,
     fail-closed PDP guard and the re-evaluation loop — attached to every
     admission path and every revocation source of the deployment."""
     clock, tele, logs = dri.clock, dri.telemetry, dri.logs
-    graph = IdentityGraph(cfg.trust_domain, authority=dri.spire)
+    graph = IdentityGraph(TRUST_DOMAIN, authority=dri.spire)
     registry = SessionRegistry(clock, graph=graph)
     pdp = PolicyDecisionPoint(
         clock, dri.policy_engine,
         provenance=tele.provenance if tele is not None else None,
     )
-    guard = AuthzGuard(
-        clock, pdp, staleness_bound=cfg.staleness_bound,
-        audit=logs["fds"], telemetry=tele,
-    )
+    guard = AuthzGuard(clock, pdp, audit=logs["fds"], telemetry=tele)
     pipeline = RevocationPipeline(
-        clock, registry=registry, audit=logs["sec"],
-        telemetry=tele, retry_interval=cfg.retry_interval,
-    )
+        clock, registry=registry, audit=logs["sec"], telemetry=tele)
     authorizer = ContinuousAuthorizer(
         clock, registry=registry, pipeline=pipeline, pdp=pdp,
-        guard=guard, audit=logs["sec"], config=cfg,
+        guard=guard, audit=logs["sec"],
     )
 
     if tele is not None:
@@ -68,7 +63,7 @@ def install(dri, cfg) -> None:
         def enrich_decision(subject: str) -> Dict[str, object]:
             return {
                 "pack_version": dri.policy_engine.pack_version,
-                "loa": authorizer._loa.get(subject, cfg.min_loa),
+                "loa": authorizer._loa.get(subject, MIN_LOA),
                 "threat_score": authorizer._risk.get(subject, 0.0),
                 "pdp_staleness": round(guard.age(), 6),
             }
@@ -164,6 +159,6 @@ def install(dri, cfg) -> None:
         dri.add_crash_target("authz", lambda: pipeline, lambda up: None)
     authorizer.start()
     dri.authz = AuthzRuntime(
-        config=cfg, graph=graph, registry=registry,
+        graph=graph, registry=registry,
         pipeline=pipeline, pdp=pdp, guard=guard, authorizer=authorizer,
     )

@@ -34,7 +34,7 @@ from repro.clock import SimClock
 from repro.errors import ConfigurationError, ReproError
 from repro.resilience.durability import Durable
 
-from repro.authz.config import SURFACES
+from repro.authz.config import RETRY_INTERVAL, SURFACES
 from repro.authz.registry import SessionRegistry
 
 __all__ = ["RevocationIntent", "RevocationPipeline"]
@@ -93,7 +93,7 @@ class RevocationPipeline(Durable):
                  registry: SessionRegistry,
                  audit: Optional[AuditLog] = None,
                  telemetry=None,
-                 retry_interval: float = 2.0) -> None:
+                 retry_interval: float = RETRY_INTERVAL) -> None:
         self.clock = clock
         self.registry = registry
         self.audit = audit

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Union
 
 from repro.audit import AuditLog, CombinedAuditView
-from repro.authz import AuthzConfig, AuthzRuntime, install as authz_tier
+from repro.authz import AuthzRuntime, install as authz_tier
 from repro.broker import IdentityBroker, RbacTokenValidator, Role
 from repro.clock import SimClock
 from repro.core.workflows import Workflows
@@ -41,7 +41,6 @@ from repro.errors import ConfigurationError
 from repro.federation import (
     AssurancePolicy,
     CloudAdminIdP,
-    EduGain,
     EntityCategory,
     InstitutionalIdP,
     LastResortIdP,
@@ -51,6 +50,8 @@ from repro.federation import (
 from repro.federation.directory import (
     DirectoryConfig,
     FederationDirectory,
+    ShardedAccountRegistry,
+    ShardedMetadataStore,
     install as directory_tier,
 )
 from repro.federation.spiffe import TrustDomainAuthority
@@ -129,7 +130,7 @@ class IsambardDeployment:
     logs: Dict[str, AuditLog]
     audit: CombinedAuditView
     # federation
-    edugain: EduGain = None
+    edugain: ShardedMetadataStore = None
     idps: Dict[str, InstitutionalIdP] = field(default_factory=dict)
     myaccessid: MyAccessID = None
     lastresort: LastResortIdP = None
@@ -409,7 +410,7 @@ def build_isambard(
     scale: Union[bool, ScaleConfig] = False,
     regions: Union[bool, RegionConfig] = False,
     tail: Union[bool, TailConfig] = False,
-    authz: Union[bool, AuthzConfig] = False,
+    authz: bool = False,
     pipeline: Union[bool, PipelineConfig] = False,
     directory: Union[bool, DirectoryConfig] = False,
 ) -> IsambardDeployment:
@@ -442,8 +443,7 @@ def build_isambard(
       docs/architecture.md "Crash recovery & failover".
     * ``regions`` (:class:`RegionConfig`, implies scale + durability) —
       docs/scaling.md "Multi-region active-active".
-    * ``authz`` (:class:`AuthzConfig`) — docs/architecture.md
-      "Continuous authorization".
+    * ``authz`` — docs/architecture.md "Continuous authorization".
     * ``directory`` (:class:`DirectoryConfig`) — docs/architecture.md
       "Federation directory".
     """
@@ -453,7 +453,6 @@ def build_isambard(
     scale_cfg = _config(scale or region_cfg is not None, ScaleConfig)
     tail_cfg = _config(tail, TailConfig)
     overload_cfg = _config(overload, OverloadConfig)
-    authz_cfg = _config(authz, AuthzConfig)
     directory_cfg = _config(directory, DirectoryConfig)
     pipeline_cfg = _config(pipeline, PipelineConfig)
 
@@ -487,14 +486,13 @@ def build_isambard(
                      OperatingDomain.SEC)
 
     # ------------------------------------------------------------- federation
-    # with the directory tier the metadata aggregate and the account
-    # registry are its sharded stores — EduGain/AccountRegistry-shaped, so
-    # MyAccessID validation, discovery and the benchmarks consume them
-    # unchanged
-    dri.edugain, accounts = (
-        directory_tier.sharded_stores(
-            directory_cfg, clock, ids, telemetry=tele, audit=logs["external"])
-        if directory_cfg is not None else (EduGain(), None))
+    # the metadata aggregate and the account registry are built bare: one
+    # shard each unless the directory tier sizes them, and its install
+    # attaches everything else.  The bilateral trust anchors registered
+    # here get no validity window; feed-ingested entries always do.
+    sizing = directory_cfg or DirectoryConfig(account_shards=1,
+                                              metadata_shards=1)
+    dri.edugain = ShardedMetadataStore(clock, shards=sizing.metadata_shards)
     for endpoint, host, federation, display, loa, categories in idp_specs:
         idp = InstitutionalIdP(
             endpoint, f"https://{host}", clock, ids,
@@ -506,7 +504,8 @@ def build_isambard(
         dri.idps[endpoint] = idp
     dri.myaccessid = MyAccessID(
         "myaccessid", clock, ids, dri.edugain,
-        policy=AssurancePolicy(), audit=logs["external"], registry=accounts,
+        ShardedAccountRegistry(clock, ids, shards=sizing.account_shards),
+        policy=AssurancePolicy(), audit=logs["external"],
     )
     attach(dri.myaccessid, E, Zone.INTERNET)
     dri.lastresort = LastResortIdP("idp-lastresort", clock, ids,
@@ -583,8 +582,8 @@ def build_isambard(
     # plane on top of token validation; the continuous-authorization
     # floor must precede the pack's capability allow or it never fires
     dri.policy_engine = PolicyEngine()
-    if authz_cfg is not None:
-        authz_tier.add_assurance_floor(dri.policy_engine, authz_cfg)
+    if authz:
+        authz_tier.add_assurance_floor(dri.policy_engine)
     standard_zero_trust_rules(dri.policy_engine)
 
     # kill-switch levers: one principal, severed everywhere — every
@@ -783,8 +782,8 @@ def build_isambard(
         resilience_tier.install_failover(dri)
     if region_cfg is not None:
         region_tier.install(dri, region_cfg)
-    if authz_cfg is not None:
-        authz_tier.install(dri, authz_cfg)
+    if authz:
+        authz_tier.install(dri)
     if directory_cfg is not None:
         directory_tier.install(dri, directory_cfg)
 

@@ -2,14 +2,13 @@
 
 from repro.federation.assurance import AssurancePolicy, EntityCategory, LevelOfAssurance
 from repro.federation.cloud_idp import AdminAccount, CloudAdminIdP
-from repro.federation.edugain import EduGain, IdPMetadata, populate_edugain
+from repro.federation.edugain import IdPMetadata, populate_edugain
 from repro.federation.idp import FederatedUser, InstitutionalIdP
 from repro.federation.lastresort import LastResortIdP, LastResortUser
 from repro.federation.mfa import HardwareKey, HardwareKeyRegistration, TotpDevice
 from repro.federation.spiffe import TrustDomainAuthority, WorkloadIdentity
 from repro.federation.myaccessid import (
     Account,
-    AccountRegistry,
     LinkedIdentity,
     MyAccessID,
 )
@@ -20,12 +19,10 @@ __all__ = [
     "LevelOfAssurance",
     "InstitutionalIdP",
     "FederatedUser",
-    "EduGain",
     "IdPMetadata",
     "populate_edugain",
     "MyAccessID",
     "Account",
-    "AccountRegistry",
     "LinkedIdentity",
     "LastResortIdP",
     "LastResortUser",

@@ -1,24 +1,25 @@
-"""Federation directory: the sharded identity + metadata tier.
+"""Federation directory: the sharded identity + metadata stores.
 
-One MyAccessID account registry dict and one eduGAIN metadata dict are
-fine for a 45-user RSECon tutorial; a national federation is 1M+ users
-across 10k IdPs, and that working set has to be *partitioned*, *durable
-per partition*, and *refreshable in bulk*.  This package provides:
+The MyAccessID account registry and the eduGAIN metadata aggregate of
+every deployment live here — one shard each for a 45-user RSECon
+tutorial; a national federation is 1M+ users across 10k IdPs, and that
+working set has to be *partitioned*, *durable per partition*, and
+*refreshable in bulk*.  This package provides:
 
 * :mod:`~repro.federation.directory.sharding` — the generic
   consistent-hash shard tier (:class:`ShardedTier`), its journal-durable
   shard base, deterministic key migration on shard add/remove, and the
-  :class:`ShardedAccountRegistry` (drop-in for
-  :class:`~repro.federation.myaccessid.AccountRegistry`);
+  :class:`ShardedAccountRegistry`;
 * :mod:`~repro.federation.directory.metadata` — the
-  :class:`ShardedMetadataStore` (drop-in for
-  :class:`~repro.federation.edugain.EduGain`) with validity windows:
-  stale metadata fails logins closed;
+  :class:`ShardedMetadataStore` with validity windows: stale metadata
+  fails logins closed;
 * :mod:`~repro.federation.directory.ingest` — signed delta feeds from
   federation registrars and the batched :class:`MetadataIngestor`.
 
-``build_isambard(directory=True)`` wires all three into the deployment
-and exposes them as the :class:`FederationDirectory` runtime handle.
+``build_isambard(directory=True)`` sizes the two stores from
+:class:`DirectoryConfig`, attaches feeds, journals, chaos hooks and
+crash targets to them, and exposes the lot as the
+:class:`FederationDirectory` runtime handle.
 """
 
 from __future__ import annotations

@@ -1,37 +1,21 @@
-"""Wire the federation directory into a built deployment.
+"""Wire the federation directory tier around a deployment's stores.
 
-``build_isambard`` calls :func:`sharded_stores` *before* MyAccessID and
-the IdPs exist (they are constructed around the stores) and
-:func:`install` last of all tiers, so it can journal its shards when the
-durability tier is on and mint canonical principals when continuous
+Every deployment already runs the sharded account registry and metadata
+aggregate (``build_isambard`` builds them bare, sized by
+:class:`DirectoryConfig` when one is given); :func:`install` runs last
+of all tiers and adds what the tier brings: telemetry and audit on the
+stores, the feed ingestor, chaos hooks, per-shard journals when the
+durability tier is on and canonical principals when continuous
 authorization is.  See ``docs/architecture.md``, "Federation directory".
 """
 
 from __future__ import annotations
 
-from typing import Tuple
-
 from repro.errors import ConfigurationError
 from repro.federation.directory import FederationDirectory
 from repro.federation.directory.ingest import MetadataIngestor
-from repro.federation.directory.metadata import ShardedMetadataStore
-from repro.federation.directory.sharding import ShardedAccountRegistry
 
-__all__ = ["sharded_stores", "install"]
-
-
-def sharded_stores(cfg, clock, ids, *, telemetry,
-                   audit) -> Tuple[ShardedMetadataStore,
-                                   ShardedAccountRegistry]:
-    """The EduGain-shaped metadata store and the AccountRegistry-shaped
-    account registry.  Bilateral trust anchors the builder registers in
-    the store get no validity window; feed-ingested entries always do."""
-    sizing = dict(vnodes=cfg.vnodes, probe_cost=cfg.probe_cost,
-                  migration_batch=cfg.migration_batch,
-                  telemetry=telemetry, audit=audit)
-    return (ShardedMetadataStore(clock, shards=cfg.metadata_shards, **sizing),
-            ShardedAccountRegistry(clock, ids, shards=cfg.account_shards,
-                                   **sizing))
+__all__ = ["install"]
 
 
 def install(dri, cfg) -> None:
@@ -64,6 +48,7 @@ def install(dri, cfg) -> None:
         # bulk onboarding batches stay out of the graph by design
         accounts.graph = dri.authz.graph
     for store in (accounts, metadata):
+        store.telemetry, store.audit = dri.telemetry, dri.logs["external"]
         for name in sorted(store.shards):
             shard = store.shards[name]
             if dri.durability is not None:

@@ -1,13 +1,14 @@
-"""Sharded federation-metadata store with validity-window enforcement.
+"""The eduGAIN metadata aggregate: sharded, with validity windows.
 
-The :class:`~repro.federation.edugain.EduGain` aggregate is a single
-dict with no notion of document freshness.  At national-federation scale
-metadata is a *feed* product: entries are published with validity
-windows, refreshed on a cadence, and a consumer cut off from its feed
-must eventually stop trusting what it cached.  This store keeps the
-EduGain surface (``register_idp`` / ``refresh_idp`` / ``get`` / ``has``
-/ ``idps`` / ``federations`` / ``__len__``) so it drops into
-:class:`~repro.federation.myaccessid.MyAccessID` unchanged, and adds:
+This is the aggregate every deployment's MyAccessID proxy consumes
+(``register_idp`` / ``refresh_idp`` / ``get`` / ``has`` / ``idps`` /
+``federations`` / ``__len__``) — one shard unless
+``build_isambard(directory=...)`` sizes it up.  Metadata is not static:
+institutions rotate signing keys, rename their IdPs and move between
+federations, and at national-federation scale it is a *feed* product:
+entries are published with validity windows, refreshed on a cadence,
+and a consumer cut off from its feed must eventually stop trusting what
+it cached.  Hence:
 
 * ring-sharded, journal-durable entry storage
   (:class:`MetadataShard` on the shared :class:`ShardedTier` machinery);
@@ -40,7 +41,9 @@ from repro.errors import (
 from repro.federation.assurance import EntityCategory, LevelOfAssurance
 from repro.federation.edugain import IdPMetadata
 from repro.federation.directory.sharding import (
+    MIGRATION_BATCH,
     PROBE_COST,
+    VNODES,
     DirectoryShard,
     ShardedTier,
 )
@@ -103,12 +106,14 @@ class MetadataShard(DirectoryShard):
 
 
 class ShardedMetadataStore(ShardedTier):
-    """EduGain-compatible aggregate, sharded + validity-enforcing."""
+    """The metadata aggregate, keyed by entity id: sharded +
+    validity-enforcing."""
 
     tier = "metadata"
 
-    def __init__(self, clock, *, shards=4, vnodes: int = 32,
-                 probe_cost: float = PROBE_COST, migration_batch: int = 4096,
+    def __init__(self, clock, *, shards=4, vnodes: int = VNODES,
+                 probe_cost: float = PROBE_COST,
+                 migration_batch: int = MIGRATION_BATCH,
                  telemetry=None, audit=None) -> None:
         names = ([f"md-{i:02d}" for i in range(shards)]
                  if isinstance(shards, int) else list(shards))
@@ -119,7 +124,8 @@ class ShardedMetadataStore(ShardedTier):
         # reference, never in a journal; versioning means a replayed
         # stale row can never resolve a newer entry's key (or vice versa)
         self._verifiers: Dict[Tuple[str, int], object] = {}
-        # incremental sorted indices, same rationale as EduGain's
+        # incremental sorted indices: discovery calls idps()/federations()
+        # on every login, so they must not re-sort the world each time
         self._index: List[str] = []
         self._fed_counts: Dict[str, int] = {}
         self._fed_sorted: List[str] = []
@@ -219,7 +225,7 @@ class ShardedMetadataStore(ShardedTier):
             written += len(staged[name])
         return written
 
-    # --------------------------------------------- EduGain-compatible surface
+    # ------------------------------------------------------------ registry
     def register_idp(self, idp, *, federation: str,
                      display_name: Optional[str] = None,
                      valid_for: Optional[float] = None) -> IdPMetadata:
@@ -251,7 +257,7 @@ class ShardedMetadataStore(ShardedTier):
         old = shard.rows.get(idp.entity_id)
         if old is None:
             raise FederationError(
-                f"entity {idp.entity_id!r} not in federation metadata "
+                f"entity {idp.entity_id!r} not in eduGAIN metadata "
                 "(register_idp it first)")
         now = self.clock.now()
         row = self.upsert_record(
@@ -296,7 +302,7 @@ class ShardedMetadataStore(ShardedTier):
         row = shard.rows.get(entity_id)
         if row is None:
             raise FederationError(
-                f"entity {entity_id!r} not in federation metadata")
+                f"entity {entity_id!r} not in eduGAIN metadata")
         valid_until = row["valid_until"]
         if valid_until is not None and self.clock.now() > valid_until:
             self.stale_denials += 1

@@ -30,6 +30,9 @@ Probe costs are modelled as *recorded* simulated latencies
 (``lookup_latencies``), not clock advances — a lookup is a read, and
 advancing the shared clock per read would perturb every token lifetime
 in the deployment.  Benches window the recorded samples instead.
+
+This is the deployment's only account registry: every build runs it,
+with one shard unless ``build_isambard(directory=...)`` sizes it up.
 """
 
 from __future__ import annotations
@@ -63,6 +66,8 @@ __all__ = [
 # simulated seconds one shard probe costs the caller (network hop +
 # partition-local index read); a fallback during migration pays two
 PROBE_COST = 0.0004
+VNODES = 32             # ring vnodes per shard
+MIGRATION_BATCH = 4096  # keys moved per migration step
 
 
 @dataclass(frozen=True)
@@ -71,9 +76,6 @@ class DirectoryConfig:
 
     account_shards: int = 8
     metadata_shards: int = 4
-    vnodes: int = 32              # ring vnodes per shard
-    probe_cost: float = PROBE_COST
-    migration_batch: int = 4096   # keys moved per migration step
     feed_validity: float = 14 * 86400.0  # default metadata validity window
 
 
@@ -282,8 +284,8 @@ class ShardedTier:
     tier = "tier"
 
     def __init__(self, clock, shard_names: Iterable[str], *,
-                 vnodes: int = 32, probe_cost: float = PROBE_COST,
-                 migration_batch: int = 4096,
+                 vnodes: int = VNODES, probe_cost: float = PROBE_COST,
+                 migration_batch: int = MIGRATION_BATCH,
                  telemetry=None, audit=None) -> None:
         names = list(shard_names)
         if not names:
@@ -305,8 +307,9 @@ class ShardedTier:
         self.lookups = 0
         self.fallback_probes = 0
         self.unavailable_denials = 0
-        self.lookup_latencies: List[float] = []
         self.migrated_keys = 0
+        # (lookups, fallback_probes) when the latency window last opened
+        self._window_start = (0, 0)
 
     def _new_shard(self, name: str) -> DirectoryShard:
         raise NotImplementedError
@@ -319,20 +322,17 @@ class ShardedTier:
         caller asks the new ring owner, misses, and falls back to the
         source shard the pending map still names.
         """
-        cost = self.probe_cost
         owner = self.ring.locate(ring_key)
         fell_back = False
         mig = self._migration
         if mig is not None:
             src = mig.pending.get(ring_key)
             if src is not None and src != owner:
-                cost += self.probe_cost
                 owner = src
                 fell_back = True
         shard = self.shards[owner]
         if record:
             self.lookups += 1
-            self.lookup_latencies.append(cost)
             if fell_back:
                 self.fallback_probes += 1
             if self.telemetry is not None:
@@ -435,7 +435,18 @@ class ShardedTier:
     # ---------------------------------------------------------------- stats
     def reset_lookup_stats(self) -> None:
         """Start a fresh latency window (benches bracket phases with this)."""
-        self.lookup_latencies = []
+        self._window_start = (self.lookups, self.fallback_probes)
+
+    @property
+    def lookup_latencies(self) -> List[float]:
+        """Simulated cost of every lookup recorded in the current window.
+        A lookup costs one probe, or two when it fell back mid-migration,
+        so the window is two counts, not one float per lookup."""
+        since_lookups, since_fallbacks = self._window_start
+        fell_back = self.fallback_probes - since_fallbacks
+        direct = self.lookups - since_lookups - fell_back
+        return ([self.probe_cost] * direct
+                + [2 * self.probe_cost] * fell_back)
 
     def note_sizes(self) -> Dict[str, int]:
         sizes = {name: self.shards[name].key_count()
@@ -459,19 +470,21 @@ class ShardedTier:
 class ShardedAccountRegistry(ShardedTier):
     """The MyAccessID account registry, partitioned across journaled shards.
 
-    Drop-in for :class:`~repro.federation.myaccessid.AccountRegistry`
-    (same surface: ``register_or_get`` / ``link`` / ``find`` /
-    ``deprovision`` / ``account`` / ``__len__``), plus
-    :meth:`register_batch` for bulk onboarding (one journal entry per
-    touched shard per wave, not one per user) and
-    :meth:`verify_invariants` for the cross-shard guarantees.
+    Guarantees uniqueness and persistence of user identifiers: the same
+    external identity always resolves to the same account, an account
+    may have several linked identities, and no two accounts ever share a
+    uid (``register_or_get`` / ``link`` / ``find`` / ``deprovision`` /
+    ``account`` / ``__len__``).  :meth:`register_batch` is bulk
+    onboarding (one journal entry per touched shard per wave, not one
+    per user) and :meth:`verify_invariants` checks the cross-shard
+    guarantees.
     """
 
     tier = "accounts"
 
     def __init__(self, clock, ids, *, shards=8, uid_suffix: str = "@myaccessid",
-                 vnodes: int = 32, probe_cost: float = PROBE_COST,
-                 migration_batch: int = 4096,
+                 vnodes: int = VNODES, probe_cost: float = PROBE_COST,
+                 migration_batch: int = MIGRATION_BATCH,
                  telemetry=None, audit=None) -> None:
         names = ([f"acct-{i:02d}" for i in range(shards)]
                  if isinstance(shards, int) else list(shards))

@@ -1,37 +1,30 @@
-"""eduGAIN-style inter-federation metadata registry.
+"""eduGAIN-style inter-federation metadata: the entry type and a synthesiser.
 
 eduGAIN "connects identity federations around the world" — operationally
 it is a metadata aggregate: entity ids, endpoints, keys, entity
 categories and assurance declarations for thousands of IdPs.  The proxy
-(MyAccessID) consumes this registry to validate assertions and to drive
-its discovery service.
+(MyAccessID) consumes the aggregate to validate assertions and to drive
+its discovery service; the aggregate itself is the
+:class:`~repro.federation.directory.ShardedMetadataStore`, and this
+module holds what it serves (:class:`IdPMetadata`) and a population
+generator for scale tests (:func:`populate_edugain`).
 
 The paper's noted weakness — eduGAIN "lacks features for controlling
-assurance and trust from IdPs" — shows up here as: the registry *records*
-what IdPs self-declare, and it is the proxy's :class:`AssurancePolicy`
-that must filter, since the federation itself will not.
-
-Metadata is not static: institutions rotate signing keys, rename their
-IdPs and move between federations, so the aggregate supports
-:meth:`EduGain.refresh_idp` re-registration (version bump + fresh
-verifier) alongside the first-publication :meth:`EduGain.register_idp`.
-Both :meth:`EduGain.idps` and :meth:`EduGain.federations` serve from
-incrementally maintained sorted indices — discovery hits them on every
-login, so recomputing a full sort over thousands of entries per call
-was a measurable hot spot.
+assurance and trust from IdPs" — shows up here as: the aggregate
+*records* what IdPs self-declare, and it is the proxy's
+:class:`AssurancePolicy` that must filter, since the federation itself
+will not.
 """
 
 from __future__ import annotations
 
-from bisect import insort
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Optional, Tuple
 
-from repro.errors import ConfigurationError, FederationError
 from repro.federation.assurance import EntityCategory, LevelOfAssurance
 from repro.federation.idp import InstitutionalIdP
 
-__all__ = ["IdPMetadata", "EduGain"]
+__all__ = ["IdPMetadata", "populate_edugain"]
 
 
 @dataclass(frozen=True)
@@ -50,123 +43,8 @@ class IdPMetadata:
     valid_until: Optional[float] = None  # None = no expiry enforced
 
 
-class EduGain:
-    """The metadata aggregate, keyed by entity id."""
-
-    def __init__(self) -> None:
-        self._idps: Dict[str, IdPMetadata] = {}
-        # incremental sorted indices: discovery calls idps()/federations()
-        # on every login, so they must not re-sort the world each time
-        self._sorted_ids: List[str] = []
-        self._fed_counts: Dict[str, int] = {}
-        self._fed_sorted: List[str] = []
-
-    # ------------------------------------------------------------- indices
-    def _index_add(self, entity_id: str, federation: str) -> None:
-        insort(self._sorted_ids, entity_id)
-        if federation not in self._fed_counts:
-            self._fed_counts[federation] = 0
-            insort(self._fed_sorted, federation)
-        self._fed_counts[federation] += 1
-
-    def _index_drop_federation(self, federation: str) -> None:
-        self._fed_counts[federation] -= 1
-        if self._fed_counts[federation] == 0:
-            del self._fed_counts[federation]
-            self._fed_sorted.remove(federation)
-
-    # ------------------------------------------------------------ registry
-    def register_idp(
-        self,
-        idp: InstitutionalIdP,
-        *,
-        federation: str,
-        display_name: Optional[str] = None,
-        registered_at: float = 0.0,
-        valid_until: Optional[float] = None,
-    ) -> IdPMetadata:
-        """Publish an IdP's metadata into the aggregate (first time)."""
-        if idp.entity_id in self._idps:
-            raise ConfigurationError(
-                f"entity {idp.entity_id!r} already registered "
-                "(use refresh_idp to re-register)")
-        md = IdPMetadata(
-            entity_id=idp.entity_id,
-            endpoint_name=idp.name,
-            display_name=display_name or idp.name,
-            federation=federation,
-            loa=idp.loa,
-            categories=idp.categories,
-            verifier=idp.verifier(),
-            version=1,
-            registered_at=registered_at,
-            valid_until=valid_until,
-        )
-        self._idps[idp.entity_id] = md
-        self._index_add(md.entity_id, md.federation)
-        return md
-
-    def refresh_idp(
-        self,
-        idp: InstitutionalIdP,
-        *,
-        federation: Optional[str] = None,
-        display_name: Optional[str] = None,
-        registered_at: Optional[float] = None,
-        valid_until: Optional[float] = None,
-    ) -> IdPMetadata:
-        """Re-register an already-published IdP: version bump + fresh
-        verifier read, the churn operation metadata feeds perform after
-        a key rotation, rename or federation move."""
-        old = self._idps.get(idp.entity_id)
-        if old is None:
-            raise FederationError(
-                f"entity {idp.entity_id!r} not in eduGAIN metadata "
-                "(register_idp it first)")
-        new_fed = federation if federation is not None else old.federation
-        md = IdPMetadata(
-            entity_id=idp.entity_id,
-            endpoint_name=idp.name,
-            display_name=display_name or old.display_name,
-            federation=new_fed,
-            loa=idp.loa,
-            categories=idp.categories,
-            verifier=idp.verifier(),
-            version=old.version + 1,
-            registered_at=(old.registered_at if registered_at is None
-                           else registered_at),
-            valid_until=valid_until,
-        )
-        self._idps[idp.entity_id] = md
-        if new_fed != old.federation:
-            self._index_drop_federation(old.federation)
-            if new_fed not in self._fed_counts:
-                self._fed_counts[new_fed] = 0
-                insort(self._fed_sorted, new_fed)
-            self._fed_counts[new_fed] += 1
-        return md
-
-    def get(self, entity_id: str) -> IdPMetadata:
-        md = self._idps.get(entity_id)
-        if md is None:
-            raise FederationError(f"entity {entity_id!r} not in eduGAIN metadata")
-        return md
-
-    def has(self, entity_id: str) -> bool:
-        return entity_id in self._idps
-
-    def idps(self) -> List[IdPMetadata]:
-        return [self._idps[k] for k in self._sorted_ids]
-
-    def federations(self) -> List[str]:
-        return list(self._fed_sorted)
-
-    def __len__(self) -> int:
-        return len(self._idps)
-
-
 def populate_edugain(
-    edugain: EduGain,
+    edugain,
     clock,
     ids,
     *,
@@ -184,9 +62,6 @@ def populate_edugain(
     is given, IdPs are attached as live EXTERNAL endpoints so logins
     through them actually work.
     """
-    from repro.federation.assurance import EntityCategory, LevelOfAssurance
-    from repro.federation.idp import InstitutionalIdP
-
     created = []
     count = 0
     for f in range(n_federations):

@@ -8,7 +8,10 @@ Isambard.  Its three jobs, per §II.B of the paper, are implemented here:
    from the (policy-filtered) eduGAIN aggregate.
 2. **Account registry** — maps external identities to a *unique,
    persistent* user identifier towards connected ISDs, and supports
-   linking several institutional identities to one account.
+   linking several institutional identities to one account (the
+   :class:`~repro.federation.directory.ShardedAccountRegistry`; this
+   module defines the :class:`Account` and :class:`LinkedIdentity` it
+   serves).
 3. **Assurance enforcement** — only IdPs meeting the R&S + LoA policy are
    accepted (the control eduGAIN itself lacks).
 
@@ -19,20 +22,20 @@ is just one of its registered clients.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.audit import AuditLog, Outcome
 from repro.clock import SimClock
 from repro.crypto import JwkSet, JwtValidator
-from repro.errors import AuthenticationError, FederationError, IdentityNotRegistered
+from repro.errors import AuthenticationError
 from repro.federation.assurance import AssurancePolicy, LevelOfAssurance
-from repro.federation.edugain import EduGain
+from repro.federation.edugain import IdPMetadata
 from repro.ids import IdFactory
 from repro.net.http import HttpRequest, HttpResponse, route
 from repro.oidc.provider import OidcProvider
 
-__all__ = ["LinkedIdentity", "Account", "AccountRegistry", "MyAccessID"]
+__all__ = ["LinkedIdentity", "Account", "MyAccessID"]
 
 
 @dataclass(frozen=True)
@@ -53,87 +56,6 @@ class Account:
     email: str
     created_at: float
     loa: LevelOfAssurance
-
-
-class AccountRegistry:
-    """Guarantees uniqueness and persistence of user identifiers.
-
-    The same external identity always resolves to the same account; an
-    account may have several linked identities (identity linking); no two
-    accounts ever share a uid.
-    """
-
-    def __init__(self, ids: IdFactory, *, uid_suffix: str = "@myaccessid") -> None:
-        self.ids = ids
-        self.uid_suffix = uid_suffix
-        self._by_identity: Dict[LinkedIdentity, str] = {}
-        self._accounts: Dict[str, Account] = {}
-
-    def register_or_get(
-        self,
-        identity: LinkedIdentity,
-        *,
-        display_name: str,
-        email: str,
-        loa: LevelOfAssurance,
-        now: float,
-    ) -> Account:
-        """Idempotently resolve an external identity to its account."""
-        uid = self._by_identity.get(identity)
-        if uid is not None:
-            return self._accounts[uid]
-        uid = self.ids.next("ma") + self.uid_suffix
-        account = Account(
-            uid=uid,
-            linked=[identity],
-            display_name=display_name,
-            email=email,
-            created_at=now,
-            loa=loa,
-        )
-        self._by_identity[identity] = uid
-        self._accounts[uid] = account
-        return account
-
-    def link(self, uid: str, identity: LinkedIdentity) -> Account:
-        """Attach a second external identity to an existing account."""
-        account = self._accounts.get(uid)
-        if account is None:
-            raise IdentityNotRegistered(f"no account {uid!r}")
-        existing = self._by_identity.get(identity)
-        if existing is not None and existing != uid:
-            raise FederationError(
-                f"identity {identity} is already linked to a different account"
-            )
-        if existing is None:
-            self._by_identity[identity] = uid
-            account.linked.append(identity)
-        return account
-
-    def find(self, identity: LinkedIdentity) -> Optional[Account]:
-        uid = self._by_identity.get(identity)
-        return self._accounts.get(uid) if uid else None
-
-    def deprovision(self, uid: str) -> int:
-        """Remove an account and all its identity links (data-protection
-        erasure).  Returns the number of links removed.  The uid is
-        *retired*, never reassigned — `register_or_get` for any of the
-        old identities creates a fresh account with a new uid, so audit
-        history stays unambiguous."""
-        account = self._accounts.pop(uid, None)
-        if account is None:
-            raise IdentityNotRegistered(f"no account {uid!r}")
-        removed = 0
-        for identity in account.linked:
-            if self._by_identity.pop(identity, None) is not None:
-                removed += 1
-        return removed
-
-    def account(self, uid: str) -> Optional[Account]:
-        return self._accounts.get(uid)
-
-    def __len__(self) -> int:
-        return len(self._accounts)
 
 
 class MyAccessID(OidcProvider):
@@ -157,20 +79,17 @@ class MyAccessID(OidcProvider):
         name: str,
         clock: SimClock,
         ids: IdFactory,
-        edugain: EduGain,
+        edugain,
+        registry,
         *,
         policy: Optional[AssurancePolicy] = None,
         audit: Optional[AuditLog] = None,
         session_ttl: float = 8 * 3600.0,
-        registry: Optional[AccountRegistry] = None,
     ) -> None:
         super().__init__(name, clock, ids, audit=audit, session_ttl=session_ttl)
-        self.edugain = edugain
+        self.edugain = edugain    # the ShardedMetadataStore aggregate
+        self.registry = registry  # the ShardedAccountRegistry
         self.policy = policy if policy is not None else AssurancePolicy()
-        # any object with the AccountRegistry surface works here — the
-        # directory tier passes a ShardedAccountRegistry so the proxy's
-        # account resolution rides the hash ring instead of one dict
-        self.registry = registry if registry is not None else AccountRegistry(ids)
         self.entity_id = f"https://{name}"
 
     # ------------------------------------------------------------------
@@ -202,7 +121,9 @@ class MyAccessID(OidcProvider):
         )
 
     # ------------------------------------------------------------------
-    def _validate_assertion(self, entity_id: str, assertion: str) -> Dict[str, object]:
+    def _validate_assertion(
+            self, entity_id: str,
+            assertion: str) -> Tuple[Dict[str, object], IdPMetadata]:
         md = self.edugain.get(entity_id)  # FederationError if unknown
         validator = JwtValidator(
             self.clock,
@@ -213,16 +134,15 @@ class MyAccessID(OidcProvider):
         )
         claims = validator.validate(assertion)
         self.policy.check(md.loa, md.categories)  # AssuranceTooLow if not
-        return claims
+        return claims, md
 
     @route("POST", "/assert")
     def assert_identity(self, request: HttpRequest) -> HttpResponse:
         """Consume an institutional assertion; establish a proxy session."""
         entity_id = str(request.body.get("entity_id", ""))
         assertion = str(request.body.get("assertion", ""))
-        claims = self._validate_assertion(entity_id, assertion)
+        claims, md = self._validate_assertion(entity_id, assertion)
         identity = LinkedIdentity(entity_id=entity_id, sub=str(claims["sub"]))
-        md = self.edugain.get(entity_id)
         account = self.registry.register_or_get(
             identity,
             display_name=str(claims.get("name", "")),
@@ -267,7 +187,7 @@ class MyAccessID(OidcProvider):
             raise AuthenticationError("identity linking requires an active session")
         entity_id = str(request.body.get("entity_id", ""))
         assertion = str(request.body.get("assertion", ""))
-        claims = self._validate_assertion(entity_id, assertion)
+        claims, _ = self._validate_assertion(entity_id, assertion)
         identity = LinkedIdentity(entity_id=entity_id, sub=str(claims["sub"]))
         account = self.registry.link(session.subject, identity)
         self._audit(session.subject, "proxy.link", entity_id, Outcome.SUCCESS)

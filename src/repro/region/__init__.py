@@ -53,12 +53,9 @@ class RegionConfig:
     names: Tuple[str, ...] = ("eu", "us")
     # simulated seconds for a bus event to reach a peer region
     replication_delay: float = 0.5
-    # extra simulated seconds the geo-router charges a cross-region detour
-    inter_region_latency: float = 0.06
     # the advertised revocation-staleness contract (seconds)
     staleness_bound: float = 5.0
     heartbeat_interval: float = 1.0
-    lag_check_interval: float = 1.0
     # endpoint name -> region pin for the geo-router (unpinned callers
     # are assigned a stable hash of their endpoint name)
     client_regions: Dict[str, str] = field(default_factory=dict)

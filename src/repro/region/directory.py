@@ -44,7 +44,10 @@ from ..audit import Outcome
 from ..errors import ConfigurationError
 from .region import ACTIVE, DOWN, STALE, Region
 
-__all__ = ["RegionDirectory"]
+__all__ = ["RegionDirectory", "LAG_CHECK_INTERVAL"]
+
+# simulated seconds between lag-watchdog sweeps
+LAG_CHECK_INTERVAL = 1.0
 
 
 class RegionDirectory:
@@ -56,7 +59,7 @@ class RegionDirectory:
         rbus,
         *,
         heartbeat_interval: float = 1.0,
-        lag_check_interval: float = 1.0,
+        lag_check_interval: float = LAG_CHECK_INTERVAL,
         audit=None,
         audit_source: str = "region-directory",
         telemetry=None,

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from ..net.zones import OperatingDomain, Zone
 from ..scale.autoscaler import Autoscaler
-from ..scale.balancer import make_policy, pod_admission
+from ..scale.balancer import pod_admission
 from ..scale.cache import publish_on
 from ..siem.detections import CacheStalenessRule
 from .bus import RegionBusAdapter, ReplicatedInvalidationBus
@@ -43,7 +43,6 @@ def install(dri, cfg) -> None:
     directory = dri.region_directory = RegionDirectory(
         clock, rbus,
         heartbeat_interval=cfg.heartbeat_interval,
-        lag_check_interval=cfg.lag_check_interval,
         audit=dri.logs["fds"], telemetry=tele,
         # recovering regions resync their revocation view from the
         # *active* broker's authoritative token store
@@ -54,11 +53,9 @@ def install(dri, cfg) -> None:
             name, clock, dri.network, OperatingDomain.FDS, Zone.ACCESS,
             dri.broker, rbus, dri.durability.stream(f"region-{name}"),
             replicas=REPLICAS_PER_REGION,
-            min_replicas=scale.min_replicas, max_replicas=scale.max_replicas,
-            introspection_ttl=scale.introspection_ttl,
+            max_replicas=scale.max_replicas,
             staleness_bound=cfg.staleness_bound,
             admission_factory=pod_admission(clock, dri.overload),
-            lb_policy=make_policy(scale.policy),
             telemetry=tele, audit=dri.logs["fds"],
             breaker_listener=tele and tele.on_breaker_transition,
             tail=dri.tail,
@@ -81,7 +78,6 @@ def install(dri, cfg) -> None:
     # absorb the load.
     dri.geo_router = GeoRouter(
         "broker", clock, directory,
-        inter_region_latency=cfg.inter_region_latency,
         pins=dict(cfg.client_regions),
         audit=dri.logs["fds"], telemetry=tele, tail=dri.tail,
     )

@@ -218,7 +218,6 @@ class Region:
         introspection_ttl: float = 30.0,
         staleness_bound: float = 5.0,
         admission_factory: Optional[Callable[[str], object]] = None,
-        lb_policy=None,
         telemetry=None,
         audit=None,
         breaker_listener=None,
@@ -267,9 +266,8 @@ class Region:
         )
         self.pool.scale_to(replicas)
         self.lb = LoadBalancer(
-            f"broker-{name}", clock, self.pool, policy=lb_policy,
-            audit=audit, breaker_listener=breaker_listener,
-            tail=tail, telemetry=telemetry,
+            f"broker-{name}", clock, self.pool, audit=audit,
+            breaker_listener=breaker_listener, tail=tail, telemetry=telemetry,
         )
         self.lb.region_name = name
         network.attach(self.lb, domain, zone, name=f"broker-{name}")

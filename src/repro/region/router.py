@@ -43,7 +43,10 @@ from ..errors import DeadlineExceeded, RateLimited, ServiceUnavailable
 from ..net.http import HttpRequest, HttpResponse, Service
 from ..resilience.tail import OutlierEjector, TailConfig
 
-__all__ = ["GeoRouter"]
+__all__ = ["GeoRouter", "INTER_REGION_LATENCY"]
+
+# extra simulated seconds the geo-router charges a cross-region detour
+INTER_REGION_LATENCY = 0.06
 
 
 class GeoRouter(Service):
@@ -55,7 +58,7 @@ class GeoRouter(Service):
         clock,
         directory,
         *,
-        inter_region_latency: float = 0.06,
+        inter_region_latency: float = INTER_REGION_LATENCY,
         pins: Optional[Dict[str, str]] = None,
         audit=None,
         telemetry=None,

@@ -16,7 +16,13 @@ from repro.broker import IdentityBroker
 from repro.net.zones import OperatingDomain, Zone
 from repro.resilience.durability import DurabilityStore
 from repro.resilience.failover import FailoverController
-from repro.resilience.overload import AdmissionController, OverloadConfig
+from repro.resilience.overload import (
+    EDGE_ADMISSION,
+    JUPYTER_ADMISSION,
+    SSH_CA_ADMISSION,
+    AdmissionController,
+    OverloadConfig,
+)
 from repro.resilience.retry import ResilienceRuntime, RetryPolicy
 from repro.resilience.tail import TailConfig
 from repro.sshca import SshCertificateAuthority
@@ -52,9 +58,9 @@ def install(dri, rng, *, policy: Optional[RetryPolicy] = None,
         svc.resilience = runtime.for_client(svc.name)
     if overload is not None:
         for svc, sizing in ((dri.broker, overload.broker),
-                            (dri.jupyter, overload.jupyter),
-                            (dri.ssh_ca, overload.ssh_ca),
-                            (dri.edge, overload.edge)):
+                            (dri.jupyter, JUPYTER_ADMISSION),
+                            (dri.ssh_ca, SSH_CA_ADMISSION),
+                            (dri.edge, EDGE_ADMISSION)):
             svc.admission = AdmissionController(svc.name, dri.clock, sizing)
 
 

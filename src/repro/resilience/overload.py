@@ -285,19 +285,19 @@ class OverloadConfig:
         rate=400.0, burst=120.0, batch_headroom=0.3, max_concurrent=64,
         paths=("/tokens", "/login", "/introspect", "/authorize", "/token"),
     ))
-    jupyter: AdmissionPolicy = field(default_factory=lambda: AdmissionPolicy(
-        rate=60.0, burst=30.0, batch_headroom=0.3, max_concurrent=64,
-    ))
-    ssh_ca: AdmissionPolicy = field(default_factory=lambda: AdmissionPolicy(
-        rate=40.0, burst=20.0, batch_headroom=0.3, max_concurrent=32,
-        paths=("/sign",),
-    ))
-    edge: AdmissionPolicy = field(default_factory=lambda: AdmissionPolicy(
-        rate=600.0, burst=200.0, batch_headroom=0.3, max_concurrent=256,
-    ))
     # AIMD pacing for every resilience kit in the deployment
     aimd_initial_rate: float = 50.0
     aimd_min_rate: float = 0.5
     aimd_max_rate: float = 1000.0
     aimd_additive: float = 5.0
     aimd_beta: float = 0.5
+
+
+# admission sizing of the other hot services (same cost model as above)
+JUPYTER_ADMISSION = AdmissionPolicy(
+    rate=60.0, burst=30.0, batch_headroom=0.3, max_concurrent=64)
+SSH_CA_ADMISSION = AdmissionPolicy(
+    rate=40.0, burst=20.0, batch_headroom=0.3, max_concurrent=32,
+    paths=("/sign",))
+EDGE_ADMISSION = AdmissionPolicy(
+    rate=600.0, burst=200.0, batch_headroom=0.3, max_concurrent=256)

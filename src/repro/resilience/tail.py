@@ -57,6 +57,11 @@ __all__ = [
 TAIL_BUCKETS = (0.001, 0.002, 0.005, 0.01, 0.02, 0.05, 0.1, 0.2,
                 0.5, 1.0, 2.5, 5.0, 10.0, 30.0)
 
+# the observed-latency quantiles the attempt timeout and the hedge delay
+# are derived from
+TIMEOUT_QUANTILE = 0.99
+HEDGE_QUANTILE = 0.95
+
 
 @dataclass(frozen=True)
 class TailConfig:
@@ -67,29 +72,26 @@ class TailConfig:
     ----------
     adaptive_deadlines / hedging / ejection / retry_budget:
         Per-defence switches.
-    timeout_quantile, timeout_multiplier, timeout_min, timeout_max:
-        Attempt timeout = ``clamp(multiplier × p(quantile))`` of the
-        destination's observed successful-attempt latency, clamped into
-        ``[timeout_min, timeout_max]``.
+    timeout_multiplier, timeout_min, timeout_max:
+        Attempt timeout = ``clamp(multiplier × p(TIMEOUT_QUANTILE))`` of
+        the destination's observed successful-attempt latency, clamped
+        into ``[timeout_min, timeout_max]``.
     min_samples:
         Observations required before any quantile-derived bound is
         trusted; until then attempts run unbounded (cold-start safety).
-    hedge_quantile, hedge_multiplier, hedge_min:
-        The hedge fires after ``max(hedge_min, multiplier × p(quantile))``
-        — deliberately tighter than the attempt timeout, that is the
-        point of hedging.
+    hedge_multiplier, hedge_min:
+        The hedge fires after ``max(hedge_min, multiplier ×
+        p(HEDGE_QUANTILE))`` — deliberately tighter than the attempt
+        timeout, that is the point of hedging.
     hedge_budget_ratio:
         Hedges are capped at this fraction of balanced calls.
-    eject_latency_ratio:
-        Eject a member whose latency EWMA exceeds this multiple of the
-        pool's median member EWMA.
-        (or whose error EWMA exceeds ``EJECT_ERROR_THRESHOLD``).
-    eject_min_samples, eject_duration, eject_max_backoff_mult,
-    max_eject_fraction:
+    eject_min_samples, eject_duration, max_eject_fraction:
         Evidence floor, base ejection length (doubling per consecutive
-        re-ejection up to the back-off cap), and the fraction of the
-        fleet that may be ejected simultaneously (always leaving at
-        least one member).
+        re-ejection up to ``EJECT_MAX_BACKOFF_MULT``×), and the fraction
+        of the fleet that may be ejected simultaneously (always leaving
+        at least one member).  A member is ejected when its latency EWMA
+        exceeds ``EJECT_LATENCY_RATIO`` × the pool's median member EWMA
+        (or its error EWMA exceeds ``EJECT_ERROR_THRESHOLD``).
     retry_budget_ratio, retry_budget_cap:
         Tokens deposited per fresh call and the bucket ceiling (buckets
         start full, so cold-start retries still work).
@@ -100,33 +102,23 @@ class TailConfig:
     ejection: bool = True
     retry_budget: bool = True
     # adaptive per-attempt deadlines
-    timeout_quantile: float = 0.99
     timeout_multiplier: float = 3.0
     timeout_min: float = 0.02
     timeout_max: float = 2.0
     min_samples: int = 20
     # hedged requests
-    hedge_quantile: float = 0.95
     hedge_multiplier: float = 2.0
     hedge_min: float = 0.01
     hedge_budget_ratio: float = 0.05
     # latency-outlier ejection
-    eject_latency_ratio: float = 4.0
     eject_min_samples: int = 8
     eject_duration: float = 10.0
-    eject_max_backoff_mult: float = 8.0
     max_eject_fraction: float = 0.5
     # retry-storm guard
     retry_budget_ratio: float = 0.1
     retry_budget_cap: float = 5.0
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.timeout_quantile < 1.0:
-            raise ConfigurationError(
-                f"timeout_quantile must be in (0, 1), got {self.timeout_quantile}")
-        if not 0.0 < self.hedge_quantile < 1.0:
-            raise ConfigurationError(
-                f"hedge_quantile must be in (0, 1), got {self.hedge_quantile}")
         if self.timeout_min <= 0 or self.timeout_max < self.timeout_min:
             raise ConfigurationError(
                 "need 0 < timeout_min <= timeout_max, got "
@@ -134,9 +126,6 @@ class TailConfig:
         if not 0.0 <= self.hedge_budget_ratio <= 1.0:
             raise ConfigurationError(
                 f"hedge_budget_ratio must be in [0, 1], got {self.hedge_budget_ratio}")
-        if self.eject_latency_ratio <= 1.0:
-            raise ConfigurationError(
-                f"eject_latency_ratio must exceed 1, got {self.eject_latency_ratio}")
         if not 0.0 < self.max_eject_fraction <= 1.0:
             raise ConfigurationError(
                 f"max_eject_fraction must be in (0, 1], got {self.max_eject_fraction}")
@@ -147,12 +136,12 @@ class TailConfig:
 
     # ------------------------------------------------------------------
     def clamp_timeout(self, p: float) -> float:
-        """The adaptive attempt timeout for an observed ``p(quantile)``."""
+        """The adaptive attempt timeout for an observed ``p(TIMEOUT_QUANTILE)``."""
         return max(self.timeout_min, min(self.timeout_max,
                                          self.timeout_multiplier * p))
 
     def hedge_delay_from(self, p: float) -> float:
-        """The hedge-fire delay for an observed ``p(hedge_quantile)``."""
+        """The hedge-fire delay for an observed ``p(HEDGE_QUANTILE)``."""
         return max(self.hedge_min, self.hedge_multiplier * p)
 
 
@@ -273,6 +262,10 @@ class RetryBudget:
 # the error EWMA (fraction of failed attempts) past which a member is an
 # outlier whatever its latency
 EJECT_ERROR_THRESHOLD = 0.5
+# ...and the multiple of the pool's median latency EWMA past which it is
+# one on latency alone; re-ejections double in length up to this cap
+EJECT_LATENCY_RATIO = 4.0
+EJECT_MAX_BACKOFF_MULT = 8.0
 
 
 class OutlierEjector:
@@ -280,11 +273,11 @@ class OutlierEjector:
     fleet (pool replicas, or regions under the geo-router).
 
     A member is *ejected* when, with at least ``eject_min_samples`` of
-    evidence, its latency EWMA exceeds ``eject_latency_ratio`` × the
+    evidence, its latency EWMA exceeds ``EJECT_LATENCY_RATIO`` × the
     median member EWMA, or its error EWMA exceeds
     ``EJECT_ERROR_THRESHOLD``.  Ejection is temporary: after
     ``eject_duration`` (doubling per consecutive re-ejection, capped at
-    ``eject_max_backoff_mult``×) the member re-enters on *probation* —
+    ``EJECT_MAX_BACKOFF_MULT``×) the member re-enters on *probation* —
     its stats reset so the next few requests re-probe it with fresh
     evidence instead of the stale EWMA instantly re-ejecting it.  At
     most ``max_eject_fraction`` of the fleet may be out at once, and
@@ -381,7 +374,7 @@ class OutlierEjector:
             ewmas = sorted(self._latency[m] for m in peers)
             median = ewmas[len(ewmas) // 2]
             if lat is not None and median > 0 and \
-                    lat > self.cfg.eject_latency_ratio * median:
+                    lat > EJECT_LATENCY_RATIO * median:
                 outlier = True
         if not outlier:
             return False
@@ -392,7 +385,7 @@ class OutlierEjector:
         """Eject ``member`` (the caller has checked :meth:`should_eject`);
         returns the reinstatement time."""
         strikes = self._strikes.get(member, 0)
-        mult = min(2.0 ** strikes, self.cfg.eject_max_backoff_mult)
+        mult = min(2.0 ** strikes, EJECT_MAX_BACKOFF_MULT)
         until = self.clock.now() + self.cfg.eject_duration * mult
         self._ejected_until[member] = until
         self._strikes[member] = strikes + 1
@@ -429,7 +422,7 @@ class TailController:
         if self.tracker.count(key) < self.cfg.min_samples:
             return None
         return self.cfg.hedge_delay_from(
-            self.tracker.quantile(key, self.cfg.hedge_quantile))
+            self.tracker.quantile(key, HEDGE_QUANTILE))
 
     def attempt_timeout(self, key: str) -> Optional[float]:
         """The adaptive per-attempt timeout for ``key`` (seconds), or
@@ -439,7 +432,7 @@ class TailController:
         if self.tracker.count(key) < self.cfg.min_samples:
             return None
         return self.cfg.clamp_timeout(
-            self.tracker.quantile(key, self.cfg.timeout_quantile))
+            self.tracker.quantile(key, TIMEOUT_QUANTILE))
 
     def observe(self, key: str, latency: float) -> None:
         """Feed one *successful* attempt's latency."""

@@ -51,18 +51,13 @@ class ScaleConfig:
     """Deployment knobs for the scale-out subsystem.
 
     Passed as ``build_isambard(scale=ScaleConfig(...))``; ``scale=True``
-    selects these defaults.  TTLs are deliberately generous because the
-    invalidation bus — not expiry — is what bounds staleness for
-    revocations and key rotations.
+    selects these defaults.  The balancer runs least-outstanding, pools
+    never shrink below one replica, and the cache TTLs are constants of
+    :mod:`repro.scale.install`.
     """
 
     broker_replicas: int = 2
-    policy: str = "least-outstanding"  # round-robin | consistent-hash
     caching: bool = True               # off = pool/LB only (ablation arm)
-    negative_ttl: float = 10.0         # cached denials (revoked/forged)
-    introspection_ttl: float = 30.0    # remote introspection verdicts
-    cert_ttl: float = 300.0            # parsed+verified SSH certificates
     autoscale: bool = False
-    min_replicas: int = 1
     max_replicas: int = 8
     autoscale_interval: float = 5.0

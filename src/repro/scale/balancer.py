@@ -31,6 +31,8 @@ from ..net.http import HttpRequest, HttpResponse, Service
 from ..resilience.breaker import CircuitBreaker
 from ..resilience.overload import AdmissionController
 from ..resilience.tail import (
+    HEDGE_QUANTILE,
+    TIMEOUT_QUANTILE,
     HedgeBudget,
     LatencyTracker,
     OutlierEjector,
@@ -47,7 +49,6 @@ __all__ = [
     "RoundRobinPolicy",
     "LeastOutstandingPolicy",
     "ConsistentHashPolicy",
-    "make_policy",
     "pod_admission",
 ]
 
@@ -297,21 +298,6 @@ class ConsistentHashPolicy:
     def release(self, replica: str) -> None:
         if replica in self.ring.members:
             self.ring.release(replica)
-
-
-def make_policy(name: str):
-    """A fresh instance of the balancing policy ``ScaleConfig.policy``
-    names — policies are stateful, so each balancer needs its own."""
-    return {
-        "round-robin": RoundRobinPolicy,
-        "least-outstanding": LeastOutstandingPolicy,
-        "consistent-hash": lambda: ConsistentHashPolicy(
-            # session/tunnel affinity: pin on the credential, else on
-            # the calling endpoint
-            lambda req: (req.headers.get("Authorization")
-                         or req.headers.get("Cookie")
-                         or req.source)),
-    }[name]()
 
 
 # ----------------------------------------------------------------------
@@ -567,7 +553,7 @@ class LoadBalancer(Service):
         if self.tracker.count(self.name) < self.tail.min_samples:
             return None
         return self.tail.hedge_delay_from(
-            self.tracker.quantile(self.name, self.tail.hedge_quantile))
+            self.tracker.quantile(self.name, HEDGE_QUANTILE))
 
     def _attempt_timeout(self) -> Optional[float]:
         """The adaptive per-attempt timeout, or None when disabled or
@@ -577,7 +563,7 @@ class LoadBalancer(Service):
         if self.tracker.count(self.name) < self.tail.min_samples:
             return None
         return self.tail.clamp_timeout(
-            self.tracker.quantile(self.name, self.tail.timeout_quantile))
+            self.tracker.quantile(self.name, TIMEOUT_QUANTILE))
 
     def _has_hedge_target(self, candidates: List[str], first: str) -> bool:
         """A hedge only makes sense when another replica could win it."""

@@ -20,15 +20,18 @@ from ..errors import (
 )
 from ..net.zones import OperatingDomain, Zone
 from .autoscaler import Autoscaler
-from .balancer import LoadBalancer, ReplicaPool, make_policy, pod_admission
+from .balancer import LoadBalancer, ReplicaPool, pod_admission
 from .cache import InvalidationBus, TtlCache, publish_on
 
 __all__ = ["shared_caches", "install", "install_pool"]
 
-# TTLs of the two caches whose staleness the invalidation bus — not
-# expiry — bounds: cached token-validation verdicts, shared JWKS documents
-DECISION_TTL = 60.0
-JWKS_TTL = 600.0
+# Cache TTLs, deliberately generous: the invalidation bus — not expiry —
+# bounds staleness for revocations and key rotations
+DECISION_TTL = 60.0        # cached token-validation verdicts
+NEGATIVE_TTL = 10.0        # cached denials (revoked/forged)
+JWKS_TTL = 600.0           # shared JWKS documents
+INTROSPECTION_TTL = 30.0   # remote introspection verdicts
+CERT_TTL = 300.0           # parsed+verified SSH certificates
 
 
 def shared_caches(cfg, clock, telemetry) -> Tuple[InvalidationBus,
@@ -44,7 +47,7 @@ def shared_caches(cfg, clock, telemetry) -> Tuple[InvalidationBus,
         return bus, {}
     decisions = TtlCache(
         "token-decisions", clock, ttl=DECISION_TTL,
-        negative_ttl=cfg.negative_ttl,
+        negative_ttl=NEGATIVE_TTL,
         # only monotone verdicts are negative-cached: a forged or
         # expired token stays forged/expired; a not-yet-valid one
         # does not, so TokenNotYetValid is deliberately absent
@@ -56,11 +59,9 @@ def shared_caches(cfg, clock, telemetry) -> Tuple[InvalidationBus,
     jwks = TtlCache("jwks", clock, ttl=JWKS_TTL, telemetry=telemetry)
     jwks.bind(bus, "jwks.rotated", by_tag=False)
     introspection = TtlCache(
-        "introspection", clock, ttl=cfg.introspection_ttl,
-        telemetry=telemetry)
+        "introspection", clock, ttl=INTROSPECTION_TTL, telemetry=telemetry)
     introspection.bind(bus, "token.revoked", by_tag=True)
-    certs = TtlCache("ssh-certs", clock, ttl=cfg.cert_ttl,
-                     telemetry=telemetry)
+    certs = TtlCache("ssh-certs", clock, ttl=CERT_TTL, telemetry=telemetry)
     return bus, {"token-decisions": decisions, "jwks": jwks,
                  "introspection": introspection, "ssh-certs": certs}
 
@@ -100,13 +101,12 @@ def install_pool(dri, cfg) -> None:
     dri.jupyter.introspection_cache = dri.caches.get("introspection")
     pool = dri.broker_pool = ReplicaPool(
         "broker", dri.network, OperatingDomain.FDS, Zone.ACCESS, dri.broker,
-        min_replicas=cfg.min_replicas, max_replicas=cfg.max_replicas,
+        max_replicas=cfg.max_replicas,
         admission_factory=pod_admission(dri.clock, dri.overload),
     )
     pool.scale_to(cfg.broker_replicas)
     dri.broker_lb = LoadBalancer(
-        "broker", dri.clock, pool, policy=make_policy(cfg.policy),
-        audit=dri.logs["fds"],
+        "broker", dri.clock, pool, audit=dri.logs["fds"],
         breaker_listener=tele and tele.on_breaker_transition,
         tail=dri.tail, telemetry=tele,
     )

@@ -86,10 +86,10 @@ class SecurityOperationsCentre(Service):
         self.span_pipeline = None
 
     def attach_provenance(self, ledger, span_store=None) -> None:
-        """Give the SOC the provenance ledger (and, when the bounded
-        pipeline is on, the span store) its scoreboard reads."""
+        """Give the SOC the provenance ledger (and, when it runs under a
+        pipeline budget, the span store) its scoreboard reads."""
         self.provenance = ledger
-        if span_store is not None and hasattr(span_store, "stats"):
+        if span_store is not None and span_store.config is not None:
             self.span_pipeline = span_store
 
     # ------------------------------------------------------------------

@@ -45,7 +45,6 @@ from repro.telemetry.metrics import (
     MetricsRegistry,
 )
 from repro.telemetry.pipeline import (
-    BoundedSpanStore,
     PipelineConfig,
     RedAggregate,
     trace_sampled,
@@ -61,7 +60,6 @@ from repro.telemetry.tracing import Span, SpanStatus, SpanStore, Tracer
 
 __all__ = [
     "BAGGAGE_HEADER",
-    "BoundedSpanStore",
     "BurnRateAlert",
     "Counter",
     "DEFAULT_BUCKETS",

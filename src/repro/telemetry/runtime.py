@@ -25,7 +25,7 @@ from typing import Callable, Dict, List, Optional
 
 from repro.clock import SimClock
 from repro.telemetry.metrics import DEFAULT_BUCKETS, MetricsRegistry
-from repro.telemetry.pipeline import BoundedSpanStore, PipelineConfig
+from repro.telemetry.pipeline import MAX_SERIES_PER_FAMILY, PipelineConfig
 from repro.telemetry.provenance import Decision, ProvenanceLedger
 from repro.telemetry.slo import BurnRateAlert, SloMonitor
 from repro.telemetry.tracing import SpanStatus, SpanStore, Tracer
@@ -47,10 +47,7 @@ class Telemetry:
                  pipeline: Optional[PipelineConfig] = None) -> None:
         self.clock = clock
         self.pipeline = pipeline
-        if pipeline is not None:
-            self.tracer = Tracer(clock, BoundedSpanStore(pipeline))
-        else:
-            self.tracer = Tracer(clock)
+        self.tracer = Tracer(clock, SpanStore(pipeline))
         self.store: SpanStore = self.tracer.store
         self.registry = MetricsRegistry()
         # every admission decision's provenance, queryable by identity
@@ -193,7 +190,7 @@ class Telemetry:
         if pipeline is not None:
             # the pre-registered families get the configured cardinality
             # budget; families registered later opt in explicitly
-            r.set_series_budget(pipeline.max_series_per_family)
+            r.set_series_budget(MAX_SERIES_PER_FAMILY)
 
         self._slos: Dict[str, SloMonitor] = {}
         self._slos_by_service: Dict[str, List[SloMonitor]] = {}
@@ -331,9 +328,7 @@ class Telemetry:
             if surface is not None:
                 self._record_decision(surface, event)
             if event.action.startswith(self._PROTECT_PREFIXES):
-                trace_id = event.attrs.get("trace_id", "")
-                if trace_id and hasattr(self.store, "protect"):
-                    self.store.protect(trace_id)
+                self.store.protect(event.attrs.get("trace_id", ""))
         except Exception:
             self.bridge_errors += 1
 

@@ -17,11 +17,12 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.clock import SimClock
 from repro.errors import AttemptTimeout, DeadlineExceeded, RateLimited
 from repro.telemetry.context import TraceContext
+from repro.telemetry.pipeline import PipelineConfig, RedAggregate, trace_sampled
 
 __all__ = ["Span", "SpanStore", "Tracer", "SpanStatus"]
 
@@ -91,28 +92,51 @@ class Span:
         )
 
 
-class SpanStore:
-    """All recorded spans, indexed by trace id (the in-process backend)."""
+# span statuses that make a whole trace security/incident-relevant
+_PROTECTED_STATUSES = (SpanStatus.ERROR, SpanStatus.SHED, SpanStatus.EXPIRED)
 
-    def __init__(self) -> None:
+
+class SpanStore:
+    """All recorded spans, indexed by trace id (the in-process backend).
+
+    Without a ``config`` every span is retained.  With a
+    :class:`~repro.telemetry.pipeline.PipelineConfig` budget, retention
+    is tail-sampled (the classes are listed in that module's docstring):
+    crossing ``max_spans`` triggers :meth:`compact`, which evicts whole
+    finished traces into RED :attr:`rollups`.
+    """
+
+    def __init__(self, config: Optional[PipelineConfig] = None) -> None:
+        self.config = config
         self._spans: List[Span] = []
         self._by_trace: Dict[str, List[Span]] = defaultdict(list)
         # span ids per trace, maintained incrementally so orphan checks
         # don't rebuild the set per trace per call (the tracewatch
         # scanner runs orphans() repeatedly over the whole store)
         self._ids: Dict[str, Set[str]] = defaultdict(set)
+        self._protected: Set[str] = set()
+        # ids of evicted traces: an audit record may reach the SOC after
+        # its trace was compacted away, and must not read as forged
+        self._evicted_ids: Set[str] = set()
+        self.rollups: Dict[Tuple[str, str], RedAggregate] = {}
+        self.evicted_spans = 0
+        self.evicted_traces = 0
+        self.compactions = 0
 
     def add(self, span: Span) -> Span:
         self._spans.append(span)
         self._by_trace[span.trace_id].append(span)
         self._ids[span.trace_id].add(span.span_id)
+        if (self.config is not None
+                and len(self._spans) > self.config.max_spans):
+            self.compact()
         return span
 
     def spans(self) -> List[Span]:
         return list(self._spans)
 
     def trace(self, trace_id: str) -> List[Span]:
-        """Spans of one trace, in start order."""
+        """Spans of one trace still held, in start order."""
         return sorted(self._by_trace.get(trace_id, []),
                       key=lambda s: (s.start, s.span_id))
 
@@ -120,7 +144,9 @@ class SpanStore:
         return list(self._by_trace)
 
     def has_trace(self, trace_id: str) -> bool:
-        return trace_id in self._by_trace
+        """True for every trace id this store ever admitted, retained
+        or evicted (``trace()`` returns the spans still held)."""
+        return trace_id in self._by_trace or trace_id in self._evicted_ids
 
     def orphans(self, trace_id: Optional[str] = None) -> List[Span]:
         """Spans whose parent never reached the store — the connectivity
@@ -141,8 +167,7 @@ class SpanStore:
 
     def _drop_traces(self, trace_ids: Iterable[str]) -> int:
         """Remove whole traces, keeping every index consistent; returns
-        the number of spans dropped (retention policies live in
-        :class:`~repro.telemetry.pipeline.BoundedSpanStore`)."""
+        the number of spans dropped."""
         doomed = set(trace_ids)
         dropped = 0
         for tid in doomed:
@@ -155,6 +180,96 @@ class SpanStore:
 
     def __len__(self) -> int:
         return len(self._spans)
+
+    # ---------------------------------------------------------- pinning
+    def protect(self, trace_id: str) -> None:
+        """Pin a trace against eviction (revocations, containments,
+        fail-closed denials — anything a post-mortem will replay)."""
+        if trace_id:
+            self._protected.add(trace_id)
+
+    def protected_ids(self) -> Set[str]:
+        return set(self._protected)
+
+    def trace_protected(self, trace_id: str) -> bool:
+        if trace_id in self._protected:
+            return True
+        return any(s.status in _PROTECTED_STATUSES
+                   for s in self._by_trace.get(trace_id, ()))
+
+    # --------------------------------------------------------- sampling
+    def _trace_duration(self, spans: List[Span]) -> float:
+        """Duration of the root span when present, else the envelope of
+        the trace — the number slowest-k ranks by."""
+        for s in spans:
+            if s.parent_id is None:
+                return s.duration
+        start = min(s.start for s in spans)
+        end = max(s.end for s in spans if s.end is not None)
+        return end - start
+
+    def compact(self) -> None:
+        """Apply the retention classes and evict the remainder into RED
+        rollups, oldest trace first, down to the target fill."""
+        target = max(1, int(self.config.max_spans * self.config.target_fill))
+        excess = len(self._spans) - target
+        if excess <= 0:
+            return
+        # classify completed traces; unfinished traces are untouchable
+        candidates: List[Tuple[float, str, List[Span]]] = []
+        windows: Dict[int, List[Tuple[float, str]]] = {}
+        for tid, spans in self._by_trace.items():
+            if any(not s.finished for s in spans):
+                continue
+            if self.trace_protected(tid):
+                continue
+            if trace_sampled(tid, self.config.sample_rate):
+                continue
+            start = min(s.start for s in spans)
+            duration = self._trace_duration(spans)
+            candidates.append((start, tid, spans))
+            windows.setdefault(int(start // self.config.window), []).append(
+                (duration, tid))
+        # slowest-k per window survive even though they sampled out
+        slow: Set[str] = set()
+        for bucket in windows.values():
+            bucket.sort(reverse=True)
+            slow.update(tid for _, tid in bucket[:self.config.slowest_k])
+        doomed: List[str] = []
+        evicting = 0
+        for start, tid, spans in sorted(candidates,
+                                        key=lambda c: (c[0], c[1])):
+            if evicting >= excess:
+                break
+            if tid in slow:
+                continue
+            doomed.append(tid)
+            evicting += len(spans)
+            for span in spans:
+                key = (span.service or span.name, span.status)
+                agg = self.rollups.get(key)
+                if agg is None:
+                    agg = self.rollups[key] = RedAggregate()
+                agg.fold(span)
+        if doomed:
+            self.evicted_spans += self._drop_traces(doomed)
+            self._evicted_ids.update(doomed)
+            self.evicted_traces += len(doomed)
+        self.compactions += 1
+
+    # ------------------------------------------------------------- stats
+    def stats(self) -> Dict[str, object]:
+        return {
+            "retained_spans": len(self._spans),
+            "retained_traces": len(self._by_trace),
+            "evicted_spans": self.evicted_spans,
+            "evicted_traces": self.evicted_traces,
+            "protected_traces": len(self._protected),
+            "compactions": self.compactions,
+            "budget": (self.config.max_spans if self.config is not None
+                       else None),
+            "rolled_up": sum(a.count for a in self.rollups.values()),
+        }
 
 
 class Tracer:

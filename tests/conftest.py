@@ -86,10 +86,13 @@ class BrokerWorld:
         from repro.broker import IdentityBroker, RbacTokenValidator
         from repro.federation import (
             CloudAdminIdP,
-            EduGain,
             InstitutionalIdP,
             LastResortIdP,
             MyAccessID,
+        )
+        from repro.federation.directory import (
+            ShardedAccountRegistry,
+            ShardedMetadataStore,
         )
         from repro.portal import UserPortal
 
@@ -111,11 +114,13 @@ class BrokerWorld:
         )
         self.idp.add_user("alice", "pw-alice", "Alice Smith", "alice@bristol.ac.uk")
         self.idp.add_user("bob", "pw-bob", "Bob Jones", "bob@bristol.ac.uk")
-        self.edugain = EduGain()
+        self.edugain = ShardedMetadataStore(self.clock, shards=1)
         self.edugain.register_idp(self.idp, federation="UKAMF",
                                   display_name="University of Bristol")
-        self.myaccessid = MyAccessID("myaccessid", self.clock, self.ids,
-                                     self.edugain, audit=self.audit)
+        self.myaccessid = MyAccessID(
+            "myaccessid", self.clock, self.ids, self.edugain,
+            ShardedAccountRegistry(self.clock, self.ids, shards=1),
+            audit=self.audit)
         self.lastresort = LastResortIdP("idp-lastresort", self.clock, self.ids,
                                         audit=self.audit)
         self.admin_idp = CloudAdminIdP("idp-admin", self.clock, self.ids,

@@ -7,11 +7,19 @@ handle.  These checks keep it that way without running anything: they
 parse the sources.  If one fails, move the new wiring into the tier it
 belongs to (docs/extending.md, "Add or remove a tier") rather than
 raising the limit.
+
+The size ratchets at the bottom only ever go down: the number of values
+a caller of ``build_isambard`` can set (read off its annotations, the one
+check that imports rather than parses), the statement count of ``src/``,
+and the concepts that have exactly one implementation.
 """
 
 from __future__ import annotations
 
 import ast
+import dataclasses
+import inspect
+import typing
 from pathlib import Path
 
 import pytest
@@ -21,6 +29,11 @@ DEPLOYMENT = SRC / "repro" / "core" / "deployment.py"
 
 MAX_BUILDER_LINES = 450
 MAX_TIER_CONDITIONALS = 20
+# lower these when a change lowers the count; never raise them
+MAX_SETTABLE_VALUES = 76
+MAX_SRC_STATEMENTS = 11_371
+# concepts that once had two implementations: the loser's name stays gone
+MERGED_AWAY = {"AccountRegistry", "EduGain", "BoundedSpanStore"}
 
 # a conditional is tier-conditional when its test names a tier's flag,
 # config or runtime object
@@ -102,3 +115,52 @@ def test_base_package_imports_no_tier_install(package):
     for path in _package_files(f"repro.{package}"):
         assert not _imports(path) & INSTALL_MODULES, path
 
+
+
+def _src_trees():
+    return [ast.parse(path.read_text()) for path in sorted(SRC.rglob("*.py"))]
+
+
+def test_settable_values_only_fall():
+    """``build_isambard``'s own parameters plus every field of every
+    config dataclass its annotations reach (``OverloadConfig.broker`` is
+    an ``AdmissionPolicy``, so that counts too).  One value in use is a
+    constant, not a knob."""
+    from repro.core import build_isambard
+
+    hints = typing.get_type_hints(build_isambard)
+    del hints["return"]
+    configs, todo = set(), list(hints.values())
+    while todo:
+        hint = todo.pop()
+        todo.extend(typing.get_args(hint))
+        if dataclasses.is_dataclass(hint) and hint not in configs:
+            configs.add(hint)
+            todo.extend(typing.get_type_hints(hint).values())
+    settable = len(inspect.signature(build_isambard).parameters) + sum(
+        len(dataclasses.fields(cfg)) for cfg in configs)
+    assert settable <= MAX_SETTABLE_VALUES, sorted(
+        cfg.__name__ for cfg in configs)
+
+
+def test_src_statement_count_only_falls():
+    """Every ``ast.stmt`` under ``src/``, docstrings excluded."""
+    statements = 0
+    for tree in _src_trees():
+        for node in ast.walk(tree):
+            statements += isinstance(node, ast.stmt)
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                 ast.AsyncFunctionDef)):
+                statements -= ast.get_docstring(node, clean=False) is not None
+    assert statements <= MAX_SRC_STATEMENTS
+
+
+def test_one_implementation_per_concept():
+    for tree in _src_trees():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            assert node.name not in MERGED_AWAY, node.name
+            bases = {b.id if isinstance(b, ast.Name) else getattr(b, "attr", "")
+                     for b in node.bases}
+            assert "SpanStore" not in bases, f"{node.name} subclasses SpanStore"

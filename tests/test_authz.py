@@ -6,8 +6,10 @@ revocation_storm chaos faults."""
 import pytest
 
 from repro.authz import (
+    REEVAL_INTERVAL,
+    RETRY_INTERVAL,
+    STALENESS_BOUND,
     SURFACES,
-    AuthzConfig,
     AuthzGuard,
     IdentityGraph,
     PolicyDecisionPoint,
@@ -352,7 +354,7 @@ class TestDeploymentRevocation:
         # next re-evaluation tick (risk pinned at 1.0)
         dri.broker.tokens.mint(bob, "jupyter", "researcher", ttl=3600)
         assert reg.live_grants(reg.graph.identity_of(bob))
-        dri.clock.advance(dri.authz.config.reeval_interval + 0.1)
+        dri.clock.advance(REEVAL_INTERVAL + 0.1)
         assert reg.live_grants(reg.graph.identity_of(bob)) == []
         assert dri.authz.authorizer.revocations_triggered >= 1
 
@@ -383,7 +385,7 @@ class TestAuthzFaults:
         dri = self._onboard(87)
         bob = dri.workflows.personas["bob"].broker_sub
         account = dri.authz.registry.graph.accounts_of(bob)[0]
-        bound = dri.authz.config.staleness_bound
+        bound = STALENESS_BOUND
 
         dri.faults.pdp_down()
         dri.clock.advance(bound + 1.0)
@@ -401,7 +403,7 @@ class TestAuthzFaults:
         dri = self._onboard(88)
         bob = dri.workflows.personas["bob"].broker_sub
         dri.faults.pdp_down()
-        dri.clock.advance(dri.authz.config.staleness_bound / 2)
+        dri.clock.advance(STALENESS_BOUND / 2)
         dri.broker.tokens.mint(bob, "jupyter", "researcher")
         assert dri.authz.guard.stale_allows >= 1
         assert dri.authz.guard.fail_closed_denials == 0
@@ -409,7 +411,7 @@ class TestAuthzFaults:
     def test_pdp_restore_after_heals_and_redrives(self):
         dri = self._onboard(89)
         bob = dri.workflows.personas["bob"].broker_sub
-        bound = dri.authz.config.staleness_bound
+        bound = STALENESS_BOUND
         dri.faults.pdp_down(restore_after=bound + 10.0)
         dri.faults.teardown_stuck("ssh", duration=bound + 10.0)
         intent = dri.authz.pipeline.revoke(uid=bob, reason="incident")
@@ -429,7 +431,7 @@ class TestAuthzFaults:
         # tokens and ssh died immediately; compute converges at unstick
         dri.clock.advance(stuck_for + 0.1)
         assert intent.complete
-        assert intent.ttr() <= stuck_for + dri.authz.config.retry_interval
+        assert intent.ttr() <= stuck_for + RETRY_INTERVAL
         assert dri.faults.teardowns_stuck == 1
 
     def test_revocation_storm_coalesces(self):

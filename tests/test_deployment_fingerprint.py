@@ -113,3 +113,28 @@ def test_wiring_matches_the_recorded_fingerprint(golden, name):
     for key in want:
         assert got[key] == want[key], f"{name}: {key} moved"
     assert got.keys() == want.keys()
+
+
+def test_default_build_runs_the_one_store_with_the_tier_extras_off():
+    """The account registry and metadata aggregate of a default build are
+    the sharded stores ``directory=True`` sizes up — one shard each, with
+    none of what the tier's install attaches (metrics, audit, handle)."""
+    from repro.federation.directory import (
+        ShardedAccountRegistry,
+        ShardedMetadataStore,
+    )
+
+    dri = build_isambard(seed=42)
+    accounts, metadata = dri.myaccessid.registry, dri.edugain
+    assert type(accounts) is ShardedAccountRegistry
+    assert type(metadata) is ShardedMetadataStore
+    assert list(accounts.shards) == ["acct-00"]
+    assert list(metadata.shards) == ["md-00"]
+    assert dri.directory is None
+    _story(dri)
+    assert accounts.lookups > 0 and metadata.lookups > 0
+    assert accounts.verify_invariants()["accounts"] == len(accounts) > 0
+    assert metadata.verify_invariants()["entities"] == len(dri.idps)
+    assert "\nrepro_directory_" not in dri.telemetry.exposition()
+    assert not [e for e in dri.audit.events()
+                if e.action.startswith("directory.")]

@@ -3,7 +3,11 @@
 import pytest
 
 from repro.clock import SimClock
-from repro.federation import AssurancePolicy, EduGain, MyAccessID, populate_edugain
+from repro.federation import AssurancePolicy, MyAccessID, populate_edugain
+from repro.federation.directory import (
+    ShardedAccountRegistry,
+    ShardedMetadataStore,
+)
 from repro.ids import IdFactory
 from repro.net import HttpRequest, Network, OperatingDomain, Zone
 from repro.oidc import UserAgent, make_url
@@ -17,13 +21,14 @@ def big_federation(sim):
         src_domain=OperatingDomain.EXTERNAL,
         dst_domain=OperatingDomain.EXTERNAL,
     )
-    edugain = EduGain()
+    edugain = ShardedMetadataStore(clock, shards=1)
     idps = populate_edugain(
         edugain, clock, ids,
         n_federations=20, idps_per_federation=10, rns_fraction=0.7,
         network=network,
     )
-    ma = MyAccessID("myaccessid", clock, ids, edugain)
+    ma = MyAccessID("myaccessid", clock, ids, edugain,
+                    ShardedAccountRegistry(clock, ids, shards=1))
     network.attach(ma, OperatingDomain.EXTERNAL, Zone.INTERNET)
     agent = UserAgent("laptop")
     network.attach(agent, OperatingDomain.EXTERNAL, Zone.INTERNET)
@@ -33,7 +38,9 @@ def big_federation(sim):
 def test_population_counts(big_federation):
     _, _, _, edugain, idps, *_ = big_federation
     assert len(edugain) == 200
-    assert len(edugain.federations()) == 20
+    assert edugain.federations() == [f"fed-{f:02d}" for f in range(20)]
+    listed = [md.entity_id for md in edugain.idps()]
+    assert listed == sorted(idp.entity_id for idp in idps)
 
 
 def test_rns_fraction_respected(big_federation):

@@ -224,7 +224,8 @@ def test_federation_layer_raises_its_family():
     from repro.federation import (
         AssurancePolicy, EntityCategory, LevelOfAssurance,
     )
-    from repro.federation.myaccessid import AccountRegistry, LinkedIdentity
+    from repro.federation.directory import ShardedAccountRegistry
+    from repro.federation.myaccessid import LinkedIdentity
     from repro.ids import IdFactory
 
     policy = AssurancePolicy(minimum_loa=LevelOfAssurance.CAPPUCCINO)
@@ -234,7 +235,7 @@ def test_federation_layer_raises_its_family():
     with pytest.raises(AssuranceTooLow):  # right LoA, missing R&S category
         policy.check(LevelOfAssurance.ESPRESSO, ())
 
-    registry = AccountRegistry(IdFactory(3))
+    registry = ShardedAccountRegistry(SimClock(), IdFactory(3), shards=1)
     ghost = LinkedIdentity("https://idp.example", "nobody")
     with pytest.raises(IdentityNotRegistered):
         registry.link("ma-ghost@myaccessid", ghost)

@@ -13,13 +13,16 @@ from repro.errors import (
 )
 from repro.federation import (
     CloudAdminIdP,
-    EduGain,
     EntityCategory,
     HardwareKey,
     InstitutionalIdP,
     LastResortIdP,
     LevelOfAssurance,
     MyAccessID,
+)
+from repro.federation.directory import (
+    ShardedAccountRegistry,
+    ShardedMetadataStore,
 )
 from repro.net import HttpRequest, OperatingDomain, Zone
 from repro.oidc import UserAgent, make_url
@@ -36,9 +39,10 @@ def fed_world(sim):
     )
     idp = InstitutionalIdP("idp-bristol", "https://idp.bristol.ac.uk", clock, ids)
     idp.add_user("alice", "pw", "Alice Smith", "alice@bristol.ac.uk")
-    edugain = EduGain()
+    edugain = ShardedMetadataStore(clock, shards=1)
     edugain.register_idp(idp, federation="UKAMF", display_name="University of Bristol")
-    ma = MyAccessID("myaccessid", clock, ids, edugain)
+    ma = MyAccessID("myaccessid", clock, ids, edugain,
+                    ShardedAccountRegistry(clock, ids, shards=1))
     agent = UserAgent("laptop")
     network.attach(idp, OperatingDomain.EXTERNAL, Zone.INTERNET)
     network.attach(ma, OperatingDomain.EXTERNAL, Zone.INTERNET)

@@ -43,7 +43,6 @@ from repro.federation.directory import (
     ShardedAccountRegistry,
     ShardedMetadataStore,
 )
-from repro.federation.edugain import EduGain
 from repro.federation.idp import InstitutionalIdP
 from repro.federation.myaccessid import LinkedIdentity
 from repro.ids import IdFactory
@@ -219,6 +218,26 @@ def test_mid_migration_lookup_bounded_by_one_fallback_probe():
     assert max(reg.lookup_latencies) <= reg.probe_cost + 1e-12
 
 
+def test_lookup_accounting_does_not_grow_with_lookups():
+    # the stores sit on every login's path: a per-lookup sample list
+    # would be a leak in every long run
+    reg, _ = _registry(shards=2)
+    ghost = LinkedIdentity("https://idp.x", "nobody")
+
+    def footprint():
+        return {k: len(v) for k, v in vars(reg).items()
+                if isinstance(v, (list, dict, set, tuple))}
+
+    before = footprint()
+    for _ in range(100_000):
+        reg.find(ghost)
+    assert footprint() == before
+    assert reg.lookups == 100_000
+    assert reg.lookup_latencies == [reg.probe_cost] * 100_000
+    reg.reset_lookup_stats()
+    assert reg.lookup_latencies == []
+
+
 def test_remove_shard_drains_then_drops():
     reg, _ = _registry(shards=4)
     for i in range(200):
@@ -357,29 +376,6 @@ def test_stale_version_upsert_is_ignored():
     assert skipped is None
     assert store.get(idp.entity_id).version == 2
     store.verify_invariants()
-
-
-def test_edugain_incremental_indices_and_refresh():
-    # satellite: the plain EduGain aggregate gained the same surface
-    clock, ids = SimClock(), IdFactory(seed=3)
-    eg = EduGain()
-    idps = []
-    for i in (3, 1, 2):
-        idp = InstitutionalIdP(f"idp-{i}", f"https://idp-{i}.example",
-                               clock, ids)
-        eg.register_idp(idp, federation=f"fed-{i % 2}")
-        idps.append(idp)
-    assert [m.entity_id for m in eg.idps()] == sorted(
-        m.entity_id for m in eg.idps())
-    assert eg.federations() == ["fed-0", "fed-1"]
-    idp = idps[0]
-    old_kid = eg.get(idp.entity_id).verifier.kid
-    idp.rotate_key()
-    md = eg.refresh_idp(idp, federation="fed-9")
-    assert md.version == 2 and md.verifier.kid != old_kid
-    assert "fed-9" in eg.federations()
-    with pytest.raises(ConfigurationError):
-        eg.register_idp(idp, federation="fed-9")  # duplicate registration
 
 
 # ---------------------------------------------------------------------------

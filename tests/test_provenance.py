@@ -6,7 +6,7 @@ Covers the tentpole and its satellites:
   pinned retention (latest grant per identity+surface, every denial),
   the enricher, and the policy pack version stamp;
 * deterministic tail-based trace sampling and the
-  :class:`BoundedSpanStore` retention classes (protected, slowest-k,
+  budgeted :class:`SpanStore` retention classes (protected, slowest-k,
   hash-sampled, RED rollups of the rest; unfinished traces untouchable);
 * per-family metric cardinality budgets (``__overflow__`` folding and
   the dropped-labels meter);
@@ -43,7 +43,6 @@ from repro.resilience import (
 )
 from repro.siem import UnexplainedDecisionRule, build_timeline, join_provenance
 from repro.telemetry import (
-    BoundedSpanStore,
     Decision,
     DecisionRecord,
     MetricsRegistry,
@@ -179,7 +178,7 @@ class TestBoundedSpanStore:
 
     def _world(self, cfg=None):
         clock = SimClock(start=0.0)
-        store = BoundedSpanStore(cfg or self.CFG)
+        store = SpanStore(cfg or self.CFG)
         return clock, store, Tracer(clock, store)
 
     def _ok_trace(self, clock, tracer, duration=0.01):
@@ -260,8 +259,13 @@ class TestBoundedSpanStore:
 # satellite: the incremental orphan index survives trace drops
 # ---------------------------------------------------------------------------
 def test_orphan_index_stays_consistent_across_drops():
+    # the same case with and without a retention budget
+    for config in (None, PipelineConfig(max_spans=20)):
+        _orphan_index_case(SpanStore(config))
+
+
+def _orphan_index_case(store):
     clock = SimClock()
-    store = SpanStore()
     tracer = Tracer(clock, store)
     root = tracer.start_trace("root", service="a")
     child = tracer.start_span("child", root.context(), service="b")
@@ -559,8 +563,7 @@ def _sec_token(dri):
 
 def test_pipeline_deployment_uses_bounded_store_and_ledger(pipeline_world):
     dri = pipeline_world
-    assert isinstance(dri.telemetry.store, BoundedSpanStore)
-    assert dri.pipeline_config is not None
+    assert dri.telemetry.store.config is dri.pipeline_config is not None
     assert dri.telemetry.provenance.max_records == \
         dri.pipeline_config.max_decisions
 

@@ -69,12 +69,9 @@ class TestTailConfig:
         assert cfg.ejection and cfg.retry_budget
 
     @pytest.mark.parametrize("kwargs", [
-        {"timeout_quantile": 1.5},
-        {"hedge_quantile": 0.0},
         {"timeout_min": 0.0},
         {"timeout_min": 1.0, "timeout_max": 0.5},
         {"hedge_budget_ratio": 2.0},
-        {"eject_latency_ratio": 1.0},
         {"max_eject_fraction": 0.0},
         {"retry_budget_cap": 0.5},
     ])
