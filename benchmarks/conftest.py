@@ -7,9 +7,10 @@ where the crossover falls) rather than absolute timings — the substrate
 is a simulator, not the authors' testbed.
 
 Tables are written to ``benchmarks/results/<id>.txt`` and echoed to
-stdout (visible with ``pytest -s``).  A run with any ``*_QUICK=1`` smoke
-switch set only echoes: the committed tables are the full-mode baseline
-that "byte-identical output" is checked against.
+stdout (visible with ``pytest -s``).  A ``BENCH_QUICK=1`` run (the one
+smoke switch: every ablation shrinks to CI size) only echoes: the
+committed tables are the full-mode baseline that "byte-identical output"
+is checked against.
 """
 
 from __future__ import annotations
@@ -26,8 +27,7 @@ RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 def report():
     """Save + echo one bench's reproduction table."""
 
-    quick = any(key.endswith("_QUICK") and value == "1"
-                for key, value in os.environ.items())
+    quick = os.environ.get("BENCH_QUICK") == "1"
 
     def _report(name: str, text: str) -> None:
         if not quick:

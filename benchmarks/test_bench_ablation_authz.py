@@ -26,7 +26,7 @@ five arms:
 Every arm ends with the same oracle: **zero live sessions survive**
 on any of the four surfaces for any revoked identity.
 
-``ABL12_QUICK=1`` shrinks the cohort for CI smoke runs.
+``BENCH_QUICK=1`` shrinks the cohort for CI smoke runs.
 """
 
 import os
@@ -35,7 +35,7 @@ from repro.authz import RETRY_INTERVAL, STALENESS_BOUND, TTR_BOUND
 from repro.core import build_isambard
 from repro.core.metrics import format_table
 
-QUICK = os.environ.get("ABL12_QUICK") == "1"
+QUICK = os.environ.get("BENCH_QUICK") == "1"
 N_RESEARCHERS = 2 if QUICK else 5
 STUCK_FOR = 5.0
 STORM_MULT = 6  # duplicate revocations per identity in the storm arm

@@ -18,7 +18,7 @@ Everything runs on the simulated clock with seeded RNGs, so both arms
 are bit-for-bit reproducible; the determinism assertion below re-runs
 the chaos arm and compares fingerprints.
 
-``CHAOS_QUICK=1`` shrinks the fleet for CI smoke runs.
+``BENCH_QUICK=1`` shrinks the fleet for CI smoke runs.
 """
 
 import os
@@ -30,7 +30,7 @@ from repro.net.http import HttpRequest
 from repro.resilience import RetryPolicy
 from repro.tunnels.zenith import TOKEN_HEADER
 
-QUICK = os.environ.get("CHAOS_QUICK") == "1"
+QUICK = os.environ.get("BENCH_QUICK") == "1"
 N_USERS = 6 if QUICK else 18
 BROWNOUT_P = 0.30
 SIEM_OUTAGE = 120.0

@@ -17,7 +17,7 @@ measures, with the write-ahead journal on vs. off:
 
 Everything runs on the simulated clock, so both arms are bit-for-bit
 reproducible; the determinism assertion re-runs one arm and compares
-fingerprints.  ``ABL8_QUICK=1`` shrinks the fleet for CI smoke runs.
+fingerprints.  ``BENCH_QUICK=1`` shrinks the fleet for CI smoke runs.
 """
 
 import os
@@ -27,7 +27,7 @@ from repro.core.metrics import format_table
 from repro.errors import EpochFenced, ServiceUnavailable
 from repro.resilience.durability import REPLAY_COST_PER_ENTRY, RESTART_COST
 
-QUICK = os.environ.get("ABL8_QUICK") == "1"
+QUICK = os.environ.get("BENCH_QUICK") == "1"
 N_USERS = 4 if QUICK else 10
 
 SERVICES = ("broker", "portal", "ssh-ca", "idp-lastresort")

@@ -25,7 +25,7 @@ semester and reports what the sharded tier guarantees:
   rest of the ring serves; a crashed shard recovers bit-identically
   from its own journal.
 
-``ABL14_QUICK=1`` shrinks the federation (20k users, 400 IdPs, 6
+``BENCH_QUICK=1`` shrinks the federation (20k users, 400 IdPs, 6
 weeks) for CI smoke runs.  Simulated time: only directory probe costs
 and network hops — the latency columns count protocol work, not CPU.
 """
@@ -39,7 +39,7 @@ from repro.federation.assurance import LevelOfAssurance
 from repro.federation.directory import DirectoryConfig, MetadataFeed
 from repro.federation.myaccessid import LinkedIdentity
 
-QUICK = os.environ.get("ABL14_QUICK") == "1"
+QUICK = os.environ.get("BENCH_QUICK") == "1"
 
 N_USERS = 20_000 if QUICK else 1_000_000
 N_IDPS = 400 if QUICK else 10_000

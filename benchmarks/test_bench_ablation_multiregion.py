@@ -23,35 +23,18 @@ geo-router:
     generation's appends raise EpochFenced and the union of every
     region journal's committed mints contains zero duplicate jtis.
 
-``ABL10_QUICK=1`` shrinks the surge for CI smoke runs.
+The surge itself (cohort, op mix, oracles) is ``region_surge.py``,
+shared with ABL11; ``BENCH_QUICK=1`` shrinks it for CI smoke runs.
 """
 
-import os
-
+import region_surge as surge
 from repro.core import build_isambard
 from repro.core.metrics import format_table, latency_stats
-from repro.errors import (
-    EpochFenced,
-    NetworkError,
-    RateLimited,
-    ReproError,
-    ServiceUnavailable,
-)
-from repro.net.http import HttpRequest
-from repro.region import ACTIVE, RegionConfig
+from repro.errors import EpochFenced
+from repro.region import ACTIVE
 from repro.region.directory import LAG_CHECK_INTERVAL
 from repro.region.router import INTER_REGION_LATENCY
 from repro.siem import CacheStalenessRule, RegionLagRule
-
-QUICK = os.environ.get("ABL10_QUICK") == "1"
-N_OPS = 240 if QUICK else 2000
-ARRIVAL_RATE = 250.0            # offered operations per sim second
-N_PERSONAS = 2 if QUICK else 4  # onboarded users driving the mint slice
-N_APP_TOKENS = 4 if QUICK else 8
-MINT_EVERY = 10                 # every Nth op is a mint (fencing path)
-
-CFG = RegionConfig()            # eu/us, 5 s staleness bound
-BOUND = CFG.staleness_bound
 
 
 def _fingerprint(dri, counts, latencies):
@@ -71,38 +54,19 @@ def multiregion_surge(seed: int, fault: str = "none"):
     """One arm: a mixed introspection (90%) + mint (10%) surge with the
     callers split across both regions, and ``fault`` injected mid-run."""
     dri = build_isambard(seed=seed, regions=True)
-    wf, clock = dri.workflows, dri.clock
+    clock = dri.clock
 
-    # --- warmup: onboard the mint cohort, mint the app tokens ----------
-    s1 = wf.story1_pi_onboarding("trainer", project_name="geo-proj")
-    assert s1.ok, s1.steps
-    project_id = str(s1.data["project_id"])
-    personas = []
-    for i in range(N_PERSONAS):
-        name = f"user{i:02d}"
-        clock.advance(0.5)
-        assert wf.story3_researcher_setup(project_id, "trainer", name).ok
-        personas.append(wf.personas[name])
-    app_tokens = []
-    for i in range(N_APP_TOKENS):
-        token, rec = dri.broker.tokens.mint(
-            f"app{i:02d}", "jupyter", "researcher", ttl=3600.0)
-        app_tokens.append((token, rec))
-    # half the synthetic callers live in each region
-    clients = [f"client-{i:02d}" for i in range(8)]
-    for i, client in enumerate(clients):
-        dri.geo_router.pin(client, CFG.names[i % len(CFG.names)])
+    cohort = surge.onboard(dri, "geo-proj")
+    _, _, app_tokens, clients = cohort
     # warm the remote region's cache with the token the partition arm
     # will revoke — the stale serve needs a pre-revocation entry to serve
     victim_token, victim = app_tokens[0]
     for client in clients:
-        dri.geo_router.handle(HttpRequest(
-            "POST", "/introspect", body={"token": victim_token},
-            source=client))
+        surge.introspect(dri, victim_token, client)
     clock.advance(0.5)
 
     # --- fault schedule -------------------------------------------------
-    surge_span = N_OPS / ARRIVAL_RATE
+    surge_span = surge.N_OPS / surge.ARRIVAL_RATE
     t0 = clock.now()
     fault_at = t0 + 0.25 * surge_span
     restore_at = t0 + 0.75 * surge_span
@@ -114,10 +78,8 @@ def multiregion_surge(seed: int, fault: str = "none"):
     counts = {"offered": 0, "ok": 0, "denied": 0, "refused": 0, "fail": 0}
     latencies = []
 
-    for i in range(N_OPS):
-        arrival = t0 + i / ARRIVAL_RATE
-        if clock.now() < arrival:
-            clock.advance(arrival - clock.now())
+    for i in range(surge.N_OPS):
+        arrival = surge.await_arrival(clock, t0, i)
 
         if not fault_fired and clock.now() >= fault_at:
             fault_fired = True
@@ -138,33 +100,14 @@ def multiregion_surge(seed: int, fault: str = "none"):
                     dri.region_directory.region_up("us")
 
         counts["offered"] += 1
-        # decorrelated from the token cycle so every token is introspected
-        # from both regions over the surge
-        client = clients[(i + i // N_APP_TOKENS) % len(clients)]
-        try:
-            if i % MINT_EVERY == MINT_EVERY - 1:
-                persona = personas[(i // MINT_EVERY) % len(personas)]
-                resp = wf.mint(persona, "jupyter", "researcher",
-                               project=project_id)
-            else:
-                token = app_tokens[i % len(app_tokens)][0]
-                resp = dri.geo_router.handle(HttpRequest(
-                    "POST", "/introspect", body={"token": token},
-                    source=client))
-        except (ServiceUnavailable, RateLimited):
-            counts["refused"] += 1
-        except (NetworkError, ReproError):
-            counts["fail"] += 1
-        else:
-            if resp.ok:
-                counts["ok"] += 1
-                latencies.append(clock.now() - arrival)
-            else:
-                counts["denied"] += 1
+        outcome = surge.op(dri, i, *cohort)
+        counts[outcome] += 1
+        if outcome == "ok":
+            latencies.append(clock.now() - arrival)
 
     # --- post-surge: let the partition outlive the bound, then heal ----
     if fault in ("partition", "bounce"):
-        clock.advance(max(0.0, (fault_at + BOUND + 2.0) - clock.now()))
+        clock.advance(max(0.0, (fault_at + surge.BOUND + 2.0) - clock.now()))
         if zombie_epoch is not None:
             us = dri.region_directory.region("us")
             try:
@@ -176,25 +119,14 @@ def multiregion_surge(seed: int, fault: str = "none"):
         clock.advance(3.0 * LAG_CHECK_INTERVAL)  # watchdog recovery
     dri.ship_logs()
 
-    mint_jtis = []
-    for name in CFG.names:
-        journal = dri.durability.stream(f"region-{name}")
-        mint_jtis += [str(e.data["jti"]) for e in journal.load()[1]
-                      if e.kind == "region.mint"]
-    stale_serves = [
-        e.time for e in dri.logs["fds"].query()
-        if e.action == "region.introspect"
-        and e.attrs.get("jti") == victim.jti and e.attrs.get("active")
-        and revoked_at is not None and e.time > revoked_at
-    ]
     return {
         "dri": dri,
         "counts": counts,
         "stats": latency_stats(latencies),
         "reroutes": dri.geo_router.reroutes,
         "revoked_at": revoked_at,
-        "stale_serves": stale_serves,
-        "mint_jtis": mint_jtis,
+        "stale_serves": surge.stale_serves(dri, victim.jti, revoked_at),
+        "mint_jtis": surge.journaled_mint_jtis(dri),
         "zombie_fenced": zombie_fenced,
         "victim_jti": victim.jti,
         "lag_breaches": dri.region_directory.lag_breaches,
@@ -232,7 +164,7 @@ def test_ablation_multiregion(report):
     assert part["revoked_at"] is not None
     assert part["stale_serves"], "the partition arm must exercise a stale serve"
     last_stale = max(part["stale_serves"])
-    assert last_stale <= part["revoked_at"] + BOUND
+    assert last_stale <= part["revoked_at"] + surge.BOUND
     # SOC oracles: the in-window serves are tolerated (no critical
     # staleness alert), and the lag breach paged
     alerts = {a.rule for a in part["dri"].soc.alerts}
@@ -285,8 +217,8 @@ def test_ablation_multiregion(report):
             row("partition + revoke", part),
             row("partition + bounce", bounce),
         ],
-        title=(f"ABL10: {N_OPS}-op surge ({ARRIVAL_RATE:.0f}/s; 90% "
-               f"introspections / 10% mints) across 2 regions; advertised "
-               f"staleness bound {BOUND:.0f}s"),
+        title=(f"ABL10: {surge.N_OPS}-op surge ({surge.ARRIVAL_RATE:.0f}/s; "
+               f"90% introspections / 10% mints) across 2 regions; advertised "
+               f"staleness bound {surge.BOUND:.0f}s"),
     ))
 

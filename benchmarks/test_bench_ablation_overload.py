@@ -26,7 +26,7 @@ users abandon after ``LOGIN_BUDGET`` simulated seconds — carried as a
 propagated deadline in the protected arm, which is what lets the system
 shed doomed work before it burns capacity.
 
-``ABL7_QUICK=1`` shrinks the sweep for CI smoke runs.
+``BENCH_QUICK=1`` shrinks the sweep for CI smoke runs.
 """
 
 import dataclasses
@@ -38,7 +38,7 @@ from repro.errors import DeadlineExceeded, NetworkError, RateLimited
 from repro.oidc import make_url
 from repro.resilience import OverloadConfig, Priority
 
-QUICK = os.environ.get("ABL7_QUICK") == "1"
+QUICK = os.environ.get("BENCH_QUICK") == "1"
 SURGES = (45, 450) if QUICK else (45, 200, 600, 2000)
 N_PERSONAS = 12 if QUICK else 40          # rotating login identities
 N_BATCH = 4                               # stay-logged-in automation users

@@ -40,35 +40,21 @@ through a resilience kit with the retry budget off vs. on: the budget
 caps the retry amplification (attempts per call) and the refusals it
 audits drive the SOC's ``retry-storm`` detection.
 
-``ABL11_QUICK=1`` shrinks the surge for CI smoke runs.
+The surge itself (cohort, op mix, oracles) is ``region_surge.py``,
+shared with ABL10; ``BENCH_QUICK=1`` shrinks it for CI smoke runs.
 """
 
-import os
 import random
 
+import region_surge as surge
 from repro.core import build_isambard
 from repro.core.metrics import format_table, latency_stats
-from repro.errors import (
-    NetworkError,
-    RateLimited,
-    ReproError,
-    ServiceUnavailable,
-)
+from repro.errors import RateLimited, ServiceUnavailable
 from repro.net import OperatingDomain, Service, Zone
 from repro.net.http import HttpRequest
-from repro.region import RegionConfig
 from repro.resilience import Resilience, RetryPolicy, TailConfig
 
-QUICK = os.environ.get("ABL11_QUICK") == "1"
-N_OPS = 240 if QUICK else 2000
-ARRIVAL_RATE = 250.0            # offered operations per sim second
-N_PERSONAS = 2 if QUICK else 4
-N_APP_TOKENS = 4 if QUICK else 8
-MINT_EVERY = 10                 # every Nth op is a mint (journal oracle)
-N_STORM = 80 if QUICK else 200  # probe calls in the retry-storm arms
-
-CFG = RegionConfig()            # eu/us, 5 s staleness bound
-BOUND = CFG.staleness_bound
+N_STORM = 80 if surge.QUICK else 200  # probe calls in the retry-storm arms
 SLOW_EXTRA = 0.5                # the gray replica's per-message penalty
 GRAY_EXTRA = 0.12               # the gray region's per-message penalty
 
@@ -123,50 +109,31 @@ def tail_surge(seed: int, arm: str):
     injected mid-run and one tail defence configuration active."""
     dri = build_isambard(seed=seed, regions=True, resilience=True,
                          tail=ARMS[arm])
-    wf, clock = dri.workflows, dri.clock
+    clock = dri.clock
 
-    # --- warmup: onboard the mint cohort, mint app tokens, feed the
-    # latency trackers past min_samples so the quantile-derived bounds
-    # are armed before the fault lands -----------------------------------
-    s1 = wf.story1_pi_onboarding("trainer", project_name="tail-proj")
-    assert s1.ok, s1.steps
-    project_id = str(s1.data["project_id"])
-    personas = []
-    for i in range(N_PERSONAS):
-        name = f"user{i:02d}"
-        clock.advance(0.5)
-        assert wf.story3_researcher_setup(project_id, "trainer", name).ok
-        personas.append(wf.personas[name])
-    app_tokens = []
-    for i in range(N_APP_TOKENS):
-        token, rec = dri.broker.tokens.mint(
-            f"app{i:02d}", "jupyter", "researcher", ttl=3600.0)
-        app_tokens.append((token, rec))
-    clients = [f"client-{i:02d}" for i in range(8)]
-    for i, client in enumerate(clients):
-        dri.geo_router.pin(client, CFG.names[i % len(CFG.names)])
-    victim_token, victim = app_tokens[0]
+    # --- warmup: the shared cohort, then feed the latency histograms
+    # past min_samples so the quantile-derived bounds are armed before
+    # the fault lands -----------------------------------------------------
+    cohort = surge.onboard(dri, "tail-proj")
+    _, _, app_tokens, clients = cohort
+    victim = app_tokens[0][1]
     for round_ in range(6):          # 24 successful samples per region LB
-        token = app_tokens[round_ % N_APP_TOKENS][0]
+        token = app_tokens[round_ % surge.N_APP_TOKENS][0]
         for client in clients:
-            dri.geo_router.handle(HttpRequest(
-                "POST", "/introspect", body={"token": token},
-                source=client))
+            surge.introspect(dri, token, client)
     clock.advance(0.5)
 
     # --- fault schedule: gray replica + gray region mid-surge ------------
     t0 = clock.now()
-    fault_op, restore_op = N_OPS // 4, (3 * N_OPS) // 4
+    fault_op, restore_op = surge.N_OPS // 4, (3 * surge.N_OPS) // 4
     active_faults = []
     revoked_at = None
 
     counts = {"offered": 0, "ok": 0, "denied": 0, "refused": 0, "fail": 0}
     latencies = []
 
-    for i in range(N_OPS):
-        arrival = t0 + i / ARRIVAL_RATE
-        if clock.now() < arrival:
-            clock.advance(arrival - clock.now())
+    for i in range(surge.N_OPS):
+        surge.await_arrival(clock, t0, i)
 
         if i == fault_op:
             # one eu replica turns gray; the whole us region browns out.
@@ -186,41 +153,13 @@ def tail_surge(seed: int, arm: str):
 
         counts["offered"] += 1
         op_start = clock.now()
-        client = clients[(i + i // N_APP_TOKENS) % len(clients)]
-        try:
-            if i % MINT_EVERY == MINT_EVERY - 1:
-                persona = personas[(i // MINT_EVERY) % len(personas)]
-                resp = wf.mint(persona, "jupyter", "researcher",
-                               project=project_id)
-            else:
-                token = app_tokens[i % len(app_tokens)][0]
-                resp = dri.geo_router.handle(HttpRequest(
-                    "POST", "/introspect", body={"token": token},
-                    source=client))
-        except (ServiceUnavailable, RateLimited):
-            counts["refused"] += 1
-        except (NetworkError, ReproError):
-            counts["fail"] += 1
-        else:
-            if resp.ok:
-                counts["ok"] += 1
-            else:
-                counts["denied"] += 1
+        outcome = surge.op(dri, i, *cohort)
+        counts[outcome] += 1
+        if outcome in ("ok", "denied"):
             latencies.append(clock.now() - op_start)
 
     dri.ship_logs()
 
-    mint_jtis = []
-    for name in CFG.names:
-        journal = dri.durability.stream(f"region-{name}")
-        mint_jtis += [str(e.data["jti"]) for e in journal.load()[1]
-                      if e.kind == "region.mint"]
-    stale_serves = [
-        e.time for e in dri.logs["fds"].query()
-        if e.action == "region.introspect"
-        and e.attrs.get("jti") == victim.jti and e.attrs.get("active")
-        and revoked_at is not None and e.time > revoked_at
-    ]
     return {
         "dri": dri,
         "counts": counts,
@@ -230,8 +169,8 @@ def tail_surge(seed: int, arm: str):
         "reroutes": dri.geo_router.reroutes,
         "lag_breaches": dri.region_directory.lag_breaches,
         "revoked_at": revoked_at,
-        "stale_serves": stale_serves,
-        "mint_jtis": mint_jtis,
+        "stale_serves": surge.stale_serves(dri, victim.jti, revoked_at),
+        "mint_jtis": surge.journaled_mint_jtis(dri),
         "fingerprint": _fingerprint(dri, counts, latencies),
     }
 
@@ -326,7 +265,8 @@ def test_ablation_tail(report):
     for run_ in (baseline, deadlines, hedge, eject, allon):
         assert len(run_["mint_jtis"]) == len(set(run_["mint_jtis"]))
         if run_["stale_serves"]:
-            assert max(run_["stale_serves"]) <= run_["revoked_at"] + BOUND
+            assert max(run_["stale_serves"]) <= \
+                run_["revoked_at"] + surge.BOUND
 
     # (e) retry storm: the budget caps amplification (attempts per call)
     #     and the audited refusals drive the SOC detection
@@ -375,8 +315,8 @@ def test_ablation_tail(report):
             row("+ejection", eject),
             row("all on", allon),
         ],
-        title=(f"ABL11: {N_OPS}-op surge ({ARRIVAL_RATE:.0f}/s) with a "
-               f"+{SLOW_EXTRA * 1000:.0f}ms gray replica and a "
+        title=(f"ABL11: {surge.N_OPS}-op surge ({surge.ARRIVAL_RATE:.0f}/s) "
+               f"with a +{SLOW_EXTRA * 1000:.0f}ms gray replica and a "
                f"+{GRAY_EXTRA * 1000:.0f}ms gray region mid-run"),
     ) + "\n" + format_table(
         ["arm", "calls", "attempts", "amplification", "budget refusals",

@@ -27,7 +27,7 @@ session registry and for every denial taken.
 
 Latency is not measured here — the arms are compared on *retention*:
 what survived, what was dropped, and whether anything that matters was
-lost.  ``ABL13_QUICK=1`` shrinks the surge for CI smoke runs.
+lost.  ``BENCH_QUICK=1`` shrinks the surge for CI smoke runs.
 """
 
 import os
@@ -52,7 +52,7 @@ from repro.net import (
 )
 from repro.telemetry import PipelineConfig
 
-QUICK = os.environ.get("ABL13_QUICK") == "1"
+QUICK = os.environ.get("BENCH_QUICK") == "1"
 N_OPS = 240 if QUICK else 2000
 ARRIVAL_RATE = 250.0            # offered operations per sim second
 MAX_SPANS = 480 if QUICK else 2400

@@ -15,7 +15,7 @@ deterministic load balancer) × distributed caching on/off.  It measures
 what the scale-out subsystem buys (monotonically falling loss and p99
 as replicas grow; a ≥10× cut in upstream introspection round-trips from
 caching + single-flight coalescing) and demos the metric-driven
-autoscaler growing the pool mid-surge.  ``ABL9_QUICK=1`` shrinks the
+autoscaler growing the pool mid-surge.  ``BENCH_QUICK=1`` shrinks the
 sweep for CI smoke runs.
 """
 
@@ -120,7 +120,7 @@ def test_rsecon_scale(report):
 # ======================================================================
 # ABL9 — replica-count × cache on/off at a 2000-user surge
 # ======================================================================
-QUICK = os.environ.get("ABL9_QUICK") == "1"
+QUICK = os.environ.get("BENCH_QUICK") == "1"
 REPLICAS = (1, 4) if QUICK else (1, 2, 4, 8)
 N_SURGE = 240 if QUICK else 2000
 ARRIVAL_RATE = 1200.0           # offered operations per sim second

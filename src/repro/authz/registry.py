@@ -156,6 +156,3 @@ class SessionRegistry:
         """Which surfaces hold live grants for an identity (SURFACES order)."""
         live = {g.surface for g in self.live_grants(spiffe_id)}
         return [s for s in SURFACES if s in live]
-
-    def grants(self) -> List[Grant]:
-        return list(self._grants.values())

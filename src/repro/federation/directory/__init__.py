@@ -77,10 +77,3 @@ class FederationDirectory:
             "accounts": self.accounts.verify_invariants(),
             "metadata": self.metadata.verify_invariants(),
         }
-
-    def stats(self) -> dict:
-        return {
-            "accounts": self.accounts.stats(),
-            "metadata": self.metadata.stats(),
-            "ingest": self.ingestor.stats(),
-        }

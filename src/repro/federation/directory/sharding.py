@@ -448,24 +448,6 @@ class ShardedTier:
         return ([self.probe_cost] * direct
                 + [2 * self.probe_cost] * fell_back)
 
-    def note_sizes(self) -> Dict[str, int]:
-        sizes = {name: self.shards[name].key_count()
-                 for name in sorted(self.shards)}
-        if self.telemetry is not None:
-            for name, count in sizes.items():
-                self.telemetry.directory_shard_keys.set(
-                    count, tier=self.tier, shard=name)
-        return sizes
-
-    def stats(self) -> Dict[str, object]:
-        return {
-            "shards": len(self.shards),
-            "lookups": self.lookups,
-            "fallback_probes": self.fallback_probes,
-            "unavailable_denials": self.unavailable_denials,
-            "migrated_keys": self.migrated_keys,
-        }
-
 
 class ShardedAccountRegistry(ShardedTier):
     """The MyAccessID account registry, partitioned across journaled shards.

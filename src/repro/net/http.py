@@ -146,37 +146,43 @@ class Service:
         handler = self._routes.get((request.method.upper(), request.path))
         if handler is None:
             return HttpResponse.error(404, f"no route {request.method} {request.path}")
-        admitted = self._admit(request)
-        self._serving.append(request)
         try:
-            return handler(request)
+            return self._serve(request, handler)
         except (RateLimited, DeadlineExceeded):
             raise
         except ReproError as exc:
             return HttpResponse.error(
                 403, str(exc), error_type=type(exc).__name__
             )
-        finally:
-            self._serving.pop()
-            if admitted:
-                self.admission.release()
 
-    def _admit(self, request: HttpRequest) -> bool:
-        """Consult the admission controller (if any) before dispatch.
+    def _serve(self, request: HttpRequest,
+               handler: Callable[[HttpRequest], HttpResponse]) -> HttpResponse:
+        """Run ``handler`` as a served request — the one place that
+        admits, marks the request as being served, and releases.
 
-        Also rejects already-expired work here: the tunnel-forwarded
+        Every ``handle`` (this class's and each override) goes through
+        here.  The admission controller (if any) is consulted first;
+        already-expired work is rejected here too: the tunnel-forwarded
         path (edge → origin) dispatches directly without a network hop,
         so a guarded service re-checks the deadline itself.
         """
-        if self.admission is None:
-            return False
-        if (request.deadline is not None
-                and self.admission.clock.now() > request.deadline):
-            raise DeadlineExceeded(
-                f"{self.name}: deadline passed before dispatch",
-                deadline=request.deadline, priority=request.priority,
-            )
-        return self.admission.admit(request.path, request.priority)
+        admission = self.admission
+        admitted = False
+        if admission is not None:
+            if (request.deadline is not None
+                    and admission.clock.now() > request.deadline):
+                raise DeadlineExceeded(
+                    f"{self.name}: deadline passed before dispatch",
+                    deadline=request.deadline, priority=request.priority,
+                )
+            admitted = admission.admit(request.path, request.priority)
+        self._serving.append(request)
+        try:
+            return handler(request)
+        finally:
+            self._serving.pop()
+            if admitted:
+                admission.release()
 
     # ------------------------------------------------------------------
     def call(

@@ -103,14 +103,6 @@ class RegionDirectory:
     def linked(self, a: str, b: str) -> bool:
         return self.rbus.linked(a, b)
 
-    def default_origin(self) -> str:
-        """Where region-agnostic publishes land: the first serving
-        region, falling back to the first region (home)."""
-        for region in self._regions.values():
-            if region.serving:
-                return region.name
-        return next(iter(self._regions))
-
     # ------------------------------------------------------------------
     # periodic ticks
     # ------------------------------------------------------------------

@@ -111,14 +111,16 @@ class RegionWorker(ReplicaWorker):
 
     def handle(self, request: HttpRequest) -> HttpResponse:
         region = self.region
-        if region is None:  # not yet wired: behave like a plain worker
-            return super().handle(request)
-        if not region.serving:
+        if region is not None and not region.serving:
             region.refusals += 1
             raise ServiceUnavailable(
                 f"region {region.name} is {region.state}: failing closed")
-        admitted = self._admit(request)
-        self._serving.append(request)
+        return self._serve(request, self._dispatch)
+
+    def _dispatch(self, request: HttpRequest) -> HttpResponse:
+        region = self.region
+        if region is None:  # not yet wired: behave like a plain worker
+            return super()._dispatch(request)
         region.rbus.origin_stack.append(region.name)
         try:
             self.served += 1
@@ -130,9 +132,6 @@ class RegionWorker(ReplicaWorker):
             return self.origin.handle(request)
         finally:
             region.rbus.origin_stack.pop()
-            self._serving.pop()
-            if admitted:
-                self.admission.release()
 
     # ------------------------------------------------------------------
     def _mint_fenced(self, request: HttpRequest) -> HttpResponse:

@@ -107,14 +107,7 @@ class GeoRouter(Service):
 
     # ------------------------------------------------------------------
     def handle(self, request: HttpRequest) -> HttpResponse:
-        admitted = self._admit(request)
-        self._serving.append(request)
-        try:
-            return self._route(request)
-        finally:
-            self._serving.pop()
-            if admitted:
-                self.admission.release()
+        return self._serve(request, self._route)
 
     def _order(self, home: str, request: HttpRequest) -> List[str]:
         """Candidate regions, home first — unless the home region is
@@ -140,9 +133,8 @@ class GeoRouter(Service):
         """Feed one routed call's outcome to the gray-region scorer."""
         if self.ejector is None:
             return
-        self.ejector.record(rname, elapsed, ok)
-        if self.ejector.should_eject(rname, fleet):
-            until = self.ejector.eject(rname)
+        until = self.ejector.score(rname, elapsed, ok, fleet)
+        if until is not None:
             if self.telemetry is not None:
                 self.telemetry.tail_ejections.inc(
                     pool="regions", replica=rname)

@@ -38,11 +38,9 @@ from repro.resilience.retry import (
     ResilienceMetrics,
     ResilienceRuntime,
     RetryPolicy,
-    call_with_resilience,
 )
 from repro.resilience.tail import (
     HedgeBudget,
-    LatencyTracker,
     OutlierEjector,
     RetryBudget,
     TailConfig,
@@ -73,9 +71,7 @@ __all__ = [
     "ResilienceMetrics",
     "ResilienceRuntime",
     "RetryPolicy",
-    "call_with_resilience",
     "HedgeBudget",
-    "LatencyTracker",
     "OutlierEjector",
     "RetryBudget",
     "TailConfig",

@@ -224,9 +224,6 @@ class DurabilityStore:
             self._streams[name] = ServiceJournal(self, name)
         return self._streams[name]
 
-    def streams(self) -> Dict[str, ServiceJournal]:
-        return dict(self._streams)
-
     def stats(self) -> Dict[str, Dict[str, int]]:
         return {
             name: {

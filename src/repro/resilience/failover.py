@@ -110,9 +110,6 @@ class FailoverController:
         self._running = True
         self.clock.call_later(self.check_interval, self._tick)
 
-    def stop(self) -> None:
-        self._running = False
-
     def _tick(self) -> None:
         if not self._running:
             return

@@ -374,8 +374,8 @@ class FaultInjector:
                          duration: Optional[float] = None) -> Fault:
         """Sever bus replication and cross-region routing between two
         regions, both ways.  With ``duration`` the heal is scheduled
-        deterministically; otherwise call the returned fault's hooks via
-        :meth:`heal_region_partition` (or let the deployment heal).
+        deterministically; otherwise :meth:`clear` the returned fault
+        (or let the deployment heal).
         """
         sever_fn, heal_fn = self._hooks_for(
             "region_link", "no region link hooks registered")
@@ -496,16 +496,6 @@ class FaultInjector:
                   duration),
             "feeds_staled", lambda: stale_fn(feed), lambda: fresh_fn(feed),
             duration)
-
-    def heal_region_partition(self, region_a: str, region_b: str) -> None:
-        """Explicitly heal a previously severed inter-region link."""
-        _, heal_fn = self._hooks_for(
-            "region_link", "no region link hooks registered")
-        heal_fn(region_a, region_b)
-        for f in self.faults:
-            if (f.kind == PARTITION and f.loc_a == ("region", region_a)
-                    and f.loc_b == ("region", region_b) and not f.cleared):
-                f.clear()
 
     def clear(self, fault: Optional[Fault] = None) -> None:
         """End one fault, or every scheduled fault."""

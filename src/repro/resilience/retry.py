@@ -7,9 +7,12 @@ instead of sleeping, so retries cost measurable simulated time and fire
 any scheduled events (forwarder flushes, detection timers) that fall
 inside the wait — exactly as a real wait would.
 
-``Resilience`` bundles a policy with per-destination circuit breakers
-and shared metrics; :class:`~repro.net.http.Service` consults it on
-every outbound call when the deployment enables resilience.  Retrying a
+``Resilience`` bundles a policy with per-destination circuit breakers,
+AIMD pacers and metrics, and :meth:`Resilience.call` is the one retry
+loop: :class:`~repro.net.http.Service` runs every outbound call through
+it when the deployment enables resilience.  What bounds each attempt
+(adaptive timeout or hedge delay) is not decided here but asked of the
+kit's :class:`~repro.resilience.tail.TailController`.  Retrying a
 transport-level failure is always safe here: the network fails faulted
 messages *before* delivery, so a retried request was never partially
 applied (see :mod:`repro.resilience.faults`).
@@ -17,7 +20,7 @@ applied (see :mod:`repro.resilience.faults`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Dict, Optional
 
 from repro.clock import SimClock
@@ -30,12 +33,11 @@ from repro.errors import (
 )
 from repro.resilience.breaker import CircuitBreaker
 from repro.resilience.overload import AimdLimiter, OverloadConfig
-from repro.resilience.tail import TailConfig, TailController, hedgeable_request
+from repro.resilience.tail import TailConfig, TailController
 
 __all__ = [
     "RetryPolicy",
     "ResilienceMetrics",
-    "call_with_resilience",
     "Resilience",
     "ResilienceRuntime",
 ]
@@ -114,221 +116,11 @@ class ResilienceMetrics:
     by_destination: Dict[str, int] = field(default_factory=dict)
 
     def snapshot(self) -> Dict[str, object]:
-        return {
-            "calls": self.calls, "attempts": self.attempts,
-            "retries": self.retries, "successes": self.successes,
-            "failures": self.failures, "short_circuits": self.short_circuits,
-            "rate_limited": self.rate_limited,
-            "honoured_retry_afters": self.honoured_retry_afters,
-            "expired": self.expired,
-            "deadline_abandons": self.deadline_abandons,
-            "hedges": self.hedges,
-            "attempt_timeouts": self.attempt_timeouts,
-            "budget_exhausted": self.budget_exhausted,
-            # satellite fix: the per-endpoint attribution used to be
-            # dropped here, blinding the chaos/bench readouts
-            "by_destination": dict(sorted(self.by_destination.items())),
-        }
-
-
-def call_with_resilience(
-    fn: Callable[[], object],
-    *,
-    clock: SimClock,
-    policy: RetryPolicy,
-    rng,
-    breaker: Optional[CircuitBreaker] = None,
-    metrics: Optional[ResilienceMetrics] = None,
-    limiter: Optional[AimdLimiter] = None,
-    label: str = "",
-    deadline: Optional[float] = None,
-    tail: Optional[TailController] = None,
-    tail_key: str = "",
-    request=None,
-):
-    """Run ``fn`` under ``policy``, consulting ``breaker`` before each try.
-
-    Raises :class:`CircuitOpen` without calling ``fn`` when the breaker is
-    shedding; otherwise re-raises the last transient error once the
-    attempt/deadline budget is spent.  Non-transient exceptions propagate
-    immediately.
-
-    Overload signals get distinct treatment:
-
-    * being shed (:class:`RateLimited`) is the *server protecting
-      itself*, not a server fault — it never counts against the circuit
-      breaker, and a supplied ``retry_after`` is honoured verbatim in
-      place of the exponential backoff (which does not advance);
-    * :class:`DeadlineExceeded` is terminal — the answer is already
-      worthless, so no retry regardless of budget;
-    * an attached :class:`AimdLimiter` paces each attempt (its wait
-      advances the clock like any backoff) and is fed every outcome so
-      the client's send rate converges on what the server admits.
-
-    ``deadline`` is the *request's* absolute deadline (simulated time),
-    distinct from ``policy.deadline`` (a per-call elapsed-time budget).
-    A backoff or ``retry_after`` wait that would run at or past it is
-    never taken: the last transient error re-raises immediately instead
-    of the client sleeping through the deadline only to fail with
-    :class:`DeadlineExceeded` after a pointless wait.
-
-    With a :class:`~repro.resilience.tail.TailController` attached (and
-    ``request`` supplied so the attempt bound can ride it), three tail
-    defences activate:
-
-    * *adaptive deadlines* — each attempt carries an absolute
-      ``attempt_deadline`` sized ``clamp(k × p99)`` of the destination's
-      observed latency; the transport abandons the attempt pre-delivery
-      (:class:`AttemptTimeout`) instead of riding a gray hop's tail;
-    * *hedging* — for read-shaped requests the *first* attempt is
-      bounded at the much tighter hedge delay; tripping that bound is
-      not treated as a failure (no breaker penalty, no backoff): the
-      immediate re-issue *is* the hedge, landing on another replica
-      when the destination is balanced.  Hedges are capped by the
-      controller's :class:`~repro.resilience.tail.HedgeBudget`;
-    * *retry budget* — every retry not invited by a server
-      ``retry_after`` hint charges a per-``tail_key`` token bucket;
-      an empty bucket means this client is already amplifying the
-      outage, so the retry is refused and the call fails fast.
-    """
-    if metrics is not None:
-        metrics.calls += 1
-    if tail is not None:
-        tail.on_call(tail_key or label)
-    start = clock.now()
-    attempt = 0
-    backoff_step = 0  # position in the exponential schedule
-    hedge_armed = False
-    tkey = tail_key or label
-    try:
-        while True:
-            if breaker is not None and not breaker.allow():
-                if metrics is not None:
-                    metrics.short_circuits += 1
-                raise CircuitOpen(
-                    f"circuit open for {label or 'destination'}; shedding load")
-            if limiter is not None:
-                pace = limiter.reserve(clock.now())
-                if pace > 0:
-                    clock.advance(pace)
-            attempt += 1
-            if metrics is not None:
-                metrics.attempts += 1
-            hedge_armed = False
-            if tail is not None and request is not None:
-                bound = None
-                if (attempt == 1 and tail.cfg.hedging
-                        and hedgeable_request(request)
-                        and tail.hedge_budget.allowed()):
-                    bound = tail.hedge_delay(tkey)
-                    hedge_armed = bound is not None
-                if bound is None:
-                    bound = tail.attempt_timeout(tkey)
-                request.attempt_deadline = \
-                    (clock.now() + bound) if bound is not None else None
-            attempt_started = clock.now()
-            try:
-                result = fn()
-            except DeadlineExceeded:
-                if limiter is not None:
-                    limiter.on_overload()
-                if metrics is not None:
-                    metrics.expired += 1
-                    metrics.failures += 1
-                raise
-            except RETRY_ON as exc:
-                if isinstance(exc, AttemptTimeout) and hedge_armed:
-                    # the tightly bounded first attempt tripped its hedge
-                    # delay: abandon the straggler and immediately issue
-                    # the speculative duplicate.  Deliberately NO breaker
-                    # penalty and NO backoff — a natural p95 tail is not
-                    # a fault, and the hedge must fire *now* to win
-                    tail.hedge_budget.consume()
-                    if metrics is not None:
-                        metrics.hedges += 1
-                    loser = getattr(exc, "span", None)
-                    if loser is not None:
-                        loser.attrs["cancelled"] = True
-                        loser.attrs["hedge"] = "loser"
-                    continue
-                shed = isinstance(exc, RateLimited)
-                retry_after = exc.retry_after if shed else None
-                if shed:
-                    if metrics is not None:
-                        metrics.rate_limited += 1
-                    if limiter is not None:
-                        limiter.on_overload(retry_after)
-                else:
-                    if isinstance(exc, AttemptTimeout) and metrics is not None:
-                        metrics.attempt_timeouts += 1
-                    if breaker is not None:
-                        breaker.record_failure()
-                if attempt >= policy.max_attempts:
-                    if metrics is not None:
-                        metrics.failures += 1
-                    raise
-                if retry_after is None and tail is not None \
-                        and not tail.allow_retry(tkey):
-                    # retry-storm guard: the budget is spent, so another
-                    # retry would only amplify the outage — fail fast
-                    # with the real error (a server-invited retry_after
-                    # wait is never charged: the server asked for it)
-                    if metrics is not None:
-                        metrics.failures += 1
-                        metrics.budget_exhausted += 1
-                    raise
-                if retry_after is not None:
-                    # honoured server hint: exact wait, no jitter, and the
-                    # exponential schedule stays where it was
-                    delay = retry_after
-                else:
-                    backoff_step += 1
-                    delay = policy.backoff(backoff_step, rng)
-                if deadline is not None and \
-                        clock.now() + delay >= deadline:
-                    # the wait itself would consume the request's remaining
-                    # deadline; abandon now with the real error instead of
-                    # sleeping into a guaranteed DeadlineExceeded
-                    if metrics is not None:
-                        metrics.failures += 1
-                        metrics.deadline_abandons += 1
-                    raise
-                if policy.deadline is not None and \
-                        clock.now() - start + delay > policy.deadline:
-                    if metrics is not None:
-                        metrics.failures += 1
-                    raise
-                if metrics is not None:
-                    metrics.retries += 1
-                    if retry_after is not None:
-                        metrics.honoured_retry_afters += 1
-                clock.advance(delay)
-            except RateLimited as exc:
-                # shed, but this policy does not retry shedding: still tell
-                # the pacer before propagating
-                if limiter is not None:
-                    limiter.on_overload(exc.retry_after)
-                if metrics is not None:
-                    metrics.rate_limited += 1
-                    metrics.failures += 1
-                raise
-            else:
-                if breaker is not None:
-                    breaker.record_success()
-                if limiter is not None:
-                    limiter.on_success()
-                if metrics is not None:
-                    metrics.successes += 1
-                if tail is not None:
-                    # only successful attempts feed the tracker: a sick
-                    # destination must not drag its own timeout upward
-                    tail.observe(tkey, clock.now() - attempt_started)
-                return result
-    finally:
-        if request is not None:
-            # the bound is strictly per-attempt; never let a stale one
-            # leak into whatever this request object does next
-            request.attempt_deadline = None
+        """Every field, in declaration order (so a new counter cannot be
+        added to the dataclass and forgotten here)."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["by_destination"] = dict(sorted(self.by_destination.items()))
+        return out
 
 
 class Resilience:
@@ -389,17 +181,171 @@ class Resilience:
 
     def call(self, fn: Callable[[], object], dst: str = "",
              deadline: Optional[float] = None, request=None):
-        self.metrics.by_destination[dst] = \
-            self.metrics.by_destination.get(dst, 0) + 1
-        return call_with_resilience(
-            fn, clock=self.clock, policy=self.policy, rng=self.rng,
-            breaker=self.breaker_for(dst), metrics=self.metrics,
-            limiter=self.limiter_for(dst),
-            label=f"{self.name}->{dst}",
-            deadline=deadline,
-            tail=self.tail, tail_key=f"{self.name}->{dst}",
-            request=request,
-        )
+        """Run ``fn`` under the kit's policy — the one retry loop.
+
+        The destination's breaker is consulted before each try: an open
+        one raises :class:`CircuitOpen` without calling ``fn``.
+        Otherwise the last transient error re-raises once the
+        attempt/deadline budget is spent; non-transient exceptions
+        propagate immediately.
+
+        Overload signals get distinct treatment:
+
+        * being shed (:class:`RateLimited`) is the *server protecting
+          itself*, not a server fault — it never counts against the
+          circuit breaker, and a supplied ``retry_after`` is honoured
+          verbatim in place of the exponential backoff (which does not
+          advance);
+        * :class:`DeadlineExceeded` is terminal — the answer is already
+          worthless, so no retry regardless of budget;
+        * the destination's :class:`AimdLimiter` (kits built with an
+          overload config) paces each attempt (its wait advances the
+          clock like any backoff) and is fed every outcome so the
+          client's send rate converges on what the server admits.
+
+        ``deadline`` is the *request's* absolute deadline (simulated
+        time), distinct from ``policy.deadline`` (a per-call
+        elapsed-time budget).  A backoff or ``retry_after`` wait that
+        would run at or past it is never taken: the last transient error
+        re-raises immediately instead of the client sleeping through the
+        deadline only to fail with :class:`DeadlineExceeded` after a
+        pointless wait.
+
+        With a :class:`~repro.resilience.tail.TailController` attached
+        (and ``request`` supplied so the attempt bound can ride it),
+        three tail defences activate, keyed ``client->destination``:
+
+        * *adaptive deadlines* — each attempt carries an absolute
+          ``attempt_deadline`` sized ``clamp(k × p99)`` of the
+          destination's observed latency; the transport abandons the
+          attempt pre-delivery (:class:`AttemptTimeout`) instead of
+          riding a gray hop's tail;
+        * *hedging* — for read-shaped requests the *first* attempt is
+          bounded at the much tighter hedge delay; tripping that bound
+          is not treated as a failure (no breaker penalty, no backoff):
+          the immediate re-issue *is* the hedge, landing on another
+          replica when the destination is balanced.  Hedges are capped
+          by the controller's :class:`~repro.resilience.tail.HedgeBudget`;
+        * *retry budget* — every retry not invited by a server
+          ``retry_after`` hint charges a per-key token bucket; an empty
+          bucket means this client is already amplifying the outage, so
+          the retry is refused and the call fails fast.
+        """
+        clock, policy, metrics, tail = \
+            self.clock, self.policy, self.metrics, self.tail
+        key = f"{self.name}->{dst}"
+        breaker = self.breaker_for(dst)
+        limiter = self.limiter_for(dst)
+        metrics.by_destination[dst] = metrics.by_destination.get(dst, 0) + 1
+        metrics.calls += 1
+        if tail is not None:
+            tail.on_call(key)
+        start = clock.now()
+        attempt = 0
+        backoff_step = 0  # position in the exponential schedule
+        hedge_armed = False
+        try:
+            while True:
+                if breaker is not None and not breaker.allow():
+                    metrics.short_circuits += 1
+                    raise CircuitOpen(
+                        f"circuit open for {key}; shedding load")
+                if limiter is not None:
+                    pace = limiter.reserve(clock.now())
+                    if pace > 0:
+                        clock.advance(pace)
+                attempt += 1
+                metrics.attempts += 1
+                if tail is not None and request is not None:
+                    bound, hedge_armed = tail.bound_for(
+                        key, request, first=attempt == 1)
+                    request.attempt_deadline = \
+                        (clock.now() + bound) if bound is not None else None
+                attempt_started = clock.now()
+                try:
+                    result = fn()
+                except DeadlineExceeded:
+                    if limiter is not None:
+                        limiter.on_overload()
+                    metrics.expired += 1
+                    metrics.failures += 1
+                    raise
+                except RETRY_ON as exc:
+                    if isinstance(exc, AttemptTimeout) and hedge_armed:
+                        # the tightly bounded first attempt tripped its
+                        # hedge delay: abandon the straggler and
+                        # immediately issue the speculative duplicate.
+                        # Deliberately NO breaker penalty and NO backoff
+                        # — a natural p95 tail is not a fault, and the
+                        # hedge must fire *now* to win
+                        tail.hedge_fired(exc)
+                        metrics.hedges += 1
+                        continue
+                    shed = isinstance(exc, RateLimited)
+                    retry_after = exc.retry_after if shed else None
+                    if shed:
+                        metrics.rate_limited += 1
+                        if limiter is not None:
+                            limiter.on_overload(retry_after)
+                    else:
+                        if isinstance(exc, AttemptTimeout):
+                            metrics.attempt_timeouts += 1
+                        if breaker is not None:
+                            breaker.record_failure()
+                    if attempt >= policy.max_attempts:
+                        metrics.failures += 1
+                        raise
+                    if retry_after is None and tail is not None \
+                            and not tail.allow_retry(key):
+                        # retry-storm guard: the budget is spent, so
+                        # another retry would only amplify the outage —
+                        # fail fast with the real error (a server-invited
+                        # retry_after wait is never charged: the server
+                        # asked for it)
+                        metrics.failures += 1
+                        metrics.budget_exhausted += 1
+                        raise
+                    if retry_after is not None:
+                        # honoured server hint: exact wait, no jitter, and
+                        # the exponential schedule stays where it was
+                        delay = retry_after
+                    else:
+                        backoff_step += 1
+                        delay = policy.backoff(backoff_step, self.rng)
+                    if deadline is not None and \
+                            clock.now() + delay >= deadline:
+                        # the wait itself would consume the request's
+                        # remaining deadline; abandon now with the real
+                        # error instead of sleeping into a guaranteed
+                        # DeadlineExceeded
+                        metrics.failures += 1
+                        metrics.deadline_abandons += 1
+                        raise
+                    if policy.deadline is not None and \
+                            clock.now() - start + delay > policy.deadline:
+                        metrics.failures += 1
+                        raise
+                    metrics.retries += 1
+                    if retry_after is not None:
+                        metrics.honoured_retry_afters += 1
+                    clock.advance(delay)
+                else:
+                    if breaker is not None:
+                        breaker.record_success()
+                    if limiter is not None:
+                        limiter.on_success()
+                    metrics.successes += 1
+                    if tail is not None:
+                        # only successful attempts feed the controller: a
+                        # sick destination must not drag its own timeout
+                        # upward
+                        tail.observe(key, clock.now() - attempt_started)
+                    return result
+        finally:
+            if request is not None:
+                # the bound is strictly per-attempt; never let a stale one
+                # leak into whatever this request object does next
+                request.attempt_deadline = None
 
 
 class ResilienceRuntime:
@@ -434,7 +380,7 @@ class ResilienceRuntime:
         # an AIMD limiter sized from the config
         self.overload = overload
         # with a TailConfig, every kit shares one TailController: the
-        # latency tracker, hedge budget and retry budget are deployment
+        # latency histogram, hedge budget and retry budget are deployment
         # state, not per-client state
         self.tail_controller = \
             TailController(clock, tail) if tail is not None else None
@@ -481,9 +427,6 @@ class ResilienceRuntime:
         """The AIMD pacer of one (client, destination) pair."""
         return self.for_client(client).limiter_for(dst)
 
-    def clients(self) -> Dict[str, Resilience]:
-        return dict(self._clients)
-
     def totals(self) -> Dict[str, object]:
         """Aggregate metrics across every client (for the bench table)."""
         total = ResilienceMetrics()
@@ -493,21 +436,11 @@ class ResilienceRuntime:
         aimd_wait_time = 0.0
         aimd_backoffs = 0
         for kit in self._clients.values():
-            m = kit.metrics
-            total.calls += m.calls
-            total.attempts += m.attempts
-            total.retries += m.retries
-            total.successes += m.successes
-            total.failures += m.failures
-            total.short_circuits += m.short_circuits
-            total.rate_limited += m.rate_limited
-            total.honoured_retry_afters += m.honoured_retry_afters
-            total.expired += m.expired
-            total.deadline_abandons += m.deadline_abandons
-            total.hedges += m.hedges
-            total.attempt_timeouts += m.attempt_timeouts
-            total.budget_exhausted += m.budget_exhausted
-            for dst, n in m.by_destination.items():
+            for f in fields(total):
+                if f.name != "by_destination":
+                    setattr(total, f.name, getattr(total, f.name)
+                            + getattr(kit.metrics, f.name))
+            for dst, n in kit.metrics.by_destination.items():
                 total.by_destination[dst] = \
                     total.by_destination.get(dst, 0) + n
             for b in kit.breakers().values():
@@ -523,8 +456,7 @@ class ResilienceRuntime:
         out["aimd_waits"] = aimd_waits
         out["aimd_wait_time"] = round(aimd_wait_time, 6)
         out["aimd_backoffs"] = aimd_backoffs
-        tc = self.tail_controller
-        if tc is not None:
-            out["hedge_budget_denied"] = tc.hedge_budget.denied
-            out["retry_budget_exhausted"] = tc.budget.exhausted
+        if self.tail_controller is not None:
+            out["retry_budget_exhausted"] = \
+                self.tail_controller.budget.exhausted
         return out

@@ -7,16 +7,17 @@ slow-but-alive — the canonical *gray failure* — degrades every login and
 introspection while tripping nothing.  This module supplies the four
 deterministic defences the balancer, retry layer and geo-router compose:
 
-* :class:`LatencyTracker` — streaming per-key latency quantiles (a
-  bucketed :class:`~repro.telemetry.metrics.Histogram` for quantiles plus
-  an EWMA for trend), fed only from *successful* attempts so a sick
-  destination cannot drag its own timeout up;
-* adaptive per-attempt deadlines — :meth:`TailConfig.clamp_timeout`
-  sizes each attempt's transport bound as ``clamp(k × p99)`` instead of
-  a fixed constant (the bound rides
+* :class:`TailController` — the one owner of the *attempt bound*: a
+  per-key latency :class:`~repro.telemetry.metrics.Histogram` fed only
+  from *successful* attempts (a sick destination cannot drag its own
+  timeout up), from which :meth:`TailController.bound_for` derives
+  either the hedge delay of a first hedgeable attempt or the adaptive
+  ``clamp(k × p99)`` timeout (the bound rides
   :attr:`~repro.net.http.HttpRequest.attempt_deadline` and the network
   abandons the attempt *before delivery*, so retrying it is as safe as
-  retrying an injected fault);
+  retrying an injected fault).  The client kits share one controller
+  keyed by ``client->destination``; each load balancer owns one keyed
+  by its pool;
 * :class:`HedgeBudget` — caps speculative hedged attempts at a
   configured fraction of calls, deterministically (no coin flips);
 * :class:`RetryBudget` — a per-(client×destination) token bucket that
@@ -36,14 +37,13 @@ run bit-for-bit reproducible from its seed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 from repro.telemetry.metrics import Histogram
 
 __all__ = [
     "TailConfig",
-    "LatencyTracker",
     "HedgeBudget",
     "RetryBudget",
     "OutlierEjector",
@@ -158,48 +158,6 @@ def hedgeable_request(request) -> bool:
         or request.path in ("/introspect", "/jwks.json")
 
 
-class LatencyTracker:
-    """Streaming per-key latency distribution: quantiles + EWMA.
-
-    Quantiles come from a bucketed histogram (the same interpolation the
-    telemetry SLO checks use — see
-    :meth:`repro.telemetry.metrics.Histogram.quantile`), which makes them
-    O(buckets) to read, bounded-memory, and deterministic.  The EWMA
-    tracks the recent mean for trend displays and ejection scoring.
-    """
-
-    def __init__(self, *, alpha: float = 0.2,
-                 buckets: Sequence[float] = TAIL_BUCKETS) -> None:
-        if not 0.0 < alpha <= 1.0:
-            raise ConfigurationError(f"alpha must be in (0, 1], got {alpha}")
-        self.alpha = alpha
-        self._hist = Histogram("tail_latency_seconds",
-                               "per-key attempt latency", buckets=buckets)
-        self._ewma: Dict[str, float] = {}
-        self._count: Dict[str, int] = {}
-
-    def observe(self, key: str, value: float) -> None:
-        self._hist.observe(value, key=key)
-        prev = self._ewma.get(key)
-        self._ewma[key] = value if prev is None else \
-            prev + self.alpha * (value - prev)
-        self._count[key] = self._count.get(key, 0) + 1
-
-    def quantile(self, key: str, q: float) -> float:
-        return self._hist.quantile(q, key=key)
-
-    def ewma(self, key: str) -> Optional[float]:
-        return self._ewma.get(key)
-
-    def count(self, key: str) -> int:
-        return self._count.get(key, 0)
-
-    def forget(self, key: str) -> None:
-        """Drop a key's EWMA/count (membership churn hygiene)."""
-        self._ewma.pop(key, None)
-        self._count.pop(key, None)
-
-
 class HedgeBudget:
     """Deterministic cap: hedges ≤ ``ratio`` of calls (plus one grace
     hedge so the very first exceedance can still fire)."""
@@ -208,7 +166,6 @@ class HedgeBudget:
         self.ratio = ratio
         self.calls = 0
         self.hedges = 0
-        self.denied = 0
 
     def record_call(self) -> None:
         self.calls += 1
@@ -221,9 +178,6 @@ class HedgeBudget:
 
     def consume(self) -> None:
         self.hedges += 1
-
-    def deny(self) -> None:
-        self.denied += 1
 
 
 class RetryBudget:
@@ -392,11 +346,28 @@ class OutlierEjector:
         self.ejections += 1
         return until
 
+    def score(self, member: str, latency: float, ok: bool,
+              fleet: Sequence[str]) -> Optional[float]:
+        """Feed one attempt's outcome and eject ``member`` when that is
+        both justified and safe; returns the reinstatement time when it
+        was ejected, else ``None``.  A slow *success* is evidence too:
+        with adaptive deadlines ablated away a gray member's attempts
+        complete (slowly), and the latency EWMA is all there is to go on.
+        """
+        self.record(member, latency, ok)
+        if self.should_eject(member, fleet):
+            return self.eject(member)
+        return None
+
 
 class TailController:
-    """The client-side tail state one :class:`ResilienceRuntime` shares
-    across its kits: a destination-keyed latency tracker for adaptive
-    attempt deadlines, and the retry-storm budget.
+    """The one owner of the attempt bound, plus the retry-storm budget.
+
+    Holds a per-key latency histogram (fed only from successful
+    attempts), the hedge budget and the retry budget.  One
+    :class:`ResilienceRuntime` shares a controller across its kits,
+    keyed ``client->destination``; each
+    :class:`~repro.scale.LoadBalancer` owns one keyed by its pool.
 
     ``audit`` (an :class:`~repro.audit.AuditLog`, wired by the
     deployment) receives a ``retry.budget_exhausted`` record per refused
@@ -406,7 +377,9 @@ class TailController:
     def __init__(self, clock, cfg: TailConfig) -> None:
         self.clock = clock
         self.cfg = cfg
-        self.tracker = LatencyTracker()
+        self.latency = Histogram("tail_latency_seconds",
+                                 "per-key attempt latency",
+                                 buckets=TAIL_BUCKETS)
         self.budget = RetryBudget(cfg.retry_budget_ratio,
                                   cfg.retry_budget_cap)
         self.hedge_budget = HedgeBudget(cfg.hedge_budget_ratio)
@@ -415,28 +388,56 @@ class TailController:
 
     # ------------------------------------------------------------------
     def hedge_delay(self, key: str) -> Optional[float]:
-        """How long the first attempt runs before a hedge may fire, or
-        ``None`` while evidence or the feature is lacking."""
-        if not self.cfg.hedging:
-            return None
-        if self.tracker.count(key) < self.cfg.min_samples:
+        """How long a hedge-armed first attempt runs before the hedge
+        fires, or ``None`` while ``key`` lacks evidence (cold start runs
+        unhedged)."""
+        if self.latency.count(key=key) < self.cfg.min_samples:
             return None
         return self.cfg.hedge_delay_from(
-            self.tracker.quantile(key, HEDGE_QUANTILE))
+            self.latency.quantile(HEDGE_QUANTILE, key=key))
 
     def attempt_timeout(self, key: str) -> Optional[float]:
         """The adaptive per-attempt timeout for ``key`` (seconds), or
         ``None`` while evidence or the feature is lacking."""
         if not self.cfg.adaptive_deadlines:
             return None
-        if self.tracker.count(key) < self.cfg.min_samples:
+        if self.latency.count(key=key) < self.cfg.min_samples:
             return None
         return self.cfg.clamp_timeout(
-            self.tracker.quantile(key, TIMEOUT_QUANTILE))
+            self.latency.quantile(TIMEOUT_QUANTILE, key=key))
+
+    def bound_for(self, key: str, request, *, first: bool,
+                  hedge_target: Optional[Callable[[], bool]] = None,
+                  ) -> Tuple[Optional[float], bool]:
+        """The transport bound for one attempt: ``(seconds, hedge_armed)``.
+
+        The first attempt of a hedgeable request gets the tight hedge
+        delay (abandoning it fires the hedge) while the budget allows
+        and ``hedge_target()`` — asked last, because answering may
+        re-probe an ejected member — says a duplicate has somewhere to
+        go; any other attempt gets the adaptive ``clamp(k × p99)``
+        timeout, or ``None`` while ``key`` lacks evidence.
+        """
+        if (first and self.cfg.hedging and hedgeable_request(request)
+                and self.hedge_budget.allowed()
+                and (hedge_target is None or hedge_target())):
+            bound = self.hedge_delay(key)
+            if bound is not None:
+                return bound, True
+        return self.attempt_timeout(key), False
+
+    def hedge_fired(self, exc) -> None:
+        """A hedge-armed attempt tripped its bound: charge the budget
+        and mark the abandoned attempt's span as the cancelled loser."""
+        self.hedge_budget.consume()
+        loser = getattr(exc, "span", None)
+        if loser is not None:
+            loser.attrs["cancelled"] = True
+            loser.attrs["hedge"] = "loser"
 
     def observe(self, key: str, latency: float) -> None:
         """Feed one *successful* attempt's latency."""
-        self.tracker.observe(key, latency)
+        self.latency.observe(latency, key=key)
 
     def on_call(self, key: str) -> None:
         if self.cfg.retry_budget:

@@ -12,6 +12,11 @@ circuit-broken or shedding.
 
 Every balanced hop goes through :meth:`Service.call`, so client/server
 spans, deadline propagation and priority inheritance compose unchanged.
+Worker and balancer both serve through :meth:`Service._serve`; with the
+tail layer on, the balancer asks its own
+:class:`~repro.resilience.tail.TailController` what bounds each replica
+attempt and its :class:`~repro.resilience.tail.OutlierEjector` whom to
+sit out — it derives neither itself.
 """
 
 from __future__ import annotations
@@ -30,15 +35,7 @@ from ..errors import (
 from ..net.http import HttpRequest, HttpResponse, Service
 from ..resilience.breaker import CircuitBreaker
 from ..resilience.overload import AdmissionController
-from ..resilience.tail import (
-    HEDGE_QUANTILE,
-    TIMEOUT_QUANTILE,
-    HedgeBudget,
-    LatencyTracker,
-    OutlierEjector,
-    TailConfig,
-    hedgeable_request,
-)
+from ..resilience.tail import OutlierEjector, TailConfig, TailController
 from ..telemetry.context import TraceContext
 from .hashring import BoundedLoadRing
 
@@ -67,15 +64,11 @@ class ReplicaWorker(Service):
         self.served = 0
 
     def handle(self, request: HttpRequest) -> HttpResponse:
-        admitted = self._admit(request)
-        self._serving.append(request)
-        try:
-            self.served += 1
-            return self.origin.handle(request)
-        finally:
-            self._serving.pop()
-            if admitted:
-                self.admission.release()
+        return self._serve(request, self._dispatch)
+
+    def _dispatch(self, request: HttpRequest) -> HttpResponse:
+        self.served += 1
+        return self.origin.handle(request)
 
 
 class ReplicaPool:
@@ -318,7 +311,10 @@ class LoadBalancer(Service):
 
     * each replica attempt carries an adaptive per-attempt deadline
       sized from the pool's observed successful latency (``k × p99``),
-      so one gray replica cannot hold a request hostage;
+      so one gray replica cannot hold a request hostage — the bound
+      comes from the balancer's own
+      :class:`~repro.resilience.tail.TailController`, the same code the
+      client kits ask;
     * read-shaped requests are *hedged*: the first attempt is bounded
       at the much tighter hedge delay, and tripping it is not a fault —
       the immediate failover to the next replica IS the hedge, with
@@ -360,17 +356,18 @@ class LoadBalancer(Service):
         self.exhausted = 0
         self._breakers: Dict[str, CircuitBreaker] = {}
         # tail-tolerance state (all None when the tail layer is off).
-        # The latency tracker is POOL-wide: the balancer observes
-        # successes across the whole fleet, so its timeout/hedge
-        # quantiles describe what a healthy replica looks like, not what
-        # the gray one does; per-replica scoring lives in the ejector's
-        # EWMAs instead
+        # The controller's latency evidence is POOL-wide (one key, the
+        # pool's name): the balancer observes successes across the whole
+        # fleet, so its timeout/hedge quantiles describe what a healthy
+        # replica looks like, not what the gray one does; per-replica
+        # scoring lives in the ejector's EWMAs instead
         self.tail = tail
         self.telemetry = telemetry
-        self.tracker = LatencyTracker() if tail is not None else None
+        self.controller = \
+            TailController(clock, tail) if tail is not None else None
         self.ejector = OutlierEjector(clock, tail) if tail is not None else None
         self.hedge_budget = \
-            HedgeBudget(tail.hedge_budget_ratio) if tail is not None else None
+            self.controller.hedge_budget if tail is not None else None
         self.hedges = 0
         self.hedge_wins = 0
         self.attempt_timeouts = 0
@@ -422,16 +419,7 @@ class LoadBalancer(Service):
 
     # ------------------------------------------------------------------
     def handle(self, request: HttpRequest) -> HttpResponse:
-        admitted = self._admit(request)
-        self._serving.append(request)
-        try:
-            return self._forward(request)
-        except (RateLimited, DeadlineExceeded):
-            raise
-        finally:
-            self._serving.pop()
-            if admitted:
-                self.admission.release()
+        return self._serve(request, self._forward)
 
     def _forward(self, request: HttpRequest) -> HttpResponse:
         replicas = self.pool.replicas()
@@ -460,21 +448,15 @@ class LoadBalancer(Service):
                                        Outcome.INFO, pool=self.pool.name,
                                        attempt=tried + 1)
             tried += 1
-            # arm this attempt's transport bound: the first attempt of a
-            # hedgeable request gets the tight hedge delay (abandoning
-            # it fires the hedge), any other attempt the adaptive k×p99
-            # timeout — both sized from the POOL's successful latencies
-            hedge_armed = False
-            bound = None
-            if self.tail is not None:
-                if (tried == 1 and self.tail.hedging
-                        and hedgeable_request(request)
-                        and self.hedge_budget.allowed()
-                        and self._has_hedge_target(candidates, replica)):
-                    bound = self._hedge_delay()
-                    hedge_armed = bound is not None
-                if bound is None:
-                    bound = self._attempt_timeout()
+            # arm this attempt's transport bound, sized from the POOL's
+            # successful latencies; a hedge only makes sense when
+            # another replica could win it
+            bound, hedge_armed = None, False
+            if self.controller is not None:
+                bound, hedge_armed = self.controller.bound_for(
+                    self.pool.name, request, first=tried == 1,
+                    hedge_target=lambda: self._has_hedge_target(
+                        candidates, replica))
             self.outstanding[replica] = self.outstanding.get(replica, 0) + 1
             self.policy.acquire(replica)
             attempt_started = self.clock.now()
@@ -495,10 +477,7 @@ class LoadBalancer(Service):
                     hedged = True
                     hedge_is_next = True
                     self._record_hedge(request, replica, attempt_started)
-                    loser = getattr(exc, "span", None)
-                    if loser is not None:
-                        loser.attrs["cancelled"] = True
-                        loser.attrs["hedge"] = "loser"
+                    self.controller.hedge_fired(exc)
                 else:
                     self.attempt_timeouts += 1
                     if self.telemetry is not None:
@@ -528,9 +507,9 @@ class LoadBalancer(Service):
                 self.policy.release(replica)
             breaker.record_success()
             elapsed = self.clock.now() - attempt_started
-            if self.tracker is not None:
+            if self.controller is not None:
                 # only successful attempts feed the pool quantiles
-                self.tracker.observe(self.name, elapsed)
+                self.controller.observe(self.pool.name, elapsed)
             self._score(replica, elapsed, ok=True, fleet=candidates)
             if hedged:
                 self.hedge_wins += 1
@@ -547,24 +526,6 @@ class LoadBalancer(Service):
     # ------------------------------------------------------------------
     # tail-tolerance internals
     # ------------------------------------------------------------------
-    def _hedge_delay(self) -> Optional[float]:
-        """The bound on a hedge-armed first attempt, or None while the
-        pool lacks evidence (cold start runs unhedged)."""
-        if self.tracker.count(self.name) < self.tail.min_samples:
-            return None
-        return self.tail.hedge_delay_from(
-            self.tracker.quantile(self.name, HEDGE_QUANTILE))
-
-    def _attempt_timeout(self) -> Optional[float]:
-        """The adaptive per-attempt timeout, or None when disabled or
-        still short of evidence."""
-        if not self.tail.adaptive_deadlines:
-            return None
-        if self.tracker.count(self.name) < self.tail.min_samples:
-            return None
-        return self.tail.clamp_timeout(
-            self.tracker.quantile(self.name, TIMEOUT_QUANTILE))
-
     def _has_hedge_target(self, candidates: List[str], first: str) -> bool:
         """A hedge only makes sense when another replica could win it."""
         for other in candidates:
@@ -580,7 +541,6 @@ class LoadBalancer(Service):
 
     def _record_hedge(self, request: HttpRequest, abandoned: str,
                       attempt_started: float) -> None:
-        self.hedge_budget.consume()
         self.hedges += 1
         if self.telemetry is not None:
             self.telemetry.tail_hedges.inc(pool=self.pool.name)
@@ -599,12 +559,8 @@ class LoadBalancer(Service):
         justified and safe (never the last usable candidate)."""
         if self.ejector is None or not self.tail.ejection:
             return
-        # a slow SUCCESS is ejection evidence too: with adaptive
-        # deadlines ablated away, the gray replica's attempts complete
-        # (slowly), and the latency EWMA is all the ejector has to go on
-        self.ejector.record(replica, elapsed, ok)
-        if self.ejector.should_eject(replica, fleet):
-            until = self.ejector.eject(replica)
+        until = self.ejector.score(replica, elapsed, ok, fleet)
+        if until is not None:
             if self.telemetry is not None:
                 self.telemetry.tail_ejections.inc(
                     pool=self.pool.name, replica=replica)

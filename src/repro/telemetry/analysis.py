@@ -26,12 +26,6 @@ class SpanTree:
     span: Span
     children: List["SpanTree"]
 
-    def walk(self) -> List["SpanTree"]:
-        out = [self]
-        for child in self.children:
-            out.extend(child.walk())
-        return out
-
 
 def build_tree(spans: Sequence[Span]) -> List[SpanTree]:
     """Resolve parent links into a forest.  Orphans (parent missing from

@@ -154,18 +154,8 @@ class Gauge(Metric):
         key = self._bound_key(_label_key(labels), self._series)
         self._series[key] = float(value)
 
-    def inc(self, amount: float = 1.0, **labels: str) -> None:
-        key = self._bound_key(_label_key(labels), self._series)
-        self._series[key] = self._series.get(key, 0.0) + amount
-
-    def dec(self, amount: float = 1.0, **labels: str) -> None:
-        self.inc(-amount, **labels)
-
     def value(self, **labels: str) -> float:
         return self._series.get(_label_key(labels), 0.0)
-
-    def series(self) -> Dict[LabelKey, float]:
-        return dict(self._series)
 
     def expose(self) -> List[str]:
         lines = [f"# HELP {self.name} {self.help}",
@@ -270,9 +260,6 @@ class Histogram(Metric):
         return [series.exemplars[i]
                 for i in sorted(series.exemplars, reverse=True)]
 
-    def series_labels(self) -> List[LabelKey]:
-        return sorted(self._series)
-
     def expose(self) -> List[str]:
         lines = [f"# HELP {self.name} {self.help}",
                  f"# TYPE {self.name} {self.kind}"]
@@ -362,9 +349,6 @@ class MetricsRegistry:
 
     def get(self, name: str) -> Optional[Metric]:
         return self._metrics.get(name)
-
-    def names(self) -> List[str]:
-        return sorted(self._metrics)
 
     def expose(self) -> str:
         """Full registry in OpenMetrics-style text, alphabetical."""

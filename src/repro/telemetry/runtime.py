@@ -169,9 +169,6 @@ class Telemetry:
         self.directory_migrated = r.counter(
             "repro_directory_migrated_keys_total",
             "Keys moved between shards by rebalancing migrations, by tier")
-        self.directory_shard_keys = r.gauge(
-            "repro_directory_shard_keys",
-            "Keys resident per directory shard, by tier and shard")
         self.metadata_ingest_batches = r.counter(
             "repro_metadata_ingest_batches_total",
             "Feed polls/deltas processed, by feed and result "

@@ -129,73 +129,69 @@ class CloudflareEdge(Service):
             )
 
     def handle(self, request: HttpRequest) -> HttpResponse:
-        """Edge processing happens before any routing."""
+        """Edge processing happens before any routing.  The overload
+        layer (when wired) sits ahead of the per-source DDoS limiter:
+        its sheds raise to the transport."""
+        return self._serve(request, self._tunnel)
+
+    def _tunnel(self, request: HttpRequest) -> HttpResponse:
         now = self.clock.now()
         source = request.source or "unknown"
-        # overload layer (when wired): token bucket + bulkhead ahead of
-        # the per-source DDoS limiter; sheds raise to the transport
-        admitted = self._admit(request)
-        self._serving.append(request)
         try:
-            try:
-                self.enforce(source, request.path, now,
-                             priority=request.priority)
-            except RateLimited as exc:
-                # edges answer 429, not the 403 the generic handler would
-                # use; the hint travels in both body and header
-                return HttpResponse.error(
-                    429, str(exc), error_type=RateLimited.__name__,
-                    retry_after=exc.retry_after,
-                )
-
-            parts = request.path.lstrip("/").split("/", 1)
-            origin_name = parts[0] if parts else ""
-            origin = self._origins.get(origin_name)
-            if origin is None:
-                return HttpResponse.error(404, f"no origin {origin_name!r} behind this edge")
-            inner_path = "/" + (parts[1] if len(parts) > 1 else "")
-            inner = HttpRequest(
-                method=request.method,
-                path=inner_path,
-                headers=dict(request.headers),
-                query=dict(request.query),
-                body=dict(request.body),
-                source=request.source,
-                priority=request.priority,
-                deadline=request.deadline,
+            self.enforce(source, request.path, now,
+                         priority=request.priority)
+        except RateLimited as exc:
+            # edges answer 429, not the 403 the generic handler would
+            # use; the hint travels in both body and header
+            return HttpResponse.error(
+                429, str(exc), error_type=RateLimited.__name__,
+                retry_after=exc.retry_after,
             )
-            inner.headers["CF-Connecting-IP"] = source
-            self.requests_passed += 1
-            # delivery over the origin's reverse tunnel (client-initiated,
-            # so no inbound firewall opening is involved); the dispatch
-            # bypasses Network.request, so it records its own span — the
-            # via tag is what exempts this boundary crossing from the
-            # SIEM's no-matching-firewall-edge anomaly rule
-            tele = getattr(self.network, "telemetry", None) \
-                if self.network is not None else None
-            span = None
-            if tele is not None:
-                ctx = TraceContext.extract(inner.headers)
-                if ctx is not None:
-                    span = tele.tracer.start_span(
-                        f"tunnel {origin_name}", ctx, service=self.name,
-                        kind="tunnel", via="reverse-tunnel",
-                        origin=origin_name, path=inner_path,
-                    )
-                    ctx.child_of(span.span_id).inject(inner.headers)
-            try:
-                response = origin.handle(inner)
-            except BaseException as exc:
-                if span is not None:
-                    tele.tracer.end(span, error=exc)
-                raise
+
+        parts = request.path.lstrip("/").split("/", 1)
+        origin_name = parts[0] if parts else ""
+        origin = self._origins.get(origin_name)
+        if origin is None:
+            return HttpResponse.error(404, f"no origin {origin_name!r} behind this edge")
+        inner_path = "/" + (parts[1] if len(parts) > 1 else "")
+        inner = HttpRequest(
+            method=request.method,
+            path=inner_path,
+            headers=dict(request.headers),
+            query=dict(request.query),
+            body=dict(request.body),
+            source=request.source,
+            priority=request.priority,
+            deadline=request.deadline,
+        )
+        inner.headers["CF-Connecting-IP"] = source
+        self.requests_passed += 1
+        # delivery over the origin's reverse tunnel (client-initiated,
+        # so no inbound firewall opening is involved); the dispatch
+        # bypasses Network.request, so it records its own span — the
+        # via tag is what exempts this boundary crossing from the
+        # SIEM's no-matching-firewall-edge anomaly rule
+        tele = getattr(self.network, "telemetry", None) \
+            if self.network is not None else None
+        span = None
+        if tele is not None:
+            ctx = TraceContext.extract(inner.headers)
+            if ctx is not None:
+                span = tele.tracer.start_span(
+                    f"tunnel {origin_name}", ctx, service=self.name,
+                    kind="tunnel", via="reverse-tunnel",
+                    origin=origin_name, path=inner_path,
+                )
+                ctx.child_of(span.span_id).inject(inner.headers)
+        try:
+            response = origin.handle(inner)
+        except BaseException as exc:
             if span is not None:
-                status = (SpanStatus.ERROR if response.status >= 500
-                          else SpanStatus.OK)
-                tele.tracer.end(span, status=status,
-                                http_status=response.status)
-            return response
-        finally:
-            self._serving.pop()
-            if admitted:
-                self.admission.release()
+                tele.tracer.end(span, error=exc)
+            raise
+        if span is not None:
+            status = (SpanStatus.ERROR if response.status >= 500
+                      else SpanStatus.OK)
+            tele.tracer.end(span, status=status,
+                            http_status=response.status)
+        return response

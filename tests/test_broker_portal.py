@@ -4,6 +4,7 @@ RBAC minting, portal project lifecycle.  These exercise user stories 1-3."""
 import pytest
 
 from repro.broker import Role
+from repro.core import build_isambard
 from repro.oidc import make_url
 
 
@@ -267,3 +268,33 @@ def test_pi_views_project_detail(world):
     assert resp.ok
     assert resp.body["status"] == "active"
     assert len(resp.body["members"]) == 1
+
+
+# ---------------------------------------------------------------------------
+# administrative role revocation (the ACL side of user story 2)
+# ---------------------------------------------------------------------------
+def test_revoke_admin_role_severs_access():
+    dri = build_isambard(seed=131)
+    wf = dri.workflows
+    ops = wf.create_admin("ops1", Role.ADMIN_INFRA)
+    assert wf.login(ops).ok
+    assert wf.mint(ops, "tailnet", "admin-infra").ok
+
+    dri.broker.revoke_admin_role("idp-admin:ops1", Role.ADMIN_INFRA)
+    # live access is gone (tokens + sessions revoked with the role)
+    resp = wf.mint(ops, "tailnet", "admin-infra")
+    assert resp.status == 403
+    # and a fresh authentication no longer yields a broker session at all
+    relogin = wf.relogin(ops)
+    assert relogin.status == 403  # no admin role -> registration denied
+
+
+def test_revoke_one_of_two_admin_roles():
+    dri = build_isambard(seed=132)
+    wf = dri.workflows
+    dual = wf.create_admin("dual", Role.ADMIN_INFRA, Role.ADMIN_SECURITY)
+    wf.login(dual)
+    dri.broker.revoke_admin_role("idp-admin:dual", Role.ADMIN_SECURITY)
+    wf.relogin(dual)
+    assert wf.mint(dual, "tailnet", "admin-infra").ok
+    assert wf.mint(dual, "soc", "admin-security").status == 403

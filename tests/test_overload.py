@@ -35,10 +35,9 @@ from repro.resilience import (
     CircuitBreaker,
     OverloadConfig,
     Priority,
-    ResilienceMetrics,
+    Resilience,
     ResilienceRuntime,
     RetryPolicy,
-    call_with_resilience,
 )
 from repro.siem.timeline import IncidentTimeline, TimelineEntry, build_timeline
 from repro.tunnels import CloudflareEdge
@@ -319,15 +318,14 @@ def _failing(sequence):
 
 def test_retry_honours_server_retry_after_exactly():
     clock = SimClock()
-    metrics = ResilienceMetrics()
     breaker = CircuitBreaker(clock, failure_threshold=1)
     fn = _failing([RateLimited("shed", retry_after=0.7),
                    RateLimited("shed", retry_after=0.7)])
-    policy = RetryPolicy(max_attempts=4, jitter=0.5)
-    result = call_with_resilience(
-        fn, clock=clock, policy=policy, rng=random.Random(1),
-        breaker=breaker, metrics=metrics)
-    assert result == "done"
+    kit = Resilience("c", clock, random.Random(1),
+                     policy=RetryPolicy(max_attempts=4, jitter=0.5),
+                     breaker_factory=lambda label: breaker)
+    metrics = kit.metrics
+    assert kit.call(fn) == "done"
     # exact waits, no jitter: 2 * 0.7 on the clock
     assert clock.now() == pytest.approx(1.4)
     assert metrics.honoured_retry_afters == 2
@@ -341,8 +339,7 @@ def test_honoured_waits_do_not_advance_the_backoff_schedule():
     fn = _failing([RateLimited("shed", retry_after=1.0),
                    ServiceUnavailable("down")])
     policy = RetryPolicy(max_attempts=4, base_delay=0.05, jitter=0.0)
-    call_with_resilience(fn, clock=clock, policy=policy,
-                         rng=random.Random(1))
+    Resilience("c", clock, random.Random(1), policy=policy).call(fn)
     # the outage backoff is the FIRST exponential step (base_delay), not
     # the second — the honoured wait consumed no schedule position
     assert clock.now() == pytest.approx(1.0 + 0.05)
@@ -350,25 +347,22 @@ def test_honoured_waits_do_not_advance_the_backoff_schedule():
 
 def test_rate_limited_without_hint_falls_back_to_backoff():
     clock = SimClock()
-    metrics = ResilienceMetrics()
     fn = _failing([RateLimited("shed")])
     policy = RetryPolicy(max_attempts=2, base_delay=0.05, jitter=0.0)
-    call_with_resilience(fn, clock=clock, policy=policy,
-                         rng=random.Random(1), metrics=metrics)
+    kit = Resilience("c", clock, random.Random(1), policy=policy)
+    kit.call(fn)
     assert clock.now() == pytest.approx(0.05)
-    assert metrics.honoured_retry_afters == 0
+    assert kit.metrics.honoured_retry_afters == 0
 
 
 def test_deadline_exceeded_is_never_retried():
-    clock = SimClock()
-    metrics = ResilienceMetrics()
+    kit = Resilience("c", SimClock(), random.Random(1),
+                     policy=RetryPolicy(max_attempts=5))
     fn = _failing([DeadlineExceeded("expired", deadline=1.0)])
     with pytest.raises(DeadlineExceeded):
-        call_with_resilience(
-            fn, clock=clock, policy=RetryPolicy(max_attempts=5),
-            rng=random.Random(1), metrics=metrics)
-    assert metrics.attempts == 1
-    assert metrics.expired == 1
+        kit.call(fn)
+    assert kit.metrics.attempts == 1
+    assert kit.metrics.expired == 1
 
 
 def test_aimd_limiter_paces_resilience_calls_and_learns_from_sheds():

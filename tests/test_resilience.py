@@ -36,7 +36,6 @@ from repro.resilience import (
     Resilience,
     ResilienceRuntime,
     RetryPolicy,
-    call_with_resilience,
 )
 from repro.siem import LogForwarder
 
@@ -181,7 +180,7 @@ def test_clear_single_fault(chaos_net):
 
 
 # ---------------------------------------------------------------------------
-# RetryPolicy / call_with_resilience
+# RetryPolicy / Resilience.call
 # ---------------------------------------------------------------------------
 def test_backoff_is_exponential_and_capped():
     policy = RetryPolicy(base_delay=0.1, multiplier=2.0, max_delay=0.5,
@@ -238,8 +237,8 @@ def test_retry_respects_deadline():
         raise ServiceUnavailable("down")
 
     with pytest.raises(ServiceUnavailable):
-        call_with_resilience(always_down, clock=clock, policy=policy,
-                             rng=random.Random(1))
+        Resilience("c", clock, random.Random(1), policy=policy).call(
+            always_down)
     # attempts at t=0, 10, 20; the wait to t=30 would overrun the deadline
     assert clock.now() == pytest.approx(20.0)
 

@@ -583,18 +583,11 @@ class TestCacheInvalidationHygiene:
 # strip the pool of its last usable replica
 # ======================================================================
 class TestBalancerBookkeepingUnderTail:
-    def _hash_fabric(self, tail=None, faults=None):
-        clock = SimClock()
-        network = Network(clock, faults=faults) if faults is not None \
-            else Network(clock)
-        if faults is not None:
-            faults.clock = clock
-        origin = Origin("origin", clock)
-        network.attach(origin, OperatingDomain.FDS, Zone.ACCESS)
-        client = Client("client")
-        network.attach(client, OperatingDomain.FDS, Zone.ACCESS)
-        pool = ReplicaPool("svc", network, OperatingDomain.FDS, Zone.ACCESS,
-                           origin, max_replicas=8)
+    def _hash_fabric(self, tail=None):
+        from repro.resilience import FaultInjector
+
+        clock, network, origin, client, pool = _fabric()
+        network.faults = FaultInjector(clock, random.Random(5))
         pool.scale_to(3)
         policy = ConsistentHashPolicy(
             lambda req: req.headers.get("Authorization"))
@@ -623,29 +616,16 @@ class TestBalancerBookkeepingUnderTail:
         assert lb._breaker(owner).state == "open"
 
     def test_ring_load_released_on_hedge_cancellation(self):
-        from repro.resilience import FaultInjector, TailConfig
+        from repro.resilience import TailConfig
 
-        clock = SimClock()
-        faults = FaultInjector(clock, random.Random(5))
-        network = Network(clock, faults=faults)
-        origin = Origin("origin", clock)
-        network.attach(origin, OperatingDomain.FDS, Zone.ACCESS)
-        client = Client("client")
-        network.attach(client, OperatingDomain.FDS, Zone.ACCESS)
-        pool = ReplicaPool("svc", network, OperatingDomain.FDS, Zone.ACCESS,
-                           origin, max_replicas=8)
-        pool.scale_to(3)
-        policy = ConsistentHashPolicy(
-            lambda req: req.headers.get("Authorization"))
-        tail = TailConfig(ejection=False, retry_budget=False, min_samples=5,
-                          hedge_budget_ratio=1.0)
-        lb = LoadBalancer("svc-lb", clock, pool, policy=policy, tail=tail)
-        network.attach(lb, OperatingDomain.FDS, Zone.ACCESS)
+        clock, network, origin, client, pool, policy, lb = self._hash_fabric(
+            tail=TailConfig(ejection=False, retry_budget=False,
+                            min_samples=5, hedge_budget_ratio=1.0))
         for i in range(8):
             req = HttpRequest("GET", "/ping",
                               headers={"Authorization": f"Bearer s{i}"})
             assert client.call("svc-lb", req).ok
-        faults.slow_replica("svc-r1", 0.3)
+        network.faults.slow_replica("svc-r1", 0.3)
         for i in range(12):
             req = HttpRequest("GET", "/ping",
                               headers={"Authorization": f"Bearer s{i}"})
@@ -659,13 +639,10 @@ class TestBalancerBookkeepingUnderTail:
         from repro.resilience import TailConfig
 
         clock, network, origin, client, pool, policy, lb = \
-            self._hash_fabric()
-        tail = TailConfig(adaptive_deadlines=False, hedging=False,
-                          retry_budget=False, eject_min_samples=2,
-                          eject_duration=30.0, max_eject_fraction=0.9)
-        lb.tail = tail
-        from repro.resilience import OutlierEjector
-        lb.ejector = OutlierEjector(clock, tail)
+            self._hash_fabric(tail=TailConfig(
+                adaptive_deadlines=False, hedging=False, retry_budget=False,
+                eject_min_samples=2, eject_duration=30.0,
+                max_eject_fraction=0.9))
         lb.failure_threshold = 50  # keep breakers out of the way
 
         def explode(request):

@@ -38,7 +38,6 @@ from repro.region.router import GeoRouter
 from repro.resilience import (
     FaultInjector,
     HedgeBudget,
-    LatencyTracker,
     OutlierEjector,
     Resilience,
     RetryBudget,
@@ -100,29 +99,68 @@ class TestTailConfig:
 
 
 class TestLatencyTracker:
-    def test_alpha_validated(self):
-        with pytest.raises(ConfigurationError):
-            LatencyTracker(alpha=0.0)
+    """The controller's per-key latency histogram (what the tracker
+    class became)."""
 
     def test_quantiles_deterministic_across_instances(self):
-        a, b = LatencyTracker(), LatencyTracker()
+        a, b = (TailController(SimClock(), TailConfig()) for _ in range(2))
         rng = random.Random(3)
         samples = [rng.uniform(0.001, 0.3) for _ in range(200)]
         for s in samples:
             a.observe("k", s)
             b.observe("k", s)
         for q in (0.5, 0.95, 0.99):
-            assert a.quantile("k", q) == b.quantile("k", q)
-        assert a.count("k") == 200
+            assert a.latency.quantile(q, key="k") == \
+                b.latency.quantile(q, key="k")
+        assert a.latency.count(key="k") == 200
+        assert a.attempt_timeout("k") == b.attempt_timeout("k")
 
-    def test_ewma_tracks_and_forget_drops(self):
-        t = LatencyTracker(alpha=0.5)
-        t.observe("k", 0.1)
-        t.observe("k", 0.2)
-        assert t.ewma("k") == pytest.approx(0.15)
-        t.forget("k")
-        assert t.ewma("k") is None
-        assert t.count("k") == 0
+
+class TestBoundFor:
+    """``TailController.bound_for`` is the one derivation of an
+    attempt's transport bound."""
+
+    READ, WRITE = HttpRequest("GET", "/ping"), HttpRequest("POST", "/token")
+
+    def _controller(self, samples):
+        tc = TailController(SimClock(), TailConfig(min_samples=5))
+        for _ in range(samples):
+            tc.observe("k", 0.004)
+        return tc
+
+    def test_cold_start_is_unbounded(self):
+        tc = self._controller(samples=4)
+        assert tc.bound_for("k", self.READ, first=True) == (None, False)
+        assert tc.bound_for("k", self.WRITE, first=False) == (None, False)
+
+    def test_hedge_delay_for_a_first_hedgeable_attempt_else_the_timeout(self):
+        tc = self._controller(samples=5)
+        hedge = (tc.hedge_delay("k"), True)
+        timeout = (tc.attempt_timeout("k"), False)
+        assert None not in hedge + timeout and hedge[0] < timeout[0]
+        asked = []
+
+        def target():
+            asked.append(len(asked))
+            return len(asked) == 1
+
+        assert tc.bound_for("k", self.READ, first=True) == hedge
+        assert tc.bound_for("k", self.READ, first=True,
+                            hedge_target=target) == hedge
+        assert tc.bound_for("k", self.READ, first=True,
+                            hedge_target=target) == timeout  # nowhere to go
+        assert asked == [0, 1]
+        # not hedgeable, not first, budget spent: the target is never asked
+        assert tc.bound_for("k", self.WRITE, first=True,
+                            hedge_target=target) == timeout
+        assert tc.bound_for("k", self.READ, first=False,
+                            hedge_target=target) == timeout
+        tc.hedge_fired(AttemptTimeout("the grace hedge"))
+        assert tc.bound_for("k", self.READ, first=True,
+                            hedge_target=target) == timeout
+        assert asked == [0, 1]
+        tc.on_call("k")  # a fresh call buys the budget back
+        assert tc.bound_for("k", self.READ, first=True) == hedge
 
 
 class TestHedgeBudget:
@@ -258,19 +296,20 @@ class Front(Service):
         return self.call("back", HttpRequest("GET", "/ping"))
 
 
-def _net(faults=None):
+def _pong_fabric():
+    """A chaos-wired network with one ``srv`` and one ``client``."""
     clock = SimClock()
+    faults = FaultInjector(clock, random.Random(5))
     network = Network(clock, faults=faults)
-    return clock, network
+    srv, client = Pong("srv"), Service("client")
+    for s in (srv, client):
+        network.attach(s, OperatingDomain.FDS, Zone.ACCESS)
+    return clock, faults, network, srv, client
 
 
 class TestTransportAttemptDeadline:
     def test_attempt_abandoned_before_delivery(self):
-        clock, network = _net()
-        srv = Pong("srv")
-        client = Service("client")
-        for s in (srv, client):
-            network.attach(s, OperatingDomain.FDS, Zone.ACCESS)
+        clock, _, network, srv, client = _pong_fabric()
         req = HttpRequest("GET", "/ping")
         req.attempt_deadline = clock.now() + 0.0005  # hop costs 0.001
         with pytest.raises(AttemptTimeout):
@@ -284,7 +323,8 @@ class TestTransportAttemptDeadline:
                    for e in network.audit.events())
 
     def test_bound_covers_one_hop_not_nested_calls(self):
-        clock, network = _net()
+        clock = SimClock()
+        network = Network(clock)
         front, back, client = Front("front"), Pong("back"), Service("client")
         for s in (front, back, client):
             network.attach(s, OperatingDomain.FDS, Zone.ACCESS)
@@ -300,12 +340,7 @@ class TestTransportAttemptDeadline:
 # client resilience kit: adaptive deadlines, hedging, retry budget
 # ======================================================================
 def _kit_fabric(cfg, *, max_attempts=3):
-    clock = SimClock()
-    faults = FaultInjector(clock, random.Random(5))
-    network = Network(clock, faults=faults)
-    srv, client = Pong("srv"), Service("client")
-    for s in (srv, client):
-        network.attach(s, OperatingDomain.FDS, Zone.ACCESS)
+    clock, faults, _, srv, client = _pong_fabric()
     kit = Resilience("client", clock, random.Random(7),
                      policy=RetryPolicy(max_attempts=max_attempts,
                                         base_delay=0.01, jitter=0.0))
@@ -393,25 +428,8 @@ class TestResilienceKitTail:
 # ======================================================================
 # load balancer: hedging + ejection
 # ======================================================================
-class Origin(Service):
-    def __init__(self, name):
-        super().__init__(name)
-        self.calls = 0
-
-    @route("GET", "/ping")
-    def ping(self, request: HttpRequest) -> HttpResponse:
-        self.calls += 1
-        return HttpResponse.json({"pong": True})
-
-
 def _lb_fabric(cfg, *, replicas=3, policy=None, **lb_kw):
-    clock = SimClock()
-    faults = FaultInjector(clock, random.Random(5))
-    network = Network(clock, faults=faults)
-    origin = Origin("origin")
-    client = Service("client")
-    for s in (origin, client):
-        network.attach(s, OperatingDomain.FDS, Zone.ACCESS)
+    clock, faults, network, origin, client = _pong_fabric()
     pool = ReplicaPool("svc", network, OperatingDomain.FDS, Zone.ACCESS,
                        origin, max_replicas=8)
     pool.scale_to(replicas)
@@ -533,6 +551,49 @@ class TestLoadBalancerEjection:
         assert not lb.ejector.is_ejected("svc-r3", replicas)
 
 
+class TestOneDerivation:
+    def test_kit_and_balancer_put_the_same_bounds_on_the_same_attempts(self):
+        """Same config, same evidence → the same ``attempt_deadline`` on
+        a first hedgeable attempt and on the attempt after it, whether
+        the client kit or the balancer armed it."""
+        cfg = TailConfig(ejection=False, retry_budget=False, min_samples=5)
+        _, _, _, _, kit = _kit_fabric(cfg)
+        _, _, _, _, pool, lb = _lb_fabric(cfg)
+        for tc, key in ((kit.tail, "client->srv"),
+                        (lb.controller, pool.name)):
+            for latency in (0.002, 0.003, 0.004, 0.006, 0.009, 0.012):
+                tc.observe(key, latency)
+        expected = [kit.tail.hedge_delay("client->srv"),
+                    kit.tail.attempt_timeout("client->srv")]
+        assert None not in expected and expected[0] < expected[1]
+
+        def deadlines(request, issue):
+            """Issue ``request`` over a transport that abandons the first
+            attempt; the deadline each attempt carried (clocks at 0)."""
+            seen = []
+
+            def transport(*_):
+                seen.append(request.attempt_deadline)
+                if len(seen) == 1:
+                    raise AttemptTimeout("abandoned")
+                return HttpResponse.json({})
+
+            issue(transport)
+            return seen
+
+        via_kit = HttpRequest("GET", "/ping")
+        from_kit = deadlines(
+            via_kit, lambda t: kit.call(t, dst="srv", request=via_kit))
+        via_lb = HttpRequest("GET", "/ping")
+
+        def balance(transport):
+            lb.call = transport
+            lb.handle(via_lb)
+
+        assert from_kit == deadlines(via_lb, balance) == expected
+        assert (kit.metrics.hedges, lb.hedges) == (1, 1)
+
+
 # ======================================================================
 # satellite: policy + membership hygiene
 # ======================================================================
@@ -571,12 +632,7 @@ class TestBalancerHygiene:
 # ======================================================================
 class TestFaultOffers:
     def test_brownout_counts_offers_beyond_hits(self):
-        clock = SimClock()
-        faults = FaultInjector(clock, random.Random(5))
-        network = Network(clock, faults=faults)
-        srv, client = Pong("srv"), Service("client")
-        for s in (srv, client):
-            network.attach(s, OperatingDomain.FDS, Zone.ACCESS)
+        clock, faults, network, srv, client = _pong_fabric()
         fault = faults.brownout("srv", 0.5)
         failures = 0
         for _ in range(20):
@@ -591,12 +647,7 @@ class TestFaultOffers:
         assert stats["offers"] == 20 and stats["hits"] == failures
 
     def test_slow_replica_touches_every_offer(self):
-        clock = SimClock()
-        faults = FaultInjector(clock, random.Random(5))
-        network = Network(clock, faults=faults)
-        srv, client = Pong("srv"), Service("client")
-        for s in (srv, client):
-            network.attach(s, OperatingDomain.FDS, Zone.ACCESS)
+        clock, faults, network, srv, client = _pong_fabric()
         fault = faults.slow_replica("srv", 0.05)
         for _ in range(5):
             assert client.call("srv", HttpRequest("GET", "/ping")).ok
