@@ -22,6 +22,10 @@ national-federation ablation (ABL14):
 """
 
 import dataclasses
+import hashlib
+import json
+import os
+from pathlib import Path
 
 import pytest
 
@@ -599,3 +603,112 @@ def test_chaos_shard_down_on_deployment_registry():
     assert reg.shards[owner].up
     assert reg.find(ident) is not None
     assert dri.faults.shards_downed == 1
+
+
+# ---------------------------------------------------------------------------
+# what leaves a shard is pinned: journal records, snapshots, state hashes
+# ---------------------------------------------------------------------------
+LAYOUT_GOLDEN = Path(__file__).parent / "golden" / "directory_layout.json"
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _wave(first: int, n: int):
+    """Bulk-onboarding entries with the awkward values in: non-ASCII
+    names, an empty name, an empty email."""
+    names = ["Zoë Åström", "李 小龍", "", "Ωmega O'Neil \"q\""]
+    return [{"entity_id": f"https://idp-{i % 7}.example", "sub": f"sub-{i:04d}",
+             "display_name": names[i % 4] and f"{names[i % 4]} {i}",
+             "email": "" if i % 5 == 0 else f"u{i}@x.example",
+             "loa": int(LOA) if i % 3 else int(LevelOfAssurance.ESPRESSO)}
+            for i in range(first, first + n)]
+
+
+def _cut(dri, reg) -> dict:
+    """Per shard: the snapshot and every pending record as the journal
+    holds them, and the hash of the durable state."""
+    out = {}
+    for name in sorted(reg.shards):
+        snap, entries = dri.durability.stream(f"dir-{name}").load()
+        out[name] = {
+            "snapshot": _sha(json.dumps(snap, sort_keys=True)),
+            "journal": [f"{e.kind} {_sha(e.record)[:16]}" for e in entries],
+            "state_hash": reg.shards[name].state_hash(),
+        }
+    return out
+
+
+def _layout_scenario() -> dict:
+    dri = build_isambard(seed=42, durability=True, directory=DirectoryConfig(
+        account_shards=4, metadata_shards=2))
+    reg = dri.directory.accounts
+    uids = reg.register_batch(_wave(0, 90), now=dri.clock.now())
+    dri.clock.advance(3.5)
+    uids += reg.register_batch(_wave(90, 90), now=dri.clock.now())
+    solo = reg.register_or_get(
+        LinkedIdentity("https://idp-solo.example", "sólo"),
+        display_name="Sólo Ünique", email="", loa=LOA, now=dri.clock.now())
+    # one account ends with four identities, one with two, one is erased
+    for k in range(3):
+        reg.link(uids[5], LinkedIdentity(f"https://idp-x{k}.example", f"x{k}"))
+    reg.link(uids[17], LinkedIdentity("https://idp-y.example", ""))
+    reg.link(uids[40], LinkedIdentity("https://idp-z.example", "z"))
+    assert reg.deprovision(uids[40]) == 2
+    before_checkpoint = _cut(dri, reg)
+    for name in sorted(reg.shards):
+        reg.shards[name].checkpoint()  # restarts now go through load_state
+    dri.clock.advance(1.25)
+    uids += reg.register_batch(_wave(180, 60), now=dri.clock.now())
+    mig = reg.add_shard("acct-04")
+    plan = _sha(repr(mig.moves))
+    while not mig.done:
+        mig.step(batch=50)
+    reg.link(solo.uid, LinkedIdentity("https://idp-y.example", "after"))
+    uids += reg.register_batch(_wave(240, 30), now=dri.clock.now())
+    final = _cut(dri, reg)
+
+    replayed = {}
+    for name in sorted(reg.shards):
+        shard = reg.shards[name]
+        if f"dir-{name}" in dri.crash_targets:
+            dri.crash(f"dir-{name}")
+            assert not shard.accounts and not shard.idmap
+            report = dri.restart(f"dir-{name}")
+        else:  # the shard added later has a journal but no crash target
+            shard.wipe_state()
+            report = shard.recover()
+        assert report.state_hash == final[name]["state_hash"]
+        replayed[name] = report.entries_replayed
+    assert _cut(dri, reg) == final  # recovery rewrote nothing
+    stats = reg.verify_invariants()
+    assert stats["accounts"] == len(set(uids)) + 1 - 1  # + solo - erased
+    rows = {}
+    for uid in (uids[5], uids[17], uids[2], solo.uid):
+        shard = reg.shards[reg.ring.locate("uid:" + uid)]
+        rows[uid] = shard.durable_state()["accounts"][uid]
+        assert reg.account(uid).uid == uid
+    return {"before_checkpoint": before_checkpoint, "final": final,
+            "migration_plan": plan, "migrated_keys": reg.migrated_keys,
+            "entries_replayed": replayed, "invariants": stats,
+            "sample_rows": rows,
+            "sample_account": dataclasses.asdict(reg.account(uids[5]))}
+
+
+def test_what_leaves_a_shard_matches_the_recording():
+    """Waves, links, an erasure, a checkpoint, a stepped ``add_shard``
+    migration and a crash/restart of every account shard: every journal
+    record, snapshot, ``durable_state()`` and ``state_hash()`` equals what
+    was recorded before the in-memory row changed shape.  Regenerate
+    (``REGEN_GOLDEN=1``) only for an intended change of a journaled form.
+    """
+    got = json.loads(json.dumps(_layout_scenario()))
+    if os.environ.get("REGEN_GOLDEN"):
+        LAYOUT_GOLDEN.write_text(
+            json.dumps(got, indent=1, sort_keys=True, ensure_ascii=False)
+            + "\n", encoding="utf-8")
+    want = json.loads(LAYOUT_GOLDEN.read_text(encoding="utf-8"))
+    for key in want:
+        assert got[key] == want[key], f"{key} moved"
+    assert got.keys() == want.keys()

@@ -9,7 +9,10 @@ failover, and the metric-driven autoscaler.
 
 from __future__ import annotations
 
+import json
+import os
 import random
+from pathlib import Path
 
 import pytest
 
@@ -39,6 +42,7 @@ from repro.scale import (
 )
 from repro.telemetry import Telemetry
 
+RING_GOLDEN = Path(__file__).parent / "golden" / "ring_assign_sequence.json"
 
 # ======================================================================
 # consistent-hash ring
@@ -118,6 +122,51 @@ class TestBoundedLoadRing:
                 assert after[k] == before[k]
             else:
                 assert after[k] != "r2"
+
+    def test_assign_and_release_under_a_cap_match_the_recording(self):
+        """A recorded run of ``assign`` / ``release`` / ``add`` / ``remove``
+        on a small ring with hot keys: the bounded-load walk places every
+        key where it did before pure placement stopped sharing its code."""
+        if os.environ.get("REGEN_GOLDEN"):
+            rng = random.Random(20)
+            ops, members, held, joined = [], ["r0", "r1", "r2"], [], 3
+            for _ in range(400):
+                roll = rng.random()
+                if roll < 0.55:
+                    ops.append(["assign", f"k{rng.randrange(12)}"])
+                    held.append(None)
+                elif roll < 0.9 and held:
+                    ops.append(["release", rng.randrange(len(held))])
+                elif roll < 0.95:
+                    members.append(f"r{joined}")
+                    ops.append(["add", members[-1]])
+                    joined += 1
+                elif len(members) > 2:
+                    ops.append(["remove", members.pop(
+                        rng.randrange(len(members)))])
+            RING_GOLDEN.write_text(json.dumps(
+                {"ops": ops, "results": self._replay(ops)}) + "\n")
+        recorded = json.loads(RING_GOLDEN.read_text())
+        assert self._replay(recorded["ops"]) == recorded["results"]
+
+    @staticmethod
+    def _replay(ops):
+        """Returns, per op, the member ``assign`` chose (``release`` gives
+        back the n-th assignment made so far, if its member is still on
+        the ring) or the loads after a membership change."""
+        ring = BoundedLoadRing(["r0", "r1", "r2"], vnodes=8, bound=1.25)
+        assigned, results = [], []
+        for kind, arg in ops:
+            if kind == "assign":
+                assigned.append(ring.assign(arg))
+                results.append(assigned[-1])
+            elif kind == "release":
+                ring.release(assigned[arg % len(assigned)])
+                results.append(ring.capacity())
+            else:
+                getattr(ring, kind)(arg)
+                results.append({m: ring.load(m) for m in ring.members})
+        return results
 
 
 # ======================================================================
