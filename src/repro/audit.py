@@ -16,6 +16,8 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _quote
+from math import isfinite
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.resilience.durability import Durable, RecoveryReport
@@ -97,17 +99,37 @@ class AuditEvent:
     digest: str = field(default="", compare=False)
 
     def canonical(self) -> bytes:
-        """Stable byte form of the event content (digest excluded)."""
-        return json.dumps(
-            {
-                "time": self.time, "source": self.source, "actor": self.actor,
-                "action": self.action, "resource": self.resource,
-                "outcome": self.outcome, "domain": self.domain,
-                "zone": self.zone,
-                "attrs": {k: repr(v) for k, v in sorted(self.attrs.items())},
-            },
-            separators=(",", ":"), sort_keys=True,
-        ).encode()
+        """Stable byte form of the event content (digest excluded): its
+        compact sorted-key JSON, attr values as their ``repr``.
+
+        The keys are known and already in order, so the usual event —
+        exact ``str`` fields and attr names, a finite ``float`` time — is
+        written out directly with the encoder's own string and float
+        forms; anything else goes through ``json.dumps`` itself."""
+        attrs = self.attrs
+        strings = (self.action, self.actor, self.domain, self.outcome,
+                   self.resource, self.source, self.zone)
+        if (type(self.time) is not float or not isfinite(self.time)
+                or {*map(type, strings), *map(type, attrs)} != {str}):
+            return json.dumps(
+                {
+                    "time": self.time, "source": self.source,
+                    "actor": self.actor, "action": self.action,
+                    "resource": self.resource, "outcome": self.outcome,
+                    "domain": self.domain, "zone": self.zone,
+                    "attrs": {k: repr(v) for k, v in sorted(attrs.items())},
+                },
+                separators=(",", ":"), sort_keys=True,
+            ).encode()
+        action, actor, domain, outcome, resource, source, zone = map(
+            _quote, strings)
+        pairs = ",".join([f"{_quote(k)}:{_quote(repr(attrs[k]))}"
+                          for k in sorted(attrs)])
+        return (f'{{"action":{action},"actor":{actor},"attrs":{{{pairs}}},'
+                f'"domain":{domain},"outcome":{outcome},'
+                f'"resource":{resource},"source":{source},'
+                f'"time":{float.__repr__(self.time)},"zone":{zone}}}'
+                ).encode()
 
     def matches(
         self,

@@ -156,12 +156,6 @@ class Workflows:
             return self._lastresort_login(persona)
         return self._admin_login(persona)
 
-    def _resume(self, persona: Persona, upstream: str) -> HttpResponse:
-        resp, _ = persona.agent.get(
-            make_url("broker", "/login/start", idp=upstream, accept_terms="true")
-        )
-        return resp
-
     def _federated_login(self, persona: Persona) -> HttpResponse:
         agent = persona.agent
         resp, final = agent.get(

@@ -72,14 +72,11 @@ class MetadataShard(DirectoryShard):
         if kind == "md.put":
             row = dict(data["row"])
             self.rows[row["entity_id"]] = row
-        elif kind == "md.put_batch":
+        elif kind in ("md.put_batch", "migrate.in"):
             for row in data["rows"]:
                 self.rows[row["entity_id"]] = dict(row)
         elif kind == "md.del":
             self.rows.pop(data["entity_id"], None)
-        elif kind == "migrate.in":
-            for row in data["rows"]:
-                self.rows[row["entity_id"]] = dict(row)
         elif kind == "migrate.out":
             for entity_id in data["entity_ids"]:
                 self.rows.pop(entity_id, None)
@@ -97,9 +94,6 @@ class MetadataShard(DirectoryShard):
         self.commit("migrate.out",
                     entity_ids=[row["entity_id"] for row in rows])
         return {"rows": rows}
-
-    def install(self, payload: Dict[str, object]) -> None:
-        self.commit("migrate.in", **payload)
 
     def key_count(self) -> int:
         return len(self.rows)
@@ -379,14 +373,7 @@ class ShardedMetadataStore(ShardedTier):
                         f"entity {entity_id!r} on both {owners[entity_id]!r} "
                         f"and {name!r}")
                 owners[entity_id] = name
-        mig = self._migration
-        for name in sorted(self.shards):
-            for rk in self.shards[name].ring_keys():
-                want = self.ring.locate(rk)
-                if want != name and not (
-                        mig is not None and mig.pending.get(rk) == name):
-                    raise RecoveryError(
-                        f"key {rk!r} on {name!r}, ring owner {want!r}")
+        self._verify_placement()
         if sorted(owners) != self._index:
             raise RecoveryError("metadata index out of sync with shard rows")
         return {"entities": len(owners), "shards": len(self.shards)}

@@ -37,6 +37,7 @@ with one shard unless ``build_isambard(directory=...)`` sizes it up.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
@@ -61,6 +62,8 @@ __all__ = [
     "ShardedTier",
     "ShardedAccountRegistry",
     "PROBE_COST",
+    "pack_account",
+    "unpack_account",
 ]
 
 # simulated seconds one shard probe costs the caller (network hop +
@@ -83,7 +86,8 @@ class DirectoryShard(Durable):
     """Common journaled-shard machinery: commit, migration payloads.
 
     Subclasses define the tables and implement the :class:`Durable`
-    contract plus :meth:`ring_keys` / :meth:`extract` / :meth:`install`.
+    contract plus :meth:`ring_keys` / :meth:`extract` (and replay the
+    ``migrate.in`` entry :meth:`install` journals).
     """
 
     snapshot_every = 512
@@ -107,64 +111,115 @@ class DirectoryShard(Durable):
 
     def install(self, payload: Dict[str, object]) -> None:
         """Journal + insert a payload extracted from another shard."""
-        raise NotImplementedError
+        self.commit("migrate.in", **payload)
+
+
+# A stored account is one flat tuple of atoms,
+# ``(uid, display_name, email, created_at, loa, entity, sub[, entity, sub …])``
+# — the linked identities follow the five scalars pairwise.  Flat on
+# purpose: a tuple that holds only strings and numbers is dropped from
+# the cyclic collector's books by the first pass that sees it, so a
+# shard of a million accounts adds nothing to a full collection.  A
+# record with one nested pair per identity outlives that pass still
+# tracked (the pass only untracks the pairs), is promoted, and makes
+# full collections both frequent and long (docs/scaling.md, "What an
+# account costs in memory").
+Record = Tuple[object, ...]
+_LINKS = 5  # index of the first (entity, sub) pair
+
+
+def pack_account(row: Dict[str, object]) -> Record:
+    """JSON row -> stored record.  Entity ids are interned: a federation
+    has thousands of IdPs and millions of users, so each id is held once."""
+    flat = [row["uid"], row["display_name"], row["email"],
+            row["created_at"], row["loa"]]
+    for entity_id, sub in row["linked"]:
+        flat += (sys.intern(entity_id), sub)
+    return tuple(flat)
+
+
+def _links(record: Record) -> Iterator[Tuple[str, str]]:
+    """The record's ``(entity_id, sub)`` pairs."""
+    return zip(record[_LINKS::2], record[_LINKS + 1::2])
+
+
+def unpack_account(record: Record) -> Dict[str, object]:
+    """Stored record -> the JSON row journals, snapshots and migration
+    payloads carry (a fresh one: the caller owns it)."""
+    uid, display_name, email, created_at, loa = record[:_LINKS]
+    return {"uid": uid, "linked": [[e, s] for e, s in _links(record)],
+            "display_name": display_name, "email": email,
+            "created_at": created_at, "loa": loa}
+
+
+def _new_row(uid: str, identity: LinkedIdentity, display_name: str,
+             email: str, loa: int, now: float) -> Dict[str, object]:
+    """The JSON row of a freshly minted account, as it is journaled."""
+    return {"uid": uid, "linked": [[identity.entity_id, identity.sub]],
+            "display_name": display_name, "email": email,
+            "created_at": now, "loa": int(loa)}
 
 
 class AccountShard(DirectoryShard):
     """One partition of the account registry.
 
-    Tables: ``idmap`` (identity key -> uid), ``accounts`` (uid -> row),
-    ``retired`` (tombstoned uids — never reassigned).  Rows are plain
-    JSON dicts; :class:`~repro.federation.myaccessid.Account` objects are
+    Tables: ``idmap`` (identity key -> uid), ``accounts`` (uid -> flat
+    record, see :func:`pack_account`), ``retired`` (tombstoned uids —
+    never reassigned).  JSON rows exist only where one crosses the shard
+    boundary: packed as it enters (``apply_entry``, ``load_state``),
+    unpacked as it leaves (``durable_state``, ``extract``);
+    :class:`~repro.federation.myaccessid.Account` objects are
     materialised on read.
     """
 
     def __init__(self, name: str) -> None:
         super().__init__(name)
-        self.idmap: Dict[str, str] = {}
-        self.accounts: Dict[str, Dict[str, object]] = {}
-        self.retired: Set[str] = set()
+        self.wipe_state()
 
     # ----------------------------------------------------- Durable contract
     def durable_state(self) -> Dict[str, object]:
         return {
             "idmap": {k: self.idmap[k] for k in sorted(self.idmap)},
-            "accounts": {u: self.accounts[u] for u in sorted(self.accounts)},
+            "accounts": {u: unpack_account(self.accounts[u])
+                         for u in sorted(self.accounts)},
             "retired": sorted(self.retired),
         }
 
     def load_state(self, state: Dict[str, object]) -> None:
         self.idmap = dict(state.get("idmap", {}))
-        self.accounts = {u: dict(r) for u, r in state.get("accounts", {}).items()}
+        self.accounts = {}
+        self._put(state.get("accounts", {}).values())
         self.retired = set(state.get("retired", []))
 
+    def _put(self, rows: Iterable[Dict[str, object]]) -> None:
+        """Pack ``rows`` into the table, each keyed by its record's own
+        uid string (one object serves as key and as field)."""
+        for record in map(pack_account, rows):
+            self.accounts[record[0]] = record
+
     def wipe_state(self) -> None:
-        self.idmap = {}
-        self.accounts = {}
-        self.retired = set()
+        self.idmap: Dict[str, str] = {}
+        self.accounts: Dict[str, Record] = {}
+        self.retired: Set[str] = set()
 
     def apply_entry(self, kind: str, data: Dict[str, object]) -> None:
         if kind == "idmap.put":
             self.idmap[data["key"]] = data["uid"]
         elif kind == "idmap.put_batch":
-            for key, uid in data["pairs"]:
-                self.idmap[key] = uid
+            self.idmap.update(data["pairs"])
         elif kind == "idmap.del":
             self.idmap.pop(data["key"], None)
         elif kind == "account.put":
-            self.accounts[data["uid"]] = dict(data["row"])
+            self._put([data["row"]])
         elif kind == "account.put_batch":
-            for row in data["rows"]:
-                self.accounts[row["uid"]] = dict(row)
+            self._put(data["rows"])
         elif kind == "account.del":
             self.accounts.pop(data["uid"], None)
         elif kind == "retire":
             self.retired.add(data["uid"])
         elif kind == "migrate.in":
-            for key, uid in data["idmap"]:
-                self.idmap[key] = uid
-            for row in data["accounts"]:
-                self.accounts[row["uid"]] = dict(row)
+            self.idmap.update(data["idmap"])
+            self._put(data["accounts"])
             self.retired.update(data["retired"])
         elif kind == "migrate.out":
             for key in data["idmap"]:
@@ -204,7 +259,7 @@ class AccountShard(DirectoryShard):
             else:
                 uid = rk[4:]
                 if uid in self.accounts:
-                    accounts.append(self.accounts[uid])
+                    accounts.append(unpack_account(self.accounts[uid]))
                 if uid in self.retired:
                     retired.append(uid)
         self.commit("migrate.out",
@@ -212,9 +267,6 @@ class AccountShard(DirectoryShard):
                     accounts=[row["uid"] for row in accounts],
                     retired=retired)
         return {"idmap": idmap, "accounts": accounts, "retired": retired}
-
-    def install(self, payload: Dict[str, object]) -> None:
-        self.commit("migrate.in", **payload)
 
     def key_count(self) -> int:
         return len(self.idmap) + len(self.accounts) + len(self.retired)
@@ -314,6 +366,22 @@ class ShardedTier:
     def _new_shard(self, name: str) -> DirectoryShard:
         raise NotImplementedError
 
+    @property
+    def telemetry(self):
+        return self._telemetry
+
+    @telemetry.setter
+    def telemetry(self, telemetry) -> None:
+        """Resolves the tier's ``directory_lookups{tier,result}`` series
+        here, once, so that a probe ticks one without building labels
+        (no telemetry: the ticks go nowhere)."""
+        self._telemetry = telemetry
+        self._count = {
+            result: (lambda: None) if telemetry is None
+            else telemetry.directory_lookups.bound(tier=self.tier,
+                                                   result=result)
+            for result in ("ok", "fallback", "unavailable")}
+
     # ------------------------------------------------------------ placement
     def _locate(self, ring_key: str, *, record: bool = True) -> DirectoryShard:
         """Resolve a ring key to its serving shard, modelling probe cost.
@@ -323,27 +391,20 @@ class ShardedTier:
         source shard the pending map still names.
         """
         owner = self.ring.locate(ring_key)
-        fell_back = False
+        result = "ok"
         mig = self._migration
         if mig is not None:
             src = mig.pending.get(ring_key)
             if src is not None and src != owner:
-                owner = src
-                fell_back = True
+                owner, result = src, "fallback"
         shard = self.shards[owner]
         if record:
             self.lookups += 1
-            if fell_back:
-                self.fallback_probes += 1
-            if self.telemetry is not None:
-                self.telemetry.directory_lookups.inc(
-                    tier=self.tier,
-                    result="fallback" if fell_back else "ok")
+            self.fallback_probes += result == "fallback"
+            self._count[result]()
         if not shard.up:
             self.unavailable_denials += 1
-            if self.telemetry is not None:
-                self.telemetry.directory_lookups.inc(
-                    tier=self.tier, result="unavailable")
+            self._count["unavailable"]()
             raise ShardUnavailable(
                 f"{self.tier} shard {shard.name!r} is down "
                 f"(key range fails closed)")
@@ -432,6 +493,18 @@ class ShardedTier:
         if self.telemetry is not None:
             self.telemetry.directory_migrated.inc(n, tier=self.tier)
 
+    def _verify_placement(self) -> None:
+        """Every key sits on its ring owner, or is still pending at its
+        migration source."""
+        mig = self._migration
+        pending = mig.pending if mig is not None else {}
+        for name in sorted(self.shards):
+            for rk in self.shards[name].ring_keys():
+                want = self.ring.locate(rk)
+                if want != name and pending.get(rk) != name:
+                    raise RecoveryError(
+                        f"key {rk!r} on {name!r}, ring owner {want!r}")
+
     # ---------------------------------------------------------------- stats
     def reset_lookup_stats(self) -> None:
         """Start a fresh latency window (benches bracket phases with this)."""
@@ -482,13 +555,11 @@ class ShardedAccountRegistry(ShardedTier):
         self.batched_registrations = 0
 
     # ---------------------------------------------------------------- keys
-    @staticmethod
-    def _ikey(identity: LinkedIdentity) -> str:
-        return f"{identity.entity_id}\n{identity.sub}"
-
     def _identity_shard(self, identity: LinkedIdentity, *,
-                        record: bool = True) -> AccountShard:
-        return self._locate("id:" + self._ikey(identity), record=record)
+                        record: bool = True) -> Tuple[AccountShard, str]:
+        """The shard serving ``identity``, and its ``idmap`` key there."""
+        ikey = f"{identity.entity_id}\n{identity.sub}"
+        return self._locate("id:" + ikey, record=record), ikey
 
     def _uid_shard(self, uid: str, *, record: bool = True) -> AccountShard:
         return self._locate("uid:" + uid, record=record)
@@ -497,15 +568,15 @@ class ShardedAccountRegistry(ShardedTier):
         return AccountShard(name)
 
     @staticmethod
-    def _materialize(row: Dict[str, object]) -> Account:
+    def _materialize(record: Record) -> Account:
+        uid, display_name, email, created_at, loa = record[:_LINKS]
         return Account(
-            uid=row["uid"],
-            linked=[LinkedIdentity(entity_id=e, sub=s)
-                    for e, s in row["linked"]],
-            display_name=row["display_name"],
-            email=row["email"],
-            created_at=row["created_at"],
-            loa=LevelOfAssurance(row["loa"]),
+            uid=uid,
+            linked=[LinkedIdentity(e, s) for e, s in _links(record)],
+            display_name=display_name,
+            email=email,
+            created_at=created_at,
+            loa=LevelOfAssurance(loa),
         )
 
     # ------------------------------------------------------------- registry
@@ -513,8 +584,7 @@ class ShardedAccountRegistry(ShardedTier):
                         email: str, loa: LevelOfAssurance,
                         now: float) -> Account:
         """Idempotently resolve an external identity to its account."""
-        ishard = self._identity_shard(identity)
-        ikey = self._ikey(identity)
+        ishard, ikey = self._identity_shard(identity)
         uid = ishard.idmap.get(ikey)
         if uid is not None:
             return self._materialize(self._uid_shard(uid).accounts[uid])
@@ -524,19 +594,12 @@ class ShardedAccountRegistry(ShardedTier):
             # IdFactory counters make minted uids globally fresh; a hit
             # here means the tombstone protocol was violated
             raise RecoveryError(f"minted uid {uid!r} already used")
-        row = {
-            "uid": uid,
-            "linked": [[identity.entity_id, identity.sub]],
-            "display_name": display_name,
-            "email": email,
-            "created_at": now,
-            "loa": int(loa),
-        }
         ishard.commit("idmap.put", key=ikey, uid=uid)
-        ushard.commit("account.put", uid=uid, row=row)
+        ushard.commit("account.put", uid=uid, row=_new_row(
+            uid, identity, display_name, email, loa, now))
         if self.graph is not None:
             self.graph.principal(uid)
-        return self._materialize(row)
+        return self._materialize(ushard.accounts[uid])
 
     def register_batch(self, entries: Iterable[Dict[str, object]], *,
                        now: float) -> List[str]:
@@ -556,11 +619,10 @@ class ShardedAccountRegistry(ShardedTier):
         for entry in entries:
             identity = LinkedIdentity(entity_id=str(entry["entity_id"]),
                                       sub=str(entry["sub"]))
-            ikey = self._ikey(identity)
+            ishard, ikey = self._identity_shard(identity, record=False)
             if ikey in seen:
                 uids.append(seen[ikey])
                 continue
-            ishard = self._identity_shard(identity, record=False)
             existing = ishard.idmap.get(ikey)
             if existing is not None:
                 seen[ikey] = existing
@@ -569,14 +631,10 @@ class ShardedAccountRegistry(ShardedTier):
             uid = self.ids.next("ma") + self.uid_suffix
             ushard = self._uid_shard(uid, record=False)
             id_batches.setdefault(ishard.name, []).append([ikey, uid])
-            row_batches.setdefault(ushard.name, []).append({
-                "uid": uid,
-                "linked": [[identity.entity_id, identity.sub]],
-                "display_name": str(entry.get("display_name", "")),
-                "email": str(entry.get("email", "")),
-                "created_at": now,
-                "loa": int(entry.get("loa", LevelOfAssurance.CAPPUCCINO)),
-            })
+            row_batches.setdefault(ushard.name, []).append(_new_row(
+                uid, identity, str(entry.get("display_name", "")),
+                str(entry.get("email", "")),
+                entry.get("loa", LevelOfAssurance.CAPPUCCINO), now))
             seen[ikey] = uid
             uids.append(uid)
         for name in sorted(id_batches):
@@ -596,35 +654,28 @@ class ShardedAccountRegistry(ShardedTier):
         cross-shard write this tier must keep consistent.
         """
         ushard = self._uid_shard(uid)
-        row = ushard.accounts.get(uid)
-        if row is None:
+        if uid not in ushard.accounts:
             raise IdentityNotRegistered(f"no account {uid!r}")
-        ishard = self._identity_shard(identity)
-        ikey = self._ikey(identity)
+        ishard, ikey = self._identity_shard(identity)
         existing = ishard.idmap.get(ikey)
         if existing is not None and existing != uid:
             raise FederationError(
                 f"identity {identity} is already linked to a different account")
         if existing is None:
-            new_row = dict(row)
-            new_row["linked"] = (list(row["linked"])
-                                 + [[identity.entity_id, identity.sub]])
+            row = unpack_account(ushard.accounts[uid])
+            row["linked"].append([identity.entity_id, identity.sub])
             ishard.commit("idmap.put", key=ikey, uid=uid)
-            ushard.commit("account.put", uid=uid, row=new_row)
-            row = new_row
-        return self._materialize(row)
+            ushard.commit("account.put", uid=uid, row=row)
+        return self._materialize(ushard.accounts[uid])
 
     def find(self, identity: LinkedIdentity) -> Optional[Account]:
-        ishard = self._identity_shard(identity)
-        uid = ishard.idmap.get(self._ikey(identity))
-        if uid is None:
-            return None
-        row = self._uid_shard(uid).accounts.get(uid)
-        return self._materialize(row) if row is not None else None
+        ishard, ikey = self._identity_shard(identity)
+        uid = ishard.idmap.get(ikey)
+        return None if uid is None else self.account(uid)
 
     def account(self, uid: str) -> Optional[Account]:
-        row = self._uid_shard(uid).accounts.get(uid)
-        return self._materialize(row) if row is not None else None
+        record = self._uid_shard(uid).accounts.get(uid)
+        return None if record is None else self._materialize(record)
 
     def deprovision(self, uid: str) -> int:
         """Erase an account; retire the uid forever.
@@ -635,13 +686,11 @@ class ShardedAccountRegistry(ShardedTier):
         half-severed account behind.
         """
         ushard = self._uid_shard(uid)
-        row = ushard.accounts.get(uid)
-        if row is None:
+        record = ushard.accounts.get(uid)
+        if record is None:
             raise IdentityNotRegistered(f"no account {uid!r}")
-        targets: List[Tuple[AccountShard, str]] = []
-        for entity_id, sub in row["linked"]:
-            ishard = self._locate(f"id:{entity_id}\n{sub}")
-            targets.append((ishard, f"{entity_id}\n{sub}"))
+        targets = [self._identity_shard(LinkedIdentity(*link))
+                   for link in _links(record)]
         ushard.commit("account.del", uid=uid)
         ushard.commit("retire", uid=uid)
         removed = 0
@@ -672,16 +721,13 @@ class ShardedAccountRegistry(ShardedTier):
         (or is still pending at its migration source).
         """
         owners: Dict[str, str] = {}
-        retired_total = 0
         for name in sorted(self.shards):
-            shard = self.shards[name]
-            for uid in shard.accounts:
+            for uid in self.shards[name].accounts:
                 if uid in owners:
                     raise RecoveryError(
                         f"uid {uid!r} lives on both {owners[uid]!r} "
                         f"and {name!r}")
                 owners[uid] = name
-            retired_total += len(shard.retired)
         for name in sorted(self.shards):
             shard = self.shards[name]
             for uid in shard.retired:
@@ -697,23 +743,15 @@ class ShardedAccountRegistry(ShardedTier):
                 if owner is None:
                     raise RecoveryError(
                         f"identity {ikey!r} maps to missing account {uid!r}")
-                entity_id, sub = ikey.split("\n", 1)
-                row = self.shards[owner].accounts[uid]
-                if [entity_id, sub] not in [list(li) for li in row["linked"]]:
+                if tuple(ikey.split("\n", 1)) not in _links(
+                        self.shards[owner].accounts[uid]):
                     raise RecoveryError(
                         f"account {uid!r} does not list identity {ikey!r}")
                 links += 1
-        mig = self._migration
-        for name in sorted(self.shards):
-            for rk in self.shards[name].ring_keys():
-                want = self.ring.locate(rk)
-                if want != name and not (
-                        mig is not None and mig.pending.get(rk) == name):
-                    raise RecoveryError(
-                        f"key {rk!r} on {name!r}, ring owner {want!r}")
+        self._verify_placement()
         return {
             "accounts": len(owners),
             "links": links,
-            "retired": retired_total,
+            "retired": self.retired_count(),
             "shards": len(self.shards),
         }

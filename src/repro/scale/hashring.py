@@ -45,7 +45,9 @@ class BoundedLoadRing:
         self.vnodes = vnodes
         self.bound = bound
         self._members: List[str] = []
+        # the sorted vnodes, and their positions alone for the bisect
         self._ring: List[Tuple[int, str]] = []
+        self._positions: List[int] = []
         self._load: Dict[str, int] = {}
         for member in members:
             self.add(member)
@@ -62,16 +64,19 @@ class BoundedLoadRing:
             raise ValueError(f"member {member!r} already on the ring")
         self._members.append(member)
         self._load[member] = 0
-        for v in range(self.vnodes):
-            self._ring.append((_h(f"{member}#{v}"), member))
-        self._ring.sort()
+        self._set_ring(self._ring + [(_h(f"{member}#{v}"), member)
+                                     for v in range(self.vnodes)])
 
     def remove(self, member: str) -> None:
         if member not in self._load:
             raise KeyError(member)
         self._members.remove(member)
         del self._load[member]
-        self._ring = [(pos, m) for pos, m in self._ring if m != member]
+        self._set_ring([vnode for vnode in self._ring if vnode[1] != member])
+
+    def _set_ring(self, vnodes: List[Tuple[int, str]]) -> None:
+        self._ring = sorted(vnodes)
+        self._positions = [pos for pos, _ in self._ring]
 
     # ------------------------------------------------------------------
     # placement
@@ -82,17 +87,20 @@ class BoundedLoadRing:
         return max(1, math.ceil(self.bound * (total + 1) / len(self._load)))
 
     def locate(self, key: str) -> str:
-        """Pure placement: the ring owner of ``key``, ignoring loads."""
-        member = self._walk(key, cap=None)
-        assert member is not None
-        return member
+        """Pure placement: the ring owner of ``key``, ignoring loads —
+        one hash and one bisect to the first vnode clockwise of it (a
+        vnode exactly on the key's position counts as behind it)."""
+        if not self._ring:
+            raise RuntimeError("hash ring has no members")
+        return self._ring[
+            bisect_right(self._positions, _h(key)) % len(self._ring)][1]
 
     def assign(self, key: str) -> str:
         """Place ``key`` honouring the bounded-load cap and take a slot.
 
         Callers must :meth:`release` the member when the work finishes.
         """
-        member = self._walk(key, cap=self.capacity())
+        member = self._walk(key, self.capacity())
         if member is None:  # every member at cap — take the pure owner
             member = self.locate(key)
         self._load[member] += 1
@@ -111,16 +119,11 @@ class BoundedLoadRing:
     def load(self, member: str) -> int:
         return self._load.get(member, 0)
 
-    def _walk(self, key: str, cap: Optional[int]) -> Optional[str]:
-        if not self._ring:
-            raise RuntimeError("hash ring has no members")
-        start = bisect_right(self._ring, (_h(key), "￿"))
-        seen = set()
-        for i in range(len(self._ring)):
-            _, member = self._ring[(start + i) % len(self._ring)]
-            if member in seen:
-                continue
-            seen.add(member)
-            if cap is None or self._load[member] < cap:
+    def _walk(self, key: str, cap: int) -> Optional[str]:
+        """Clockwise from ``key``, the first member with load under ``cap``."""
+        start = bisect_right(self._positions, _h(key))
+        for i in range(start, start + len(self._ring)):
+            member = self._ring[i % len(self._ring)][1]
+            if self._load[member] < cap:
                 return member
         return None

@@ -30,6 +30,11 @@ from repro.resilience.durability import Durable
 
 __all__ = ["event_to_record", "LogForwarder"]
 
+# the attrs the security team agreed to receive; nothing else is shipped
+SHIPPED_ATTRS = frozenset({
+    "reason", "rule", "port", "via", "node", "trace_id", "jti", "region",
+    "lag", "bound", "spiffe_id"})
+
 
 def event_to_record(event: AuditEvent) -> Dict[str, object]:
     """The agreed, limited wire format (no free-form payload fields)."""
@@ -43,9 +48,7 @@ def event_to_record(event: AuditEvent) -> Dict[str, object]:
         "domain": event.domain,
         "zone": event.zone,
         "attrs": {k: v for k, v in event.attrs.items()
-                  if k in ("reason", "rule", "port", "via", "node",
-                           "trace_id", "jti", "region", "lag", "bound",
-                           "spiffe_id")},
+                  if k in SHIPPED_ATTRS},
     }
 
 

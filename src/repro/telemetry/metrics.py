@@ -16,6 +16,7 @@ read by anyone who has scraped ``/metrics``:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import (Callable, Dict, Iterable, List, Mapping, Optional,
                     Sequence, Tuple)
 
@@ -119,8 +120,17 @@ class Counter(Metric):
     def inc(self, amount: float = 1.0, **labels: str) -> None:
         if amount < 0:
             raise ValueError("counters only go up")
-        key = self._bound_key(_label_key(labels), self._series)
+        self._add(_label_key(labels), amount)
+
+    def _add(self, labelled: LabelKey, amount: float) -> None:
+        key = self._bound_key(labelled, self._series)
         self._series[key] = self._series.get(key, 0.0) + amount
+
+    def bound(self, **labels: str) -> Callable[[], None]:
+        """``inc()`` for one label set whose key is built here, once —
+        for a hot path that keeps counting the same few series.  The
+        series still appears (and meets the budget) on its first tick."""
+        return partial(self._add, _label_key(labels), 1.0)
 
     def value(self, **labels: str) -> float:
         return self._series.get(_label_key(labels), 0.0)

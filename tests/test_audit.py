@@ -1,6 +1,11 @@
 """Unit tests for the audit event stream."""
 
+import enum
+import json
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.audit import AuditEvent, AuditLog, Outcome
 
@@ -107,3 +112,57 @@ def test_matches_helper():
     assert ev.matches(actor="alice", action="login")
     assert not ev.matches(actor="bob")
     assert not ev.matches(source="portal")
+
+
+# ---------------------------------------------------------------------------
+# canonical(): written out directly, byte for byte what json.dumps writes
+# ---------------------------------------------------------------------------
+def _reference_canonical(event: AuditEvent) -> bytes:
+    """The definition: compact sorted-key JSON, attr values as ``repr``."""
+    return json.dumps(
+        {"time": event.time, "source": event.source, "actor": event.actor,
+         "action": event.action, "resource": event.resource,
+         "outcome": event.outcome, "domain": event.domain, "zone": event.zone,
+         "attrs": {k: repr(v) for k, v in sorted(event.attrs.items())}},
+        separators=(",", ":"), sort_keys=True).encode()
+
+
+class _Zone(str, enum.Enum):
+    ACCESS = "access"
+
+
+_text = st.text(max_size=12)  # quotes, controls, non-ASCII, astral planes
+_attr_values = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), _text,
+    st.lists(st.integers(), max_size=3),
+    st.dictionaries(_text, st.integers(), max_size=2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    time=st.one_of(st.floats(), st.integers(-5, 5), st.booleans()),
+    strings=st.lists(st.one_of(_text, st.just(_Zone.ACCESS)),
+                     min_size=7, max_size=7),
+    attrs=st.dictionaries(_text, _attr_values, max_size=5),
+)
+def test_canonical_is_byte_identical_to_the_json_definition(time, strings, attrs):
+    source, actor, action, resource, outcome, domain, zone = strings
+    event = AuditEvent(time=time, source=source, actor=actor, action=action,
+                       resource=resource, outcome=outcome, domain=domain,
+                       zone=zone, attrs=attrs)
+    assert event.canonical() == _reference_canonical(event)
+
+
+def test_canonical_of_the_usual_event_and_of_the_odd_ones():
+    usual = make_event(time=12.5, domain="fds", zone="access",
+                       attrs={"b": 1, "a": "x\"y", "é": [1, 2]})
+    assert usual.canonical() == (
+        b'{"action":"token.issue","actor":"alice","attrs":{"a":"\'x\\"y\'",'
+        b'"b":"1","\\u00e9":"[1, 2]"},"domain":"fds","outcome":"success",'
+        b'"resource":"jti-1","source":"broker","time":12.5,"zone":"access"}')
+    # an int or non-finite time, an enum field, a non-str attr name: the
+    # json encoder's own forms
+    for odd in (make_event(time=3), make_event(time=float("inf")),
+                make_event(time=float("nan")), make_event(zone=_Zone.ACCESS),
+                make_event(attrs={1: "x", 2: "y"})):
+        assert odd.canonical() == _reference_canonical(odd)

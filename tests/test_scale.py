@@ -12,9 +12,12 @@ from __future__ import annotations
 import json
 import os
 import random
+from bisect import bisect_right
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.audit import AuditLog
 from repro.clock import SimClock
@@ -40,8 +43,10 @@ from repro.scale import (
     RoundRobinPolicy,
     TtlCache,
 )
+from repro.scale.hashring import _h
 from repro.telemetry import Telemetry
 
+_member = st.sampled_from([f"m{i}" for i in range(8)])
 RING_GOLDEN = Path(__file__).parent / "golden" / "ring_assign_sequence.json"
 
 # ======================================================================
@@ -122,6 +127,36 @@ class TestBoundedLoadRing:
                 assert after[k] == before[k]
             else:
                 assert after[k] != "r2"
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        start=st.lists(_member, min_size=1, max_size=5, unique=True),
+        changes=st.lists(st.tuples(st.booleans(), _member), max_size=8),
+        keys=st.lists(st.text(max_size=8), min_size=1, max_size=20),
+        vnodes=st.integers(1, 16),
+    )
+    def test_locate_is_the_first_vnode_clockwise(self, start, changes, keys,
+                                                 vnodes):
+        """Pure placement against a reference written out here: sort the
+        vnodes, take the first one past the key's position (a vnode
+        exactly on it is behind it — what ``bisect_right`` on
+        ``(pos, "\uffff")`` gives), wrap at the end."""
+        ring = BoundedLoadRing(start, vnodes=vnodes)
+        members = list(start)
+        for join, member in [(True, start[0])] + changes:
+            if join and member not in members:
+                ring.add(member)
+                members.append(member)
+            elif not join and member in members and len(members) > 1:
+                ring.remove(member)
+                members.remove(member)
+            assert ring.members == members
+            vnode_ring = sorted((_h(f"{m}#{v}"), m)
+                                for m in members for v in range(vnodes))
+            for key in keys:
+                at = bisect_right(vnode_ring, (_h(key), "\uffff"))
+                assert ring.locate(key) == vnode_ring[at % len(vnode_ring)][1]
+                ring.assign(key)  # loads pile up; pure placement ignores them
 
     def test_assign_and_release_under_a_cap_match_the_recording(self):
         """A recorded run of ``assign`` / ``release`` / ``add`` / ``remove``
