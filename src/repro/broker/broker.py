@@ -30,7 +30,6 @@ from repro.audit import AuditLog, Outcome
 from repro.broker.rbac import Role, capabilities_for
 from repro.broker.tokens import TokenService
 from repro.clock import SimClock
-from repro.crypto import JwtValidator
 from repro.errors import (
     AuthenticationError,
     AuthorizationError,
@@ -488,9 +487,12 @@ class IdentityBroker(OidcProvider):
     # ------------------------------------------------------------------
     # unified access-token validation (OIDC + RBAC)
     # ------------------------------------------------------------------
+    def _recognises(self, token: str) -> bool:
+        return super()._recognises(token) or self.tokens.recognises(token)
+
     def _validate_access(self, token: str) -> Dict[str, object]:
-        validator = JwtValidator(self.clock, self.issuer, None, self.jwks)
-        claims = validator.validate(token)
+        claims = self._validator.validate(
+            token, vouched=self._recognises(token))
         jti = str(claims.get("jti", ""))
         if jti in self._issued:
             if jti in self._revoked_jtis:

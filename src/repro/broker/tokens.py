@@ -19,7 +19,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.audit import AuditLog, Outcome
 from repro.clock import SimClock
-from repro.crypto import JwtValidator, encode_jwt
+from repro.crypto import JwtValidator, compact_digest, encode_jwt
 from repro.crypto.keys import HmacKey, SigningKey
 from repro.broker.rbac import Role, capabilities_for
 from repro.errors import (
@@ -75,6 +75,10 @@ class TokenService:
         self.default_ttl = default_ttl
         self.max_ttl = max_ttl
         self._issued: Dict[str, IssuedToken] = {}
+        # digest of each token this very instance signed -> its jti (see
+        # recognises); volatile, bounded by _issued: an entry goes when
+        # its record does and nothing durable ever mentions it
+        self._minted: Dict[bytes, str] = {}
         self._revoked: Set[str] = set()
         # WAL hook: the owning broker points this at its journal publish
         # (kind, data) so every mint/revoke is committed durably *before*
@@ -163,6 +167,7 @@ class TokenService:
         if self.publish is not None:
             self.publish("rbac.mint", asdict(record))
         self._issued[jti] = record
+        self._minted[compact_digest(token)] = jti
         if self.session_registry is not None and audit_issue:
             # infrastructure mints (audit_issue=False) are not tracked as
             # grants: the log shipper re-mints per shipment, so tracking
@@ -260,6 +265,14 @@ class TokenService:
     def issued(self, jti: str) -> Optional[IssuedToken]:
         return self._issued.get(jti)
 
+    def recognises(self, token: str) -> bool:
+        """Did this very instance sign exactly this string?  The owning
+        broker asks before re-running the signature maths on a token it
+        is shown; whether the token is still *good* — expiry, issuer,
+        jti known and unrevoked — stays its check on every presentation.
+        """
+        return compact_digest(token) in self._minted
+
     def purge_expired(self, *, grace: float = 3600.0) -> int:
         """Housekeeping: drop records of tokens expired more than
         ``grace`` seconds ago (they can never validate again, so keeping
@@ -271,10 +284,15 @@ class TokenService:
                  if rec.expires_at < cutoff]
         if stale and self.publish is not None:
             self.publish("rbac.purge", {"jtis": stale})
-        for jti in stale:
-            del self._issued[jti]
-            self._revoked.discard(jti)
+        self._drop(stale)
         return len(stale)
+
+    def _drop(self, jtis: Iterable[str]) -> None:
+        for jti in jtis:
+            self._issued.pop(jti, None)
+            self._revoked.discard(jti)
+        self._minted = {digest: jti for digest, jti in self._minted.items()
+                        if jti in self._issued}
 
     # ------------------------------------------------------------------
     # durability (driven by the owning broker's journal)
@@ -289,10 +307,12 @@ class TokenService:
         self._issued = {
             jti: IssuedToken(**rec) for jti, rec in state["issued"].items()
         }
+        self._minted = {}
         self._revoked = set(state["revoked"])
 
     def wipe_state(self) -> None:
         self._issued = {}
+        self._minted = {}
         self._revoked = set()
 
     def apply_entry(self, kind: str, data: Dict[str, object]) -> bool:
@@ -305,9 +325,7 @@ class TokenService:
         elif kind == "rbac.revoke_subject":
             self._revoked.update(data["jtis"])
         elif kind == "rbac.purge":
-            for jti in data["jtis"]:
-                self._issued.pop(jti, None)
-                self._revoked.discard(jti)
+            self._drop(data["jtis"])
         else:
             return False
         return True

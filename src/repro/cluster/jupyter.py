@@ -104,6 +104,10 @@ class JupyterService(Service):
         self.session_ttl = session_ttl
         self.staleness_window = staleness_window
         self._sessions: Dict[str, JupyterSession] = {}
+        # subject -> the session opened for them last.  A subject has at
+        # most one live session (a new one is spawned only when none is
+        # live), so the latest is the only one that can be
+        self._latest: Dict[str, JupyterSession] = {}
         # jti -> (introspection time, active?) for degraded-mode validation
         self._introspection_cache: Dict[str, Tuple[float, bool]] = {}
         self.spawns = 0
@@ -233,6 +237,7 @@ class JupyterService(Service):
             )
             node.allocated_to = session.session_id
             self._sessions[session.session_id] = session
+            self._latest[subject] = session
             self.spawns += 1
             extra_audit: Dict[str, object] = {}
             if self.session_registry is not None:
@@ -256,11 +261,8 @@ class JupyterService(Service):
 
     # ------------------------------------------------------------------
     def _live_session(self, subject: str) -> Optional[JupyterSession]:
-        now = self.clock.now()
-        for s in self._sessions.values():
-            if s.subject == subject and s.active(now):
-                return s
-        return None
+        s = self._latest.get(subject)
+        return s if s is not None and s.active(self.clock.now()) else None
 
     def sessions(self, *, active_only: bool = True) -> List[JupyterSession]:
         now = self.clock.now()

@@ -221,8 +221,6 @@ class IsambardDeployment:
             self._revoked, cache=self.caches.get("token-decisions"),
         )
 
-    validator_factory = property(lambda self: self.validator_for)
-
     def _revoked(self, jti: str) -> bool:
         tokens = self.broker.tokens
         # durability mode trusts only journaled facts: unknown jtis (e.g.

@@ -16,7 +16,13 @@ from repro.crypto.keys import (
     generate_signing_key,
 )
 from repro.crypto.jwk import JwkSet, jwk_thumbprint, public_jwk
-from repro.crypto.jws import b64url_decode, b64url_encode, sign_compact, verify_compact
+from repro.crypto.jws import (
+    b64url_decode,
+    b64url_encode,
+    compact_digest,
+    sign_compact,
+    verify_compact,
+)
 from repro.crypto.jwt import JwtValidator, decode_unverified, encode_jwt
 from repro.crypto.certs import SignedDocument, sign_document, verify_document
 
@@ -31,6 +37,7 @@ __all__ = [
     "jwk_thumbprint",
     "sign_compact",
     "verify_compact",
+    "compact_digest",
     "b64url_encode",
     "b64url_decode",
     "encode_jwt",

@@ -15,11 +15,11 @@ from typing import Dict, Iterable, List, Optional
 
 from cryptography.hazmat.primitives.asymmetric import ec, ed25519, rsa
 
-from repro.crypto.jws import b64url_encode
+from repro.crypto.jws import b64url_decode, b64url_encode
 from repro.crypto.keys import HmacKey, VerifyingKey
 from repro.errors import ConfigurationError
 
-__all__ = ["public_jwk", "jwk_thumbprint", "JwkSet"]
+__all__ = ["public_jwk", "jwk_thumbprint", "verifying_key", "JwkSet"]
 
 
 def _int_bytes(n: int, size: Optional[int] = None) -> str:
@@ -76,6 +76,29 @@ def jwk_thumbprint(jwk: Dict[str, str]) -> str:
     return b64url_encode(hashlib.sha256(canonical.encode()).digest())
 
 
+def verifying_key(jwk: Dict[str, str]) -> VerifyingKey:
+    """One published JWK back into a verifier.  A key that names no
+    ``kid`` is known by its RFC 7638 thumbprint, computed only then."""
+    kty = jwk.get("kty")
+    kid = jwk["kid"] if "kid" in jwk else jwk_thumbprint(jwk)
+    if kty == "OKP":
+        return VerifyingKey(
+            "EdDSA", kid,
+            ed25519.Ed25519PublicKey.from_public_bytes(b64url_decode(jwk["x"])))
+    if kty == "EC":
+        x = int.from_bytes(b64url_decode(jwk["x"]), "big")
+        y = int.from_bytes(b64url_decode(jwk["y"]), "big")
+        return VerifyingKey(
+            "ES256", kid,
+            ec.EllipticCurvePublicNumbers(x, y, ec.SECP256R1()).public_key())
+    if kty == "RSA":
+        n = int.from_bytes(b64url_decode(jwk["n"]), "big")
+        e = int.from_bytes(b64url_decode(jwk["e"]), "big")
+        return VerifyingKey(jwk.get("alg") or "RS256", kid,
+                            rsa.RSAPublicNumbers(e, n).public_key())
+    raise ConfigurationError(f"unsupported kty {kty!r} in JWKS")
+
+
 class JwkSet:
     """A keyed collection of verifiers, callable as a ``kid -> key`` lookup.
 
@@ -126,28 +149,4 @@ class JwkSet:
     @classmethod
     def from_jwks(cls, document: Dict[str, List[Dict[str, str]]]) -> "JwkSet":
         """Parse a published JWKS back into verifier keys."""
-        from repro.crypto.jws import b64url_decode
-
-        keys: List[VerifyingKey] = []
-        for jwk in document.get("keys", []):
-            kty = jwk.get("kty")
-            kid = jwk.get("kid", jwk_thumbprint(jwk))
-            alg = jwk.get("alg", "")
-            if kty == "OKP":
-                pub = ed25519.Ed25519PublicKey.from_public_bytes(
-                    b64url_decode(jwk["x"])
-                )
-                keys.append(VerifyingKey("EdDSA", kid, pub))
-            elif kty == "EC":
-                x = int.from_bytes(b64url_decode(jwk["x"]), "big")
-                y = int.from_bytes(b64url_decode(jwk["y"]), "big")
-                pub = ec.EllipticCurvePublicNumbers(x, y, ec.SECP256R1()).public_key()
-                keys.append(VerifyingKey("ES256", kid, pub))
-            elif kty == "RSA":
-                n = int.from_bytes(b64url_decode(jwk["n"]), "big")
-                e = int.from_bytes(b64url_decode(jwk["e"]), "big")
-                pub = rsa.RSAPublicNumbers(e, n).public_key()
-                keys.append(VerifyingKey(alg or "RS256", kid, pub))
-            else:
-                raise ConfigurationError(f"unsupported kty {kty!r} in JWKS")
-        return cls(keys)
+        return cls(verifying_key(jwk) for jwk in document.get("keys", []))

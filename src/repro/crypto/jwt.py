@@ -13,7 +13,12 @@ import json
 from typing import Dict, Iterable, Optional, Sequence, Union
 
 from repro.clock import SimClock
-from repro.crypto.jws import sign_compact, verify_compact
+from repro.crypto.jws import (
+    acceptable_algs,
+    b64url_decode,
+    sign_compact,
+    verify_compact,
+)
 from repro.crypto.keys import SUPPORTED_ALGORITHMS
 from repro.errors import (
     AudienceMismatch,
@@ -51,8 +56,6 @@ def decode_unverified(token: str) -> Claims:
     parts = token.split(".")
     if len(parts) != 3:
         raise SignatureInvalid("not a compact JWT")
-    from repro.crypto.jws import b64url_decode
-
     try:
         claims = json.loads(b64url_decode(parts[1]))
     except (ValueError, UnicodeDecodeError) as exc:
@@ -100,13 +103,19 @@ class JwtValidator:
         self.audience = audience
         self.keys = keys
         self.leeway = leeway
-        self.allowed_algs = tuple(allowed_algs)
+        self.allowed_algs = acceptable_algs(allowed_algs)
         self.required_claims = tuple(required_claims)
 
-    def validate(self, token: str) -> Claims:
+    def validate(self, token: str, *, vouched: bool = False) -> Claims:
         """Verify signature + claims; return the claims or raise a
-        :class:`~repro.errors.TokenError` subclass describing the failure."""
-        _header, payload = verify_compact(token, self.keys, self.allowed_algs)
+        :class:`~repro.errors.TokenError` subclass describing the failure.
+
+        ``vouched`` is :func:`~repro.crypto.jws.verify_compact`'s: the
+        caller answers for the signature on these exact bytes, and every
+        other check — segments, ``alg``/``kid``, each claim — runs as for
+        any token."""
+        _header, payload = verify_compact(
+            token, self.keys, self.allowed_algs, vouched=vouched)
         claims = json.loads(payload)
         if not isinstance(claims, dict):
             raise SignatureInvalid("JWT payload must be a JSON object")

@@ -98,6 +98,9 @@ class TrustDomainAuthority:
         self.clock = clock
         self.svid_ttl = svid_ttl
         self._key = generate_signing_key("EdDSA", kid=f"spire-{trust_domain}")
+        # one public half, so its memo of verified signatures can serve
+        # the byte-identical SVIDs forwarders present at the same instant
+        self._bundle = self._key.public()
         # attested workloads: path -> selectors (domain/zone/endpoint facts)
         self._registry: Dict[str, Tuple[str, ...]] = {}
         self.issued_count = 0
@@ -105,7 +108,7 @@ class TrustDomainAuthority:
     # ------------------------------------------------------------------
     def bundle(self) -> VerifyingKey:
         """The trust bundle peers verify against."""
-        return self._key.public()
+        return self._bundle
 
     def register_workload(self, path: str, *selectors: str) -> None:
         """Attest a workload (the deployment's provisioning step).

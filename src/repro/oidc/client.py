@@ -23,6 +23,7 @@ from repro.errors import (
     AuthenticationError,
     ConfigurationError,
     ServiceUnavailable,
+    SignatureInvalid,
 )
 from repro.net.http import HttpRequest, HttpResponse, Service
 from repro.oidc.messages import ClientConfig, make_url, parse_url, pkce_challenge
@@ -251,6 +252,9 @@ class RelyingParty:
         self._issuer: Optional[str] = None
         self._jwks: Optional[JwkSet] = None
         self._jwks_fetched_at: float = 0.0
+        # the ID-token validator, rebuilt only when discovery hands over
+        # a new (issuer, key set) — not once per redeemed code
+        self._validator: Optional[JwtValidator] = None
         self._pending: Dict[str, FlowState] = {}
         self.degraded_discoveries = 0
 
@@ -271,15 +275,30 @@ class RelyingParty:
         return issuer, jwks, self.clock.now()
 
     def _discover(self, *, force: bool = False) -> None:
-        if self.jwks_cache is not None:
-            self._discover_shared(force=force)
-            return
-        if self._issuer is not None and not force:
-            age = self.clock.now() - self._jwks_fetched_at
-            if self.jwks_max_age is None or age <= self.jwks_max_age:
-                return
+        """Make sure provider metadata is held and fresh enough.
+
+        With a shared ``jwks_cache`` the read goes through its
+        single-flight coalescer: ``force`` demands an entry at least as
+        fresh as *now* — which an entry installed by another RP's refresh
+        at this same instant already is, so a rotation storm coalesces to
+        one fetch — and the per-RP ``jwks_max_age`` maps onto the same
+        freshness floor.
+        """
+        now = self.clock.now()
+        max_age = self.jwks_max_age
         try:
-            issuer, jwks, fetched_at = self._fetch_metadata()
+            if self.jwks_cache is not None:
+                min_fresh = now if force else (
+                    None if max_age is None else now - max_age)
+                issuer, jwks, fetched_at = self.jwks_cache.get_or_load(
+                    self.provider, self._fetch_metadata,
+                    min_fresh_at=min_fresh)
+            elif (self._issuer is None or force or (
+                    max_age is not None
+                    and now - self._jwks_fetched_at > max_age)):
+                issuer, jwks, fetched_at = self._fetch_metadata()
+            else:
+                return
         except ServiceUnavailable:
             if self._issuer is not None:
                 # degraded mode: keep validating against the cached JWKS
@@ -288,32 +307,9 @@ class RelyingParty:
                 self.degraded_discoveries += 1
                 return
             raise
-        self._issuer = issuer
-        self._jwks = jwks
-        self._jwks_fetched_at = fetched_at
-
-    def _discover_shared(self, *, force: bool) -> None:
-        """Read provider metadata through the shared single-flight cache.
-
-        ``force`` demands an entry at least as fresh as *now* — which an
-        entry installed by another RP's refresh at this same instant
-        already is, so a rotation storm coalesces to one fetch.  The
-        per-RP ``jwks_max_age`` maps onto the same freshness floor.
-        """
-        now = self.clock.now()
-        min_fresh: Optional[float] = None
-        if force:
-            min_fresh = now
-        elif self.jwks_max_age is not None:
-            min_fresh = now - self.jwks_max_age
-        try:
-            issuer, jwks, fetched_at = self.jwks_cache.get_or_load(
-                self.provider, self._fetch_metadata, min_fresh_at=min_fresh)
-        except ServiceUnavailable:
-            if self._issuer is not None:
-                self.degraded_discoveries += 1
-                return
-            raise
+        if jwks is not self._jwks or issuer != self._issuer:
+            self._validator = JwtValidator(
+                self.clock, issuer, self.client.client_id, jwks)
         self._issuer = issuer
         self._jwks = jwks
         self._jwks_fetched_at = fetched_at
@@ -373,21 +369,13 @@ class RelyingParty:
                 f"token exchange failed: {resp.body.get('error', resp.status)}"
             )
         id_token = str(resp.body["id_token"])
-        from repro.errors import SignatureInvalid
-
         try:
-            validator = JwtValidator(
-                self.clock, self.issuer, self.client.client_id, self._jwks
-            )
-            id_claims = validator.validate(id_token)
+            id_claims = self._validator.validate(id_token)
         except SignatureInvalid:
             # the provider may have rotated its keys: refresh the cached
             # JWKS once and retry before treating it as a forgery
             self._discover(force=True)
-            validator = JwtValidator(
-                self.clock, self.issuer, self.client.client_id, self._jwks
-            )
-            id_claims = validator.validate(id_token)
+            id_claims = self._validator.validate(id_token)
         if id_claims.get("nonce") != flow.nonce:
             raise AuthenticationError("ID token nonce mismatch (replay?)")
         out = dict(resp.body)

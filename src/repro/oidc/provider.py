@@ -32,7 +32,7 @@ from typing import Dict, List, Optional
 
 from repro.audit import AuditLog, Outcome
 from repro.clock import SimClock
-from repro.crypto import JwkSet, JwtValidator, encode_jwt
+from repro.crypto import JwkSet, JwtValidator, compact_digest, encode_jwt
 from repro.crypto.keys import generate_signing_key
 from repro.errors import ConfigurationError, TokenRevoked
 from repro.ids import IdFactory
@@ -104,7 +104,7 @@ class OidcProvider(Service, Durable):
         self.issuer = issuer or f"https://{name}"
         self._key_generation = 1
         self.key = generate_signing_key("EdDSA", kid=f"{name}-k1")
-        self.jwks = JwkSet([self.key.public()])
+        self._adopt_jwks(JwkSet([self.key.public()]))
         self.sessions = SessionStore(clock, ids, ttl=session_ttl)
         self.code_ttl = code_ttl
         self.access_ttl = access_ttl
@@ -113,6 +113,12 @@ class OidcProvider(Service, Durable):
         self._codes: Dict[str, AuthorizationCode] = {}
         # jti -> (subject, claims dict, expiry); doubles as the userinfo store
         self._issued: Dict[str, Dict[str, object]] = {}
+        # digest of each access token this very instance signed -> its
+        # jti: the strings _validate_access accepts without re-running
+        # the signature maths.  Private and volatile — never journaled,
+        # snapshotted, hashed or handed to a standby; a restarted or
+        # promoted instance starts empty and verifies for real
+        self._minted: Dict[bytes, str] = {}
         self._revoked_jtis: set[str] = set()
         self._code_tokens: Dict[str, List[str]] = {}  # code -> jtis minted from it
         self._device_flows: Dict[str, DeviceAuthorization] = {}  # device_code ->
@@ -494,6 +500,7 @@ class OidcProvider(Service, Durable):
                        code=code.code, jti=jti, record=record)
         code.used = True
         self._issued[jti] = record
+        self._minted[compact_digest(access_token)] = jti
         self._code_tokens.setdefault(code.code, []).append(jti)
 
         id_claims: Dict[str, object] = {
@@ -545,9 +552,18 @@ class OidcProvider(Service, Durable):
     # ------------------------------------------------------------------
     # userinfo / introspection / revocation
     # ------------------------------------------------------------------
+    def _recognises(self, token: str) -> bool:
+        """Did this instance sign exactly this string?  A fact about
+        bytes, not about validity: a yes spares the signature maths and
+        nothing else."""
+        return compact_digest(token) in self._minted
+
     def _validate_access(self, token: str) -> Dict[str, object]:
-        validator = JwtValidator(self.clock, self.issuer, None, self.jwks)
-        claims = validator.validate(token)
+        """Every presentation: segments, ``alg``/``kid`` against our own
+        JWKS, ``exp``/``nbf``/``iss``, jti known and not revoked.  Only
+        the Ed25519 check is skipped, and only for our own bytes."""
+        claims = self._validator.validate(
+            token, vouched=self._recognises(token))
         jti = str(claims.get("jti", ""))
         if jti in self._revoked_jtis or jti not in self._issued:
             raise TokenRevoked(f"token {jti} is revoked or unknown")
@@ -625,7 +641,13 @@ class OidcProvider(Service, Durable):
     def adopt_keys(self, journal: ServiceJournal) -> None:
         jwks = journal.unseal("jwks")
         if jwks is not None:
-            self.jwks = jwks
+            self._adopt_jwks(jwks)
+
+    def _adopt_jwks(self, jwks: JwkSet) -> None:
+        """``jwks`` is this provider's key set from now on, and the one
+        validator of its own tokens is built over it."""
+        self.jwks = jwks
+        self._validator = JwtValidator(self.clock, self.issuer, None, jwks)
 
     def _adopt_active_key(self, kid: str) -> None:
         if self.journal is None:
@@ -656,6 +678,7 @@ class OidcProvider(Service, Durable):
         self._clients = {}
         self._codes = {}
         self._issued = {}
+        self._minted = {}
         self._revoked_jtis = set()
         self._code_tokens = {}
         self._device_flows = {}
@@ -680,6 +703,7 @@ class OidcProvider(Service, Durable):
             c: AuthorizationCode(**d) for c, d in state["codes"].items()
         }
         self._issued = dict(state["issued"])
+        self._minted = {}
         self._revoked_jtis = set(state["revoked_jtis"])
         self._code_tokens = {c: list(j) for c, j in state["code_tokens"].items()}
 

@@ -22,7 +22,7 @@ from typing import Dict, List, Optional
 
 from repro.clock import SimClock
 from repro.crypto.certs import SignedDocument, sign_document, verify_document
-from repro.crypto.jwk import JwkSet, public_jwk
+from repro.crypto.jwk import public_jwk, verifying_key
 from repro.crypto.keys import SigningKey, VerifyingKey, generate_signing_key
 from repro.errors import CertificateError, SignatureInvalid
 
@@ -212,12 +212,11 @@ def check_certificate(
         raise CertificateError(
             f"principal {principal!r} not among certificate principals"
         )
-    user_keys = JwkSet.from_jwks({"keys": [cert.public_key_jwk]})
-    user_key = user_keys(cert.public_key_jwk.get("kid"))
-    if user_key is None:  # pragma: no cover - kid always present in our JWKs
-        raise CertificateError("certificate public key unusable")
     try:
-        user_key.verify(b"ssh-session:" + challenge, proof)
+        # a fresh verifier per connection: it remembers nothing, so the
+        # proof of possession is checked for real every time
+        verifying_key(cert.public_key_jwk).verify(
+            b"ssh-session:" + challenge, proof)
     except SignatureInvalid as exc:
         raise CertificateError("proof of key possession failed") from exc
     return cert
@@ -241,10 +240,9 @@ def validate_host_certificate(
         raise CertificateError(
             f"host certificate is for {cert.principals}, not {hostname!r}"
         )
-    host_keys = JwkSet.from_jwks({"keys": [cert.public_key_jwk]})
-    host_key = host_keys(cert.public_key_jwk.get("kid"))
     try:
-        host_key.verify(b"host-proof:" + challenge, proof)
+        verifying_key(cert.public_key_jwk).verify(
+            b"host-proof:" + challenge, proof)
     except SignatureInvalid as exc:
         raise CertificateError("host key possession proof failed") from exc
     return cert

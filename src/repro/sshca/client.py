@@ -22,11 +22,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
+from repro.crypto.jwk import verifying_key
 from repro.errors import AuthenticationError, CertificateError
 from repro.net.http import HttpRequest, HttpResponse
 from repro.oidc.client import UserAgent
 from repro.oidc.messages import make_url
-from repro.sshca.certificate import SshKeyPair
+from repro.sshca.certificate import SshKeyPair, validate_host_certificate
 
 __all__ = ["SshConfigEntry", "SshCertClient"]
 
@@ -77,8 +78,12 @@ class SshCertClient:
         self.valid_before: Optional[float] = None
         self.ssh_config: Dict[str, SshConfigEntry] = {}
         # the CA public key pinned from the certificate response: with it
-        # the client verifies host certificates (no trust-on-first-use)
+        # the client verifies host certificates (no trust-on-first-use).
+        # The verifier is built when the pin changes, not per connection,
+        # so it remembers the host certificate it has verified; the
+        # host's proof of possession is still checked on every connection
         self.ca_public_jwk: Optional[Dict[str, str]] = None
+        self._ca_verifier = None
         self.clock = None  # injected by the deployment for host-cert checks
 
     # ------------------------------------------------------------------
@@ -107,8 +112,11 @@ class SshCertClient:
             self.certificate = str(resp.body["certificate"])
             self.valid_before = float(resp.body["valid_before"])
             ca_jwk = resp.body.get("ca_public_key_jwk")
-            if isinstance(ca_jwk, dict):
+            # by content — the dict is a new one on every response; a
+            # different CA key gets a new verifier that remembers nothing
+            if isinstance(ca_jwk, dict) and ca_jwk != self.ca_public_jwk:
                 self.ca_public_jwk = ca_jwk
+                self._ca_verifier = verifying_key(ca_jwk)
             if update_config:
                 nodes = login_nodes or {"isambard": login_node}
                 self._rewrite_ssh_config(resp.body, nodes)
@@ -167,19 +175,14 @@ class SshCertClient:
             },
         )
         resp = self.agent.call(self.bastion, request, port=22)
-        if resp.ok and self.ca_public_jwk is not None and self.clock is not None:
+        if resp.ok and self._ca_verifier is not None and self.clock is not None:
             host_cert = resp.body.get("host_certificate")
             if not host_cert:
                 raise CertificateError(
                     f"{hostname} presented no host certificate; refusing"
                 )
-            from repro.crypto.jwk import JwkSet
-            from repro.sshca.certificate import validate_host_certificate
-
-            ca_keys = JwkSet.from_jwks({"keys": [self.ca_public_jwk]})
-            ca_pub = ca_keys(self.ca_public_jwk.get("kid"))
             validate_host_certificate(
-                str(host_cert), ca_pub, self.clock,
+                str(host_cert), self._ca_verifier, self.clock,
                 hostname=hostname,
                 challenge=challenge,
                 proof=bytes.fromhex(str(resp.body.get("host_proof", ""))),

@@ -275,6 +275,33 @@ def world():
 
 
 @pytest.fixture()
+def real_crypto(monkeypatch):
+    """``(signs, verifies)``: Counters, by ``kid``, of the asymmetric
+    signatures really computed and really checked from here on, across
+    every key object.  An answer from a key's memo of verified pairs, or
+    an issuer recognising a token it minted, runs no maths and counts as
+    nothing.  Every user and host SSH key is ``user-ssh-key``."""
+    from collections import Counter
+
+    from repro.crypto.keys import SigningKey, VerifyingKey
+
+    signs, verifies = Counter(), Counter()
+    sign, check = SigningKey.sign, VerifyingKey._check
+
+    def counting_sign(self, data):
+        signs[self.kid] += 1
+        return sign(self, data)
+
+    def counting_check(self, data, signature):
+        verifies[self.kid] += 1
+        return check(self, data, signature)
+
+    monkeypatch.setattr(SigningKey, "sign", counting_sign)
+    monkeypatch.setattr(VerifyingKey, "_check", counting_check)
+    return signs, verifies
+
+
+@pytest.fixture()
 def oidc_world(sim):
     """Provider + RP app + user agent, wired and registered."""
     clock, ids, network = sim

@@ -33,7 +33,7 @@ MAX_BUILDER_LINES = 450
 MAX_TIER_CONDITIONALS = 20
 # lower these when a change lowers the count; never raise them
 MAX_SETTABLE_VALUES = 76
-MAX_SRC_STATEMENTS = 11_230
+MAX_SRC_STATEMENTS = 11_223
 # concepts that once had two implementations: the loser's name stays gone
 MERGED_AWAY = {"AccountRegistry", "EduGain", "BoundedSpanStore",
                "LatencyTracker"}
@@ -165,6 +165,30 @@ def test_src_leaves_the_collector_alone():
     much as import ``gc``."""
     for path in sorted(SRC.rglob("*.py")):
         assert "gc" not in _imports(path), path
+
+
+def test_recognition_never_leaves_the_issuer():
+    """Which tokens an issuer signed (``_minted``) and the question it
+    answers from that (``recognises``) are named by the two issuing
+    classes and the broker that joins them — nowhere a relying party, a
+    shared key object or a journal could reach; and only they ever vouch
+    for a signature (``vouched=`` anything but the validator's own
+    pass-through)."""
+    owners = {"repro/oidc/provider.py", "repro/broker/tokens.py",
+              "repro/broker/broker.py"}
+    named, vouching = set(), set()
+    for path in sorted(SRC.rglob("*.py")):
+        rel = path.relative_to(SRC).as_posix()
+        for node in ast.walk(ast.parse(path.read_text())):
+            name = getattr(node, "attr", None) or getattr(node, "name", None)
+            if name in ("_minted", "recognises", "_recognises"):
+                named.add(rel)
+            if isinstance(node, ast.Call) and any(
+                    kw.arg == "vouched" for kw in node.keywords):
+                vouching.add(rel)
+    assert named == owners
+    assert vouching == {"repro/oidc/provider.py", "repro/broker/broker.py",
+                        "repro/crypto/jwt.py"}
 
 
 def test_one_implementation_per_concept():

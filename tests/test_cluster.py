@@ -180,6 +180,42 @@ def test_jupyter_reuses_live_session(jupyter):
     assert service.spawns == 1
 
 
+def test_live_session_lookup_does_not_grow_with_sessions_ever_opened(
+        jupyter, clock, monkeypatch):
+    """Closed sessions stay on the books (``sessions(active_only=False)``)
+    but finding a subject's live one looks at that subject's latest
+    session only — however many others came and went."""
+    from repro.cluster.jupyter import JupyterSession
+
+    service, tokens = jupyter
+    mine = service.handle(notebook_request(
+        tokens.mint("ma-1", "jupyter", Role.RESEARCHER)[0])).body["session_id"]
+    for cycle in range(2000):
+        other, _ = tokens.mint(f"ma-other-{cycle % 7}", "jupyter",
+                               Role.RESEARCHER)
+        opened = service.handle(notebook_request(other))
+        assert service.close_session(opened.body["session_id"])
+    assert len(service.sessions(active_only=False)) == 2001
+
+    looked_at, active = [], JupyterSession.active
+    monkeypatch.setattr(
+        JupyterSession, "active",
+        lambda self, now: looked_at.append(self) or active(self, now))
+    assert service._live_session("ma-1").session_id == mine
+    assert service._live_session("ma-other-3") is None  # closed: none live
+    assert service._live_session("nobody") is None
+    assert len(looked_at) == 2
+    # the latest session is the only candidate: close it, reopen, expire
+    assert service.close_sessions_for("ma-1") == 1
+    assert service._live_session("ma-1") is None
+    again = service.handle(notebook_request(
+        tokens.mint("ma-1", "jupyter", Role.RESEARCHER)[0])).body
+    assert again["session_id"] != mine and service.spawns == 2002
+    assert service._live_session("ma-1").session_id == again["session_id"]
+    clock.advance(again["expires_at"] - clock.now())
+    assert service._live_session("ma-1") is None
+
+
 def test_jupyter_requires_token_header(jupyter):
     service, _ = jupyter
     resp = service.handle(HttpRequest("GET", "/"))

@@ -130,3 +130,31 @@ def test_decode_unverified_reads_payload(key, clock):
 def test_decode_unverified_rejects_garbage():
     with pytest.raises(SignatureInvalid):
         decode_unverified("not-a-jwt")
+
+
+def test_allow_list_is_checked_when_the_validator_is_built(clock, key):
+    with pytest.raises(SignatureInvalid):
+        JwtValidator(clock, ISS, AUD, key.public(), allowed_algs=["EdDSA", "none"])
+    only_rsa = JwtValidator(clock, ISS, AUD, key.public(), allowed_algs=["RS256"])
+    with pytest.raises(SignatureInvalid):
+        only_rsa.validate(mint(key, clock))
+
+
+def test_vouched_signature_still_gets_every_claim_checked(clock, key):
+    """``vouched=True`` spares the signature maths, nothing else."""
+    never_asked = generate_signing_key("EdDSA", kid="jwt-key").public()
+    validator = JwtValidator(clock, ISS, AUD, never_asked,
+                             required_claims=("sub",))
+    good = mint(key, clock)
+    with pytest.raises(SignatureInvalid):  # a different key: really checked
+        validator.validate(good)
+    assert validator.validate(good, vouched=True)["sub"] == "alice"
+    for refused, token in [
+        (TokenExpired, mint(key, clock, exp=clock.now() - 60)),
+        (TokenNotYetValid, mint(key, clock, nbf=clock.now() + 60)),
+        (IssuerMismatch, mint(key, clock, iss="https://elsewhere")),
+        (AudienceMismatch, mint(key, clock, aud="jupyter")),
+        (SignatureInvalid, good.rsplit(".", 1)[0]),
+    ]:
+        with pytest.raises(refused):
+            validator.validate(token, vouched=True)

@@ -194,3 +194,59 @@ def test_jwkset_rotation_retire(keys):
     jwks.retire("EdDSA-key")
     assert jwks("EdDSA-key") is None
     assert jwks(None) is None
+
+
+def test_thumbprint_is_computed_only_for_a_key_that_names_no_kid(
+        keys, monkeypatch):
+    from repro.crypto import jwk as jwk_module
+
+    jwk = public_jwk(keys["EdDSA"].public())
+    anonymous = {k: v for k, v in jwk.items() if k != "kid"}
+    assert JwkSet.from_jwks({"keys": [anonymous]}).kids() == [
+        jwk_thumbprint(jwk)]
+    monkeypatch.setattr(jwk_module, "jwk_thumbprint",
+                        lambda jwk: pytest.fail("thumbprint thrown away"))
+    assert JwkSet.from_jwks({"keys": [jwk]}).kids() == ["EdDSA-key"]
+    assert jwk_module.verifying_key(dict(jwk, kid="")).kid == ""
+
+
+# ---------------------------------------------------------------------------
+# a vouched-for signature: the maths is skipped, nothing else is
+# ---------------------------------------------------------------------------
+def test_vouched_skips_the_key_and_only_the_key(keys):
+    from repro.crypto.jws import acceptable_algs, compact_digest
+
+    key = keys["EdDSA"]
+    token = sign_compact(key, b"data")
+
+    class NeverAsked:
+        alg, kid = key.alg, key.kid
+
+        def verify(self, data, signature):
+            raise AssertionError("the signature maths ran")
+
+    assert verify_compact(token, NeverAsked(), vouched=True)[1] == b"data"
+    with pytest.raises(AssertionError):
+        verify_compact(token, NeverAsked())
+    # every other refusal stands: segments, alg, allow-list, kid, alg/key
+    header, payload, signature = token.split(".")
+    none = b64url_encode(b'{"alg":"none","kid":"EdDSA-key"}')
+    for bad, lookup, algs in [
+        (f"{header}.{payload}", key.public(), ("EdDSA",)),
+        (f"{header}.{payload}.A", key.public(), ("EdDSA",)),
+        (f"{none}.{payload}.{signature}", key.public(), ("EdDSA",)),
+        (token, key.public(), ("RS256",)),
+        (token, key.public(), ("none", "EdDSA")),
+        (token, JwkSet(), ("EdDSA",)),
+        (token, keys["ES256"].public(), ("EdDSA", "ES256")),
+    ]:
+        with pytest.raises(SignatureInvalid):
+            verify_compact(bad, lookup, algs, vouched=True)
+    # the allow-list is checked where it is given, once
+    with pytest.raises(SignatureInvalid):
+        acceptable_algs(["EdDSA", "NoNe"])
+    assert acceptable_algs(("EdDSA",)) == frozenset({"EdDSA"})
+    # the digest names one exact string
+    assert compact_digest(token) == compact_digest(str(token))
+    assert compact_digest(token) != compact_digest(token + "=")
+    assert len(compact_digest("\udcff")) == 32  # never raises

@@ -458,3 +458,84 @@ def test_dict_attr_key_order_survives_the_journal():
     assert dri.restart("audit-fds") is not None
     assert log.verify_chain() == (True, None)
     assert log.events()[-1].digest == event.digest == log._head
+
+
+# ======================================================================
+# the broker's memory of the tokens it minted is volatile
+# ======================================================================
+def _token_story(dri):
+    """Onboard, use SSH and a notebook, mint one token; returns it."""
+    wf = dri.workflows
+    s1 = wf.story1_pi_onboarding("pi", project_name="mem-proj")
+    project_id = str(s1.data["project_id"])
+    assert wf.story3_researcher_setup(project_id, "pi", "res1").ok
+    assert wf.story4_ssh_session("res1").ok
+    assert wf.story6_jupyter("res1").ok
+    minted = wf.mint(wf.personas["res1"], "jupyter", "researcher",
+                     project=project_id)
+    assert minted.ok, minted.body
+    return str(minted.body["token"])
+
+
+def _introspect(dri, token):
+    agent = dri.workflows.personas["res1"].agent
+    return agent.call(
+        "broker", HttpRequest("POST", "/introspect", body={"token": token}))
+
+
+def _journaled_bytes(dri):
+    return {
+        name: (journal._snapshot, tuple(journal._sealed),
+               tuple((e.seq, e.time, e.epoch, e.kind, e.record)
+                     for e in journal._entries))
+        for name, journal in sorted(dri.durability._streams.items())}
+
+
+def test_recognition_changes_no_journaled_byte(monkeypatch):
+    """Differential: the same story on a broker that recognises its
+    tokens and on one that checks every signature (the parent's
+    behaviour) leaves identical journals, snapshots, state hashes and
+    audit heads."""
+    from repro.broker import IdentityBroker
+
+    def run():
+        dri = build_isambard(seed=97, durability=True)
+        token = _token_story(dri)
+        assert _introspect(dri, token).body["active"] is True
+        return dri
+
+    recognising = run()
+    assert recognising.broker.tokens._minted and recognising.broker._minted
+    monkeypatch.setattr(IdentityBroker, "_recognises",
+                        lambda self, token: False)
+    checking = run()
+    assert _journaled_bytes(recognising) == _journaled_bytes(checking)
+    assert recognising.broker.state_hash() == checking.broker.state_hash()
+    assert ({n: log._head for n, log in recognising.logs.items()}
+            == {n: log._head for n, log in checking.logs.items()})
+    assert "_minted" not in str(recognising.broker.durable_state())
+
+
+def test_restarted_broker_verifies_pre_crash_tokens_for_real():
+    from tests.test_hot_path_bookkeeping import count_real_verifications
+
+    dri = build_isambard(seed=98, durability=True)
+    before = _token_story(dri)
+    live_hash = dri.broker.state_hash()
+    dri.crash("broker")
+    assert not dri.broker._minted and not dri.broker.tokens._minted
+    report = dri.restart("broker")
+    assert report.state_hash == live_hash == dri.broker.state_hash()
+
+    real = count_real_verifications(dri.broker.jwks)
+    assert not dri.broker._recognises(before)
+    assert _introspect(dri, before).body["active"] is True
+    assert real() == 1  # the record was replayed, the bytes were not
+    wf = dri.workflows
+    after = wf.mint(wf.personas["res1"], "jupyter", "researcher")
+    assert after.ok, after.body
+    # (the mint itself had the portal verify a new service token: a
+    # relying party's first sight, counted on the key object they share)
+    real = count_real_verifications(dri.broker.jwks)
+    assert _introspect(dri, str(after.body["token"])).body["active"] is True
+    assert real() == 0  # its own again

@@ -162,3 +162,44 @@ def test_promotion_restores_regions_with_fresh_epochs():
         # replay carried it into the promoted store)
         assert region.revocations.is_revoked(rec.jti)
     assert wf.mint(wf.personas["pi"], "jupyter", "pi").ok
+
+
+def test_promoted_standby_inherits_no_memory_of_minted_tokens():
+    """The standby replays the primary's issued *records*; which bytes
+    the primary signed is the primary's own volatile knowledge.  So the
+    promoted broker verifies the deposed primary's tokens for real, then
+    recognises the ones it mints itself — and a fenced mint on the
+    deposed primary leaves nothing to recognise."""
+    from repro.net.http import HttpRequest
+    from tests.test_hot_path_bookkeeping import count_real_verifications
+
+    dri = build_isambard(seed=707, failover=True)
+    wf = dri.workflows
+    assert wf.story1_pi_onboarding("pi").ok
+    agent = wf.personas["pi"].agent
+
+    def introspect(token):
+        return agent.call("broker", HttpRequest(
+            "POST", "/introspect", body={"token": token})).body["active"]
+
+    by_primary = str(wf.mint(wf.personas["pi"], "jupyter", "pi").body["token"])
+    old_broker = dri.broker
+    assert old_broker._recognises(by_primary)
+    dri.crash("broker")
+    dri.clock.advance(dri.failover.budget + 0.5)
+    assert dri.failover.pairs["broker"].promoted
+    assert dri.broker is not old_broker and dri.broker.jwks is old_broker.jwks
+
+    assert not dri.broker._recognises(by_primary)
+    real = count_real_verifications(dri.broker.jwks)
+    assert introspect(by_primary) is True
+    assert real() == 1
+    by_standby = str(wf.mint(wf.personas["pi"], "jupyter", "pi").body["token"])
+    real = count_real_verifications(dri.broker.jwks)  # past the portal's check
+    assert dri.broker._recognises(by_standby)
+    assert introspect(by_standby) is True
+    assert real() == 0
+
+    with pytest.raises(EpochFenced):
+        old_broker.tokens.mint("zombie", "jupyter", "pi")
+    assert not old_broker.tokens._minted and not old_broker._minted

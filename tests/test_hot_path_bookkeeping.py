@@ -258,6 +258,22 @@ def _counted(signing_key):
     return verifier, verifier._public
 
 
+def count_real_verifications(*key_sets):
+    """Count the signature checks the keys now in these ``JwkSet``s really
+    run — an answer from a key's memo or an issuer recognising its own
+    token is not one.  Returns a callable that reads the total since this
+    call; a key added later (a rotation) needs another call."""
+    counters = []
+    for keys in key_sets:
+        for kid in keys.kids():
+            verifier = keys.get(kid)
+            if not isinstance(verifier._public, CountingPublicKey):
+                verifier._public = CountingPublicKey(verifier._public)
+            counters.append(verifier._public)
+    before = sum(counter.calls for counter in counters)
+    return lambda: sum(counter.calls for counter in counters) - before
+
+
 @pytest.mark.parametrize("alg", ["EdDSA", "ES256"])
 def test_repeat_verification_is_remembered_but_forgeries_are_not(alg):
     key = generate_signing_key(alg, kid="k1")

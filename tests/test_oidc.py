@@ -303,3 +303,91 @@ def test_audit_trail_records_issuance(oidc_world):
     assert provider.audit.count(action="token.issued") == 1
     assert provider.audit.count(action="session.create") == 1
     assert provider.audit.count(action="authorize.code_issued") == 1
+
+
+# ---------------------------------------------------------------------------
+# the provider recognises the access tokens it minted
+# ---------------------------------------------------------------------------
+def _access_token(provider, app, agent):
+    login(agent)
+    resp, _, _ = full_flow(app, agent)
+    assert resp.ok, resp.body
+    return app.last_tokens["access_token"]
+
+
+def _present(agent, token):
+    """(introspection body, userinfo status) for one presentation each."""
+    active = agent.call(
+        "op", HttpRequest("POST", "/introspect", body={"token": token}))
+    info = agent.call("op", HttpRequest(
+        "GET", "/userinfo", headers={"Authorization": f"Bearer {token}"}))
+    return active.body, info.status
+
+
+def test_provider_checks_no_signature_on_its_own_access_token(oidc_world):
+    from repro.crypto import JwtValidator
+    from tests.test_hot_path_bookkeeping import count_real_verifications
+
+    clock, _, _, provider, app, agent = oidc_world
+    token = _access_token(provider, app, agent)
+    # what a full verification returns, by a key that remembers nothing
+    claims = JwtValidator(
+        clock, provider.issuer, None, provider.key.public()).validate(token)
+    real = count_real_verifications(provider.jwks)
+    for _ in range(2):
+        assert _present(agent, token) == ({"active": True, **claims}, 200)
+    assert real() == 0
+    # one changed character: checked for real and refused, every time
+    for at in (3, len(token) // 2, len(token) - 2):
+        altered = token[:at] + ("A" if token[at] != "A" else "B") + token[at + 1:]
+        assert not provider._recognises(altered)
+        for _ in range(2):
+            assert _present(agent, altered) == ({"active": False}, 403)
+    # revoked, then expired: recognised bytes, refused all the same
+    provider.revoke_jti(str(claims["jti"]))
+    assert provider._recognises(token)
+    assert _present(agent, token) == ({"active": False}, 403)
+    fresh = _access_token(provider, app, agent)
+    assert _present(agent, fresh)[1] == 200
+    clock.advance(provider.access_ttl + 10)
+    assert _present(agent, fresh) == ({"active": False}, 403)
+
+
+def test_provider_recognition_is_private_and_volatile(oidc_world):
+    from repro.errors import SignatureInvalid
+    from tests.conftest import PasswordProvider
+    from tests.test_hot_path_bookkeeping import count_real_verifications
+
+    clock, ids, network, provider, app, agent = oidc_world
+    token = _access_token(provider, app, agent)
+    assert "_minted" not in str(provider.durable_state())
+    # another instance under the same name, issuer and kid: not its bytes
+    twin = PasswordProvider("op", clock, ids)
+    assert twin.issuer == provider.issuer and twin.key.kid == provider.key.kid
+    assert not twin._recognises(token)
+    with pytest.raises(SignatureInvalid):
+        twin._validate_access(token)
+    # a reload (what recovery does) keeps the record and forgets the bytes:
+    # the token still validates, at the price of one real verification
+    state = provider.durable_state()
+    provider.wipe_state()
+    provider.load_state(state)
+    assert not provider._recognises(token)
+    real = count_real_verifications(provider.jwks)
+    assert provider._validate_access(token)["sub"] == "alice"
+    assert real() == 1
+
+
+def test_relying_party_builds_its_validator_once_per_key_set(oidc_world):
+    _, _, _, provider, app, agent = oidc_world
+    login(agent)
+    assert full_flow(app, agent)[0].ok
+    validator = app.rp._validator
+    assert full_flow(app, agent)[0].ok
+    assert app.rp._validator is validator
+    # a rotation surfaces as SignatureInvalid: one refresh, a validator
+    # over the new key set, and the same redemption succeeds
+    provider.rotate_key()
+    assert full_flow(app, agent)[0].ok
+    assert app.rp._validator is not validator
+    assert app.rp._validator.keys is app.rp._jwks

@@ -50,6 +50,38 @@ def test_rotation_old_tokens_survive_grace(world):
     assert validator.validate(new_token)
 
 
+def test_recognised_or_not_a_token_lives_exactly_as_long_as_its_kid(world):
+    """The broker skips the signature maths for its own tokens, never
+    the ``kid`` lookup: rotation keeps an old-kid token valid, retirement
+    kills it — whether or not the broker remembers minting it."""
+    from repro.broker import Role
+    from repro.crypto import compact_digest
+    from tests.test_hot_path_bookkeeping import count_real_verifications
+
+    broker = world.broker
+    old_kid = broker.key.kid
+    remembered, _ = broker.tokens.mint("alice", "portal", Role.RESEARCHER)
+    forgotten, _ = broker.tokens.mint("bob", "portal", Role.RESEARCHER)
+    # as on a restarted broker: the issued record is there, the bytes are not
+    del broker.tokens._minted[compact_digest(forgotten)]
+    broker.rotate_key()
+
+    real = count_real_verifications(broker.jwks)
+    assert broker._validate_access(remembered)["sub"] == "alice"
+    assert real() == 0
+    assert broker._validate_access(forgotten)["sub"] == "bob"
+    assert real() == 1  # the old key is still published: checked for real
+
+    broker.retire_key(old_kid)
+    for token in (remembered, forgotten):
+        assert broker._recognises(token) is (token is remembered)
+        with pytest.raises(TokenError):
+            broker._validate_access(token)
+    current, _ = broker.tokens.mint("alice", "portal", Role.RESEARCHER)
+    assert broker._validate_access(current)["sub"] == "alice"
+    assert real() == 1
+
+
 def test_cannot_retire_active_key(world):
     with pytest.raises(ConfigurationError):
         world.broker.retire_key(world.broker.key.kid)
@@ -98,6 +130,9 @@ def test_purge_expired_tokens(world):
     assert purged == 1
     assert svc.issued(dead_rec.jti) is None
     assert not svc.is_revoked(dead_rec.jti)  # mark dropped with the record
+    # and so is the broker's memory of the bytes: bounded by the records
+    assert not svc.recognises(dead) and svc.recognises(live)
+    assert set(svc._minted.values()) <= set(svc._issued)
 
 
 def test_purge_keeps_recent_and_live(world):

@@ -26,6 +26,25 @@ def test_issue_and_validate_svid(authority):
     assert not identity.matches("spiffe://isambard.example/mdc/")
 
 
+def test_one_bundle_remembers_the_svids_it_verified(authority):
+    """Forwarders that flush at the same instant present byte-identical
+    SVIDs; one public half means the second costs no signature check —
+    and expiry is still the clock's call on every presentation."""
+    from tests.test_hot_path_bookkeeping import CountingPublicKey
+
+    clock, tda = authority
+    assert tda.bundle() is tda.bundle()
+    counter = tda.bundle()._public = CountingPublicKey(tda.bundle()._public)
+    wire = tda.issue_svid("fds/zenith")
+    assert wire == tda.issue_svid("fds/zenith")  # same instant, same bytes
+    for _ in range(3):
+        tda.validate_svid(wire)
+    assert counter.calls == 1
+    clock.advance(601)
+    with pytest.raises(AuthenticationError):
+        tda.validate_svid(wire)
+
+
 def test_unattested_workload_refused(authority):
     _, tda = authority
     with pytest.raises(AuthenticationError):

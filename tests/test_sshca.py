@@ -400,3 +400,109 @@ def test_session_close_for_principal(ssh_net, ca_key, clock):
     ssh_connect(agent, kp, wire)
     assert sshd.close_sessions_for("alice.proj1") == 2
     assert sshd.sessions() == []
+
+
+# ---------------------------------------------------------------------------
+# the client verifies a host certificate once and the host's proof always
+# ---------------------------------------------------------------------------
+class ScriptedAgent:
+    """Stands in for the user's device: the broker's certificate response
+    and the login node's answer are whatever the test last set."""
+
+    def __init__(self):
+        self.ca_jwk = self.host_answer = None
+
+    def post(self, url, body):
+        from repro.net import HttpResponse
+
+        return HttpResponse.json({
+            "certificate": "user-cert", "valid_before": 1e9,
+            "ca_public_key_jwk": dict(self.ca_jwk)}), url
+
+    def call(self, endpoint, request, port=443):
+        from repro.net import HttpResponse
+
+        return HttpResponse.json(self.host_answer(
+            f"{request.body['target']}|{request.body['principal']}".encode()))
+
+
+class LoginNode:
+    """A host keypair, its CA-signed certificate and its proof."""
+
+    def __init__(self, ca_key, clock):
+        from repro.sshca.certificate import issue_host_certificate
+
+        self.keypair = self.proving = SshKeyPair.generate()
+        self.certificate = issue_host_certificate(
+            ca_key, serial=1, hostname="login-node",
+            host_public_key_jwk=self.keypair.public_jwk(),
+            valid_after=clock.now(), valid_before=clock.now() + 3600.0)
+
+    def answer(self, challenge):
+        return {"session_id": "s", "host_certificate": self.certificate,
+                "host_proof": self.proving.key.sign(
+                    b"host-proof:" + challenge).hex()}
+
+
+@pytest.fixture()
+def real_checks(real_crypto):
+    """Real signature checks, counted per ``kid`` across every key object."""
+    return real_crypto[1]
+
+
+def _client(ca_key, clock):
+    from repro.crypto.jwk import public_jwk
+    from repro.sshca.client import SshCertClient
+
+    agent = ScriptedAgent()
+    agent.ca_jwk = public_jwk(ca_key.public())
+    node = LoginNode(ca_key, clock)
+    agent.host_answer = node.answer
+    client = SshCertClient(agent)
+    client.clock = clock
+    return client, agent, node
+
+
+def test_client_verifies_the_host_certificate_once_and_the_proof_every_time(
+        ca_key, clock, real_checks):
+    client, agent, node = _client(ca_key, clock)
+    for connection in (1, 2, 3):
+        assert client.request_certificate().ok  # re-pins the same CA key
+        assert client.ssh_direct("alice.proj1").ok
+        assert real_checks["ca"] == 1               # the host certificate
+        assert real_checks["user-ssh-key"] == connection  # the host's proof
+    # the genuine certificate with somebody else's proof: refused, late
+    # in the client's life as on its first connection
+    node.proving = SshKeyPair.generate()
+    for _ in range(2):
+        with pytest.raises(CertificateError, match="possession"):
+            client.ssh_direct("alice.proj1")
+    assert real_checks["ca"] == 1 and real_checks["user-ssh-key"] == 5
+    # and the window is the clock's: a remembered signature does not
+    # keep an expired host certificate alive
+    node.proving = node.keypair
+    clock.advance(3601.0)
+    with pytest.raises(CertificateError, match="validity window"):
+        client.ssh_direct("alice.proj1")
+
+
+def test_client_forgets_what_the_old_ca_vouched_for_when_the_pin_changes(
+        ca_key, clock, real_checks):
+    client, agent, node = _client(ca_key, clock)
+    assert client.request_certificate().ok and client.ssh_direct("a.p").ok
+    pinned = client._ca_verifier
+    assert client.request_certificate().ok
+    assert client._ca_verifier is pinned  # same content, same verifier
+
+    from repro.crypto.jwk import public_jwk
+
+    new_ca = generate_signing_key("EdDSA", kid="ca")  # same kid, new key
+    agent.ca_jwk = public_jwk(new_ca.public())
+    assert client.request_certificate().ok
+    assert client._ca_verifier is not pinned
+    for _ in range(2):  # the old CA's host certificate: checked, refused
+        with pytest.raises(CertificateError, match="signature invalid"):
+            client.ssh_direct("a.p")
+    assert real_checks["ca"] == 3
+    agent.host_answer = LoginNode(new_ca, clock).answer
+    assert client.ssh_direct("a.p").ok
