@@ -14,12 +14,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import DeadlineExceeded, RateLimited, ReproError
 from repro.resilience.overload import Priority
-from repro.telemetry.context import (
-    BAGGAGE_HEADER,
-    TRACEPARENT_HEADER,
-    TraceContext,
-    trace_id_from_headers,
-)
+from repro.telemetry.context import TRACEPARENT_HEADER, TraceContext
 from repro.telemetry.tracing import SpanStatus
 
 __all__ = ["HttpRequest", "HttpResponse", "Service", "route"]
@@ -34,7 +29,9 @@ class HttpRequest:
     :class:`repro.resilience.overload.Priority`) and ``deadline`` is the
     absolute simulated time after which the caller no longer wants the
     answer; both propagate automatically onto downstream calls a service
-    makes while handling this request.
+    makes while handling this request.  So does ``trace``, the request's
+    position in its trace: between the hops of one process it is this
+    object, never a header.
     """
 
     method: str
@@ -52,6 +49,9 @@ class HttpRequest:
     # it never propagates to nested calls, so only the hop whose caller
     # armed it can trip it
     attempt_deadline: Optional[float] = None
+    # the span downstream work parents under; each hop swaps in its own
+    # child for the duration of the hop and puts the caller's back
+    trace: Optional[TraceContext] = None
 
     def bearer_token(self) -> Optional[str]:
         """Extract a ``Authorization: Bearer ...`` token if present."""
@@ -207,10 +207,12 @@ class Service:
         outbound request carries only the default tag.  A broker hop
         made on behalf of an expiring login therefore expires with it.
         The trace context propagates the same way: an outbound request
-        with no ``traceparent`` of its own inherits the served request's,
-        and — when the network carries a telemetry runtime — the whole
-        outbound call (including every retry attempt and any breaker
-        short-circuit) is recorded as one client span.
+        with no context of its own inherits the served request's, and —
+        when the network carries a telemetry runtime — the whole outbound
+        call (including every retry attempt and any breaker short-circuit)
+        is recorded as one client span.  A request that arrives here with
+        a ``traceparent`` header and no context object came from outside
+        the process's own hops: this is the one place the header is read.
         """
         if self.network is None or self.endpoint is None:
             raise RuntimeError(f"service {self.name} is not attached to a network")
@@ -223,28 +225,23 @@ class Service:
             if (request.priority == Priority.INTERACTIVE
                     and inbound.priority != Priority.INTERACTIVE):
                 request.priority = inbound.priority
-            if (TRACEPARENT_HEADER not in request.headers
-                    and TRACEPARENT_HEADER in inbound.headers):
-                request.headers[TRACEPARENT_HEADER] = \
-                    inbound.headers[TRACEPARENT_HEADER]
-                if BAGGAGE_HEADER in inbound.headers:
-                    request.headers[BAGGAGE_HEADER] = \
-                        inbound.headers[BAGGAGE_HEADER]
+            if (request.trace is None
+                    and TRACEPARENT_HEADER not in request.headers):
+                request.trace = inbound.trace
 
         tele = getattr(self.network, "telemetry", None)
         span = None
-        saved_tp = saved_bg = None
+        ctx = caller_ctx = request.trace
         attempts_before = 0
         if tele is not None:
-            ctx = TraceContext.extract(request.headers)
+            if ctx is None and TRACEPARENT_HEADER in request.headers:
+                ctx = TraceContext.extract(request.headers)
             if ctx is not None:
                 span = tele.tracer.start_span(
                     f"call {dst}", ctx, service=self.name, kind="client",
                     dst=dst, path=request.path,
                 )
-                saved_tp = request.headers.get(TRACEPARENT_HEADER)
-                saved_bg = request.headers.get(BAGGAGE_HEADER)
-                ctx.child_of(span.span_id).inject(request.headers)
+                request.trace = ctx.child_of(span.span_id)
                 if self.resilience is not None:
                     attempts_before = self.resilience.metrics.attempts
         try:
@@ -280,15 +277,7 @@ class Service:
                                     http_status=response.status)
             return response
         finally:
-            if span is not None:
-                if saved_tp is None:
-                    request.headers.pop(TRACEPARENT_HEADER, None)
-                else:
-                    request.headers[TRACEPARENT_HEADER] = saved_tp
-                if saved_bg is None:
-                    request.headers.pop(BAGGAGE_HEADER, None)
-                else:
-                    request.headers[BAGGAGE_HEADER] = saved_bg
+            request.trace = caller_ctx
 
     def _end_call_span(self, tele, span, attempts_before: int,
                        **end_kwargs) -> None:
@@ -318,16 +307,15 @@ class Service:
         """
         domain = zone = ""
         if self.endpoint is not None:
-            domain = str(self.endpoint.domain)
-            zone = str(self.endpoint.zone)
+            domain = self.endpoint.domain_label
+            zone = self.endpoint.zone_label
         region = getattr(self, "region_name", "")
         if region and "region" not in attrs:
             attrs["region"] = region
         if "trace_id" not in attrs:
             for inbound in reversed(self._serving):
-                tid = trace_id_from_headers(inbound.headers)
-                if tid is not None:
-                    attrs["trace_id"] = tid
+                if inbound.trace is not None:
+                    attrs["trace_id"] = inbound.trace.trace_id
                     break
         return self.audit.record(  # type: ignore[attr-defined]
             self.clock.now(), self.name, actor, action, resource,  # type: ignore[attr-defined]

@@ -40,11 +40,6 @@ from repro.errors import (
 from repro.net.firewall import Firewall
 from repro.net.http import HttpRequest, HttpResponse, Service
 from repro.net.zones import OperatingDomain, Zone
-from repro.telemetry.context import (
-    BAGGAGE_HEADER,
-    TRACEPARENT_HEADER,
-    TraceContext,
-)
 from repro.telemetry.tracing import SpanStatus
 
 __all__ = ["Endpoint", "Network"]
@@ -65,7 +60,13 @@ def _hop_outcome(exc: BaseException) -> str:
 
 @dataclass
 class Endpoint:
-    """A network presence: a service bound to a domain and zone."""
+    """A network presence: a service bound to a domain and zone.
+
+    Where an endpoint sits never changes once it is attached, so the
+    plain-``str`` forms every audit record and span of a message carries
+    are rendered here, once: ``domain_label``/``zone_label`` and
+    ``location`` (``"fds/access"``).
+    """
 
     name: str
     domain: OperatingDomain
@@ -73,6 +74,14 @@ class Endpoint:
     service: Service
     up: bool = True
     tags: Dict[str, str] = field(default_factory=dict)
+    domain_label: str = field(init=False)
+    zone_label: str = field(init=False)
+    location: str = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.domain_label = str(self.domain)
+        self.zone_label = str(self.zone)
+        self.location = f"{self.domain_label}/{self.zone_label}"
 
 
 class Network:
@@ -194,9 +203,9 @@ class Network:
         d = self.endpoint(dst)
 
         # tracing: when the request carries a trace context, this hop is
-        # a server span.  The span's child context is injected into the
-        # request headers so nested calls the handler makes parent under
-        # this hop; the caller's headers are restored on exit because
+        # a server span.  The request carries the span's child context
+        # while it is delivered, so nested calls the handler makes parent
+        # under this hop; the caller's context is put back on exit because
         # resilience retries reuse the same request object — each retry
         # must re-enter with the caller's context so attempt spans land
         # as siblings under one client span, never nested in a failed
@@ -204,20 +213,15 @@ class Network:
         tele = self.telemetry
         span = None
         trace_attrs: Dict[str, object] = {}
-        saved_tp = request.headers.get(TRACEPARENT_HEADER)
-        saved_bg = request.headers.get(BAGGAGE_HEADER)
-        if tele is not None:
-            ctx = TraceContext.extract(request.headers)
-            if ctx is not None:
-                span = tele.tracer.start_span(
-                    f"{request.method} {dst}{request.path}", ctx,
-                    service=dst, kind="server", src=src, port=port,
-                    path=request.path,
-                    src_zone=f"{s.domain}/{s.zone}",
-                    dst_zone=f"{d.domain}/{d.zone}",
-                )
-                ctx.child_of(span.span_id).inject(request.headers)
-                trace_attrs["trace_id"] = ctx.trace_id
+        ctx = request.trace
+        if tele is not None and ctx is not None:
+            span = tele.tracer.start_span(
+                f"{request.method} {dst}{request.path}", ctx,
+                service=dst, kind="server", src=src, port=port,
+                path=request.path, src_zone=s.location, dst_zone=d.location,
+            )
+            request.trace = ctx.child_of(span.span_id)
+            trace_attrs["trace_id"] = ctx.trace_id
         t_start = self.clock.now()
         try:
             response = self._deliver(
@@ -227,8 +231,8 @@ class Network:
         except BaseException as exc:
             if tele is not None:
                 tele.observe_hop(
-                    src=src, dst=dst, outcome=_hop_outcome(exc),
-                    duration=self.clock.now() - t_start, path=request.path,
+                    dst=dst, outcome=_hop_outcome(exc),
+                    duration=self.clock.now() - t_start,
                     trace_id=trace_attrs.get("trace_id"),
                 )
                 if span is not None:
@@ -247,8 +251,8 @@ class Network:
                            else "denied" if response.status < 500
                            else "error")
                 tele.observe_hop(
-                    src=src, dst=dst, outcome=outcome,
-                    duration=self.clock.now() - t_start, path=request.path,
+                    dst=dst, outcome=outcome,
+                    duration=self.clock.now() - t_start,
                     trace_id=trace_attrs.get("trace_id"),
                 )
                 if span is not None:
@@ -258,15 +262,7 @@ class Network:
                         span, status=status, http_status=response.status)
             return response
         finally:
-            if span is not None:
-                if saved_tp is None:
-                    request.headers.pop(TRACEPARENT_HEADER, None)
-                else:
-                    request.headers[TRACEPARENT_HEADER] = saved_tp
-                if saved_bg is None:
-                    request.headers.pop(BAGGAGE_HEADER, None)
-                else:
-                    request.headers[BAGGAGE_HEADER] = saved_bg
+            request.trace = ctx
 
     def _deliver(
         self,
@@ -288,11 +284,11 @@ class Network:
             self.messages_blocked += 1
             self.audit.record(
                 self.clock.now(), "network", src, "firewall.deny", dst,
-                Outcome.DENIED, domain=str(d.domain), zone=str(d.zone),
+                Outcome.DENIED, domain=d.domain_label, zone=d.zone_label,
                 port=port, rule=decision.rule, **trace_attrs,
             )
             raise ConnectionBlocked(
-                f"{src} ({s.domain}/{s.zone}) -> {dst} ({d.domain}/{d.zone}) "
+                f"{src} ({s.location}) -> {dst} ({d.location}) "
                 f"port {port}: denied by segmentation policy"
             )
 
@@ -301,7 +297,7 @@ class Network:
             self.messages_blocked += 1
             self.audit.record(
                 self.clock.now(), "network", src, "transport.plaintext_rejected",
-                dst, Outcome.DENIED, domain=str(d.domain), zone=str(d.zone),
+                dst, Outcome.DENIED, domain=d.domain_label, zone=d.zone_label,
                 **trace_attrs,
             )
             raise EncryptionRequired(
@@ -311,7 +307,7 @@ class Network:
         if not d.up:
             self.audit.record(
                 self.clock.now(), "network", src, "endpoint.unavailable", dst,
-                Outcome.ERROR, domain=str(d.domain), zone=str(d.zone),
+                Outcome.ERROR, domain=d.domain_label, zone=d.zone_label,
                 **trace_attrs,
             )
             raise ServiceUnavailable(f"endpoint {dst} is down")
@@ -322,7 +318,7 @@ class Network:
             self.messages_expired += 1
             self.audit.record(
                 self.clock.now(), "network", src, "deadline.expired", dst,
-                Outcome.EXPIRED, domain=str(d.domain), zone=str(d.zone),
+                Outcome.EXPIRED, domain=d.domain_label, zone=d.zone_label,
                 path=request.path, priority=request.priority,
                 deadline=request.deadline,
                 overrun=round(self.clock.now() - request.deadline, 6),
@@ -344,7 +340,7 @@ class Network:
                 self.clock.advance(self.faults.fail_cost)
                 self.audit.record(
                     self.clock.now(), "network", src, "fault.injected", dst,
-                    Outcome.ERROR, domain=str(d.domain), zone=str(d.zone),
+                    Outcome.ERROR, domain=d.domain_label, zone=d.zone_label,
                     reason=str(exc), **trace_attrs,
                 )
                 raise
@@ -361,7 +357,7 @@ class Network:
             self.messages_attempt_timeouts += 1
             self.audit.record(
                 self.clock.now(), "network", src, "attempt.timeout", dst,
-                Outcome.ERROR, domain=str(d.domain), zone=str(d.zone),
+                Outcome.ERROR, domain=d.domain_label, zone=d.zone_label,
                 path=request.path, would_cost=round(delivery_cost, 6),
                 **trace_attrs,
             )
@@ -376,7 +372,7 @@ class Network:
             self.messages_faulted += 1
             self.audit.record(
                 self.clock.now(), "network", src, "endpoint.crashed_inflight",
-                dst, Outcome.ERROR, domain=str(d.domain), zone=str(d.zone),
+                dst, Outcome.ERROR, domain=d.domain_label, zone=d.zone_label,
                 path=request.path, **trace_attrs,
             )
             raise ServiceUnavailable(
@@ -384,7 +380,7 @@ class Network:
         self.messages_delivered += 1
         self.audit.record(
             self.clock.now(), "network", src, "message.delivered", dst,
-            Outcome.SUCCESS, domain=str(d.domain), zone=str(d.zone),
+            Outcome.SUCCESS, domain=d.domain_label, zone=d.zone_label,
             port=port, path=request.path, encrypted=encrypted,
             rule=decision.rule, **trace_attrs,
         )
@@ -402,7 +398,7 @@ class Network:
             self.messages_shed += 1
             self.audit.record(
                 self.clock.now(), "network", src, "admission.shed", dst,
-                Outcome.SHED, domain=str(d.domain), zone=str(d.zone),
+                Outcome.SHED, domain=d.domain_label, zone=d.zone_label,
                 path=request.path, priority=exc.priority or request.priority,
                 service=exc.service or dst, retry_after=exc.retry_after,
                 **trace_attrs,
@@ -414,7 +410,7 @@ class Network:
             self.messages_expired += 1
             self.audit.record(
                 self.clock.now(), "network", src, "deadline.expired", dst,
-                Outcome.EXPIRED, domain=str(d.domain), zone=str(d.zone),
+                Outcome.EXPIRED, domain=d.domain_label, zone=d.zone_label,
                 path=request.path, priority=exc.priority or request.priority,
                 deadline=exc.deadline, **trace_attrs,
             )

@@ -93,8 +93,9 @@ class UserAgent(Service):
         # any serving stack (this *is* the user's device) join the active
         # flow trace unless the caller already set a context
         if (self._trace_ctx is not None and not self._serving
+                and request.trace is None
                 and TRACEPARENT_HEADER not in request.headers):
-            self._trace_ctx.inject(request.headers)
+            request.trace = self._trace_ctx
         return super().call(dst, request, **kwargs)
 
     # ------------------------------------------------------------------

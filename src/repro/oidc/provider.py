@@ -749,8 +749,8 @@ class OidcProvider(Service, Durable):
     def _audit(self, actor: str, action: str, resource: str, outcome: str, **attrs) -> None:
         domain = zone = ""
         if self.endpoint is not None:
-            domain = str(self.endpoint.domain)
-            zone = str(self.endpoint.zone)
+            domain = self.endpoint.domain_label
+            zone = self.endpoint.zone_label
         self.audit.record(
             self.clock.now(), self.name, actor, action, resource, outcome,
             domain=domain, zone=zone, **attrs,

@@ -111,7 +111,7 @@ class UserPortal(Service, Durable):
     def _record(self, actor: str, action: str, resource: str, outcome: str, **attrs) -> None:
         domain = zone = ""
         if self.endpoint is not None:
-            domain, zone = str(self.endpoint.domain), str(self.endpoint.zone)
+            domain, zone = self.endpoint.domain_label, self.endpoint.zone_label
         self.audit.record(
             self.clock.now(), self.name, actor, action, resource, outcome,
             domain=domain, zone=zone, **attrs,

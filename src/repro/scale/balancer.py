@@ -36,7 +36,6 @@ from ..net.http import HttpRequest, HttpResponse, Service
 from ..resilience.breaker import CircuitBreaker
 from ..resilience.overload import AdmissionController
 from ..resilience.tail import OutlierEjector, TailConfig, TailController
-from ..telemetry.context import TraceContext
 from .hashring import BoundedLoadRing
 
 __all__ = [
@@ -547,7 +546,7 @@ class LoadBalancer(Service):
             self.telemetry.tracer.record(
                 "lb.hedge", start=attempt_started, end=self.clock.now(),
                 service=self.name, kind="internal",
-                ctx=TraceContext.extract(request.headers),
+                ctx=request.trace,
                 pool=self.pool.name, abandoned=abandoned)
         if self.audit is not None:
             self.log_event("system", "lb.hedge", abandoned, Outcome.INFO,

@@ -4,8 +4,9 @@ The paper's zero-trust posture requires the SEC domain to *see* every
 cross-zone interaction (continuous monitoring, NIST SP 800-207 tenet 7).
 This package supplies the in-system half of that visibility:
 
-* :mod:`repro.telemetry.context` — W3C-traceparent-style trace context
-  carried in request headers, propagated like deadlines/priorities;
+* :mod:`repro.telemetry.context` — the trace context: an object on the
+  request between in-process hops, propagated like deadlines/priorities,
+  and its W3C-traceparent header codec for the process edge;
 * :mod:`repro.telemetry.tracing` — spans, the in-process span store, and
   the deterministic tracer;
 * :mod:`repro.telemetry.metrics` — Counter/Gauge/Histogram with labelled
@@ -34,7 +35,6 @@ from repro.telemetry.context import (
     BAGGAGE_HEADER,
     TRACEPARENT_HEADER,
     TraceContext,
-    trace_id_from_headers,
 )
 from repro.telemetry.metrics import (
     DEFAULT_BUCKETS,
@@ -88,6 +88,5 @@ __all__ = [
     "critical_path",
     "critical_path_breakdown",
     "render_tree",
-    "trace_id_from_headers",
     "trace_sampled",
 ]

@@ -1,25 +1,29 @@
-"""W3C-traceparent-style trace context carried in ``HttpRequest.headers``.
+"""The trace context: an object between hops, W3C headers at the edge.
 
 One login in the paper's system crosses four operating domains (device →
-edge → broker/OIDC → MDC); the only thing all of those hops share is the
-request headers, so — exactly like the deadline/priority plumbing — the
-trace context rides there.  The encoding follows the W3C Trace Context
-shape (``00-<32 hex trace id>-<16 hex span id>-01``) plus a ``baggage``
-header of ``key=value`` pairs, so the format is recognisable to anyone
-who has read a real traceparent.
-
-The context is immutable; each hop derives a child context
+edge → broker/OIDC → MDC).  Every hop of it runs inside this process, so
+— exactly like the deadline/priority plumbing — the position in the
+trace rides on the request itself, as ``HttpRequest.trace``.  The context
+is immutable; each hop derives a child context
 (:meth:`TraceContext.child_of`) naming its own span as the parent of
-whatever the handler calls next.
+whatever the handler calls next, and nothing is formatted or parsed on
+the way.
+
+The header form is the wire codec for a context that arrives from
+outside the process's own hops: the W3C Trace Context shape
+(``00-<32 hex trace id>-<16 hex span id>-01``) plus a W3C ``baggage``
+header of percent-encoded ``key=value`` members.  ``Service.call`` reads
+it once, when it is handed a request that carries the header and no
+context object.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Dict, Mapping, Optional
+from urllib.parse import quote, unquote
 
-__all__ = ["TraceContext", "TRACEPARENT_HEADER", "BAGGAGE_HEADER",
-           "trace_id_from_headers"]
+__all__ = ["TraceContext", "TRACEPARENT_HEADER", "BAGGAGE_HEADER"]
 
 TRACEPARENT_HEADER = "traceparent"
 BAGGAGE_HEADER = "baggage"
@@ -29,6 +33,14 @@ _HEX = set("0123456789abcdef")
 
 def _is_hex(value: str, width: int) -> bool:
     return len(value) == width and set(value) <= _HEX
+
+
+def _encode(text: str) -> str:
+    return quote(text, safe="", errors="surrogatepass")
+
+
+def _decode(text: str) -> str:
+    return unquote(text, errors="surrogatepass")
 
 
 @dataclass(frozen=True)
@@ -53,8 +65,11 @@ class TraceContext:
         """Write this context onto a request's headers."""
         headers[TRACEPARENT_HEADER] = self.to_traceparent()
         if self.baggage:
+            # percent-encoded, so a "," or "=" inside a key or value
+            # cannot forge a second member on the way back in
             headers[BAGGAGE_HEADER] = ",".join(
-                f"{k}={v}" for k, v in sorted(self.baggage.items())
+                f"{_encode(k)}={_encode(v)}"
+                for k, v in sorted(self.baggage.items())
             )
 
     # ------------------------------------------------------------ decode
@@ -88,8 +103,12 @@ class TraceContext:
         if raw:
             for part in raw.split(","):
                 key, sep, value = part.strip().partition("=")
-                if sep and key:
-                    baggage[key] = value
+                if not (sep and key):
+                    continue
+                try:
+                    baggage[_decode(key)] = _decode(value)
+                except UnicodeDecodeError:
+                    continue  # a malformed member is dropped, not raised
         return cls.from_traceparent(header, baggage=baggage)
 
     # ------------------------------------------------------------- derive
@@ -99,8 +118,3 @@ class TraceContext:
         return TraceContext(trace_id=self.trace_id, span_id=span_id,
                             parent_id=self.span_id, baggage=self.baggage)
 
-
-def trace_id_from_headers(headers: Mapping[str, str]) -> Optional[str]:
-    """Cheap trace-id peek (for audit stamping) without full validation."""
-    ctx = TraceContext.extract(headers)
-    return ctx.trace_id if ctx is not None else None

@@ -15,6 +15,7 @@ read by anyone who has scraped ``/metrics``:
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import partial
 from typing import (Callable, Dict, Iterable, List, Mapping, Optional,
@@ -208,20 +209,27 @@ class Histogram(Metric):
     def bucket_index(self, value: float) -> int:
         """Index of the first bucket whose bound holds ``value``
         (``len(buckets)`` means the +Inf overflow bucket)."""
-        for i, bound in enumerate(self.buckets):
-            if value <= bound:
-                return i
-        return len(self.buckets)
+        return bisect_left(self.buckets, value)
 
     def observe(self, value: float, *, trace_id: Optional[str] = None,
                 time: float = 0.0, **labels: str) -> None:
-        series = self._get(self._bound_key(_label_key(labels), self._series))
+        self._observe(_label_key(labels), value, trace_id, time)
+
+    def _observe(self, labelled: LabelKey, value: float,
+                 trace_id: Optional[str] = None, time: float = 0.0) -> None:
+        series = self._get(self._bound_key(labelled, self._series))
         idx = self.bucket_index(value)
         series.buckets[idx] += 1
         series.count += 1
         series.total += value
         if trace_id:
             series.exemplars[idx] = Exemplar(trace_id, value, time)
+
+    def bound(self, **labels: str) -> Callable[..., None]:
+        """``observe(value, trace_id, time)`` for one label set whose key
+        is built here, once — :meth:`Counter.bound`'s twin.  The series
+        still appears (and meets the budget) on its first observation."""
+        return partial(self._observe, _label_key(labels))
 
     def count(self, **labels: str) -> int:
         series = self._series.get(_label_key(labels))

@@ -21,7 +21,7 @@ enabling telemetry cannot change any simulated behaviour or number.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.clock import SimClock
 from repro.telemetry.metrics import DEFAULT_BUCKETS, MetricsRegistry
@@ -192,20 +192,39 @@ class Telemetry:
         self._slos: Dict[str, SloMonitor] = {}
         self._slos_by_service: Dict[str, List[SloMonitor]] = {}
         self._slo_callbacks: List[Callable[[BurnRateAlert], None]] = []
+        # what a message would otherwise re-derive: a hop's series and
+        # monitors per (dst, outcome), an audit action's bridge plan
+        self._hop_plans: Dict[Tuple[str, str], tuple] = {}
+        self._audit_plans: Dict[str, tuple] = {}
 
     # ------------------------------------------------------------ serving
-    def observe_hop(self, *, src: str, dst: str, outcome: str, duration: float,
-                    path: str = "", trace_id: Optional[str] = None) -> None:
+    def observe_hop(self, *, dst: str, outcome: str, duration: float,
+                    trace_id: Optional[str] = None) -> None:
         """One transport-level message finished with ``outcome``
         (ok/denied/blocked/unavailable/error/shed/expired)."""
-        self.hop_requests.inc(dst=dst, outcome=outcome)
+        plan = self._hop_plans.get((dst, outcome))
+        if plan is None:
+            plan = self._hop_plans[dst, outcome] = self._plan_hop(dst, outcome)
+        ticks, failed, observe, monitors = plan
+        for tick in ticks:
+            tick()
+        now = self.clock.now()
+        observe(duration, trace_id, now)
+        for monitor in monitors:
+            monitor.record(now, not failed)
+
+    def _plan_hop(self, dst: str, outcome: str) -> tuple:
+        """The counters one (destination, outcome) ticks, whether it
+        counts against availability, its duration series and its SLO
+        monitors — label keys built.  Each tick still meets the family's
+        cardinality budget, and the monitor list is the live one
+        :meth:`slo` appends to."""
         failed = outcome in ERROR_OUTCOMES
+        ticks = [self.hop_requests.bound(dst=dst, outcome=outcome)]
         if failed:
-            self.hop_errors.inc(dst=dst, outcome=outcome)
-        self.hop_duration.observe(
-            duration, trace_id=trace_id, time=self.clock.now(), dst=dst)
-        for monitor in self._slos_by_service.get(dst, ()):
-            monitor.record(self.clock.now(), not failed)
+            ticks.append(self.hop_errors.bound(dst=dst, outcome=outcome))
+        return (ticks, failed, self.hop_duration.bound(dst=dst),
+                self._slos_by_service.setdefault(dst, []))
 
     def observe_cache(self, cache: str, event: str, n: int = 1) -> None:
         """A distributed-cache lookup resolved as ``event`` (see
@@ -257,16 +276,17 @@ class Telemetry:
         """
         log.subscribe(self._on_audit_event)
 
-    # action -> (counter attribute, label key) for simple count-throughs
+    # action -> counter attribute (labelled by the event's source) for
+    # simple count-throughs
     _AUDIT_COUNTERS = {
-        "rbac.mint": ("tokens_issued", "source"),
-        "rbac.revoke": ("tokens_revoked", "source"),
-        "rbac.revoke_subject": ("tokens_revoked", "source"),
-        "ca.sign": ("certs_signed", "source"),
-        "ca.sign_host": ("certs_signed", "source"),
-        "zenith.register": ("tunnels_enrolled", "source"),
-        "admission.shed": ("sheds", "source"),
-        "deadline.expired": ("deadline_expired", "source"),
+        "rbac.mint": "tokens_issued",
+        "rbac.revoke": "tokens_revoked",
+        "rbac.revoke_subject": "tokens_revoked",
+        "ca.sign": "certs_signed",
+        "ca.sign_host": "certs_signed",
+        "zenith.register": "tunnels_enrolled",
+        "admission.shed": "sheds",
+        "deadline.expired": "deadline_expired",
     }
 
     # decision-bearing audit actions -> enforcement surface.  Every one
@@ -316,18 +336,27 @@ class Telemetry:
 
     def _on_audit_event(self, event) -> None:
         try:
-            entry = self._AUDIT_COUNTERS.get(event.action)
-            if entry is not None:
-                counter_name, label = entry
-                getattr(self, counter_name).inc(
-                    **{label: getattr(event, label, "")})
-            surface = self._AUDIT_DECISIONS.get(event.action)
+            plan = self._audit_plans.get(event.action)
+            if plan is None:
+                plan = self._audit_plans[event.action] = \
+                    self._plan_action(event.action)
+            counter, surface, protect = plan
+            if counter is not None:
+                counter.inc(source=event.source)
             if surface is not None:
                 self._record_decision(surface, event)
-            if event.action.startswith(self._PROTECT_PREFIXES):
+            if protect:
                 self.store.protect(event.attrs.get("trace_id", ""))
         except Exception:
             self.bridge_errors += 1
+
+    def _plan_action(self, action: str) -> tuple:
+        """(counter, decision surface, pin the trace?) for one action
+        string — all three empty for the many actions the bridge ignores."""
+        counter = self._AUDIT_COUNTERS.get(action)
+        return (getattr(self, counter) if counter is not None else None,
+                self._AUDIT_DECISIONS.get(action),
+                action.startswith(self._PROTECT_PREFIXES))
 
     def _record_decision(self, surface: str, event) -> None:
         """Turn one decision-bearing audit event into provenance."""

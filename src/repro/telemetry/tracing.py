@@ -51,7 +51,7 @@ def classify_error(exc: BaseException) -> str:
     return SpanStatus.ERROR
 
 
-@dataclass
+@dataclass(slots=True)
 class Span:
     """One timed unit of work inside a trace.
 
@@ -303,7 +303,7 @@ class Tracer:
         span = Span(
             trace_id=self.new_trace_id(), span_id=self.new_span_id(),
             parent_id=None, name=name, service=service, kind=kind,
-            start=self.clock.now(), attrs=dict(attrs),
+            start=self.clock.now(), attrs=attrs,
         )
         if baggage:
             span.attrs["baggage"] = dict(baggage)
@@ -316,7 +316,7 @@ class Tracer:
         span = Span(
             trace_id=ctx.trace_id, span_id=self.new_span_id(),
             parent_id=ctx.span_id, name=name, service=service, kind=kind,
-            start=self.clock.now(), attrs=dict(attrs),
+            start=self.clock.now(), attrs=attrs,
         )
         if ctx.baggage:
             span.attrs["baggage"] = dict(ctx.baggage)
@@ -345,16 +345,10 @@ class Tracer:
         """Record an already-completed unit of work (WAL replays and
         failover promotions are measured by their reports, after the
         fact) as a finished span."""
-        if ctx is not None:
-            span = Span(
-                trace_id=ctx.trace_id, span_id=self.new_span_id(),
-                parent_id=ctx.span_id, name=name, service=service, kind=kind,
-                start=start, end=end, status=status, attrs=dict(attrs),
-            )
-        else:
-            span = Span(
-                trace_id=self.new_trace_id(), span_id=self.new_span_id(),
-                parent_id=None, name=name, service=service, kind=kind,
-                start=start, end=end, status=status, attrs=dict(attrs),
-            )
-        return self.store.add(span)
+        return self.store.add(Span(
+            trace_id=ctx.trace_id if ctx is not None else self.new_trace_id(),
+            span_id=self.new_span_id(),
+            parent_id=ctx.span_id if ctx is not None else None,
+            name=name, service=service, kind=kind,
+            start=start, end=end, status=status, attrs=attrs,
+        ))

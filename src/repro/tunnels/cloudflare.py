@@ -27,7 +27,6 @@ from repro.clock import SimClock
 from repro.errors import RateLimited, ServiceUnavailable
 from repro.net.http import HttpRequest, HttpResponse, Service
 from repro.resilience.overload import Priority
-from repro.telemetry.context import TraceContext
 from repro.telemetry.tracing import SpanStatus
 
 __all__ = ["CloudflareEdge"]
@@ -163,6 +162,7 @@ class CloudflareEdge(Service):
             source=request.source,
             priority=request.priority,
             deadline=request.deadline,
+            trace=request.trace,
         )
         inner.headers["CF-Connecting-IP"] = source
         self.requests_passed += 1
@@ -174,15 +174,13 @@ class CloudflareEdge(Service):
         tele = getattr(self.network, "telemetry", None) \
             if self.network is not None else None
         span = None
-        if tele is not None:
-            ctx = TraceContext.extract(inner.headers)
-            if ctx is not None:
-                span = tele.tracer.start_span(
-                    f"tunnel {origin_name}", ctx, service=self.name,
-                    kind="tunnel", via="reverse-tunnel",
-                    origin=origin_name, path=inner_path,
-                )
-                ctx.child_of(span.span_id).inject(inner.headers)
+        if tele is not None and request.trace is not None:
+            span = tele.tracer.start_span(
+                f"tunnel {origin_name}", request.trace, service=self.name,
+                kind="tunnel", via="reverse-tunnel",
+                origin=origin_name, path=inner_path,
+            )
+            inner.trace = request.trace.child_of(span.span_id)
         try:
             response = origin.handle(inner)
         except BaseException as exc:

@@ -35,7 +35,6 @@ from repro.ids import IdFactory
 from repro.net.http import HttpRequest, HttpResponse, Service, route
 from repro.oidc.client import RelyingParty
 from repro.oidc.messages import ClientConfig, make_url
-from repro.telemetry.context import BAGGAGE_HEADER, TRACEPARENT_HEADER
 
 __all__ = ["ZenithClient", "ZenithServer", "TunnelRecord"]
 
@@ -296,10 +295,8 @@ class ZenithServer(Service):
                    if k not in ("service", "path")},
             priority=request.priority,
             deadline=request.deadline,
+            trace=request.trace,
         )
-        for header in (TRACEPARENT_HEADER, BAGGAGE_HEADER):
-            if header in request.headers:
-                inner.headers[header] = request.headers[header]
         self.requests_routed += 1
         self.log_event(str(session["sub"]), "zenith.route", service,
             Outcome.SUCCESS, path=path,

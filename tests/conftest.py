@@ -317,3 +317,40 @@ def oidc_world(sim):
     network.attach(app, OperatingDomain.FDS, Zone.ACCESS)
     network.attach(agent, OperatingDomain.EXTERNAL, Zone.INTERNET)
     return clock, ids, network, provider, app, agent
+
+
+@pytest.fixture()
+def hop_counts(monkeypatch):
+    """A Counter of what the transport and its observers did from here
+    on, across every instance: ``hops`` (``Network.request``), ``audit``
+    (``AuditLog.emit``), ``spans`` (``SpanStore.add``) and the W3C header
+    codec, ``from_traceparent`` and ``inject`` — which in-process hops
+    never run."""
+    from collections import Counter
+
+    from repro.telemetry import SpanStore, TraceContext
+
+    counts = Counter()
+
+    def count(owner, name, key):
+        original = getattr(owner, name)
+
+        def counting(self, *args, **kwargs):
+            counts[key] += 1
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counting)
+
+    count(Network, "request", "hops")
+    count(AuditLog, "emit", "audit")
+    count(SpanStore, "add", "spans")
+    count(TraceContext, "inject", "inject")
+    parse = TraceContext.from_traceparent.__func__
+
+    def counting_parse(cls, *args, **kwargs):
+        counts["from_traceparent"] += 1
+        return parse(cls, *args, **kwargs)
+
+    monkeypatch.setattr(TraceContext, "from_traceparent",
+                        classmethod(counting_parse))
+    return counts

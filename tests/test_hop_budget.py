@@ -1,0 +1,134 @@
+"""A hop budget per story: messages, audit records, spans — exact.
+
+Every message is a firewall verdict, an audit record, two spans and three
+metric samples (tenet 7: observe everything), so what a story costs in
+messages is what it costs to observe.  The counts are pinned here as
+literals, next to ``test_crypto_budget.py``, one line of reason per hop:
+a change that adds a hop, an audit record or a span to a story has to
+edit this file and say why.
+
+``hops`` are ``Network.request`` calls (delivered or not), ``audit`` every
+record emitted into any log, ``spans`` every span opened.  The W3C header
+codec (``TraceContext.from_traceparent``/``inject``) never runs on a
+story: between the hops of one process the trace position is an object
+on the request.
+"""
+
+import pytest
+
+from repro.core import build_isambard
+from repro.net import HttpRequest
+from tests.test_deployment_fingerprint import OPT_IN
+
+
+@pytest.fixture(scope="module", params=["default", "all-tiers"])
+def deployment(request):
+    """One onboarded researcher on a default or an all-tiers build, logs
+    shipped; yields ``(build name, dri, project id)``."""
+    flags = {flag: True for flag in OPT_IN} \
+        if request.param == "all-tiers" else {}
+    dri = build_isambard(seed=31, **flags)
+    wf = dri.workflows
+    s1 = wf.story1_pi_onboarding("pi", project_name="budget")
+    assert s1.ok, s1.steps
+    project_id = str(s1.data["project_id"])
+    assert wf.story3_researcher_setup(project_id, "pi", "res1").ok
+    dri.ship_logs()
+    return request.param, dri, project_id
+
+
+@pytest.fixture()
+def spent(hop_counts):
+    """``spent(op)`` runs ``op`` and returns what it cost, codec calls
+    (always zero) included."""
+
+    def run(op):
+        hop_counts.clear()
+        op()
+        return {key: hop_counts[key] for key in
+                ("hops", "audit", "spans", "from_traceparent", "inject")}
+
+    return run
+
+
+def _budget(hops, audit, spans):
+    return {"hops": hops, "audit": audit, "spans": spans,
+            "from_traceparent": 0, "inject": 0}
+
+
+def test_relogin(deployment, spent):
+    build, dri, _ = deployment
+    wf = dri.workflows
+    cost = spent(lambda: wf.relogin(wf.personas["res1"]))
+    assert cost == {
+        # device → broker /login/start, → MyAccessID /authorize (session
+        # still live there), → broker /login/callback, which redeems the
+        # code at MyAccessID /token and asks the portal /authz: 5 hops.
+        # One delivery record each, MyAccessID's code + token, the
+        # broker's session + login.success.  A root span, then a client
+        # and a server span per hop
+        "default": _budget(hops=5, audit=9, spans=11),
+        # both device → broker hops go geo-router → region front →
+        # replica: 2 more hops each, a delivery record and two spans per
+        # extra hop
+        "all-tiers": _budget(hops=9, audit=13, spans=19),
+    }[build]
+
+
+def test_ssh_session_first_and_second(deployment, spent):
+    build, dri, _ = deployment
+    wf = dri.workflows
+    every_session = {
+        # device → broker /ssh/certificate → portal /authz and SSH CA
+        # /sign, then ssh: device → bastion → login node.  The SSH legs
+        # are not HTTP flows and carry no trace: root + 2 × 3 spans.
+        # Five deliveries, the CA service token's rbac.mint, ca.sign,
+        # ssh.cert_issued, the bastion's ssh.connect, the node's session
+        "default": _budget(hops=5, audit=10, spans=7),
+        # the certificate request crosses geo-router → front → replica
+        "all-tiers": _budget(hops=7, audit=12, spans=11),
+    }[build]
+    assert spent(lambda: wf.story4_ssh_session("res1")) == every_session
+    # a remembered host certificate saves a signature check, not a message
+    assert spent(lambda: wf.story4_ssh_session("res1")) == every_session
+
+
+def test_jupyter_notebook(deployment, spent):
+    build, dri, _ = deployment
+    wf = dri.workflows
+    cost = spent(lambda: wf.story6_jupyter("res1"))
+    assert cost == {
+        # device → edge (which tunnels to Zenith: a span, not a hop),
+        # → broker /authorize, → zenith /callback [discovery, jwks,
+        # /token, /tokens → portal /authz], → zenith /app → jupyter →
+        # broker /introspect: 11 hops.  Eleven deliveries, the broker's
+        # code + token, rbac.mint, zenith.route, jupyter.spawn.  Root +
+        # tunnel + 2 × 11 spans
+        "default": _budget(hops=11, audit=16, spans=24),
+        # six of the eleven are hops to the broker, each two hops longer;
+        # the regional introspection is one record more
+        "all-tiers": _budget(hops=23, audit=29, spans=48),
+    }[build]
+
+
+def test_mint_then_introspect(deployment, spent):
+    build, dri, project_id = deployment
+    wf = dri.workflows
+    persona = wf.personas["res1"]
+
+    def op():
+        minted = wf.mint(persona, "jupyter", "researcher", project=project_id)
+        assert minted.ok, minted.body
+        resp = persona.agent.call("broker", HttpRequest(
+            "POST", "/introspect", body={"token": minted.body["token"]}))
+        assert resp.body["active"] is True
+
+    assert spent(op) == {
+        # device → broker /tokens → portal /authz, then /introspect sent
+        # outside any flow: a hop, untraced.  Three deliveries and the
+        # rbac.mint; root + 2 × 2 spans for the mint
+        "default": _budget(hops=3, audit=4, spans=5),
+        # both broker hops are two longer (the untraced one adds no
+        # span) and the region records its introspection
+        "all-tiers": _budget(hops=7, audit=9, spans=9),
+    }[build]

@@ -415,6 +415,29 @@ class TestCardinalityBudgets:
         assert g.value(pool="x") == 1.0
         assert g.value(pool=OVERFLOW_LABEL) == 9.0
 
+    def test_a_bound_handle_meets_the_budget_on_every_tick(self):
+        """``Telemetry.observe_hop`` keeps its series handles; a handle
+        built while the family had room must still fold once it has
+        none, and a series that exists keeps its exact labels."""
+        tele = Telemetry(SimClock(), PipelineConfig())
+        tele.hop_requests.max_series = tele.hop_duration.max_series = 2
+        for dst in ("a", "b", "a"):
+            tele.observe_hop(dst=dst, outcome="ok", duration=0.01)
+        late = tele.hop_requests.bound(dst="z", outcome="ok")  # not ticked
+        tele.observe_hop(dst="c", outcome="ok", duration=0.01)  # new: folds
+        tele.observe_hop(dst="c", outcome="ok", duration=0.01)
+        late()
+        tele.observe_hop(dst="a", outcome="ok", duration=0.01)
+        requests, duration = tele.hop_requests, tele.hop_duration
+        assert requests.value(dst="a", outcome="ok") == 3
+        assert requests.value(dst="c", outcome="ok") == 0
+        assert requests.value(dst=OVERFLOW_LABEL, outcome=OVERFLOW_LABEL) == 3
+        assert duration.count(dst="a") == 3
+        assert duration.count(dst=OVERFLOW_LABEL) == 2
+        dropped = tele.registry.get(DROPPED_LABELS_METRIC)
+        assert dropped.value(family=requests.name) == 3
+        assert dropped.value(family=duration.name) == 2
+
     def test_registry_wide_budget_spares_the_meter_itself(self):
         r = MetricsRegistry()
         a = r.counter("repro_a_total", "d")

@@ -19,12 +19,14 @@ Covers the acceptance criteria of the tracing/metrics/SLO PR:
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.audit import AuditLog, Outcome
 from repro.clock import SimClock
 from repro.core import build_isambard
 from repro.core.metrics import latency_stats
-from repro.errors import DeadlineExceeded, RateLimited
+from repro.errors import DeadlineExceeded, RateLimited, ServiceUnavailable
 from repro.net import (
     HttpRequest,
     HttpResponse,
@@ -56,7 +58,6 @@ from repro.telemetry import (
     critical_path,
     critical_path_breakdown,
     render_tree,
-    trace_id_from_headers,
 )
 
 
@@ -75,7 +76,6 @@ def test_traceparent_roundtrip_with_baggage():
     assert back.trace_id == ctx.trace_id
     assert back.span_id == ctx.span_id
     assert back.baggage == ctx.baggage
-    assert trace_id_from_headers(headers) == ctx.trace_id
 
 
 @pytest.mark.parametrize("header", [
@@ -90,7 +90,25 @@ def test_traceparent_roundtrip_with_baggage():
 ])
 def test_malformed_traceparent_degrades_to_untraced(header):
     assert TraceContext.from_traceparent(header) is None
-    assert trace_id_from_headers({TRACEPARENT_HEADER: header}) is None
+    assert TraceContext.extract({TRACEPARENT_HEADER: header}) is None
+
+
+@given(st.dictionaries(st.text(min_size=1), st.text(), max_size=4))
+def test_baggage_survives_the_wire_whatever_it_contains(baggage):
+    """A ``,`` or ``=`` inside a key or value must not forge a second
+    member (``{"cohort": "rsecon, day=2"}`` used to come back as two)."""
+    ctx = TraceContext(trace_id="ab" * 16, span_id="cd" * 8, baggage=baggage)
+    headers = {}
+    ctx.inject(headers)
+    assert TraceContext.extract(headers).baggage == baggage
+
+
+def test_malformed_baggage_members_are_dropped_not_raised():
+    ctx = TraceContext.extract({
+        TRACEPARENT_HEADER: f"00-{'ab' * 16}-{'cd' * 8}-01",
+        "baggage": "ok=1, =nokey, novalue, bad=%FF%FE, also%20ok=a%3Db",
+    })
+    assert ctx.baggage == {"ok": "1", "also ok": "a=b"}
 
 
 def test_child_context_names_current_span_as_parent():
@@ -351,6 +369,144 @@ def test_retry_attempts_become_sibling_spans_under_one_client_span():
     assert tele.store.orphans(root.trace_id) == []
     # the caller's headers were restored after the call
     assert TraceContext.extract(request.headers).span_id == root.span_id
+
+
+def _traced_pair(*, faults_seed=7):
+    """A traced two-endpoint network: ``client`` → ``srv``."""
+    clock = SimClock()
+    faults = FaultInjector(clock, random.Random(faults_seed))
+    network = Network(clock, audit=AuditLog("net"), faults=faults)
+    network.telemetry = Telemetry(clock)
+    client = _Echo("client")
+    network.attach(client, OperatingDomain.FDS, Zone.ACCESS)
+    network.attach(_Echo("srv"), OperatingDomain.FDS, Zone.ACCESS)
+    return clock, faults, network, client
+
+
+def test_the_caller_gets_its_own_context_back_after_retry_hedge_and_timeout():
+    """Every hop swaps its child context onto the request for as long as
+    it runs; a retry or hedge re-enters with the caller's, and the caller
+    reads its own again afterwards — whatever happened in between."""
+    from repro.errors import AttemptTimeout
+    from repro.resilience.tail import TailConfig, TailController
+
+    # retried: the first attempt dies in an outage
+    clock, faults, network, client = _traced_pair()
+    tele = network.telemetry
+    client.resilience = Resilience(
+        "client", clock, random.Random(1),
+        policy=RetryPolicy(max_attempts=4, base_delay=1.0, jitter=0.0))
+    ctx = tele.tracer.start_trace("retry", service="client").context()
+    request = HttpRequest("GET", "/ping", trace=ctx)
+    faults.outage("srv", duration=0.5)
+    assert client.call("srv", request).ok
+    assert client.resilience.metrics.retries == 1
+    assert request.trace is ctx
+    assert tele.store.orphans() == []
+
+    # hedged: the first attempt is abandoned at the hedge delay
+    clock, faults, network, client = _traced_pair(faults_seed=5)
+    tele = network.telemetry
+    kit = Resilience("client", clock, random.Random(7),
+                     policy=RetryPolicy(max_attempts=3, base_delay=0.01,
+                                        jitter=0.0))
+    kit.tail = TailController(clock, TailConfig(
+        adaptive_deadlines=False, ejection=False, retry_budget=False,
+        min_samples=5))
+    client.resilience = kit
+    ctx = tele.tracer.start_trace("hedge", service="client").context()
+    for _ in range(6):
+        assert client.call("srv", HttpRequest("GET", "/ping", trace=ctx)).ok
+    faults.slow_replica("srv", 0.5)
+    request = HttpRequest("GET", "/ping", trace=ctx)
+    assert client.call("srv", request).ok
+    assert kit.metrics.hedges == 1
+    assert request.trace is ctx
+    hedged = [s for s in tele.store.trace(ctx.trace_id)
+              if s.kind == "client"][-1]
+    attempts = [s for s in tele.store.trace(ctx.trace_id)
+                if s.parent_id == hedged.span_id]
+    assert [s.attrs.get("hedge") for s in attempts] == ["loser", None]
+
+    # a bare timeout: the exception carries the abandoned attempt's span
+    clock, faults, network, client = _traced_pair()
+    tele = network.telemetry
+    ctx = tele.tracer.start_trace("timeout", service="client").context()
+    faults.slow_replica("srv", 0.5)
+    request = HttpRequest("GET", "/ping", trace=ctx,
+                          attempt_deadline=clock.now() + 0.05)
+    with pytest.raises(AttemptTimeout) as abandoned:
+        client.call("srv", request)
+    assert request.trace is ctx
+    call_span, attempt = tele.store.trace(ctx.trace_id)[1:]
+    assert abandoned.value.span is attempt
+    assert (attempt.kind, attempt.status) == ("server", SpanStatus.EXPIRED)
+    assert attempt.parent_id == call_span.span_id
+
+
+def test_a_header_from_outside_is_read_once_and_a_malformed_one_ignored(
+        hop_counts):
+    """``Service.call`` is the process edge: a request that arrives with
+    a ``traceparent`` header and no context object joins that trace for
+    the cost of one parse, however many hops follow."""
+    class Front(Service):
+        @route("GET", "/front")
+        def front(self, request):
+            return self.call("srv", HttpRequest("GET", "/ping"))
+
+    clock, _, network, client = _traced_pair()
+    network.attach(Front("front"), OperatingDomain.FDS, Zone.ACCESS)
+    tele = network.telemetry
+    outside = TraceContext(trace_id="ab" * 16, span_id="cd" * 8,
+                           baggage={"cohort": "rsecon, day=2"})
+    request = HttpRequest("GET", "/front")
+    outside.inject(request.headers)
+    hop_counts.clear()
+    assert client.call("front", request).ok
+    assert (hop_counts["from_traceparent"], hop_counts["inject"]) == (1, 0)
+    assert request.trace is None  # the caller handed over a header only
+    spans = tele.store.trace(outside.trace_id)
+    assert [s.kind for s in spans] == ["client", "server"] * 2
+    assert spans[0].parent_id == outside.span_id
+    assert all(s.attrs["baggage"] == outside.baggage for s in spans)
+    assert [e.attrs["trace_id"] for e in network.audit.events()] \
+        == [outside.trace_id] * 2
+
+    before = len(tele.store)
+    bad = HttpRequest("GET", "/front", headers={TRACEPARENT_HEADER: "00-xyz"})
+    assert client.call("front", bad).ok
+    assert len(tele.store) == before and bad.trace is None
+    assert "trace_id" not in network.audit.events()[-1].attrs
+
+
+def test_root_baggage_reaches_the_last_hop_of_a_login_unchanged():
+    dri = build_isambard(seed=46)
+    wf = dri.workflows
+    persona = wf.create_researcher("dana")
+    baggage = {"cohort": "rsecon, day=2", "a=b": "c,d"}
+    with persona.agent.trace("login", **baggage) as ctx:
+        wf.login(persona)
+    servers = [s for s in dri.telemetry.store.trace(ctx.trace_id)
+               if s.kind == "server"]
+    assert len(servers) >= 4
+    assert all(s.attrs["baggage"] == baggage for s in servers)
+
+
+def test_an_slo_created_after_a_services_first_hop_is_still_fed():
+    clock, _, network, client = _traced_pair()
+    tele = network.telemetry
+    assert client.call("srv", HttpRequest("GET", "/ping")).ok
+    monitor = tele.slo("srv-availability", service="srv")
+    now = clock.now
+    assert monitor.error_rate(now(), 300.0) == 0.0   # nothing seen yet
+    network.endpoint("srv").up = False
+    with pytest.raises(ServiceUnavailable):
+        client.call("srv", HttpRequest("GET", "/ping"))
+    assert monitor.error_rate(now(), 300.0) == 1.0   # a new outcome: fed
+    network.endpoint("srv").up = True
+    assert client.call("srv", HttpRequest("GET", "/ping")).ok
+    assert monitor.error_rate(now(), 300.0) == 0.5   # the one seen before it
+    assert tele.hop_requests.value(dst="srv", outcome="ok") == 2
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ import hashlib
 import json
 import os
 import random
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -37,11 +38,9 @@ from repro.resilience import FaultInjector, Resilience, RetryPolicy
 from repro.resilience.tail import TailConfig, TailController
 from repro.scale.balancer import LoadBalancer, ReplicaPool, RoundRobinPolicy
 from repro.telemetry import Telemetry
+from tests.test_deployment_fingerprint import OPT_IN
 
 GOLDEN = Path(__file__).parent / "golden" / "trace_shape.json"
-
-OPT_IN = ("resilience", "overload", "durability", "failover", "scale",
-          "regions", "tail", "authz", "pipeline", "directory")
 
 BUILDS = {
     "default": {},
@@ -205,7 +204,7 @@ def balancer_hedged_call_shape() -> dict:
 
 
 SHAPES = {
-    **{name: (lambda flags=flags: deployment_shape(flags))
+    **{name: partial(deployment_shape, flags)
        for name, flags in BUILDS.items()},
     "retried-call": retried_call_shape,
     "kit-hedged-call": kit_hedged_call_shape,
