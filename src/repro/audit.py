@@ -20,7 +20,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from math import isfinite
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
-from repro.resilience.durability import Durable, RecoveryReport
+from repro.resilience.durability import Durable, RecoveryReport, _encode
 from repro.errors import RecoveryError
 
 __all__ = ["AuditEvent", "AuditLog", "CombinedAuditView", "Outcome"]
@@ -58,7 +58,7 @@ class Outcome:
     ALL = (SUCCESS, DENIED, ERROR, INFO, SHED, EXPIRED, CACHED)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AuditEvent:
     """One observed fact: who did what to which resource, and how it went.
 
@@ -98,33 +98,48 @@ class AuditEvent:
     # canonical form), assigned by the log at emission
     digest: str = field(default="", compare=False)
 
+    def _quoted(self) -> Optional[Iterator[str]]:
+        """The usual event's seven string fields as JSON string literals,
+        in key order (action, actor, domain, outcome, resource, source,
+        zone), for the caller to unpack — or ``None`` unless the event
+        *is* the usual one: exact ``str`` fields and attr names, a finite
+        ``float`` time.  Only then may an encoding be written out directly
+        with the encoder's own string and float forms.
+
+        A lazy ``map``, not a tuple: ``tuple()`` of a ``map`` allocates a
+        10-slot tuple and shrinks it to 7, and the 7-slot free list it is
+        freed onto is not the one it came from — one more count towards
+        the collector's next pass per event, which moved the collector's
+        schedule."""
+        strings = (self.action, self.actor, self.domain, self.outcome,
+                   self.resource, self.source, self.zone)
+        if (type(self.time) is not float or not isfinite(self.time)
+                or {*map(type, strings), *map(type, self.attrs)} != {str}):
+            return None
+        return map(_quote, strings)
+
     def canonical(self) -> bytes:
         """Stable byte form of the event content (digest excluded): its
         compact sorted-key JSON, attr values as their ``repr``.
 
-        The keys are known and already in order, so the usual event —
-        exact ``str`` fields and attr names, a finite ``float`` time — is
-        written out directly with the encoder's own string and float
-        forms; anything else goes through ``json.dumps`` itself."""
-        attrs = self.attrs
-        strings = (self.action, self.actor, self.domain, self.outcome,
-                   self.resource, self.source, self.zone)
-        if (type(self.time) is not float or not isfinite(self.time)
-                or {*map(type, strings), *map(type, attrs)} != {str}):
+        The keys are known and already in order, so the usual event (see
+        :meth:`_quoted`) is written out directly; anything else goes
+        through ``json.dumps`` itself."""
+        quoted = self._quoted()
+        if quoted is None:
             return json.dumps(
                 {
                     "time": self.time, "source": self.source,
                     "actor": self.actor, "action": self.action,
                     "resource": self.resource, "outcome": self.outcome,
                     "domain": self.domain, "zone": self.zone,
-                    "attrs": {k: repr(v) for k, v in sorted(attrs.items())},
+                    "attrs": {k: repr(v) for k, v in sorted(self.attrs.items())},
                 },
                 separators=(",", ":"), sort_keys=True,
             ).encode()
-        action, actor, domain, outcome, resource, source, zone = map(
-            _quote, strings)
-        pairs = ",".join([f"{_quote(k)}:{_quote(repr(attrs[k]))}"
-                          for k in sorted(attrs)])
+        action, actor, domain, outcome, resource, source, zone = quoted
+        pairs = ",".join([f"{_quote(k)}:{_quote(repr(self.attrs[k]))}"
+                          for k in sorted(self.attrs)])
         return (f'{{"action":{action},"actor":{actor},"attrs":{{{pairs}}},'
                 f'"domain":{domain},"outcome":{outcome},'
                 f'"resource":{resource},"source":{source},'
@@ -140,15 +155,10 @@ class AuditEvent:
         source: Optional[str] = None,
     ) -> bool:
         """Field-wise filter used by :meth:`AuditLog.query`."""
-        if action is not None and self.action != action:
-            return False
-        if actor is not None and self.actor != actor:
-            return False
-        if outcome is not None and self.outcome != outcome:
-            return False
-        if source is not None and self.source != source:
-            return False
-        return True
+        return ((action is None or self.action == action)
+                and (actor is None or self.actor == actor)
+                and (outcome is None or self.outcome == outcome)
+                and (source is None or self.source == source))
 
 
 class AuditLog(Durable):
@@ -199,21 +209,25 @@ class AuditLog(Durable):
             return repr(value)
 
     def emit(self, event: AuditEvent) -> AuditEvent:
-        """Record ``event``, chain its digest, and fan out to subscribers."""
+        """Record ``event``, chain its digest, and fan out to subscribers.
+
+        The event keeps its attrs dict unless a value needs coercing to
+        plain data (:meth:`_plain`); then it gets a coerced copy."""
         if event.outcome not in Outcome.ALL:
             raise ValueError(f"unknown outcome {event.outcome!r}")
         if self.down:
             self.lost_while_down += 1
             return event
-        object.__setattr__(
-            event, "attrs", {k: self._plain(v) for k, v in event.attrs.items()})
+        if not _JSON_SCALARS.issuperset(map(type, event.attrs.values())):
+            object.__setattr__(event, "attrs", {
+                k: self._plain(v) for k, v in event.attrs.items()})
         digest = hashlib.sha256(
             self._head.encode() + event.canonical()
         ).hexdigest()
         object.__setattr__(event, "digest", digest)
         if self.journal is not None:
             # write-ahead: a fenced emit raises here, chain untouched
-            self._jpublish("audit.emit", **self._event_dict(event))
+            self._jpublish("audit.emit", self._record_of(event))
         self._head = digest
         self._events.append(event)
         dead: List[Callable[[AuditEvent], None]] = []
@@ -251,7 +265,7 @@ class AuditLog(Durable):
                 outcome=outcome,
                 domain=domain,
                 zone=zone,
-                attrs=dict(attrs),
+                attrs=attrs,
             )
         )
 
@@ -316,6 +330,22 @@ class AuditLog(Durable):
     # ------------------------------------------------------------------
     # durability (crash recovery of the log store itself)
     # ------------------------------------------------------------------
+    @staticmethod
+    def _record_of(event: AuditEvent) -> "str | Dict[str, object]":
+        """The ``audit.emit`` record: for the usual event (see
+        :meth:`AuditEvent._quoted`) its text, written out directly and byte
+        for byte what ``json.dumps(_event_dict(event), sort_keys=True)``
+        writes; for any other event that dict, for the journal to encode."""
+        quoted = event._quoted()
+        if quoted is None:
+            return AuditLog._event_dict(event)
+        action, actor, domain, outcome, resource, source, zone = quoted
+        return (f'{{"action": {action}, "actor": {actor}, '
+                f'"attrs": {_encode(event.attrs)}, "digest": "{event.digest}", '
+                f'"domain": {domain}, "outcome": {outcome}, '
+                f'"resource": {resource}, "source": {source}, '
+                f'"time": {float.__repr__(event.time)}, "zone": {zone}}}')
+
     @staticmethod
     def _event_dict(event: AuditEvent) -> Dict[str, object]:
         return {

@@ -510,7 +510,7 @@ class IdentityBroker(OidcProvider):
     def _wire_token_wal(self) -> None:
         # the token service commits through the broker's journal; a
         # fenced ex-primary therefore aborts mints before registering them
-        self.tokens.publish = lambda kind, data: self._jpublish(kind, **data)
+        self.tokens.publish = self._jpublish
 
     def attach_journal(self, journal) -> None:
         self._wire_token_wal()

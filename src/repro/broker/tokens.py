@@ -14,7 +14,7 @@ callable in-process.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.audit import AuditLog, Outcome
@@ -165,7 +165,7 @@ class TokenService:
             expires_at=now + effective_ttl,
         )
         if self.publish is not None:
-            self.publish("rbac.mint", asdict(record))
+            self.publish("rbac.mint", vars(record))
         self._issued[jti] = record
         self._minted[compact_digest(token)] = jti
         if self.session_registry is not None and audit_issue:
@@ -214,15 +214,10 @@ class TokenService:
         Returns the number of tokens revoked — the kill switch reports it.
         """
         now = self.clock.now()
-        hit = []
-        for jti, rec in self._issued.items():
-            if rec.subject != subject or jti in self._revoked:
-                continue
-            if project is not None and rec.project != project:
-                continue
-            if rec.expires_at <= now:
-                continue
-            hit.append(jti)
+        hit = [jti for jti, rec in self._issued.items()
+               if rec.subject == subject and jti not in self._revoked
+               and (project is None or rec.project == project)
+               and rec.expires_at > now]
         if hit and self.publish is not None:
             self.publish("rbac.revoke_subject",
                          {"subject": subject, "jtis": hit})
@@ -299,7 +294,7 @@ class TokenService:
     # ------------------------------------------------------------------
     def durable_state(self) -> Dict[str, object]:
         return {
-            "issued": {jti: asdict(rec) for jti, rec in self._issued.items()},
+            "issued": {jti: vars(rec) for jti, rec in self._issued.items()},
             "revoked": sorted(self._revoked),
         }
 

@@ -13,6 +13,7 @@ simulated network, and validates ID tokens against the provider's JWKS.
 
 from __future__ import annotations
 
+from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, Optional, Tuple
@@ -47,7 +48,8 @@ class UserAgent(Service):
         super().__init__(name)
         self.cookies: Dict[str, Dict[str, str]] = {}
         self.max_hops = max_hops
-        self.history: list[str] = []
+        # the last flow's worth of hops ("METHOD url"), newest last
+        self.history: deque[str] = deque(maxlen=max_hops)
         # traffic class this agent's requests carry by default (a human at
         # a browser is interactive; automation agents set batch)
         self.priority = priority

@@ -27,7 +27,6 @@ lifetimes, per-session expiry, and audit events for every decision.
 from __future__ import annotations
 
 import hmac as _hmac
-from dataclasses import asdict
 from typing import Dict, List, Optional
 
 from repro.audit import AuditLog, Outcome
@@ -153,7 +152,7 @@ class OidcProvider(Service, Durable):
             client_secret=secret,
             require_pkce=(not confidential) if require_pkce is None else require_pkce,
         )
-        self._jpublish("oidc.client", **asdict(cfg))
+        self._jpublish("oidc.client", vars(cfg))
         self._clients[client_id] = cfg
         return cfg
 
@@ -299,7 +298,7 @@ class OidcProvider(Service, Durable):
             expires_at=self.clock.now() + self.code_ttl,
         )
         if self.journal is not None:
-            self._jpublish("oidc.code", **asdict(code))
+            self._jpublish("oidc.code", vars(code))
         self._codes[code.code] = code
         self._audit(
             session.subject, "authorize.code_issued", client.client_id, Outcome.SUCCESS,
@@ -657,13 +656,15 @@ class OidcProvider(Service, Durable):
             self.key = sealed
 
     def durable_state(self) -> Dict[str, object]:
+        # a client's and a code's fields by reference, not copied: every
+        # caller encodes the state at once
         return {
             "key_generation": self._key_generation,
             "active_kid": self.key.kid,
-            "clients": {cid: asdict(cfg) for cid, cfg in self._clients.items()},
+            "clients": {cid: vars(cfg) for cid, cfg in self._clients.items()},
             "sessions": [self._session_dict(s)
                          for s in self.sessions.export_sessions()],
-            "codes": {c: asdict(code) for c, code in self._codes.items()},
+            "codes": {c: vars(code) for c, code in self._codes.items()},
             "issued": dict(self._issued),
             "revoked_jtis": sorted(self._revoked_jtis),
             "code_tokens": {c: list(jtis)

@@ -50,7 +50,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro.clock import SimClock
 from repro.errors import ConfigurationError, EpochFenced, RecoveryError
@@ -72,8 +72,16 @@ RESTART_COST = 0.005
 REPLAY_COST_PER_ENTRY = 0.0002
 
 
+# built once: json.dumps constructs a fresh encoder per call for any
+# non-default option, and sort_keys is one
+_canonical = json.JSONEncoder(sort_keys=True).encode
+_compact = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
 def _encode(data, *, compact: bool = False) -> str:
-    """Canonical (sorted-key) JSON text of ``data``.
+    """Canonical (sorted-key) JSON text of ``data`` — byte for byte what
+    ``json.dumps(data, sort_keys=True)`` writes (compact: with
+    ``separators=(",", ":")``).
 
     This is the journal's admission filter: only plain, deterministic,
     replayable values get in.  Live objects (keys, sockets, services)
@@ -81,20 +89,19 @@ def _encode(data, *, compact: bool = False) -> str:
     exist on a recovering node.
     """
     try:
-        return json.dumps(data, sort_keys=True,
-                          separators=(",", ":") if compact else None)
+        return (_compact if compact else _canonical)(data)
     except (TypeError, ValueError) as exc:
         raise ConfigurationError(
             f"journal payload is not JSON-serializable: {exc}"
         ) from exc
 
 
-@dataclass(frozen=True)
-class JournalEntry:
+class JournalEntry(NamedTuple):
     """One committed mutation: (sequence, time, writer epoch, kind, record).
 
-    ``record`` is the payload as encoded at append; :attr:`data` decodes
-    it afresh on every read, so no reader can edit the log.
+    A tuple of atoms.  ``record`` is the payload as encoded at append;
+    :attr:`data` decodes it afresh on every read, so no reader can edit
+    the log.
     """
 
     seq: int
@@ -141,11 +148,14 @@ class ServiceJournal:
         return self._epoch
 
     # ------------------------------------------------------------- writes
-    def append(self, kind: str, data: Dict[str, object], *,
+    def append(self, kind: str, data: "Dict[str, object] | str", *,
                epoch: Optional[int] = None) -> JournalEntry:
-        """Commit one mutation.  ``epoch`` is the writer's fencing epoch;
-        presenting a stale one raises :class:`EpochFenced` (and nothing
-        is written — the deposed writer's mutation never happened)."""
+        """Commit one mutation.  ``data`` is the payload, encoded here, or
+        — a ``str`` — its record already written by the caller in the
+        form :func:`_encode` gives, stored as it stands.  ``epoch`` is the
+        writer's fencing epoch; presenting a stale one raises
+        :class:`EpochFenced` (and nothing is written — the deposed
+        writer's mutation never happened)."""
         if epoch is not None and epoch != self._epoch:
             self.fenced_appends += 1
             raise EpochFenced(
@@ -154,9 +164,8 @@ class ServiceJournal:
             )
         self._seq += 1
         entry = JournalEntry(
-            seq=self._seq, time=self.store.clock.now(),
-            epoch=self._epoch, kind=kind, record=_encode(data),
-        )
+            self._seq, self.store.clock.now(), self._epoch, kind,
+            data if type(data) is str else _encode(data))
         self._entries.append(entry)
         self.appends += 1
         return entry
@@ -308,8 +317,12 @@ class Durable:
         self.fencing_epoch = 0
 
     # ------------------------------------------------------------ publish
-    def _jpublish(self, kind: str, /, **data: object) -> None:
+    def _jpublish(self, kind: str, payload: object = None, /,
+                  **data: object) -> None:
         """WAL append for one mutation; no-op when not journaled.
+
+        The record is ``payload`` — a dict, or its text already written
+        (see :meth:`ServiceJournal.append`) — or else the keyword fields.
 
         At the cadence the checkpoint comes *first*: the caller mutates
         only after this returns, so before the append live state equals
@@ -323,7 +336,8 @@ class Durable:
         if (journal.pending_entries() >= self.snapshot_every
                 and journal.epoch == self.fencing_epoch):
             self.checkpoint()
-        journal.append(kind, data, epoch=self.fencing_epoch)
+        journal.append(kind, data if payload is None else payload,
+                       epoch=self.fencing_epoch)
 
     def checkpoint(self) -> None:
         """Periodic checkpoint: a full-state snapshot.  A service whose

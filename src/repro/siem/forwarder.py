@@ -98,6 +98,8 @@ class LogForwarder(Durable):
         self.sink = sink
         self.interval = interval
         self.actions_filter = tuple(actions_filter) if actions_filter else None
+        # action -> shipped?  decided once per distinct action string
+        self._accepts: Dict[str, bool] = {}
         self.max_buffer = max_buffer
         self.retain_on_failure = retain_on_failure
         self._buffer: List[Dict[str, object]] = []
@@ -114,13 +116,16 @@ class LogForwarder(Durable):
         log.subscribe(self._on_event)
 
     def _on_event(self, event: AuditEvent) -> None:
-        if self.actions_filter is not None and not any(
-            event.action.startswith(p) for p in self.actions_filter
-        ):
+        accepted = self._accepts.get(event.action)
+        if accepted is None:
+            accepted = self._accepts[event.action] = (
+                self.actions_filter is None
+                or event.action.startswith(self.actions_filter))
+        if not accepted:
             self.dropped += 1
             return
         record = event_to_record(event)
-        self._jpublish("fw.accept", **record)
+        self._jpublish("fw.accept", record)
         self._buffer.append(record)
         self._enforce_cap()
 

@@ -140,9 +140,6 @@ class SpanStore:
         return sorted(self._by_trace.get(trace_id, []),
                       key=lambda s: (s.start, s.span_id))
 
-    def trace_ids(self) -> List[str]:
-        return list(self._by_trace)
-
     def has_trace(self, trace_id: str) -> bool:
         """True for every trace id this store ever admitted, retained
         or evicted (``trace()`` returns the spans still held)."""

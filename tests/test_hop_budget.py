@@ -8,16 +8,20 @@ a change that adds a hop, an audit record or a span to a story has to
 edit this file and say why.
 
 ``hops`` are ``Network.request`` calls (delivered or not), ``audit`` every
-record emitted into any log, ``spans`` every span opened.  The W3C header
-codec (``TraceContext.from_traceparent``/``inject``) never runs on a
-story: between the hops of one process the trace position is an object
-on the request.
+record emitted into any log, ``spans`` every span opened, ``journal`` the
+write-ahead appends by kind (none on a default build: it journals nothing).
+The W3C header codec (``TraceContext.from_traceparent``/``inject``) never
+runs on a story: between the hops of one process the trace position is an
+object on the request.
 """
+
+from collections import Counter
 
 import pytest
 
 from repro.core import build_isambard
 from repro.net import HttpRequest
+from repro.resilience import ServiceJournal
 from tests.test_deployment_fingerprint import OPT_IN
 
 
@@ -38,22 +42,32 @@ def deployment(request):
 
 
 @pytest.fixture()
-def spent(hop_counts):
+def spent(hop_counts, monkeypatch):
     """``spent(op)`` runs ``op`` and returns what it cost, codec calls
-    (always zero) included."""
+    (always zero) and journal appends by kind included."""
+    journal = Counter()
+    append = ServiceJournal.append
+
+    def counting(self, kind, data, **kwargs):
+        journal[kind] += 1
+        return append(self, kind, data, **kwargs)
+
+    monkeypatch.setattr(ServiceJournal, "append", counting)
 
     def run(op):
         hop_counts.clear()
+        journal.clear()
         op()
-        return {key: hop_counts[key] for key in
-                ("hops", "audit", "spans", "from_traceparent", "inject")}
+        return {**{key: hop_counts[key] for key in
+                   ("hops", "audit", "spans", "from_traceparent", "inject")},
+                "journal": dict(journal)}
 
     return run
 
 
-def _budget(hops, audit, spans):
+def _budget(hops, audit, spans, journal=None):
     return {"hops": hops, "audit": audit, "spans": spans,
-            "from_traceparent": 0, "inject": 0}
+            "from_traceparent": 0, "inject": 0, "journal": journal or {}}
 
 
 def test_relogin(deployment, spent):
@@ -71,7 +85,14 @@ def test_relogin(deployment, spent):
         # both device → broker hops go geo-router → region front →
         # replica: 2 more hops each, a delivery record and two spans per
         # extra hop
-        "all-tiers": _budget(hops=9, audit=13, spans=19),
+        "all-tiers": _budget(hops=9, audit=13, spans=19, journal={
+            # every record, in the log it lands in
+            "audit.emit": 13,
+            # the external and FDS forwarders take their 2 + 2; the
+            # network one ships none of its 9 delivery records
+            "fw.accept": 4,
+            # the broker's new SSO session; MyAccessID journals nothing
+            "oidc.session": 1}),
     }[build]
 
 
@@ -86,7 +107,12 @@ def test_ssh_session_first_and_second(deployment, spent):
         # ssh.cert_issued, the bastion's ssh.connect, the node's session
         "default": _budget(hops=5, audit=10, spans=7),
         # the certificate request crosses geo-router → front → replica
-        "all-tiers": _budget(hops=7, audit=12, spans=11),
+        "all-tiers": _budget(hops=7, audit=12, spans=11, journal={
+            "audit.emit": 12,
+            # FDS 3, MDC 1 (the login node), SWS 1 (the bastion)
+            "fw.accept": 5,
+            # the broker's service token for the CA, the CA's signature
+            "rbac.mint": 1, "ca.sign": 1}),
     }[build]
     assert spent(lambda: wf.story4_ssh_session("res1")) == every_session
     # a remembered host certificate saves a signature check, not a message
@@ -107,7 +133,14 @@ def test_jupyter_notebook(deployment, spent):
         "default": _budget(hops=11, audit=16, spans=24),
         # six of the eleven are hops to the broker, each two hops longer;
         # the regional introspection is one record more
-        "all-tiers": _budget(hops=23, audit=29, spans=48),
+        "all-tiers": _budget(hops=23, audit=29, spans=48, journal={
+            "audit.emit": 29,
+            # FDS 5, MDC 1 (the spawn)
+            "fw.accept": 6,
+            # the broker, as Zenith's provider: the code, its redemption
+            "oidc.code": 1, "oidc.tokens_issued": 1,
+            # Zenith's RBAC token, fenced by its region: intent, commit
+            "rbac.mint": 1, "region.mint.intent": 1, "region.mint": 1}),
     }[build]
 
 
@@ -130,5 +163,9 @@ def test_mint_then_introspect(deployment, spent):
         "default": _budget(hops=3, audit=4, spans=5),
         # both broker hops are two longer (the untraced one adds no
         # span) and the region records its introspection
-        "all-tiers": _budget(hops=7, audit=9, spans=9),
+        "all-tiers": _budget(hops=7, audit=9, spans=9, journal={
+            "audit.emit": 9,
+            # the FDS forwarder's two; introspection journals nothing
+            "fw.accept": 2,
+            "rbac.mint": 1, "region.mint.intent": 1, "region.mint": 1}),
     }[build]

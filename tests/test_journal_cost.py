@@ -6,23 +6,31 @@ checkpoints by sealing its pending records onto the snapshot.  The
 differential below pins that against the journal it replaced — live
 dicts, every checkpoint the whole ``durable_state()`` through a JSON
 round trip — kept here as a test-only reference.  The cost tests have no
-clock in them: they count the bytes handed to ``json.dumps``.
+clock in them: they count the bytes encoded.  A record is written once,
+from the live object; the last differentials pin that text to what
+``json.dumps`` wrote from the dicts it was once repacked into.
 """
 
 import copy
 import enum
 import json
 from collections import namedtuple
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.audit import AuditLog
+from repro import audit
+from repro.audit import AuditEvent, AuditLog, Outcome
+from repro.broker import Role, TokenService
 from repro.clock import SimClock
+from repro.crypto.keys import generate_signing_key
 from repro.errors import ConfigurationError, EpochFenced
+from repro.ids import IdFactory
+from repro.resilience import durability
 from repro.resilience.durability import Durable, DurabilityStore, ServiceJournal
+from tests.test_oidc import full_flow, login
 
 pytestmark = pytest.mark.durability
 
@@ -61,6 +69,8 @@ class RoundTripJournal:
         if epoch is not None and epoch != self._epoch:
             self.fenced_appends += 1
             raise EpochFenced(self.name)
+        if isinstance(data, str):               # a record written as text
+            data = json.loads(data)
         self._seq += 1
         self._entries.append(RefEntry(self._seq, self.store.clock.now(),
                                       self._epoch, kind, jsonable(data)))
@@ -213,16 +223,20 @@ def test_sealed_journal_equals_full_snapshot_reference(cadence, pre_attach,
 # ---------------------------------------------------------------------------
 @pytest.fixture
 def encoded_bytes(monkeypatch):
-    """Total length of everything ``json.dumps`` returned so far."""
+    """Total length of every text ``json.dumps`` or the journal's own
+    encoder (``_encode``, wherever it is called from) returned so far."""
     total = [0]
-    real = json.dumps
 
-    def counting(*args, **kwargs):
-        text = real(*args, **kwargs)
-        total[0] += len(text)
-        return text
+    def counting(real):
+        def counted(*args, **kwargs):
+            text = real(*args, **kwargs)
+            total[0] += len(text)
+            return text
+        return counted
 
-    monkeypatch.setattr(json, "dumps", counting)
+    monkeypatch.setattr(json, "dumps", counting(json.dumps))
+    for module in (durability, audit):
+        monkeypatch.setattr(module, "_encode", counting(module._encode))
     return lambda: total[0]
 
 
@@ -361,3 +375,82 @@ def test_nothing_load_returns_aliases_the_journal():
     log.wipe_state()
     assert log.recover().state_hash == before
     assert {e.actor for e in log.events()} == {"alice"}
+
+
+# ---------------------------------------------------------------------------
+# written once, from the live object: the text the dict path wrote
+# ---------------------------------------------------------------------------
+class Tag(str, enum.Enum):
+    SUCCESS = "success"
+    ACCESS = "access"
+
+
+# text draws non-ASCII, control characters and the empty string
+event_fields = st.text(max_size=6) | st.sampled_from(list(Tag))
+event_attrs = st.dictionaries(
+    st.text(max_size=6),
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+    | st.lists(st.integers(), max_size=2)
+    | st.dictionaries(st.text(max_size=3), st.floats(), max_size=2)
+    | st.builds(Opaque),
+    max_size=4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(time=st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0])
+       | st.floats() | st.integers(-5, 5) | st.booleans(),
+       fields=st.lists(event_fields, min_size=6, max_size=6),
+       outcome=st.sampled_from([*Outcome.ALL, Tag.SUCCESS]),
+       attrs=event_attrs)
+def test_emit_writes_what_json_dumps_wrote(time, fields, outcome, attrs):
+    source, actor, action, resource, domain, zone = fields
+    log = AuditLog("wire")
+    log.attach_journal(DurabilityStore(SimClock()).stream("audit-wire"))
+    event = log.emit(AuditEvent(
+        time=time, source=source, actor=actor, action=action,
+        resource=resource, outcome=outcome, domain=domain, zone=zone,
+        attrs=attrs))
+    (entry,) = log.journal.load()[1]
+    assert entry.record == json.dumps(AuditLog._event_dict(event),
+                                      sort_keys=True)
+
+
+def _dumped(value):
+    return json.dumps(value, sort_keys=True)
+
+
+def test_field_maps_encode_as_asdict_did(oidc_world):
+    """A client (tuple fields) and a code (nested claims), appended and
+    checkpointed: the same text ``asdict``'s deep copy encoded to."""
+    clock, _, _, provider, app, agent = oidc_world
+    provider.add_user("carol", "pw-carol", name="Cärol",
+                      projects={"p1": {"roles": ["pi"], "gpu": [1.5, None]}})
+    provider.attach_journal(DurabilityStore(clock).stream("op"))
+    client = provider.register_client(
+        "cli", ["https://cli/cb", "https://cli/two"], confidential=True)
+    assert login(agent, username="carol", password="pw-carol").ok
+    assert full_flow(app, agent)[0].ok
+    (code,) = provider._codes.values()
+    records = {e.kind: e.record for e in provider.journal.load()[1]}
+    assert records["oidc.client"] == _dumped(asdict(client))
+    # appended at /authorize, before redemption marked it used
+    assert records["oidc.code"] == _dumped(asdict(replace(code, used=False)))
+    state = provider.durable_state()
+    assert durability._encode(state) == _dumped(dict(
+        state,
+        clients={c: asdict(cfg) for c, cfg in provider._clients.items()},
+        codes={code.code: asdict(code)}))
+
+
+def test_issued_token_encodes_as_asdict_did():
+    clock = SimClock()
+    journal = DurabilityStore(clock).stream("tokens")
+    tokens = TokenService(clock, IdFactory(seed=3),
+                          generate_signing_key("EdDSA", kid="k"), "https://b")
+    tokens.publish = journal.append
+    issued = [tokens.mint("alice", "portal", Role.PI, project="p1")[1],
+              tokens.mint("bob", "jupyter", Role.RESEARCHER)[1]]
+    assert [e.record for e in journal.load()[1]] == [
+        _dumped(asdict(rec)) for rec in issued]
+    assert durability._encode(tokens.durable_state()) == _dumped(
+        {"issued": {rec.jti: asdict(rec) for rec in issued}, "revoked": []})

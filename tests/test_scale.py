@@ -661,13 +661,12 @@ class TestCacheInvalidationHygiene:
 
 
 # ======================================================================
-# tail-tolerance regressions (PR 7 satellite): the balancer's in-flight
-# bookkeeping — consistent-hash ring load and `outstanding` — must be
-# released on every exit path, and latency-outlier ejection must never
-# strip the pool of its last usable replica
+# the balancer's in-flight bookkeeping — consistent-hash ring load and
+# `outstanding` — must be released on every exit path (the hedge-loser
+# path and the never-eject-the-last-replica rule are in test_tail.py)
 # ======================================================================
 class TestBalancerBookkeepingUnderTail:
-    def _hash_fabric(self, tail=None):
+    def _hash_fabric(self):
         from repro.resilience import FaultInjector
 
         clock, network, origin, client, pool = _fabric()
@@ -675,7 +674,7 @@ class TestBalancerBookkeepingUnderTail:
         pool.scale_to(3)
         policy = ConsistentHashPolicy(
             lambda req: req.headers.get("Authorization"))
-        lb = LoadBalancer("svc-lb", clock, pool, policy=policy, tail=tail)
+        lb = LoadBalancer("svc-lb", clock, pool, policy=policy)
         network.attach(lb, OperatingDomain.FDS, Zone.ACCESS)
         return clock, network, origin, client, pool, policy, lb
 
@@ -698,51 +697,3 @@ class TestBalancerBookkeepingUnderTail:
         assert all(policy.ring.load(m) == 0 for m in policy.ring.members)
         assert all(v == 0 for v in lb.outstanding.values())
         assert lb._breaker(owner).state == "open"
-
-    def test_ring_load_released_on_hedge_cancellation(self):
-        from repro.resilience import TailConfig
-
-        clock, network, origin, client, pool, policy, lb = self._hash_fabric(
-            tail=TailConfig(ejection=False, retry_budget=False,
-                            min_samples=5, hedge_budget_ratio=1.0))
-        for i in range(8):
-            req = HttpRequest("GET", "/ping",
-                              headers={"Authorization": f"Bearer s{i}"})
-            assert client.call("svc-lb", req).ok
-        network.faults.slow_replica("svc-r1", 0.3)
-        for i in range(12):
-            req = HttpRequest("GET", "/ping",
-                              headers={"Authorization": f"Bearer s{i}"})
-            assert client.call("svc-lb", req).ok
-        assert lb.hedges > 0  # the gray replica's attempts were hedged
-        # the abandoned hedge losers freed their ring load on the way out
-        assert all(policy.ring.load(m) == 0 for m in policy.ring.members)
-        assert all(v == 0 for v in lb.outstanding.values())
-
-    def test_ejection_never_removes_last_healthy_replica(self):
-        from repro.resilience import TailConfig
-
-        clock, network, origin, client, pool, policy, lb = \
-            self._hash_fabric(tail=TailConfig(
-                adaptive_deadlines=False, hedging=False, retry_budget=False,
-                eject_min_samples=2, eject_duration=30.0,
-                max_eject_fraction=0.9))
-        lb.failure_threshold = 50  # keep breakers out of the way
-
-        def explode(request):
-            raise ServiceUnavailable("wedged")
-
-        pool.worker("svc-r1").handle = explode
-        pool.worker("svc-r2").handle = explode
-        for i in range(40):
-            req = HttpRequest("GET", "/ping",
-                              headers={"Authorization": f"Bearer s{i}"})
-            assert client.call("svc-lb", req).ok
-        replicas = pool.replicas()
-        assert set(lb.ejector.ejected(replicas)) == {"svc-r1", "svc-r2"}
-        # the lone survivor is immune to ejection, whatever its record
-        pool.worker("svc-r3").handle = explode
-        for i in range(6):
-            with pytest.raises(ServiceUnavailable):
-                client.call("svc-lb", HttpRequest("GET", "/ping"))
-        assert not lb.ejector.is_ejected("svc-r3", replicas)

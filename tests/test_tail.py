@@ -495,6 +495,7 @@ class TestLoadBalancerHedging:
             req = HttpRequest("GET", "/ping",
                               headers={"Authorization": f"Bearer s{i}"})
             assert client.call("svc-lb", req).ok
+        assert lb.hedges > 0  # the gray replica's attempts were hedged
         # every abandoned hedge loser released its ring slot
         assert all(policy.ring.load(m) == 0 for m in policy.ring.members)
         assert all(v == 0 for v in lb.outstanding.values())
@@ -527,28 +528,32 @@ class TestLoadBalancerEjection:
         assert pool.worker("svc-r1").served > served_while_out
 
     def test_fleet_never_ejects_itself_to_death(self):
-        cfg = TailConfig(adaptive_deadlines=False, hedging=False,
-                         retry_budget=False, eject_min_samples=2,
-                         eject_duration=30.0, max_eject_fraction=0.9)
-        clock, faults, origin, client, pool, lb = _lb_fabric(
-            cfg, failure_threshold=50)
-
         def explode(request):
             raise ServiceUnavailable("wedged")
 
-        pool.worker("svc-r1").handle = explode
-        pool.worker("svc-r2").handle = explode
-        for _ in range(12):
-            assert client.call("svc-lb", HttpRequest("GET", "/ping")).ok
-        replicas = pool.replicas()
-        # the two wedged replicas are error-outliers and sit out…
-        assert set(lb.ejector.ejected(replicas)) == {"svc-r1", "svc-r2"}
-        # …and even if the survivor goes bad, it is never ejected
-        pool.worker("svc-r3").handle = explode
-        for _ in range(6):
-            with pytest.raises(ServiceUnavailable):
-                client.call("svc-lb", HttpRequest("GET", "/ping"))
-        assert not lb.ejector.is_ejected("svc-r3", replicas)
+        # round-robin, and a consistent-hash ring spreading keyed calls
+        for policy, calls in ((RoundRobinPolicy(), 12), (ConsistentHashPolicy(
+                lambda req: req.headers.get("Authorization")), 40)):
+            cfg = TailConfig(adaptive_deadlines=False, hedging=False,
+                             retry_budget=False, eject_min_samples=2,
+                             eject_duration=30.0, max_eject_fraction=0.9)
+            clock, faults, origin, client, pool, lb = _lb_fabric(
+                cfg, policy=policy, failure_threshold=50)
+            pool.worker("svc-r1").handle = explode
+            pool.worker("svc-r2").handle = explode
+            for i in range(calls):
+                req = HttpRequest("GET", "/ping",
+                                  headers={"Authorization": f"Bearer s{i}"})
+                assert client.call("svc-lb", req).ok
+            replicas = pool.replicas()
+            # the two wedged replicas are error-outliers and sit out…
+            assert set(lb.ejector.ejected(replicas)) == {"svc-r1", "svc-r2"}
+            # …and even if the survivor goes bad, it is never ejected
+            pool.worker("svc-r3").handle = explode
+            for _ in range(6):
+                with pytest.raises(ServiceUnavailable):
+                    client.call("svc-lb", HttpRequest("GET", "/ping"))
+            assert not lb.ejector.is_ejected("svc-r3", replicas)
 
 
 class TestOneDerivation:

@@ -560,7 +560,7 @@ def test_trace_survives_crash_recover_replay_and_failover_is_a_span():
     wf = dri.workflows
     s1 = wf.story1_pi_onboarding("pi", project_name="obs-ha")
     assert s1.ok
-    pre_crash_traces = set(dri.telemetry.store.trace_ids())
+    pre_crash_traces = {s.trace_id for s in dri.telemetry.store.spans()}
     assert pre_crash_traces  # onboarding navigations were traced
 
     dri.crash("broker")
