@@ -1,6 +1,11 @@
-"""Shared fixtures: a minimal network, a password OIDC provider, an RP app."""
+"""Shared fixtures: a minimal network, a password OIDC provider, an RP app,
+and the one reader/writer of the recorded outputs under ``golden/``."""
 
 from __future__ import annotations
+
+import json
+import os
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +14,23 @@ from repro.clock import SimClock
 from repro.ids import IdFactory
 from repro.net import HttpRequest, HttpResponse, Network, OperatingDomain, Service, Zone, route
 from repro.oidc import OidcProvider, RelyingParty, UserAgent, make_url
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def golden(name: str, value):
+    """What ``golden/<name>`` records.  With ``REGEN_GOLDEN`` set, ``value``
+    is recorded there first — called, when it is a function, so a costly
+    recording runs only then.  A ``.json`` file holds JSON (sorted keys,
+    one-space indent, UTF-8 as written); any other file holds the text."""
+    path = GOLDEN / name
+    if os.environ.get("REGEN_GOLDEN"):
+        value = value() if callable(value) else value
+        path.write_text(value if isinstance(value, str) else json.dumps(
+            value, indent=1, sort_keys=True, ensure_ascii=False) + "\n",
+            encoding="utf-8")
+    text = path.read_text(encoding="utf-8")
+    return json.loads(text) if name.endswith(".json") else text
 
 
 class PasswordProvider(OidcProvider):

@@ -19,15 +19,12 @@ emit changed, a moved probe id means something drew from ``dri.ids``.
 from __future__ import annotations
 
 import json
-import os
-from pathlib import Path
 
 import pytest
 
 from repro.core import build_isambard
 from repro.oidc import make_url
-
-GOLDEN = Path(__file__).parent / "golden" / "deployment_fingerprints.json"
+from tests.conftest import golden
 
 OPT_IN = ("resilience", "overload", "durability", "failover", "scale",
           "regions", "tail", "authz", "pipeline", "directory")
@@ -98,18 +95,15 @@ def fingerprint(flags) -> dict:
 
 
 @pytest.fixture(scope="module")
-def golden() -> dict:
-    if os.environ.get("REGEN_GOLDEN"):
-        recorded = {name: fingerprint(flags)
-                    for name, flags in COMBOS.items()}
-        GOLDEN.write_text(json.dumps(recorded, indent=1, sort_keys=True) + "\n")
-    return json.loads(GOLDEN.read_text())
+def recorded() -> dict:
+    return golden("deployment_fingerprints.json", lambda: {
+        name: fingerprint(flags) for name, flags in COMBOS.items()})
 
 
 @pytest.mark.parametrize("name", list(COMBOS))
-def test_wiring_matches_the_recorded_fingerprint(golden, name):
+def test_wiring_matches_the_recorded_fingerprint(recorded, name):
     got = json.loads(json.dumps(fingerprint(COMBOS[name])))
-    want = golden[name]
+    want = recorded[name]
     for key in want:
         assert got[key] == want[key], f"{name}: {key} moved"
     assert got.keys() == want.keys()

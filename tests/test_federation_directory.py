@@ -25,8 +25,6 @@ import dataclasses
 import gc
 import hashlib
 import json
-import os
-from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -57,6 +55,7 @@ from repro.ids import IdFactory
 from repro.net.http import HttpRequest
 from repro.oidc import make_url
 from repro.resilience.durability import DurabilityStore
+from tests.conftest import golden
 
 pytestmark = pytest.mark.directory
 
@@ -662,9 +661,6 @@ def test_stored_records_are_flat_atoms_the_collector_lets_go_of():
 # ---------------------------------------------------------------------------
 # what leaves a shard is pinned: journal records, snapshots, state hashes
 # ---------------------------------------------------------------------------
-LAYOUT_GOLDEN = Path(__file__).parent / "golden" / "directory_layout.json"
-
-
 def _sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
@@ -758,11 +754,7 @@ def test_what_leaves_a_shard_matches_the_recording():
     (``REGEN_GOLDEN=1``) only for an intended change of a journaled form.
     """
     got = json.loads(json.dumps(_layout_scenario()))
-    if os.environ.get("REGEN_GOLDEN"):
-        LAYOUT_GOLDEN.write_text(
-            json.dumps(got, indent=1, sort_keys=True, ensure_ascii=False)
-            + "\n", encoding="utf-8")
-    want = json.loads(LAYOUT_GOLDEN.read_text(encoding="utf-8"))
+    want = golden("directory_layout.json", got)
     for key in want:
         assert got[key] == want[key], f"{key} moved"
     assert got.keys() == want.keys()

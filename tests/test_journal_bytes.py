@@ -23,19 +23,16 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
-from pathlib import Path
 
 import pytest
 
 from repro.core import build_isambard
 from repro.net import HttpRequest
 from repro.resilience.durability import Durable
+from tests.conftest import golden
 from tests.test_deployment_fingerprint import OPT_IN
 
 pytestmark = pytest.mark.durability
-
-GOLDEN = Path(__file__).parent / "golden" / "journal_bytes.json"
 
 BUILDS = {
     "durability": {"durability": True},
@@ -126,18 +123,15 @@ def journal_bytes(flags) -> dict:
 
 
 @pytest.fixture(scope="module")
-def golden() -> dict:
-    if os.environ.get("REGEN_GOLDEN"):
-        recorded = {name: journal_bytes(flags)
-                    for name, flags in BUILDS.items()}
-        GOLDEN.write_text(json.dumps(recorded, indent=1, sort_keys=True) + "\n")
-    return json.loads(GOLDEN.read_text())
+def recorded() -> dict:
+    return golden("journal_bytes.json", lambda: {
+        name: journal_bytes(flags) for name, flags in BUILDS.items()})
 
 
 @pytest.mark.parametrize("build", list(BUILDS))
-def test_journal_bytes_match_the_recording(golden, build):
+def test_journal_bytes_match_the_recording(recorded, build):
     got = json.loads(json.dumps(journal_bytes(BUILDS[build])))
-    want = golden[build]
+    want = recorded[build]
     for phase in ("before", "after"):
         for key in want[phase]:
             assert got[phase][key] == want[phase][key], \

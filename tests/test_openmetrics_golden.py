@@ -16,16 +16,12 @@ then eyeball the diff before committing it.
 
 from __future__ import annotations
 
-import os
-from pathlib import Path
-
 import pytest
 
 from repro.telemetry.metrics import MetricsRegistry
+from tests.conftest import golden
 
 pytestmark = pytest.mark.pipeline
-
-GOLDEN = Path(__file__).parent / "golden" / "openmetrics.txt"
 
 
 def build_registry() -> MetricsRegistry:
@@ -67,17 +63,13 @@ def build_registry() -> MetricsRegistry:
 
 def test_exposition_matches_golden_file():
     text = build_registry().expose()
-    if os.environ.get("REGEN_GOLDEN"):
-        GOLDEN.parent.mkdir(parents=True, exist_ok=True)
-        GOLDEN.write_text(text)
-    assert GOLDEN.exists(), "golden file missing — run with REGEN_GOLDEN=1"
-    assert text == GOLDEN.read_text()
+    assert text == golden("openmetrics.txt", text)
 
 
 def test_golden_file_covers_the_contract():
     """Belt-and-braces: the pinned text actually contains the features
     this test exists to protect, so a bad regen can't hollow it out."""
-    text = GOLDEN.read_text()
+    text = golden("openmetrics.txt", lambda: build_registry().expose())
     # escaping
     assert 'path="we\\"ird\\\\path\\nnl"' in text
     # exemplars trail bucket lines

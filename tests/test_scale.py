@@ -9,11 +9,8 @@ failover, and the metric-driven autoscaler.
 
 from __future__ import annotations
 
-import json
-import os
 import random
 from bisect import bisect_right
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -45,9 +42,9 @@ from repro.scale import (
 )
 from repro.scale.hashring import _h
 from repro.telemetry import Telemetry
+from tests.conftest import golden
 
 _member = st.sampled_from([f"m{i}" for i in range(8)])
-RING_GOLDEN = Path(__file__).parent / "golden" / "ring_assign_sequence.json"
 
 # ======================================================================
 # consistent-hash ring
@@ -162,7 +159,7 @@ class TestBoundedLoadRing:
         """A recorded run of ``assign`` / ``release`` / ``add`` / ``remove``
         on a small ring with hot keys: the bounded-load walk places every
         key where it did before pure placement stopped sharing its code."""
-        if os.environ.get("REGEN_GOLDEN"):
+        def record():
             rng = random.Random(20)
             ops, members, held, joined = [], ["r0", "r1", "r2"], [], 3
             for _ in range(400):
@@ -179,9 +176,9 @@ class TestBoundedLoadRing:
                 elif len(members) > 2:
                     ops.append(["remove", members.pop(
                         rng.randrange(len(members)))])
-            RING_GOLDEN.write_text(json.dumps(
-                {"ops": ops, "results": self._replay(ops)}) + "\n")
-        recorded = json.loads(RING_GOLDEN.read_text())
+            return {"ops": ops, "results": self._replay(ops)}
+
+        recorded = golden("ring_assign_sequence.json", record)
         assert self._replay(recorded["ops"]) == recorded["results"]
 
     @staticmethod

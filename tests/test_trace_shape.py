@@ -22,10 +22,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import random
 from functools import partial
-from pathlib import Path
 
 import pytest
 
@@ -38,9 +36,8 @@ from repro.resilience import FaultInjector, Resilience, RetryPolicy
 from repro.resilience.tail import TailConfig, TailController
 from repro.scale.balancer import LoadBalancer, ReplicaPool, RoundRobinPolicy
 from repro.telemetry import Telemetry
+from tests.conftest import golden
 from tests.test_deployment_fingerprint import OPT_IN
-
-GOLDEN = Path(__file__).parent / "golden" / "trace_shape.json"
 
 BUILDS = {
     "default": {},
@@ -213,17 +210,15 @@ SHAPES = {
 
 
 @pytest.fixture(scope="module")
-def golden() -> dict:
-    if os.environ.get("REGEN_GOLDEN"):
-        recorded = {name: shape() for name, shape in SHAPES.items()}
-        GOLDEN.write_text(json.dumps(recorded, indent=1, sort_keys=True) + "\n")
-    return json.loads(GOLDEN.read_text())
+def recorded() -> dict:
+    return golden("trace_shape.json", lambda: {
+        name: shape() for name, shape in SHAPES.items()})
 
 
 @pytest.mark.parametrize("name", list(SHAPES))
-def test_trace_shape_matches_the_recording(golden, name):
+def test_trace_shape_matches_the_recording(recorded, name):
     got = json.loads(json.dumps(SHAPES[name]()))
-    want = golden[name]
+    want = recorded[name]
     for story in want:
         for key in want[story]:
             assert got[story][key] == want[story][key], \
