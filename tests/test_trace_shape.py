@@ -34,7 +34,7 @@ from repro.net import (HttpRequest, HttpResponse, Network, OperatingDomain,
                        Service, Zone, route)
 from repro.resilience import FaultInjector, Resilience, RetryPolicy
 from repro.resilience.tail import TailConfig, TailController
-from repro.scale.balancer import LoadBalancer, ReplicaPool, RoundRobinPolicy
+from repro.scale.balancer import LoadBalancer, ReplicaPool
 from repro.telemetry import Telemetry
 from tests.conftest import golden
 from tests.test_deployment_fingerprint import OPT_IN
@@ -184,7 +184,7 @@ def balancer_hedged_call_shape() -> dict:
                        network.endpoint("srv").service, max_replicas=8)
     pool.scale_to(3)
     lb = LoadBalancer(
-        "svc-lb", clock, pool, policy=RoundRobinPolicy(), audit=lb_audit,
+        "svc-lb", clock, pool, audit=lb_audit,
         telemetry=network.telemetry,
         tail=TailConfig(ejection=False, retry_budget=False, min_samples=5,
                         hedge_budget_ratio=0.5))
@@ -193,7 +193,9 @@ def balancer_hedged_call_shape() -> dict:
     for i in range(6):
         _traced_ping(network, client, "svc-lb", f"warm {i}")
     faults.slow_replica("svc-r1", 0.3)
-    for i in range(3):  # round-robin lands one of three on the gray replica
+    # the gray replica goes first once: the hedged loser counts as its
+    # attempt, so the second probe goes to the replica that sat out
+    for i in range(2):
         _traced_ping(network, client, "svc-lb", f"hedge probe {i}")
     assert (lb.hedges, lb.hedge_wins) == (1, 1)
     rec.cut("balancer_hedged")
