@@ -5,8 +5,7 @@ See ``docs/scaling.md`` for the design; the short version:
 
 * :mod:`repro.scale.balancer` — run a stateless control-plane service
   as N :class:`ReplicaWorker` endpoints behind a :class:`LoadBalancer`
-  (round-robin, least-outstanding, or bounded-load consistent hashing
-  for session/tunnel affinity).
+  that sends each request to the worker with the fewest in flight.
 * :mod:`repro.scale.cache` — TTL + negative caching with single-flight
   coalescing, and the :class:`InvalidationBus` that carries token
   revocations and JWKS rotations to every replica before TTLs expire.
@@ -17,14 +16,7 @@ See ``docs/scaling.md`` for the design; the short version:
 from dataclasses import dataclass
 
 from .autoscaler import Autoscaler, ScaleDecision
-from .balancer import (
-    ConsistentHashPolicy,
-    LeastOutstandingPolicy,
-    LoadBalancer,
-    ReplicaPool,
-    ReplicaWorker,
-    RoundRobinPolicy,
-)
+from .balancer import LoadBalancer, ReplicaPool, ReplicaWorker
 from .cache import CacheStats, InvalidationBus, LoadInFlight, TtlCache
 from .hashring import BoundedLoadRing
 
@@ -32,12 +24,9 @@ __all__ = [
     "ScaleConfig",
     "Autoscaler",
     "ScaleDecision",
-    "ConsistentHashPolicy",
-    "LeastOutstandingPolicy",
     "LoadBalancer",
     "ReplicaPool",
     "ReplicaWorker",
-    "RoundRobinPolicy",
     "CacheStats",
     "InvalidationBus",
     "LoadInFlight",

@@ -6,9 +6,9 @@ its own network endpoint, its own admission-control bucket and its own
 circuit-breaker target, while the application state stays in the shared
 origin (the way replicated token validators share one token store in
 systems like Gafaelfawr).  A :class:`LoadBalancer` owns the pool's
-public endpoint name, picks a worker per request under a pluggable
-policy and fails over to the next candidate when a worker is down,
-circuit-broken or shedding.
+public endpoint name, sends each request to the worker with the fewest
+attempts in flight and fails over to the next candidate when a worker is
+down, circuit-broken or shedding.
 
 Every balanced hop goes through :meth:`Service.call`, so client/server
 spans, deadline propagation and priority inheritance compose unchanged.
@@ -36,15 +36,11 @@ from ..net.http import HttpRequest, HttpResponse, Service
 from ..resilience.breaker import CircuitBreaker
 from ..resilience.overload import AdmissionController
 from ..resilience.tail import OutlierEjector, TailConfig, TailController
-from .hashring import BoundedLoadRing
 
 __all__ = [
     "ReplicaWorker",
     "ReplicaPool",
     "LoadBalancer",
-    "RoundRobinPolicy",
-    "LeastOutstandingPolicy",
-    "ConsistentHashPolicy",
     "pod_admission",
 ]
 
@@ -171,68 +167,6 @@ class ReplicaPool:
             self.network.endpoint(name).up = up
 
 
-# ----------------------------------------------------------------------
-# balancing policies
-# ----------------------------------------------------------------------
-class RoundRobinPolicy:
-    """Rotate through the fleet; failover order continues the rotation."""
-
-    name = "round-robin"
-
-    def __init__(self) -> None:
-        self._cursor = 0
-
-    def order(self, replicas: List[str], request: HttpRequest,
-              outstanding: Dict[str, int]) -> List[str]:
-        if not replicas:
-            return []
-        start = self._cursor % len(replicas)
-        # keep the cursor bounded by the fleet size instead of counting
-        # up forever (satellite fix: an unbounded int is harmless in
-        # Python but wrong as state — and it made snapshots noisy)
-        self._cursor = (start + 1) % len(replicas)
-        return replicas[start:] + replicas[:start]
-
-    def acquire(self, replica: str) -> None:  # pragma: no cover - no-op
-        pass
-
-    def release(self, replica: str) -> None:  # pragma: no cover - no-op
-        pass
-
-
-class LeastOutstandingPolicy:
-    """Join-shortest-queue: fewest in-flight requests first, then the
-    smallest cumulative count (deterministic tie-break by fleet order)."""
-
-    name = "least-outstanding"
-
-    def __init__(self) -> None:
-        self._served: Dict[str, int] = {}
-
-    def order(self, replicas: List[str], request: HttpRequest,
-              outstanding: Dict[str, int]) -> List[str]:
-        indexed = list(enumerate(replicas))
-        indexed.sort(key=lambda pair: (
-            outstanding.get(pair[1], 0),
-            self._served.get(pair[1], 0),
-            pair[0],
-        ))
-        return [name for _, name in indexed]
-
-    def acquire(self, replica: str) -> None:
-        self._served[replica] = self._served.get(replica, 0) + 1
-
-    def release(self, replica: str) -> None:  # pragma: no cover - no-op
-        pass
-
-    def forget(self, replica: str) -> None:
-        """Purge a departed replica's cumulative count (satellite fix:
-        `_served` used to grow forever across membership churn, and a
-        re-joined replica inherited its predecessor's count, skewing the
-        tie-break against it)."""
-        self._served.pop(replica, None)
-
-
 def pod_admission(clock, overload):
     """Per-worker admission factory for a broker fleet: each pod gets its
     own broker-sized bucket.  ``None`` without an overload config."""
@@ -241,62 +175,13 @@ def pod_admission(clock, overload):
     return lambda worker: AdmissionController(worker, clock, overload.broker)
 
 
-class ConsistentHashPolicy:
-    """Session/tunnel affinity on a bounded-load hash ring.
-
-    ``key_fn`` extracts the affinity key from the request (session
-    cookie, tunnel id, client endpoint…); requests with no key fall
-    back to the ring walk from the request path, so they still spread.
-    """
-
-    name = "consistent-hash"
-
-    def __init__(self, key_fn: Callable[[HttpRequest], Optional[str]],
-                 *, vnodes: int = 64, bound: float = 1.25) -> None:
-        self.key_fn = key_fn
-        self.ring = BoundedLoadRing(vnodes=vnodes, bound=bound)
-
-    def sync(self, replicas: List[str]) -> None:
-        current = set(self.ring.members)
-        wanted = set(replicas)
-        for member in current - wanted:
-            self.ring.remove(member)
-        for member in sorted(wanted - current):
-            self.ring.add(member)
-
-    def order(self, replicas: List[str], request: HttpRequest,
-              outstanding: Dict[str, int]) -> List[str]:
-        self.sync(replicas)
-        key = self.key_fn(request) or request.path
-        cap = self.ring.capacity()
-        walk: List[str] = []
-        preferred: List[str] = []
-        overloaded: List[str] = []
-        start = self.ring.locate(key)
-        # deterministic walk: owner first, then fleet order from there
-        idx = replicas.index(start) if start in replicas else 0
-        walk = replicas[idx:] + replicas[:idx]
-        for member in walk:
-            if self.ring.load(member) < cap:
-                preferred.append(member)
-            else:
-                overloaded.append(member)
-        return preferred + overloaded
-
-    def acquire(self, replica: str) -> None:
-        if replica in self.ring.members:
-            self.ring.take(replica)
-
-    def release(self, replica: str) -> None:
-        if replica in self.ring.members:
-            self.ring.release(replica)
-
-
 # ----------------------------------------------------------------------
 class LoadBalancer(Service):
     """The pool's public endpoint: route, breaker-guard, fail over.
 
-    Owns a per-replica :class:`CircuitBreaker`; a replica that keeps
+    Candidates are tried join-shortest-queue: fewest attempts in flight
+    (``outstanding``) first, then fewest attempts so far, then fleet
+    order.  Owns a per-replica :class:`CircuitBreaker`; a replica that keeps
     failing is skipped for ``recovery_time`` the same way outbound
     resilience kits short-circuit a dead dependency.  Failover moves to
     the next candidate on transport failure (``ServiceUnavailable``,
@@ -317,7 +202,7 @@ class LoadBalancer(Service):
     * read-shaped requests are *hedged*: the first attempt is bounded
       at the much tighter hedge delay, and tripping it is not a fault —
       the immediate failover to the next replica IS the hedge, with
-      the abandoned attempt's ``outstanding``/ring load released by
+      the abandoned attempt's ``outstanding`` slot released by
       the same ``finally`` that serves ordinary failover (that *is*
       the loser cancellation);
     * per-replica latency/error EWMAs feed an
@@ -333,7 +218,6 @@ class LoadBalancer(Service):
         clock: SimClock,
         pool: ReplicaPool,
         *,
-        policy=None,
         audit=None,
         failure_threshold: int = 5,
         recovery_time: float = 30.0,
@@ -344,12 +228,12 @@ class LoadBalancer(Service):
         super().__init__(name)
         self.clock = clock
         self.pool = pool
-        self.policy = policy if policy is not None else LeastOutstandingPolicy()
         self.audit = audit
         self.failure_threshold = failure_threshold
         self.recovery_time = recovery_time
         self.breaker_listener = breaker_listener
         self.outstanding: Dict[str, int] = {}
+        self._served: Dict[str, int] = {}   # attempts so far, the tie-break
         self.routed = 0
         self.failovers = 0
         self.exhausted = 0
@@ -389,9 +273,7 @@ class LoadBalancer(Service):
             return
         self.outstanding.pop(replica, None)
         self._breakers.pop(replica, None)
-        forget = getattr(self.policy, "forget", None)
-        if forget is not None:
-            forget(replica)
+        self._served.pop(replica, None)
         if self.ejector is not None:
             self.ejector.forget(replica)
 
@@ -421,8 +303,9 @@ class LoadBalancer(Service):
         return self._serve(request, self._forward)
 
     def _forward(self, request: HttpRequest) -> HttpResponse:
-        replicas = self.pool.replicas()
-        candidates = self.policy.order(replicas, request, self.outstanding)
+        outstanding, served = self.outstanding, self._served
+        candidates = sorted(self.pool.replicas(), key=lambda r: (
+            outstanding.get(r, 0), served.get(r, 0)))
         if self.hedge_budget is not None:
             self.hedge_budget.record_call()
         last_exc: Optional[Exception] = None
@@ -456,8 +339,8 @@ class LoadBalancer(Service):
                     self.pool.name, request, first=tried == 1,
                     hedge_target=lambda: self._has_hedge_target(
                         candidates, replica))
-            self.outstanding[replica] = self.outstanding.get(replica, 0) + 1
-            self.policy.acquire(replica)
+            outstanding[replica] = outstanding.get(replica, 0) + 1
+            served[replica] = served.get(replica, 0) + 1
             attempt_started = self.clock.now()
             if bound is not None:
                 request.attempt_deadline = attempt_started + bound
@@ -499,11 +382,10 @@ class LoadBalancer(Service):
                 continue
             finally:
                 # releases the loser's bookkeeping too: cancelling a
-                # hedged attempt must free its outstanding slot and its
-                # ring load, or the pool slowly chokes on ghosts
+                # hedged attempt must free its outstanding slot, or the
+                # pool slowly chokes on ghosts
                 request.attempt_deadline = None
-                self.outstanding[replica] -= 1
-                self.policy.release(replica)
+                outstanding[replica] -= 1
             breaker.record_success()
             elapsed = self.clock.now() - attempt_started
             if self.controller is not None:

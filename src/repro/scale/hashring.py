@@ -1,12 +1,14 @@
 """Consistent-hash ring with bounded loads.
 
-The affinity policy of the load balancer: session and tunnel keys map
-to replicas via a classic virtual-node hash ring (sha256, so placement
-is identical across processes and runs — no Python hash randomisation),
-with the *bounded loads* refinement from Mirrokni/Thorup/Zadimoghaddam:
-no replica may carry more than ``ceil(c · total/n)`` outstanding
-assignments; an overloaded candidate is skipped and the walk continues
-clockwise, which preserves both the cap and (mostly) the affinity.
+The federation directory's placement ring: account and metadata keys map
+to shards via a classic virtual-node hash ring (sha256, so placement is
+identical across processes and runs — no Python hash randomisation).
+``ShardedTier`` uses pure placement (``locate``, ``add``, ``remove``).
+The *bounded loads* refinement from Mirrokni/Thorup/Zadimoghaddam
+(``assign``/``take``/``release`` under ``capacity``) caps a member at
+``ceil(c · total/n)`` live assignments, skipping an overloaded candidate
+and walking on clockwise; nothing in the deployment assigns under a cap
+today.
 
 Key movement on membership change is minimal by construction: only the
 keys whose ring arc lands on the joining/leaving node move.

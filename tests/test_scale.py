@@ -3,8 +3,8 @@
 Covers the bounded-load consistent-hash ring (deterministic placement,
 cap enforcement, minimal movement on membership change), the TTL cache
 (expiry, negative caching, single-flight stampede protection, tag and
-bus invalidation), the replica pool + load balancer policies and
-failover, and the metric-driven autoscaler.
+bus invalidation), the replica pool + load balancer and failover, and
+the metric-driven autoscaler.
 """
 
 from __future__ import annotations
@@ -31,13 +31,10 @@ from repro.net import (
 from repro.scale import (
     Autoscaler,
     BoundedLoadRing,
-    ConsistentHashPolicy,
     InvalidationBus,
-    LeastOutstandingPolicy,
     LoadBalancer,
     LoadInFlight,
     ReplicaPool,
-    RoundRobinPolicy,
     TtlCache,
 )
 from repro.scale.hashring import _h
@@ -405,53 +402,24 @@ class TestReplicaPoolAndBalancer:
                           ("leave", "svc-r2")]
         assert pool.scale_to(99) == pool.max_replicas
 
-    def _balanced(self, pool, network, clock, policy):
-        lb = LoadBalancer("svc-lb", clock, pool, policy=policy)
+    def _balanced(self, pool, network, clock):
+        lb = LoadBalancer("svc-lb", clock, pool)
         network.attach(lb, OperatingDomain.FDS, Zone.ACCESS)
         return lb
-
-    def test_round_robin_spreads_evenly(self):
-        clock, network, origin, client, pool = _fabric()
-        pool.scale_to(3)
-        lb = self._balanced(pool, network, clock, RoundRobinPolicy())
-        for _ in range(6):
-            assert client.call("svc-lb", HttpRequest("GET", "/ping")).ok
-        assert origin.calls == 6
-        assert [pool.worker(r).served for r in pool.replicas()] == [2, 2, 2]
-        assert lb.routed == 6
 
     def test_least_outstanding_spreads_evenly(self):
         clock, network, origin, client, pool = _fabric()
         pool.scale_to(4)
-        lb = self._balanced(pool, network, clock, LeastOutstandingPolicy())
+        lb = self._balanced(pool, network, clock)
         for _ in range(8):
             assert client.call("svc-lb", HttpRequest("GET", "/ping")).ok
         assert [pool.worker(r).served for r in pool.replicas()] == [2, 2, 2, 2]
-
-    def test_consistent_hash_affinity(self):
-        clock, network, origin, client, pool = _fabric()
-        pool.scale_to(4)
-        policy = ConsistentHashPolicy(
-            lambda req: req.headers.get("Authorization"))
-        lb = self._balanced(pool, network, clock, policy)
-        served_before = None
-        for _ in range(5):
-            req = HttpRequest("GET", "/ping",
-                              headers={"Authorization": "Bearer sess-1"})
-            assert client.call("svc-lb", req).ok
-        pinned = [r for r in pool.replicas() if pool.worker(r).served]
-        assert len(pinned) == 1  # one session, one replica
-        # different keys spread over the fleet
-        for i in range(40):
-            req = HttpRequest("GET", "/ping",
-                              headers={"Authorization": f"Bearer s{i}"})
-            assert client.call("svc-lb", req).ok
-        assert sum(1 for r in pool.replicas() if pool.worker(r).served) >= 3
+        assert origin.calls == lb.routed == 8
 
     def test_down_replica_is_skipped(self):
         clock, network, origin, client, pool = _fabric()
         pool.scale_to(3)
-        lb = self._balanced(pool, network, clock, RoundRobinPolicy())
+        lb = self._balanced(pool, network, clock)
         network.endpoint("svc-r2").up = False
         for _ in range(6):
             assert client.call("svc-lb", HttpRequest("GET", "/ping")).ok
@@ -461,7 +429,7 @@ class TestReplicaPoolAndBalancer:
     def test_all_replicas_down_exhausts(self):
         clock, network, origin, client, pool = _fabric()
         pool.scale_to(2)
-        lb = self._balanced(pool, network, clock, RoundRobinPolicy())
+        lb = self._balanced(pool, network, clock)
         for r in pool.replicas():
             network.endpoint(r).up = False
         with pytest.raises(ServiceUnavailable):
@@ -471,7 +439,7 @@ class TestReplicaPoolAndBalancer:
     def test_failing_replica_trips_breaker_and_fails_over(self):
         clock, network, origin, client, pool = _fabric()
         pool.scale_to(2)
-        lb = self._balanced(pool, network, clock, RoundRobinPolicy())
+        lb = self._balanced(pool, network, clock)
         bad = pool.worker("svc-r1")
 
         def explode(request):
@@ -658,39 +626,24 @@ class TestCacheInvalidationHygiene:
 
 
 # ======================================================================
-# the balancer's in-flight bookkeeping — consistent-hash ring load and
-# `outstanding` — must be released on every exit path (the hedge-loser
-# path and the never-eject-the-last-replica rule are in test_tail.py)
+# the balancer's in-flight bookkeeping — `outstanding` — must be released
+# on every exit path (the hedge-loser path and the never-eject-the-last-
+# replica rule are in test_tail.py)
 # ======================================================================
 class TestBalancerBookkeepingUnderTail:
-    def _hash_fabric(self):
-        from repro.resilience import FaultInjector
-
-        clock, network, origin, client, pool = _fabric()
-        network.faults = FaultInjector(clock, random.Random(5))
-        pool.scale_to(3)
-        policy = ConsistentHashPolicy(
-            lambda req: req.headers.get("Authorization"))
-        lb = LoadBalancer("svc-lb", clock, pool, policy=policy)
-        network.attach(lb, OperatingDomain.FDS, Zone.ACCESS)
-        return clock, network, origin, client, pool, policy, lb
-
     def test_ring_load_released_on_breaker_guarded_failure(self):
-        clock, network, origin, client, pool, policy, lb = \
-            self._hash_fabric()
+        clock, network, origin, client, pool = _fabric()
+        pool.scale_to(3)
+        lb = LoadBalancer("svc-lb", clock, pool)
+        network.attach(lb, OperatingDomain.FDS, Zone.ACCESS)
 
         def explode(request):
             raise ServiceUnavailable("wedged")
 
-        policy.sync(pool.replicas())
-        owner = policy.ring.locate("Bearer hot")
-        pool.worker(owner).handle = explode
+        pool.worker("svc-r1").handle = explode
         for _ in range(20):
-            req = HttpRequest("GET", "/ping",
-                              headers={"Authorization": "Bearer hot"})
-            assert client.call("svc-lb", req).ok
+            assert client.call("svc-lb", HttpRequest("GET", "/ping")).ok
         # every failed attempt — including those that tripped the
-        # breaker — released its ring slot and its outstanding count
-        assert all(policy.ring.load(m) == 0 for m in policy.ring.members)
-        assert all(v == 0 for v in lb.outstanding.values())
-        assert lb._breaker(owner).state == "open"
+        # breaker — released its outstanding count
+        assert lb.outstanding == {r: 0 for r in pool.replicas()}
+        assert lb._breaker("svc-r1").state == "open"

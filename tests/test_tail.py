@@ -46,13 +46,7 @@ from repro.resilience import (
     TailController,
     hedgeable_request,
 )
-from repro.scale import (
-    ConsistentHashPolicy,
-    LeastOutstandingPolicy,
-    LoadBalancer,
-    ReplicaPool,
-    RoundRobinPolicy,
-)
+from repro.scale import LoadBalancer, ReplicaPool
 from repro.siem import RetryStormRule
 
 pytestmark = pytest.mark.tail
@@ -428,15 +422,12 @@ class TestResilienceKitTail:
 # ======================================================================
 # load balancer: hedging + ejection
 # ======================================================================
-def _lb_fabric(cfg, *, replicas=3, policy=None, **lb_kw):
+def _lb_fabric(cfg, *, replicas=3, **lb_kw):
     clock, faults, network, origin, client = _pong_fabric()
     pool = ReplicaPool("svc", network, OperatingDomain.FDS, Zone.ACCESS,
                        origin, max_replicas=8)
     pool.scale_to(replicas)
-    lb = LoadBalancer("svc-lb", clock, pool,
-                      policy=policy if policy is not None
-                      else RoundRobinPolicy(),
-                      tail=cfg, **lb_kw)
+    lb = LoadBalancer("svc-lb", clock, pool, tail=cfg, **lb_kw)
     network.attach(lb, OperatingDomain.FDS, Zone.ACCESS)
     return clock, faults, origin, client, pool, lb
 
@@ -451,10 +442,11 @@ class TestLoadBalancerHedging:
         faults.slow_replica("svc-r1", 0.3)
         for _ in range(30):
             assert client.call("svc-lb", HttpRequest("GET", "/ping")).ok
-        # round-robin puts the gray replica first on every third call:
-        # each of those hedged to a fast peer and the hedge won
-        assert lb.hedges == 10
-        assert lb.hedge_wins == 10
+        # the abandoned loser counts as an attempt too, so the gray
+        # replica is tried first on every second call: each of those
+        # hedged to a fast peer and the hedge won
+        assert lb.hedges == 15
+        assert lb.hedge_wins == 15
         assert lb.failovers == 0          # speculation, not failover
         assert lb.attempt_timeouts == 0   # tight bound only on attempt 1
         # exactly-once: abandoned losers were never delivered
@@ -482,23 +474,15 @@ class TestLoadBalancerHedging:
     def test_hedge_releases_ring_load(self):
         cfg = TailConfig(ejection=False, retry_budget=False, min_samples=5,
                          hedge_budget_ratio=1.0)
-        policy = ConsistentHashPolicy(
-            lambda req: req.headers.get("Authorization"))
-        clock, faults, origin, client, pool, lb = _lb_fabric(
-            cfg, policy=policy)
-        for i in range(8):
-            req = HttpRequest("GET", "/ping",
-                              headers={"Authorization": f"Bearer s{i}"})
-            assert client.call("svc-lb", req).ok
+        clock, faults, origin, client, pool, lb = _lb_fabric(cfg)
+        for _ in range(8):
+            assert client.call("svc-lb", HttpRequest("GET", "/ping")).ok
         faults.slow_replica("svc-r1", 0.3)
-        for i in range(12):
-            req = HttpRequest("GET", "/ping",
-                              headers={"Authorization": f"Bearer s{i}"})
-            assert client.call("svc-lb", req).ok
+        for _ in range(12):
+            assert client.call("svc-lb", HttpRequest("GET", "/ping")).ok
         assert lb.hedges > 0  # the gray replica's attempts were hedged
-        # every abandoned hedge loser released its ring slot
-        assert all(policy.ring.load(m) == 0 for m in policy.ring.members)
-        assert all(v == 0 for v in lb.outstanding.values())
+        # every abandoned hedge loser released its outstanding slot
+        assert lb.outstanding == {r: 0 for r in pool.replicas()}
 
 
 class TestLoadBalancerEjection:
@@ -531,29 +515,24 @@ class TestLoadBalancerEjection:
         def explode(request):
             raise ServiceUnavailable("wedged")
 
-        # round-robin, and a consistent-hash ring spreading keyed calls
-        for policy, calls in ((RoundRobinPolicy(), 12), (ConsistentHashPolicy(
-                lambda req: req.headers.get("Authorization")), 40)):
-            cfg = TailConfig(adaptive_deadlines=False, hedging=False,
-                             retry_budget=False, eject_min_samples=2,
-                             eject_duration=30.0, max_eject_fraction=0.9)
-            clock, faults, origin, client, pool, lb = _lb_fabric(
-                cfg, policy=policy, failure_threshold=50)
-            pool.worker("svc-r1").handle = explode
-            pool.worker("svc-r2").handle = explode
-            for i in range(calls):
-                req = HttpRequest("GET", "/ping",
-                                  headers={"Authorization": f"Bearer s{i}"})
-                assert client.call("svc-lb", req).ok
-            replicas = pool.replicas()
-            # the two wedged replicas are error-outliers and sit out…
-            assert set(lb.ejector.ejected(replicas)) == {"svc-r1", "svc-r2"}
-            # …and even if the survivor goes bad, it is never ejected
-            pool.worker("svc-r3").handle = explode
-            for _ in range(6):
-                with pytest.raises(ServiceUnavailable):
-                    client.call("svc-lb", HttpRequest("GET", "/ping"))
-            assert not lb.ejector.is_ejected("svc-r3", replicas)
+        cfg = TailConfig(adaptive_deadlines=False, hedging=False,
+                         retry_budget=False, eject_min_samples=2,
+                         eject_duration=30.0, max_eject_fraction=0.9)
+        clock, faults, origin, client, pool, lb = _lb_fabric(
+            cfg, failure_threshold=50)
+        pool.worker("svc-r1").handle = explode
+        pool.worker("svc-r2").handle = explode
+        for _ in range(12):
+            assert client.call("svc-lb", HttpRequest("GET", "/ping")).ok
+        replicas = pool.replicas()
+        # the two wedged replicas are error-outliers and sit out…
+        assert set(lb.ejector.ejected(replicas)) == {"svc-r1", "svc-r2"}
+        # …and even if the survivor goes bad, it is never ejected
+        pool.worker("svc-r3").handle = explode
+        for _ in range(6):
+            with pytest.raises(ServiceUnavailable):
+                client.call("svc-lb", HttpRequest("GET", "/ping"))
+        assert not lb.ejector.is_ejected("svc-r3", replicas)
 
 
 class TestOneDerivation:
@@ -600,27 +579,24 @@ class TestOneDerivation:
 
 
 # ======================================================================
-# satellite: policy + membership hygiene
+# satellite: membership hygiene
 # ======================================================================
 class TestBalancerHygiene:
-    def test_round_robin_cursor_stays_bounded(self):
-        rr = RoundRobinPolicy()
-        replicas = ["a", "b", "c"]
-        for _ in range(100):
-            rr.order(replicas, HttpRequest("GET", "/"), {})
-        assert 0 <= rr._cursor < len(replicas)
-
     def test_least_outstanding_forget_purges_served(self):
-        lp = LeastOutstandingPolicy()
-        for _ in range(3):
-            lp.acquire("a")
-        lp.forget("a")
-        assert "a" not in lp._served
+        # a re-joined name starts from zero instead of inheriting its
+        # predecessor's count, which would skew the tie-break against it
+        clock, faults, origin, client, pool, lb = _lb_fabric(TailConfig())
+        for _ in range(6):
+            assert client.call("svc-lb", HttpRequest("GET", "/ping")).ok
+        assert lb._served["svc-r3"] == 2
+        pool.remove_replica()
+        assert pool.add_replica() == "svc-r4"
+        pool.remove_replica()
+        assert "svc-r3" not in lb._served and "svc-r4" not in lb._served
 
     def test_membership_leave_purges_balancer_state(self):
         cfg = TailConfig()
-        clock, faults, origin, client, pool, lb = _lb_fabric(
-            cfg, policy=LeastOutstandingPolicy())
+        clock, faults, origin, client, pool, lb = _lb_fabric(cfg)
         for _ in range(6):
             assert client.call("svc-lb", HttpRequest("GET", "/ping")).ok
         lb._breaker("svc-r3")
@@ -628,7 +604,7 @@ class TestBalancerHygiene:
         assert departed == "svc-r3"
         assert departed not in lb.outstanding
         assert departed not in lb._breakers
-        assert departed not in lb.policy._served
+        assert departed not in lb._served
         assert lb.ejector.latency_ewma(departed) is None
 
 
