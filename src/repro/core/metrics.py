@@ -1,18 +1,15 @@
 """Measurement helpers for the benchmark harness.
 
 Benches print paper-style tables; these helpers keep that formatting in
-one place and provide latency statistics over simulated timings.  numpy
-is used here (and only here) per the HPC-Python guidance: vectorise the
-measured hot path — which, for this control-plane reproduction, is the
-benchmark analysis itself.
+one place and provide latency statistics over simulated timings, in
+plain Python: the percentiles are numpy's default (linear) method, bit
+for bit, so no table moved when numpy went.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
-
-import numpy as np
 
 __all__ = ["latency_stats", "format_table", "Timer"]
 
@@ -39,27 +36,43 @@ def latency_stats(samples: Sequence[float],
         if exemplars is not None:
             stats["exemplars"] = {}
         return stats
-    arr = np.asarray(samples, dtype=float)
+    values = [float(s) for s in samples]
+    ordered = sorted(values)
     stats = {
-        "n": int(arr.size),
-        "min": float(arr.min()),
-        "p50": float(np.percentile(arr, 50)),
-        "p95": float(np.percentile(arr, 95)),
-        "p99": float(np.percentile(arr, 99)),
-        "max": float(arr.max()),
-        "mean": float(arr.mean()),
+        "n": len(values),
+        "min": ordered[0],
+        "p50": _percentile(ordered, 50),
+        "p95": _percentile(ordered, 95),
+        "p99": _percentile(ordered, 99),
+        "max": ordered[-1],
+        "mean": sum(values) / len(values),
     }
     if exemplars is not None:
         if len(exemplars) != len(samples):
             raise ValueError("exemplars must parallel samples")
         picked: Dict[str, str] = {}
         for key in ("p50", "p95", "p99", "max"):
-            idx = int(np.abs(arr - float(stats[key])).argmin())
+            target = stats[key]
+            idx = min(range(len(values)),
+                      key=lambda i: abs(values[i] - target))
             trace_id = exemplars[idx]
             if trace_id:
                 picked[key] = trace_id
         stats["exemplars"] = picked
     return stats
+
+
+def _percentile(ordered: List[float], q: float) -> float:
+    """``numpy.percentile(ordered, q)``: linear interpolation between the
+    two order statistics around rank ``(n - 1) * q / 100``, written the
+    way numpy writes it (from the nearer side of the gap)."""
+    rank = (len(ordered) - 1) * (q / 100)
+    below = int(rank)
+    if below >= len(ordered) - 1:
+        return ordered[-1]
+    a, b = ordered[below], ordered[below + 1]
+    t = rank - below
+    return b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t
 
 
 def format_table(headers: Sequence[str], rows: Sequence[Sequence[object]],

@@ -683,3 +683,19 @@ def test_latency_stats_exemplars_link_percentiles_to_traces():
     assert "exemplars" not in latency_stats([0.1])  # opt-in field
     with pytest.raises(ValueError):
         latency_stats([0.1, 0.2], ["only-one"])
+
+
+@given(st.lists(st.floats(0.0, 10.0) | st.sampled_from([0.0, 0.1, 0.25]),
+                min_size=1, max_size=60))
+def test_latency_stats_percentiles_are_numpys_bit_for_bit(samples):
+    """The result tables were written with ``numpy.percentile``; the plain
+    Python statistics must give the same floats and the same exemplars
+    (first index on ties, as ``argmin``)."""
+    np = pytest.importorskip("numpy")
+    arr = np.asarray(samples, dtype=float)
+    stats = latency_stats(samples, list(range(1, len(samples) + 1)))
+    for q in (50, 95, 99):
+        assert stats[f"p{q}"] == float(np.percentile(arr, q))
+    for key in ("p50", "p95", "p99", "max"):
+        at = int(np.abs(arr - stats[key]).argmin())
+        assert stats["exemplars"][key] == at + 1
