@@ -324,9 +324,6 @@ class AuditLog(Durable):
     def __len__(self) -> int:
         return len(self._events)
 
-    def __iter__(self) -> Iterator[AuditEvent]:
-        return iter(list(self._events))
-
     # ------------------------------------------------------------------
     # durability (crash recovery of the log store itself)
     # ------------------------------------------------------------------
@@ -433,9 +430,6 @@ class CombinedAuditView:
 
     def count(self, **kwargs) -> int:
         return sum(log.count(**kwargs) for log in self._logs.values())
-
-    def log(self, name: str) -> AuditLog:
-        return self._logs[name]
 
     def __len__(self) -> int:
         return sum(len(log) for log in self._logs.values())

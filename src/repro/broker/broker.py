@@ -143,9 +143,6 @@ class IdentityBroker(OidcProvider):
             roles.discard(role)
         self.revoke_user_access(upstream_sub, None)
 
-    def admin_roles(self, upstream_sub: str) -> Set[Role]:
-        return set(self._admin_roles.get(upstream_sub, set()))
-
     def rotate_key(self) -> str:
         """Key rotation also moves the RBAC token service onto the new
         key — one signing identity for the whole broker."""

@@ -132,6 +132,3 @@ class SimClock:
             fired += 1
             if fired > limit:
                 raise RuntimeError("run_all exceeded event limit; runaway reschedule?")
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"SimClock(t={self._now:.3f}, pending={self.pending_events()})"

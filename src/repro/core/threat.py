@@ -34,10 +34,6 @@ class ExposureReport:
     reachable: List[str]
     total_endpoints: int
 
-    @property
-    def fraction(self) -> float:
-        return len(self.reachable) / self.total_endpoints if self.total_endpoints else 0.0
-
 
 class ThreatModel:
     """Adversarial probes against one deployment."""

@@ -127,9 +127,6 @@ class JwkSet:
     def __call__(self, kid: Optional[str]) -> Optional[VerifyingKey | HmacKey]:
         return self.get(kid)
 
-    def __len__(self) -> int:
-        return len(self._keys)
-
     def kids(self) -> List[str]:
         return sorted(self._keys)
 

@@ -143,9 +143,6 @@ class CloudAdminIdP(OidcProvider):
         self._audit(removed_by, "admin.remove", username, Outcome.INFO, severed=severed)
         return severed
 
-    def admin(self, username: str) -> Optional[AdminAccount]:
-        return self._admins.get(username)
-
     def active_admins(self) -> int:
         return sum(1 for a in self._admins.values() if a.active and a.approved)
 

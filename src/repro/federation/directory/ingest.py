@@ -136,14 +136,6 @@ class MetadataFeed:
         self.roster[entity_id] = row
         self._staged_upserts[entity_id] = row
 
-    def add_idp(self, idp, *, federation: Optional[str] = None,
-                version: int = 1) -> None:
-        """Convenience: stage a live :class:`InstitutionalIdP`."""
-        self.add(entity_id=idp.entity_id, endpoint_name=idp.name,
-                 display_name=idp.name, federation=federation,
-                 loa=idp.loa, categories=idp.categories,
-                 verifier=idp.verifier(), version=version)
-
     def rotate(self, entity_id: str, verifier: object) -> None:
         """Stage a key rotation: version bump + new verifier kid."""
         row = self.roster.get(entity_id)

@@ -2,7 +2,7 @@
 
 This is the aggregate every deployment's MyAccessID proxy consumes
 (``register_idp`` / ``refresh_idp`` / ``get`` / ``has`` / ``idps`` /
-``federations`` / ``__len__``) — one shard unless
+``__len__``) — one shard unless
 ``build_isambard(directory=...)`` sizes it up.  Metadata is not static:
 institutions rotate signing keys, rename their IdPs and move between
 federations, and at national-federation scale it is a *feed* product:
@@ -95,9 +95,6 @@ class MetadataShard(DirectoryShard):
                     entity_ids=[row["entity_id"] for row in rows])
         return {"rows": rows}
 
-    def key_count(self) -> int:
-        return len(self.rows)
-
 
 class ShardedMetadataStore(ShardedTier):
     """The metadata aggregate, keyed by entity id: sharded +
@@ -118,33 +115,14 @@ class ShardedMetadataStore(ShardedTier):
         # reference, never in a journal; versioning means a replayed
         # stale row can never resolve a newer entry's key (or vice versa)
         self._verifiers: Dict[Tuple[str, int], object] = {}
-        # incremental sorted indices: discovery calls idps()/federations()
-        # on every login, so they must not re-sort the world each time
+        # incremental sorted index: discovery calls idps() on every
+        # login, so it must not re-sort the world each time
         self._index: List[str] = []
-        self._fed_counts: Dict[str, int] = {}
-        self._fed_sorted: List[str] = []
         self.stale_denials = 0
         self.upserts = 0
 
     def _new_shard(self, name: str) -> MetadataShard:
         return MetadataShard(name)
-
-    # -------------------------------------------------------------- indices
-    def _index_add(self, entity_id: str, federation: str) -> None:
-        insort(self._index, entity_id)
-        self._fed_add(federation)
-
-    def _fed_add(self, federation: str) -> None:
-        if federation not in self._fed_counts:
-            self._fed_counts[federation] = 0
-            insort(self._fed_sorted, federation)
-        self._fed_counts[federation] += 1
-
-    def _fed_drop(self, federation: str) -> None:
-        self._fed_counts[federation] -= 1
-        if self._fed_counts[federation] == 0:
-            del self._fed_counts[federation]
-            self._fed_sorted.remove(federation)
 
     # -------------------------------------------------------------- upserts
     def _shard_for(self, entity_id: str, *, record: bool = True) -> MetadataShard:
@@ -176,11 +154,8 @@ class ShardedMetadataStore(ShardedTier):
                 if _commit:
                     shard.commit("md.put", row=row)
                 return row
-            if federation != existing["federation"]:
-                self._fed_drop(existing["federation"])
-                self._fed_add(federation)
         else:
-            self._index_add(entity_id, federation)
+            insort(self._index, entity_id)
         row = {
             "entity_id": entity_id,
             "endpoint_name": endpoint_name,
@@ -272,7 +247,6 @@ class ShardedMetadataStore(ShardedTier):
             return False
         shard.commit("md.del", entity_id=entity_id)
         self._index.remove(entity_id)
-        self._fed_drop(row["federation"])
         return True
 
     def _materialize(self, row: Dict[str, object]) -> IdPMetadata:
@@ -348,9 +322,6 @@ class ShardedMetadataStore(ShardedTier):
                 continue
             out.append(self._materialize(row))
         return out
-
-    def federations(self) -> List[str]:
-        return list(self._fed_sorted)
 
     def __len__(self) -> int:
         return sum(len(s.rows) for s in self.shards.values())

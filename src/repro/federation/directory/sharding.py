@@ -322,13 +322,6 @@ class Migration:
             self.tier._migration_finished(self)
         return len(chunk)
 
-    def run(self, batch: Optional[int] = None) -> int:
-        """Drive the plan to completion; returns total keys moved."""
-        moved = 0
-        while not self.done:
-            moved += self.step(batch)
-        return moved
-
 
 class ShardedTier:
     """Ring placement + health + stepwise migration, shared by both tiers."""

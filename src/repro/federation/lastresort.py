@@ -76,9 +76,6 @@ class LastResortIdP(OidcProvider):
             user.active = False
             self.sessions.revoke_subject(f"{self.name}:{username}")
 
-    def user(self, username: str) -> Optional[LastResortUser]:
-        return self._users.get(username)
-
     # ------------------------------------------------------------------
     # registration and login
     # ------------------------------------------------------------------

@@ -31,7 +31,6 @@ __all__ = [
     "WorkloadIdentity",
     "TrustDomainAuthority",
     "principal_id",
-    "project_id",
     "workload_id",
 ]
 
@@ -50,10 +49,6 @@ def principal_id(trust_domain: str, uid: str) -> str:
     """Canonical identity of a human principal (federated uid)."""
     return f"spiffe://{trust_domain}/user/{uid}"
 
-
-def project_id(trust_domain: str, project: str) -> str:
-    """Canonical identity of a project (the authorisation scope)."""
-    return f"spiffe://{trust_domain}/project/{project}"
 
 
 def workload_id(trust_domain: str, path: str) -> str:

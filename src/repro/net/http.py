@@ -289,9 +289,6 @@ class Service:
                 span.attrs["attempts"] = attempts
         tele.tracer.end(span, **end_kwargs)
 
-    def routes(self) -> Dict[Tuple[str, str], Callable]:
-        return dict(self._routes)
-
     # ------------------------------------------------------------------
     def log_event(self, actor: str, action: str, resource: str,
                   outcome: str, **attrs: object):

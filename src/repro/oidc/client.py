@@ -317,12 +317,6 @@ class RelyingParty:
         self._jwks = jwks
         self._jwks_fetched_at = fetched_at
 
-    @property
-    def issuer(self) -> str:
-        self._discover()
-        assert self._issuer is not None
-        return self._issuer
-
     # ------------------------------------------------------------------
     def begin(self, redirect_uri: str, *, scope: str = "openid profile") -> Tuple[str, FlowState]:
         """Create flow state and the authorization URL to send the agent to."""

@@ -156,9 +156,6 @@ class OidcProvider(Service, Durable):
         self._clients[client_id] = cfg
         return cfg
 
-    def client(self, client_id: str) -> Optional[ClientConfig]:
-        return self._clients.get(client_id)
-
     # ------------------------------------------------------------------
     # key rotation
     # ------------------------------------------------------------------
@@ -617,9 +614,6 @@ class OidcProvider(Service, Durable):
         if self.invalidation_bus is not None:
             self.invalidation_bus.publish("token.revoked", key=jti)
         self._audit("system", "token.revoked", jti, Outcome.INFO, jti=jti)
-
-    def is_revoked(self, jti: str) -> bool:
-        return jti in self._revoked_jtis
 
     # ------------------------------------------------------------------
     # durability: the base provider's durable state and replay

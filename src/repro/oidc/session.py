@@ -107,6 +107,3 @@ class SessionStore:
 
     def wipe(self) -> None:
         self._sessions = {}
-
-    def __len__(self) -> int:
-        return len(self._sessions)

@@ -35,9 +35,6 @@ class Allocation:
     end: float
     gpu_hours_used: float = 0.0
 
-    def active(self, now: float) -> bool:
-        return self.start <= now < self.end
-
     def remaining(self) -> float:
         return max(0.0, self.gpu_hours - self.gpu_hours_used)
 
@@ -96,9 +93,6 @@ class Project:
     def member(self, uid: str) -> Optional[Membership]:
         m = self.members.get(uid)
         return m if m is not None and not m.revoked else None
-
-    def pi_uids(self) -> List[str]:
-        return [m.uid for m in self.active_members() if m.role == Role.PI]
 
 
 @dataclass

@@ -177,9 +177,6 @@ class ReplicatedInvalidationBus:
     def linked(self, a: str, b: str) -> bool:
         return frozenset((a, b)) not in self._severed
 
-    def pending_count(self, a: str, b: str) -> int:
-        return len(self._pending.get(frozenset((a, b)), ()))
-
     # ------------------------------------------------------------------
     # epochs + lag
     # ------------------------------------------------------------------

@@ -87,9 +87,6 @@ class RegionRevocationView:
         self.resyncs += 1
         return len(self._revoked)
 
-    def __len__(self) -> int:
-        return len(self._revoked)
-
 
 class RegionWorker(ReplicaWorker):
     """A replica worker that enforces its region's serving contract.

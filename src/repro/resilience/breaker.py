@@ -127,7 +127,3 @@ class CircuitBreaker:
         if self._state == OPEN and self._opened_at is not None:
             total += self.clock.now() - self._opened_at
         return total
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"CircuitBreaker({self.name!r}, state={self._state}, "
-                f"opens={self.opens})")

@@ -560,17 +560,6 @@ class FaultInjector:
         self.injected_latency += extra
         return extra
 
-    def fault_stats(self) -> List[Dict[str, object]]:
-        """Per-fault hit/offer accounting, for chaos and bench reports."""
-        return [
-            {
-                "kind": f.kind, "endpoint": f.endpoint,
-                "start": f.start, "duration": f.duration,
-                "hits": f.hits, "offers": f.offers,
-            }
-            for f in self.faults
-        ]
-
     def _fail(self, fault: Fault, endpoint: str, message: str) -> None:
         fault.hits += 1
         self.injected_failures += 1

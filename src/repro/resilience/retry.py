@@ -423,10 +423,6 @@ class ResilienceRuntime:
             self._clients[name] = kit
         return kit
 
-    def limiter_for(self, client: str, dst: str) -> Optional[AimdLimiter]:
-        """The AIMD pacer of one (client, destination) pair."""
-        return self.for_client(client).limiter_for(dst)
-
     def totals(self) -> Dict[str, object]:
         """Aggregate metrics across every client (for the bench table)."""
         total = ResilienceMetrics()

@@ -345,8 +345,6 @@ class TtlCache:
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    def __len__(self) -> int:
-        return len(self._entries)
 
     def _install(self, key: Any, entry: _Entry) -> None:
         self._drop(key)

@@ -58,9 +58,6 @@ class ConfigAssessment:
             return 0.0
         return sum(1 for r in results if r.passed) / len(results)
 
-    def failing(self) -> List[CheckResult]:
-        return [r for r in self.run() if not r.passed]
-
     def __len__(self) -> int:
         return len(self._checks)
 

@@ -38,14 +38,6 @@ class IncidentTimeline:
     correlated_ids: Set[str]
     entries: List[TimelineEntry]
 
-    @property
-    def first_seen(self) -> Optional[float]:
-        return self.entries[0].time if self.entries else None
-
-    @property
-    def last_seen(self) -> Optional[float]:
-        return self.entries[-1].time if self.entries else None
-
     def denials(self) -> List[TimelineEntry]:
         return [e for e in self.entries if e.outcome == "denied"]
 
@@ -53,12 +45,6 @@ class IncidentTimeline:
         """Overload drops — NOT policy denials; an analyst reading the
         timeline must not mistake load shedding for access refusals."""
         return [e for e in self.entries if e.outcome in ("shed", "expired")]
-
-    def cached(self) -> List[TimelineEntry]:
-        """Decisions served from a replica cache rather than fresh
-        validation — the entries the staleness oracle cross-checks
-        against revocation events."""
-        return [e for e in self.entries if e.outcome == "cached"]
 
     def containment(self) -> Optional[TimelineEntry]:
         for e in self.entries:

@@ -204,9 +204,6 @@ class SshCertificateAuthority(Service, Durable):
                        count=len(hit))
         return len(hit)
 
-    def is_serial_revoked(self, serial: int) -> bool:
-        return int(serial) in self._revoked_serials
-
     # ------------------------------------------------------------------
     # durability
     # ------------------------------------------------------------------

@@ -235,23 +235,6 @@ class Histogram(Metric):
         series = self._series.get(_label_key(labels))
         return series.count if series else 0
 
-    def sum(self, **labels: str) -> float:
-        series = self._series.get(_label_key(labels))
-        return series.total if series else 0.0
-
-    def cumulative_buckets(self, **labels: str) -> List[Tuple[str, int]]:
-        """(le, cumulative count) pairs ending with +Inf — bucket math
-        as the exposition renders it."""
-        series = self._series.get(_label_key(labels))
-        counts = series.buckets if series else [0] * (len(self.buckets) + 1)
-        out: List[Tuple[str, int]] = []
-        running = 0
-        for bound, n in zip(self.buckets, counts):
-            running += n
-            out.append((_fmt(bound), running))
-        out.append(("+Inf", running + counts[-1]))
-        return out
-
     def quantile(self, q: float, **labels: str) -> float:
         """Bucket-interpolated quantile, Prometheus ``histogram_quantile``
         style — used by SLO latency checks, not the bench percentiles."""
@@ -269,14 +252,6 @@ class Histogram(Metric):
             running += n
             lower = bound
         return self.buckets[-1]
-
-    def tail_exemplars(self, **labels: str) -> List[Exemplar]:
-        """Exemplars from the highest occupied buckets downward."""
-        series = self._series.get(_label_key(labels))
-        if series is None:
-            return []
-        return [series.exemplars[i]
-                for i in sorted(series.exemplars, reverse=True)]
 
     def expose(self) -> List[str]:
         lines = [f"# HELP {self.name} {self.help}",
@@ -364,9 +339,6 @@ class MetricsRegistry:
     def dropped_labels(self) -> float:
         counter = self._metrics.get(DROPPED_LABELS_METRIC)
         return counter.total() if counter is not None else 0.0  # type: ignore[union-attr]
-
-    def get(self, name: str) -> Optional[Metric]:
-        return self._metrics.get(name)
 
     def expose(self) -> str:
         """Full registry in OpenMetrics-style text, alphabetical."""

@@ -210,9 +210,6 @@ class ProvenanceLedger:
         return [r for r in pool
                 if r.decision in (Decision.DENY, Decision.FAIL_CLOSED)]
 
-    def identities(self) -> List[str]:
-        return sorted(self._by_identity)
-
     def __len__(self) -> int:
         return len(self._records)
 

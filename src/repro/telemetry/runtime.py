@@ -409,9 +409,6 @@ class Telemetry:
             self._slos_by_service.setdefault(service, []).append(monitor)
         return monitor
 
-    def slos(self) -> Dict[str, SloMonitor]:
-        return dict(self._slos)
-
     def on_slo_alert(self, callback: Callable[[BurnRateAlert], None]) -> None:
         """Subscribe (e.g. the SOC) to every monitor's pages."""
         self._slo_callbacks.append(callback)

@@ -124,7 +124,7 @@ def test_edugain_metadata_lookup(fed_world):
     md = edugain.get("https://idp.bristol.ac.uk")
     assert md.federation == "UKAMF"
     assert md.display_name == "University of Bristol"
-    assert edugain.federations() == ["UKAMF"]
+    assert [md.federation for md in edugain.idps()] == ["UKAMF"]
 
 
 def test_edugain_unknown_entity_raises(fed_world):

@@ -192,7 +192,8 @@ def test_add_shard_migrates_only_remapped_keys():
     reg.reset_lookup_stats()
     probe = _register(reg, "https://idp.0", "s0")  # idempotent hit
     assert probe.uid is not None
-    mig.run()
+    while not mig.done:
+        mig.step()
     assert mig.done and not mig.pending
     stats = reg.verify_invariants()
     assert stats["accounts"] == 300
@@ -218,7 +219,8 @@ def test_mid_migration_lookup_bounded_by_one_fallback_probe():
     assert reg.lookup_latencies
     assert max(reg.lookup_latencies) <= 2 * reg.probe_cost + 1e-12
     assert reg.fallback_probes > 0  # the window was actually exercised
-    reg._migration.run()
+    while not reg._migration.done:
+        reg._migration.step()
     reg.reset_lookup_stats()
     for ident in idents:
         reg.find(ident)
@@ -256,7 +258,8 @@ def test_remove_shard_drains_then_drops():
     # a second topology change is refused while one is in flight
     with pytest.raises(ConfigurationError):
         reg.add_shard("acct-09")
-    reg._migration.run()
+    while not reg._migration.done:
+        reg._migration.step()
     assert victim not in reg.shards
     stats = reg.verify_invariants()
     assert stats["accounts"] == 200
@@ -322,6 +325,13 @@ def test_retired_and_live_overlap_is_a_recovery_violation():
 # ---------------------------------------------------------------------------
 # metadata tier
 # ---------------------------------------------------------------------------
+def _stage(feed, idp):
+    """Stage a live IdP on a feed, as its registrar would publish it."""
+    feed.add(entity_id=idp.entity_id, endpoint_name=idp.name,
+             display_name=idp.name, loa=idp.loa, categories=idp.categories,
+             verifier=idp.verifier())
+
+
 def _md_store(shards=4):
     clock = SimClock()
     ids = IdFactory(seed=5)
@@ -363,7 +373,7 @@ def test_refresh_idp_bumps_version_and_rotates_verifier():
     new = store.refresh_idp(idp, federation="fed-b")
     assert new.version == old.version + 1
     assert new.verifier.kid != old.verifier.kid
-    assert store.federations() == ["fed-b"]
+    assert [md.federation for md in store.idps()] == ["fed-b"]
     # refreshing an unknown entity is an error, not an implicit insert
     stranger = InstitutionalIdP("idp-s", "https://idp-s.example", clock, ids)
     with pytest.raises(FederationError):
@@ -394,7 +404,7 @@ def test_signed_delta_applies_and_tampered_delta_is_rejected():
     feed = MetadataFeed("fed-aa", clock, valid_for=200.0)
     ing.register_feed(feed)
     idp = InstitutionalIdP("idp-aa-0", "https://idp-aa-0.example", clock, ids)
-    feed.add_idp(idp)
+    _stage(feed, idp)
     feed.flush()
     assert ing.poll() == {"fed-aa": 1}
     assert store.get(idp.entity_id).valid_until == clock.now() + 200.0
@@ -417,7 +427,7 @@ def test_feed_outage_ages_entries_to_fail_closed_then_recovers():
     feed = MetadataFeed("fed-bb", clock, valid_for=100.0)
     ing.register_feed(feed)
     idp = InstitutionalIdP("idp-bb-0", "https://idp-bb-0.example", clock, ids)
-    feed.add_idp(idp)
+    _stage(feed, idp)
     feed.flush()
     ing.poll()
     feed.down = True
@@ -528,7 +538,7 @@ def test_metadata_shard_crash_recovers_rows_and_validity_windows():
     dri.directory.ingestor.register_feed(feed)
     idp = InstitutionalIdP("idp-fresh", "https://idp-fresh.example",
                            dri.clock, dri.ids, audit=dri.logs["external"])
-    feed.add_idp(idp)
+    _stage(feed, idp)
     feed.flush()
     dri.directory.ingestor.poll()
 
@@ -568,7 +578,7 @@ def test_deployment_stale_metadata_login_fails_closed_with_403():
     dri.idps["idp-fresh"] = idp
     feed = MetadataFeed("fed-fresh", dri.clock, valid_for=3600.0)
     d.ingestor.register_feed(feed)
-    feed.add_idp(idp)
+    _stage(feed, idp)
     feed.flush()
     d.ingestor.poll()
 

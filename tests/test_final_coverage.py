@@ -41,12 +41,9 @@ def test_cli_report_command():
 def test_combined_audit_accessors():
     dri = build_isambard(seed=134)
     dri.workflows.story1_pi_onboarding("kit")
-    assert dri.audit.log("fds") is dri.logs["fds"]
     merged = dri.audit.events()
     assert merged == sorted(merged, key=lambda e: e.time)
     assert len(dri.audit) == sum(len(v) for v in dri.logs.values())
-    with pytest.raises(KeyError):
-        dri.audit.log("nonexistent-domain")
 
 
 # ---------------------------------------------------------------------------

@@ -374,8 +374,7 @@ def test_aimd_limiter_paces_resilience_calls_and_learns_from_sheds():
     kit = runtime.for_client("laptop")
     for _ in range(5):
         kit.call(lambda: "ok", dst="broker")
-    lim = runtime.limiter_for("laptop", "broker")
-    assert lim is kit.limiter_for("broker")
+    lim = kit.limiter_for("broker")
     assert lim.rate == 15.0          # 5 successes, +1 each
     assert lim.waits > 0             # same-instant sends were paced
     with pytest.raises(RateLimited):

@@ -119,7 +119,6 @@ class TestReplicatedBus:
             clock.advance(0.2)
         clock.advance(2.0)
         assert heard == []
-        assert rbus.pending_count("eu", "us") == 3
         assert rbus.parked == 3
         assert rbus.heal("eu", "us") == 3
         assert heard == ["j0", "j1", "j2"]  # original publish order
@@ -335,7 +334,7 @@ class TestRegionWorker:
         clock, network, origin, rbus, region = _region_fixture()
         assert region.revocations.resync(["a", "b"]) == 2
         assert region.revocations.is_revoked("a")
-        assert len(region.revocations) == 2
+        assert region.revocations.is_revoked("b")
         assert region.revocations.resyncs == 1
 
 
@@ -607,7 +606,7 @@ class TestMultiRegionDeployment:
         dri.clock.advance(1.0)
         us = dri.region_directory.region("us")
         assert not us.revocations.is_revoked(rec.jti)
-        assert dri.region_bus.pending_count("eu", "us") >= 1
+        assert dri.region_bus.parked >= 1
         dri.region_directory.heal("eu", "us")
         assert us.revocations.is_revoked(rec.jti)
 

@@ -192,7 +192,7 @@ def test_cached_ssh_outcome_lands_in_audit_and_timeline():
     # the incident timeline for the MDC-side principal surfaces the
     # cache-served decision — the oracle's cross-check set is populated
     timeline = build_timeline(dri, str(s4.data["principal"]))
-    assert timeline.cached()
+    assert [e for e in timeline.entries if e.outcome == "cached"]
 
 
 def test_staleness_oracle_flags_cached_decision_after_revocation():

@@ -154,7 +154,7 @@ def test_assessment_scores():
     a.add("c1", "passes", lambda: (True, "ok"))
     a.add("c2", "fails", lambda: (False, "bad"))
     assert a.score() == 0.5
-    assert [r.check_id for r in a.failing()] == ["c2"]
+    assert [r.check_id for r in a.run() if not r.passed] == ["c2"]
 
 
 def test_assessment_broken_probe_fails_closed():

@@ -19,7 +19,7 @@ Covers the acceptance criteria of the tracing/metrics/SLO PR:
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.audit import AuditLog, Outcome
@@ -133,9 +133,10 @@ def test_histogram_bucket_index_and_cumulative_counts():
     for v in (0.5, 1.5, 1.5, 3.0, 99.0):
         h.observe(v)
     assert h.count() == 5
-    assert h.sum() == pytest.approx(105.5)
-    assert h.cumulative_buckets() == [
-        ("1", 1), ("2", 3), ("4", 4), ("+Inf", 5)]
+    # cumulative counts and the sum, as the exposition renders them
+    assert h.expose()[2:] == [
+        'h_bucket{le="1"} 1', 'h_bucket{le="2"} 3', 'h_bucket{le="4"} 4',
+        'h_bucket{le="+Inf"} 5', "h_sum 105.5", "h_count 5"]
 
 
 def test_histogram_quantile_interpolates_within_bucket():
@@ -153,9 +154,10 @@ def test_histogram_keeps_exemplar_per_bucket_latest_wins():
     h.observe(0.5, trace_id="t-early", time=1.0)
     h.observe(0.7, trace_id="t-late", time=2.0)
     h.observe(5.0, trace_id="t-tail", time=3.0)
-    tail = h.tail_exemplars()
-    assert [e.trace_id for e in tail] == ["t-tail", "t-late"]
-    assert tail[0].value == 5.0
+    buckets = [line for line in h.expose() if "_bucket" in line]
+    assert buckets[0].endswith('# {trace_id="t-late"} 0.7 2')
+    assert buckets[-1].endswith('# {trace_id="t-tail"} 5 3')
+    assert "t-early" not in "".join(buckets)
 
 
 def test_counter_is_monotonic():
@@ -315,7 +317,6 @@ def test_red_exposition_carries_exemplar_trace_ids(traced_workshop):
     tele = dri.telemetry
     assert tele.hop_requests.value(dst="broker", outcome="ok") > 0
     assert tele.tokens_issued.total() > 0
-    assert tele.hop_duration.tail_exemplars(dst="broker")
     text = tele.exposition()
     assert text.endswith("# EOF\n")
     assert 'repro_http_request_duration_seconds_bucket' in text
@@ -656,7 +657,7 @@ def test_trace_anomaly_scanner_flags_firewall_bypass():
 
 def test_slo_burn_pages_the_soc():
     dri = build_isambard(seed=45)
-    monitor = dri.telemetry.slos()["broker-availability"]
+    monitor = dri.telemetry.slo("broker-availability", service="broker")
     now = dri.clock.now()
     for i in range(25):
         monitor.record(now + i * 0.1, False)
@@ -685,6 +686,7 @@ def test_latency_stats_exemplars_link_percentiles_to_traces():
         latency_stats([0.1, 0.2], ["only-one"])
 
 
+@settings(deadline=None)  # the first example imports numpy
 @given(st.lists(st.floats(0.0, 10.0) | st.sampled_from([0.0, 0.1, 0.25]),
                 min_size=1, max_size=60))
 def test_latency_stats_percentiles_are_numpys_bit_for_bit(samples):

@@ -60,7 +60,6 @@ def test_timeline_for_unknown_subject_is_empty():
     dri = build_isambard(seed=122)
     timeline = build_timeline(dri, "nobody-ever")
     assert timeline.entries == []
-    assert timeline.first_seen is None
 
 
 # ---------------------------------------------------------------------------
