@@ -2,8 +2,8 @@
 
 Benches print paper-style tables; these helpers keep that formatting in
 one place and provide latency statistics over simulated timings, in
-plain Python: the percentiles are numpy's default (linear) method, bit
-for bit, so no table moved when numpy went.
+plain Python.  The percentiles are numpy's default (linear) method bit
+for bit, because the committed result tables were written with it.
 """
 
 from __future__ import annotations
