@@ -1,16 +1,17 @@
 """List the ``src/`` functions only tier-1 reaches and those nothing reaches.
 
-Runs full-mode ``pytest benchmarks``, the examples, the ``python -m repro``
-commands, the docs recipes, a small round of each ``perf/`` workload and
-tier-1 under a ``sys.setprofile`` hook.  Exits 1 if anything but a
-base-class hook (a method some subclass overrides) is reached by nothing."""
+Runs full-mode ``pytest benchmarks``, the examples, the CLI, the docs recipes, a small
+round of each ``perf/`` workload and tier-1 under ``sys.setprofile``, their output on
+stderr; exits 1 if anything but a base-class hook is reached by nothing."""
 import ast, json, os, subprocess, sys, tempfile
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
-CHILD = """import json, runpy, sys
+CHILD = """import hypothesis, json, runpy, sys
 out, seen, sys.argv = sys.argv[1], set(), sys.argv[2:]
+hypothesis.settings.register_profile("reach", deadline=None)  # the hook slows examples
+hypothesis.settings.load_profile("reach")
 sys.setprofile(lambda frame, event, arg: event == "call" and seen.add(frame.f_code))
 try:
     runpy.run_module(sys.argv[0], run_name="__main__", alter_sys=True)
@@ -19,6 +20,7 @@ finally:
     json.dump(sorted({(c.co_filename, c.co_firstlineno) for c in seen}), open(out, "w"))
 """
 SOURCES = {
+    "tier-1": [["pytest"]],
     "benchmarks": [["pytest", "benchmarks"]],
     "examples": [[f"examples.{path.stem}"]
                  for path in sorted(SRC.parent.glob("examples/*.py"))],
@@ -27,7 +29,6 @@ SOURCES = {
     "perf": [["perf.workloads", "--workload", w, "--seed", "12", "--scale", "0.05",
               "--trace", "1"] for w in ("sso_login", "onboard_wave", "access_mix",
                                         "all_tiers_mix", "directory_scale")],
-    "tier-1": [["pytest"]],
 }
 
 
@@ -36,7 +37,7 @@ def reached(argv):
     env = {**os.environ, "PYTHONPATH": str(SRC), "BENCH_QUICK": ""}  # full mode
     with tempfile.NamedTemporaryFile(suffix=".json") as out:
         subprocess.run([sys.executable, "-c", CHILD, out.name, *argv], cwd=SRC.parent,
-                       env=env, stdout=subprocess.DEVNULL, check=True)
+                       env=env, stdout=sys.stderr, check=True)
         return {tuple(key) for key in json.load(out)}
 
 
@@ -69,10 +70,9 @@ def functions():
 
 if __name__ == "__main__":
     fns = functions()
-    seen = {source: set().union(*map(reached, runs)) for source, runs in SOURCES.items()}
-    tier1, others = seen.pop("tier-1"), set().union(*seen.values())
-    only = [fns[k] for k in fns if k in tier1 - others]
-    nothing = [fns[k] for k in fns if k not in tier1 | others]
+    tier1, *others = (set().union(*map(reached, runs)) for runs in SOURCES.values())
+    only = [fns[k] for k in fns if k in tier1.difference(*others)]
+    nothing = [fns[k] for k in fns if k not in tier1.union(*others)]
     for title, rows in (("tier-1 only", only), ("reached by nothing", nothing)):
         print(f"{title}: {len(rows)} functions, {sum(r[2] for r in rows)} statements")
         for mod, name, n, hook in sorted(rows):

@@ -3,7 +3,9 @@
 Benches print paper-style tables; these helpers keep that formatting in
 one place and provide latency statistics over simulated timings, in
 plain Python.  The percentiles are numpy's default (linear) method bit
-for bit, because the committed result tables were written with it.
+for bit, because the committed result tables were written with it.  The
+mean is a sequential sum, not numpy's pairwise one, so from eight
+samples on its last bit can differ; no result table prints the mean.
 """
 
 from __future__ import annotations

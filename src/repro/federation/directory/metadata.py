@@ -95,6 +95,9 @@ class MetadataShard(DirectoryShard):
                     entity_ids=[row["entity_id"] for row in rows])
         return {"rows": rows}
 
+    def key_count(self) -> int:
+        return len(self.rows)
+
 
 class ShardedMetadataStore(ShardedTier):
     """The metadata aggregate, keyed by entity id: sharded +

@@ -86,8 +86,8 @@ class DirectoryShard(Durable):
     """Common journaled-shard machinery: commit, migration payloads.
 
     Subclasses define the tables and implement the :class:`Durable`
-    contract plus :meth:`ring_keys` / :meth:`extract` (and replay the
-    ``migrate.in`` entry :meth:`install` journals).
+    contract plus :meth:`ring_keys` / :meth:`extract` / :meth:`key_count`
+    (and replay the ``migrate.in`` entry :meth:`install` journals).
     """
 
     snapshot_every = 512
@@ -112,6 +112,10 @@ class DirectoryShard(Durable):
     def install(self, payload: Dict[str, object]) -> None:
         """Journal + insert a payload extracted from another shard."""
         self.commit("migrate.in", **payload)
+
+    def key_count(self) -> int:
+        """Ring keys held here; a drained shard must hold none."""
+        raise NotImplementedError
 
 
 # A stored account is one flat tuple of atoms,
@@ -277,7 +281,7 @@ class Migration:
 
     ``pending`` maps every not-yet-moved ring key to its *source* shard;
     tier lookups consult it to fall back (one extra probe) until the
-    key's batch lands.  ``step``/``run`` drive the plan; each step
+    key's batch lands.  ``step`` drives the plan; each step
     journals a ``migrate.out`` on the source and a ``migrate.in`` on the
     destination per (source, destination) group, so a crash mid-migration
     recovers to a consistent cut.

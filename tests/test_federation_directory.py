@@ -496,6 +496,27 @@ def test_metadata_shard_migration_under_feed_load():
     assert stats["entities"] == 120
 
 
+def test_metadata_remove_shard_drains_then_drops():
+    empty, _, _ = _md_store(shards=3)
+    assert empty.remove_shard("md-02") is None  # nothing to move: dropped
+    assert sorted(empty.shards) == ["md-00", "md-01"]
+    store, clock, _ = _md_store(shards=3)
+    for i in range(60):
+        store.upsert_record(entity_id=f"https://idp-rm-{i}.example",
+                            endpoint_name=f"idp-rm-{i}", display_name=f"IdP {i}",
+                            federation="fed-rm", loa=LOA, categories=(),
+                            verifier=f"vk-rm-{i}")
+    held = store.shards["md-01"].key_count()
+    mig = store.remove_shard("md-01")
+    assert held > 0 and "md-01" in store.shards  # still draining
+    while not mig.done:
+        mig.step(batch=8)
+        assert store.get("https://idp-rm-7.example") is not None
+    assert "md-01" not in store.shards
+    assert store.verify_invariants() == {"entities": 60, "shards": 2}
+    assert store.migrated_keys == held
+
+
 # ---------------------------------------------------------------------------
 # deployment wiring
 # ---------------------------------------------------------------------------

@@ -686,13 +686,43 @@ def test_latency_stats_exemplars_link_percentiles_to_traces():
         latency_stats([0.1, 0.2], ["only-one"])
 
 
+# (samples, numpy's (p50, p95, p99), 1-based ``argmin`` exemplars of
+# p50/p95/p99/max, numpy's mean), recorded with numpy 2 so the check
+# runs where numpy is not installed
+NUMPY_RECORDED = [
+    ([0.25], (0.25, 0.25, 0.25), (1, 1, 1, 1), 0.25),
+    ([0.1, 0.1, 0.25], (0.1, 0.235, 0.247), (1, 3, 3, 3), 0.15),
+    ([0.3, 0.1, 0.2, 0.1, 0.7, 0.7, 0.0], (0.2, 0.7, 0.7), (3, 5, 5, 5),
+     0.29999999999999993),
+    ([0.0, 0.0, 0.25, 0.0, 0.1, 0.1, 0.0, 0.25, 0.0, 0.25, 0.1, 0.25, 0.25],
+     (0.1, 0.25, 0.25), (5, 3, 3, 3), 0.11923076923076924),
+    ([3.238, 1.508, 6.509, 0.724, 5.359, 3.657, 0.58, 5.074, 0.375, 4.336,
+      0.699, 0.907, 4.245, 8.269, 1.238, 2.232, 6.274, 9.477, 5.771, 3.967],
+     (3.8120000000000003, 8.329400000000001, 9.24748), (20, 14, 18, 18),
+     3.7219500000000005),
+]
+
+
+@pytest.mark.parametrize("samples,percentiles,exemplars,mean", NUMPY_RECORDED)
+def test_latency_stats_matches_recorded_numpy_values(samples, percentiles,
+                                                     exemplars, mean):
+    stats = latency_stats(samples, list(range(1, len(samples) + 1)))
+    assert (stats["p50"], stats["p95"], stats["p99"]) == percentiles
+    assert tuple(stats["exemplars"][k]
+                 for k in ("p50", "p95", "p99", "max")) == exemplars
+    # a sequential sum, where numpy sums eight lanes pairwise from n = 8:
+    # the 20-sample mean is 3.7219499999999996 here, one ulp off
+    assert stats["mean"] == pytest.approx(mean, rel=1e-15)
+
+
 @settings(deadline=None)  # the first example imports numpy
 @given(st.lists(st.floats(0.0, 10.0) | st.sampled_from([0.0, 0.1, 0.25]),
                 min_size=1, max_size=60))
 def test_latency_stats_percentiles_are_numpys_bit_for_bit(samples):
     """The result tables were written with ``numpy.percentile``; the plain
-    Python statistics must give the same floats and the same exemplars
-    (first index on ties, as ``argmin``)."""
+    Python percentiles must give the same floats and the same exemplars
+    (first index on ties, as ``argmin``).  The mean is not numpy's bit
+    for bit (see the recorded cases above)."""
     np = pytest.importorskip("numpy")
     arr = np.asarray(samples, dtype=float)
     stats = latency_stats(samples, list(range(1, len(samples) + 1)))
