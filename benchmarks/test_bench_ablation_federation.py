@@ -36,7 +36,12 @@ from repro.core import build_isambard
 from repro.core.metrics import format_table, latency_stats
 from repro.errors import MetadataStale, ShardUnavailable
 from repro.federation.assurance import LevelOfAssurance
-from repro.federation.directory import DirectoryConfig, MetadataFeed
+from repro.federation.directory import (
+    FEED_VALIDITY,
+    PROBE_COST,
+    DirectoryConfig,
+    MetadataFeed,
+)
 from repro.federation.myaccessid import LinkedIdentity
 
 QUICK = os.environ.get("BENCH_QUICK") == "1"
@@ -52,10 +57,8 @@ OUTAGE_WEEKS = 3 if QUICK else 3        # ...for this many weeks
 ROTATIONS_PER_WEEK = max(2, N_IDPS // 100)   # ~1% weekly key churn
 
 WEEK = 7 * 86400.0
-VALIDITY = 14 * 86400.0
 
-CONFIG = DirectoryConfig(account_shards=8, metadata_shards=4,
-                         feed_validity=VALIDITY)
+CONFIG = DirectoryConfig(account_shards=8, metadata_shards=4)
 
 
 def _entity(i: int) -> str:
@@ -75,7 +78,7 @@ def _populate_feeds(dri):
     """
     feeds = []
     for f in range(N_FEEDS):
-        feed = MetadataFeed(f"feed-{f:02d}", dri.clock, valid_for=VALIDITY)
+        feed = MetadataFeed(f"feed-{f:02d}", dri.clock, valid_for=FEED_VALIDITY)
         dri.directory.ingestor.register_feed(feed)
         feeds.append(feed)
     for i in range(N_IDPS):
@@ -193,7 +196,7 @@ def test_ablation_national_federation(report):
                 step_lat.extend(reg.lookup_latencies)
                 reg.reset_lookup_stats()
             mig_stats = latency_stats(step_lat)
-            assert mig_stats["max"] <= 2 * reg.probe_cost + 1e-12, \
+            assert mig_stats["max"] <= 2 * PROBE_COST + 1e-12, \
                 "mid-migration lookup exceeded one fallback probe"
             migration_stats = (mig.total, mig_stats)
 
@@ -263,7 +266,7 @@ def test_ablation_national_federation(report):
             ["stale logins denied closed (semester)", stale_total],
             ["keys migrated by mid-semester rebalance", f"{mig_total:,}"],
             ["lookup p99 during migration (sim ms)",
-             f"{mig_lat['p99'] * 1000:.2f} (bound {2 * reg.probe_cost * 1000:.2f})"],
+             f"{mig_lat['p99'] * 1000:.2f} (bound {2 * PROBE_COST * 1000:.2f})"],
             ["steady-state lookup p99 (sim ms)",
              f"{steady['p99'] * 1000:.2f}"],
             ["shard-down denials (fail closed)", denied],

@@ -114,6 +114,8 @@ DEFAULT_IDPS = [
     ("idp-webshop", "idp.webshop.example", "SomeFed", "Webshop Logins Inc",
      LevelOfAssurance.LOW, ()),  # filtered out by the assurance policy
 ]
+AI_NODES = 168   # Isambard-AI phase 1 Grace-Hopper nodes
+HPC_NODES = 368  # Isambard 3 Grace-Grace nodes
 
 
 @dataclass
@@ -393,9 +395,7 @@ def build_isambard(
     rbac_max_ttl: float = 3600.0,
     ssh_cert_ttl: float = 4 * 3600.0,
     bastion_vms: int = 2,
-    ai_nodes: int = 168,
     with_isambard3: bool = True,
-    hpc_nodes: int = 368,
     forward_interval: float = 5.0,
     auto_contain: bool = True,
     idp_specs=DEFAULT_IDPS,
@@ -622,7 +622,7 @@ def build_isambard(
             f"slurm-jobs{suffix}", slurm.cancel_account)
         return mgmt, slurm
 
-    dri.pool = NodePool("gh", "grace-hopper", ai_nodes, gpus_per_node=4)
+    dri.pool = NodePool("gh", "grace-hopper", AI_NODES, gpus_per_node=4)
     dri.login_sshd = login_node("")
     # the authenticator runs in the MDC: it cannot share the broker's
     # in-memory revocation set, so its *local* validation is JWKS-only
@@ -660,7 +660,7 @@ def build_isambard(
     # IAM fabric (one CA, one broker, one portal) protecting a second
     # cluster in the same MDC compound — exactly the paper's deployment
     if with_isambard3:
-        dri.pool_i3 = NodePool("gg", "grace-grace", hpc_nodes, gpus_per_node=0)
+        dri.pool_i3 = NodePool("gg", "grace-grace", HPC_NODES, gpus_per_node=0)
         dri.login_sshd_i3 = login_node("-i3")
         dri.mgmt_node_i3, dri.slurm_i3 = management_plane(
             "-i3", dri.pool_i3,

@@ -6,6 +6,8 @@ tutorial; a national federation is 1M+ users across 10k IdPs, and that
 working set has to be *partitioned*, *durable per partition*, and
 *refreshable in bulk*.  This package provides:
 
+* :mod:`~repro.federation.directory.ring` — the sha256 consistent-hash
+  ring both stores place their keys on;
 * :mod:`~repro.federation.directory.sharding` — the generic
   consistent-hash shard tier (:class:`ShardedTier`), its journal-durable
   shard base, deterministic key migration on shard add/remove, and the

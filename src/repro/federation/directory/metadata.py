@@ -40,13 +40,7 @@ from repro.errors import (
 )
 from repro.federation.assurance import EntityCategory, LevelOfAssurance
 from repro.federation.edugain import IdPMetadata
-from repro.federation.directory.sharding import (
-    MIGRATION_BATCH,
-    PROBE_COST,
-    VNODES,
-    DirectoryShard,
-    ShardedTier,
-)
+from repro.federation.directory.sharding import DirectoryShard, ShardedTier
 
 __all__ = ["MetadataShard", "ShardedMetadataStore"]
 
@@ -105,15 +99,8 @@ class ShardedMetadataStore(ShardedTier):
 
     tier = "metadata"
 
-    def __init__(self, clock, *, shards=4, vnodes: int = VNODES,
-                 probe_cost: float = PROBE_COST,
-                 migration_batch: int = MIGRATION_BATCH,
-                 telemetry=None, audit=None) -> None:
-        names = ([f"md-{i:02d}" for i in range(shards)]
-                 if isinstance(shards, int) else list(shards))
-        super().__init__(clock, names, vnodes=vnodes, probe_cost=probe_cost,
-                         migration_batch=migration_batch,
-                         telemetry=telemetry, audit=audit)
+    def __init__(self, clock, *, shards: int = 4) -> None:
+        super().__init__(clock, [f"md-{i:02d}" for i in range(shards)])
         # KMS-modelled verifier vault: key objects live here by
         # reference, never in a journal; versioning means a replayed
         # stale row can never resolve a newer entry's key (or vice versa)

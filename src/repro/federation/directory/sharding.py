@@ -3,7 +3,8 @@
 The paper's north star is a national federation — millions of users
 across thousands of IdPs — and a single in-process dict is not a
 substrate for that.  This module places the MyAccessID account registry
-on the existing :class:`~repro.scale.hashring.BoundedLoadRing`:
+on the directory's consistent-hash ring
+(:class:`~repro.federation.directory.ring.HashRing`):
 
 * Two key spaces share one ring — identity keys (``id:<entity>\\n<sub>``)
   and uid keys (``uid:<uid>``) — so an account's identity links and its
@@ -21,7 +22,7 @@ on the existing :class:`~repro.scale.hashring.BoundedLoadRing`:
   the sorted list of keys whose ring owner changed, and until a key's
   batch has moved, lookups probe the new owner, miss, and fall back to
   the source shard — one extra probe, which is what bounds the lookup
-  p99 during a migration (at most ``2 × probe_cost``).
+  p99 during a migration (at most ``2 × PROBE_COST``).
 * A downed shard fails its key range *closed*
   (:class:`~repro.errors.ShardUnavailable`); the other shards keep
   serving theirs.
@@ -50,9 +51,9 @@ from repro.errors import (
     ShardUnavailable,
 )
 from repro.federation.assurance import LevelOfAssurance
+from repro.federation.directory.ring import HashRing
 from repro.federation.myaccessid import Account, LinkedIdentity
 from repro.resilience.durability import Durable, ServiceJournal
-from repro.scale.hashring import BoundedLoadRing
 
 __all__ = [
     "DirectoryConfig",
@@ -71,6 +72,7 @@ __all__ = [
 PROBE_COST = 0.0004
 VNODES = 32             # ring vnodes per shard
 MIGRATION_BATCH = 4096  # keys moved per migration step
+UID_SUFFIX = "@myaccessid"  # MyAccessID's persistent identifier scope
 
 
 @dataclass(frozen=True)
@@ -79,7 +81,6 @@ class DirectoryConfig:
 
     account_shards: int = 8
     metadata_shards: int = 4
-    feed_validity: float = 14 * 86400.0  # default metadata validity window
 
 
 class DirectoryShard(Durable):
@@ -308,7 +309,7 @@ class Migration:
         """Move the next ``batch`` keys; returns how many moved."""
         if self.done:
             return 0
-        n = self.tier.migration_batch if batch is None else batch
+        n = MIGRATION_BATCH if batch is None else batch
         chunk = self.moves[self.cursor:self.cursor + n]
         groups: Dict[Tuple[str, str], List[str]] = {}
         for rk, src, dst in chunk:
@@ -323,7 +324,7 @@ class Migration:
         self.cursor += len(chunk)
         if self.done:
             self.finished_at = self.tier.clock.now()
-            self.tier._migration_finished(self)
+            self.tier._drop_drained()
         return len(chunk)
 
 
@@ -332,21 +333,16 @@ class ShardedTier:
 
     tier = "tier"
 
-    def __init__(self, clock, shard_names: Iterable[str], *,
-                 vnodes: int = VNODES, probe_cost: float = PROBE_COST,
-                 migration_batch: int = MIGRATION_BATCH,
-                 telemetry=None, audit=None) -> None:
-        names = list(shard_names)
-        if not names:
+    def __init__(self, clock, shard_names: List[str]) -> None:
+        if not shard_names:
             raise ConfigurationError(f"{self.tier} tier needs >= 1 shard")
         self.clock = clock
-        self.probe_cost = probe_cost
-        self.migration_batch = migration_batch
-        self.telemetry = telemetry
-        self.audit = audit
-        self.ring = BoundedLoadRing(names, vnodes=vnodes)
+        # the directory install sets both; a bare tier reports to nobody
+        self.telemetry = None
+        self.audit = None
+        self.ring = HashRing(shard_names, vnodes=VNODES)
         self.shards: Dict[str, DirectoryShard] = {
-            name: self._new_shard(name) for name in names}
+            name: self._new_shard(name) for name in shard_names}
         # set by the deployment when durable: name -> ServiceJournal for
         # shards added after construction
         self.journal_factory: Optional[Callable[[str], ServiceJournal]] = None
@@ -467,9 +463,6 @@ class ShardedTier:
         self._migration = Migration(self, moves) if moves else None
         return self._migration
 
-    def _migration_finished(self, migration: Migration) -> None:
-        self._drop_drained()
-
     def _drop_drained(self) -> None:
         if self._draining is None:
             return
@@ -515,8 +508,7 @@ class ShardedTier:
         since_lookups, since_fallbacks = self._window_start
         fell_back = self.fallback_probes - since_fallbacks
         direct = self.lookups - since_lookups - fell_back
-        return ([self.probe_cost] * direct
-                + [2 * self.probe_cost] * fell_back)
+        return [PROBE_COST] * direct + [2 * PROBE_COST] * fell_back
 
 
 class ShardedAccountRegistry(ShardedTier):
@@ -534,17 +526,9 @@ class ShardedAccountRegistry(ShardedTier):
 
     tier = "accounts"
 
-    def __init__(self, clock, ids, *, shards=8, uid_suffix: str = "@myaccessid",
-                 vnodes: int = VNODES, probe_cost: float = PROBE_COST,
-                 migration_batch: int = MIGRATION_BATCH,
-                 telemetry=None, audit=None) -> None:
-        names = ([f"acct-{i:02d}" for i in range(shards)]
-                 if isinstance(shards, int) else list(shards))
-        super().__init__(clock, names, vnodes=vnodes, probe_cost=probe_cost,
-                         migration_batch=migration_batch,
-                         telemetry=telemetry, audit=audit)
+    def __init__(self, clock, ids, *, shards: int = 8) -> None:
+        super().__init__(clock, [f"acct-{i:02d}" for i in range(shards)])
         self.ids = ids
-        self.uid_suffix = uid_suffix
         # optional repro.authz.IdentityGraph: interactively registered
         # accounts mint canonical principals (bulk waves stay lazy — the
         # graph mints on first live grant anyway)
@@ -585,7 +569,7 @@ class ShardedAccountRegistry(ShardedTier):
         uid = ishard.idmap.get(ikey)
         if uid is not None:
             return self._materialize(self._uid_shard(uid).accounts[uid])
-        uid = self.ids.next("ma") + self.uid_suffix
+        uid = self.ids.next("ma") + UID_SUFFIX
         ushard = self._uid_shard(uid)
         if uid in ushard.retired or uid in ushard.accounts:
             # IdFactory counters make minted uids globally fresh; a hit
@@ -625,7 +609,7 @@ class ShardedAccountRegistry(ShardedTier):
                 seen[ikey] = existing
                 uids.append(existing)
                 continue
-            uid = self.ids.next("ma") + self.uid_suffix
+            uid = self.ids.next("ma") + UID_SUFFIX
             ushard = self._uid_shard(uid, record=False)
             id_batches.setdefault(ishard.name, []).append([ikey, uid])
             row_batches.setdefault(ushard.name, []).append(_new_row(

@@ -64,7 +64,7 @@ class ReplicatedInvalidationBus:
         self.local: Dict[str, InvalidationBus] = {}
         for region in self.regions:
             pre = (local_buses or {}).get(region)
-            self.local[region] = pre if pre is not None else InvalidationBus(clock)
+            self.local[region] = pre if pre is not None else InvalidationBus()
         self._severed: set = set()  # frozenset({a, b}) per cut link
         self._pending: Dict[FrozenSet[str], List[tuple]] = {}
         self._seq = 0

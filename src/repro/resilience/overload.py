@@ -20,7 +20,7 @@ brownout included.  Three mechanisms, composed:
 * **Admission control** — :class:`AdmissionController` wraps a service
   with a token-bucket rate limiter plus a concurrency bulkhead.  The
   bucket implements *two-level shedding*: batch traffic is admitted only
-  while the bucket holds more than ``batch_headroom`` of its capacity,
+  while the bucket holds more than :data:`BATCH_HEADROOM` of its capacity,
   so as load rises batch is shed first, interactive second, admin never.
   Rejections raise :class:`~repro.errors.RateLimited` carrying a
   ``retry_after`` hint computed from the refill rate.
@@ -58,6 +58,16 @@ __all__ = [
     "OverloadConfig",
 ]
 
+# fraction of a bucket's burst reserved for interactive traffic: batch
+# requests are admitted only while the bucket holds more than this share
+# of its capacity — the two-level shedder, batch refused first
+BATCH_HEADROOM = 0.3
+# AIMD pacing (every resilience kit's limiter): the ceiling, the
+# additive step per success and the multiplicative cut per shed
+AIMD_MAX_RATE = 1000.0
+AIMD_ADDITIVE = 5.0
+AIMD_BETA = 0.5
+
 
 class Priority:
     """The traffic classes of the control plane, least to most important."""
@@ -82,12 +92,8 @@ class AdmissionPolicy:
         service's declared sustainable throughput.
     burst:
         Bucket capacity — how many requests above the sustained rate a
-        short spike may land before shedding starts.
-    batch_headroom:
-        Fraction of ``burst`` reserved for interactive traffic: batch
-        requests are admitted only while the bucket holds more than
-        ``batch_headroom * burst`` tokens.  This is the two-level
-        shedder — as the bucket drains, batch is refused first.
+        short spike may land before shedding starts; batch traffic may
+        not drain the last :data:`BATCH_HEADROOM` of it.
     max_concurrent:
         Bulkhead: requests of any sheddable class in flight at once
         (nested/re-entrant delivery counts).  Admin traffic bypasses
@@ -100,15 +106,12 @@ class AdmissionPolicy:
 
     rate: float = 50.0
     burst: float = 20.0
-    batch_headroom: float = 0.3
     max_concurrent: int = 64
     paths: Tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         if self.rate <= 0 or self.burst <= 0:
             raise ConfigurationError("admission rate and burst must be positive")
-        if not 0.0 <= self.batch_headroom < 1.0:
-            raise ConfigurationError("batch_headroom must be in [0, 1)")
         if self.max_concurrent < 1:
             raise ConfigurationError("max_concurrent must be at least 1")
 
@@ -181,7 +184,7 @@ class AdmissionController:
                 retry_after=1.0 / self.policy.rate,
                 service=self.name, priority=priority,
             )
-        floor = (self.policy.batch_headroom * self.policy.burst
+        floor = (BATCH_HEADROOM * self.policy.burst
                  if priority == Priority.BATCH else 0.0)
         if self._tokens < floor + 1.0:
             self.shed[priority] = self.shed.get(priority, 0) + 1
@@ -227,9 +230,9 @@ class AimdLimiter:
         *,
         initial_rate: float = 10.0,
         min_rate: float = 0.5,
-        max_rate: float = 500.0,
-        additive: float = 1.0,
-        beta: float = 0.5,
+        max_rate: float = AIMD_MAX_RATE,
+        additive: float = AIMD_ADDITIVE,
+        beta: float = AIMD_BETA,
     ) -> None:
         if not 0.0 < beta < 1.0:
             raise ConfigurationError("beta must be in (0, 1)")
@@ -282,22 +285,17 @@ class OverloadConfig:
     """
 
     broker: AdmissionPolicy = field(default_factory=lambda: AdmissionPolicy(
-        rate=400.0, burst=120.0, batch_headroom=0.3, max_concurrent=64,
+        rate=400.0, burst=120.0, max_concurrent=64,
         paths=("/tokens", "/login", "/introspect", "/authorize", "/token"),
     ))
-    # AIMD pacing for every resilience kit in the deployment
+    # where every resilience kit's AIMD pacing starts and how low it may
+    # fall (the rest of the sawtooth is the AIMD_* constants)
     aimd_initial_rate: float = 50.0
     aimd_min_rate: float = 0.5
-    aimd_max_rate: float = 1000.0
-    aimd_additive: float = 5.0
-    aimd_beta: float = 0.5
 
 
 # admission sizing of the other hot services (same cost model as above)
-JUPYTER_ADMISSION = AdmissionPolicy(
-    rate=60.0, burst=30.0, batch_headroom=0.3, max_concurrent=64)
+JUPYTER_ADMISSION = AdmissionPolicy(rate=60.0, burst=30.0, max_concurrent=64)
 SSH_CA_ADMISSION = AdmissionPolicy(
-    rate=40.0, burst=20.0, batch_headroom=0.3, max_concurrent=32,
-    paths=("/sign",))
-EDGE_ADMISSION = AdmissionPolicy(
-    rate=600.0, burst=200.0, batch_headroom=0.3, max_concurrent=256)
+    rate=40.0, burst=20.0, max_concurrent=32, paths=("/sign",))
+EDGE_ADMISSION = AdmissionPolicy(rate=600.0, burst=200.0, max_concurrent=256)

@@ -45,6 +45,9 @@ __all__ = [
 
 # the exception classes a client treats as transient
 RETRY_ON = (ServiceUnavailable, RateLimited)
+# exponential backoff: each step doubles the wait, which never exceeds 2 s
+BACKOFF_MULTIPLIER = 2.0
+MAX_BACKOFF = 2.0
 
 
 @dataclass(frozen=True)
@@ -55,9 +58,10 @@ class RetryPolicy:
     ----------
     max_attempts:
         Total tries (first call included).  1 disables retrying.
-    base_delay, multiplier, max_delay:
+    base_delay:
         Exponential backoff: attempt *n* waits
-        ``min(base_delay * multiplier**(n-1), max_delay)`` seconds.
+        ``min(base_delay * BACKOFF_MULTIPLIER**(n-1), MAX_BACKOFF)``
+        seconds.
     jitter:
         Fraction of each backoff randomised away (0 = none, 0.5 = the
         wait is 50-100% of the computed backoff).  Drawn from the
@@ -78,15 +82,13 @@ class RetryPolicy:
 
     max_attempts: int = 4
     base_delay: float = 0.05
-    multiplier: float = 2.0
-    max_delay: float = 2.0
     jitter: float = 0.5
     deadline: Optional[float] = None
 
     def backoff(self, attempt: int, rng) -> float:
         """Wait before attempt ``attempt + 1`` (``attempt`` is 1-based)."""
-        raw = min(self.base_delay * self.multiplier ** (attempt - 1),
-                  self.max_delay)
+        raw = min(self.base_delay * BACKOFF_MULTIPLIER ** (attempt - 1),
+                  MAX_BACKOFF)
         if self.jitter > 0:
             raw *= 1.0 - self.jitter * rng.random()
         return raw
@@ -399,9 +401,6 @@ class ResilienceRuntime:
             label,
             initial_rate=cfg.aimd_initial_rate,
             min_rate=cfg.aimd_min_rate,
-            max_rate=cfg.aimd_max_rate,
-            additive=cfg.aimd_additive,
-            beta=cfg.aimd_beta,
         )
 
     def for_client(self, name: str) -> Resilience:

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from .autoscaler import Autoscaler, ScaleDecision
 from .balancer import LoadBalancer, ReplicaPool, ReplicaWorker
 from .cache import CacheStats, InvalidationBus, LoadInFlight, TtlCache
-from .hashring import BoundedLoadRing
 
 __all__ = [
     "ScaleConfig",
@@ -31,7 +30,6 @@ __all__ = [
     "InvalidationBus",
     "LoadInFlight",
     "TtlCache",
-    "BoundedLoadRing",
 ]
 
 

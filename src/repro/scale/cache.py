@@ -395,12 +395,10 @@ class InvalidationBus:
     observes the revocation, no subscribed cache still holds the token.
     """
 
-    def __init__(self, clock: SimClock) -> None:
-        self.clock = clock
+    def __init__(self) -> None:
         self._subs: Dict[str, List[_Subscription]] = {}
         self.published = 0
         self.delivered = 0
-        self.history: List[Tuple[float, str, Optional[str]]] = []
 
     def subscribe(self, topic: str, callback: Callable[..., None],
                   *, owner: Optional[str] = None) -> _Subscription:
@@ -436,7 +434,6 @@ class InvalidationBus:
                 **attrs: object) -> int:
         """Deliver an event to every subscriber of ``topic``, in order."""
         self.published += 1
-        self.history.append((self.clock.now(), topic, key))
         delivered = 0
         for sub in self._subs.get(topic, ()):  # registration order
             sub.callback(key, **attrs)

@@ -42,7 +42,7 @@ def shared_caches(cfg, clock, telemetry) -> Tuple[InvalidationBus,
     so a cached ALLOW can never outlive a revocation or a key rotation.
     ``caching=False`` is the pool-only ablation arm: a bus, no caches.
     """
-    bus = InvalidationBus(clock)
+    bus = InvalidationBus()
     if not cfg.caching:
         return bus, {}
     decisions = TtlCache(

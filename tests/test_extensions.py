@@ -16,7 +16,7 @@ from repro.oidc import make_url
 # ---------------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def dual():
-    dri = build_isambard(seed=23, with_isambard3=True, hpc_nodes=16)
+    dri = build_isambard(seed=23, with_isambard3=True)
     s1 = dri.workflows.story1_pi_onboarding("iris")
     return dri, s1
 

@@ -41,6 +41,7 @@ from repro.errors import (
 )
 from repro.federation.assurance import EntityCategory, LevelOfAssurance
 from repro.federation.directory import (
+    PROBE_COST,
     DirectoryConfig,
     FederationDirectory,
     MetadataFeed,
@@ -62,10 +63,9 @@ pytestmark = pytest.mark.directory
 LOA = LevelOfAssurance.CAPPUCCINO
 
 
-def _registry(shards=4, **kw):
+def _registry(shards=4):
     clock = SimClock()
-    return ShardedAccountRegistry(clock, IdFactory(seed=11), shards=shards,
-                                  **kw), clock
+    return ShardedAccountRegistry(clock, IdFactory(seed=11), shards=shards), clock
 
 
 def _register(reg, entity, sub, now=0.0):
@@ -214,17 +214,17 @@ def test_mid_migration_lookup_bounded_by_one_fallback_probe():
     reg.reset_lookup_stats()
     for ident in idents:
         assert reg.find(ident) is not None
-    # every lookup costs probe_cost, plus at most one extra probe when
+    # every lookup costs PROBE_COST, plus at most one extra probe when
     # the key is still pending at its migration source
     assert reg.lookup_latencies
-    assert max(reg.lookup_latencies) <= 2 * reg.probe_cost + 1e-12
+    assert max(reg.lookup_latencies) <= 2 * PROBE_COST + 1e-12
     assert reg.fallback_probes > 0  # the window was actually exercised
     while not reg._migration.done:
         reg._migration.step()
     reg.reset_lookup_stats()
     for ident in idents:
         reg.find(ident)
-    assert max(reg.lookup_latencies) <= reg.probe_cost + 1e-12
+    assert max(reg.lookup_latencies) <= PROBE_COST + 1e-12
 
 
 def test_lookup_accounting_does_not_grow_with_lookups():
@@ -242,7 +242,7 @@ def test_lookup_accounting_does_not_grow_with_lookups():
         reg.find(ghost)
     assert footprint() == before
     assert reg.lookups == 100_000
-    assert reg.lookup_latencies == [reg.probe_cost] * 100_000
+    assert reg.lookup_latencies == [PROBE_COST] * 100_000
     reg.reset_lookup_stats()
     assert reg.lookup_latencies == []
 

@@ -66,7 +66,7 @@ def test_overload_exceptions_are_network_errors_not_unavailability():
 # ---------------------------------------------------------------------------
 def make_controller(**overrides):
     clock = SimClock()
-    defaults = dict(rate=10.0, burst=5.0, batch_headroom=0.4, max_concurrent=3)
+    defaults = dict(rate=10.0, burst=5.0, max_concurrent=3)
     defaults.update(overrides)
     return AdmissionController("svc", clock, AdmissionPolicy(**defaults)), clock
 
@@ -96,7 +96,7 @@ def test_bucket_refills_with_simulated_time():
 
 
 def test_two_level_shedding_drops_batch_before_interactive():
-    # burst=5, headroom=0.4 -> batch needs tokens > 2; drain to 2 tokens
+    # burst=5, headroom 0.3 -> batch needs 2.5 tokens; drain to 2 tokens
     ctrl, _ = make_controller()
     for _ in range(3):
         ctrl.admit("/x", Priority.INTERACTIVE)
@@ -146,8 +146,6 @@ def test_path_scoping_only_guards_declared_prefixes():
 def test_admission_policy_validation():
     with pytest.raises(ConfigurationError):
         AdmissionPolicy(rate=0.0)
-    with pytest.raises(ConfigurationError):
-        AdmissionPolicy(batch_headroom=1.0)
     with pytest.raises(ConfigurationError):
         AdmissionPolicy(max_concurrent=0)
 
@@ -369,13 +367,12 @@ def test_aimd_limiter_paces_resilience_calls_and_learns_from_sheds():
     clock = SimClock()
     runtime = ResilienceRuntime(
         clock, random.Random(3), overload=OverloadConfig(
-            aimd_initial_rate=10.0, aimd_min_rate=0.5,
-            aimd_max_rate=100.0, aimd_additive=1.0, aimd_beta=0.5))
+            aimd_initial_rate=10.0, aimd_min_rate=0.5))
     kit = runtime.for_client("laptop")
     for _ in range(5):
         kit.call(lambda: "ok", dst="broker")
     lim = kit.limiter_for("broker")
-    assert lim.rate == 15.0          # 5 successes, +1 each
+    assert lim.rate == 35.0          # 5 successes, +AIMD_ADDITIVE (5) each
     assert lim.waits > 0             # same-instant sends were paced
     with pytest.raises(RateLimited):
         kit.call(_failing([RateLimited("shed", retry_after=10.0)] * 10),

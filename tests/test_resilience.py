@@ -183,11 +183,11 @@ def test_clear_single_fault(chaos_net):
 # RetryPolicy / Resilience.call
 # ---------------------------------------------------------------------------
 def test_backoff_is_exponential_and_capped():
-    policy = RetryPolicy(base_delay=0.1, multiplier=2.0, max_delay=0.5,
-                         jitter=0.0)
+    # doubling (BACKOFF_MULTIPLIER) from 0.1 s up to the 2 s MAX_BACKOFF
+    policy = RetryPolicy(base_delay=0.1, jitter=0.0)
     rng = random.Random(0)
-    assert [policy.backoff(n, rng) for n in (1, 2, 3, 4)] == \
-        [0.1, 0.2, 0.4, 0.5]
+    assert [policy.backoff(n, rng) for n in (1, 2, 3, 4, 5, 6)] == \
+        [0.1, 0.2, 0.4, 0.8, 1.6, 2.0]
 
 
 def test_jitter_shrinks_backoff_deterministically():
@@ -230,8 +230,8 @@ def test_retry_exhausts_budget_and_reraises():
 
 def test_retry_respects_deadline():
     clock = SimClock()
-    policy = RetryPolicy(max_attempts=100, base_delay=10.0, multiplier=1.0,
-                         max_delay=10.0, jitter=0.0, deadline=25.0)
+    policy = RetryPolicy(max_attempts=100, base_delay=2.0, jitter=0.0,
+                         deadline=5.0)
 
     def always_down():
         raise ServiceUnavailable("down")
@@ -239,8 +239,9 @@ def test_retry_respects_deadline():
     with pytest.raises(ServiceUnavailable):
         Resilience("c", clock, random.Random(1), policy=policy).call(
             always_down)
-    # attempts at t=0, 10, 20; the wait to t=30 would overrun the deadline
-    assert clock.now() == pytest.approx(20.0)
+    # every wait is capped at MAX_BACKOFF (2 s):
+    # attempts at t=0, 2, 4; the wait to t=6 would overrun the deadline
+    assert clock.now() == pytest.approx(4.0)
 
 
 def test_non_transient_errors_propagate_immediately():

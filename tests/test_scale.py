@@ -1,10 +1,10 @@
-"""Unit tests for the scale-out subsystem (repro.scale).
+"""Unit tests for the scale-out subsystem (repro.scale) and for the
+directory's placement ring (repro.federation.directory.ring).
 
-Covers the bounded-load consistent-hash ring (deterministic placement,
-cap enforcement, minimal movement on membership change), the TTL cache
-(expiry, negative caching, single-flight stampede protection, tag and
-bus invalidation), the replica pool + load balancer and failover, and
-the metric-driven autoscaler.
+Covers the ring (deterministic placement, minimal movement on membership
+change), the TTL cache (expiry, negative caching, single-flight stampede
+protection, tag and bus invalidation), the replica pool + load balancer
+and failover, and the metric-driven autoscaler.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from repro.audit import AuditLog
 from repro.clock import SimClock
 from repro.errors import ServiceUnavailable, SignatureInvalid
+from repro.federation.directory.ring import HashRing, _h
 from repro.net import (
     HttpRequest,
     HttpResponse,
@@ -30,71 +31,43 @@ from repro.net import (
 )
 from repro.scale import (
     Autoscaler,
-    BoundedLoadRing,
     InvalidationBus,
     LoadBalancer,
     LoadInFlight,
     ReplicaPool,
     TtlCache,
 )
-from repro.scale.hashring import _h
 from repro.telemetry import Telemetry
-from tests.conftest import golden
 
 _member = st.sampled_from([f"m{i}" for i in range(8)])
 
 # ======================================================================
-# consistent-hash ring
+# the directory's consistent-hash ring
 # ======================================================================
+@pytest.mark.directory
 class TestBoundedLoadRing:
-    def test_bound_must_exceed_one(self):
-        with pytest.raises(ValueError):
-            BoundedLoadRing(["a"], bound=1.0)
-
     def test_deterministic_placement_across_runs_and_orders(self):
         # placement depends only on sha256, never on insertion order or
         # Python hash randomisation — two rings built differently agree
         members = [f"replica-{i}" for i in range(5)]
         shuffled = list(members)
         random.Random(7).shuffle(shuffled)
-        ring_a = BoundedLoadRing(members)
-        ring_b = BoundedLoadRing(shuffled)
+        ring_a = HashRing(members)
+        ring_b = HashRing(shuffled)
         rng = random.Random(42)
         keys = [f"session-{rng.randrange(10**9)}" for _ in range(300)]
         for key in keys:
             assert ring_a.locate(key) == ring_b.locate(key)
 
     def test_placement_spreads_across_members(self):
-        ring = BoundedLoadRing([f"r{i}" for i in range(4)], vnodes=64)
+        ring = HashRing([f"r{i}" for i in range(4)], vnodes=64)
         rng = random.Random(1)
         owners = {ring.locate(f"k{rng.randrange(10**9)}") for _ in range(500)}
         assert owners == {"r0", "r1", "r2", "r3"}
 
-    def test_bounded_load_cap_honoured(self):
-        # a pathologically hot key would pile onto one member without the
-        # cap; with it, no member ever exceeds ceil(c*(total+1)/n)
-        ring = BoundedLoadRing(["a", "b", "c"], bound=1.25)
-        for _ in range(30):
-            cap_before = ring.capacity()
-            member = ring.assign("the-one-hot-session")
-            assert ring.load(member) <= cap_before
-        assert sum(ring.load(m) for m in ring.members) == 30
-        # the hot key spilled beyond its pure owner
-        assert sum(1 for m in ring.members if ring.load(m) > 0) >= 2
-
-    def test_release_and_take(self):
-        ring = BoundedLoadRing(["a", "b"])
-        ring.take("a")
-        assert ring.load("a") == 1
-        ring.release("a")
-        ring.release("a")  # never goes negative
-        assert ring.load("a") == 0
-        with pytest.raises(KeyError):
-            ring.take("ghost")
-
     def test_minimal_movement_on_join(self):
         members = [f"r{i}" for i in range(4)]
-        ring = BoundedLoadRing(members)
+        ring = HashRing(members)
         rng = random.Random(9)
         keys = [f"k{rng.randrange(10**9)}" for _ in range(600)]
         before = {k: ring.locate(k) for k in keys}
@@ -109,7 +82,7 @@ class TestBoundedLoadRing:
 
     def test_minimal_movement_on_leave(self):
         members = [f"r{i}" for i in range(5)]
-        ring = BoundedLoadRing(members)
+        ring = HashRing(members)
         rng = random.Random(11)
         keys = [f"k{rng.randrange(10**9)}" for _ in range(600)]
         before = {k: ring.locate(k) for k in keys}
@@ -135,7 +108,7 @@ class TestBoundedLoadRing:
         vnodes, take the first one past the key's position (a vnode
         exactly on it is behind it — what ``bisect_right`` on
         ``(pos, "\uffff")`` gives), wrap at the end."""
-        ring = BoundedLoadRing(start, vnodes=vnodes)
+        ring = HashRing(start, vnodes=vnodes)
         members = list(start)
         for join, member in [(True, start[0])] + changes:
             if join and member not in members:
@@ -144,58 +117,11 @@ class TestBoundedLoadRing:
             elif not join and member in members and len(members) > 1:
                 ring.remove(member)
                 members.remove(member)
-            assert ring.members == members
             vnode_ring = sorted((_h(f"{m}#{v}"), m)
                                 for m in members for v in range(vnodes))
             for key in keys:
                 at = bisect_right(vnode_ring, (_h(key), "\uffff"))
                 assert ring.locate(key) == vnode_ring[at % len(vnode_ring)][1]
-                ring.assign(key)  # loads pile up; pure placement ignores them
-
-    def test_assign_and_release_under_a_cap_match_the_recording(self):
-        """A recorded run of ``assign`` / ``release`` / ``add`` / ``remove``
-        on a small ring with hot keys: the bounded-load walk places every
-        key where it did before pure placement stopped sharing its code."""
-        def record():
-            rng = random.Random(20)
-            ops, members, held, joined = [], ["r0", "r1", "r2"], [], 3
-            for _ in range(400):
-                roll = rng.random()
-                if roll < 0.55:
-                    ops.append(["assign", f"k{rng.randrange(12)}"])
-                    held.append(None)
-                elif roll < 0.9 and held:
-                    ops.append(["release", rng.randrange(len(held))])
-                elif roll < 0.95:
-                    members.append(f"r{joined}")
-                    ops.append(["add", members[-1]])
-                    joined += 1
-                elif len(members) > 2:
-                    ops.append(["remove", members.pop(
-                        rng.randrange(len(members)))])
-            return {"ops": ops, "results": self._replay(ops)}
-
-        recorded = golden("ring_assign_sequence.json", record)
-        assert self._replay(recorded["ops"]) == recorded["results"]
-
-    @staticmethod
-    def _replay(ops):
-        """Returns, per op, the member ``assign`` chose (``release`` gives
-        back the n-th assignment made so far, if its member is still on
-        the ring) or the loads after a membership change."""
-        ring = BoundedLoadRing(["r0", "r1", "r2"], vnodes=8, bound=1.25)
-        assigned, results = [], []
-        for kind, arg in ops:
-            if kind == "assign":
-                assigned.append(ring.assign(arg))
-                results.append(assigned[-1])
-            elif kind == "release":
-                ring.release(assigned[arg % len(assigned)])
-                results.append(ring.capacity())
-            else:
-                getattr(ring, kind)(arg)
-                results.append({m: ring.load(m) for m in ring.members})
-        return results
 
 
 # ======================================================================
@@ -319,7 +245,10 @@ class TestTtlCache:
 
     def test_bus_binding_by_tag_key_and_clear(self):
         clock = SimClock()
-        bus = InvalidationBus(clock)
+        bus = InvalidationBus()
+        heard = []
+        for topic in ("token.revoked", "jwks.rotated"):
+            bus.subscribe(topic, lambda key, topic=topic: heard.append(topic))
         tagged = TtlCache("tokens", clock, ttl=60.0)
         keyed = TtlCache("jwks", clock, ttl=600.0)
         tagged.bind(bus, "token.revoked", by_tag=True)
@@ -338,8 +267,7 @@ class TestTtlCache:
         bus.publish("token.revoked")  # bare event flushes the cache
         assert tagged.peek("tok") is None
         assert bus.published == 3
-        assert [topic for _, topic, _ in bus.history] == [
-            "token.revoked", "jwks.rotated", "token.revoked"]
+        assert heard == ["token.revoked", "jwks.rotated", "token.revoked"]
 
     def test_deterministic_eviction_at_capacity(self):
         clock = SimClock()
@@ -579,7 +507,7 @@ class TestCacheInvalidationHygiene:
         # region restart) must replace the old subscription, not stack
         # a new one: the dead instance stops hearing events
         clock = SimClock()
-        bus = InvalidationBus(clock)
+        bus = InvalidationBus()
         old = TtlCache("introspection", clock, ttl=60.0)
         old.bind(bus, "token.revoked", by_tag=True)
         old.get_or_load("tok", lambda: "stale", tags_of=lambda v: ("j1",))
@@ -598,7 +526,7 @@ class TestCacheInvalidationHygiene:
 
     def test_rebind_same_cache_is_idempotent(self):
         clock = SimClock()
-        bus = InvalidationBus(clock)
+        bus = InvalidationBus()
         cache = TtlCache("jwks", clock, ttl=60.0)
         cache.bind(bus, "jwks.rotated", by_tag=False)
         cache.bind(bus, "jwks.rotated", by_tag=False)
@@ -606,7 +534,7 @@ class TestCacheInvalidationHygiene:
 
     def test_unbind_removes_every_subscription(self):
         clock = SimClock()
-        bus = InvalidationBus(clock)
+        bus = InvalidationBus()
         cache = TtlCache("c", clock, ttl=60.0)
         cache.bind(bus, "token.revoked", by_tag=True)
         cache.bind(bus, "jwks.rotated", by_tag=False)
@@ -619,7 +547,7 @@ class TestCacheInvalidationHygiene:
 
     def test_unsubscribe_unknown_subscription_is_false(self):
         clock = SimClock()
-        bus = InvalidationBus(clock)
+        bus = InvalidationBus()
         sub = bus.subscribe("t", lambda key, **a: None)
         assert bus.unsubscribe(sub) is True
         assert bus.unsubscribe(sub) is False
