@@ -66,8 +66,7 @@ BROWNOUT_P = 0.08               # per-message connect-failure probability
 SERIES_BUDGET = 8               # cardinality budget on the bench family
 
 BOUNDED = PipelineConfig(
-    max_spans=MAX_SPANS, target_fill=0.8, window=60.0, slowest_k=3,
-    sample_rate=0.05, max_decisions=MAX_DECISIONS)
+    max_spans=MAX_SPANS, window=60.0, max_decisions=MAX_DECISIONS)
 
 
 class FloodQueue(Service):

@@ -88,7 +88,3 @@ class IdentityGraph:
     def accounts_of(self, uid: str) -> List[str]:
         """Every UNIX account aliased to ``uid``, sorted for determinism."""
         return sorted(a for a, u in self._accounts.items() if u == uid)
-
-    def known(self, spiffe: str) -> bool:
-        return (spiffe in self._principals.values()
-                or spiffe in self._workloads.values())

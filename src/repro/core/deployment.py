@@ -162,11 +162,11 @@ class IsambardDeployment:
     # cross-cutting
     policy_engine: PolicyEngine = None
     workflows: "object" = None  # set post-construction (core.workflows)
-    # MDC — Isambard 3 (Grace-Grace CPU cluster); None unless built
-    pool_i3: Optional[NodePool] = None
-    login_sshd_i3: Optional[LoginNodeSshd] = None
-    mgmt_node_i3: Optional[ManagementNode] = None
-    slurm_i3: Optional[SlurmScheduler] = None
+    # MDC — Isambard 3 (Grace-Grace CPU cluster)
+    pool_i3: NodePool = None
+    login_sshd_i3: LoginNodeSshd = None
+    mgmt_node_i3: ManagementNode = None
+    slurm_i3: SlurmScheduler = None
     # every cluster's login node / scheduler, Isambard-AI first: what
     # revocation, containment and the tiers iterate over
     login_nodes: List[LoginNodeSshd] = field(default_factory=list)
@@ -207,7 +207,6 @@ class IsambardDeployment:
     region_directory: Optional[RegionDirectory] = None
     geo_router: Optional[GeoRouter] = None
     region_bus: Optional[ReplicatedInvalidationBus] = None
-    region_autoscalers: List[Autoscaler] = field(default_factory=list)
     # tail-tolerance layer (repro.resilience.tail); None unless tail on
     tail: Optional[TailConfig] = None
     # continuous authorization (repro.authz); None unless authz on
@@ -395,10 +394,8 @@ def build_isambard(
     rbac_max_ttl: float = 3600.0,
     ssh_cert_ttl: float = 4 * 3600.0,
     bastion_vms: int = 2,
-    with_isambard3: bool = True,
     forward_interval: float = 5.0,
     auto_contain: bool = True,
-    idp_specs=DEFAULT_IDPS,
     resilience: Union[bool, RetryPolicy] = False,
     overload: Union[bool, OverloadConfig] = False,
     staleness_window: float = 60.0,
@@ -491,7 +488,7 @@ def build_isambard(
     sizing = directory_cfg or DirectoryConfig(account_shards=1,
                                               metadata_shards=1)
     dri.edugain = ShardedMetadataStore(clock, shards=sizing.metadata_shards)
-    for endpoint, host, federation, display, loa, categories in idp_specs:
+    for endpoint, host, federation, display, loa, categories in DEFAULT_IDPS:
         idp = InstitutionalIdP(
             endpoint, f"https://{host}", clock, ids,
             loa=loa, categories=categories, audit=logs["external"],
@@ -659,12 +656,11 @@ def build_isambard(
     # Isambard 3, the Grace-Grace national tier-2 HPC platform: the same
     # IAM fabric (one CA, one broker, one portal) protecting a second
     # cluster in the same MDC compound — exactly the paper's deployment
-    if with_isambard3:
-        dri.pool_i3 = NodePool("gg", "grace-grace", HPC_NODES, gpus_per_node=0)
-        dri.login_sshd_i3 = login_node("-i3")
-        dri.mgmt_node_i3, dri.slurm_i3 = management_plane(
-            "-i3", dri.pool_i3,
-            charge_units_per_node=1)  # node-hours on the CPU machine
+    dri.pool_i3 = NodePool("gg", "grace-grace", HPC_NODES, gpus_per_node=0)
+    dri.login_sshd_i3 = login_node("-i3")
+    dri.mgmt_node_i3, dri.slurm_i3 = management_plane(
+        "-i3", dri.pool_i3,
+        charge_units_per_node=1)  # node-hours on the CPU machine
 
     # environmental telemetry for the AI pod (idle until .start())
     dri.dcim = DcimMonitor(

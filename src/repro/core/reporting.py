@@ -56,14 +56,12 @@ def operations_report(dri) -> str:
         f"{dri.pool.utilisation():.1%}",
         len(dri.login_sshd.sessions()), len(dri.jupyter.sessions()),
         len(dri.slurm.jobs()),
+    ], [
+        "isambard-3", len(dri.pool_i3.nodes()),
+        f"{dri.pool_i3.utilisation():.1%}",
+        len(dri.login_sshd_i3.sessions()), "-",
+        len(dri.slurm_i3.jobs()),
     ]]
-    if dri.pool_i3 is not None:
-        cluster_rows.append([
-            "isambard-3", len(dri.pool_i3.nodes()),
-            f"{dri.pool_i3.utilisation():.1%}",
-            len(dri.login_sshd_i3.sessions()), "-",
-            len(dri.slurm_i3.jobs()),
-        ])
     parts.append(format_table(
         ["cluster", "nodes", "utilisation", "ssh sessions",
          "notebooks", "jobs"], cluster_rows))

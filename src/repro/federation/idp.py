@@ -118,9 +118,6 @@ class InstitutionalIdP(Service):
             Outcome.INFO,
         )
 
-    def user(self, username: str) -> Optional[FederatedUser]:
-        return self._users.get(username)
-
     def verifier(self):
         """Public key for eduGAIN metadata."""
         return self.key.public()

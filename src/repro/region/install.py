@@ -10,8 +10,8 @@ active-active".
 
 from __future__ import annotations
 
+from ..errors import ConfigurationError
 from ..net.zones import OperatingDomain, Zone
-from ..scale.autoscaler import Autoscaler
 from ..scale.balancer import pod_admission
 from ..scale.cache import publish_on
 from ..siem.detections import CacheStalenessRule
@@ -27,6 +27,10 @@ REPLICAS_PER_REGION = 2
 
 def install(dri, cfg) -> None:
     clock, tele, scale = dri.clock, dri.telemetry, dri.scale
+    if scale.autoscale:
+        raise ConfigurationError(
+            "the region tier sizes each region's pool itself; "
+            "ScaleConfig(autoscale=True) applies to the single-region pool")
     dri.region_config = cfg
     # One bus shard per region: local publishes stay synchronous
     # (preserving the in-region guarantee) and fan out to peers after
@@ -63,14 +67,6 @@ def install(dri, cfg) -> None:
         directory.add(region)
         if dri.caches:      # listed beside the shared ones; none with caching off
             dri.caches[f"introspection-{name}"] = region.introspection_cache
-        if scale.autoscale and tele is not None:
-            autoscaler = Autoscaler(
-                clock, region.pool, tele, interval=scale.autoscale_interval,
-                watch_services=("broker",), audit=dri.logs["fds"],
-                audit_source=f"autoscaler-{name}",
-            )
-            autoscaler.start()
-            dri.region_autoscalers.append(autoscaler)
     # No MDC-side introspection cache here: bound to the home shard, it
     # would only see another region's revocation after replication — or
     # never, across a partition.  Introspections round-trip to the

@@ -78,8 +78,7 @@ class GeoRouter(Service):
         # gray-region scoring: same ejector as the balancer's, keyed by
         # region name.  "Ejected" here means *detoured*, not skipped —
         # a gray region still serves as the candidate of last resort
-        self.tail = tail
-        self.ejector = (OutlierEjector(clock, tail)
+        self.ejector = (OutlierEjector(clock)
                         if tail is not None and tail.ejection else None)
         if self.ejector is not None:
             self.ejector.on_reinstate = self._on_reinstate

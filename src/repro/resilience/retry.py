@@ -1,8 +1,9 @@
 """Retry with exponential backoff, and the per-client resilience wrapper.
 
-``RetryPolicy`` describes *how* to retry: attempt budget, exponential
-backoff with deterministic jitter (an injected ``random.Random``) and
-an optional total-time deadline.  Backoff advances the shared :class:`~repro.clock.SimClock`
+``RetryPolicy`` describes *how* to retry: attempt budget and exponential
+backoff with deterministic jitter (an injected ``random.Random``); the
+time a retry loop may take is bounded by the request's own deadline.
+Backoff advances the shared :class:`~repro.clock.SimClock`
 instead of sleeping, so retries cost measurable simulated time and fire
 any scheduled events (forwarder flushes, detection timers) that fall
 inside the wait — exactly as a real wait would.
@@ -66,10 +67,6 @@ class RetryPolicy:
         Fraction of each backoff randomised away (0 = none, 0.5 = the
         wait is 50-100% of the computed backoff).  Drawn from the
         injected rng, so jitter is deterministic per seed.
-    deadline:
-        Optional cap on *total* simulated time spent (including waits);
-        a retry that would overrun it is abandoned and the last error
-        re-raised.
 
     What is retried is fixed (:data:`RETRY_ON`).  :class:`RateLimited`
     is handled specially: when the server supplied a ``retry_after``
@@ -83,7 +80,6 @@ class RetryPolicy:
     max_attempts: int = 4
     base_delay: float = 0.05
     jitter: float = 0.5
-    deadline: Optional[float] = None
 
     def backoff(self, attempt: int, rng) -> float:
         """Wait before attempt ``attempt + 1`` (``attempt`` is 1-based)."""
@@ -206,12 +202,11 @@ class Resilience:
           client's send rate converges on what the server admits.
 
         ``deadline`` is the *request's* absolute deadline (simulated
-        time), distinct from ``policy.deadline`` (a per-call
-        elapsed-time budget).  A backoff or ``retry_after`` wait that
-        would run at or past it is never taken: the last transient error
-        re-raises immediately instead of the client sleeping through the
-        deadline only to fail with :class:`DeadlineExceeded` after a
-        pointless wait.
+        time), the one bound on how long the loop may take.  A backoff or
+        ``retry_after`` wait that would run at or past it is never taken:
+        the last transient error re-raises immediately instead of the
+        client sleeping through the deadline only to fail with
+        :class:`DeadlineExceeded` after a pointless wait.
 
         With a :class:`~repro.resilience.tail.TailController` attached
         (and ``request`` supplied so the attempt bound can ride it),
@@ -242,7 +237,6 @@ class Resilience:
         metrics.calls += 1
         if tail is not None:
             tail.on_call(key)
-        start = clock.now()
         attempt = 0
         backoff_step = 0  # position in the exponential schedule
         hedge_armed = False
@@ -322,10 +316,6 @@ class Resilience:
                         # DeadlineExceeded
                         metrics.failures += 1
                         metrics.deadline_abandons += 1
-                        raise
-                    if policy.deadline is not None and \
-                            clock.now() - start + delay > policy.deadline:
-                        metrics.failures += 1
                         raise
                     metrics.retries += 1
                     if retry_after is not None:

@@ -62,6 +62,23 @@ TAIL_BUCKETS = (0.001, 0.002, 0.005, 0.01, 0.02, 0.05, 0.1, 0.2,
 TIMEOUT_QUANTILE = 0.99
 HEDGE_QUANTILE = 0.95
 
+# adaptive per-attempt deadlines: no quantile-derived bound is trusted
+# before MIN_SAMPLES observations (until then attempts run unbounded, the
+# cold-start safety), and the attempt timeout is TIMEOUT_MULTIPLIER ×
+# p(TIMEOUT_QUANTILE), clamped into [timeout_min, timeout_max]
+MIN_SAMPLES = 20
+TIMEOUT_MULTIPLIER = 3.0
+# the hedge fires after max(HEDGE_MIN, HEDGE_MULTIPLIER × p(HEDGE_QUANTILE))
+# — deliberately tighter than the attempt timeout, that is the point of
+# hedging — and hedges are capped at HEDGE_BUDGET_RATIO of balanced calls
+HEDGE_MULTIPLIER = 2.0
+HEDGE_MIN = 0.01
+HEDGE_BUDGET_RATIO = 0.05
+# retry-storm guard: tokens deposited per fresh call, and the bucket
+# ceiling (buckets start full, so cold-start retries still work)
+RETRY_BUDGET_RATIO = 0.1
+RETRY_BUDGET_CAP = 5.0
+
 
 @dataclass(frozen=True)
 class TailConfig:
@@ -72,77 +89,34 @@ class TailConfig:
     ----------
     adaptive_deadlines / hedging / ejection / retry_budget:
         Per-defence switches.
-    timeout_multiplier, timeout_min, timeout_max:
-        Attempt timeout = ``clamp(multiplier × p(TIMEOUT_QUANTILE))`` of
-        the destination's observed successful-attempt latency, clamped
-        into ``[timeout_min, timeout_max]``.
-    min_samples:
-        Observations required before any quantile-derived bound is
-        trusted; until then attempts run unbounded (cold-start safety).
-    hedge_multiplier, hedge_min:
-        The hedge fires after ``max(hedge_min, multiplier ×
-        p(HEDGE_QUANTILE))`` — deliberately tighter than the attempt
-        timeout, that is the point of hedging.
-    hedge_budget_ratio:
-        Hedges are capped at this fraction of balanced calls.
-    eject_min_samples, eject_duration, max_eject_fraction:
-        Evidence floor, base ejection length (doubling per consecutive
-        re-ejection up to ``EJECT_MAX_BACKOFF_MULT``×), and the fraction
-        of the fleet that may be ejected simultaneously (always leaving
-        at least one member).  A member is ejected when its latency EWMA
-        exceeds ``EJECT_LATENCY_RATIO`` × the pool's median member EWMA
-        (or its error EWMA exceeds ``EJECT_ERROR_THRESHOLD``).
-    retry_budget_ratio, retry_budget_cap:
-        Tokens deposited per fresh call and the bucket ceiling (buckets
-        start full, so cold-start retries still work).
+    timeout_min, timeout_max:
+        The clamp on the adaptive attempt timeout
+        (``TIMEOUT_MULTIPLIER × p(TIMEOUT_QUANTILE)`` of the destination's
+        observed successful-attempt latency).
     """
 
     adaptive_deadlines: bool = True
     hedging: bool = True
     ejection: bool = True
     retry_budget: bool = True
-    # adaptive per-attempt deadlines
-    timeout_multiplier: float = 3.0
     timeout_min: float = 0.02
     timeout_max: float = 2.0
-    min_samples: int = 20
-    # hedged requests
-    hedge_multiplier: float = 2.0
-    hedge_min: float = 0.01
-    hedge_budget_ratio: float = 0.05
-    # latency-outlier ejection
-    eject_min_samples: int = 8
-    eject_duration: float = 10.0
-    max_eject_fraction: float = 0.5
-    # retry-storm guard
-    retry_budget_ratio: float = 0.1
-    retry_budget_cap: float = 5.0
 
     def __post_init__(self) -> None:
         if self.timeout_min <= 0 or self.timeout_max < self.timeout_min:
             raise ConfigurationError(
                 "need 0 < timeout_min <= timeout_max, got "
                 f"[{self.timeout_min}, {self.timeout_max}]")
-        if not 0.0 <= self.hedge_budget_ratio <= 1.0:
-            raise ConfigurationError(
-                f"hedge_budget_ratio must be in [0, 1], got {self.hedge_budget_ratio}")
-        if not 0.0 < self.max_eject_fraction <= 1.0:
-            raise ConfigurationError(
-                f"max_eject_fraction must be in (0, 1], got {self.max_eject_fraction}")
-        if self.retry_budget_ratio < 0 or self.retry_budget_cap < 1.0:
-            raise ConfigurationError(
-                "retry budget needs ratio >= 0 and cap >= 1, got "
-                f"ratio={self.retry_budget_ratio} cap={self.retry_budget_cap}")
 
-    # ------------------------------------------------------------------
     def clamp_timeout(self, p: float) -> float:
         """The adaptive attempt timeout for an observed ``p(TIMEOUT_QUANTILE)``."""
         return max(self.timeout_min, min(self.timeout_max,
-                                         self.timeout_multiplier * p))
+                                         TIMEOUT_MULTIPLIER * p))
 
-    def hedge_delay_from(self, p: float) -> float:
-        """The hedge-fire delay for an observed ``p(HEDGE_QUANTILE)``."""
-        return max(self.hedge_min, self.hedge_multiplier * p)
+
+def hedge_delay_from(p: float) -> float:
+    """The hedge-fire delay for an observed ``p(HEDGE_QUANTILE)``."""
+    return max(HEDGE_MIN, HEDGE_MULTIPLIER * p)
 
 
 def hedgeable_request(request) -> bool:
@@ -213,6 +187,11 @@ class RetryBudget:
         return False
 
 
+# outlier ejection: the evidence floor, the base ejection length
+# (seconds) and the fraction of the fleet that may sit out at once
+EJECT_MIN_SAMPLES = 8
+EJECT_DURATION = 10.0
+MAX_EJECT_FRACTION = 0.5
 # the error EWMA (fraction of failed attempts) past which a member is an
 # outlier whatever its latency
 EJECT_ERROR_THRESHOLD = 0.5
@@ -226,22 +205,20 @@ class OutlierEjector:
     """Latency/error-outlier ejection with probation, for any string-keyed
     fleet (pool replicas, or regions under the geo-router).
 
-    A member is *ejected* when, with at least ``eject_min_samples`` of
+    A member is *ejected* when, with at least ``EJECT_MIN_SAMPLES`` of
     evidence, its latency EWMA exceeds ``EJECT_LATENCY_RATIO`` × the
     median member EWMA, or its error EWMA exceeds
     ``EJECT_ERROR_THRESHOLD``.  Ejection is temporary: after
-    ``eject_duration`` (doubling per consecutive re-ejection, capped at
+    ``EJECT_DURATION`` (doubling per consecutive re-ejection, capped at
     ``EJECT_MAX_BACKOFF_MULT``×) the member re-enters on *probation* —
     its stats reset so the next few requests re-probe it with fresh
     evidence instead of the stale EWMA instantly re-ejecting it.  At
-    most ``max_eject_fraction`` of the fleet may be out at once, and
+    most ``MAX_EJECT_FRACTION`` of the fleet may be out at once, and
     never the last remaining candidate.
     """
 
-    def __init__(self, clock, cfg: TailConfig, *,
-                 alpha: float = 0.3) -> None:
+    def __init__(self, clock, *, alpha: float = 0.3) -> None:
         self.clock = clock
-        self.cfg = cfg
         self.alpha = alpha
         self._latency: Dict[str, float] = {}
         self._errors: Dict[str, float] = {}
@@ -287,7 +264,7 @@ class OutlierEjector:
     def _max_ejectable(self, fleet_size: int) -> int:
         if fleet_size <= 1:
             return 0
-        allowed = int(self.cfg.max_eject_fraction * fleet_size)
+        allowed = int(MAX_EJECT_FRACTION * fleet_size)
         return min(fleet_size - 1, max(0, allowed))
 
     def ejected(self, fleet: Sequence[str]) -> List[str]:
@@ -316,7 +293,7 @@ class OutlierEjector:
 
     def should_eject(self, member: str, fleet: Sequence[str]) -> bool:
         """Would ejecting ``member`` now be justified *and* safe?"""
-        if self._samples.get(member, 0) < self.cfg.eject_min_samples:
+        if self._samples.get(member, 0) < EJECT_MIN_SAMPLES:
             return False
         peers = [m for m in fleet if m != member
                  and self._latency.get(m) is not None]
@@ -340,7 +317,7 @@ class OutlierEjector:
         returns the reinstatement time."""
         strikes = self._strikes.get(member, 0)
         mult = min(2.0 ** strikes, EJECT_MAX_BACKOFF_MULT)
-        until = self.clock.now() + self.cfg.eject_duration * mult
+        until = self.clock.now() + EJECT_DURATION * mult
         self._ejected_until[member] = until
         self._strikes[member] = strikes + 1
         self.ejections += 1
@@ -380,9 +357,8 @@ class TailController:
         self.latency = Histogram("tail_latency_seconds",
                                  "per-key attempt latency",
                                  buckets=TAIL_BUCKETS)
-        self.budget = RetryBudget(cfg.retry_budget_ratio,
-                                  cfg.retry_budget_cap)
-        self.hedge_budget = HedgeBudget(cfg.hedge_budget_ratio)
+        self.budget = RetryBudget(RETRY_BUDGET_RATIO, RETRY_BUDGET_CAP)
+        self.hedge_budget = HedgeBudget(HEDGE_BUDGET_RATIO)
         self.audit = None        # AuditLog, wired by the deployment
         self.telemetry = None    # Telemetry, wired by the deployment
 
@@ -391,9 +367,9 @@ class TailController:
         """How long a hedge-armed first attempt runs before the hedge
         fires, or ``None`` while ``key`` lacks evidence (cold start runs
         unhedged)."""
-        if self.latency.count(key=key) < self.cfg.min_samples:
+        if self.latency.count(key=key) < MIN_SAMPLES:
             return None
-        return self.cfg.hedge_delay_from(
+        return hedge_delay_from(
             self.latency.quantile(HEDGE_QUANTILE, key=key))
 
     def attempt_timeout(self, key: str) -> Optional[float]:
@@ -401,7 +377,7 @@ class TailController:
         ``None`` while evidence or the feature is lacking."""
         if not self.cfg.adaptive_deadlines:
             return None
-        if self.latency.count(key=key) < self.cfg.min_samples:
+        if self.latency.count(key=key) < MIN_SAMPLES:
             return None
         return self.cfg.clamp_timeout(
             self.latency.quantile(TIMEOUT_QUANTILE, key=key))

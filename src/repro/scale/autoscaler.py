@@ -64,7 +64,6 @@ class Autoscaler:
         step: int = 1,
         watch_services: Tuple[str, ...] = (),
         audit=None,
-        audit_source: str = "autoscaler",
     ) -> None:
         self.clock = clock
         self.pool = pool
@@ -76,7 +75,6 @@ class Autoscaler:
         self.step = step
         self.watch_services = tuple(watch_services)
         self.audit = audit
-        self.audit_source = audit_source
         self.decisions: List[ScaleDecision] = []
         self._snapshot: Dict[Tuple[str, str], float] = {}
         self._quiet_windows = 0
@@ -163,7 +161,7 @@ class Autoscaler:
                 pool=self.pool.name, direction=direction)
             if self.audit is not None:
                 self.audit.record(
-                    self.clock.now(), self.audit_source, "system",
+                    self.clock.now(), "autoscaler", "system",
                     f"autoscale.{direction}", self.pool.name, Outcome.INFO,
                     from_replicas=size, to_replicas=to_n,
                     loss_rate=round(loss, 4), reason=reason,

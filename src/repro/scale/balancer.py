@@ -208,7 +208,7 @@ class LoadBalancer(Service):
     * per-replica latency/error EWMAs feed an
       :class:`~repro.resilience.tail.OutlierEjector`: a replica that is
       slow-but-alive is temporarily ejected (probation re-probes it),
-      never more than ``max_eject_fraction`` of the fleet and never the
+      never more than ``MAX_EJECT_FRACTION`` of the fleet and never the
       last candidate.
     """
 
@@ -248,7 +248,7 @@ class LoadBalancer(Service):
         self.telemetry = telemetry
         self.controller = \
             TailController(clock, tail) if tail is not None else None
-        self.ejector = OutlierEjector(clock, tail) if tail is not None else None
+        self.ejector = OutlierEjector(clock) if tail is not None else None
         self.hedge_budget = \
             self.controller.hedge_budget if tail is not None else None
         self.hedges = 0

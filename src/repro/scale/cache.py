@@ -17,14 +17,15 @@ Three cooperating pieces, all driven by :class:`~repro.clock.SimClock`
   read to prove the ≥10× upstream-call reduction.
 
 Determinism: "concurrent" in a sequential discrete-event simulation
-means *overlapping in simulated time*.  A load that completes at T is
-joined by every request that arrives while the clock still reads ≤ T;
-they are counted as coalesced followers and share the leader's result.
+means *overlapping in simulated time*.  A load that completes at T
+installs an entry loaded at T, so every request that arrives while the
+clock still reads T — a forced refresh included (``min_fresh_at`` ≤ T)
+— is a hit on the leader's result.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from ..clock import SimClock
@@ -76,19 +77,12 @@ class _Entry:
     tags: Tuple[str, ...] = ()
 
 
-@dataclass
-class _Flight:
-    started_at: float
-    completed_at: Optional[float] = None
-    in_progress: bool = True
-
-
 class TtlCache:
     """TTL cache with negative entries, tags and single-flight loads.
 
     ``get_or_load`` is the only read path: a hit returns the cached
     value (or re-raises the cached *negative* outcome), a miss runs
-    ``loader`` exactly once per flight window and installs the result.
+    ``loader`` and installs the result.
     Failures listed in ``negative_errors`` are cached as negative
     entries for ``negative_ttl`` so repeated bad inputs (forged or
     revoked tokens) do not redo expensive crypto or upstream calls.
@@ -119,7 +113,9 @@ class TtlCache:
         self.stats = CacheStats()
         self._entries: Dict[Any, _Entry] = {}
         self._by_tag: Dict[str, Set[Any]] = {}
-        self._flights: Dict[Any, _Flight] = {}
+        # keys whose loader is on the stack (a re-entrant load of one
+        # raises LoadInFlight)
+        self._loading: Set[Any] = set()
         # live bus subscriptions keyed by (bus, topic); see bind()/unbind()
         self._bindings: Dict[Tuple[int, str], Tuple["InvalidationBus", "_Subscription"]] = {}
         # the caller can read this right after get_or_load to stamp a
@@ -177,37 +173,19 @@ class TtlCache:
                 self.stats.expirations += 1
                 self._drop(key)
 
-        flight = self._flights.get(key)
-        if flight is not None:
-            if flight.in_progress:
-                # re-entrant follower: the leader's loader is on the
-                # stack below us and cannot be waited on sequentially
-                self.stats.coalesced += 1
-                self._observe("coalesced")
-                raise LoadInFlight(f"{self.name}: load of {key!r} in flight")
-            if flight.completed_at is not None and now <= flight.completed_at:
-                # the flight finished at this very instant; we arrived
-                # "concurrently" in simulated time and share its result
-                fresh = self._entries.get(key)
-                if fresh is not None:
-                    self.stats.coalesced += 1
-                    self._observe("coalesced")
-                    self.last_hit = True
-                    if fresh.negative:
-                        assert fresh.error is not None
-                        exc_type, message = fresh.error
-                        raise exc_type(message)
-                    return fresh.value
+        if key in self._loading:
+            # re-entrant follower: the leader's loader is on the stack
+            # below us and cannot be waited on sequentially
+            self.stats.coalesced += 1
+            self._observe("coalesced")
+            raise LoadInFlight(f"{self.name}: load of {key!r} in flight")
 
         self.stats.misses += 1
         self._observe("miss")
-        flight = _Flight(started_at=now)
-        self._flights[key] = flight
+        self._loading.add(key)
         try:
             value = loader()
         except self.negative_errors as exc:
-            flight.in_progress = False
-            flight.completed_at = self.clock.now()
             self.stats.loads += 1
             self._observe("load")
             neg_tags: Tuple[str, ...] = ()
@@ -227,13 +205,10 @@ class TtlCache:
                 ),
             )
             raise
-        except Exception:
-            # unexpected failures are not cached; drop the flight so the
-            # next caller retries upstream
-            del self._flights[key]
-            raise
-        flight.in_progress = False
-        flight.completed_at = self.clock.now()
+        finally:
+            # however the loader ended, it is off the stack; an unexpected
+            # failure is not cached, so the next caller retries upstream
+            self._loading.discard(key)
         self.stats.loads += 1
         self._observe("load")
         entry_ttl = self.ttl if ttl is None else ttl
@@ -262,13 +237,12 @@ class TtlCache:
     # invalidation
     # ------------------------------------------------------------------
     def invalidate(self, key: Any) -> bool:
-        """Drop one key (and forget its flight window)."""
+        """Drop one key."""
         entry = self._entries.get(key)
         existed = entry is not None
         if existed and entry.negative:
             self.stats.negative_purged += 1
         self._drop(key)
-        self._flights.pop(key, None)
         if existed:
             self.stats.invalidations += 1
             self._observe("invalidation")
@@ -280,8 +254,8 @@ class TtlCache:
         Negative entries count too: a negative verdict inherits its
         predecessor's tags (and loaders may tag them explicitly via
         ``negative_tags_of``), so a revocation kills the cached denial
-        alongside the cached ALLOW — the flight window dies with it and
-        the next caller goes back upstream for a fresh verdict.
+        alongside the cached ALLOW, and the next caller goes back upstream
+        for a fresh verdict.
         """
         keys = list(self._by_tag.get(tag, ()))
         for key in keys:
@@ -290,13 +264,12 @@ class TtlCache:
 
     def clear(self) -> int:
         """Flush the whole cache (e.g. on a signing-key rotation),
-        positive and negative entries alike, plus every flight window."""
+        positive and negative entries alike."""
         n = len(self._entries)
         self.stats.negative_purged += sum(
             1 for e in self._entries.values() if e.negative)
         self._entries.clear()
         self._by_tag.clear()
-        self._flights.clear()
         if n:
             self.stats.invalidations += n
             self._observe("invalidation", n)

@@ -36,6 +36,12 @@ __all__ = ["PipelineConfig", "RedAggregate", "trace_sampled"]
 
 # metric cardinality budget (series per family) under a pipeline
 MAX_SERIES_PER_FAMILY = 64
+# compaction evicts down to this fraction of the span budget, keeping the
+# SLOWEST_K slowest OK traces per window and a SAMPLE_RATE hash sample of
+# the ordinary rest
+TARGET_FILL = 0.8
+SLOWEST_K = 3
+SAMPLE_RATE = 0.05
 
 
 @dataclass(frozen=True)
@@ -44,19 +50,12 @@ class PipelineConfig:
     not drift mid-run or the keep/drop decisions stop being auditable."""
 
     max_spans: int = 4000        # span budget before compaction triggers
-    target_fill: float = 0.8     # compact down to this fraction of budget
     window: float = 30.0         # slowest-k bucketing window (sim seconds)
-    slowest_k: int = 3           # slowest OK traces kept per window
-    sample_rate: float = 0.05    # fraction of ordinary OK traces kept
     max_decisions: int = 8192    # provenance ledger retention budget
 
     def __post_init__(self) -> None:
         if self.max_spans < 1:
             raise ValueError("max_spans must be at least 1")
-        if not 0.0 < self.target_fill <= 1.0:
-            raise ValueError("target_fill must be in (0, 1]")
-        if not 0.0 <= self.sample_rate <= 1.0:
-            raise ValueError("sample_rate must be in [0, 1]")
         if self.window <= 0:
             raise ValueError("window must be positive")
 

@@ -22,7 +22,9 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple
 from repro.clock import SimClock
 from repro.errors import AttemptTimeout, DeadlineExceeded, RateLimited
 from repro.telemetry.context import TraceContext
-from repro.telemetry.pipeline import PipelineConfig, RedAggregate, trace_sampled
+from repro.telemetry.pipeline import (SAMPLE_RATE, SLOWEST_K, TARGET_FILL,
+                                      PipelineConfig, RedAggregate,
+                                      trace_sampled)
 
 __all__ = ["Span", "SpanStore", "Tracer", "SpanStatus"]
 
@@ -208,7 +210,7 @@ class SpanStore:
     def compact(self) -> None:
         """Apply the retention classes and evict the remainder into RED
         rollups, oldest trace first, down to the target fill."""
-        target = max(1, int(self.config.max_spans * self.config.target_fill))
+        target = max(1, int(self.config.max_spans * TARGET_FILL))
         excess = len(self._spans) - target
         if excess <= 0:
             return
@@ -220,7 +222,7 @@ class SpanStore:
                 continue
             if self.trace_protected(tid):
                 continue
-            if trace_sampled(tid, self.config.sample_rate):
+            if trace_sampled(tid, SAMPLE_RATE):
                 continue
             start = min(s.start for s in spans)
             duration = self._trace_duration(spans)
@@ -231,7 +233,7 @@ class SpanStore:
         slow: Set[str] = set()
         for bucket in windows.values():
             bucket.sort(reverse=True)
-            slow.update(tid for _, tid in bucket[:self.config.slowest_k])
+            slow.update(tid for _, tid in bucket[:SLOWEST_K])
         doomed: List[str] = []
         evicting = 0
         for start, tid, spans in sorted(candidates,

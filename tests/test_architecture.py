@@ -10,7 +10,8 @@ raising the limit.
 
 The size ratchets at the bottom only ever go down: the number of values
 a caller of ``build_isambard`` can set (read off its annotations, the one
-check that imports rather than parses), the statement count of ``src/``,
+check that imports rather than parses), the values among them that only
+tests set, the statement count of ``src/``,
 the concepts that have exactly one implementation, the serving path's
 three mechanisms (serve wrapper, attempt bound, retry loop), each of
 which is written once, and the one place a trace header is parsed.
@@ -32,8 +33,8 @@ DEPLOYMENT = SRC / "repro" / "core" / "deployment.py"
 MAX_BUILDER_LINES = 450
 MAX_TIER_CONDITIONALS = 20
 # lower these when a change lowers the count; never raise them
-MAX_SETTABLE_VALUES = 67
-MAX_SRC_STATEMENTS = 11_006
+MAX_SETTABLE_VALUES = 51
+MAX_SRC_STATEMENTS = 10_953
 # concepts that once had two implementations: the loser's name stays gone
 MERGED_AWAY = {"AccountRegistry", "EduGain", "BoundedSpanStore",
                "LatencyTracker", "RoundRobinPolicy", "ConsistentHashPolicy",
@@ -174,6 +175,75 @@ def test_every_settable_value_is_read():
     unread = sorted(f"{cfg.__name__}.{f.name}" for cfg in _configs()
                     for f in dataclasses.fields(cfg) if f.name not in read)
     assert not unread
+
+
+ROOT = SRC.parent
+# where a value counts as set: the library and everything that runs it
+CALLER_DIRS = ("src", "benchmarks", "examples", "perf")
+# every settable value only tests set, and why it is still settable
+# (docs/extending.md, "Settable values only tests set").  The list only
+# shrinks: a new test-only knob fails the check below, and so does an
+# entry that gains a caller or disappears.
+TEST_ONLY = {
+    "telemetry": "keep: ROADMAP items 5 and 9 measure telemetry's cost "
+                 "with it off (the fingerprint's no-telemetry row)",
+    "TailConfig.timeout_min": "delete next: 1 id (test_invalid_knobs_rejected[kwargs0])",
+    "TailConfig.timeout_max": "delete next: 1 id (test_invalid_knobs_rejected[kwargs1])",
+    "RegionConfig.names": "delete next: TestRegionConfig's four rejection "
+                          "tests, and the class with them",
+    "RegionConfig.replication_delay": "delete next: with RegionConfig",
+    "RegionConfig.staleness_bound": "delete next: with RegionConfig",
+    "RegionConfig.heartbeat_interval": "delete next: with RegionConfig",
+    "RegionConfig.client_regions": "delete next: with RegionConfig",
+}
+
+
+def _called(func: ast.expr) -> str:
+    return getattr(func, "id", None) or getattr(func, "attr", "")
+
+
+def _keywords_set():
+    """``{callee: keywords}`` for every call under ``CALLER_DIRS``; outside
+    ``src/`` the keywords of ``dict(...)`` and the string keys of dict
+    literals count as ``build_isambard``'s (``perf/workloads.py`` builds
+    its flags as ``dict(...)`` and passes ``**flags``)."""
+    found: dict = {}
+    for top in CALLER_DIRS:
+        for path in sorted((ROOT / top).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                callee, names = None, ()
+                if isinstance(node, ast.Call):
+                    callee = _called(node.func)
+                    names = [kw.arg for kw in node.keywords if kw.arg]
+                    if callee == "dict" and top != "src":
+                        callee = "build_isambard"
+                elif isinstance(node, ast.Dict) and top != "src":
+                    callee = "build_isambard"
+                    names = [k.value for k in node.keys
+                             if isinstance(k, ast.Constant)
+                             and isinstance(k.value, str)]
+                if callee:
+                    found.setdefault(callee, set()).update(names)
+    return found
+
+
+def test_settable_values_only_tests_set_are_listed():
+    """A value no caller outside the tests sets is a constant, unless
+    ``TEST_ONLY`` says why not.  A ``build_isambard`` parameter is set
+    when one is passed to it as a keyword; a config field when it is a
+    keyword to its class or to ``replace(...)``."""
+    from repro.core import build_isambard
+
+    found = _keywords_set()
+    unset = {name for name in inspect.signature(build_isambard).parameters
+             if name not in found.get("build_isambard", ())}
+    for cfg in _configs():
+        passed = found.get(cfg.__name__, set()) | found.get("replace", set())
+        unset |= {f"{cfg.__name__}.{f.name}" for f in dataclasses.fields(cfg)
+                  if f.name not in passed}
+    assert unset == set(TEST_ONLY), (
+        f"unlisted: {sorted(unset - set(TEST_ONLY))}; "
+        f"listed but set or gone: {sorted(set(TEST_ONLY) - unset)}")
 
 
 def test_src_statement_count_only_falls():

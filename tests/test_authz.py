@@ -43,13 +43,12 @@ class TestIdentityGraph:
         assert graph.identity_of("ma-0001@myaccessid") == alice
         assert graph.uid_of(alice) == "ma-0001@myaccessid"
         assert graph.accounts_of("ma-0001@myaccessid") == ["alice.proj-0001"]
-        assert graph.known(alice)
 
     def test_unknown_subject_mints_on_demand(self):
         graph = IdentityGraph("isambard.example")
         spiffe = graph.identity_of("stranger")
         assert spiffe.endswith("/user/stranger")
-        assert graph.known(spiffe)
+        assert graph.principal("stranger") == spiffe  # minted once, kept
 
 
 # ---------------------------------------------------------------------------

@@ -240,6 +240,26 @@ def test_filtering_forwarder_recovers_to_its_live_state_hash():
     assert fw.dropped == 0                      # the statistic restarts
 
 
+def test_portal_restart_loads_a_populated_snapshot():
+    """Every other portal restart replays from the empty baseline taken
+    at attach; after a checkpoint the snapshot itself holds projects,
+    users and UNIX accounts, and the journal tail replays on top."""
+    dri = build_isambard(seed=90, durability=True)
+    wf = dri.workflows
+    s1 = wf.story1_pi_onboarding("pi")
+    assert s1.ok, s1.steps
+    project_id = str(s1.data["project_id"])
+    assert wf.story3_researcher_setup(project_id, "pi", "res1").ok
+    dri.portal.checkpoint()
+    assert wf.story3_researcher_setup(project_id, "pi", "res2").ok
+    before = dri.portal.state_hash()
+    dri.crash("portal")
+    report = dri.restart("portal")
+    assert report.state_hash == before
+    assert report.entries_replayed > 0          # res2, past the snapshot
+    assert wf.relogin(wf.personas["res2"]).ok
+
+
 def test_unknown_crash_target_is_rejected():
     dri = build_isambard(seed=88, durability=True)
     with pytest.raises(ConfigurationError):

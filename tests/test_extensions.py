@@ -16,7 +16,7 @@ from repro.oidc import make_url
 # ---------------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def dual():
-    dri = build_isambard(seed=23, with_isambard3=True)
+    dri = build_isambard(seed=23)
     s1 = dri.workflows.story1_pi_onboarding("iris")
     return dri, s1
 
@@ -104,12 +104,6 @@ def test_revocation_sweeps_both_clusters(dual):
                 if s.principal == account]
     assert not [s for s in dri.login_sshd_i3.sessions()
                 if s.principal == account]
-
-
-def test_without_isambard3_flag():
-    dri = build_isambard(seed=29, with_isambard3=False)
-    assert dri.pool_i3 is None
-    assert not dri.network.has_endpoint("login-node-i3")
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,7 @@ from repro.resilience import (
     TailConfig,
     TailController,
 )
+from repro.resilience.tail import MIN_SAMPLES
 from repro.siem import UnexplainedDecisionRule, build_timeline, join_provenance
 from repro.telemetry import (
     Decision,
@@ -54,6 +55,7 @@ from repro.telemetry import (
     trace_sampled,
 )
 from repro.telemetry.metrics import DROPPED_LABELS_METRIC, OVERFLOW_LABEL
+from repro.telemetry.pipeline import SAMPLE_RATE, SLOWEST_K
 from repro.telemetry.tracing import SpanStore, classify_error
 
 pytestmark = pytest.mark.pipeline
@@ -171,8 +173,7 @@ def test_trace_sampled_is_deterministic_and_rate_shaped():
 
 
 class TestBoundedSpanStore:
-    CFG = PipelineConfig(max_spans=20, target_fill=0.5, window=100.0,
-                         slowest_k=1, sample_rate=0.0)
+    CFG = PipelineConfig(max_spans=20, window=100.0)
 
     def _world(self, cfg=None):
         clock = SimClock(start=0.0)
@@ -215,6 +216,9 @@ class TestBoundedSpanStore:
         assert store.trace(hung.trace_id)
         # class 2: the slowest OK trace of the window survives
         assert store.trace(slow)
+        # class 3: so does every hash-sampled one
+        assert all(store.trace(t) for t in victims
+                   if trace_sampled(t, SAMPLE_RATE))
         # the rest was evicted — into rollups, not into nothing
         gone = [t for t in victims if not store.trace(t)]
         assert gone
@@ -232,23 +236,33 @@ class TestBoundedSpanStore:
         assert stats["retained_spans"] == len(store)
 
     def test_hash_sampled_traces_survive_compaction(self):
-        cfg = PipelineConfig(max_spans=20, target_fill=0.5, window=100.0,
-                             slowest_k=0, sample_rate=1.0)
-        clock, store, tracer = self._world(cfg)
-        tids = [self._ok_trace(clock, tracer) for _ in range(30)]
-        # rate 1.0 samples every trace in: nothing is evictable, and the
-        # store reports the overshoot rather than lying
+        # a one-span budget: every compaction evicts all it may
+        clock, store, tracer = self._world(
+            PipelineConfig(max_spans=1, window=100.0))
+        # the window's slowest traces come first, so no ordinary one is
+        # kept as one of its slowest-k
+        slow = [self._ok_trace(clock, tracer, duration=1.0)
+                for _ in range(SLOWEST_K)]
+        ordinary = [self._ok_trace(clock, tracer) for _ in range(200)]
+        tracer.start_trace("in flight", service="svc")  # a last compaction
+        assert not any(trace_sampled(t, SAMPLE_RATE) for t in slow)
+        sampled = {t for t in ordinary if trace_sampled(t, SAMPLE_RATE)}
+        assert sampled
+        assert {t for t in ordinary if store.trace(t)} == sampled
+        # with every trace pinned nothing is evictable, and the store
+        # reports the overshoot rather than lying
+        clock, store, tracer = self._world()
+        tids = []
+        for _ in range(30):
+            tids.append(self._ok_trace(clock, tracer))
+            store.protect(tids[-1])
         assert all(store.trace(t) for t in tids)
         assert store.evicted_spans == 0
-        assert len(store) == 30 > cfg.max_spans
+        assert len(store) == 30 > self.CFG.max_spans
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
             PipelineConfig(max_spans=0)
-        with pytest.raises(ValueError):
-            PipelineConfig(target_fill=0.0)
-        with pytest.raises(ValueError):
-            PipelineConfig(sample_rate=1.5)
         with pytest.raises(ValueError):
             PipelineConfig(window=0.0)
 
@@ -329,8 +343,7 @@ def test_hedge_loser_span_is_marked_cancelled():
                      policy=RetryPolicy(max_attempts=3, base_delay=0.01,
                                         jitter=0.0))
     kit.tail = TailController(clock, TailConfig(
-        adaptive_deadlines=False, ejection=False, retry_budget=False,
-        min_samples=5))
+        adaptive_deadlines=False, ejection=False, retry_budget=False))
     client.resilience = kit
 
     tele = network.telemetry
@@ -340,7 +353,7 @@ def test_hedge_loser_span_is_marked_cancelled():
         root.context().inject(req.headers)
         return client.call("srv", req)
 
-    for _ in range(6):
+    for _ in range(MIN_SAMPLES):
         assert traced(HttpRequest("GET", "/ping")).ok
     faults.slow_replica("srv", 0.5)
     assert traced(HttpRequest("GET", "/ping")).ok

@@ -545,6 +545,13 @@ class TestMultiRegionDeployment:
             assert (region.introspection_cache.ttl
                     <= dri.region_config.staleness_bound)
 
+    def test_autoscale_is_refused_not_ignored(self):
+        # each region sizes its own pool; nothing would run a per-region
+        # autoscaler, so asking for one is a configuration error
+        with pytest.raises(ConfigurationError, match="autoscale"):
+            build_isambard(seed=601, regions=True,
+                           scale=ScaleConfig(autoscale=True))
+
     def test_user_story_passes_under_regions(self):
         dri = build_isambard(seed=602, regions=True)
         s1 = dri.workflows.story1_pi_onboarding()

@@ -230,18 +230,18 @@ def test_retry_exhausts_budget_and_reraises():
 
 def test_retry_respects_deadline():
     clock = SimClock()
-    policy = RetryPolicy(max_attempts=100, base_delay=2.0, jitter=0.0,
-                         deadline=5.0)
+    policy = RetryPolicy(max_attempts=100, base_delay=2.0, jitter=0.0)
 
     def always_down():
         raise ServiceUnavailable("down")
 
+    kit = Resilience("c", clock, random.Random(1), policy=policy)
     with pytest.raises(ServiceUnavailable):
-        Resilience("c", clock, random.Random(1), policy=policy).call(
-            always_down)
+        kit.call(always_down, deadline=5.0)
     # every wait is capped at MAX_BACKOFF (2 s):
     # attempts at t=0, 2, 4; the wait to t=6 would overrun the deadline
     assert clock.now() == pytest.approx(4.0)
+    assert kit.metrics.deadline_abandons == 1
 
 
 def test_non_transient_errors_propagate_immediately():
@@ -492,7 +492,7 @@ def test_degraded_never_accepts_post_revocation_verdict(degraded_world):
 # ---------------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def dri():
-    return build_isambard(seed=99, with_isambard3=False)
+    return build_isambard(seed=99)
 
 
 def test_zenith_tunnel_reenrols_after_expiry(dri):
@@ -556,7 +556,7 @@ def test_disabled_node_cannot_reenrol(dri):
 # graceful degradation: RelyingParty cached JWKS
 # ---------------------------------------------------------------------------
 def test_rp_falls_back_to_cached_jwks_when_provider_down():
-    dri = build_isambard(seed=101, with_isambard3=False)
+    dri = build_isambard(seed=101)
     rp = dri.zenith._rp
     rp._discover()                               # warm the cache
     issuer = rp._issuer
@@ -571,7 +571,7 @@ def test_rp_falls_back_to_cached_jwks_when_provider_down():
 
 
 def test_resilient_deployment_attaches_kits_everywhere():
-    dri = build_isambard(seed=102, with_isambard3=False, resilience=True)
+    dri = build_isambard(seed=102, resilience=True)
     assert dri.resilience is not None
     for svc in (dri.broker, dri.zenith, dri.jupyter, dri.zenith_client,
                 dri.bastion, dri.tailnet):
@@ -580,7 +580,7 @@ def test_resilient_deployment_attaches_kits_everywhere():
     persona = dri.workflows.create_researcher("uma")
     assert persona.agent.resilience is not None
     # and a fail-fast build attaches none
-    dri2 = build_isambard(seed=102, with_isambard3=False)
+    dri2 = build_isambard(seed=102)
     assert dri2.resilience is None and dri2.broker.resilience is None
 
 

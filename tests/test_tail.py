@@ -46,6 +46,15 @@ from repro.resilience import (
     TailController,
     hedgeable_request,
 )
+from repro.resilience.tail import (
+    EJECT_DURATION,
+    EJECT_MIN_SAMPLES,
+    HEDGE_BUDGET_RATIO,
+    HEDGE_MIN,
+    MIN_SAMPLES,
+    RETRY_BUDGET_CAP,
+    hedge_delay_from,
+)
 from repro.scale import LoadBalancer, ReplicaPool
 from repro.siem import RetryStormRule
 
@@ -64,25 +73,20 @@ class TestTailConfig:
     @pytest.mark.parametrize("kwargs", [
         {"timeout_min": 0.0},
         {"timeout_min": 1.0, "timeout_max": 0.5},
-        {"hedge_budget_ratio": 2.0},
-        {"max_eject_fraction": 0.0},
-        {"retry_budget_cap": 0.5},
     ])
     def test_invalid_knobs_rejected(self, kwargs):
         with pytest.raises(ConfigurationError):
             TailConfig(**kwargs)
 
     def test_clamp_timeout_clamps_both_ends(self):
-        cfg = TailConfig(timeout_min=0.02, timeout_max=2.0,
-                         timeout_multiplier=3.0)
+        cfg = TailConfig(timeout_min=0.02, timeout_max=2.0)
         assert cfg.clamp_timeout(0.001) == 0.02     # floor
         assert cfg.clamp_timeout(10.0) == 2.0       # ceiling
         assert cfg.clamp_timeout(0.1) == pytest.approx(0.3)
 
     def test_hedge_delay_floors_at_min(self):
-        cfg = TailConfig(hedge_min=0.01, hedge_multiplier=2.0)
-        assert cfg.hedge_delay_from(0.001) == 0.01
-        assert cfg.hedge_delay_from(0.1) == pytest.approx(0.2)
+        assert hedge_delay_from(0.001) == HEDGE_MIN
+        assert hedge_delay_from(0.1) == pytest.approx(0.2)
 
     def test_hedgeable_requests_are_read_shaped(self):
         assert hedgeable_request(HttpRequest("GET", "/userinfo"))
@@ -117,18 +121,18 @@ class TestBoundFor:
     READ, WRITE = HttpRequest("GET", "/ping"), HttpRequest("POST", "/token")
 
     def _controller(self, samples):
-        tc = TailController(SimClock(), TailConfig(min_samples=5))
+        tc = TailController(SimClock(), TailConfig())
         for _ in range(samples):
             tc.observe("k", 0.004)
         return tc
 
     def test_cold_start_is_unbounded(self):
-        tc = self._controller(samples=4)
+        tc = self._controller(samples=MIN_SAMPLES - 1)
         assert tc.bound_for("k", self.READ, first=True) == (None, False)
         assert tc.bound_for("k", self.WRITE, first=False) == (None, False)
 
     def test_hedge_delay_for_a_first_hedgeable_attempt_else_the_timeout(self):
-        tc = self._controller(samples=5)
+        tc = self._controller(samples=MIN_SAMPLES)
         hedge = (tc.hedge_delay("k"), True)
         timeout = (tc.attempt_timeout("k"), False)
         assert None not in hedge + timeout and hedge[0] < timeout[0]
@@ -196,49 +200,44 @@ class TestRetryBudget:
 
 
 class TestOutlierEjector:
-    def _cfg(self, **kw):
-        base = dict(eject_min_samples=3, eject_duration=10.0)
-        base.update(kw)
-        return TailConfig(**base)
-
     def test_latency_outlier_ejected_but_fraction_capped(self):
         clock = SimClock()
-        ej = OutlierEjector(clock, self._cfg())
+        ej = OutlierEjector(clock)
         for m, lat in (("a", 0.5), ("b", 0.01), ("c", 0.01)):
-            for _ in range(3):
+            for _ in range(EJECT_MIN_SAMPLES):
                 ej.record(m, lat, True)
         fleet = ["a", "b", "c"]
         assert ej.should_eject("a", fleet)
         ej.eject("a")
         assert ej.is_ejected("a", fleet)
-        # max_eject_fraction=0.5 of 3 -> only one may sit out
-        for _ in range(3):
+        # MAX_EJECT_FRACTION=0.5 of 3 -> only one may sit out
+        for _ in range(EJECT_MIN_SAMPLES):
             ej.record("b", 0.5, True)
         assert not ej.should_eject("b", fleet)
 
     def test_never_ejects_last_candidate(self):
         clock = SimClock()
-        ej = OutlierEjector(clock, self._cfg())
-        for _ in range(5):
+        ej = OutlierEjector(clock)
+        for _ in range(EJECT_MIN_SAMPLES):
             ej.record("only", 9.0, False)
         assert not ej.should_eject("only", ["only"])
         # fleet of two with the peer already out: the survivor is safe
-        ej2 = OutlierEjector(clock, self._cfg())
+        ej2 = OutlierEjector(clock)
         ej2.eject("b")
-        for _ in range(5):
+        for _ in range(EJECT_MIN_SAMPLES):
             ej2.record("a", 9.0, False)
         assert not ej2.should_eject("a", ["a", "b"])
 
     def test_probation_wipes_stats_and_fires_callback(self):
         clock = SimClock()
-        ej = OutlierEjector(clock, self._cfg())
+        ej = OutlierEjector(clock)
         reinstated = []
         ej.on_reinstate = reinstated.append
         for _ in range(3):
             ej.record("a", 0.5, True)
             ej.record("b", 0.01, True)
         ej.eject("a")
-        clock.advance(10.5)
+        clock.advance(EJECT_DURATION + 0.5)
         assert not ej.is_ejected("a", ["a", "b"])
         assert reinstated == ["a"]
         assert ej.reinstates == 1
@@ -246,12 +245,12 @@ class TestOutlierEjector:
 
     def test_repeat_offender_backoff_doubles(self):
         clock = SimClock()
-        ej = OutlierEjector(clock, self._cfg())
+        ej = OutlierEjector(clock)
         # failures (ok=False) never clear the strike ladder
         for _ in range(3):
             ej.record("a", 0.5, False)
         first = ej.eject("a") - clock.now()
-        clock.advance(11.0)
+        clock.advance(EJECT_DURATION + 1.0)
         ej.is_ejected("a", ["a", "b"])  # serve probation
         for _ in range(3):
             ej.record("a", 0.5, False)
@@ -260,12 +259,12 @@ class TestOutlierEjector:
 
     def test_success_clears_strikes(self):
         clock = SimClock()
-        ej = OutlierEjector(clock, self._cfg())
+        ej = OutlierEjector(clock)
         for _ in range(3):
             ej.record("a", 0.5, False)
         ej.eject("a")
         ej.record("a", 0.01, True)  # behaving again
-        assert ej.eject("a") - clock.now() == pytest.approx(10.0)
+        assert ej.eject("a") - clock.now() == pytest.approx(EJECT_DURATION)
 
 
 # ======================================================================
@@ -344,13 +343,12 @@ def _kit_fabric(cfg, *, max_attempts=3):
 
 
 class TestResilienceKitTail:
-    def _warm(self, client, n=6):
+    def _warm(self, client, n=MIN_SAMPLES):
         for _ in range(n):
             assert client.call("srv", HttpRequest("GET", "/ping")).ok
 
     def test_adaptive_deadline_bounds_gray_attempts(self):
-        cfg = TailConfig(hedging=False, ejection=False, retry_budget=False,
-                         min_samples=5)
+        cfg = TailConfig(hedging=False, ejection=False, retry_budget=False)
         clock, faults, srv, client, kit = _kit_fabric(cfg)
         self._warm(client)
         faults.slow_replica("srv", 0.5)
@@ -365,7 +363,7 @@ class TestResilienceKitTail:
 
     def test_hedge_fires_without_breaker_penalty_or_backoff(self):
         cfg = TailConfig(adaptive_deadlines=False, ejection=False,
-                         retry_budget=False, min_samples=5)
+                         retry_budget=False)
         clock, faults, srv, client, kit = _kit_fabric(cfg)
         self._warm(client)
         faults.slow_replica("srv", 0.5)
@@ -375,14 +373,14 @@ class TestResilienceKitTail:
         # rode the slow path to success — one hedge, zero retries
         assert kit.metrics.hedges == 1
         assert kit.metrics.retries == 0
-        assert kit.metrics.attempts == 6 + 2
-        assert kit.metrics.successes == 6 + 1
+        assert kit.metrics.attempts == MIN_SAMPLES + 2
+        assert kit.metrics.successes == MIN_SAMPLES + 1
         # no backoff was taken between the loser and the hedge
         assert clock.now() - before == pytest.approx(0.01 + 0.501)
 
     def test_unhedgeable_mutation_is_never_hedged(self):
         cfg = TailConfig(adaptive_deadlines=False, ejection=False,
-                         retry_budget=False, min_samples=5)
+                         retry_budget=False)
         clock, faults, srv, client, kit = _kit_fabric(cfg)
         self._warm(client)
         faults.slow_replica("srv", 0.5)
@@ -392,16 +390,16 @@ class TestResilienceKitTail:
 
     def test_retry_budget_fails_fast_and_audits(self):
         cfg = TailConfig(adaptive_deadlines=False, hedging=False,
-                         ejection=False, retry_budget_ratio=0.0,
-                         retry_budget_cap=1.0)
-        clock, faults, srv, client, kit = _kit_fabric(cfg, max_attempts=5)
+                         ejection=False)
+        clock, faults, srv, client, kit = _kit_fabric(cfg, max_attempts=10)
         audit = AuditLog("resilience")
         kit.tail.audit = audit
         faults.outage("srv")
         with pytest.raises(ServiceUnavailable):
             client.call("srv", HttpRequest("GET", "/ping"))
-        # one token bought one retry; the second was refused outright
-        assert kit.metrics.attempts == 2
+        # the full bucket bought RETRY_BUDGET_CAP retries; the next one
+        # was refused outright
+        assert kit.metrics.attempts == 1 + RETRY_BUDGET_CAP
         assert kit.metrics.budget_exhausted == 1
         events = [e for e in audit.events()
                   if e.action == "retry.budget_exhausted"]
@@ -434,48 +432,51 @@ def _lb_fabric(cfg, *, replicas=3, **lb_kw):
 
 class TestLoadBalancerHedging:
     def test_hedge_wins_without_failover_or_duplicate_side_effects(self):
-        cfg = TailConfig(ejection=False, retry_budget=False, min_samples=5,
-                         hedge_budget_ratio=0.5)
+        cfg = TailConfig(ejection=False, retry_budget=False)
         clock, faults, origin, client, pool, lb = _lb_fabric(cfg)
-        for _ in range(6):
+        warm = MIN_SAMPLES + 1  # a multiple of the three replicas
+        for _ in range(warm):
             assert client.call("svc-lb", HttpRequest("GET", "/ping")).ok
         faults.slow_replica("svc-r1", 0.3)
-        for _ in range(30):
+        for _ in range(6):
             assert client.call("svc-lb", HttpRequest("GET", "/ping")).ok
         # the abandoned loser counts as an attempt too, so the gray
         # replica is tried first on every second call: each of those
-        # hedged to a fast peer and the hedge won
-        assert lb.hedges == 15
-        assert lb.hedge_wins == 15
+        # three hedged to a fast peer, within the hedge budget, and the
+        # hedge won
+        assert lb.hedges == 3
+        assert lb.hedge_wins == 3
         assert lb.failovers == 0          # speculation, not failover
         assert lb.attempt_timeouts == 0   # tight bound only on attempt 1
         # exactly-once: abandoned losers were never delivered
-        assert origin.calls == 36
-        assert lb.routed == 36
+        assert origin.calls == warm + 6
+        assert lb.routed == warm + 6
         # loser cancellation: no ghost in-flight bookkeeping
         assert all(v == 0 for v in lb.outstanding.values())
 
     def test_hedge_budget_caps_speculation(self):
-        cfg = TailConfig(ejection=False, retry_budget=False, min_samples=5,
-                         hedge_budget_ratio=0.0)
+        cfg = TailConfig(ejection=False, retry_budget=False)
         clock, faults, origin, client, pool, lb = _lb_fabric(cfg)
-        for _ in range(6):
+        warm = MIN_SAMPLES + 1
+        for _ in range(warm):
             assert client.call("svc-lb", HttpRequest("GET", "/ping")).ok
         faults.slow_replica("svc-r1", 0.3)
         for _ in range(12):
             assert client.call("svc-lb", HttpRequest("GET", "/ping")).ok
-        # with the budget at zero, slow-first calls fall back to the
+        # six calls try the gray replica first.  A hedge fires while the
+        # hedges so far are under HEDGE_BUDGET_RATIO x calls + 1, so the
+        # first three are hedged; the other three fall back to the
         # adaptive timeout: counted, breaker-penalised, failed over
-        assert lb.hedges == 0
-        assert lb.attempt_timeouts > 0
-        assert lb.failovers > 0
-        assert origin.calls == 18
+        assert lb.hedges == 3
+        assert lb.hedges >= HEDGE_BUDGET_RATIO * lb.hedge_budget.calls + 1
+        assert lb.attempt_timeouts == 3
+        assert lb.failovers == 3
+        assert origin.calls == warm + 12
 
     def test_hedge_releases_ring_load(self):
-        cfg = TailConfig(ejection=False, retry_budget=False, min_samples=5,
-                         hedge_budget_ratio=1.0)
+        cfg = TailConfig(ejection=False, retry_budget=False)
         clock, faults, origin, client, pool, lb = _lb_fabric(cfg)
-        for _ in range(8):
+        for _ in range(MIN_SAMPLES + 1):
             assert client.call("svc-lb", HttpRequest("GET", "/ping")).ok
         faults.slow_replica("svc-r1", 0.3)
         for _ in range(12):
@@ -488,13 +489,12 @@ class TestLoadBalancerHedging:
 class TestLoadBalancerEjection:
     def _cfg(self):
         return TailConfig(adaptive_deadlines=False, hedging=False,
-                          retry_budget=False, eject_min_samples=4,
-                          eject_duration=5.0)
+                          retry_budget=False)
 
     def test_slow_successes_eject_then_probation_reinstates(self):
         clock, faults, origin, client, pool, lb = _lb_fabric(self._cfg())
         faults.slow_replica("svc-r1", 0.3)
-        for _ in range(12):
+        for _ in range(3 * EJECT_MIN_SAMPLES):
             assert client.call("svc-lb", HttpRequest("GET", "/ping")).ok
         # with deadlines and hedging ablated away, the gray replica's
         # attempts complete — slowly.  The latency EWMA alone ejects it
@@ -505,7 +505,7 @@ class TestLoadBalancerEjection:
             assert client.call("svc-lb", HttpRequest("GET", "/ping")).ok
         assert pool.worker("svc-r1").served == served_while_out
         # probation: after the sentence the replica is re-probed
-        clock.advance(5.5)
+        clock.advance(EJECT_DURATION + 0.5)
         for _ in range(3):
             assert client.call("svc-lb", HttpRequest("GET", "/ping")).ok
         assert lb.ejector.reinstates == 1
@@ -515,18 +515,17 @@ class TestLoadBalancerEjection:
         def explode(request):
             raise ServiceUnavailable("wedged")
 
-        cfg = TailConfig(adaptive_deadlines=False, hedging=False,
-                         retry_budget=False, eject_min_samples=2,
-                         eject_duration=30.0, max_eject_fraction=0.9)
         clock, faults, origin, client, pool, lb = _lb_fabric(
-            cfg, failure_threshold=50)
+            self._cfg(), failure_threshold=50)
         pool.worker("svc-r1").handle = explode
         pool.worker("svc-r2").handle = explode
-        for _ in range(12):
+        for _ in range(3 * EJECT_MIN_SAMPLES):
             assert client.call("svc-lb", HttpRequest("GET", "/ping")).ok
         replicas = pool.replicas()
-        # the two wedged replicas are error-outliers and sit out…
-        assert set(lb.ejector.ejected(replicas)) == {"svc-r1", "svc-r2"}
+        # both wedged replicas are error-outliers, but MAX_EJECT_FRACTION
+        # (half of three) lets only one of them sit out…
+        out = lb.ejector.ejected(replicas)
+        assert len(out) == 1 and out[0] in ("svc-r1", "svc-r2")
         # …and even if the survivor goes bad, it is never ejected
         pool.worker("svc-r3").handle = explode
         for _ in range(6):
@@ -540,13 +539,13 @@ class TestOneDerivation:
         """Same config, same evidence → the same ``attempt_deadline`` on
         a first hedgeable attempt and on the attempt after it, whether
         the client kit or the balancer armed it."""
-        cfg = TailConfig(ejection=False, retry_budget=False, min_samples=5)
+        cfg = TailConfig(ejection=False, retry_budget=False)
         _, _, _, _, kit = _kit_fabric(cfg)
         _, _, _, _, pool, lb = _lb_fabric(cfg)
         for tc, key in ((kit.tail, "client->srv"),
                         (lb.controller, pool.name)):
-            for latency in (0.002, 0.003, 0.004, 0.006, 0.009, 0.012):
-                tc.observe(key, latency)
+            for n in range(MIN_SAMPLES):
+                tc.observe(key, 0.002 + 0.0005 * n)
         expected = [kit.tail.hedge_delay("client->srv"),
                     kit.tail.attempt_timeout("client->srv")]
         assert None not in expected and expected[0] < expected[1]
@@ -722,8 +721,7 @@ class TestGeoRouterGrayDetour:
         directory = FakeDirectory({"eu": FakeRegion("eu-front"),
                                    "us": FakeRegion("us-front")})
         cfg = TailConfig(adaptive_deadlines=False, hedging=False,
-                         retry_budget=False, eject_min_samples=4,
-                         eject_duration=5.0)
+                         retry_budget=False)
         router = GeoRouter("geo", clock, directory,
                            pins={"client-eu": "eu", "client-us": "us"},
                            tail=cfg)
@@ -736,10 +734,11 @@ class TestGeoRouterGrayDetour:
         clock, directory, router, eu, us, client_eu, client_us = \
             self._fabric()
         req = lambda: HttpRequest("GET", "/introspect")
-        for _ in range(4):
+        for _ in range(EJECT_MIN_SAMPLES):
             assert client_eu.call("geo", req()).ok
             assert client_us.call("geo", req()).ok
-        # four slow-but-successful samples score the home region gray
+        # EJECT_MIN_SAMPLES slow-but-successful samples score the home
+        # region gray
         assert router.ejector.is_ejected("eu", ["eu", "us"])
         us_before = us.calls
         resp = client_eu.call("geo", req())
@@ -753,6 +752,6 @@ class TestGeoRouterGrayDetour:
             "eu-front"
         directory.region("us").serving = True
         # probation after the sentence
-        clock.advance(6.0)
+        clock.advance(EJECT_DURATION + 1.0)
         assert client_eu.call("geo", req()).ok
         assert router.ejector.reinstates == 1

@@ -389,7 +389,7 @@ def test_the_caller_gets_its_own_context_back_after_retry_hedge_and_timeout():
     it runs; a retry or hedge re-enters with the caller's, and the caller
     reads its own again afterwards — whatever happened in between."""
     from repro.errors import AttemptTimeout
-    from repro.resilience.tail import TailConfig, TailController
+    from repro.resilience.tail import MIN_SAMPLES, TailConfig, TailController
 
     # retried: the first attempt dies in an outage
     clock, faults, network, client = _traced_pair()
@@ -412,11 +412,10 @@ def test_the_caller_gets_its_own_context_back_after_retry_hedge_and_timeout():
                      policy=RetryPolicy(max_attempts=3, base_delay=0.01,
                                         jitter=0.0))
     kit.tail = TailController(clock, TailConfig(
-        adaptive_deadlines=False, ejection=False, retry_budget=False,
-        min_samples=5))
+        adaptive_deadlines=False, ejection=False, retry_budget=False))
     client.resilience = kit
     ctx = tele.tracer.start_trace("hedge", service="client").context()
-    for _ in range(6):
+    for _ in range(MIN_SAMPLES):
         assert client.call("srv", HttpRequest("GET", "/ping", trace=ctx)).ok
     faults.slow_replica("srv", 0.5)
     request = HttpRequest("GET", "/ping", trace=ctx)

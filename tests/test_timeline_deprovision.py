@@ -4,7 +4,6 @@ import pytest
 
 from repro.core import build_isambard
 from repro.errors import IdentityNotRegistered
-from repro.federation.myaccessid import LinkedIdentity
 from repro.siem import build_timeline
 
 
@@ -92,6 +91,7 @@ def test_fresh_account_after_deprovision_gets_new_uid():
     s1 = dri.workflows.story1_pi_onboarding("hal")
     hal = dri.workflows.personas["hal"]
     old_uid = hal.broker_sub
+    identity = dri.myaccessid.registry.account(old_uid).linked[0]
     dri.myaccessid.deprovision_account(
         old_uid,
         on_deprovision=lambda u: dri.broker.revoke_user_access(u, None))
@@ -102,9 +102,5 @@ def test_fresh_account_after_deprovision_gets_new_uid():
     # fails (no role for the NEW identity): exactly the correct outcome
     assert resp.status == 403
     # and the registry shows a different uid for the same IdP identity
-    identity = LinkedIdentity(
-        entity_id=dri.idps["idp-bristol"].entity_id,
-        sub=dri.idps["idp-bristol"].user("hal").sub,
-    )
     account = dri.myaccessid.registry.find(identity)
     assert account is not None and account.uid != old_uid

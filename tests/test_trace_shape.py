@@ -33,7 +33,7 @@ from repro.core import build_isambard
 from repro.net import (HttpRequest, HttpResponse, Network, OperatingDomain,
                        Service, Zone, route)
 from repro.resilience import FaultInjector, Resilience, RetryPolicy
-from repro.resilience.tail import TailConfig, TailController
+from repro.resilience.tail import MIN_SAMPLES, TailConfig, TailController
 from repro.scale.balancer import LoadBalancer, ReplicaPool
 from repro.telemetry import Telemetry
 from tests.conftest import golden
@@ -164,11 +164,10 @@ def kit_hedged_call_shape() -> dict:
                      policy=RetryPolicy(max_attempts=3, base_delay=0.01,
                                         jitter=0.0))
     kit.tail = TailController(clock, TailConfig(
-        adaptive_deadlines=False, ejection=False, retry_budget=False,
-        min_samples=5))
+        adaptive_deadlines=False, ejection=False, retry_budget=False))
     client.resilience = kit
     rec = _Recorder(network.telemetry, {"net": network.audit})
-    for i in range(6):
+    for i in range(MIN_SAMPLES):
         _traced_ping(network, client, "srv", f"warm {i}")
     faults.slow_replica("srv", 0.5)
     _traced_ping(network, client, "srv", "hedge probe")
@@ -186,11 +185,11 @@ def balancer_hedged_call_shape() -> dict:
     lb = LoadBalancer(
         "svc-lb", clock, pool, audit=lb_audit,
         telemetry=network.telemetry,
-        tail=TailConfig(ejection=False, retry_budget=False, min_samples=5,
-                        hedge_budget_ratio=0.5))
+        tail=TailConfig(ejection=False, retry_budget=False))
     network.attach(lb, OperatingDomain.FDS, Zone.ACCESS)
     rec = _Recorder(network.telemetry, {"net": network.audit, "lb": lb_audit})
-    for i in range(6):
+    # a multiple of the three replicas, so the gray one is next in line
+    for i in range(MIN_SAMPLES + 1):
         _traced_ping(network, client, "svc-lb", f"warm {i}")
     faults.slow_replica("svc-r1", 0.3)
     # the gray replica goes first once: the hedged loser counts as its
