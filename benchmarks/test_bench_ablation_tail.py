@@ -112,7 +112,7 @@ def tail_surge(seed: int, arm: str):
     clock = dri.clock
 
     # --- warmup: the shared cohort, then feed the latency histograms
-    # past min_samples so the quantile-derived bounds are armed before
+    # past MIN_SAMPLES so the quantile-derived bounds are armed before
     # the fault lands -----------------------------------------------------
     cohort = surge.onboard(dri, "tail-proj")
     _, _, app_tokens, clients = cohort
