@@ -8,7 +8,9 @@ them to the SOC, exactly as §III.B/§III.D of the paper describe.
 
 Events are append-only and queryable; tests and the NIST-tenet checker
 treat the audit trail as ground truth for "did an access decision happen,
-and was it observed".
+and was it observed".  A log stores each event as one flat tuple of atoms
+(:func:`_stored`); ``events()``, ``query()`` and the chain check hand out
+fresh :class:`AuditEvent` views of those records.
 """
 
 from __future__ import annotations
@@ -161,6 +163,31 @@ class AuditEvent:
                 and (source is None or self.source == source))
 
 
+# A log holds an emitted event as one flat tuple of atoms, ``(time,
+# source, actor, action, resource, outcome, domain, zone, digest[, key …,
+# value …])`` — its attr names, then their values, in insertion order
+# (the span store's layout, telemetry/tracing.py).  A tuple of strings and
+# numbers leaves the cyclic collector's books at the first pass that sees
+# it; only an attr that ``_plain`` left a list or dict keeps its record
+# tracked.
+_DIGEST, _ATTRS = 8, 9  # indices of the digest and the first attr name
+
+
+def _stored(event: AuditEvent) -> Tuple[object, ...]:
+    attrs = event.attrs
+    return (event.time, event.source, event.actor, event.action,
+            event.resource, event.outcome, event.domain, event.zone,
+            event.digest, *attrs, *attrs.values())
+
+
+def _view(record: Tuple[object, ...]) -> AuditEvent:
+    """A fresh :class:`AuditEvent` read off a stored record."""
+    values = (len(record) + _ATTRS) // 2
+    return AuditEvent(*record[:_DIGEST],  # type: ignore[arg-type]
+                      attrs=dict(zip(record[_ATTRS:values], record[values:])),
+                      digest=record[_DIGEST])  # type: ignore[arg-type]
+
+
 class AuditLog(Durable):
     """Append-only event store with live subscribers.
 
@@ -183,7 +210,7 @@ class AuditLog(Durable):
 
     def __init__(self, name: str = "audit") -> None:
         self.name = name
-        self._events: List[AuditEvent] = []
+        self._events: List[Tuple[object, ...]] = []  # records, see _stored
         self._subscribers: List[Callable[[AuditEvent], None]] = []
         self.dropped_subscribers = 0
         self._head = self.GENESIS  # digest of the latest event
@@ -212,7 +239,8 @@ class AuditLog(Durable):
         """Record ``event``, chain its digest, and fan out to subscribers.
 
         The event keeps its attrs dict unless a value needs coercing to
-        plain data (:meth:`_plain`); then it gets a coerced copy."""
+        plain data (:meth:`_plain`); then it gets a coerced copy.  The log
+        stores the event's record; the event itself is the caller's."""
         if event.outcome not in Outcome.ALL:
             raise ValueError(f"unknown outcome {event.outcome!r}")
         if self.down:
@@ -229,7 +257,7 @@ class AuditLog(Durable):
             # write-ahead: a fenced emit raises here, chain untouched
             self._jpublish("audit.emit", self._record_of(event))
         self._head = digest
-        self._events.append(event)
+        self._events.append(_stored(event))
         dead: List[Callable[[AuditEvent], None]] = []
         for sub in self._subscribers:
             try:
@@ -254,20 +282,11 @@ class AuditLog(Durable):
         zone: str = "",
         **attrs: object,
     ) -> AuditEvent:
-        """Convenience wrapper building the event inline."""
-        return self.emit(
-            AuditEvent(
-                time=time,
-                source=source,
-                actor=actor,
-                action=action,
-                resource=resource,
-                outcome=outcome,
-                domain=domain,
-                zone=zone,
-                attrs=attrs,
-            )
-        )
+        """Convenience wrapper building the event inline (positionally, in
+        field order: a frozen dataclass's keyword init costs a third
+        more, on every audit record)."""
+        return self.emit(AuditEvent(time, source, actor, action, resource,
+                                    outcome, domain, zone, attrs))
 
     # ------------------------------------------------------------------
     def subscribe(self, callback: Callable[[AuditEvent], None]) -> None:
@@ -279,8 +298,8 @@ class AuditLog(Durable):
 
     # ------------------------------------------------------------------
     def events(self) -> List[AuditEvent]:
-        """A copy of all events in emission order."""
-        return list(self._events)
+        """Views of all events in emission order."""
+        return list(map(_view, self._events))
 
     def query(
         self,
@@ -294,7 +313,7 @@ class AuditLog(Durable):
         """Filtered view of the trail."""
         return [
             e
-            for e in self._events
+            for e in map(_view, self._events)
             if e.time >= since
             and e.matches(action=action, actor=actor, outcome=outcome, source=source)
         ]
@@ -312,7 +331,7 @@ class AuditLog(Durable):
         with teeth).
         """
         head = self.GENESIS
-        for i, event in enumerate(self._events):
+        for i, event in enumerate(map(_view, self._events)):
             expected = hashlib.sha256(
                 head.encode() + event.canonical()
             ).hexdigest()
@@ -353,17 +372,10 @@ class AuditLog(Durable):
             "digest": event.digest,
         }
 
-    @staticmethod
-    def _event_from(data: Dict[str, object]) -> AuditEvent:
-        digest = str(data.pop("digest"))
-        event = AuditEvent(**data)  # type: ignore[arg-type]
-        object.__setattr__(event, "digest", digest)
-        return event
-
     def durable_state(self) -> Dict[str, object]:
         return {
             "head": self._head,
-            "events": [self._event_dict(e) for e in self._events],
+            "events": [self._event_dict(e) for e in map(_view, self._events)],
         }
 
     def checkpoint(self) -> None:
@@ -381,14 +393,13 @@ class AuditLog(Durable):
         self._head = self.GENESIS
 
     def load_state(self, state: Dict[str, object]) -> None:
-        self._events = [self._event_from(dict(d)) for d in state["events"]]
+        self._events = [_stored(AuditEvent(**d)) for d in state["events"]]
         self._head = str(state["head"])
 
     def apply_entry(self, kind: str, data: Dict[str, object]) -> None:
         if kind == "audit.emit":
-            event = self._event_from(dict(data))
-            self._events.append(event)
-            self._head = event.digest
+            self._events.append(_stored(AuditEvent(**data)))
+            self._head = str(data["digest"])
 
     def verify_recovery(self, report: "RecoveryReport") -> None:
         intact, bad = self.verify_chain()
@@ -396,7 +407,7 @@ class AuditLog(Durable):
             raise RecoveryError(
                 f"audit log {self.name!r}: recovered hash chain breaks at "
                 f"event {bad}")
-        if self._events and self._events[-1].digest != self._head:
+        if self._events and self._events[-1][_DIGEST] != self._head:
             raise RecoveryError(
                 f"audit log {self.name!r}: recovered head does not match "
                 "the last event's digest")

@@ -1,7 +1,7 @@
 """Core: the Fig. 1 deployment, the user-story workflows, the threat model."""
 
 from repro.core.deployment import DEFAULT_IDPS, IsambardDeployment, build_isambard
-from repro.core.metrics import Timer, format_table, latency_stats
+from repro.core.metrics import format_table, latency_stats
 from repro.core.threat import ExposureReport, ThreatModel
 from repro.core.workflows import Persona, StoryResult, Workflows
 
@@ -16,5 +16,4 @@ __all__ = [
     "ExposureReport",
     "latency_stats",
     "format_table",
-    "Timer",
 ]

@@ -10,10 +10,9 @@ samples on its last bit can differ; no result table prints the mean.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-__all__ = ["latency_stats", "format_table", "Timer"]
+__all__ = ["latency_stats", "format_table"]
 
 
 def latency_stats(samples: Sequence[float],
@@ -91,19 +90,3 @@ def format_table(headers: Sequence[str], rows: Sequence[Sequence[object]],
     for row in cells[1:]:
         lines.append(" | ".join(c.ljust(w) for c, w in zip(row, widths)))
     return "\n".join(lines)
-
-
-@dataclass
-class Timer:
-    """Measure elapsed *simulated* time around a block."""
-
-    clock: object
-    start: float = 0.0
-    elapsed: float = 0.0
-
-    def __enter__(self) -> "Timer":
-        self.start = self.clock.now()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.elapsed = self.clock.now() - self.start

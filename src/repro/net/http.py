@@ -9,6 +9,7 @@ and encryption policy apply uniformly.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -237,9 +238,10 @@ class Service:
             if ctx is None and TRACEPARENT_HEADER in request.headers:
                 ctx = TraceContext.extract(request.headers)
             if ctx is not None:
+                # one name object per destination, not one per call
                 span = tele.tracer.start_span(
-                    f"call {dst}", ctx, service=self.name, kind="client",
-                    dst=dst, path=request.path,
+                    sys.intern(f"call {dst}"), ctx, service=self.name,
+                    kind="client", dst=dst, path=request.path,
                 )
                 request.trace = ctx.child_of(span.span_id)
                 if self.resilience is not None:

@@ -23,6 +23,7 @@ failed message was never partially applied — client retries are safe.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -215,8 +216,9 @@ class Network:
         trace_attrs: Dict[str, object] = {}
         ctx = request.trace
         if tele is not None and ctx is not None:
+            # one name object per (method, dst, path), not one per hop
             span = tele.tracer.start_span(
-                f"{request.method} {dst}{request.path}", ctx,
+                sys.intern(f"{request.method} {dst}{request.path}"), ctx,
                 service=dst, kind="server", src=src, port=port,
                 path=request.path, src_zone=s.location, dst_zone=d.location,
             )
@@ -238,12 +240,13 @@ class Network:
                 if span is not None:
                     tele.tracer.end(span, error=exc)
                     if isinstance(exc, AttemptTimeout):
-                        # hand the abandoned attempt's span to the hedge
+                        # hand the abandoned attempt's span, and the
+                        # tracer holding its record, to the hedge
                         # machinery: if this timeout fires a hedge, the
-                        # winner's layer marks this span cancelled so
+                        # winner's layer annotates this span cancelled so
                         # trace analysis can tell a cancelled loser from
                         # a genuinely expired attempt
-                        exc.span = span
+                        exc.span, exc.tracer = span, tele.tracer
             raise
         else:
             if tele is not None:

@@ -404,12 +404,11 @@ class TailController:
 
     def hedge_fired(self, exc) -> None:
         """A hedge-armed attempt tripped its bound: charge the budget
-        and mark the abandoned attempt's span as the cancelled loser."""
+        and mark the abandoned attempt's span (ended by the transport) as
+        the cancelled loser."""
         self.hedge_budget.consume()
-        loser = getattr(exc, "span", None)
-        if loser is not None:
-            loser.attrs["cancelled"] = True
-            loser.attrs["hedge"] = "loser"
+        if getattr(exc, "span", None) is not None:
+            exc.tracer.annotate(exc.span, cancelled=True, hedge="loser")
 
     def observe(self, key: str, latency: float) -> None:
         """Feed one *successful* attempt's latency."""

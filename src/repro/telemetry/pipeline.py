@@ -85,8 +85,8 @@ class RedAggregate:
     duration_sum: float = 0.0
     max_duration: float = 0.0
 
-    def fold(self, span) -> None:
+    def fold(self, duration: float) -> None:
+        """Roll one evicted span's duration in."""
         self.count += 1
-        self.duration_sum += span.duration
-        if span.duration > self.max_duration:
-            self.max_duration = span.duration
+        self.duration_sum += duration
+        self.max_duration = max(self.max_duration, duration)

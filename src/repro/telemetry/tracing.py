@@ -6,6 +6,13 @@ becomes one :class:`Span` with simulated-clock timestamps.  Spans land
 in a :class:`SpanStore` indexed by trace id, which is what the SIEM's
 trace↔audit correlation and the critical-path analysis read.
 
+A span is mutable only while it is open.  When it ends, the store keeps
+its *record*, one flat tuple of atoms (see :func:`_record`), and every
+read (``trace()``, ``spans()``, ``orphans()``) hands out a fresh
+:class:`Span` built from it — a view: changing one changes nothing
+stored.  The one write after the end, a hedge loser marked cancelled,
+goes through :meth:`Tracer.annotate`, which seals the record again.
+
 Determinism: span ids come from plain counters (``{n:032x}``), *not*
 from the deployment's :class:`~repro.ids.IdFactory` or any RNG, and the
 tracer only ever **reads** the clock.  Turning tracing on therefore
@@ -17,6 +24,8 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import attrgetter
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.clock import SimClock
@@ -94,6 +103,39 @@ class Span:
         )
 
 
+# A finished span is stored as one flat tuple of atoms,
+# ``(trace_id, span_id, parent_id, name, service, kind, start, end,
+# status, error[, key …, value …])`` — its attr names, then their values,
+# in insertion order (one unpacking each: half the cost of interleaving
+# the pairs); a ``baggage`` dict is stored as a tuple of pairs.  Flat on
+# purpose: the cyclic collector drops such a tuple from its books at the
+# first pass that sees it, so a store of a round's spans adds nothing to a
+# full collection (docs/extending.md, "what you keep a million of must be
+# flat").
+_ATTRS = 10  # index of the first attr name
+
+
+def _record(span: Span) -> Tuple[object, ...]:
+    attrs = span.attrs
+    if "baggage" in attrs:
+        attrs = {**attrs, "baggage": tuple(attrs["baggage"].items())}
+    return (span.trace_id, span.span_id, span.parent_id, span.name,
+            span.service, span.kind, span.start, span.end, span.status,
+            span.error, *attrs, *attrs.values())
+
+
+def _view(held: object) -> Span:
+    """A fresh :class:`Span` read off a stored record; an open span is
+    held as itself."""
+    if type(held) is not tuple:
+        return held  # type: ignore[return-value]
+    values = (len(held) + _ATTRS) // 2
+    attrs = dict(zip(held[_ATTRS:values], held[values:]))
+    if "baggage" in attrs:
+        attrs["baggage"] = dict(attrs["baggage"])
+    return Span(*held[:_ATTRS], attrs)  # type: ignore[arg-type]
+
+
 # span statuses that make a whole trace security/incident-relevant
 _PROTECTED_STATUSES = (SpanStatus.ERROR, SpanStatus.SHED, SpanStatus.EXPIRED)
 
@@ -101,7 +143,9 @@ _PROTECTED_STATUSES = (SpanStatus.ERROR, SpanStatus.SHED, SpanStatus.EXPIRED)
 class SpanStore:
     """All recorded spans, indexed by trace id (the in-process backend).
 
-    Without a ``config`` every span is retained.  With a
+    A trace holds its open spans as themselves and its finished ones as
+    records; every read returns views (module docstring).  Without a
+    ``config`` every span is retained.  With a
     :class:`~repro.telemetry.pipeline.PipelineConfig` budget, retention
     is tail-sampled (the classes are listed in that module's docstring):
     crossing ``max_spans`` triggers :meth:`compact`, which evicts whole
@@ -110,12 +154,8 @@ class SpanStore:
 
     def __init__(self, config: Optional[PipelineConfig] = None) -> None:
         self.config = config
-        self._spans: List[Span] = []
-        self._by_trace: Dict[str, List[Span]] = defaultdict(list)
-        # span ids per trace, maintained incrementally so orphan checks
-        # don't rebuild the set per trace per call (the tracewatch
-        # scanner runs orphans() repeatedly over the whole store)
-        self._ids: Dict[str, Set[str]] = defaultdict(set)
+        self._by_trace: Dict[str, List[object]] = defaultdict(list)
+        self._held = 0
         self._protected: Set[str] = set()
         # ids of evicted traces: an audit record may reach the SOC after
         # its trace was compacted away, and must not read as forged
@@ -126,20 +166,38 @@ class SpanStore:
         self.compactions = 0
 
     def add(self, span: Span) -> Span:
-        self._spans.append(span)
-        self._by_trace[span.trace_id].append(span)
-        self._ids[span.trace_id].add(span.span_id)
-        if (self.config is not None
-                and len(self._spans) > self.config.max_spans):
+        """Admit a span: an open one is held as itself until
+        :meth:`seal`, a finished one (:meth:`Tracer.record`) as its
+        record."""
+        self._by_trace[span.trace_id].append(
+            span if span.end is None else _record(span))
+        self._held += 1
+        if self.config is not None and self._held > self.config.max_spans:
             self.compact()
         return span
 
+    def seal(self, span: Span, was: object = None) -> None:
+        """Hold ``span``'s record in place of the open span — or, when
+        :meth:`Tracer.annotate` seals an ended span again, in place of
+        ``was``, the record it was sealed as."""
+        held = self._by_trace.get(span.trace_id, ())
+        # the span that ends is almost always one of the last few opened
+        i = len(held)
+        while i:
+            i -= 1
+            if held[i] is span or held[i] == was:
+                held[i] = _record(span)
+                return
+
     def spans(self) -> List[Span]:
-        return list(self._spans)
+        """Every span held, in the order they were opened (span ids
+        count up)."""
+        return sorted(map(_view, chain.from_iterable(self._by_trace.values())),
+                      key=attrgetter("span_id"))
 
     def trace(self, trace_id: str) -> List[Span]:
         """Spans of one trace still held, in start order."""
-        return sorted(self._by_trace.get(trace_id, []),
+        return sorted(map(_view, self._by_trace.get(trace_id, ())),
                       key=lambda s: (s.start, s.span_id))
 
     def has_trace(self, trace_id: str) -> bool:
@@ -150,35 +208,28 @@ class SpanStore:
     def orphans(self, trace_id: Optional[str] = None) -> List[Span]:
         """Spans whose parent never reached the store — the connectivity
         check the shed-attribution bugfix is verified against: a hop
-        that drops context mid-flow shows up here."""
-        traces = ([trace_id] if trace_id is not None else list(self._by_trace))
+        that drops context mid-flow shows up here.  Each trace's id set
+        is built when that trace is read (a trace has about ten spans)."""
         out: List[Span] = []
-        for tid in traces:
-            ids = self._ids.get(tid, ())
-            out.extend(
-                s for s in self._by_trace.get(tid, [])
-                if s.parent_id is not None and s.parent_id not in ids
-            )
+        for tid in [trace_id] if trace_id is not None else list(self._by_trace):
+            spans = [_view(held) for held in self._by_trace.get(tid, ())]
+            ids = {s.span_id for s in spans}
+            out.extend(s for s in spans
+                       if s.parent_id is not None and s.parent_id not in ids)
         return out
 
     def unfinished(self) -> List[Span]:
-        return [s for s in self._spans if not s.finished]
+        return [s for s in self.spans() if not s.finished]
 
     def _drop_traces(self, trace_ids: Iterable[str]) -> int:
-        """Remove whole traces, keeping every index consistent; returns
-        the number of spans dropped."""
-        doomed = set(trace_ids)
-        dropped = 0
-        for tid in doomed:
-            dropped += len(self._by_trace.pop(tid, ()))
-            self._ids.pop(tid, None)
-        if doomed:
-            self._spans = [s for s in self._spans
-                           if s.trace_id not in doomed]
+        """Remove whole traces; returns the number of spans dropped."""
+        dropped = sum(len(self._by_trace.pop(tid, ()))
+                      for tid in set(trace_ids))
+        self._held -= dropped
         return dropped
 
     def __len__(self) -> int:
-        return len(self._spans)
+        return self._held
 
     # ---------------------------------------------------------- pinning
     def protect(self, trace_id: str) -> None:
@@ -191,44 +242,38 @@ class SpanStore:
         return set(self._protected)
 
     def trace_protected(self, trace_id: str) -> bool:
-        if trace_id in self._protected:
-            return True
-        return any(s.status in _PROTECTED_STATUSES
-                   for s in self._by_trace.get(trace_id, ()))
+        return trace_id in self._protected or any(
+            s.status in _PROTECTED_STATUSES for s in self.trace(trace_id))
 
     # --------------------------------------------------------- sampling
     def _trace_duration(self, spans: List[Span]) -> float:
         """Duration of the root span when present, else the envelope of
-        the trace — the number slowest-k ranks by."""
-        for s in spans:
-            if s.parent_id is None:
-                return s.duration
-        start = min(s.start for s in spans)
-        end = max(s.end for s in spans if s.end is not None)
-        return end - start
+        the finished trace (``spans`` in start order) — the number
+        slowest-k ranks by."""
+        root = next((s for s in spans if s.parent_id is None), None)
+        return (root.duration if root is not None
+                else max(s.end for s in spans) - spans[0].start)
 
     def compact(self) -> None:
         """Apply the retention classes and evict the remainder into RED
         rollups, oldest trace first, down to the target fill."""
         target = max(1, int(self.config.max_spans * TARGET_FILL))
-        excess = len(self._spans) - target
+        excess = self._held - target
         if excess <= 0:
             return
-        # classify completed traces; unfinished traces are untouchable
+        # classify completed traces; unfinished traces (an open span is
+        # held as itself) are untouchable
         candidates: List[Tuple[float, str, List[Span]]] = []
         windows: Dict[int, List[Tuple[float, str]]] = {}
-        for tid, spans in self._by_trace.items():
-            if any(not s.finished for s in spans):
+        for tid, held in self._by_trace.items():
+            if (Span in map(type, held) or self.trace_protected(tid)
+                    or trace_sampled(tid, SAMPLE_RATE)):
                 continue
-            if self.trace_protected(tid):
-                continue
-            if trace_sampled(tid, SAMPLE_RATE):
-                continue
-            start = min(s.start for s in spans)
-            duration = self._trace_duration(spans)
+            spans = self.trace(tid)
+            start = spans[0].start
             candidates.append((start, tid, spans))
             windows.setdefault(int(start // self.config.window), []).append(
-                (duration, tid))
+                (self._trace_duration(spans), tid))
         # slowest-k per window survive even though they sampled out
         slow: Set[str] = set()
         for bucket in windows.values():
@@ -245,21 +290,18 @@ class SpanStore:
             doomed.append(tid)
             evicting += len(spans)
             for span in spans:
-                key = (span.service or span.name, span.status)
-                agg = self.rollups.get(key)
-                if agg is None:
-                    agg = self.rollups[key] = RedAggregate()
-                agg.fold(span)
-        if doomed:
-            self.evicted_spans += self._drop_traces(doomed)
-            self._evicted_ids.update(doomed)
-            self.evicted_traces += len(doomed)
+                self.rollups.setdefault(
+                    (span.service or span.name, span.status),
+                    RedAggregate()).fold(span.duration)
+        self.evicted_spans += self._drop_traces(doomed)
+        self._evicted_ids.update(doomed)
+        self.evicted_traces += len(doomed)
         self.compactions += 1
 
     # ------------------------------------------------------------- stats
     def stats(self) -> Dict[str, object]:
         return {
-            "retained_spans": len(self._spans),
+            "retained_spans": self._held,
             "retained_traces": len(self._by_trace),
             "evicted_spans": self.evicted_spans,
             "evicted_traces": self.evicted_traces,
@@ -299,11 +341,9 @@ class Tracer:
                     baggage: Optional[Dict[str, str]] = None,
                     **attrs: object) -> Span:
         """Open a new root span (a fresh trace id, no parent)."""
-        span = Span(
-            trace_id=self.new_trace_id(), span_id=self.new_span_id(),
-            parent_id=None, name=name, service=service, kind=kind,
-            start=self.clock.now(), attrs=attrs,
-        )
+        # fields up to ``start`` positionally: half the cost of keywords
+        span = Span(self.new_trace_id(), self.new_span_id(), None, name,
+                    service, kind, self.clock.now(), attrs=attrs)
         if baggage:
             span.attrs["baggage"] = dict(baggage)
         return self.store.add(span)
@@ -312,11 +352,8 @@ class Tracer:
                    kind: str = "internal", **attrs: object) -> Span:
         """Open a span under an incoming context (its span becomes our
         parent, as traceparent semantics demand)."""
-        span = Span(
-            trace_id=ctx.trace_id, span_id=self.new_span_id(),
-            parent_id=ctx.span_id, name=name, service=service, kind=kind,
-            start=self.clock.now(), attrs=attrs,
-        )
+        span = Span(ctx.trace_id, self.new_span_id(), ctx.span_id, name,
+                    service, kind, self.clock.now(), attrs=attrs)
         if ctx.baggage:
             span.attrs["baggage"] = dict(ctx.baggage)
         return self.store.add(span)
@@ -324,7 +361,8 @@ class Tracer:
     # ------------------------------------------------------------- ends
     def end(self, span: Span, *, error: Optional[BaseException] = None,
             status: Optional[str] = None, **attrs: object) -> Span:
-        """Close a span now; status defaults from the error taxonomy."""
+        """Close a span now; status defaults from the error taxonomy.
+        The store keeps its record from here on."""
         span.end = self.clock.now()
         span.attrs.update(attrs)
         if status is not None:
@@ -335,7 +373,16 @@ class Tracer:
             span.status = SpanStatus.OK
         if error is not None:
             span.error = type(error).__name__
+        self.store.seal(span)
         return span
+
+    def annotate(self, span: Span, **attrs: object) -> None:
+        """Add attrs to a span that has already ended — the one write
+        after the end (a hedged call's abandoned attempt is marked the
+        cancelled loser) — and seal its stored record again."""
+        sealed = _record(span)
+        span.attrs.update(attrs)
+        self.store.seal(span, sealed)
 
     # ------------------------------------------------------- retroactive
     def record(self, name: str, *, start: float, end: float, service: str = "",

@@ -44,7 +44,10 @@ def test_record_convenience_builds_event():
     )
     assert ev.attrs == {"size": 3}
     assert ev.domain == "fds"
-    assert log.events()[-1] is ev
+    # the log keeps a record; what it hands back is a fresh, equal view
+    view = log.events()[-1]
+    assert view == ev and view.digest == ev.digest
+    assert view is not ev and view.attrs is not ev.attrs
 
 
 def test_query_filters_by_fields():

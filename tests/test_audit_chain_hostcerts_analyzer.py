@@ -37,8 +37,9 @@ def test_chain_detects_content_mutation():
     log = AuditLog()
     for i in range(10):
         log.emit(ev(float(i)))
+    # rewrite the stored record's actor (time, source, actor, ...)
     victim = log._events[4]
-    object.__setattr__(victim, "actor", "rewritten")
+    log._events[4] = victim[:2] + ("rewritten",) + victim[3:]
     intact, bad = log.verify_chain()
     assert not intact and bad == 4
 

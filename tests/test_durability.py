@@ -481,6 +481,140 @@ def test_dict_attr_key_order_survives_the_journal():
 
 
 # ======================================================================
+# replay branches: mutate past the last checkpoint, crash, restart
+# ======================================================================
+def _restart_matches_live(dri, name, svc):
+    """Crash ``name`` and restart it: the recovered state hash is the
+    live one, and the journal tail past the checkpoint was replayed."""
+    before = svc.state_hash()
+    dri.crash(name)
+    report = dri.restart(name)
+    assert report.state_hash == before
+    assert report.entries_replayed > 0
+
+
+def test_oidc_client_logout_and_code_replay_survive_a_restart():
+    """``OidcProvider.apply_entry`` for ``oidc.client``,
+    ``oidc.session_revoked`` and ``oidc.code_replayed``: a client
+    registered, a session logged out and a replayed code's tokens
+    revoked after the checkpoint all come back from the journal tail."""
+    dri = build_isambard(seed=94, durability=True)
+    broker = dri.broker
+    session = broker.create_session("replay-sub", {"name": "R"}, amr=["pwd"])
+    cookie = {"Cookie": f"sid={session.sid}"}
+    broker.checkpoint()
+
+    client = broker.register_client("replay-rp", ["https://replay-rp/cb"],
+                                    confidential=True)
+    authorized = broker.handle(HttpRequest("GET", "/authorize", headers=cookie,
+                                           query={"client_id": "replay-rp",
+                                                  "redirect_uri": "https://replay-rp/cb",
+                                                  "response_type": "code"}))
+    code = authorized.headers["Location"].split("code=")[1]
+    redeem = {"grant_type": "authorization_code", "code": code,
+              "client_id": "replay-rp", "client_secret": client.client_secret,
+              "redirect_uri": "https://replay-rp/cb"}
+    token = broker.handle(HttpRequest("POST", "/token", body=redeem))
+    access = token.body["access_token"]
+    replayed = broker.handle(HttpRequest("POST", "/token", body=redeem))
+    assert replayed.status == 400 and "revoked" in replayed.body["error"]
+    assert broker.handle(HttpRequest("POST", "/logout", headers=cookie)).ok
+
+    live = broker.state_hash()
+    _restart_matches_live(dri, "broker", broker)
+    assert broker.state_hash() == live
+    # the client is known: a bad code, not an unknown client
+    bad = broker.handle(HttpRequest("POST", "/token",
+                                    body={**redeem, "code": "nope"}))
+    assert (bad.status, bad.body["error"]) == (400, "invalid code")
+    # the logged-out session stays logged out
+    again = broker.handle(HttpRequest("GET", "/authorize", headers=cookie,
+                                      query={"client_id": "replay-rp",
+                                             "redirect_uri": "https://replay-rp/cb",
+                                             "response_type": "code"}))
+    assert again.status == 401 and again.body["login_required"]
+    # the replayed code's tokens stay revoked
+    introspected = broker.handle(HttpRequest("POST", "/introspect",
+                                             body={"token": access}))
+    assert introspected.body == {"active": False}
+
+
+def test_admin_revoke_and_access_revoke_survive_a_broker_restart():
+    """``IdentityBroker.apply_entry`` for ``broker.admin_revoke`` and
+    ``broker.revoke_access``: an admin role withdrawn and a user's OIDC
+    access tokens revoked after the checkpoint stay so."""
+    from repro.broker.rbac import Role
+
+    dri = build_isambard(seed=95, durability=True)
+    wf = dri.workflows
+    assert onboarded(dri)
+    broker = dri.broker
+    res1 = wf.personas["res1"].broker_sub
+    minted = [jti for jti, rec in broker._issued.items()
+              if rec["subject"] == res1]
+    assert minted, "precondition: the notebook login minted OIDC tokens"
+    admin = wf.personas["ops1"].broker_sub
+    broker.grant_admin_role(admin, Role.ADMIN_SECURITY)
+    broker.checkpoint()
+
+    broker.revoke_admin_role(admin, Role.ADMIN_SECURITY)   # one role ...
+    assert broker._admin_roles[admin] == {Role.ADMIN_INFRA}
+    broker.revoke_admin_role(admin)                        # ... then all
+    broker.revoke_user_access(res1, None)
+    kinds = [e.kind for e in broker.journal.load()[1]]
+    assert kinds.count("broker.admin_revoke") == 2
+    assert "broker.revoke_access" in kinds
+
+    live = broker.state_hash()
+    _restart_matches_live(dri, "broker", broker)
+    assert broker.state_hash() == live
+    assert broker._admin_roles[admin] == set()
+    assert all(jti in broker._revoked_jtis for jti in minted)
+    # the admin authenticates upstream but holds no role any more
+    s5 = wf.story5_privileged_operation("ops1")
+    assert not s5.ok and "no administrative role" in str(s5.steps[-1])
+    # the revoked researcher's broker session is gone with its tokens
+    assert not wf.mint(wf.personas["res1"], "jupyter", "researcher").ok
+
+
+@pytest.mark.authz
+def test_revocation_intent_in_the_snapshot_resumes_after_a_restart():
+    """``RevocationPipeline.load_state`` with an in-flight intent: the
+    checkpoint holds a half-driven revocation, one more surface confirms
+    after it, and the restarted pipeline finishes the rest."""
+    from repro.authz.config import SURFACES
+
+    dri = build_isambard(seed=96, authz=True, durability=True)
+    s1 = dri.workflows.story1_pi_onboarding("alice")
+    assert dri.workflows.story3_researcher_setup(
+        s1.data["project_id"], "alice", "bob").ok
+    assert dri.workflows.story6_jupyter("bob").ok
+    bob = dri.workflows.personas["bob"].broker_sub
+    pipeline, reg = dri.authz.pipeline, dri.authz.registry
+    for surface in SURFACES:
+        pipeline.stick(surface)
+    intent = pipeline.revoke(uid=bob, reason="incident")
+    pipeline.checkpoint()                       # the intent is in the snapshot
+    pipeline.unstick(SURFACES[0])               # and one surface after it
+    assert intent.pending == list(SURFACES[1:])
+
+    before = pipeline.state_hash()
+    dri.crash("authz")
+    for surface in SURFACES[1:]:
+        pipeline.unstick(surface)               # the new process is not wedged
+    report = dri.restart("authz")
+    # recovered exactly as it stood; then verify_recovery resumed it
+    assert report.state_hash == before
+    assert report.entries_replayed > 0
+    assert pipeline.resumed == 1
+    [resumed] = pipeline._iter_intents()
+    assert resumed.intent_id == intent.intent_id and resumed.complete
+    assert resumed.done[SURFACES[0]] == intent.done[SURFACES[0]]
+    assert reg.live_grants(reg.graph.identity_of(bob)) == []
+    assert not [s for s in dri.jupyter.sessions() if s.subject == bob]
+
+
+# ======================================================================
 # the broker's memory of the tokens it minted is volatile
 # ======================================================================
 def _token_story(dri):

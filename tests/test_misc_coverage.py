@@ -5,8 +5,7 @@ identity linking)."""
 import pytest
 
 from repro.core import build_isambard
-from repro.core.metrics import Timer, format_table, latency_stats
-from repro.clock import SimClock
+from repro.core.metrics import format_table, latency_stats
 from repro.errors import ConfigurationError, ReproError, TokenError, TokenExpired
 from repro.ids import IdFactory
 from repro.net import HttpRequest, HttpResponse, OperatingDomain, Service, Zone, route
@@ -77,13 +76,6 @@ def test_format_table_alignment():
     lines = out.splitlines()
     assert lines[0] == "t"
     assert all(len(line) == len(lines[1]) for line in lines[1:])
-
-
-def test_timer_measures_sim_time():
-    clock = SimClock()
-    with Timer(clock) as t:
-        clock.advance(5)
-    assert t.elapsed == 5.0
 
 
 # ---------------------------------------------------------------------------

@@ -268,9 +268,12 @@ class TestBoundedSpanStore:
 
 
 # ---------------------------------------------------------------------------
-# satellite: the incremental orphan index survives trace drops
+# satellite: orphans() stays right across trace drops
 # ---------------------------------------------------------------------------
 def test_orphan_index_stays_consistent_across_drops():
+    """No per-trace id index is kept to fall out of step: ``orphans()``
+    builds a trace's id set when it reads that trace, so a dropped and
+    re-ingested trace id is judged on the spans it holds now."""
     # the same case with and without a retention budget
     for config in (None, PipelineConfig(max_spans=20)):
         _orphan_index_case(SpanStore(config))
@@ -299,11 +302,15 @@ def _orphan_index_case(store):
     assert store.orphans(root.trace_id) == []
     assert len(store) == 2
 
-    # re-ingesting into a dropped trace id rebuilds its index cleanly
+    # re-ingesting into a dropped trace id: only the new span is held,
+    # and its parent really is gone
     revived = tracer.start_span("late", root.context(), service="c")
+    assert store.orphans(root.trace_id) == [revived]  # open: itself
     tracer.end(revived)
     assert store.has_trace(root.trace_id)
-    assert store.orphans(root.trace_id) == [revived]  # parent really gone
+    [orphan] = store.orphans(root.trace_id)           # ended: a view
+    assert orphan == revived and orphan is not revived
+    assert store.orphans(lost.trace_id) == []
 
 
 # ---------------------------------------------------------------------------
@@ -360,17 +367,20 @@ def test_hedge_loser_span_is_marked_cancelled():
     tele.tracer.end(root)
     assert kit.metrics.hedges == 1
 
-    losers = [s for s in tele.store.trace(root.trace_id)
-              if s.attrs.get("hedge") == "loser"]
+    # the mark was written after the attempt ended (Tracer.annotate), and
+    # the stored record carries it
+    spans = tele.store.trace(root.trace_id)
+    losers = [s for s in spans if s.attrs.get("hedge") == "loser"]
     assert len(losers) == 1
     loser = losers[0]
     assert loser.attrs.get("cancelled") is True
     assert loser.status == SpanStatus.EXPIRED
     assert loser.error == "AttemptTimeout"
     # the winning re-issue is a sibling, and it is NOT marked cancelled
-    winners = [s for s in tele.store.trace(root.trace_id)
-               if s.kind == "server" and s is not loser]
+    winners = [s for s in spans
+               if s.kind == "server" and s.span_id != loser.span_id]
     assert winners and all("cancelled" not in s.attrs for s in winners)
+    assert {s.parent_id for s in winners} >= {loser.parent_id}
 
 
 # ---------------------------------------------------------------------------

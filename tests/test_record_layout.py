@@ -1,0 +1,65 @@
+"""What the telemetry and audit stores keep costs the collector nothing.
+
+A finished span and an emitted audit event are each stored as one flat
+tuple of atoms; CPython's cyclic collector stops tracking such a tuple at
+the first pass that sees it, so a round's trail adds nothing to a full
+collection.  After a relogin and a Jupyter session on a default and an
+all-tiers build, and one ``gc.collect()``, every stored record must be an
+exact, untracked tuple — except the audit records whose attrs hold a list
+or dict (what ``AuditLog._plain`` leaves a container), which are counted
+exactly below.
+"""
+
+from __future__ import annotations
+
+import gc
+
+import pytest
+
+from repro.core import build_isambard
+from tests.test_deployment_fingerprint import OPT_IN
+
+BUILDS = {
+    "default": {},
+    "all-tiers": {flag: True for flag in OPT_IN},
+}
+
+# audit records holding a container attr, so still tracked: only an
+# OIDC provider's ``session.create`` (its ``amr`` list), one per login
+# session an IdP, MyAccessID or the broker opened on the way — nine on
+# either build
+CONTAINER_RECORDS = {"default": 9, "all-tiers": 9}
+
+
+def _run(flags):
+    dri = build_isambard(seed=42, **flags)
+    wf = dri.workflows
+    s1 = wf.story1_pi_onboarding("alice")
+    assert s1.ok, s1.steps
+    assert wf.story3_researcher_setup(s1.data["project_id"], "alice", "bob").ok
+    assert wf.story6_jupyter("bob").ok
+    assert wf.relogin(wf.personas["bob"]).ok
+    gc.collect()
+    return dri
+
+
+@pytest.mark.parametrize("build", list(BUILDS))
+def test_stored_records_are_untracked_flat_tuples(build):
+    dri = _run(BUILDS[build])
+    store = dri.telemetry.store
+    spans = [held for trace in store._by_trace.values() for held in trace]
+    assert len(spans) == len(store) > 100
+    assert all(type(rec) is tuple for rec in spans)
+    assert not any(map(gc.is_tracked, spans))
+    # the store keeps no per-trace id set (orphans() builds one per read)
+    assert not any(isinstance(value, dict)
+                   and any(isinstance(v, set) for v in value.values())
+                   for value in vars(store).values())
+
+    records = [rec for log in dri.logs.values() for rec in log._events]
+    assert len(records) > 100
+    assert all(type(rec) is tuple for rec in records)
+    tracked = [rec for rec in records if gc.is_tracked(rec)]
+    assert all(any(isinstance(v, (list, dict)) for v in rec) for rec in tracked)
+    assert len(tracked) == CONTAINER_RECORDS[build], sorted(
+        {rec[3] for rec in tracked})

@@ -26,7 +26,8 @@ from repro.audit import AuditLog, Outcome
 from repro.clock import SimClock
 from repro.core import build_isambard
 from repro.core.metrics import latency_stats
-from repro.errors import DeadlineExceeded, RateLimited, ServiceUnavailable
+from repro.errors import (ConnectionBlocked, DeadlineExceeded, RateLimited,
+                          ServiceUnavailable)
 from repro.net import (
     HttpRequest,
     HttpResponse,
@@ -286,11 +287,12 @@ def test_rsecon_login_yields_connected_span_tree(traced_workshop):
     # (the zenith inner-request attribution fix)
     assert any(s.kind == "tunnel" for s in spans)
     assert any(s.kind == "server" and s.service == "jupyter" for s in spans)
-    # exactly one root, and the critical path starts at it
+    # exactly one root, and the critical path starts at it (each read
+    # builds its own views of the stored records)
     roots = [s for s in spans if s.parent_id is None]
     assert len(roots) == 1
     path = critical_path(dri.telemetry.store, trace_id)
-    assert path and path[0] is roots[0]
+    assert path and path[0] == roots[0] and path[0] is not roots[0]
     steps = critical_path_breakdown(dri.telemetry.store, trace_id)
     assert steps[0].duration > 0
     assert sum(s.share for s in steps) <= 1.0 + 1e-9
@@ -428,7 +430,8 @@ def test_the_caller_gets_its_own_context_back_after_retry_hedge_and_timeout():
                 if s.parent_id == hedged.span_id]
     assert [s.attrs.get("hedge") for s in attempts] == ["loser", None]
 
-    # a bare timeout: the exception carries the abandoned attempt's span
+    # a bare timeout: the exception carries the abandoned attempt's span,
+    # ended (the store holds its record), and the tracer to annotate it
     clock, faults, network, client = _traced_pair()
     tele = network.telemetry
     ctx = tele.tracer.start_trace("timeout", service="client").context()
@@ -439,7 +442,8 @@ def test_the_caller_gets_its_own_context_back_after_retry_hedge_and_timeout():
         client.call("srv", request)
     assert request.trace is ctx
     call_span, attempt = tele.store.trace(ctx.trace_id)[1:]
-    assert abandoned.value.span is attempt
+    assert abandoned.value.span == attempt
+    assert abandoned.value.tracer is tele.tracer
     assert (attempt.kind, attempt.status) == ("server", SpanStatus.EXPIRED)
     assert attempt.parent_id == call_span.span_id
 
@@ -640,11 +644,13 @@ def test_trace_anomaly_scanner_flags_firewall_bypass():
 
     # a span that *is* the firewall refusing the flow is exempt: that is
     # the policy working, not being bypassed
-    refusal = dri.telemetry.tracer.record(
-        "GET soc/alerts", start=now, end=now, service=dst,
-        kind="server", src=src, port=443, status=SpanStatus.ERROR,
+    tracer = dri.telemetry.tracer
+    refusal = tracer.start_trace(
+        "GET soc/alerts", service=dst, kind="server", src=src, port=443,
         src_zone="external/internet", dst_zone="sec/security")
-    refusal.error = "ConnectionBlocked"
+    tracer.end(refusal, error=ConnectionBlocked("denied by segmentation"))
+    assert (refusal.status, refusal.error) == (SpanStatus.ERROR,
+                                               "ConnectionBlocked")
     assert scanner.scan() == []
 
     # raise_into hands anomalies to the SOC
