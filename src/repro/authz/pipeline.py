@@ -75,7 +75,7 @@ class RevocationPipeline(Durable):
 
     When the deployment runs with ``durability=True`` the pipeline is
     attached to a journal and its outbox survives crashes; without one,
-    ``_jpublish`` is a no-op and the outbox is in-memory only.
+    ``commit`` only applies and the outbox is in-memory only.
 
     Parameters
     ----------
@@ -147,22 +147,13 @@ class RevocationPipeline(Durable):
                 self.storms_coalesced += 1
                 self._drive(intent)
                 return intent
-        self._next_intent += 1
-        intent = RevocationIntent(
-            intent_id=f"rev-{self._next_intent}",
-            spiffe_id=spiffe_id, uid=uid, project=project,
-            credential=credential, reason=reason, by=by,
-            requested_at=self.clock.now(),
-        )
         # write-ahead: the intent hits the outbox BEFORE any enforcement,
         # so a crash mid-teardown resumes instead of orphaning sessions
-        self._jpublish(
-            "authz.intent",
-            intent_id=intent.intent_id, spiffe_id=spiffe_id, uid=uid,
-            project=project, credential=credential, reason=reason, by=by,
-            requested_at=intent.requested_at,
-        )
-        self._intents[intent.intent_id] = intent
+        intent = self.commit("authz.intent", {
+            "intent_id": f"rev-{self._next_intent + 1}", "spiffe_id": spiffe_id,
+            "uid": uid, "project": project, "credential": credential,
+            "reason": reason, "by": by, "requested_at": self.clock.now(),
+        })
         self.revocations += 1
         if self.telemetry is not None:
             self.telemetry.authz_revocations.inc(reason=reason)
@@ -183,11 +174,9 @@ class RevocationPipeline(Durable):
                 count = int(action(intent))
             except ReproError:
                 continue  # enforcement failed; stays pending for retry
-            self._jpublish(
-                "authz.enforced",
-                intent_id=intent.intent_id, surface=surface, count=count,
-            )
-            intent.done[surface] = count
+            self.commit("authz.enforced", {
+                "intent_id": intent.intent_id, "surface": surface,
+                "count": count})
             self.enforcements += 1
             self.registry.close_surface(
                 intent.spiffe_id, surface,
@@ -196,9 +185,8 @@ class RevocationPipeline(Durable):
             )
         if intent.complete and intent.completed_at is None:
             now = self.clock.now()
-            self._jpublish("authz.complete",
-                           intent_id=intent.intent_id, completed_at=now)
-            intent.completed_at = now
+            self.commit("authz.complete",
+                        {"intent_id": intent.intent_id, "completed_at": now})
             ttr = intent.ttr() or 0.0
             if self.telemetry is not None:
                 self.telemetry.authz_ttr.observe(ttr, time=now)
@@ -290,28 +278,22 @@ class RevocationPipeline(Durable):
             )
             self._intents[intent.intent_id] = intent
 
-    def apply_entry(self, kind: str, data: Dict[str, object]) -> None:
+    def apply_entry(self, kind: str, data: Dict[str, object]) -> object:
+        """Returns the new intent for ``authz.intent``."""
         if kind == "authz.intent":
-            intent = RevocationIntent(
-                intent_id=str(data["intent_id"]),
-                spiffe_id=str(data["spiffe_id"]), uid=str(data["uid"]),
-                project=str(data.get("project", "")),
-                credential=str(data.get("credential", "")),
-                reason=str(data.get("reason", "")),
-                by=str(data.get("by", "pipeline")),
-                requested_at=float(data.get("requested_at", 0.0)),  # type: ignore[arg-type]
-            )
+            intent = RevocationIntent(**data)
             self._intents[intent.intent_id] = intent
             seq = int(intent.intent_id.split("-")[1])
             self._next_intent = max(self._next_intent, seq)
-        elif kind == "authz.enforced":
-            intent = self._intents.get(str(data["intent_id"]))
-            if intent is not None:
-                intent.done[str(data["surface"])] = int(data["count"])  # type: ignore[arg-type]
+            return intent
+        intent = self._intents.get(data["intent_id"])
+        if intent is None:
+            return None
+        if kind == "authz.enforced":
+            intent.done[data["surface"]] = data["count"]
         elif kind == "authz.complete":
-            intent = self._intents.get(str(data["intent_id"]))
-            if intent is not None:
-                intent.completed_at = float(data["completed_at"])  # type: ignore[arg-type]
+            intent.completed_at = data["completed_at"]
+        return None
 
     def wipe_state(self) -> None:
         self._intents = {}

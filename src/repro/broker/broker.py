@@ -88,8 +88,10 @@ class IdentityBroker(OidcProvider):
         # (time-based, new resource requested...)" — administrative
         # tokens require an authentication no older than this.
         self.admin_max_auth_age = admin_max_auth_age
+        # the token service commits through the broker's journal; a
+        # fenced ex-primary therefore aborts mints before registering them
         self.tokens = TokenService(
-            clock, ids, self.key, self.issuer,
+            clock, ids, self.key, self.issuer, commit=self.commit,
             audit=self.audit, default_ttl=rbac_default_ttl, max_ttl=rbac_max_ttl,
         )
         self._upstreams: Dict[str, UpstreamIdP] = {}
@@ -128,27 +130,14 @@ class IdentityBroker(OidcProvider):
         """
         if role not in (Role.ADMIN_INFRA, Role.ADMIN_SECURITY, Role.ALLOCATOR):
             raise AuthorizationError(f"{role} is not an administrative role")
-        self._jpublish("broker.admin_grant", sub=upstream_sub, role=role.value)
-        self._admin_roles.setdefault(upstream_sub, set()).add(role)
+        self.commit("broker.admin_grant", {"sub": upstream_sub, "role": role.value})
 
     def revoke_admin_role(self, upstream_sub: str, role: Optional[Role] = None) -> None:
-        roles = self._admin_roles.get(upstream_sub)
-        if roles is None:
+        if upstream_sub not in self._admin_roles:
             return
-        self._jpublish("broker.admin_revoke", sub=upstream_sub,
-                       role=None if role is None else role.value)
-        if role is None:
-            roles.clear()
-        else:
-            roles.discard(role)
+        self.commit("broker.admin_revoke", {
+            "sub": upstream_sub, "role": None if role is None else role.value})
         self.revoke_user_access(upstream_sub, None)
-
-    def rotate_key(self) -> str:
-        """Key rotation also moves the RBAC token service onto the new
-        key — one signing identity for the whole broker."""
-        kid = super().rotate_key()
-        self.tokens.key = self.key
-        return kid
 
     # ------------------------------------------------------------------
     # Fig. 2: the login page and upstream brokering
@@ -459,14 +448,13 @@ class IdentityBroker(OidcProvider):
         revoked_sessions = 0
         revoked_access = 0
         if project is None:
-            self._jpublish("oidc.session_revoke_subject", subject=uid)
-            revoked_sessions = self.sessions.revoke_subject(uid)
+            revoked_sessions = self.commit("oidc.session_revoke_subject",
+                                           {"subject": uid})
             hit = [jti for jti, record in self._issued.items()
                    if record.get("subject") == uid
                    and jti not in self._revoked_jtis]
             if hit:
-                self._jpublish("broker.revoke_access", subject=uid, jtis=hit)
-            self._revoked_jtis.update(hit)
+                self.commit("broker.revoke_access", {"subject": uid, "jtis": hit})
             if self.invalidation_bus is not None:
                 for jti in hit:
                     self.invalidation_bus.publish("token.revoked", key=jti,
@@ -504,19 +492,6 @@ class IdentityBroker(OidcProvider):
     # ------------------------------------------------------------------
     # durability: broker state = base provider + RBAC registry + ACLs
     # ------------------------------------------------------------------
-    def _wire_token_wal(self) -> None:
-        # the token service commits through the broker's journal; a
-        # fenced ex-primary therefore aborts mints before registering them
-        self.tokens.publish = self._jpublish
-
-    def attach_journal(self, journal) -> None:
-        self._wire_token_wal()
-        super().attach_journal(journal)
-
-    def adopt_journal(self, journal) -> None:
-        self._wire_token_wal()
-        super().adopt_journal(journal)
-
     def durable_state(self) -> Dict[str, object]:
         state = super().durable_state()
         state["admin_roles"] = {
@@ -543,14 +518,14 @@ class IdentityBroker(OidcProvider):
         }
         self.tokens.load_state(state["tokens"])
 
-    def apply_entry(self, kind: str, data: Dict[str, object]) -> None:
+    def apply_entry(self, kind: str, data: Dict[str, object]) -> object:
         if self.tokens.apply_entry(kind, data):
-            return
+            return None
         if kind == "broker.admin_grant":
             self._admin_roles.setdefault(
-                str(data["sub"]), set()).add(Role(data["role"]))
+                data["sub"], set()).add(Role(data["role"]))
         elif kind == "broker.admin_revoke":
-            roles = self._admin_roles.get(str(data["sub"]))
+            roles = self._admin_roles.get(data["sub"])
             if roles is not None:
                 if data["role"] is None:
                     roles.clear()
@@ -559,6 +534,9 @@ class IdentityBroker(OidcProvider):
         elif kind == "broker.revoke_access":
             self._revoked_jtis.update(data["jtis"])
         else:
-            super().apply_entry(kind, data)
+            result = super().apply_entry(kind, data)
             if kind == "oidc.key_rotated":
+                # one signing identity for the whole broker
                 self.tokens.key = self.key
+            return result
+        return None

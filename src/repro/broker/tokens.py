@@ -15,7 +15,7 @@ callable in-process.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Callable, Dict, Optional, Set, Tuple
 
 from repro.audit import AuditLog, Outcome
 from repro.clock import SimClock
@@ -63,6 +63,7 @@ class TokenService:
         key: SigningKey | HmacKey,
         issuer: str,
         *,
+        commit: Optional[Callable[[str, Dict[str, object]], object]] = None,
         audit: Optional[AuditLog] = None,
         default_ttl: float = 900.0,
         max_ttl: float = 3600.0,
@@ -80,11 +81,10 @@ class TokenService:
         # its record does and nothing durable ever mentions it
         self._minted: Dict[bytes, str] = {}
         self._revoked: Set[str] = set()
-        # WAL hook: the owning broker points this at its journal publish
-        # (kind, data) so every mint/revoke is committed durably *before*
-        # local state changes — a fenced ex-primary aborts here, having
-        # registered nothing
-        self.publish: Optional[Callable[[str, Dict[str, object]], None]] = None
+        # every mint/revoke/purge goes through commit(kind, data): the
+        # owning broker's Durable.commit (journal, then apply_entry), or,
+        # for a service of its own, apply_entry alone
+        self.commit = commit or self.apply_entry
         # invalidation hook: when the deployment runs the scale-out
         # subsystem this is its repro.scale.cache.InvalidationBus; every
         # revocation is published (synchronously, before the revocation
@@ -155,18 +155,16 @@ class TokenService:
                 subject, workload=role_value == Role.SERVICE.value)
             claims.setdefault("spiffe_id", spiffe)
         token = encode_jwt(claims, self.key)
-        record = IssuedToken(
-            jti=jti,
-            subject=subject,
-            audience=audience,
-            role=role_value,
-            project=project,
-            issued_at=now,
-            expires_at=now + effective_ttl,
-        )
-        if self.publish is not None:
-            self.publish("rbac.mint", vars(record))
-        self._issued[jti] = record
+        self.commit("rbac.mint", {
+            "jti": jti,
+            "subject": subject,
+            "audience": audience,
+            "role": role_value,
+            "project": project,
+            "issued_at": now,
+            "expires_at": now + effective_ttl,
+        })
+        record = self._issued[jti]
         self._minted[compact_digest(token)] = jti
         if self.session_registry is not None and audit_issue:
             # infrastructure mints (audit_issue=False) are not tracked as
@@ -191,9 +189,7 @@ class TokenService:
     def revoke_jti(self, jti: str, *, trace_id: str = "") -> bool:
         if jti not in self._issued:
             return False
-        if self.publish is not None:
-            self.publish("rbac.revoke", {"jti": jti})
-        self._revoked.add(jti)
+        self.commit("rbac.revoke", {"jti": jti})
         if self.bus is not None:
             self.bus.publish("token.revoked", key=jti)
         if self.session_registry is not None:
@@ -218,10 +214,8 @@ class TokenService:
                if rec.subject == subject and jti not in self._revoked
                and (project is None or rec.project == project)
                and rec.expires_at > now]
-        if hit and self.publish is not None:
-            self.publish("rbac.revoke_subject",
-                         {"subject": subject, "jtis": hit})
-        self._revoked.update(hit)
+        if hit:
+            self.commit("rbac.revoke_subject", {"subject": subject, "jtis": hit})
         if self.bus is not None:
             for jti in hit:
                 self.bus.publish("token.revoked", key=jti, subject=subject)
@@ -277,17 +271,9 @@ class TokenService:
         cutoff = self.clock.now() - grace
         stale = [jti for jti, rec in self._issued.items()
                  if rec.expires_at < cutoff]
-        if stale and self.publish is not None:
-            self.publish("rbac.purge", {"jtis": stale})
-        self._drop(stale)
+        if stale:
+            self.commit("rbac.purge", {"jtis": stale})
         return len(stale)
-
-    def _drop(self, jtis: Iterable[str]) -> None:
-        for jti in jtis:
-            self._issued.pop(jti, None)
-            self._revoked.discard(jti)
-        self._minted = {digest: jti for digest, jti in self._minted.items()
-                        if jti in self._issued}
 
     # ------------------------------------------------------------------
     # durability (driven by the owning broker's journal)
@@ -311,29 +297,24 @@ class TokenService:
         self._revoked = set()
 
     def apply_entry(self, kind: str, data: Dict[str, object]) -> bool:
-        """Replay one journaled mutation; returns False for foreign kinds."""
+        """Apply one mutation, live or replayed; returns False for
+        foreign kinds."""
         if kind == "rbac.mint":
             record = IssuedToken(**data)
             self._issued[record.jti] = record
         elif kind == "rbac.revoke":
-            self._revoked.add(str(data["jti"]))
+            self._revoked.add(data["jti"])
         elif kind == "rbac.revoke_subject":
             self._revoked.update(data["jtis"])
         elif kind == "rbac.purge":
-            self._drop(data["jtis"])
+            for jti in data["jtis"]:
+                self._issued.pop(jti, None)
+                self._revoked.discard(jti)
+            self._minted = {digest: jti for digest, jti in self._minted.items()
+                            if jti in self._issued}
         else:
             return False
         return True
-
-    def live_tokens(self, subject: Optional[str] = None) -> List[IssuedToken]:
-        now = self.clock.now()
-        return [
-            rec
-            for jti, rec in self._issued.items()
-            if jti not in self._revoked
-            and rec.expires_at > now
-            and (subject is None or rec.subject == subject)
-        ]
 
 
 class RbacTokenValidator:

@@ -86,7 +86,7 @@ class MetadataShard(DirectoryShard):
     def extract(self, ring_keys: List[str]) -> Dict[str, object]:
         rows = [self.rows[rk[3:]] for rk in ring_keys if rk[3:] in self.rows]
         self.commit("migrate.out",
-                    entity_ids=[row["entity_id"] for row in rows])
+                    {"entity_ids": [row["entity_id"] for row in rows]})
         return {"rows": rows}
 
     def key_count(self) -> int:
@@ -142,7 +142,7 @@ class ShardedMetadataStore(ShardedTier):
                 row = dict(existing)
                 row["valid_until"] = valid_until
                 if _commit:
-                    shard.commit("md.put", row=row)
+                    shard.commit("md.put", {"row": row})
                 return row
         else:
             insort(self._index, entity_id)
@@ -162,7 +162,7 @@ class ShardedMetadataStore(ShardedTier):
         self._verifiers[(entity_id, int(version))] = verifier
         self.upserts += 1
         if _commit:
-            shard.commit("md.put", row=row)
+            shard.commit("md.put", {"row": row})
         return row
 
     def upsert_batch(self, records: List[Dict[str, object]]) -> int:
@@ -180,7 +180,7 @@ class ShardedMetadataStore(ShardedTier):
                 staged.setdefault(shard.name, []).append(row)
         written = 0
         for name in sorted(staged):
-            self.shards[name].commit("md.put_batch", rows=staged[name])
+            self.shards[name].commit("md.put_batch", {"rows": staged[name]})
             written += len(staged[name])
         return written
 
@@ -235,7 +235,7 @@ class ShardedMetadataStore(ShardedTier):
         row = shard.rows.get(entity_id)
         if row is None:
             return False
-        shard.commit("md.del", entity_id=entity_id)
+        shard.commit("md.del", {"entity_id": entity_id})
         self._index.remove(entity_id)
         return True
 

@@ -84,7 +84,7 @@ class DirectoryConfig:
 
 
 class DirectoryShard(Durable):
-    """Common journaled-shard machinery: commit, migration payloads.
+    """Common journaled-shard machinery: migration payloads.
 
     Subclasses define the tables and implement the :class:`Durable`
     contract plus :meth:`ring_keys` / :meth:`extract` / :meth:`key_count`
@@ -97,11 +97,6 @@ class DirectoryShard(Durable):
         self.name = name
         self.up = True
 
-    def commit(self, kind: str, **data: object) -> None:
-        """WAL-then-apply: journal the mutation, then mutate."""
-        self._jpublish(kind, **data)
-        self.apply_entry(kind, data)
-
     # -------------------------------------------------- migration contract
     def ring_keys(self) -> Iterator[str]:
         raise NotImplementedError
@@ -112,7 +107,7 @@ class DirectoryShard(Durable):
 
     def install(self, payload: Dict[str, object]) -> None:
         """Journal + insert a payload extracted from another shard."""
-        self.commit("migrate.in", **payload)
+        self.commit("migrate.in", payload)
 
     def key_count(self) -> int:
         """Ring keys held here; a drained shard must hold none."""
@@ -267,10 +262,10 @@ class AccountShard(DirectoryShard):
                     accounts.append(unpack_account(self.accounts[uid]))
                 if uid in self.retired:
                     retired.append(uid)
-        self.commit("migrate.out",
-                    idmap=[k for k, _ in idmap],
-                    accounts=[row["uid"] for row in accounts],
-                    retired=retired)
+        self.commit("migrate.out", {
+            "idmap": [k for k, _ in idmap],
+            "accounts": [row["uid"] for row in accounts],
+            "retired": retired})
         return {"idmap": idmap, "accounts": accounts, "retired": retired}
 
     def key_count(self) -> int:
@@ -575,9 +570,9 @@ class ShardedAccountRegistry(ShardedTier):
             # IdFactory counters make minted uids globally fresh; a hit
             # here means the tombstone protocol was violated
             raise RecoveryError(f"minted uid {uid!r} already used")
-        ishard.commit("idmap.put", key=ikey, uid=uid)
-        ushard.commit("account.put", uid=uid, row=_new_row(
-            uid, identity, display_name, email, loa, now))
+        ishard.commit("idmap.put", {"key": ikey, "uid": uid})
+        ushard.commit("account.put", {"uid": uid, "row": _new_row(
+            uid, identity, display_name, email, loa, now)})
         if self.graph is not None:
             self.graph.principal(uid)
         return self._materialize(ushard.accounts[uid])
@@ -619,10 +614,11 @@ class ShardedAccountRegistry(ShardedTier):
             seen[ikey] = uid
             uids.append(uid)
         for name in sorted(id_batches):
-            self.shards[name].commit("idmap.put_batch", pairs=id_batches[name])
+            self.shards[name].commit("idmap.put_batch",
+                                     {"pairs": id_batches[name]})
         for name in sorted(row_batches):
             self.shards[name].commit("account.put_batch",
-                                     rows=row_batches[name])
+                                     {"rows": row_batches[name]})
         fresh = sum(len(rows) for rows in row_batches.values())
         self.batched_registrations += fresh
         return uids
@@ -645,8 +641,8 @@ class ShardedAccountRegistry(ShardedTier):
         if existing is None:
             row = unpack_account(ushard.accounts[uid])
             row["linked"].append([identity.entity_id, identity.sub])
-            ishard.commit("idmap.put", key=ikey, uid=uid)
-            ushard.commit("account.put", uid=uid, row=row)
+            ishard.commit("idmap.put", {"key": ikey, "uid": uid})
+            ushard.commit("account.put", {"uid": uid, "row": row})
         return self._materialize(ushard.accounts[uid])
 
     def find(self, identity: LinkedIdentity) -> Optional[Account]:
@@ -672,12 +668,12 @@ class ShardedAccountRegistry(ShardedTier):
             raise IdentityNotRegistered(f"no account {uid!r}")
         targets = [self._identity_shard(LinkedIdentity(*link))
                    for link in _links(record)]
-        ushard.commit("account.del", uid=uid)
-        ushard.commit("retire", uid=uid)
+        ushard.commit("account.del", {"uid": uid})
+        ushard.commit("retire", {"uid": uid})
         removed = 0
         for ishard, ikey in targets:
             if ishard.idmap.get(ikey) == uid:
-                ishard.commit("idmap.del", key=ikey)
+                ishard.commit("idmap.del", {"key": ikey})
                 removed += 1
         if self.audit is not None:
             self.audit.record(

@@ -64,17 +64,13 @@ class LastResortIdP(OidcProvider):
     def invite(self, email: str) -> str:
         """Create an invitation; returns the code emailed to the user."""
         code = self.ids.secret(20)
-        self._jpublish("lastresort.invite", code=code, email=email)
-        self._invitations[code] = email
+        self.commit("lastresort.invite", {"code": code, "email": email})
         self._audit("isambard-team", "lastresort.invite", email, Outcome.INFO)
         return code
 
     def deactivate(self, username: str) -> None:
-        user = self._users.get(username)
-        if user is not None:
-            self._jpublish("lastresort.deactivate", username=username)
-            user.active = False
-            self.sessions.revoke_subject(f"{self.name}:{username}")
+        if username in self._users:
+            self.commit("lastresort.deactivate", {"username": username})
 
     # ------------------------------------------------------------------
     # registration and login
@@ -86,7 +82,7 @@ class LastResortIdP(OidcProvider):
         username = str(request.body.get("username", ""))
         password = str(request.body.get("password", ""))
         display_name = str(request.body.get("display_name", username))
-        email = self._invitations.pop(code, None)
+        email = self._invitations.get(code)
         if email is None:
             self._audit(username, "lastresort.register", code, Outcome.DENIED)
             raise RegistrationError("invalid or already-used invitation code")
@@ -94,19 +90,15 @@ class LastResortIdP(OidcProvider):
             raise RegistrationError(f"username {username!r} taken")
         if len(password) < 12:
             raise RegistrationError("password must be at least 12 characters")
-        secret = self.ids.secret(20).encode()
-        user = LastResortUser(
-            username=username,
-            password=password,
-            email=email,
-            display_name=display_name,
-            totp=TotpDevice(secret=secret),
-        )
-        self._jpublish("lastresort.register",
-                       code=code, **self._user_dict(user))
-        self._users[username] = user
+        # only a registration that succeeds consumes the invitation
+        totp_secret = self.ids.secret(20).encode().hex()
+        self.commit("lastresort.register", {
+            "code": code, "username": username, "password": password,
+            "email": email, "display_name": display_name,
+            "totp_secret": totp_secret, "active": True,
+        })
         self._audit(username, "lastresort.register", email, Outcome.SUCCESS)
-        return HttpResponse.json({"registered": username, "totp_secret": secret.hex()})
+        return HttpResponse.json({"registered": username, "totp_secret": totp_secret})
 
     @route("POST", "/login")
     def login(self, request: HttpRequest) -> HttpResponse:
@@ -180,19 +172,18 @@ class LastResortIdP(OidcProvider):
         self._users = {u: self._user_from(d)
                        for u, d in state["users"].items()}
 
-    def apply_entry(self, kind: str, data: Dict[str, object]) -> None:
+    def apply_entry(self, kind: str, data: Dict[str, object]) -> object:
         if kind == "lastresort.invite":
-            self._invitations[str(data["code"])] = str(data["email"])
+            self._invitations[data["code"]] = data["email"]
         elif kind == "lastresort.register":
-            payload = dict(data)
-            code = str(payload.pop("code"))
-            self._invitations.pop(code, None)
-            user = self._user_from(payload)
+            self._invitations.pop(data["code"], None)
+            user = self._user_from(data)
             self._users[user.username] = user
         elif kind == "lastresort.deactivate":
-            user = self._users.get(str(data["username"]))
+            user = self._users.get(data["username"])
             if user is not None:
                 user.active = False
             self.sessions.revoke_subject(f"{self.name}:{data['username']}")
         else:
-            super().apply_entry(kind, data)
+            return super().apply_entry(kind, data)
+        return None

@@ -146,15 +146,13 @@ class OidcProvider(Service, Durable):
         if client_id in self._clients:
             raise ConfigurationError(f"client {client_id!r} already registered")
         secret = self.ids.secret(32) if confidential else None
-        cfg = ClientConfig(
-            client_id=client_id,
-            redirect_uris=tuple(redirect_uris),
-            client_secret=secret,
-            require_pkce=(not confidential) if require_pkce is None else require_pkce,
-        )
-        self._jpublish("oidc.client", vars(cfg))
-        self._clients[client_id] = cfg
-        return cfg
+        return self.commit("oidc.client", {
+            "client_id": client_id,
+            "redirect_uris": tuple(redirect_uris),
+            "client_secret": secret,
+            "require_pkce": (not confidential) if require_pkce is None else require_pkce,
+            "allowed_scopes": ClientConfig.allowed_scopes,
+        })
 
     # ------------------------------------------------------------------
     # key rotation
@@ -169,15 +167,15 @@ class OidcProvider(Service, Durable):
         new_key = generate_signing_key(
             "EdDSA", kid=f"{self.name}-k{self._key_generation + 1}"
         )
-        if self.journal is not None:
-            # the key object itself goes to the KMS-modelled vault; only
-            # the generation/kid facts enter the journal
+        if self.journal is None:
+            self.key = new_key
+        else:
+            # the key object itself goes to the KMS-modelled vault, where
+            # apply_entry adopts it from; only the generation/kid facts
+            # enter the journal
             self.journal.seal(f"signing-key:{new_key.kid}", new_key)
-        self._jpublish("oidc.key_rotated",
-                       generation=self._key_generation + 1, kid=new_key.kid)
-        self._key_generation += 1
-        self.jwks.add(new_key.public())
-        self.key = new_key
+        self.commit("oidc.key_rotated", {
+            "generation": self._key_generation + 1, "kid": new_key.kid})
         if self.invalidation_bus is not None:
             self.invalidation_bus.publish("jwks.rotated", key=self.name,
                                           kid=new_key.kid)
@@ -189,8 +187,7 @@ class OidcProvider(Service, Durable):
         anything still signed under it stops verifying."""
         if kid == self.key.kid:
             raise ConfigurationError("cannot retire the active signing key")
-        self._jpublish("oidc.key_retired", kid=kid)
-        self.jwks.retire(kid)
+        self.commit("oidc.key_retired", {"kid": kid})
         self._audit("operator", "key.retired", kid, Outcome.INFO)
 
     # ------------------------------------------------------------------
@@ -204,9 +201,8 @@ class OidcProvider(Service, Durable):
         amr: List[str],
         ttl: Optional[float] = None,
     ) -> Session:
-        session = self.sessions.create(subject, claims, amr=amr, ttl=ttl)
-        if self.journal is not None:
-            self._jpublish("oidc.session", **self._session_dict(session))
+        session = self.commit("oidc.session", self.sessions.create(
+            subject, claims, amr=amr, ttl=ttl))
         self._audit(subject, "session.create", session.sid, Outcome.SUCCESS, amr=amr)
         return session
 
@@ -282,28 +278,27 @@ class OidcProvider(Service, Durable):
 
         session_claims = dict(session.claims)
         session_claims.setdefault("amr", list(session.amr))
-        code = AuthorizationCode(
-            code=self.ids.secret(24),
-            client_id=client.client_id,
-            redirect_uri=redirect_uri,
-            subject=session.subject,
-            claims=session_claims,
-            scope=scope,
-            nonce=q.get("nonce"),
-            code_challenge=q.get("code_challenge"),
-            auth_time=session.auth_time,
-            expires_at=self.clock.now() + self.code_ttl,
-        )
-        if self.journal is not None:
-            self._jpublish("oidc.code", vars(code))
-        self._codes[code.code] = code
+        code = self.ids.secret(24)
+        self.commit("oidc.code", {
+            "code": code,
+            "client_id": client.client_id,
+            "redirect_uri": redirect_uri,
+            "subject": session.subject,
+            "claims": session_claims,
+            "scope": scope,
+            "nonce": q.get("nonce"),
+            "code_challenge": q.get("code_challenge"),
+            "auth_time": session.auth_time,
+            "expires_at": self.clock.now() + self.code_ttl,
+            "used": False,
+        })
         self._audit(
             session.subject, "authorize.code_issued", client.client_id, Outcome.SUCCESS,
             scope=scope,
         )
         location = redirect_uri + (
             ("&" if "?" in redirect_uri else "?")
-            + f"code={code.code}"
+            + f"code={code}"
             + (f"&state={q['state']}" if q.get("state") else "")
         )
         return HttpResponse.redirect(location)
@@ -446,9 +441,7 @@ class OidcProvider(Service, Durable):
             return HttpResponse.error(400, "invalid code")
         if code.used:
             # Replay: revoke everything minted from this code (RFC 6749 §4.1.2).
-            self._jpublish("oidc.code_replayed", code=code.code)
-            for jti in self._code_tokens.get(code.code, []):
-                self._revoked_jtis.add(jti)
+            self.commit("oidc.code_replayed", {"code": code.code})
             self._audit(code.subject, "token.code_replayed", client.client_id, Outcome.DENIED)
             return HttpResponse.error(400, "code already used; issued tokens revoked")
         if self.clock.now() > code.expires_at:
@@ -492,12 +485,9 @@ class OidcProvider(Service, Durable):
         }
         # WAL: the grant is committed before any local state changes, so
         # a fenced ex-primary aborts here with nothing half-issued
-        self._jpublish("oidc.tokens_issued",
-                       code=code.code, jti=jti, record=record)
-        code.used = True
-        self._issued[jti] = record
+        self.commit("oidc.tokens_issued",
+                    {"code": code.code, "jti": jti, "record": record})
         self._minted[compact_digest(access_token)] = jti
-        self._code_tokens.setdefault(code.code, []).append(jti)
 
         id_claims: Dict[str, object] = {
             "iss": self.issuer,
@@ -538,8 +528,7 @@ class OidcProvider(Service, Durable):
         if session is None:
             return HttpResponse.json({"logged_out": False,
                                       "reason": "no active session"})
-        self._jpublish("oidc.session_revoked", sid=session.sid)
-        self.sessions.revoke(session.sid)
+        self.commit("oidc.session_revoked", {"sid": session.sid})
         self._audit(session.subject, "session.logout", session.sid, Outcome.INFO)
         resp = HttpResponse.json({"logged_out": True})
         resp.headers["Set-Cookie"] = "sid="
@@ -609,8 +598,7 @@ class OidcProvider(Service, Durable):
         return HttpResponse.json({"revoked": jti})
 
     def revoke_jti(self, jti: str) -> None:
-        self._jpublish("oidc.jti_revoked", jti=jti)
-        self._revoked_jtis.add(jti)
+        self.commit("oidc.jti_revoked", {"jti": jti})
         if self.invalidation_bus is not None:
             self.invalidation_bus.publish("token.revoked", key=jti)
         self._audit("system", "token.revoked", jti, Outcome.INFO, jti=jti)
@@ -618,15 +606,6 @@ class OidcProvider(Service, Durable):
     # ------------------------------------------------------------------
     # durability: the base provider's durable state and replay
     # ------------------------------------------------------------------
-    @staticmethod
-    def _session_dict(session: Session) -> Dict[str, object]:
-        return {
-            "sid": session.sid, "subject": session.subject,
-            "claims": dict(session.claims), "auth_time": session.auth_time,
-            "expires_at": session.expires_at, "revoked": session.revoked,
-            "amr": list(session.amr),
-        }
-
     def seal_keys(self, journal: ServiceJournal) -> None:
         journal.seal(f"signing-key:{self.key.kid}", self.key)
         journal.seal("jwks", self.jwks)
@@ -650,14 +629,13 @@ class OidcProvider(Service, Durable):
             self.key = sealed
 
     def durable_state(self) -> Dict[str, object]:
-        # a client's and a code's fields by reference, not copied: every
-        # caller encodes the state at once
+        # a client's, a session's and a code's fields by reference, not
+        # copied: every caller encodes the state at once
         return {
             "key_generation": self._key_generation,
             "active_kid": self.key.kid,
             "clients": {cid: vars(cfg) for cid, cfg in self._clients.items()},
-            "sessions": [self._session_dict(s)
-                         for s in self.sessions.export_sessions()],
+            "sessions": [vars(s) for s in self.sessions.export_sessions()],
             "codes": {c: vars(code) for c, code in self._codes.items()},
             "issued": dict(self._issued),
             "revoked_jtis": sorted(self._revoked_jtis),
@@ -682,16 +660,8 @@ class OidcProvider(Service, Durable):
     def load_state(self, state: Dict[str, object]) -> None:
         self._key_generation = int(state["key_generation"])
         self._adopt_active_key(str(state["active_kid"]))
-        self._clients = {
-            cid: ClientConfig(
-                client_id=d["client_id"],
-                redirect_uris=tuple(d["redirect_uris"]),
-                client_secret=d["client_secret"],
-                require_pkce=d["require_pkce"],
-                allowed_scopes=tuple(d["allowed_scopes"]),
-            )
-            for cid, d in state["clients"].items()
-        }
+        self._clients = {cid: self._client_from(d)
+                         for cid, d in state["clients"].items()}
         for d in state["sessions"]:
             self.sessions.restore(Session(**d))
         self._codes = {
@@ -702,43 +672,52 @@ class OidcProvider(Service, Durable):
         self._revoked_jtis = set(state["revoked_jtis"])
         self._code_tokens = {c: list(j) for c, j in state["code_tokens"].items()}
 
-    def apply_entry(self, kind: str, data: Dict[str, object]) -> None:
+    @staticmethod
+    def _client_from(data: Dict[str, object]) -> ClientConfig:
+        return ClientConfig(
+            client_id=data["client_id"],
+            redirect_uris=tuple(data["redirect_uris"]),
+            client_secret=data["client_secret"],
+            require_pkce=data["require_pkce"],
+            allowed_scopes=tuple(data["allowed_scopes"]),
+        )
+
+    def apply_entry(self, kind: str, data: Dict[str, object]) -> object:
+        """Returns the client for ``oidc.client``, the session for
+        ``oidc.session`` and the count for ``oidc.session_revoke_subject``."""
+        if kind == "oidc.session":
+            session = Session(**data)
+            self.sessions.restore(session)
+            return session
+        if kind == "oidc.session_revoke_subject":
+            return self.sessions.revoke_subject(data["subject"])
         if kind == "oidc.client":
-            self._clients[data["client_id"]] = ClientConfig(
-                client_id=data["client_id"],
-                redirect_uris=tuple(data["redirect_uris"]),
-                client_secret=data["client_secret"],
-                require_pkce=data["require_pkce"],
-                allowed_scopes=tuple(data["allowed_scopes"]),
-            )
-        elif kind == "oidc.session":
-            self.sessions.restore(Session(**data))
-        elif kind == "oidc.session_revoked":
-            self.sessions.revoke(str(data["sid"]))
-        elif kind == "oidc.session_revoke_subject":
-            self.sessions.revoke_subject(str(data["subject"]))
+            cfg = self._client_from(data)
+            self._clients[cfg.client_id] = cfg
+            return cfg
+        if kind == "oidc.session_revoked":
+            self.sessions.revoke(data["sid"])
         elif kind == "oidc.code":
             code = AuthorizationCode(**data)
             self._codes[code.code] = code
         elif kind == "oidc.tokens_issued":
-            code = self._codes.get(str(data["code"]))
+            code = self._codes.get(data["code"])
             if code is not None:
                 code.used = True
-            self._issued[str(data["jti"])] = dict(data["record"])
-            self._code_tokens.setdefault(str(data["code"]), []).append(
-                str(data["jti"]))
+            self._issued[data["jti"]] = data["record"]
+            self._code_tokens.setdefault(data["code"], []).append(data["jti"])
         elif kind == "oidc.code_replayed":
-            for jti in self._code_tokens.get(str(data["code"]), []):
-                self._revoked_jtis.add(jti)
+            self._revoked_jtis.update(self._code_tokens.get(data["code"], []))
         elif kind == "oidc.jti_revoked":
-            self._revoked_jtis.add(str(data["jti"]))
+            self._revoked_jtis.add(data["jti"])
         elif kind == "oidc.key_rotated":
-            self._key_generation = int(data["generation"])
-            self._adopt_active_key(str(data["kid"]))
+            self._key_generation = data["generation"]
+            self._adopt_active_key(data["kid"])
             if self.key.kid == data["kid"]:
                 self.jwks.add(self.key.public())
         elif kind == "oidc.key_retired":
-            self.jwks.retire(str(data["kid"]))
+            self.jwks.retire(data["kid"])
+        return None
 
     # ------------------------------------------------------------------
     def _audit(self, actor: str, action: str, resource: str, outcome: str, **attrs) -> None:

@@ -50,19 +50,20 @@ class SessionStore:
         *,
         amr: Optional[List[str]] = None,
         ttl: Optional[float] = None,
-    ) -> Session:
+    ) -> Dict[str, object]:
+        """Draw a fresh sid and build a new session's fields, as the
+        provider journals them; :meth:`restore` stores the session."""
         sid = self.ids.secret(24)
         now = self.clock.now()
-        session = Session(
-            sid=sid,
-            subject=subject,
-            claims=dict(claims or {}),
-            auth_time=now,
-            expires_at=now + (ttl if ttl is not None else self.ttl),
-            amr=list(amr or []),
-        )
-        self._sessions[sid] = session
-        return session
+        return {
+            "sid": sid,
+            "subject": subject,
+            "claims": dict(claims or {}),
+            "auth_time": now,
+            "expires_at": now + (ttl if ttl is not None else self.ttl),
+            "revoked": False,
+            "amr": list(amr or []),
+        }
 
     def get(self, sid: Optional[str]) -> Optional[Session]:
         """Return the session if it exists and is still active."""
@@ -94,7 +95,7 @@ class SessionStore:
         return [s for s in self._sessions.values() if s.active(now)]
 
     # ------------------------------------------------------------------
-    # durability support (journal replay at the owning provider)
+    # durability support (the owning provider's journal)
     # ------------------------------------------------------------------
     def export_sessions(self) -> List[Session]:
         """Every stored session, including revoked/expired ones — the
@@ -102,7 +103,7 @@ class SessionStore:
         return list(self._sessions.values())
 
     def restore(self, session: Session) -> None:
-        """Re-insert a session exactly as journaled (sid preserved)."""
+        """Store a session exactly as journaled (sid preserved)."""
         self._sessions[session.sid] = session
 
     def wipe(self) -> None:

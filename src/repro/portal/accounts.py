@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Optional, Set, Tuple
 
 from repro.errors import ConfigurationError
 
@@ -42,36 +42,34 @@ class UnixAccountRegistry:
         cleaned = _SAFE.sub("", preferred.lower())[:12]
         return cleaned or "user"
 
-    def allocate(self, uid: str, project_id: str, preferred: str) -> UnixAccount:
-        """Allocate (or return the existing) account for (uid, project)."""
-        key = (uid, project_id)
-        existing = self._by_key.get(key)
+    def allocate(self, uid: str, project_id: str, preferred: str) -> Dict[str, object]:
+        """The fields of (uid, project)'s account: its live one's, or a
+        never-used name and the next uid number.  Nothing is stored —
+        :meth:`restore_account` inserts the account."""
+        existing = self._by_key.get((uid, project_id))
         if existing is not None and existing not in self._tombstones:
-            return self._by_username[existing]
+            return dict(vars(self._by_username[existing]))
         base = f"{self._sanitise(preferred)}.{project_id}"
         username = base
         suffix = 1
         while username in self._by_username or username in self._tombstones:
             suffix += 1
             username = f"{base}{suffix}"
-        account = UnixAccount(
-            username=username,
-            uid=uid,
-            project_id=project_id,
-            uid_number=self._next_uid_number,
-        )
-        self._next_uid_number += 1
-        self._by_username[username] = account
-        self._by_key[key] = username
-        return account
+        return {"username": username, "uid": uid, "project_id": project_id,
+                "uid_number": self._next_uid_number}
 
-    def revoke(self, uid: str, project_id: str) -> Optional[str]:
-        """Tombstone the account for (uid, project); returns its username."""
-        username = self._by_key.pop((uid, project_id), None)
-        if username is None:
-            return None
+    def restore_account(self, account: UnixAccount) -> None:
+        """Insert an account exactly as journaled (uid_number kept)."""
+        self._by_username[account.username] = account
+        self._by_key[(account.uid, account.project_id)] = account.username
+        self._next_uid_number = max(self._next_uid_number,
+                                    account.uid_number + 1)
+
+    def revoke(self, uid: str, project_id: str, username: str) -> None:
+        """Tombstone ``username``, the account of (uid, project): it is
+        never reissued."""
+        self._by_key.pop((uid, project_id), None)
         self._tombstones.add(username)
-        return username
 
     def lookup(self, username: str) -> Optional[UnixAccount]:
         """Resolve an account name; tombstoned accounts resolve to None."""
@@ -79,32 +77,12 @@ class UnixAccountRegistry:
             return None
         return self._by_username.get(username)
 
-    def accounts_for(self, uid: str) -> List[UnixAccount]:
-        """All live accounts of a federated identity, across projects."""
-        return [
-            self._by_username[name]
-            for (u, _p), name in self._by_key.items()
-            if u == uid and name not in self._tombstones
-        ]
-
     def is_tombstoned(self, username: str) -> bool:
         return username in self._tombstones
 
     # ------------------------------------------------------------------
-    # durability support (journal replay at the owning portal)
+    # durability support (the owning portal's snapshots)
     # ------------------------------------------------------------------
-    def restore_account(self, account: UnixAccount) -> None:
-        """Re-insert an account exactly as journaled (uid_number kept)."""
-        self._by_username[account.username] = account
-        self._by_key[(account.uid, account.project_id)] = account.username
-        self._next_uid_number = max(self._next_uid_number,
-                                    account.uid_number + 1)
-
-    def restore_tombstone(self, uid: str, project_id: str,
-                          username: str) -> None:
-        self._by_key.pop((uid, project_id), None)
-        self._tombstones.add(username)
-
     def durable_state(self) -> Dict[str, object]:
         return {
             "accounts": [

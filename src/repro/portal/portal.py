@@ -131,17 +131,17 @@ class UserPortal(Service, Durable):
         if not name or not pi_email or gpu_hours <= 0:
             return HttpResponse.error(400, "name, pi_email and gpu_hours required")
         now = self.clock.now()
-        project = Project(
-            project_id=self.ids.next("proj"),
-            name=name,
-            allocation=Allocation(gpu_hours=gpu_hours, start=now, end=now + duration),
-            created_by=str(claims["sub"]),
-            created_at=now,
-        )
-        self._jpublish("portal.project", **self._project_dict(project))
-        self._add_project(project)
-        invitation = self._make_invitation(
-            project.project_id, Role.PI, pi_email, invited_by=str(claims["sub"])
+        project_id = self.ids.next("proj")
+        self.commit("portal.project", {
+            "project_id": project_id, "name": name,
+            "gpu_hours": gpu_hours, "start": now, "end": now + duration,
+            "gpu_hours_used": 0.0, "created_by": str(claims["sub"]),
+            "created_at": now, "status": ProjectStatus.ACTIVE.value,
+            "members": [],
+        })
+        project = self._projects[project_id]
+        invite_code = self._make_invitation(
+            project_id, Role.PI, pi_email, invited_by=str(claims["sub"])
         )
         # the project is time-limited by construction: expiry is scheduled now
         self.clock.call_at(
@@ -154,7 +154,7 @@ class UserPortal(Service, Durable):
         return HttpResponse.json(
             {
                 "project_id": project.project_id,
-                "invite_code": invitation.code,
+                "invite_code": invite_code,
                 "expires_at": project.allocation.end,
             }
         )
@@ -196,9 +196,10 @@ class UserPortal(Service, Durable):
         role = Role(str(request.body.get("role", Role.RESEARCHER.value)))
         if role != Role.RESEARCHER:
             raise AuthorizationError("PIs may only invite researchers")
-        invitation = self._make_invitation(project.project_id, role, email, invited_by=uid)
+        invite_code = self._make_invitation(project.project_id, role, email,
+                                            invited_by=uid)
         self._record(uid, "project.invite", project.project_id, Outcome.SUCCESS, email=email)
-        return HttpResponse.json({"invite_code": invitation.code})
+        return HttpResponse.json({"invite_code": invite_code})
 
     @route("POST", "/revoke_member")
     def revoke_member(self, request: HttpRequest) -> HttpResponse:
@@ -254,46 +255,35 @@ class UserPortal(Service, Durable):
         if project.status != ProjectStatus.ACTIVE:
             raise RegistrationError(f"project {project.project_id} is not active")
         account = self.unix_accounts.allocate(uid, project.project_id, preferred)
-        membership = Membership(
-            uid=uid,
-            project_id=project.project_id,
-            role=invitation.role,
-            unix_account=account.username,
-            granted_by=invitation.invited_by,
-            granted_at=now,
-        )
-        self._jpublish(
-            "portal.accept", code=code,
-            membership=self._membership_dict(membership),
-            account={"username": account.username, "uid": account.uid,
-                     "project_id": account.project_id,
-                     "uid_number": account.uid_number},
-            user={"uid": uid, "email": email,
-                  "name": str(claims.get("name", "")), "first_seen": now},
-        )
-        project.members[uid] = membership
-        self._index_member(membership)
-        invitation.accepted_by = uid
-        if uid not in self._users:
-            self._users[uid] = PortalUser(
-                uid=uid, email=email, name=str(claims.get("name", "")), first_seen=now
-            )
+        username = account["username"]
+        self.commit("portal.accept", {
+            "code": code,
+            "membership": {
+                "uid": uid, "project_id": project.project_id,
+                "role": invitation.role.value, "unix_account": username,
+                "granted_by": invitation.invited_by, "granted_at": now,
+                "revoked": False,
+            },
+            "account": account,
+            "user": {"uid": uid, "email": email,
+                     "name": str(claims.get("name", "")), "first_seen": now},
+        })
         extra_audit: Dict[str, object] = {}
         if self.session_registry is not None:
             # onboarding mints the canonical identity and binds the new
             # UNIX account as an alias, so revocation by federated uid
             # reaches sessions opened under the per-project account
             spiffe = self.session_registry.graph.principal(uid)
-            self.session_registry.graph.bind_account(account.username, uid)
+            self.session_registry.graph.bind_account(username, uid)
             extra_audit["spiffe_id"] = spiffe
         self._record(uid, "invitation.accept", project.project_id, Outcome.SUCCESS,
-                     role=str(invitation.role), unix_account=account.username,
+                     role=str(invitation.role), unix_account=username,
                      **extra_audit)
         return HttpResponse.json(
             {
                 "project_id": project.project_id,
                 "role": invitation.role.value,
-                "unix_account": account.username,
+                "unix_account": username,
             }
         )
 
@@ -417,29 +407,24 @@ class UserPortal(Service, Durable):
                 f"project {project_id} allocation exhausted "
                 f"({project.allocation.remaining():.1f}h left, {gpu_hours:.1f}h asked)"
             )
-        self._jpublish("portal.usage", project_id=project_id,
-                       gpu_hours=gpu_hours)
-        project.allocation.gpu_hours_used += gpu_hours
+        self.commit("portal.usage", {"project_id": project_id,
+                                     "gpu_hours": gpu_hours})
 
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
     def _make_invitation(
         self, project_id: str, role: Role, email: str, *, invited_by: str
-    ) -> Invitation:
+    ) -> str:
+        """Commit a new invitation; returns its code."""
         now = self.clock.now()
-        invitation = Invitation(
-            code=self.ids.secret(20),
-            project_id=project_id,
-            role=role,
-            email=email,
-            invited_by=invited_by,
-            created_at=now,
-            expires_at=now + INVITATION_TTL,
-        )
-        self._jpublish("portal.invitation", **self._invitation_dict(invitation))
-        self._add_invitation(invitation)
-        return invitation
+        code = self.ids.secret(20)
+        self.commit("portal.invitation", {
+            "code": code, "project_id": project_id, "role": role.value,
+            "email": email, "invited_by": invited_by, "created_at": now,
+            "expires_at": now + INVITATION_TTL, "accepted_by": None,
+        })
+        return code
 
     # GET /authz runs on every login, so it reads two indices instead of
     # scanning: a user's projects and an email's invitations, each in the
@@ -476,22 +461,19 @@ class UserPortal(Service, Durable):
         membership = project.members.get(uid)
         if membership is None or membership.revoked:
             return
-        self._jpublish("portal.member_revoked", project_id=project.project_id,
-                       uid=uid, unix_account=membership.unix_account)
-        membership.revoked = True
-        self.unix_accounts.revoke(uid, project.project_id)
+        self.commit("portal.member_revoked", {
+            "project_id": project.project_id, "uid": uid,
+            "unix_account": membership.unix_account})
         self.on_revoke(uid, project.project_id, membership.unix_account)
 
     def _teardown(self, project: Project, status: ProjectStatus, *, actor: str) -> int:
         members = [m.uid for m in project.active_members()]
         for uid in members:
             self._remove_member(project, uid)
-        self._jpublish("portal.teardown", project_id=project.project_id,
-                       status=status.value)
-        project.status = status
-        # drop pending invitations — "all information related to the project
-        # ... is removed from the authorisation list"
-        self._drop_invitations(project.project_id)
+        # the teardown also drops pending invitations — "all information
+        # related to the project ... is removed from the authorisation list"
+        self.commit("portal.teardown", {"project_id": project.project_id,
+                                        "status": status.value})
         self._record(actor, f"project.{status.value}", project.project_id,
                      Outcome.INFO, members_removed=len(members))
         return len(members)
@@ -606,8 +588,9 @@ class UserPortal(Service, Durable):
         self.unix_accounts.load_state(state["accounts"])
 
     def apply_entry(self, kind: str, data: Dict[str, object]) -> None:
-        """Replay one journaled mutation.  Replay never calls
-        ``on_revoke`` — the broker journals its own revocations."""
+        """Apply one mutation, live or replayed.  It never calls
+        ``on_revoke`` — the live caller does, and the broker journals its
+        own revocations."""
         if kind == "portal.project":
             self._add_project(self._project_from(data))
         elif kind == "portal.invitation":
@@ -618,39 +601,30 @@ class UserPortal(Service, Durable):
             if project is not None:
                 project.members[membership.uid] = membership
                 self._index_member(membership)
-            inv = self._invitations.get(str(data["code"]))
+            inv = self._invitations.get(data["code"])
             if inv is not None:
                 inv.accepted_by = membership.uid
-            acct = data["account"]
-            self.unix_accounts.restore_account(UnixAccount(
-                username=str(acct["username"]), uid=str(acct["uid"]),
-                project_id=str(acct["project_id"]),
-                uid_number=int(acct["uid_number"]),
-            ))
+            self.unix_accounts.restore_account(UnixAccount(**data["account"]))
             ud = data["user"]
             if ud["uid"] not in self._users:
-                self._users[str(ud["uid"])] = PortalUser(
-                    uid=str(ud["uid"]), email=str(ud["email"]),
-                    name=str(ud["name"]), first_seen=float(ud["first_seen"]),
-                )
+                self._users[ud["uid"]] = PortalUser(**ud)
         elif kind == "portal.member_revoked":
-            project = self._projects.get(str(data["project_id"]))
+            project = self._projects.get(data["project_id"])
             if project is not None:
-                membership = project.members.get(str(data["uid"]))
+                membership = project.members.get(data["uid"])
                 if membership is not None:
                     membership.revoked = True
-            self.unix_accounts.restore_tombstone(
-                str(data["uid"]), str(data["project_id"]),
-                str(data["unix_account"]))
+            self.unix_accounts.revoke(data["uid"], data["project_id"],
+                                      data["unix_account"])
         elif kind == "portal.teardown":
-            project = self._projects.get(str(data["project_id"]))
+            project = self._projects.get(data["project_id"])
             if project is not None:
                 project.status = ProjectStatus(data["status"])
-            self._drop_invitations(str(data["project_id"]))
+            self._drop_invitations(data["project_id"])
         elif kind == "portal.usage":
-            project = self._projects.get(str(data["project_id"]))
+            project = self._projects.get(data["project_id"])
             if project is not None:
-                project.allocation.gpu_hours_used += float(data["gpu_hours"])
+                project.allocation.gpu_hours_used += data["gpu_hours"]
 
     def verify_recovery(self, report: RecoveryReport) -> None:
         """Re-arm project expiry timers (crash-restart loses scheduled

@@ -263,10 +263,25 @@ class Durable:
     """Mixin for services that journal their mutations.
 
     Subclasses implement the four-method contract below; the mixin
-    provides attach/adopt, the WAL publish helper, ``recover()`` and the
-    canonical state hash.  ``_jpublish`` must be called *before* the
-    corresponding in-memory mutation so that a fenced writer aborts
-    without having changed anything (write-ahead discipline).
+    provides attach/adopt, :meth:`commit`, ``recover()`` and the
+    canonical state hash.
+
+    Journaled state has one write path: a live mutation is
+    ``commit(kind, data)`` — journal the entry, then apply it with
+    ``apply_entry``, the very code recovery replays it with — and is
+    never also written beside it.  So replay cannot drift from the live
+    path, and a fenced writer aborts at the append without having
+    changed anything (write-ahead discipline).  Everything else a live
+    method does (checks, id draws, audit records, bus publishes,
+    volatile memos) stays in the live method.
+
+    One service keeps its own path: :meth:`AuditLog.emit
+    <repro.audit.AuditLog.emit>` journals the event's record as text
+    written once from the event (``ServiceJournal.append`` takes it as
+    it stands) and stores the event itself; applying it through a
+    decoded dict on every emit would re-build what the text was written
+    to avoid.  Its replay is held to the live path by the differential
+    in ``tests/test_journal_cost.py``.
     """
 
     journal: Optional[ServiceJournal] = None
@@ -282,8 +297,11 @@ class Durable:
         """Restore from a ``durable_state()`` snapshot (called after wipe)."""
         raise NotImplementedError
 
-    def apply_entry(self, kind: str, data: Dict[str, object]) -> None:
-        """Replay one journal entry against current state."""
+    def apply_entry(self, kind: str, data: Dict[str, object]) -> object:
+        """Apply one journal entry to current state — live, from
+        :meth:`commit`, and on replay.  ``data`` is the caller's to keep:
+        live it was built for this entry, on replay it is decoded
+        afresh.  May return what a live caller needs back."""
         raise NotImplementedError
 
     def wipe_state(self) -> None:
@@ -316,19 +334,23 @@ class Durable:
         self.journal = journal
         self.fencing_epoch = 0
 
-    # ------------------------------------------------------------ publish
-    def _jpublish(self, kind: str, payload: object = None, /,
-                  **data: object) -> None:
+    # ------------------------------------------------------------- commit
+    def commit(self, kind: str, data: Dict[str, object]) -> object:
+        """The write path: journal ``data`` as a ``kind`` entry, then
+        apply it with :meth:`apply_entry`; returns what that returns."""
+        self._jpublish(kind, data)
+        return self.apply_entry(kind, data)
+
+    def _jpublish(self, kind: str, record: "Dict[str, object] | str") -> None:
         """WAL append for one mutation; no-op when not journaled.
 
-        The record is ``payload`` — a dict, or its text already written
-        (see :meth:`ServiceJournal.append`) — or else the keyword fields.
-
-        At the cadence the checkpoint comes *first*: the caller mutates
-        only after this returns, so before the append live state equals
-        snapshot + every journaled entry, and after it the state would
-        lack the mutation whose entry the snapshot truncates.  A fenced
-        writer checkpoints nothing — its append is about to be refused.
+        ``record`` is the payload dict, or its text already written (see
+        :meth:`ServiceJournal.append`).  At the cadence the checkpoint
+        comes *first*: the mutation is applied only after this returns,
+        so before the append live state equals snapshot + every journaled
+        entry, and after it the state would lack the mutation whose entry
+        the snapshot truncates.  A fenced writer checkpoints nothing —
+        its append is about to be refused.
         """
         journal = self.journal
         if journal is None:
@@ -336,8 +358,7 @@ class Durable:
         if (journal.pending_entries() >= self.snapshot_every
                 and journal.epoch == self.fencing_epoch):
             self.checkpoint()
-        journal.append(kind, data if payload is None else payload,
-                       epoch=self.fencing_epoch)
+        journal.append(kind, record, epoch=self.fencing_epoch)
 
     def checkpoint(self) -> None:
         """Periodic checkpoint: a full-state snapshot.  A service whose

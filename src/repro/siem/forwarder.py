@@ -56,8 +56,8 @@ class LogForwarder(Durable):
     """Subscribes to audit logs and ships batches to a sink on a timer.
 
     With a journal attached the buffer is durable across *forwarder
-    crashes* too: every accepted record is journaled before it is
-    buffered, and a successful flush snapshots the (now smaller) buffer,
+    crashes* too: every accepted record is committed (journaled, then
+    buffered), and a successful flush snapshots the (now smaller) buffer,
     truncating the journal.  A restarted forwarder therefore resumes with
     every pre-crash record still queued — nothing the emitting services
     logged before the crash is lost on its way to the SOC.
@@ -124,10 +124,7 @@ class LogForwarder(Durable):
         if not accepted:
             self.dropped += 1
             return
-        record = event_to_record(event)
-        self._jpublish("fw.accept", record)
-        self._buffer.append(record)
-        self._enforce_cap()
+        self.commit("fw.accept", event_to_record(event))
 
     def _enforce_cap(self) -> None:
         overflow = len(self._buffer) - self.max_buffer
@@ -213,5 +210,5 @@ class LogForwarder(Durable):
 
     def apply_entry(self, kind: str, data: Dict[str, object]) -> None:
         if kind == "fw.accept":
-            self._buffer.append(dict(data))
+            self._buffer.append(data)
             self._enforce_cap()

@@ -93,11 +93,8 @@ class SshCertificateAuthority(Service, Durable):
         from repro.sshca.certificate import issue_host_certificate
 
         now = self.clock.now()
-        self._jpublish("ca.sign", serial=self._serial + 1, key_id=hostname,
-                       kind="host", valid_before=now + ttl)
-        self._serial += 1
-        self._issued_certs[self._serial] = {
-            "key_id": hostname, "kind": "host", "valid_before": now + ttl}
+        self.commit("ca.sign", {"serial": self._serial + 1, "key_id": hostname,
+                                "kind": "host", "valid_before": now + ttl})
         wire = issue_host_certificate(
             self.ca_key,
             serial=self._serial,
@@ -135,11 +132,8 @@ class SshCertificateAuthority(Service, Durable):
         now = self.clock.now()
         # WAL before the serial advances: a fenced ex-primary aborts here
         # with the counter untouched and nothing registered
-        self._jpublish("ca.sign", serial=self._serial + 1, key_id=key_id,
-                       kind="user", valid_before=now + ttl)
-        self._serial += 1
-        self._issued_certs[self._serial] = {
-            "key_id": key_id, "kind": "user", "valid_before": now + ttl}
+        self.commit("ca.sign", {"serial": self._serial + 1, "key_id": key_id,
+                                "kind": "user", "valid_before": now + ttl})
         wire = issue_certificate(
             self.ca_key,
             serial=self._serial,
@@ -150,7 +144,6 @@ class SshCertificateAuthority(Service, Durable):
             valid_before=now + ttl,
             extensions={"issued_via": str(claims["sub"])},
         )
-        self.certificates_issued += 1
         extra_audit: Dict[str, object] = {}
         if self.session_registry is not None:
             grant = self.session_registry.track(
@@ -182,8 +175,8 @@ class SshCertificateAuthority(Service, Durable):
 
         Revoked serials fail :meth:`cert_registered`, so a certificate
         that has not even been presented yet can no longer open a
-        session.  Journaled before the set mutates (write-ahead), and
-        idempotent: already-revoked serials are not counted again.
+        session.  Committed (write-ahead), and idempotent: already-revoked
+        serials are not counted again.
         """
         now = self.clock.now()
         hit = sorted(
@@ -194,8 +187,7 @@ class SshCertificateAuthority(Service, Durable):
         )
         if not hit:
             return 0
-        self._jpublish("ca.revoke", serials=hit, key_id=key_id)
-        self._revoked_serials.update(hit)
+        self.commit("ca.revoke", {"serials": hit, "key_id": key_id})
         if self.session_registry is not None:
             for s in hit:
                 self.session_registry.close("ssh-cert", str(s),
@@ -251,7 +243,7 @@ class SshCertificateAuthority(Service, Durable):
 
     def apply_entry(self, kind: str, data: Dict[str, object]) -> None:
         if kind == "ca.sign":
-            serial = int(data["serial"])
+            serial = data["serial"]
             self._serial = max(self._serial, serial)
             self._issued_certs[serial] = {
                 "key_id": data["key_id"], "kind": data["kind"],
@@ -260,7 +252,7 @@ class SshCertificateAuthority(Service, Durable):
             if data["kind"] == "user":
                 self.certificates_issued += 1
         elif kind == "ca.revoke":
-            self._revoked_serials.update(int(s) for s in data["serials"])
+            self._revoked_serials.update(data["serials"])
 
     def verify_recovery(self, report: RecoveryReport) -> None:
         """Serial monotonicity: the recovered counter must sit at or past

@@ -14,7 +14,8 @@ check that imports rather than parses), the values among them that only
 tests set, the statement count of ``src/``,
 the concepts that have exactly one implementation, the serving path's
 three mechanisms (serve wrapper, attempt bound, retry loop), each of
-which is written once, and the one place a trace header is parsed.
+which is written once, the one place a trace header is parsed, and the
+one write path of journaled state (``Durable.commit``).
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ MAX_BUILDER_LINES = 450
 MAX_TIER_CONDITIONALS = 20
 # lower these when a change lowers the count; never raise them
 MAX_SETTABLE_VALUES = 51
-MAX_SRC_STATEMENTS = 10_950
+MAX_SRC_STATEMENTS = 10_862
 # concepts that once had two implementations: the loser's name stays gone
 MERGED_AWAY = {"AccountRegistry", "EduGain", "BoundedSpanStore",
                "LatencyTracker", "RoundRobinPolicy", "ConsistentHashPolicy",
@@ -336,3 +337,46 @@ def test_serving_path_is_written_once():
                 pushes += 1
     assert pushes == 1
     assert bound_owners == {"repro/resilience/tail.py"}
+
+
+def _kinds_handled(fn: ast.FunctionDef) -> set:
+    """The kind literals an ``apply_entry`` compares ``kind`` against."""
+    kinds = set()
+    for node in ast.walk(fn):
+        if (isinstance(node, ast.Compare)
+                and getattr(node.left, "id", None) == "kind"):
+            for comparator in node.comparators:
+                kinds.update(c.value for c in ast.walk(comparator)
+                             if isinstance(c, ast.Constant)
+                             and isinstance(c.value, str))
+    return kinds
+
+
+def test_durable_state_is_written_once():
+    """Journaled state has one write path, ``Durable.commit``: journal,
+    then ``apply_entry`` — the code replay runs.  Every kind an
+    ``apply_entry`` handles is committed somewhere (no replay-only
+    branch, no live twin beside it), and the only appends outside
+    ``commit`` are the audit log's own (``AuditLog.emit`` writes its
+    record as text; see ``Durable``'s docstring)."""
+    handled, committed, appenders = set(), set(), set()
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        for cls in [n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)]:
+            for fn in cls.body:
+                if not isinstance(fn, ast.FunctionDef):
+                    continue
+                if fn.name == "apply_entry":
+                    handled |= _kinds_handled(fn)
+                for node in ast.walk(fn):
+                    if not isinstance(node, ast.Call):
+                        continue
+                    called = _called(node.func)
+                    if called == "_jpublish":
+                        appenders.add(f"{cls.name}.{fn.name}")
+                    if (called in ("commit", "_jpublish") and node.args
+                            and isinstance(node.args[0], ast.Constant)):
+                        committed.add(node.args[0].value)
+    assert appenders == {"Durable.commit", "AuditLog.emit"}
+    assert handled - committed == set()
+    assert "audit.emit" in committed and len(handled) > 40

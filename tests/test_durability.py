@@ -390,7 +390,7 @@ def _crash_and_compare(svc):
 def test_mutation_at_the_snapshot_cadence_survives_a_crash(kind):
     """The periodic checkpoint is taken *before* the entry that trips the
     cadence is appended.  Taken after it, the snapshot lacked the
-    mutation (services mutate once ``_jpublish`` returns) whose entry it
+    mutation (an entry is applied once ``_jpublish`` returns) whose entry it
     had just truncated: every 256th certificate, token or session was
     lost on crash, and the CA reused the lost serial."""
     dri = build_isambard(seed=1, durability=True)
@@ -464,6 +464,97 @@ def test_fenced_audit_emit_changes_nothing():
     assert len(log) == length and log.verify_chain()[0]
     log.record(2.0, "test", "alice", "probe", "r", "info")
     assert len(log) == length + 1 and len(seen) == 1
+
+
+def _fenced_session(dri):
+    return dri.broker, lambda: dri.broker.create_session(
+        "zombie", {}, amr=["pwd"])
+
+
+def _fenced_code(dri):
+    broker = dri.broker
+    broker.register_client("fenced-rp", ["https://fenced-rp/cb"])
+    sid = broker.create_session("zombie", {}, amr=["pwd"]).sid
+    request = HttpRequest("GET", "/authorize", headers={"Cookie": f"sid={sid}"},
+                          query={"client_id": "fenced-rp",
+                                 "redirect_uri": "https://fenced-rp/cb",
+                                 "response_type": "code",
+                                 "code_challenge": "c"})
+    return broker, lambda: broker.authorize(request)
+
+
+def _fenced_mint(dri):
+    return dri.broker, lambda: dri.broker.tokens.mint(
+        "zombie", "jupyter", "researcher")
+
+
+def _fenced_ca_sign(dri):
+    token, _ = dri.broker.tokens.mint("broker-service", "ssh-ca", "service")
+    request = HttpRequest("POST", "/sign",
+                          headers={"Authorization": f"Bearer {token}"},
+                          body={"key_id": "zombie", "principals": ["zombie"],
+                                "public_key_jwk": SshKeyPair.generate().public_jwk()})
+    return dri.ssh_ca, lambda: dri.ssh_ca.sign(request)
+
+
+def _fenced_portal_accept(dri):
+    from repro.broker.rbac import Role
+
+    project_id = str(dri.workflows.story1_pi_onboarding("pi").data["project_id"])
+    code = dri.portal._make_invitation(project_id, Role.RESEARCHER,
+                                       "zombie@uni.example", invited_by="pi")
+    token, _ = dri.broker.tokens.mint(
+        "zombie", "portal", "invitee", extra_claims={"email": "zombie@uni.example"})
+    request = HttpRequest("POST", "/invitations/accept",
+                          headers={"Authorization": f"Bearer {token}"},
+                          body={"code": code, "preferred_username": "zombie"})
+    return dri.portal, lambda: dri.portal.accept_invitation(request)
+
+
+def _fenced_intent(dri):
+    pipeline = dri.authz.pipeline
+    return pipeline, lambda: pipeline.revoke(uid="zombie", reason="test")
+
+
+@pytest.mark.parametrize("mutation", [
+    _fenced_session, _fenced_code, _fenced_mint, _fenced_ca_sign,
+    _fenced_portal_accept, _fenced_intent], ids=lambda f: f.__name__[8:])
+def test_a_fenced_writer_changes_nothing(mutation):
+    """Every journaled mutation is committed — appended, then applied —
+    so a deposed writer raises at the append with its state untouched.
+    ``create_session`` once stored the session, ``portal.accept``
+    allocated the UNIX account and the pipeline drew its intent number
+    before the refused append."""
+    dri = build_isambard(seed=5, durability=True, authz=True)
+    svc, mutate = mutation(dri)
+    svc.journal.acquire_epoch()                 # someone else was promoted
+    before, appends = svc.state_hash(), svc.journal.appends
+    with pytest.raises(EpochFenced):
+        mutate()
+    assert svc.state_hash() == before
+    assert svc.journal.appends == appends
+
+
+def test_a_refused_registration_keeps_its_invitation():
+    """``LastResortIdP.register`` popped the invitation before checking
+    the username and password: a refusal burned the code in the live
+    state only, and a crash and restart brought it back."""
+    from repro.errors import RegistrationError
+
+    dri = build_isambard(seed=1, durability=True)
+    idp = dri.lastresort
+    code = idp.invite("vendor@supplier.example")
+    register = {"invite_code": code, "username": "vendor",
+                "password": "short"}
+    with pytest.raises(RegistrationError):
+        idp.register(HttpRequest("POST", "/register", body=register))
+    live = idp.state_hash()
+    dri.crash("idp-lastresort")
+    assert dri.restart("idp-lastresort").state_hash == live
+    resp = idp.register(HttpRequest("POST", "/register", body={
+        **register, "password": "long-enough-password"}))
+    assert resp.body["registered"] == "vendor"
+    assert code not in idp._invitations
 
 
 def test_dict_attr_key_order_survives_the_journal():

@@ -294,8 +294,7 @@ def test_mutable_service_still_snapshots_full_state():
             self.n = 0
 
         def bump(self):
-            self._jpublish("bump", to=self.n + 1)
-            self.n += 1
+            self.commit("bump", {"to": self.n + 1})
 
         def durable_state(self):
             return {"n": self.n}
@@ -445,9 +444,14 @@ def test_field_maps_encode_as_asdict_did(oidc_world):
 def test_issued_token_encodes_as_asdict_did():
     clock = SimClock()
     journal = DurabilityStore(clock).stream("tokens")
+
+    def commit(kind, data):
+        journal.append(kind, data)
+        return tokens.apply_entry(kind, data)
+
     tokens = TokenService(clock, IdFactory(seed=3),
-                          generate_signing_key("EdDSA", kid="k"), "https://b")
-    tokens.publish = journal.append
+                          generate_signing_key("EdDSA", kid="k"), "https://b",
+                          commit=commit)
     issued = [tokens.mint("alice", "portal", Role.PI, project="p1")[1],
               tokens.mint("bob", "jupyter", Role.RESEARCHER)[1]]
     assert [e.record for e in journal.load()[1]] == [

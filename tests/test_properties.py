@@ -23,7 +23,7 @@ from repro.errors import (
 )
 from repro.ids import IdFactory
 from repro.net import Firewall, FirewallRule, OperatingDomain, Zone
-from repro.oidc.session import SessionStore
+from repro.oidc.session import Session, SessionStore
 
 # shared keys (generation is the slow part)
 KEY = generate_signing_key("EdDSA", kid="prop-key")
@@ -202,7 +202,8 @@ def test_property_session_lookup_respects_expiry_and_revocation(
 ):
     clock = SimClock()
     store = SessionStore(clock, IdFactory(1), ttl=ttl)
-    session = store.create("alice", {}, amr=["pwd"])
+    session = Session(**store.create("alice", {}, amr=["pwd"]))
+    store.restore(session)
     if revoke:
         store.revoke(session.sid)
     clock.advance(probe_offset)
@@ -218,7 +219,7 @@ def test_property_revoke_subject_exact(subjects):
     clock = SimClock()
     store = SessionStore(clock, IdFactory(1), ttl=1000)
     for s in subjects:
-        store.create(s, {}, amr=[])
+        store.restore(Session(**store.create(s, {}, amr=[])))
     revoked = store.revoke_subject("a")
     assert revoked == subjects.count("a")
     assert all(s.subject != "a" for s in store.active_sessions())

@@ -149,17 +149,6 @@ def test_role_without_capabilities_cannot_be_minted(svc):
         service.mint("alice", "anywhere", "nonexistent-role")
 
 
-def test_live_tokens_bookkeeping(svc):
-    clock, key, service = svc
-    service.mint("alice", "a", Role.RESEARCHER, ttl=100)
-    service.mint("alice", "b", Role.RESEARCHER, ttl=1000)
-    service.mint("bob", "a", Role.PI, ttl=1000)
-    assert len(service.live_tokens()) == 3
-    assert len(service.live_tokens("alice")) == 2
-    clock.advance(200)
-    assert len(service.live_tokens("alice")) == 1
-
-
 def test_token_carries_exact_role_caps(svc):
     """Least privilege: caps in the token == caps of the role, never more."""
     clock, key, service = svc
@@ -220,7 +209,7 @@ def test_a_fenced_mint_registers_nothing(svc):
     def fenced(kind, data):
         raise EpochFenced("deposed")
 
-    service.publish = fenced
+    service.commit = fenced
     with pytest.raises(EpochFenced):
         service.mint("zombie", "portal", Role.RESEARCHER)
     assert not service._issued and not service._minted

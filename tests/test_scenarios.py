@@ -112,8 +112,10 @@ def test_quarter_of_operations_stays_consistent():
     for project in dri.portal.projects():
         assert project.active_members() == []
     assert dri.login_sshd.sessions() == []
-    user_tokens = [t for t in dri.broker.tokens.live_tokens()
-                   if t.role != "service"]
+    tokens, now = dri.broker.tokens, dri.clock.now()
+    user_tokens = [t for jti, t in tokens._issued.items()
+                   if t.role != "service" and t.expires_at > now
+                   and not tokens.is_revoked(jti)]
     assert user_tokens == []
     for name, log in dri.logs.items():
         intact, bad = log.verify_chain()

@@ -4,13 +4,20 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.portal.accounts import UnixAccountRegistry
+from repro.portal.accounts import UnixAccount, UnixAccountRegistry
+
+
+def add(reg, uid, project_id, preferred):
+    """Allocate and insert, as the portal's committed accept does."""
+    account = UnixAccount(**reg.allocate(uid, project_id, preferred))
+    reg.restore_account(account)
+    return account
 
 
 def test_allocate_unique_per_user_project():
     reg = UnixAccountRegistry()
-    a = reg.allocate("uid-alice", "proj1", "alice")
-    b = reg.allocate("uid-alice", "proj2", "alice")
+    a = add(reg, "uid-alice", "proj1", "alice")
+    b = add(reg, "uid-alice", "proj2", "alice")
     assert a.username != b.username
     assert a.username == "alice.proj1"
     assert b.username == "alice.proj2"
@@ -18,57 +25,53 @@ def test_allocate_unique_per_user_project():
 
 def test_allocate_idempotent_for_same_key():
     reg = UnixAccountRegistry()
-    a1 = reg.allocate("uid-alice", "proj1", "alice")
-    a2 = reg.allocate("uid-alice", "proj1", "alice")
-    assert a1 is a2
+    a1 = add(reg, "uid-alice", "proj1", "alice")
+    assert reg.allocate("uid-alice", "proj1", "alice") == vars(a1)
+    # allocating stores nothing: until inserted, the same fields again
+    fresh = reg.allocate("uid-bob", "proj1", "bob")
+    assert reg.allocate("uid-bob", "proj1", "bob") == fresh
+    assert reg.lookup(fresh["username"]) is None
 
 
 def test_collision_gets_suffix():
     reg = UnixAccountRegistry()
-    a = reg.allocate("uid-alice", "proj1", "alice")
-    other = reg.allocate("uid-alice2", "proj1", "alice")
+    a = add(reg, "uid-alice", "proj1", "alice")
+    other = add(reg, "uid-alice2", "proj1", "alice")
     assert other.username != a.username
     assert other.username.startswith("alice.proj1")
 
 
 def test_preferred_name_sanitised():
     reg = UnixAccountRegistry()
-    acc = reg.allocate("u", "p1", "Alice O'Brien!!")
+    acc = add(reg, "u", "p1", "Alice O'Brien!!")
     assert acc.username == "aliceobrien.p1"
-    weird = reg.allocate("u2", "p1", "!!!")
+    weird = add(reg, "u2", "p1", "!!!")
     assert weird.username.startswith("user.p1")
 
 
 def test_uid_numbers_increment():
     reg = UnixAccountRegistry(first_uid_number=30000)
-    a = reg.allocate("u1", "p", "a")
-    b = reg.allocate("u2", "p", "b")
+    a = add(reg, "u1", "p", "a")
+    b = add(reg, "u2", "p", "b")
     assert (a.uid_number, b.uid_number) == (30000, 30001)
 
 
 def test_revoke_tombstones_and_never_reissues():
     reg = UnixAccountRegistry()
-    a = reg.allocate("uid-alice", "proj1", "alice")
-    assert reg.revoke("uid-alice", "proj1") == a.username
+    a = add(reg, "uid-alice", "proj1", "alice")
+    reg.revoke("uid-alice", "proj1", a.username)
     assert reg.lookup(a.username) is None
     assert reg.is_tombstoned(a.username)
     # a new allocation for the same key must not reuse the name
-    b = reg.allocate("uid-alice", "proj1", "alice")
+    b = add(reg, "uid-alice", "proj1", "alice")
     assert b.username != a.username
 
 
 def test_revoke_unknown_returns_none():
     reg = UnixAccountRegistry()
-    assert reg.revoke("ghost", "proj") is None
-
-
-def test_accounts_for_lists_live_only():
-    reg = UnixAccountRegistry()
-    reg.allocate("uid-alice", "p1", "alice")
-    reg.allocate("uid-alice", "p2", "alice")
-    reg.revoke("uid-alice", "p1")
-    live = reg.accounts_for("uid-alice")
-    assert [a.project_id for a in live] == ["p2"]
+    assert reg.revoke("ghost", "proj", "ghost.proj") is None
+    assert reg.is_tombstoned("ghost.proj")
+    assert add(reg, "ghost", "proj", "ghost").username == "ghost.proj2"
 
 
 @given(
@@ -81,7 +84,7 @@ def test_accounts_for_lists_live_only():
 def test_property_usernames_always_unique(keys):
     """No two live accounts ever share a username, whatever the order."""
     reg = UnixAccountRegistry()
-    accounts = [reg.allocate(u, p, "user") for u, p in keys]
+    accounts = [add(reg, u, p, "user") for u, p in keys]
     names = {}
     for acc in accounts:
         existing = names.get(acc.username)
