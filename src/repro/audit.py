@@ -3,14 +3,14 @@
 Zero-trust tenet 7 ("collect as much information as possible about the
 current state of assets...") is implemented by making *every* decision
 point in the library emit an :class:`AuditEvent` into an :class:`AuditLog`.
-The SIEM's log forwarders subscribe to the logs of each domain and ship
-them to the SOC, exactly as §III.B/§III.D of the paper describe.
+The SIEM's log forwarders each read one domain's log from a position and
+ship it to the SOC, exactly as §III.B/§III.D of the paper describe.
 
 Events are append-only and queryable; tests and the NIST-tenet checker
 treat the audit trail as ground truth for "did an access decision happen,
 and was it observed".  A log stores each event as one flat tuple of atoms
-(:func:`_stored`); ``events()``, ``query()`` and the chain check hand out
-fresh :class:`AuditEvent` views of those records.
+(:func:`_stored`); ``events()``, ``query()``, ``read()`` and the chain
+check hand out fresh :class:`AuditEvent` views of those records.
 """
 
 from __future__ import annotations
@@ -170,7 +170,8 @@ class AuditEvent:
 # numbers leaves the cyclic collector's books at the first pass that sees
 # it; only an attr that ``_plain`` left a list or dict keeps its record
 # tracked.
-_DIGEST, _ATTRS = 8, 9  # indices of the digest and the first attr name
+# indices of the action, the digest and the first attr name
+_ACTION, _DIGEST, _ATTRS = 3, 8, 9
 
 
 def _stored(event: AuditEvent) -> Tuple[object, ...]:
@@ -189,21 +190,25 @@ def _view(record: Tuple[object, ...]) -> AuditEvent:
 
 
 class AuditLog(Durable):
-    """Append-only event store with live subscribers.
+    """Append-only event store with live subscribers and positions.
 
     One log exists per operating domain in the deployment; the SIEM's
-    forwarders subscribe and relay into the SOC.  Subscribers must not
-    raise — a broken forwarder must not take down the emitting service —
-    so callbacks that raise are detached and counted.
+    forwarders each hold a *position* in one log and read on from it
+    (:meth:`read`).  A position counts the records emitted into the log:
+    a journaled recovery rebuilds the same count, and a cold restart
+    (the store's records gone, no journal) keeps counting from where it
+    stopped, so a reader's position never points at a different record.
+    Live subscribers (the telemetry bridge) must not raise — a broken
+    consumer must not take down the emitting service — so callbacks that
+    raise are detached and counted.
 
     The log is :class:`~repro.resilience.durability.Durable`: when a
     journal is attached, every emitted event (content plus its chained
     digest) is journaled, so a crash of the log store recovers the full
     hash chain — including heads minted before the crash — and
     ``verify_chain`` still passes across the crash boundary.  Recovery
-    does **not** re-fan-out replayed events to subscribers: the SIEM
-    pipeline already accepted them pre-crash (its own durable buffer is
-    responsible for delivery), so replay must not duplicate records.
+    does **not** re-fan-out replayed events to subscribers; a forwarder
+    finds them again at their positions, so nothing is shipped twice.
     """
 
     GENESIS = "0" * 64
@@ -211,6 +216,7 @@ class AuditLog(Durable):
     def __init__(self, name: str = "audit") -> None:
         self.name = name
         self._events: List[Tuple[object, ...]] = []  # records, see _stored
+        self._first = 0  # position of _events[0]; a cold restart moves it
         self._subscribers: List[Callable[[AuditEvent], None]] = []
         self.dropped_subscribers = 0
         self._head = self.GENESIS  # digest of the latest event
@@ -290,13 +296,25 @@ class AuditLog(Durable):
 
     # ------------------------------------------------------------------
     def subscribe(self, callback: Callable[[AuditEvent], None]) -> None:
-        """Register a live consumer (e.g. a SIEM log forwarder)."""
+        """Register a live consumer (the telemetry bridge)."""
         self._subscribers.append(callback)
 
-    def unsubscribe(self, callback: Callable[[AuditEvent], None]) -> None:
-        self._subscribers.remove(callback)
-
     # ------------------------------------------------------------------
+    @property
+    def position(self) -> int:
+        """Position the next record will take: records emitted so far.
+        The records held are the last ``len(log)`` of them; those before
+        were wiped by a cold restart."""
+        return self._first + len(self._events)
+
+    def read(self, position: int,
+             prefixes: Tuple[str, ...] = ("",)) -> List[AuditEvent]:
+        """Views of the held records from ``position`` on whose action
+        starts with one of ``prefixes``, in emission order (the filter
+        reads the stored action: a record it keeps out is never built)."""
+        return [_view(r) for r in self._events[max(position - self._first, 0):]
+                if r[_ACTION].startswith(prefixes)]
+
     def events(self) -> List[AuditEvent]:
         """Views of all events in emission order."""
         return list(map(_view, self._events))
@@ -387,13 +405,18 @@ class AuditLog(Durable):
         self.journal.snapshot({"head": self._head}, seal="events")
 
     def wipe_state(self) -> None:
-        """Crash: the stored trail is gone.  Live subscribers (the SIEM
-        forwarders) are separate infrastructure and stay subscribed."""
+        """Crash: the stored trail is gone, its positions are not (a cold
+        restart counts on from here).  Live subscribers are separate
+        infrastructure and stay subscribed."""
+        self._first += len(self._events)
         self._events = []
         self._head = self.GENESIS
 
     def load_state(self, state: Dict[str, object]) -> None:
+        # a journaled log holds its trail from its first record on (the
+        # attach baseline snapshots all of it), so the count starts at 0
         self._events = [_stored(AuditEvent(**d)) for d in state["events"]]
+        self._first = 0
         self._head = str(state["head"])
 
     def apply_entry(self, kind: str, data: Dict[str, object]) -> None:

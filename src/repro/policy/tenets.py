@@ -121,7 +121,7 @@ def check_tenets(dri) -> List[TenetReport]:
     # T7 — telemetry collected and used: the SOC ingested records from
     # multiple domains and rules run over them.
     ingested = dri.soc.records_ingested
-    domains = {str(r.get("domain", "")) for r in dri.soc.records()} - {""}
+    domains = dri.soc.domains - {""}
     reports.append(TenetReport(
         7, TENET_TITLES[7],
         passed=ingested > 0 and len(domains) >= 2,

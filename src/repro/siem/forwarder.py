@@ -11,17 +11,19 @@ Forwarders batch and flush on a timer (simulated-clock events), so the
 SOC's detection latency is the forwarding interval plus rule evaluation
 — measurable in the kill-switch ablation bench.
 
-The buffer is durable across sink outages: if the sink raises (SOC
-endpoint down, network partition), the batch is retained and replayed on
-a later flush, so an audit record is only ever lost when the bounded
-buffer overflows — and then it is *counted* (``lost``), never silently
-discarded.  The chaos ablation (ABL6) rides a SIEM sink outage on this.
+A forwarder keeps no copy of the trail: it is a *position* in its
+domain's :class:`~repro.audit.AuditLog`, and a flush ships what the log
+holds after it.  If the sink raises (SOC endpoint down, network
+partition), the position stays put and the same records go on a later
+flush, so an audit record is only ever lost when the backlog outgrows
+the bound or a cold restart of the log wipes it unshipped — and then it
+is *counted* (``lost``), never silently discarded.  The chaos ablation
+(ABL6) rides a SIEM sink outage on this.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.audit import AuditEvent, AuditLog
 from repro.clock import SimClock
@@ -53,29 +55,33 @@ def event_to_record(event: AuditEvent) -> Dict[str, object]:
 
 
 class LogForwarder(Durable):
-    """Subscribes to audit logs and ships batches to a sink on a timer.
+    """Reads one audit log from a position and ships batches on a timer.
 
-    With a journal attached the buffer is durable across *forwarder
-    crashes* too: every accepted record is committed (journaled, then
-    buffered), and a successful flush snapshots the (now smaller) buffer,
-    truncating the journal.  A restarted forwarder therefore resumes with
-    every pre-crash record still queued — nothing the emitting services
-    logged before the crash is lost on its way to the SOC.
+    ``position`` is the log position (see :attr:`AuditLog.position`) after
+    the last record the forwarder has shipped or given up on.  A flush
+    reads the log's accepted records after it, ships them as one batch,
+    and commits the new position with its counters — one journal entry
+    per shipped batch when a journal is attached, none for a flush that
+    ships nothing or keeps a failed batch.  A restarted forwarder resumes
+    from its journaled position, so it ships everything logged after it,
+    including what was logged while it was down; a forwarder restarted
+    without a journal reads on from the log's end.  While the log itself
+    is down it yields nothing; that is a wait, not a loss.
 
     Parameters
     ----------
     sink:
         Callable receiving a list of records (the SOC's ingest, possibly
         via the network).  May raise :class:`ReproError` when the SOC is
-        unreachable; the batch is then retained for replay.
+        unreachable; the batch then stays in the log for a later flush.
     interval:
         Flush period in seconds.
     actions_filter:
         If given, only events whose action starts with one of these
         prefixes are shipped (the "limited amount of data" agreement).
     max_buffer:
-        Bound on retained records; the oldest are evicted (and counted in
-        ``lost``) when a sink outage outlasts the buffer.
+        Bound on the backlog of accepted records; when a sink outage
+        outlasts it, the oldest are skipped (and counted in ``lost``).
     retain_on_failure:
         ``False`` restores the legacy fail-and-forget behaviour where a
         batch whose sink call raises is gone — kept only so the chaos
@@ -97,44 +103,55 @@ class LogForwarder(Durable):
         self.clock = clock
         self.sink = sink
         self.interval = interval
-        self.actions_filter = tuple(actions_filter) if actions_filter else None
-        # action -> shipped?  decided once per distinct action string
-        self._accepts: Dict[str, bool] = {}
+        # every action starts with "": no list, no filter
+        self.actions_filter = tuple(actions_filter or ("",))
         self.max_buffer = max_buffer
         self.retain_on_failure = retain_on_failure
-        self._buffer: List[Dict[str, object]] = []
+        self._log: Optional[AuditLog] = None
+        self.position = 0
+        # volatile: every record from the position up to here was
+        # filtered out, so the next flush need not read it again
+        self._filtered_to = 0
+        self._flushing = False
         self.shipped = 0
+        self._lost = 0
+        # statistics, not state (nothing journals them)
         self.dropped = 0        # filtered out by the agreed-actions list
-        self.lost = 0           # lost to buffer overflow / legacy mode
         self.sink_failures = 0
         self.last_sink_error: Optional[str] = None
         self._running = False
 
     # ------------------------------------------------------------------
     def watch(self, log: AuditLog) -> None:
-        """Subscribe to a domain's audit stream."""
-        log.subscribe(self._on_event)
+        """Read ``log`` (the one log this forwarder ships), from its end."""
+        self._log = log
+        self.position = log.position
 
-    def _on_event(self, event: AuditEvent) -> None:
-        accepted = self._accepts.get(event.action)
-        if accepted is None:
-            accepted = self._accepts[event.action] = (
-                self.actions_filter is None
-                or event.action.startswith(self.actions_filter))
-        if not accepted:
-            self.dropped += 1
-            return
-        self.commit("fw.accept", event_to_record(event))
-
-    def _enforce_cap(self) -> None:
-        overflow = len(self._buffer) - self.max_buffer
-        if overflow > 0:
-            del self._buffer[:overflow]
-            self.lost += overflow
+    def _backlog(self) -> Tuple[List[AuditEvent], int, int, int]:
+        """What a flush now takes: the accepted records after the
+        position (the newest ``max_buffer``), how many records after the
+        position it gives up (wiped by a cold restart of the log, or over
+        the bound), how many it reads and filters out, and the position
+        it moves to."""
+        log, start = self._log, max(self.position, self._filtered_to)
+        if log is None or log.down:
+            return [], 0, 0, start
+        end = log.position
+        first = end - len(log)  # the records before it were wiped
+        events = log.read(start, self.actions_filter)
+        over = max(len(events) - self.max_buffer, 0)
+        return (events[over:], over + max(first - self.position, 0),
+                end - max(start, first) - len(events), end)
 
     def buffered(self) -> int:
         """Records currently awaiting shipment."""
-        return len(self._buffer)
+        return len(self._backlog()[0])
+
+    @property
+    def lost(self) -> int:
+        """Records that will never ship: those given up so far, and those
+        the next flush gives up."""
+        return self._lost + self._backlog()[1]
 
     # ------------------------------------------------------------------
     def start(self) -> None:
@@ -154,61 +171,55 @@ class LogForwarder(Durable):
         self._running = False
 
     def flush(self) -> int:
-        """Ship the buffered batch now; returns records shipped.
+        """Ship the accepted records after the position now; returns
+        records shipped.
 
-        The buffer is swapped out before the sink call (the sink's own
-        network traffic may emit events that land back here); on failure
-        the batch is re-queued ahead of anything that arrived meanwhile,
-        preserving record order for the SOC's detection windows.
+        The batch ends where the log ended when it was read: records the
+        sink's own traffic logs meanwhile go on the next flush, and a
+        flush that fires inside the sink call (its hops advance the
+        clock) ships nothing, so no record goes twice.
         """
-        if not self._buffer:
+        if self._flushing:
             return 0
-        batch, self._buffer = self._buffer, []
-        try:
-            self.sink(batch)
-        except ReproError as exc:
-            self.sink_failures += 1
-            self.last_sink_error = str(exc)
-            if self.retain_on_failure:
-                self._buffer = batch + self._buffer
-                self._enforce_cap()
-            else:
-                self.lost += len(batch)
-            return 0
-        self.shipped += len(batch)
-        if self.journal is not None:
-            # a successful ship is the natural checkpoint: snapshot the
-            # residual buffer and truncate the journal behind it
-            self.journal.snapshot(self.durable_state())
+        events, gone, filtered, end = self._backlog()
+        batch = [event_to_record(e) for e in events]
+        if batch:
+            self._flushing = True
+            try:
+                self.sink(batch)
+            except ReproError as exc:
+                self.sink_failures += 1
+                self.last_sink_error = str(exc)
+                if self.retain_on_failure:
+                    return 0
+                gone, batch = gone + len(batch), []
+            finally:
+                self._flushing = False
+            self.commit("fw.flush", {"position": end,
+                                     "shipped": self.shipped + len(batch),
+                                     "lost": self._lost + gone})
+        self._filtered_to = end
+        self.dropped += filtered
         return len(batch)
 
     # ------------------------------------------------------------------
     # durability
     # ------------------------------------------------------------------
     def durable_state(self) -> Dict[str, object]:
-        # ``dropped`` is a statistic, not state: filtering an event is not
-        # journaled, so a recovered count could only disagree with it
-        return {
-            "buffer": [dict(r) for r in self._buffer],
-            "shipped": self.shipped,
-            "lost": self.lost, "sink_failures": self.sink_failures,
-        }
+        return {"position": self.position, "shipped": self.shipped,
+                "lost": self._lost}
 
     def wipe_state(self) -> None:
-        self._buffer = []
-        self.shipped = 0
-        self.dropped = 0
-        self.lost = 0
-        self.sink_failures = 0
-        self._running = False
+        # the position is gone with the process: without a journal to
+        # restore it, the forwarder reads on from the log's end
+        self.load_state({"position": 0 if self._log is None
+                         else self._log.position, "shipped": 0, "lost": 0})
+        self._filtered_to = self.dropped = self.sink_failures = 0
 
     def load_state(self, state: Dict[str, object]) -> None:
-        self._buffer = [dict(r) for r in state["buffer"]]
-        self.shipped = int(state["shipped"])
-        self.lost = int(state["lost"])
-        self.sink_failures = int(state["sink_failures"])
+        self.apply_entry("fw.flush", state)
 
     def apply_entry(self, kind: str, data: Dict[str, object]) -> None:
-        if kind == "fw.accept":
-            self._buffer.append(data)
-            self._enforce_cap()
+        if kind == "fw.flush":
+            self.position, self.shipped, self._lost = (
+                data["position"], data["shipped"], data["lost"])

@@ -16,7 +16,7 @@ have a module; this service ties them together and adds:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Set
 
 from repro.audit import AuditLog, Outcome
 from repro.broker.rbac import require_capability
@@ -77,7 +77,9 @@ class SecurityOperationsCentre(Service):
         self.inventory = AssetInventory()
         self.assessment = ConfigAssessment()
         self.records_ingested = 0
-        self._records: List[Dict[str, object]] = []
+        # the domains records arrived from (the T7 tenet check); the SOC
+        # keeps no copy of the records themselves
+        self.domains: Set[str] = set()
         self.alerts: List[Alert] = []
         self.contained: List[str] = []
         # decision provenance (attached by the deployment when telemetry
@@ -99,7 +101,7 @@ class SecurityOperationsCentre(Service):
         """Run every record through the rule pack; handle new alerts."""
         new_alerts: List[Alert] = []
         for record in records:
-            self._records.append(record)
+            self.domains.add(str(record.get("domain", "")))
             self.records_ingested += 1
             for rule in self.rules:
                 alert = rule.observe(record)
@@ -277,7 +279,3 @@ class SecurityOperationsCentre(Service):
                 for r in records
             ],
         })
-
-    # ------------------------------------------------------------------
-    def records(self) -> List[Dict[str, object]]:
-        return list(self._records)

@@ -33,6 +33,20 @@ def golden(name: str, value):
     return json.loads(text) if name.endswith(".json") else text
 
 
+def capture_ingest(soc) -> list:
+    """Every record ``soc.ingest_batch`` receives from now on, in arrival
+    order (the SOC itself keeps none)."""
+    received = []
+    ingest = soc.ingest_batch
+
+    def capturing(records):
+        received.extend(records)
+        return ingest(records)
+
+    soc.ingest_batch = capturing
+    return received
+
+
 class PasswordProvider(OidcProvider):
     """Smallest possible concrete provider: username/password login."""
 

@@ -93,15 +93,6 @@ def test_broken_subscriber_is_detached_not_fatal():
     assert len(good) == 2
 
 
-def test_unsubscribe_stops_delivery():
-    log = AuditLog()
-    seen = []
-    log.subscribe(seen.append)
-    log.unsubscribe(seen.append)
-    log.emit(make_event())
-    assert seen == []
-
-
 def test_events_returns_copy():
     log = AuditLog()
     log.emit(make_event())

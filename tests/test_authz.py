@@ -21,6 +21,7 @@ from repro.core import build_isambard
 from repro.errors import ConfigurationError, ServiceUnavailable
 from repro.oidc import make_url
 from repro.policy import PolicyEngine, standard_zero_trust_rules
+from tests.conftest import capture_ingest
 
 pytestmark = pytest.mark.authz
 
@@ -222,8 +223,10 @@ class TestAuthzGuard:
 # deployment integration: grants tracked at every surface
 # ---------------------------------------------------------------------------
 @pytest.fixture(scope="module")
-def authz_dri():
+def authz_run():
+    """The module's build, and every record its SOC received from it."""
     dri = build_isambard(seed=81, authz=True)
+    received = capture_ingest(dri.soc)
     s1 = dri.workflows.story1_pi_onboarding("alice")
     assert s1.ok, s1.steps
     s3 = dri.workflows.story3_researcher_setup(
@@ -233,7 +236,12 @@ def authz_dri():
     assert s4.ok, s4.steps
     s6 = dri.workflows.story6_jupyter("bob")
     assert s6.ok, s6.steps
-    return dri
+    return dri, received
+
+
+@pytest.fixture(scope="module")
+def authz_dri(authz_run):
+    return authz_run[0]
 
 
 class TestDeploymentGrants:
@@ -270,10 +278,10 @@ class TestDeploymentGrants:
         tunnel = [g for g in reg.live_grants() if g.kind == "tunnel"]
         assert tunnel and "/workload/" in tunnel[0].spiffe_id
 
-    def test_spiffe_id_lands_in_siem_records(self, authz_dri):
-        dri = authz_dri
+    def test_spiffe_id_lands_in_siem_records(self, authz_run):
+        dri, received = authz_run
         dri.ship_logs()
-        stamped = [r for r in dri.soc.records()
+        stamped = [r for r in received
                    if isinstance(r.get("attrs"), dict)
                    and r["attrs"].get("spiffe_id")]
         assert stamped, "no SIEM record carried a spiffe_id"

@@ -20,8 +20,10 @@ import pytest
 from repro.core import build_isambard
 from repro.errors import ConfigurationError, EpochFenced, ServiceUnavailable
 from repro.net.http import HttpRequest
+from repro.siem import event_to_record
 from repro.sshca.certificate import SshKeyPair, issue_certificate
 from repro.tunnels.zenith import TOKEN_HEADER
+from tests.conftest import capture_ingest
 
 pytestmark = pytest.mark.durability
 
@@ -198,31 +200,105 @@ def test_audit_log_crash_preserves_hash_chain():
     assert log.verify_chain()[0]
 
 
+def _ship_once(scenario):
+    """Run ``scenario`` on a seed-87 build and check that the SOC received
+    every log's accepted records once each, in emission order — except a
+    run a cold log restart wiped before it shipped, which its forwarder
+    counts as ``lost``.  Returns the forwarders by name."""
+    dri = build_isambard(seed=87, durability=scenario != "cold-log")
+    wf = dri.workflows
+    received = capture_ingest(dri.soc)
+    fws = {fw.name: fw for fw in dri.forwarders}
+    emitted, starts = {}, {}
+    for name, fw in fws.items():
+        log = dri.logs[name[len("fw-"):]]
+        starts[name] = fw.position
+        emitted[name] = [event_to_record(e)
+                         for e in log.read(fw.position, fw.actions_filter)]
+
+        def collect(event, name=name, prefixes=fw.actions_filter):
+            if event.action.startswith(prefixes):
+                emitted[name].append(event_to_record(event))
+        log.subscribe(collect)
+
+    assert wf.story1_pi_onboarding("pi").ok
+    fw, log = fws["fw-fds"], dri.logs["fds"]
+    wiped = slice(0, 0)
+    if scenario == "fw-crash":
+        dri.crash("fw-fds")
+        assert fw.buffered() == 0               # the crash really bit
+        assert wf.mint(wf.personas["pi"], "jupyter", "pi").ok
+        assert dri.restart("fw-fds") is not None
+    elif scenario == "log-crash":
+        dri.crash("audit-fds")
+        dri.clock.advance(3 * fw.interval)      # flushes while it is down
+        assert dri.restart("audit-fds") is not None
+    elif scenario == "soc-outage":
+        dri.ship_logs()
+        dri.faults.outage("soc", duration=3 * fw.interval)
+        assert wf.mint(wf.personas["pi"], "jupyter", "pi").ok
+        dri.ship_logs()
+        dri.clock.advance(4 * fw.interval)      # timer flushes fail, then pass
+        assert fw.sink_failures > 0
+    else:                                       # a cold restart of the log
+        wiped = slice(fw.position - starts["fw-fds"],
+                      log.position - starts["fw-fds"])
+        assert wiped.stop > wiped.start         # unshipped records to wipe
+        dri.crash("audit-fds")
+        assert dri.restart("audit-fds") is None
+    assert wf.mint(wf.personas["pi"], "jupyter", "pi").ok
+    dri.ship_logs()
+
+    # a received record is told to its log by its source: no two share one
+    sources = {name: {r["source"] for r in emitted[name]} for name in fws}
+    assert sum(map(len, sources.values())) == len(set().union(*sources.values()))
+    for name, fw in fws.items():
+        want = emitted[name]
+        if name == "fw-fds":
+            want = want[:wiped.start] + want[wiped.stop:]
+        got = [r for r in received if r["source"] in sources[name]]
+        assert got == want, name
+        assert fw.buffered() == 0, name
+        lost = wiped.stop - wiped.start if name == "fw-fds" else 0
+        assert fw.lost == lost, name
+    return fws
+
+
 def test_forwarder_restart_keeps_pre_crash_events():
-    """Satellite: a forwarder crash does not lose records already
-    accepted from the audit stream — the restarted forwarder replays its
-    journaled buffer and ships everything to the SOC."""
+    """A forwarder crash loses nothing it had not shipped: the restarted
+    forwarder resumes from its journaled position and ships what was
+    logged before the crash and while it was down, once each."""
+    assert _ship_once("fw-crash")["fw-fds"].shipped > 0
+
+
+@pytest.mark.parametrize("scenario", ["log-crash", "soc-outage", "cold-log"])
+def test_every_accepted_record_reaches_the_soc_once(scenario):
+    """Whatever goes down — the log store (journaled or cold) or the SOC —
+    each accepted record is shipped exactly once, in emission order; only
+    what a cold restart wiped unshipped is lost, and it is counted."""
+    _ship_once(scenario)
+
+
+@pytest.mark.parametrize("retain", [True, False], ids=["retained", "dropped"])
+def test_a_failed_flush_recovers_to_its_live_state(retain):
+    """A flush the SOC refuses either keeps its batch in the log or —
+    legacy mode — gives it up; either way a restart from the journal
+    reproduces the forwarder the flush left (``sink_failures`` is a
+    statistic, and a drop commits its position and ``lost``)."""
     dri = build_isambard(seed=87, durability=True)
     wf = dri.workflows
     assert wf.story1_pi_onboarding("pi").ok
-    fw = next(f for f in dri.forwarders if f.name == "fw-fds")
-    assert fw.buffered() > 0
-    queued = fw.buffered()
-    ingested_before = dri.soc.records_ingested
-
-    dri.crash("fw-fds")
-    assert fw.buffered() == 0                   # the crash really bit
-    report = dri.restart("fw-fds")
-    assert report is not None
-    assert fw.buffered() == queued              # journal replayed the lot
-
-    # the restarted forwarder is still subscribed: new events buffer too
-    assert wf.mint(wf.personas["pi"], "jupyter", "pi").ok
-    assert fw.buffered() > queued
     dri.ship_logs()
-    assert fw.buffered() == 0
-    assert fw.lost == 0
-    assert dri.soc.records_ingested > ingested_before
+    dri.faults.outage("soc")
+    fw = next(f for f in dri.forwarders if f.name == "fw-fds")
+    fw.retain_on_failure = retain
+    wf.mint(wf.personas["pi"], "jupyter", "pi")
+    assert fw.flush() == 0 and fw.sink_failures == 1
+    live = (fw.state_hash(), fw.lost, fw.buffered())
+    assert live[1:] == ((0, 1) if retain else (1, 0))
+    dri.crash("fw-fds")
+    assert dri.restart("fw-fds").state_hash == live[0]
+    assert (fw.state_hash(), fw.lost, fw.buffered()) == live
 
 
 def test_filtering_forwarder_recovers_to_its_live_state_hash():
@@ -231,6 +307,7 @@ def test_filtering_forwarder_recovers_to_its_live_state_hash():
     part of the durable state a recovery must reproduce."""
     dri = build_isambard(seed=89, durability=True)
     assert dri.workflows.story1_pi_onboarding("pi").ok
+    dri.ship_logs()                             # a flush counts what it filters
     fw = next(f for f in dri.forwarders if f.name == "fw-network")
     assert fw.dropped > 0                       # it has filtered events
     before = fw.state_hash()

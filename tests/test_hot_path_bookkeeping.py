@@ -36,6 +36,7 @@ from repro.oidc import make_url
 from repro.telemetry import SloMonitor
 from repro.telemetry.pipeline import PipelineConfig
 from repro.telemetry.slo import BurnRateAlert, burn_rate
+from tests.conftest import capture_ingest
 
 
 # ---------------------------------------------------------------------------
@@ -486,6 +487,7 @@ def test_evicted_traces_do_not_read_as_forged_audit_records():
     authorization revoked legitimate users."""
     dri = build_isambard(seed=12, authz=True,
                          pipeline=PipelineConfig(max_spans=100))
+    received = capture_ingest(dri.soc)
     wf = dri.workflows
     project_id = str(wf.story1_pi_onboarding("alice").data["project_id"])
     users = ("bob", "carol", "dave")
@@ -503,7 +505,7 @@ def test_evicted_traces_do_not_read_as_forged_audit_records():
 
     store = dri.telemetry.store
     assert store.stats()["evicted_traces"] > 0
-    shipped = [str(r["attrs"]["trace_id"]) for r in dri.soc.records()
+    shipped = [str(r["attrs"]["trace_id"]) for r in received
                if r["attrs"].get("trace_id")]
     # the scenario is the bug's: records did arrive after their trace left
     assert any(not store.trace(tid) for tid in shipped)

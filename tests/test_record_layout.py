@@ -1,4 +1,5 @@
-"""What the telemetry and audit stores keep costs the collector nothing.
+"""What the telemetry and audit stores keep costs the collector nothing,
+and the SIEM keeps no second copy of the audit trail.
 
 A finished span and an emitted audit event are each stored as one flat
 tuple of atoms; CPython's cyclic collector stops tracking such a tuple at
@@ -13,6 +14,7 @@ exactly below.
 from __future__ import annotations
 
 import gc
+from collections.abc import Collection
 
 import pytest
 
@@ -31,16 +33,27 @@ BUILDS = {
 CONTAINER_RECORDS = {"default": 9, "all-tiers": 9}
 
 
+def _story(dri, suffix=""):
+    wf = dri.workflows
+    pi, user = f"alice{suffix}", f"bob{suffix}"
+    s1 = wf.story1_pi_onboarding(pi)
+    assert s1.ok, s1.steps
+    assert wf.story3_researcher_setup(s1.data["project_id"], pi, user).ok
+    assert wf.story6_jupyter(user).ok
+    assert wf.relogin(wf.personas[user]).ok
+
+
 def _run(flags):
     dri = build_isambard(seed=42, **flags)
-    wf = dri.workflows
-    s1 = wf.story1_pi_onboarding("alice")
-    assert s1.ok, s1.steps
-    assert wf.story3_researcher_setup(s1.data["project_id"], "alice", "bob").ok
-    assert wf.story6_jupyter("bob").ok
-    assert wf.relogin(wf.personas["bob"]).ok
+    _story(dri)
     gc.collect()
     return dri
+
+
+def _held(obj):
+    """The length of every container ``obj`` holds as an attribute."""
+    return {name: len(value) for name, value in vars(obj).items()
+            if isinstance(value, Collection) and not isinstance(value, str)}
 
 
 @pytest.mark.parametrize("build", list(BUILDS))
@@ -63,3 +76,19 @@ def test_stored_records_are_untracked_flat_tuples(build):
     assert all(any(isinstance(v, (list, dict)) for v in rec) for rec in tracked)
     assert len(tracked) == CONTAINER_RECORDS[build], sorted(
         {rec[3] for rec in tracked})
+
+
+@pytest.mark.parametrize("build", list(BUILDS))
+def test_the_siem_holds_no_copy_of_the_trail(build):
+    """The audit logs are the one copy of the trail: a forwarder is a
+    position in its log and the SOC keeps what it derives, not what it
+    ingests, so a second round adds nothing they hold (bar alerts)."""
+    dri = build_isambard(seed=42, **BUILDS[build])
+    held = []
+    for suffix in ("1", "2"):
+        _story(dri, suffix)
+        dri.ship_logs()
+        soc = {k: n for k, n in _held(dri.soc).items() if k != "alerts"}
+        held.append((soc, [_held(fw) for fw in dri.forwarders]))
+    assert dri.soc.records_ingested > 50
+    assert held[1] == held[0], held
