@@ -20,6 +20,8 @@ Covers the tentpole and its satellites:
   a real ``build_isambard(pipeline=True, authz=True)`` deployment.
 """
 
+from collections import defaultdict
+
 import pytest
 
 from repro.audit import AuditLog, Outcome
@@ -724,3 +726,102 @@ def test_trace_timeline_joins_ledger_over_the_deployment(pipeline_world):
     annotated = join_provenance(timeline, dri.telemetry.provenance)
     assert annotated >= 1
     assert "<rule: tunnel:jupyter>" in timeline.render()
+
+
+# ---------------------------------------------------------------------------
+# the ledger against the trail: one record per decision-bearing event
+# ---------------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def default_world():
+    dri = build_isambard(seed=77)
+    wf = dri.workflows
+    s1 = wf.story1_pi_onboarding("alice")
+    assert s1.ok, s1.steps
+    assert wf.story3_researcher_setup(s1.data["project_id"], "alice", "bob").ok
+    assert wf.story4_ssh_session("bob").ok
+    assert wf.story6_jupyter("bob").ok
+    assert wf.relogin(wf.personas["bob"]).ok
+    assert not wf.mint(wf.personas["bob"], "portal", "pi").ok
+    dri.ship_logs()
+    return dri
+
+
+_OUTCOME_DECISIONS = {"success": Decision.ALLOW, "cached": Decision.CACHED,
+                      "denied": Decision.DENY, "shed": Decision.SHED}
+_DECISION_ATTRS = ("jti", "audience", "role", "serial", "key_id", "project",
+                   "capability")
+# filled from the enricher wherever the event leaves them at these
+_ENRICHED = {"pack_version": "", "loa": -1, "threat_score": -1.0,
+             "pdp_staleness": -1.0}
+
+
+def _derived(event):
+    """The decision one audit event carries, as the bridge must record
+    it, or None when the event bears no decision."""
+    surface = Telemetry._AUDIT_DECISIONS.get(event.action)
+    if surface is None:
+        return None
+    if event.action == "authz.fail_closed":
+        decision, surface = Decision.FAIL_CLOSED, event.resource or "pdp"
+    else:
+        decision = _OUTCOME_DECISIONS.get(event.outcome)
+        if decision is None:
+            return None
+    attrs = event.attrs
+    rule = str(attrs.get("rule", ""))
+    if not rule and decision in Decision.GRANTS:
+        if attrs.get("role"):
+            rule = f"role:{attrs['role']}"
+        elif attrs.get("capability"):
+            rule = f"capability:{attrs['capability']}"
+    epoch, age = attrs.get("epoch", -1), attrs.get("age", -1.0)
+    return DecisionRecord(
+        event.time, surface, decision, event.actor,
+        spiffe_id=str(attrs.get("spiffe_id", "")),
+        trace_id=str(attrs.get("trace_id", "")),
+        resource=event.resource, rule=rule,
+        reason=str(attrs.get("reason", "")),
+        cached=decision == Decision.CACHED,
+        region=str(attrs.get("region", "")),
+        epoch=epoch if isinstance(epoch, int) else -1,
+        pdp_staleness=float(age) if isinstance(age, (int, float)) else -1.0,
+        attrs={k: attrs[k] for k in _DECISION_ATTRS if k in attrs})
+
+
+def _key(rec):
+    """Every field the event decides (the enricher's left out)."""
+    return (rec.time, rec.surface, rec.decision, rec.subject, rec.spiffe_id,
+            rec.trace_id, rec.resource, rec.rule, rec.reason, rec.cached,
+            rec.region, rec.epoch, tuple(sorted(rec.attrs.items())))
+
+
+def test_the_ledger_explains_exactly_the_trails_decisions(
+        default_world, pipeline_world):
+    # a continuous-authorization sweep: PDP decisions, no audit events
+    assert pipeline_world.authz.authorizer.reevaluate_all() == 0
+    for dri in (default_world, pipeline_world):
+        led = dri.telemetry.provenance
+        owed = [rec for log in dri.logs.values()
+                for rec in map(_derived, log.events()) if rec is not None]
+        assert len(owed) > 10
+        pool = defaultdict(list)
+        for subject in {rec.subject for rec in owed}:
+            for rec in led.explain(subject):
+                if rec.subject == subject:
+                    pool[_key(rec)].append(rec)
+        for want in owed:
+            held = pool[_key(want)]
+            assert held, f"no ledger record for {want}"
+            got = held.pop(0)
+            for name, unset in _ENRICHED.items():
+                if getattr(want, name) != unset:
+                    assert getattr(got, name) == getattr(want, name), name
+            assert got.pack_version == dri.policy_engine.pack_version
+        # the rest is what no audit event carries: the PDP's evaluations
+        # and the guard's stale allows
+        authz = getattr(dri, "authz", None)
+        extra = (authz.pdp.decisions + authz.guard.stale_allows
+                 if authz is not None else 0)
+        assert (extra > 0) == (authz is not None)
+        assert led.stats()["evicted"] == 0
+        assert len(led) == len(owed) + extra
