@@ -315,6 +315,12 @@ class AuditLog(Durable):
         return [_view(r) for r in self._events[max(position - self._first, 0):]
                 if r[_ACTION].startswith(prefixes)]
 
+    def at(self, position: int) -> Optional[AuditEvent]:
+        """A view of the record at ``position``; None once a cold restart
+        wiped it."""
+        return (_view(self._events[position - self._first])
+                if position >= self._first else None)
+
     def events(self) -> List[AuditEvent]:
         """Views of all events in emission order."""
         return list(map(_view, self._events))

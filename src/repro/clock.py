@@ -117,18 +117,3 @@ class SimClock:
             event.callback()
         self._now = deadline
 
-    def run_all(self, limit: int = 100_000) -> None:
-        """Fire every scheduled event, however far in the future.
-
-        ``limit`` guards against callback chains that reschedule forever.
-        """
-        fired = 0
-        while self._queue:
-            event = heapq.heappop(self._queue)
-            if event.cancelled:
-                continue
-            self._now = event.when
-            event.callback()
-            fired += 1
-            if fired > limit:
-                raise RuntimeError("run_all exceeded event limit; runaway reschedule?")

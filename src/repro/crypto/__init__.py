@@ -23,7 +23,7 @@ from repro.crypto.jws import (
     sign_compact,
     verify_compact,
 )
-from repro.crypto.jwt import JwtValidator, decode_unverified, encode_jwt
+from repro.crypto.jwt import JwtValidator, encode_jwt
 from repro.crypto.certs import SignedDocument, sign_document, verify_document
 
 __all__ = [
@@ -41,7 +41,6 @@ __all__ = [
     "b64url_encode",
     "b64url_decode",
     "encode_jwt",
-    "decode_unverified",
     "JwtValidator",
     "SignedDocument",
     "sign_document",

@@ -15,7 +15,6 @@ from typing import Dict, Iterable, Optional, Sequence, Union
 from repro.clock import SimClock
 from repro.crypto.jws import (
     acceptable_algs,
-    b64url_decode,
     sign_compact,
     verify_compact,
 )
@@ -29,7 +28,7 @@ from repro.errors import (
     TokenNotYetValid,
 )
 
-__all__ = ["encode_jwt", "decode_unverified", "JwtValidator"]
+__all__ = ["encode_jwt", "JwtValidator"]
 
 Claims = Dict[str, object]
 
@@ -45,24 +44,6 @@ def encode_jwt(claims: Claims, key, extra_header: Optional[Dict[str, object]] = 
     header.update(extra_header or {})
     payload = json.dumps(claims, separators=(",", ":"), sort_keys=True).encode()
     return sign_compact(key, payload, header)
-
-
-def decode_unverified(token: str) -> Claims:
-    """Parse the payload WITHOUT verifying the signature.
-
-    Only for diagnostics/logging (e.g. the SIEM recording the ``jti`` of a
-    rejected token).  Never make an access decision from this.
-    """
-    parts = token.split(".")
-    if len(parts) != 3:
-        raise SignatureInvalid("not a compact JWT")
-    try:
-        claims = json.loads(b64url_decode(parts[1]))
-    except (ValueError, UnicodeDecodeError) as exc:
-        raise SignatureInvalid("JWT payload is not valid JSON") from exc
-    if not isinstance(claims, dict):
-        raise SignatureInvalid("JWT payload must be a JSON object")
-    return claims
 
 
 class JwtValidator:

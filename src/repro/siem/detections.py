@@ -304,9 +304,10 @@ class UnexplainedDecisionRule(DetectionRule):
     """A decision-bearing record the provenance ledger cannot explain.
 
     Every admission decision on the four enforcement surfaces must have
-    a matching :class:`~repro.telemetry.provenance.DecisionRecord` — the
-    audit bridge writes the ledger synchronously at emit time, strictly
-    before the forwarders ship the record here.  A shipped decision
+    a matching entry in the provenance ledger — the audit bridge indexes
+    it synchronously at emit time, strictly before the forwarders ship
+    the record here.  The rule asks the ledger's identity and trace
+    indexes, and builds no record.  A shipped decision
     whose actor *and* trace are both unknown to the ledger is therefore
     a forged or replayed log entry (the provenance-side sibling of the
     span-side ``TraceIntegrityRule``).  Severity is medium, not high:
@@ -339,9 +340,7 @@ class UnexplainedDecisionRule(DetectionRule):
         actor = str(record.get("actor", "") or "")
         attrs = record.get("attrs", {}) or {}
         trace_id = str(attrs.get("trace_id", "") or "")
-        if actor and self.ledger.explain(actor):
-            return None
-        if trace_id and self.ledger.explain_trace(trace_id):
+        if self.ledger.knows(actor, trace_id):
             return None
         self.unexplained += 1
         key = (actor, action)

@@ -21,6 +21,7 @@ enabling telemetry cannot change any simulated behaviour or number.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.clock import SimClock
@@ -268,13 +269,16 @@ class Telemetry:
 
     # -------------------------------------------------------- audit bridge
     def watch_audit(self, log) -> None:
-        """Derive domain metrics from an audit log's live stream.
+        """Derive domain metrics from an audit log's live stream, and
+        register the log with the provenance ledger, whose decisions are
+        positions in it.
 
         The bridge swallows its own exceptions: :class:`AuditLog` detaches
         subscribers that raise, and losing telemetry must never cost the
         deployment its metrics silently mid-run.
         """
-        log.subscribe(self._on_audit_event)
+        self.provenance.logs[log.name] = log
+        log.subscribe(partial(self._on_audit_event, log))
 
     # action -> counter attribute (labelled by the event's source) for
     # simple count-throughs
@@ -290,8 +294,8 @@ class Telemetry:
     }
 
     # decision-bearing audit actions -> enforcement surface.  Every one
-    # of these becomes a DecisionRecord in the provenance ledger; the
-    # decision itself derives from the event outcome.
+    # of these becomes a position in the provenance ledger; the decision
+    # itself derives from the event outcome.
     _AUDIT_DECISIONS = {
         "rbac.mint": "tokens",
         "rbac.denied": "tokens",
@@ -314,17 +318,6 @@ class Telemetry:
         "authz.fail_closed": "",   # surface carried in event.resource
     }
 
-    _OUTCOME_DECISIONS = {
-        "success": Decision.ALLOW,
-        "cached": Decision.CACHED,
-        "denied": Decision.DENY,
-        "shed": Decision.SHED,
-    }
-
-    # extra event attributes worth preserving as decision inputs
-    _DECISION_ATTRS = ("jti", "audience", "role", "serial", "key_id",
-                       "project", "capability")
-
     # actions whose traces a post-mortem will replay: revocations,
     # containments, continuous-authz enforcement.  The pipeline pins
     # these traces against tail-sampling eviction.
@@ -334,7 +327,7 @@ class Telemetry:
         "zenith.kill", "ssh.sessions_closed",
     )
 
-    def _on_audit_event(self, event) -> None:
+    def _on_audit_event(self, log, event) -> None:
         try:
             plan = self._audit_plans.get(event.action)
             if plan is None:
@@ -344,7 +337,7 @@ class Telemetry:
             if counter is not None:
                 counter.inc(source=event.source)
             if surface is not None:
-                self._record_decision(surface, event)
+                self._record_decision(surface, event, log)
             if protect:
                 self.store.protect(event.attrs.get("trace_id", ""))
         except Exception:
@@ -358,42 +351,23 @@ class Telemetry:
                 self._AUDIT_DECISIONS.get(action),
                 action.startswith(self._PROTECT_PREFIXES))
 
-    def _record_decision(self, surface: str, event) -> None:
-        """Turn one decision-bearing audit event into provenance."""
+    def _record_decision(self, surface: str, event, log) -> None:
+        """Index one decision-bearing audit event as a position in its log
+        (subscribers fan out after the append); the ledger reads the
+        record off the event when a query asks for it."""
         if event.action == "authz.fail_closed":
             decision = Decision.FAIL_CLOSED
             surface = event.resource or "pdp"
         else:
-            decision = self._OUTCOME_DECISIONS.get(event.outcome)
+            decision = Decision.OF_OUTCOME.get(event.outcome)
             if decision is None:
                 return  # info/error events are not admission decisions
         attrs = event.attrs
-        epoch = attrs.get("epoch", -1)
-        staleness = attrs.get("age", -1.0)
-        # rule attribution: an explicit rule attr wins; otherwise, for
-        # grants, the surface-native grant basis (the RBAC role, the
-        # capability) IS the matched rule on that surface.  Denials keep
-        # their reason instead — a role that failed to match is not a
-        # matched rule.
-        rule = str(attrs.get("rule", ""))
-        if not rule and decision in Decision.GRANTS:
-            if attrs.get("role"):
-                rule = f"role:{attrs['role']}"
-            elif attrs.get("capability"):
-                rule = f"capability:{attrs['capability']}"
         self.provenance.record(
             event.time, surface, decision, event.actor,
             spiffe_id=str(attrs.get("spiffe_id", "")),
             trace_id=str(attrs.get("trace_id", "")),
-            resource=event.resource,
-            rule=rule,
-            reason=str(attrs.get("reason", "")),
-            cached=decision == Decision.CACHED,
-            region=str(attrs.get("region", "")),
-            epoch=epoch if isinstance(epoch, int) else -1,
-            pdp_staleness=float(staleness)
-            if isinstance(staleness, (int, float)) else -1.0,
-            attrs={k: attrs[k] for k in self._DECISION_ATTRS if k in attrs},
+            log=log.name, position=log.position - 1,
         )
 
     # ---------------------------------------------------------------- SLO

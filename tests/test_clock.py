@@ -88,27 +88,6 @@ def test_event_may_schedule_followup_within_window():
     assert hits == [("first", 1.0), ("second", 2.0)]
 
 
-def test_run_all_fires_everything():
-    clock = SimClock()
-    fired = []
-    for delay in (100, 5, 30):
-        clock.call_later(delay, lambda d=delay: fired.append(d))
-    clock.run_all()
-    assert fired == [5, 30, 100]
-    assert clock.now() == 100
-
-
-def test_run_all_guards_against_runaway():
-    clock = SimClock()
-
-    def reschedule():
-        clock.call_later(1, reschedule)
-
-    clock.call_later(1, reschedule)
-    with pytest.raises(RuntimeError):
-        clock.run_all(limit=50)
-
-
 def test_pending_events_counts_uncancelled():
     clock = SimClock()
     e1 = clock.call_later(1, lambda: None)
@@ -160,7 +139,6 @@ def test_event_schedule_is_deterministic():
         clock.call_later(0.7, lambda: tick("b", 0.5, 5))
         clock.advance(2.0)
         clock.run_until(11.0)
-        clock.run_all()
         return trace, clock.now()
 
     assert drive() == drive()

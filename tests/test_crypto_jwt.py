@@ -3,7 +3,7 @@
 import pytest
 
 from repro.clock import SimClock
-from repro.crypto import JwkSet, JwtValidator, decode_unverified, encode_jwt
+from repro.crypto import JwkSet, JwtValidator, encode_jwt
 from repro.crypto.keys import generate_signing_key
 from repro.errors import (
     AudienceMismatch,
@@ -120,16 +120,6 @@ def test_token_signed_by_unknown_key_rejected(validator, clock):
     rogue = generate_signing_key("EdDSA", kid="rogue")
     with pytest.raises(SignatureInvalid):
         validator.validate(mint(rogue, clock))
-
-
-def test_decode_unverified_reads_payload(key, clock):
-    token = mint(key, clock, sub="bob")
-    assert decode_unverified(token)["sub"] == "bob"
-
-
-def test_decode_unverified_rejects_garbage():
-    with pytest.raises(SignatureInvalid):
-        decode_unverified("not-a-jwt")
 
 
 def test_allow_list_is_checked_when_the_validator_is_built(clock, key):

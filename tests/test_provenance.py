@@ -69,20 +69,23 @@ pytestmark = pytest.mark.pipeline
 class TestProvenanceLedger:
     def test_record_and_explain_by_identity_and_trace(self):
         led = ProvenanceLedger()
-        r1 = led.record(1.0, "tokens", Decision.ALLOW, "alice",
-                        spiffe_id="spiffe://x/user/alice", trace_id="t1",
-                        rule="researcher-mint", pack_version="pack-3-abc")
+        led.record(1.0, "tokens", Decision.ALLOW, "alice",
+                   spiffe_id="spiffe://x/user/alice", trace_id="t1",
+                   rule="researcher-mint", pack_version="pack-3-abc")
         led.record(2.0, "ssh", Decision.ALLOW, "alice", trace_id="t1")
         led.record(3.0, "tokens", Decision.DENY, "mallory", trace_id="t2",
                    reason="no such role")
 
         assert [r.surface for r in led.explain("alice")] == ["tokens", "ssh"]
+        r1 = led.explain("alice")[0]
+        # records are views built on read: equal, never the same object
+        assert led.explain("alice")[0] == r1 is not led.explain("alice")[0]
         # the SPIFFE id is an equally good key for the same records
         assert led.explain("spiffe://x/user/alice") == [r1]
         assert [r.subject for r in led.explain_trace("t1")] == ["alice", "alice"]
         assert led.latest("alice").surface == "ssh"
-        assert led.latest("alice", surface="tokens") is r1
-        assert led.grant_record("alice", "tokens") is r1
+        assert led.latest("alice", surface="tokens") == r1
+        assert led.grant_record("alice", "tokens") == r1
         assert led.grant_record("alice", "tunnels") is None
         assert [r.subject for r in led.denials()] == ["mallory"]
         assert led.denials("alice") == []
@@ -138,14 +141,15 @@ class TestProvenanceLedger:
         led = ProvenanceLedger()
         led.enricher = lambda subject: {
             "pack_version": "pack-5-beef", "loa": 3, "threat_score": 0.25}
-        rec = led.record(1.0, "tokens", Decision.ALLOW, "alice", loa=1)
+        led.record(1.0, "tokens", Decision.ALLOW, "alice", loa=1)
+        rec = led.latest("alice")
         assert rec.loa == 1                      # caller's value wins
         assert rec.pack_version == "pack-5-beef"  # sentinel got filled
         assert rec.threat_score == 0.25
 
         led.enricher = lambda subject: 1 / 0
-        rec2 = led.record(2.0, "tokens", Decision.ALLOW, "bob")
-        assert rec2.pack_version == ""           # enricher failure swallowed
+        led.record(2.0, "tokens", Decision.ALLOW, "bob")
+        assert led.latest("bob").pack_version == ""  # failure swallowed
 
 
 def test_policy_pack_version_is_deterministic_and_content_addressed():
@@ -825,3 +829,43 @@ def test_the_ledger_explains_exactly_the_trails_decisions(
         assert (extra > 0) == (authz is not None)
         assert led.stats()["evicted"] == 0
         assert len(led) == len(owed) + extra
+
+
+@pytest.mark.parametrize("journaled", [False, True], ids=["cold", "journaled"])
+def test_a_log_restart_leaves_the_ledger_explaining_what_the_trail_holds(
+        journaled):
+    """A decision is a position in its log.  A cold restart wipes the
+    records behind some: they stay in the indexes and the counters, and
+    the queries that build records skip them.  A journaled log recovers
+    the same positions, so nothing is skipped."""
+    dri = build_isambard(seed=87, durability=journaled)
+    assert dri.workflows.story1_pi_onboarding("pi").ok
+    assert dri.workflows.rsecon_workshop(1).ok  # traced decisions
+    led = dri.telemetry.provenance
+    owed = [rec for log in dri.logs.values()
+            for rec in map(_derived, log.events()) if rec is not None]
+    wiped = {_key(rec) for rec in map(_derived, dri.logs["fds"].events())
+             if rec is not None}
+    assert wiped
+    identities = sorted({r.subject for r in owed}
+                        | {r.spiffe_id for r in owed} - {""})
+    traces = sorted({r.trace_id for r in owed} - {""})
+    assert identities and traces
+    explained = {i: led.explain(i) for i in identities}
+    by_trace = {t: led.explain_trace(t) for t in traces}
+    stats = led.stats()
+
+    dri.crash("audit-fds")
+    assert (dri.restart("audit-fds") is not None) is journaled
+
+    assert led.stats() == stats
+    assert all(led.knows(identity=i) for i in identities)
+    assert all(led.knows(trace_id=t) for t in traces)
+    for query, before in ((led.explain, explained),
+                          (led.explain_trace, by_trace)):
+        for key, records in before.items():
+            kept = [r for r in records if journaled or _key(r) not in wiped]
+            assert query(key) == kept, key
+    lost = sum(map(len, explained.values())) - sum(
+        len(led.explain(i)) for i in identities)
+    assert lost == (0 if journaled else len(wiped))

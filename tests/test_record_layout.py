@@ -1,10 +1,11 @@
 """What the telemetry and audit stores keep costs the collector nothing,
-and the SIEM keeps no second copy of the audit trail.
+and neither the SIEM nor the provenance ledger keeps a second copy of the
+audit trail.
 
-A finished span and an emitted audit event are each stored as one flat
-tuple of atoms; CPython's cyclic collector stops tracking such a tuple at
-the first pass that sees it, so a round's trail adds nothing to a full
-collection.  After a relogin and a Jupyter session on a default and an
+A finished span, an emitted audit event and a provenance ledger entry are
+each stored as one flat tuple of atoms; CPython's cyclic collector stops
+tracking such a tuple at the first pass that sees it, so a round's trail
+adds nothing to a full collection.  After a relogin and a Jupyter session on a default and an
 all-tiers build, and one ``gc.collect()``, every stored record must be an
 exact, untracked tuple — except the audit records whose attrs hold a list
 or dict (what ``AuditLog._plain`` leaves a container), which are counted
@@ -76,6 +77,12 @@ def test_stored_records_are_untracked_flat_tuples(build):
     assert all(any(isinstance(v, (list, dict)) for v in rec) for rec in tracked)
     assert len(tracked) == CONTAINER_RECORDS[build], sorted(
         {rec[3] for rec in tracked})
+
+    # the provenance ledger holds positions in those records, not copies
+    entries = list(dri.telemetry.provenance._entries.values())
+    assert len(entries) > 10
+    assert all(type(entry) is tuple for entry in entries)
+    assert not any(map(gc.is_tracked, entries))
 
 
 @pytest.mark.parametrize("build", list(BUILDS))

@@ -23,6 +23,11 @@ JOBS = st.lists(
 )
 
 
+def _serial_walltime(jobs):
+    """Time by which every job has finished, even run one at a time."""
+    return sum(walltime for _, walltime in jobs) + 1.0
+
+
 @settings(max_examples=40, deadline=None)
 @given(jobs=JOBS)
 def test_property_allocation_never_exceeds_pool(jobs):
@@ -33,7 +38,7 @@ def test_property_allocation_never_exceeds_pool(jobs):
         busy = sum(1 for n in pool.nodes() if n.allocated_to is not None)
         assert busy <= len(pool.nodes())
     # liveness: everything eventually completes
-    clock.run_all()
+    clock.run_until(clock.now() + _serial_walltime(jobs))
     assert all(j.state == JobState.COMPLETED for j in sched.jobs())
     assert pool.utilisation() == 0.0
 
@@ -47,7 +52,7 @@ def test_property_fifo_start_order(jobs):
         sched.submit(f"acct{i}", "proj", nodes=nodes, walltime=walltime)
         for i, (nodes, walltime) in enumerate(jobs)
     ]
-    clock.run_all()
+    clock.run_until(clock.now() + _serial_walltime(jobs))
     starts = [j.started_at for j in submitted]
     assert all(a <= b for a, b in zip(starts, starts[1:]))
 
@@ -62,7 +67,7 @@ def test_property_cancellation_preserves_invariants(jobs, cancel_idx):
     ]
     if cancel_idx < len(submitted):
         sched.cancel(submitted[cancel_idx].job_id)
-    clock.run_all()
+    clock.run_until(clock.now() + _serial_walltime(jobs))
     for job in submitted:
         assert job.state in (JobState.COMPLETED, JobState.CANCELLED)
     assert pool.utilisation() == 0.0
