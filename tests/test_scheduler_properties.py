@@ -24,7 +24,7 @@ JOBS = st.lists(
 
 
 def _serial_walltime(jobs):
-    """Time by which every job has finished, even run one at a time."""
+    """How long until every job has finished, even run one at a time."""
     return sum(walltime for _, walltime in jobs) + 1.0
 
 
