@@ -22,10 +22,10 @@ def main() -> None:
     print("=== Phase 1: allocation and onboarding ===")
     s1 = wf.story1_pi_onboarding(
         "priya", project_name="proj-llm70b", gpu_hours=2_000,
-        duration=30 * 24 * 3600.0,
+        duration=2 * 24 * 3600.0,
     )
     project_id = s1.data["project_id"]
-    print(f"  project {project_id} allocated: 2000 GPU-hours, 30 days")
+    print(f"  project {project_id} allocated: 2000 GPU-hours, 2 days")
     team = []
     for name in ("raj", "mei", "tomas"):
         s3 = wf.story3_researcher_setup(project_id, "priya", name)
@@ -79,7 +79,7 @@ def main() -> None:
           f"HTTP {retry.status} ({retry.body.get('error', '')[:60]}...)")
 
     print("\n=== Phase 4: project expiry ===")
-    dri.clock.advance(31 * 24 * 3600)  # past the 30-day allocation
+    dri.clock.advance(3 * 24 * 3600)  # past the 2-day allocation
     dri.refresh_tunnels()
     project = dri.portal.project(project_id)
     print(f"  project status: {project.status.value}; "

@@ -157,8 +157,8 @@ class ServiceUnavailable(NetworkError):
 
 
 class FaultInjected(ServiceUnavailable):
-    """The chaos harness failed this message (outage, brownout, flap or
-    partition).  Subclasses :class:`ServiceUnavailable` so clients handle
+    """The chaos harness failed this message (an outage or a brownout).
+    Subclasses :class:`ServiceUnavailable` so clients handle
     injected faults exactly as they would a real dependency outage."""
 
 

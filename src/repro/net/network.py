@@ -336,7 +336,7 @@ class Network:
         extra_latency = 0.0
         if self.faults is not None:
             try:
-                extra_latency = self.faults.perturb(s, d)
+                extra_latency = self.faults.perturb(d)
             except ServiceUnavailable as exc:
                 self.messages_faulted += 1
                 # a failed connect still burns the caller's timeout

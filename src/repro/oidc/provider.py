@@ -583,8 +583,9 @@ class OidcProvider(Service, Durable):
 
     @route("POST", "/revoke")
     def revoke(self, request: HttpRequest) -> HttpResponse:
-        """Revoke by jti.  Requires a confidential client's credentials —
-        in the deployment only the SOC/kill-switch holds them."""
+        """Revoke by jti (RFC 7009).  Requires a confidential client's
+        credentials.  No service in the deployment calls it: the kill
+        switch revokes broker tokens and sessions, not OIDC token ids."""
         b = request.body
         client = self._clients.get(str(b.get("client_id", "")))
         if client is None or not client.confidential:

@@ -13,14 +13,12 @@ randomness comes from an injected ``random.Random``, so a chaos run is
 bit-for-bit reproducible from its seed — the same property the rest of
 the simulation guarantees.
 
-Supported fault kinds (per endpoint, or per (domain, zone) flow):
+Supported fault kinds:
 
 * **outage** — every message to the endpoint fails;
 * **brownout** — each message fails independently with probability *p*;
-* **latency spike** — messages are delivered but cost extra simulated time;
-* **flap** — the endpoint cycles up/down with a fixed period;
-* **partition** — traffic between two (domain, zone) locations fails in
-  both directions, regardless of endpoint health;
+* **slow_replica** — messages are delivered but cost extra simulated time
+  (a gray failure; ``gray_region`` slows every replica of a region);
 * **crash** — process death with state loss: the endpoint goes down AND
   its in-memory state is wiped (via a hook the deployment registers), so
   recovery exercises the durability layer instead of resuming silently;
@@ -47,7 +45,7 @@ Injected failures raise :class:`~repro.errors.FaultInjected`, a subclass
 of :class:`~repro.errors.ServiceUnavailable` — clients cannot tell chaos
 from a real outage, which is the point.
 
-The kinds up to *partition* are **windows**: a :class:`Fault` record that
+The kinds up to *slow_replica* are **windows**: a :class:`Fault` record that
 :meth:`FaultInjector.perturb` consults per message.  The kinds from
 *crash* down are **scheduled**: the injector cannot itself wipe a
 service, fence a region or wedge a teardown, so the tier that can
@@ -76,14 +74,10 @@ __all__ = ["Fault", "FaultInjector"]
 # fault kinds
 OUTAGE = "outage"
 BROWNOUT = "brownout"
-LATENCY = "latency"
-FLAP = "flap"
 PARTITION = "partition"
 CRASH = "crash"
 REGION_DOWN = "region_down"
-# a persistently slow-but-alive replica: the canonical gray failure.
-# Mechanically a latency fault, but a distinct kind so chaos reports can
-# tell a transient network spike from a sick instance
+# a persistently slow-but-alive replica: the canonical gray failure
 SLOW_REPLICA = "slow_replica"
 # continuous-authorization fault kinds (hooks registered by the authz
 # deployment tier): the policy decision point goes unreachable, one
@@ -108,17 +102,13 @@ class Fault:
     start: float
     duration: Optional[float] = None
     probability: float = 1.0          # brownout failure probability
-    extra_latency: float = 0.0        # latency-spike cost per message
-    period: float = 0.0               # flap cycle length
-    up_fraction: float = 0.5          # fraction of each flap period spent up
-    # partition locations as (domain, zone) with zone None = whole domain
+    extra_latency: float = 0.0        # slow-replica cost per message
+    # the two regions a region partition severs, as ("region", name)
     loc_a: Optional[Tuple[object, object]] = None
     loc_b: Optional[Tuple[object, object]] = None
     hits: int = 0                     # messages this fault failed or slowed
-    offers: int = 0                   # messages consulted while active —
-                                      # satellite fix: brownout/flap only
-                                      # counted hits on the messages they
-                                      # failed, hiding how much traffic
+    offers: int = 0                   # messages consulted while active:
+                                      # hits alone hide how much traffic
                                       # rode through the window unscathed
     cleared: bool = False
 
@@ -129,11 +119,6 @@ class Fault:
 
     def clear(self) -> None:
         self.cleared = True
-
-
-def _loc_matches(loc: Tuple[object, object], domain, zone) -> bool:
-    want_domain, want_zone = loc
-    return domain == want_domain and (want_zone is None or zone == want_zone)
 
 
 class FaultInjector:
@@ -201,15 +186,6 @@ class FaultInjector:
         return self._add(Fault(BROWNOUT, endpoint, self._when(start),
                                duration, probability=probability))
 
-    def latency_spike(self, endpoint: str, extra: float, *,
-                      start: Optional[float] = None,
-                      duration: Optional[float] = None) -> Fault:
-        """Messages to ``endpoint`` cost ``extra`` additional seconds."""
-        if extra < 0:
-            raise ConfigurationError(f"extra latency must be >= 0, got {extra}")
-        return self._add(Fault(LATENCY, endpoint, self._when(start),
-                               duration, extra_latency=extra))
-
     def slow_replica(self, endpoint: str, extra: float, *,
                      start: Optional[float] = None,
                      duration: Optional[float] = None) -> Fault:
@@ -221,24 +197,6 @@ class FaultInjector:
                 f"slow_replica extra latency must be > 0, got {extra}")
         return self._add(Fault(SLOW_REPLICA, endpoint, self._when(start),
                                duration, extra_latency=extra))
-
-    def flap(self, endpoint: str, period: float, *, up_fraction: float = 0.5,
-             start: Optional[float] = None,
-             duration: Optional[float] = None) -> Fault:
-        """``endpoint`` cycles: up for ``up_fraction`` of each ``period``,
-        then down for the remainder."""
-        if period <= 0 or not 0.0 <= up_fraction <= 1.0:
-            raise ConfigurationError("flap needs period > 0 and up_fraction in [0, 1]")
-        return self._add(Fault(FLAP, endpoint, self._when(start), duration,
-                               period=period, up_fraction=up_fraction))
-
-    def partition(self, loc_a: Tuple[object, object], loc_b: Tuple[object, object],
-                  *, start: Optional[float] = None,
-                  duration: Optional[float] = None) -> Fault:
-        """Sever traffic between two (domain, zone) locations, both ways.
-        A ``None`` zone matches the whole domain."""
-        return self._add(Fault(PARTITION, None, self._when(start), duration,
-                               loc_a=tuple(loc_a), loc_b=tuple(loc_b)))
 
     # ------------------------------------------------------------------
     # scheduled faults: fire a tier's hook at an instant, undo it later
@@ -379,8 +337,8 @@ class FaultInjector:
         """
         sever_fn, heal_fn = self._hooks_for(
             "region_link", "no region link hooks registered")
-        # loc_a/loc_b are recorded for observability; the "region" marker
-        # never equals an OperatingDomain, so perturb() ignores this fault
+        # loc_a/loc_b are recorded for observability; with no endpoint the
+        # fault matches no message, so perturb() ignores it
         return self._schedule(
             Fault(PARTITION, None, self._when(at), duration,
                   loc_a=("region", region_a), loc_b=("region", region_b)),
@@ -512,32 +470,20 @@ class FaultInjector:
     # ------------------------------------------------------------------
     # the network hook
     # ------------------------------------------------------------------
-    def perturb(self, src, dst) -> float:
+    def perturb(self, dst) -> float:
         """Offer one message for perturbation; called by the network after
         policy checks, before delivery.
 
-        ``src``/``dst`` are endpoint-shaped objects (``name``, ``domain``,
-        ``zone``).  Returns extra latency to impose on delivery; raises
-        :class:`FaultInjected` to fail the message.  Failures happen
+        ``dst`` is the destination endpoint; a fault acts on the messages
+        to its ``endpoint``.  Returns extra latency to impose on delivery;
+        raises :class:`FaultInjected` to fail the message.  Failures happen
         *before* delivery, so the destination never observes a partially
         applied request — which is what makes client retries safe.
         """
         now = self.clock.now()
         extra = 0.0
         for fault in self.faults:
-            if not fault.active(now):
-                continue
-            if fault.kind == PARTITION:
-                a, b = fault.loc_a, fault.loc_b
-                if (_loc_matches(a, src.domain, src.zone)
-                        and _loc_matches(b, dst.domain, dst.zone)) or \
-                   (_loc_matches(b, src.domain, src.zone)
-                        and _loc_matches(a, dst.domain, dst.zone)):
-                    fault.offers += 1
-                    self._fail(fault, dst.name,
-                               f"partition {a} <-> {b} drops {src.name} -> {dst.name}")
-                continue
-            if fault.endpoint != dst.name:
+            if fault.endpoint != dst.name or not fault.active(now):
                 continue
             # every matching message is an *offer*, whether or not the
             # fault ends up acting on it: hits/offers together say how
@@ -550,11 +496,7 @@ class FaultInjector:
                     self._fail(fault, dst.name,
                                f"injected brownout at {dst.name} "
                                f"(p={fault.probability})")
-            elif fault.kind == FLAP:
-                phase = (now - fault.start) % fault.period
-                if phase >= fault.period * fault.up_fraction:
-                    self._fail(fault, dst.name, f"injected flap: {dst.name} is down")
-            elif fault.kind in (LATENCY, SLOW_REPLICA):
+            elif fault.kind == SLOW_REPLICA:
                 fault.hits += 1
                 extra += fault.extra_latency
         self.injected_latency += extra

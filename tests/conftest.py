@@ -359,9 +359,12 @@ def oidc_world(sim):
 def hop_counts(monkeypatch):
     """A Counter of what the transport and its observers did from here
     on, across every instance: ``hops`` (``Network.request``), ``audit``
-    (``AuditLog.emit``), ``spans`` (``SpanStore.add``) and the W3C header
-    codec, ``from_traceparent`` and ``inject`` — which in-process hops
-    never run."""
+    (``AuditLog.emit``), ``spans`` (``SpanStore.add``), ``ids``
+    (``IdFactory.next``/``secret``/``jti`` calls, as ``perf/``'s
+    ``ids.calls`` counts them: a ``jti`` is three), ``json``
+    (``json.dumps``/``loads`` calls) and the W3C header codec,
+    ``from_traceparent`` and ``inject`` — which in-process hops never
+    run."""
     from collections import Counter
 
     from repro.telemetry import SpanStore, TraceContext
@@ -371,9 +374,9 @@ def hop_counts(monkeypatch):
     def count(owner, name, key):
         original = getattr(owner, name)
 
-        def counting(self, *args, **kwargs):
+        def counting(*args, **kwargs):
             counts[key] += 1
-            return original(self, *args, **kwargs)
+            return original(*args, **kwargs)
 
         monkeypatch.setattr(owner, name, counting)
 
@@ -381,6 +384,10 @@ def hop_counts(monkeypatch):
     count(AuditLog, "emit", "audit")
     count(SpanStore, "add", "spans")
     count(TraceContext, "inject", "inject")
+    for name in ("next", "secret", "jti"):
+        count(IdFactory, name, "ids")
+    for name in ("dumps", "loads"):
+        count(json, name, "json")
     parse = TraceContext.from_traceparent.__func__
 
     def counting_parse(cls, *args, **kwargs):

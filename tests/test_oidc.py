@@ -288,6 +288,33 @@ def test_revoke_endpoint_requires_confidential_client(oidc_world):
     assert resp.status == 401
 
 
+def test_revoke_endpoint_checks_the_secret_then_revokes(oidc_world):
+    """RFC 7009: a wrong client secret leaves the token active, the right
+    one revokes it."""
+    _, _, _, provider, app, agent = oidc_world
+    cfg = provider.register_client(
+        "soc-client", [make_url("app", "/callback")], confidential=True
+    )
+    login(agent)
+    full_flow(app, agent)
+    token = app.last_tokens["access_token"]
+
+    def introspect():
+        return agent.call(
+            "op", HttpRequest("POST", "/introspect", body={"token": token})).body
+
+    def revoke(secret):
+        return agent.call("op", HttpRequest("POST", "/revoke", body={
+            "client_id": "soc-client", "client_secret": secret, "jti": jti}))
+
+    jti = introspect()["jti"]
+    assert revoke("wrong").status == 401
+    assert introspect()["active"] is True
+    resp = revoke(cfg.client_secret)
+    assert resp.ok and resp.body == {"revoked": jti}
+    assert introspect()["active"] is False
+
+
 def test_rp_state_replay_rejected(oidc_world):
     _, _, _, provider, app, agent = oidc_world
     login(agent)

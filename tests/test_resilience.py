@@ -135,41 +135,6 @@ def test_brownout_probability_validated(chaos_net):
         faults.brownout("broker", 1.5)
 
 
-def test_latency_spike_slows_but_delivers(chaos_net):
-    network, _, faults, clock = chaos_net
-    faults.latency_spike("broker", 0.5)
-    before = clock.now()
-    assert ping(network).ok
-    assert clock.now() == pytest.approx(before + network.hop_latency + 0.5)
-    assert faults.injected_latency == pytest.approx(0.5)
-
-
-def test_flap_cycles_up_and_down(chaos_net):
-    network, _, faults, clock = chaos_net
-    faults.flap("broker", period=10.0, up_fraction=0.5)
-    assert ping(network).ok              # phase ~0: up
-    clock.advance(6.0)                   # phase ~6: down half
-    with pytest.raises(FaultInjected):
-        ping(network)
-    clock.advance(5.0)                   # next period's up half
-    assert ping(network).ok
-
-
-def test_partition_severs_both_directions(chaos_net):
-    network, _, faults, _ = chaos_net
-    network.firewall.allow(
-        "f-to-e", src_domain=OperatingDomain.FDS,
-        dst_domain=OperatingDomain.EXTERNAL, port=443)
-    faults.partition((OperatingDomain.EXTERNAL, None),
-                     (OperatingDomain.FDS, Zone.ACCESS))
-    with pytest.raises(FaultInjected):
-        ping(network)
-    with pytest.raises(FaultInjected):
-        network.request("broker", "laptop", HttpRequest("GET", "/ping"))
-    faults.clear()
-    assert ping(network).ok
-
-
 def test_clear_single_fault(chaos_net):
     network, _, faults, _ = chaos_net
     f1 = faults.outage("broker")
