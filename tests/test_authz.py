@@ -17,11 +17,13 @@ from repro.authz import (
     SessionRegistry,
 )
 from repro.clock import SimClock
+from repro.cluster.slurm import JobState
 from repro.core import build_isambard
 from repro.errors import ConfigurationError, ServiceUnavailable
 from repro.oidc import make_url
 from repro.policy import PolicyEngine, standard_zero_trust_rules
 from tests.conftest import capture_ingest
+from tests.test_deployment_fingerprint import OPT_IN
 
 pytestmark = pytest.mark.authz
 
@@ -374,6 +376,84 @@ class TestDeploymentRevocation:
         intents = dri.authz.pipeline._iter_intents()
         assert any(i.reason.startswith("policy:assurance-below-floor")
                    for i in intents)
+
+
+# ---------------------------------------------------------------------------
+# the registry against the surfaces: it holds what they hold live, no more
+# ---------------------------------------------------------------------------
+def surface_grants(dri):
+    """Every grant the enforcement surfaces themselves hold live, by kind
+    (the log shipper's unaudited service mints are never tracked)."""
+    now = dri.clock.now()
+    tokens, ca, zenith = dri.broker.tokens, dri.ssh_ca, dri.zenith
+    return {
+        "rbac-token": {jti for jti, rec in tokens._issued.items()
+                       if rec.expires_at > now and not tokens.is_revoked(jti)
+                       and rec.subject != "log-shipper"},
+        "ssh-cert": {str(serial) for serial, rec in ca._issued_certs.items()
+                     if rec["kind"] == "user" and rec["valid_before"] > now
+                     and serial not in ca._revoked_serials},
+        "ssh-session": {s.session_id for sshd in dri.login_nodes
+                        for s in sshd.sessions()},
+        "web-session": {sid for sid, s in zenith._web_sessions.items()
+                        if now < s["expires_at"]},
+        "tunnel": {service for service, t in zenith.tunnels.items()
+                   if t.usable(now)},
+        "jupyter": {s.session_id for s in dri.jupyter.sessions()},
+        "slurm-job": {job.job_id for slurm in dri.schedulers
+                      for job in slurm.jobs()
+                      if job.state in (JobState.PENDING, JobState.RUNNING)},
+    }
+
+
+def registry_grants(reg):
+    held = {kind: set() for kind in ("rbac-token", "ssh-cert", "ssh-session",
+                                     "web-session", "tunnel", "jupyter",
+                                     "slurm-job")}
+    for grant in reg.live_grants():
+        held[grant.kind].add(grant.resource)
+    return held
+
+
+@pytest.mark.parametrize("flags", [
+    {"authz": True}, {flag: True for flag in OPT_IN}],
+    ids=["authz", "all-tiers"])
+def test_the_registry_holds_what_the_surfaces_hold(flags):
+    dri = build_isambard(seed=96, **flags)
+    reg, wf = dri.authz.registry, dri.workflows
+
+    def agrees(step):
+        held, live = registry_grants(reg), surface_grants(dri)
+        assert held == live, f"{step}: registry {held} != surfaces {live}"
+
+    workshop = wf.rsecon_workshop(n_trainees=3)
+    assert workshop.ok, workshop.steps
+    project_id = workshop.data["project_id"]
+    agrees("workshop logins and notebooks")
+    trainees = [wf.personas[f"trainee{i:02d}"] for i in range(3)]
+    for persona in trainees:
+        assert wf.story4_ssh_session(persona.name).ok
+    agrees("ssh sessions")
+    for persona in trainees[:2]:
+        account = reg.graph.accounts_of(persona.broker_sub)[0]
+        for slurm in dri.schedulers:
+            slurm.submit(account, project_id, nodes=1, walltime=600.0)
+    agrees("slurm jobs")
+
+    trainer = wf.personas["trainer"]
+    pi_token = wf.mint(trainer, "portal", "pi",
+                       project=project_id).body["token"]
+    resp, _ = trainer.agent.post(
+        make_url("portal", "/revoke_member"),
+        {"project_id": project_id, "uid": trainees[0].broker_sub},
+        headers={"Authorization": f"Bearer {pi_token}"},
+    )
+    assert resp.ok, resp.body
+    agrees("portal revocation")
+    assert dri.faults.revocation_storm(3)
+    agrees("revocation storm")
+    dri.clock.advance(dri.broker.tokens.default_ttl + REEVAL_INTERVAL)
+    agrees("past the RBAC TTL")
 
 
 # ---------------------------------------------------------------------------
