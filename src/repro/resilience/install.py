@@ -118,10 +118,13 @@ def install_failover(dri) -> None:
                        name="ssh-ca-standby")
 
     def promote_broker(standby) -> None:
-        # the promoted instance keeps publishing invalidations and
-        # tracking grants where its predecessor did, or caches and the
-        # session registry would go quietly stale after a failover
+        # the promoted instance keeps publishing invalidations, tracking
+        # grants, shedding and retrying where its predecessor did, or
+        # caches and the session registry would go quietly stale and the
+        # overload and retry tiers would drop out after a failover
         deposed = dri.broker
+        standby.admission = deposed.admission
+        standby.resilience = deposed.resilience
         standby.invalidation_bus = deposed.invalidation_bus
         standby.tokens.bus = deposed.tokens.bus
         standby.tokens.session_registry = deposed.tokens.session_registry
@@ -139,6 +142,7 @@ def install_failover(dri) -> None:
             dri.broker_front.set_serving(True)
 
     def promote_ca(standby) -> None:
+        standby.admission = dri.ssh_ca.admission
         standby.session_registry = dri.ssh_ca.session_registry
         dri.ssh_ca = standby
 

@@ -454,6 +454,22 @@ def test_restart_of_promoted_pair_rejoins_as_fenced_standby():
     assert wf.mint(wf.personas["pi"], "jupyter", "pi").ok
 
 
+def test_promotion_keeps_the_admission_and_retry_wiring():
+    """A promoted standby sheds and retries as its primary did: the
+    overload tier's admission controllers and the broker's retry kit
+    move across with the bus and the session registry."""
+    dri = build_isambard(seed=12, overload=True, failover=True)
+    broker, ca = dri.broker, dri.ssh_ca
+    assert broker.admission and broker.resilience and ca.admission
+    dri.crash("broker")
+    dri.crash("ssh-ca")
+    dri.clock.advance(30.0)
+    assert dri.broker is not broker and dri.ssh_ca is not ca
+    assert dri.broker.admission is broker.admission
+    assert dri.broker.resilience is broker.resilience
+    assert dri.ssh_ca.admission is ca.admission
+
+
 # ======================================================================
 # checkpoint cadence and write-ahead ordering
 # ======================================================================
