@@ -81,7 +81,8 @@ class RevocationPipeline(Durable):
     ----------
     clock, registry, audit, telemetry:
         The usual simulation plumbing; registry resolves identities and
-        is updated as surfaces confirm.
+        names the ones a storm hits (each surface's teardown drops the
+        grants it ends from it).
     retry_interval:
         How long to wait before re-driving intents left pending by a
         failed or stuck surface.
@@ -178,11 +179,6 @@ class RevocationPipeline(Durable):
                 "intent_id": intent.intent_id, "surface": surface,
                 "count": count})
             self.enforcements += 1
-            self.registry.close_surface(
-                intent.spiffe_id, surface,
-                reason=intent.reason,
-                project=intent.project or None,
-            )
         if intent.complete and intent.completed_at is None:
             now = self.clock.now()
             self.commit("authz.complete",

@@ -172,7 +172,7 @@ class TokenService:
             # them would keep the registry from ever draining to zero
             self.session_registry.track(
                 "rbac-token", "tokens", subject, jti,
-                project=project, expires_at=now + effective_ttl,
+                expires_at=now + effective_ttl,
                 workload=role_value == Role.SERVICE.value)
         if audit_issue:
             extra_audit = {"spiffe_id": spiffe} if spiffe else {}
@@ -193,7 +193,7 @@ class TokenService:
         if self.bus is not None:
             self.bus.publish("token.revoked", key=jti)
         if self.session_registry is not None:
-            self.session_registry.close("rbac-token", jti, reason="revoked")
+            self.session_registry.close("rbac-token", jti)
         # trace_id correlates the revocation with the containment action
         # that ordered it — the telemetry pipeline pins that trace
         # against tail-sampling eviction for post-mortem replay
@@ -221,8 +221,7 @@ class TokenService:
                 self.bus.publish("token.revoked", key=jti, subject=subject)
         if self.session_registry is not None:
             for jti in hit:
-                self.session_registry.close("rbac-token", jti,
-                                            reason="subject-revoked")
+                self.session_registry.close("rbac-token", jti)
         n = len(hit)
         if n:
             self.audit.record(

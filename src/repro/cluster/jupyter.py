@@ -276,8 +276,7 @@ class JupyterService(Service):
         s.closed = True
         self.pool.release(s.session_id)
         if self.session_registry is not None:
-            self.session_registry.close("jupyter", s.session_id,
-                                        reason="closed")
+            self.session_registry.close("jupyter", s.session_id)
         return True
 
     def close_sessions_for(self, subject: str) -> int:

@@ -147,8 +147,7 @@ class SlurmScheduler:
         self._queue.append(job.job_id)
         if self.session_registry is not None:
             self.session_registry.track(
-                "slurm-job", "compute", account, job.job_id,
-                project=project_id)
+                "slurm-job", "compute", account, job.job_id)
         self.audit.record(
             self.clock.now(), "slurm", account, "job.submit", job.job_id,
             Outcome.SUCCESS, project=project_id, nodes=nodes, walltime=walltime,
@@ -197,8 +196,7 @@ class SlurmScheduler:
         job.finished_at = self.clock.now()
         self.pool.release(job.job_id)
         if self.session_registry is not None:
-            self.session_registry.close("slurm-job", job.job_id,
-                                        reason="completed")
+            self.session_registry.close("slurm-job", job.job_id)
         self.audit.record(
             self.clock.now(), "slurm", job.account, "job.complete", job.job_id,
             Outcome.SUCCESS,
@@ -215,8 +213,7 @@ class SlurmScheduler:
         job.state = JobState.CANCELLED
         job.finished_at = self.clock.now()
         if self.session_registry is not None:
-            self.session_registry.close("slurm-job", job.job_id,
-                                        reason="cancelled")
+            self.session_registry.close("slurm-job", job.job_id)
         self.audit.record(
             self.clock.now(), "slurm", by, "job.cancel", job.job_id, Outcome.INFO,
         )

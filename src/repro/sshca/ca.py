@@ -190,8 +190,7 @@ class SshCertificateAuthority(Service, Durable):
         self.commit("ca.revoke", {"serials": hit, "key_id": key_id})
         if self.session_registry is not None:
             for s in hit:
-                self.session_registry.close("ssh-cert", str(s),
-                                            reason="revoked")
+                self.session_registry.close("ssh-cert", str(s))
         self.log_event("authz-pipeline", "ca.revoke", key_id, Outcome.INFO,
                        count=len(hit))
         return len(hit)

@@ -205,8 +205,7 @@ class LoginNodeSshd(Service):
             if s.principal == principal and s.active(now):
                 s.closed = True
                 if self.session_registry is not None:
-                    self.session_registry.close(
-                        "ssh-session", s.session_id, reason="closed")
+                    self.session_registry.close("ssh-session", s.session_id)
                 n += 1
         if n:
             self.log_event("killswitch", "ssh.sessions_closed", principal,

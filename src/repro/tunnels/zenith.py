@@ -209,8 +209,7 @@ class ZenithServer(Service):
         if record is not None:
             record.killed = True
             if self.session_registry is not None:
-                self.session_registry.close("tunnel", service,
-                                            reason="killed")
+                self.session_registry.close("tunnel", service)
             self.log_event("killswitch", "zenith.kill", service,
                 Outcome.INFO,
             )
@@ -235,8 +234,7 @@ class ZenithServer(Service):
         for sid in hit:
             del self._web_sessions[sid]
             if self.session_registry is not None:
-                self.session_registry.close("web-session", sid,
-                                            reason="revoked")
+                self.session_registry.close("web-session", sid)
         if hit:
             self.log_event("authz-pipeline", "zenith.sessions_revoked",
                 subject, Outcome.INFO, count=len(hit),

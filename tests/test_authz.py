@@ -73,11 +73,9 @@ class TestSessionRegistry:
         assert reg.surfaces_of(spiffe) == ["tokens", "ssh"]
         assert reg.identities_with_live_grants() == [spiffe]
 
-        assert reg.close("rbac-token", "jti-1", reason="revoked")
-        assert not reg.close("rbac-token", "jti-1", reason="twice")  # idempotent
+        assert reg.close("rbac-token", "jti-1")
+        assert not reg.close("rbac-token", "jti-1")  # idempotent
         assert reg.surfaces_of(spiffe) == ["ssh"]
-        assert reg.close_surface(spiffe, "ssh", reason="teardown") == 1
-        assert reg.live_grants(spiffe) == []
 
     def test_expiry_ends_grants_without_revocation(self):
         clock, reg = self._registry()
@@ -88,13 +86,12 @@ class TestSessionRegistry:
 
     def test_reregistration_refreshes_in_place(self):
         clock, reg = self._registry()
-        g1 = reg.track("tunnel", "tunnels", "svc", "jupyter",
-                       expires_at=100.0, workload=True)
-        g2 = reg.track("tunnel", "tunnels", "svc", "jupyter",
-                       expires_at=200.0, workload=True)  # the heartbeat
-        assert g1.grant_id == g2.grant_id
-        assert g2.expires_at == 200.0
-        assert len(reg.live_grants()) == 1
+        reg.track("tunnel", "tunnels", "svc", "jupyter",
+                  expires_at=100.0, workload=True)
+        reg.track("tunnel", "tunnels", "svc", "jupyter",
+                  expires_at=200.0, workload=True)  # the heartbeat
+        [grant] = reg.live_grants()
+        assert grant.expires_at == 200.0
 
     def test_unknown_surface_rejected(self):
         _, reg = self._registry()
@@ -113,8 +110,12 @@ def _pipeline(retry_interval=2.0):
     torn = {s: 0 for s in SURFACES}
 
     def point(surface):
+        # like a real surface, a teardown ends the grants it holds
         def action(intent):
             torn[surface] += 1
+            for grant in reg.live_grants(intent.spiffe_id):
+                if grant.surface == surface:
+                    reg.close(grant.kind, grant.resource)
             return 1
         return action
 
@@ -454,6 +455,41 @@ def test_the_registry_holds_what_the_surfaces_hold(flags):
     agrees("revocation storm")
     dri.clock.advance(dri.broker.tokens.default_ttl + REEVAL_INTERVAL)
     agrees("past the RBAC TTL")
+
+
+def test_the_registry_holds_only_live_grants():
+    """Revoked and expired grants leave the registry: after every
+    re-evaluation sweep it holds as many grants as are live."""
+    dri = build_isambard(seed=97, **{flag: True for flag in OPT_IN})
+    reg, wf, tokens = dri.authz.registry, dri.workflows, dri.broker.tokens
+    authorizer = dri.authz.authorizer
+    sweep, sweeps = authorizer.reevaluate_all, []
+
+    def counted_sweep():
+        revoked = sweep()
+        held = len(reg._grants)
+        sweeps.append((held, len(reg.live_grants())))
+        return revoked
+
+    authorizer.reevaluate_all = counted_sweep
+    s1 = wf.story1_pi_onboarding("pi")
+    assert s1.ok, s1.steps
+    for n in range(3):
+        name = f"res{n}"
+        assert wf.relogin(wf.personas["pi"]).ok
+        assert wf.story3_researcher_setup(
+            s1.data["project_id"], "pi", name).ok
+        assert wf.story6_jupyter(name).ok
+        sub = wf.personas[name].broker_sub
+        _, record = tokens.mint(sub, "jupyter", "researcher", ttl=60.0)
+        tokens.mint(sub, "jupyter", "researcher", ttl=120.0)
+        tokens.revoke_jti(record.jti)
+        if n:
+            dri.authz.pipeline.revoke(
+                uid=wf.personas[f"res{n - 1}"].broker_sub, reason="test")
+        dri.clock.advance(tokens.max_ttl + REEVAL_INTERVAL)
+    assert len(sweeps) >= 3
+    assert all(held == live for held, live in sweeps), sweeps
 
 
 # ---------------------------------------------------------------------------
