@@ -91,8 +91,3 @@ class ParallelFilesystem:
         if vol is None:
             raise AuthorizationError(f"project {project_id!r} has no volume")
         return vol
-
-    def purge_project(self, project_id: str) -> int:
-        """Remove a closed project's data; returns bytes freed."""
-        vol = self._volumes.pop(project_id, None)
-        return vol.used_bytes if vol else 0

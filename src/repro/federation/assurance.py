@@ -60,14 +60,6 @@ class AssurancePolicy:
         {EntityCategory.RESEARCH_AND_SCHOLARSHIP}
     )
 
-    @classmethod
-    def make(
-        cls,
-        minimum_loa: LevelOfAssurance,
-        categories: Iterable[EntityCategory] = (),
-    ) -> "AssurancePolicy":
-        return cls(minimum_loa=minimum_loa, required_categories=frozenset(categories))
-
     def check(self, loa: LevelOfAssurance, categories: Iterable[EntityCategory]) -> None:
         """Raise :class:`AssuranceTooLow` unless (loa, categories) satisfy us."""
         if not loa.satisfies(self.minimum_loa):

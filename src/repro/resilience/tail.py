@@ -39,7 +39,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.errors import ConfigurationError
 from repro.telemetry.metrics import Histogram
 
 __all__ = [
@@ -65,9 +64,11 @@ HEDGE_QUANTILE = 0.95
 # adaptive per-attempt deadlines: no quantile-derived bound is trusted
 # before MIN_SAMPLES observations (until then attempts run unbounded, the
 # cold-start safety), and the attempt timeout is TIMEOUT_MULTIPLIER ×
-# p(TIMEOUT_QUANTILE), clamped into [timeout_min, timeout_max]
+# p(TIMEOUT_QUANTILE), clamped into [TIMEOUT_MIN, TIMEOUT_MAX]
 MIN_SAMPLES = 20
 TIMEOUT_MULTIPLIER = 3.0
+TIMEOUT_MIN = 0.02
+TIMEOUT_MAX = 2.0
 # the hedge fires after max(HEDGE_MIN, HEDGE_MULTIPLIER × p(HEDGE_QUANTILE))
 # — deliberately tighter than the attempt timeout, that is the point of
 # hedging — and hedges are capped at HEDGE_BUDGET_RATIO of balanced calls
@@ -89,29 +90,18 @@ class TailConfig:
     ----------
     adaptive_deadlines / hedging / ejection / retry_budget:
         Per-defence switches.
-    timeout_min, timeout_max:
-        The clamp on the adaptive attempt timeout
-        (``TIMEOUT_MULTIPLIER × p(TIMEOUT_QUANTILE)`` of the destination's
-        observed successful-attempt latency).
     """
 
     adaptive_deadlines: bool = True
     hedging: bool = True
     ejection: bool = True
     retry_budget: bool = True
-    timeout_min: float = 0.02
-    timeout_max: float = 2.0
 
-    def __post_init__(self) -> None:
-        if self.timeout_min <= 0 or self.timeout_max < self.timeout_min:
-            raise ConfigurationError(
-                "need 0 < timeout_min <= timeout_max, got "
-                f"[{self.timeout_min}, {self.timeout_max}]")
 
-    def clamp_timeout(self, p: float) -> float:
-        """The adaptive attempt timeout for an observed ``p(TIMEOUT_QUANTILE)``."""
-        return max(self.timeout_min, min(self.timeout_max,
-                                         TIMEOUT_MULTIPLIER * p))
+def clamp_timeout(p: float) -> float:
+    """The adaptive attempt timeout for an observed ``p(TIMEOUT_QUANTILE)``
+    of the destination's successful-attempt latency."""
+    return max(TIMEOUT_MIN, min(TIMEOUT_MAX, TIMEOUT_MULTIPLIER * p))
 
 
 def hedge_delay_from(p: float) -> float:
@@ -379,8 +369,7 @@ class TailController:
             return None
         if self.latency.count(key=key) < MIN_SAMPLES:
             return None
-        return self.cfg.clamp_timeout(
-            self.latency.quantile(TIMEOUT_QUANTILE, key=key))
+        return clamp_timeout(self.latency.quantile(TIMEOUT_QUANTILE, key=key))
 
     def bound_for(self, key: str, request, *, first: bool,
                   hedge_target: Optional[Callable[[], bool]] = None,

@@ -39,18 +39,11 @@ def test_policy_rejects_missing_category():
     assert "refeds-r-and-s" in str(err.value)
 
 
-def test_make_with_custom_requirements():
-    policy = AssurancePolicy.make(
-        LevelOfAssurance.ESPRESSO, [RNS, EntityCategory.SIRTFI]
-    )
-    assert not policy.accepts(LevelOfAssurance.ESPRESSO, [RNS])
-    assert policy.accepts(LevelOfAssurance.ESPRESSO, [RNS, EntityCategory.SIRTFI])
-
-
 @given(
     loa=st.sampled_from(list(LevelOfAssurance)),
     minimum=st.sampled_from(list(LevelOfAssurance)),
 )
 def test_property_loa_check_matches_ordering(loa, minimum):
-    policy = AssurancePolicy.make(minimum, [])
+    policy = AssurancePolicy(minimum_loa=minimum,
+                             required_categories=frozenset())
     assert policy.accepts(loa, []) == (loa >= minimum)

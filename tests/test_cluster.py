@@ -352,13 +352,3 @@ def test_storage_revoked_account_denied():
     del accounts["alice.proj1"]  # tombstoned
     with pytest.raises(AuthorizationError):
         fs.read("alice.proj1", "proj1", "/x")
-
-
-def test_storage_purge():
-    accounts = {"alice.proj1": "proj1"}
-    fs = ParallelFilesystem(accounts.get)
-    fs.provision("proj1")
-    fs.write("alice.proj1", "proj1", "/x", 42)
-    assert fs.purge_project("proj1") == 42
-    with pytest.raises(AuthorizationError):
-        fs.usage("proj1")
