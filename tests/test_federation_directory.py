@@ -21,10 +21,12 @@ national-federation ablation (ABL14):
   rejected without advancing the feed's sequence.
 """
 
+import bisect
 import dataclasses
 import gc
 import hashlib
 import json
+import random
 
 import pytest
 from hypothesis import given
@@ -49,7 +51,12 @@ from repro.federation.directory import (
     ShardedAccountRegistry,
     ShardedMetadataStore,
 )
-from repro.federation.directory.sharding import pack_account, unpack_account
+from repro.federation.directory.ring import HashRing
+from repro.federation.directory.sharding import (
+    VNODES,
+    pack_account,
+    unpack_account,
+)
 from repro.federation.idp import InstitutionalIdP
 from repro.federation.myaccessid import LinkedIdentity
 from repro.ids import IdFactory
@@ -245,6 +252,109 @@ def test_lookup_accounting_does_not_grow_with_lookups():
     assert reg.lookup_latencies == [PROBE_COST] * 100_000
     reg.reset_lookup_stats()
     assert reg.lookup_latencies == []
+
+
+# ---------------------------------------------------------------------------
+# placement: the ring's owners, and how many placements each op makes
+# ---------------------------------------------------------------------------
+def _position(text: str) -> int:
+    """A ring position written out here, from hashlib alone: the first
+    eight bytes of the sha256 digest, big-endian."""
+    return int.from_bytes(hashlib.sha256(text.encode()).digest()[:8], "big")
+
+
+def _clockwise_reference(members, vnodes):
+    """The owner of a key as the ring is specified: sort the vnodes, take
+    the first one past the key's position (one exactly on it is behind
+    it), wrap at the end."""
+    ring = sorted((_position(f"{m}#{v}"), m)
+                  for m in members for v in range(vnodes))
+    positions = [pos for pos, _ in ring]
+    return lambda key: ring[
+        bisect.bisect_right(positions, _position(key)) % len(ring)][1]
+
+
+def _placement_keys():
+    """Seeded keys from all three key spaces, non-ASCII ones included."""
+    rng = random.Random(35)
+    keys = []
+    for i in range(300):
+        entity = f"https://idp-{rng.randrange(3000):05d}.example"
+        sub = f"sub-{rng.randrange(10**7):07d}" if i % 7 else f"zoë-{i}"
+        keys += [f"id:{entity}\n{sub}",
+                 f"uid:ma-{rng.randrange(10**6):04d}@myaccessid",
+                 f"md:{entity}"]
+    return keys
+
+
+# sha256 of the owner sequence, recorded with the ring that read a
+# position as ``int.from_bytes(digest[:8], "big")``
+PLACEMENT_OWNERS_SHA256 = (
+    "1f62b83da5f621f2ed9c5546cb80e9eca8373a926770d3e06f66e54f6f754b81")
+
+
+def test_placement_is_the_first_vnode_clockwise_and_as_recorded():
+    """Every key's owner on the 8-shard account ring, then on the ring
+    with a 9th member, is the first vnode clockwise of the key's sha256
+    position, and the owner sequence is the recorded one: a placement
+    that moved would move every stored byte."""
+    reg, _ = _registry(shards=8)
+    keys = _placement_keys()
+    members = sorted(reg.shards)
+    owners = []
+    for join in ("", "acct-08"):
+        if join:
+            reg.ring.add(join)
+            members.append(join)
+        reference = _clockwise_reference(members, VNODES)
+        for key in keys:
+            owners.append(reg.ring.locate(key))
+            assert owners[-1] == reference(key), key
+    assert len(set(owners)) == 9
+    assert _sha("\n".join(owners)) == PLACEMENT_OWNERS_SHA256
+
+
+def _count_placements(monkeypatch):
+    """Count every ``HashRing.locate`` call from here on."""
+    calls = []
+    locate = HashRing.locate
+
+    def counting(ring, key):
+        calls.append(key)
+        return locate(ring, key)
+
+    monkeypatch.setattr(HashRing, "locate", counting)
+    return calls
+
+
+def test_placements_per_op(monkeypatch):
+    """The directory's ops each place a fixed number of keys: a wave two
+    per new identity and one per identity already held, ``find`` two,
+    a metadata ``get`` one, ``add_shard`` one per stored ring key."""
+    reg, _ = _registry(shards=4)
+    calls = _count_placements(monkeypatch)
+    reg.register_batch(_wave(0, 40), now=1.0)
+    assert len(calls) == 2 * 40
+    del calls[:]
+    reg.register_batch(_wave(30, 20), now=2.0)  # 10 held, 10 new
+    assert len(calls) == 10 + 2 * 10
+    del calls[:]
+    for entry in _wave(0, 25):
+        assert reg.find(LinkedIdentity(entry["entity_id"], entry["sub"]))
+    assert len(calls) == 2 * 25
+    stored = sum(len(s.idmap) + len(s.accounts) + len(s.retired)
+                 for s in reg.shards.values())
+    del calls[:]
+    reg.add_shard("acct-04")
+    assert len(calls) == stored == 2 * 50
+    store, _, _ = _md_store(shards=2)
+    store.upsert_record(entity_id="https://idp-pl.example",
+                        endpoint_name="idp-pl", display_name="IdP pl",
+                        federation="fed-pl", loa=LOA, categories=(),
+                        verifier="vk-pl")
+    del calls[:]
+    assert store.get("https://idp-pl.example").version == 1
+    assert len(calls) == 1
 
 
 def test_remove_shard_drains_then_drops():

@@ -9,6 +9,7 @@ and failover, and the metric-driven autoscaler.
 
 from __future__ import annotations
 
+import hashlib
 import random
 from bisect import bisect_right
 
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 from repro.audit import AuditLog
 from repro.clock import SimClock
 from repro.errors import ServiceUnavailable, SignatureInvalid
-from repro.federation.directory.ring import HashRing, _h
+from repro.federation.directory.ring import HashRing
 from repro.net import (
     HttpRequest,
     HttpResponse,
@@ -40,6 +41,12 @@ from repro.scale import (
 from repro.telemetry import Telemetry
 
 _member = st.sampled_from([f"m{i}" for i in range(8)])
+
+
+def _position(text: str) -> int:
+    """A ring position from hashlib alone: sha256's first eight bytes."""
+    return int.from_bytes(hashlib.sha256(text.encode()).digest()[:8], "big")
+
 
 # ======================================================================
 # the directory's consistent-hash ring
@@ -117,10 +124,10 @@ class TestBoundedLoadRing:
             elif not join and member in members and len(members) > 1:
                 ring.remove(member)
                 members.remove(member)
-            vnode_ring = sorted((_h(f"{m}#{v}"), m)
+            vnode_ring = sorted((_position(f"{m}#{v}"), m)
                                 for m in members for v in range(vnodes))
             for key in keys:
-                at = bisect_right(vnode_ring, (_h(key), "\uffff"))
+                at = bisect_right(vnode_ring, (_position(key), "\uffff"))
                 assert ring.locate(key) == vnode_ring[at % len(vnode_ring)][1]
 
 
