@@ -1,25 +1,31 @@
 """The directory's placement ring: consistent hashing over virtual nodes.
 
 Account and metadata keys map to shards via a classic virtual-node hash
-ring (sha256, so placement is identical across processes and runs — no
-Python hash randomisation).  Key movement on membership change is
-minimal by construction: only the keys whose ring arc lands on the
-joining/leaving member move.  Membership is the caller's to keep
-(:class:`~repro.federation.directory.sharding.ShardedTier` refuses a
-duplicate or unknown shard before it touches the ring).
+ring (sha256, so placement is identical across processes, runs and
+Python versions — no Python hash randomisation, and only the public
+``hashlib``).  Key movement on a join is minimal by construction: only
+the keys whose ring arc lands on the joining member move.  Membership is
+the caller's to keep (:class:`~repro.federation.directory.sharding.ShardedTier`
+refuses a duplicate shard before it touches the ring).
 """
 
 from __future__ import annotations
 
 import hashlib
+import struct
 from bisect import bisect_right
 from typing import Iterable, List, Tuple
 
 __all__ = ["HashRing"]
 
+_sha256 = hashlib.sha256
+# the first eight bytes of a digest, big-endian — the same integer as
+# ``int.from_bytes(digest[:8], "big")``, read without slicing the digest
+_first_u64 = struct.Struct(">Q").unpack_from
 
-def _h(data: str) -> int:
-    return int.from_bytes(hashlib.sha256(data.encode()).digest()[:8], "big")
+
+def _position(text: str) -> int:
+    return _first_u64(_sha256(text.encode()).digest())[0]
 
 
 class HashRing:
@@ -28,28 +34,27 @@ class HashRing:
     def __init__(self, members: Iterable[str] = (), *,
                  vnodes: int = 64) -> None:
         self.vnodes = vnodes
-        # the sorted vnodes, and their positions alone for the bisect
+        # the sorted vnodes; their positions alone for the bisect; their
+        # owners, with the first repeated at the end so that a key past
+        # the last vnode wraps to the first without a modulo
         self._ring: List[Tuple[int, str]] = []
         self._positions: List[int] = []
+        self._owners: List[str] = []
         for member in members:
             self.add(member)
 
     def add(self, member: str) -> None:
-        self._set_ring(self._ring + [(_h(f"{member}#{v}"), member)
-                                     for v in range(self.vnodes)])
-
-    def remove(self, member: str) -> None:
-        self._set_ring([vnode for vnode in self._ring if vnode[1] != member])
-
-    def _set_ring(self, vnodes: List[Tuple[int, str]]) -> None:
-        self._ring = sorted(vnodes)
+        self._ring = sorted(self._ring + [(_position(f"{member}#{v}"), member)
+                                          for v in range(self.vnodes)])
         self._positions = [pos for pos, _ in self._ring]
+        self._owners = [owner for _, owner in self._ring] + [self._ring[0][1]]
 
     def locate(self, key: str) -> str:
-        """The ring owner of ``key``: one hash and one bisect to the first
+        """The ring owner of ``key``: one digest and one bisect to the first
         vnode clockwise of it (a vnode exactly on the key's position
-        counts as behind it)."""
-        if not self._ring:
-            raise RuntimeError("hash ring has no members")
-        return self._ring[
-            bisect_right(self._positions, _h(key)) % len(self._ring)][1]
+        counts as behind it).  A ring with no members has no owner to
+        give (``IndexError``)."""
+        # _position(key) written out: the call would cost a tenth of a
+        # placement, and the directory places every key it touches
+        return self._owners[bisect_right(
+            self._positions, _first_u64(_sha256(key.encode()).digest())[0])]

@@ -18,11 +18,12 @@ on the directory's consistent-hash ring
   mutation journals before it applies (WAL discipline), so a shard crash
   recovers losslessly through the deployment's
   :class:`~repro.resilience.DurabilityStore`, shard by shard.
-* Shard add/remove is a *stepwise deterministic migration*: the plan is
-  the sorted list of keys whose ring owner changed, and until a key's
+* Adding a shard starts a *stepwise deterministic migration*: the plan
+  is the sorted list of keys whose ring owner changed, and until a key's
   batch has moved, lookups probe the new owner, miss, and fall back to
   the source shard — one extra probe, which is what bounds the lookup
-  p99 during a migration (at most ``2 × PROBE_COST``).
+  p99 during a migration (at most ``2 × PROBE_COST``).  A shard never
+  leaves: nothing in the federation retires one.
 * A downed shard fails its key range *closed*
   (:class:`~repro.errors.ShardUnavailable`); the other shards keep
   serving theirs.
@@ -87,8 +88,8 @@ class DirectoryShard(Durable):
     """Common journaled-shard machinery: migration payloads.
 
     Subclasses define the tables and implement the :class:`Durable`
-    contract plus :meth:`ring_keys` / :meth:`extract` / :meth:`key_count`
-    (and replay the ``migrate.in`` entry :meth:`install` journals).
+    contract plus :meth:`ring_keys` / :meth:`extract` (and replay the
+    ``migrate.in`` entry :meth:`install` journals).
     """
 
     snapshot_every = 512
@@ -108,10 +109,6 @@ class DirectoryShard(Durable):
     def install(self, payload: Dict[str, object]) -> None:
         """Journal + insert a payload extracted from another shard."""
         self.commit("migrate.in", payload)
-
-    def key_count(self) -> int:
-        """Ring keys held here; a drained shard must hold none."""
-        raise NotImplementedError
 
 
 # A stored account is one flat tuple of atoms,
@@ -152,10 +149,10 @@ def unpack_account(record: Record) -> Dict[str, object]:
             "created_at": created_at, "loa": loa}
 
 
-def _new_row(uid: str, identity: LinkedIdentity, display_name: str,
+def _new_row(uid: str, entity_id: str, sub: str, display_name: str,
              email: str, loa: int, now: float) -> Dict[str, object]:
     """The JSON row of a freshly minted account, as it is journaled."""
-    return {"uid": uid, "linked": [[identity.entity_id, identity.sub]],
+    return {"uid": uid, "linked": [[entity_id, sub]],
             "display_name": display_name, "email": email,
             "created_at": now, "loa": int(loa)}
 
@@ -268,9 +265,6 @@ class AccountShard(DirectoryShard):
             "retired": retired})
         return {"idmap": idmap, "accounts": accounts, "retired": retired}
 
-    def key_count(self) -> int:
-        return len(self.idmap) + len(self.accounts) + len(self.retired)
-
 
 class Migration:
     """One in-flight shard rebalance: a sorted move plan, stepped in batches.
@@ -319,7 +313,6 @@ class Migration:
         self.cursor += len(chunk)
         if self.done:
             self.finished_at = self.tier.clock.now()
-            self.tier._drop_drained()
         return len(chunk)
 
 
@@ -342,7 +335,6 @@ class ShardedTier:
         # shards added after construction
         self.journal_factory: Optional[Callable[[str], ServiceJournal]] = None
         self._migration: Optional[Migration] = None
-        self._draining: Optional[str] = None
         # stats (recorded simulated latencies; never clock advances)
         self.lookups = 0
         self.fallback_probes = 0
@@ -426,21 +418,6 @@ class ShardedTier:
         self.ring.add(name)
         return self._plan_migration()
 
-    def remove_shard(self, name: str) -> Optional[Migration]:
-        """Leave the ring; the shard keeps serving its keys while the
-        migration drains them, then it is dropped."""
-        self._shard(name)
-        if len(self.shards) == 1:
-            raise ConfigurationError(
-                f"cannot remove the last {self.tier} shard")
-        self._check_no_migration()
-        self.ring.remove(name)
-        self._draining = name
-        migration = self._plan_migration()
-        if migration is None:  # nothing stored there: drop immediately
-            self._drop_drained()
-        return migration
-
     def _check_no_migration(self) -> None:
         if self._migration is not None and not self._migration.done:
             raise ConfigurationError(
@@ -448,26 +425,15 @@ class ShardedTier:
                 f"({self._migration.cursor}/{self._migration.total} moved)")
 
     def _plan_migration(self) -> Optional[Migration]:
-        moves: List[Tuple[str, str, str]] = []
-        for name in sorted(self.shards):
-            for rk in self.shards[name].ring_keys():
-                dst = self.ring.locate(rk)
-                if dst != name:
-                    moves.append((rk, name, dst))
-        moves.sort()
+        """Plan to move every stored key whose ring owner is not the
+        shard holding it, sorted by ring key."""
+        locate = self.ring.locate
+        moves = sorted((rk, name, dst)
+                       for name, shard in self.shards.items()
+                       for rk in shard.ring_keys()
+                       if (dst := locate(rk)) != name)
         self._migration = Migration(self, moves) if moves else None
         return self._migration
-
-    def _drop_drained(self) -> None:
-        if self._draining is None:
-            return
-        shard = self.shards[self._draining]
-        if shard.key_count() != 0:
-            raise RecoveryError(
-                f"drained {self.tier} shard {self._draining!r} still holds "
-                f"{shard.key_count()} keys")
-        del self.shards[self._draining]
-        self._draining = None
 
     @property
     def migration(self) -> Optional[Migration]:
@@ -531,14 +497,14 @@ class ShardedAccountRegistry(ShardedTier):
         self.batched_registrations = 0
 
     # ---------------------------------------------------------------- keys
-    def _identity_shard(self, identity: LinkedIdentity, *,
-                        record: bool = True) -> Tuple[AccountShard, str]:
+    def _identity_shard(self, identity: LinkedIdentity
+                        ) -> Tuple[AccountShard, str]:
         """The shard serving ``identity``, and its ``idmap`` key there."""
         ikey = f"{identity.entity_id}\n{identity.sub}"
-        return self._locate("id:" + ikey, record=record), ikey
+        return self._locate("id:" + ikey), ikey
 
-    def _uid_shard(self, uid: str, *, record: bool = True) -> AccountShard:
-        return self._locate("uid:" + uid, record=record)
+    def _uid_shard(self, uid: str) -> AccountShard:
+        return self._locate("uid:" + uid)
 
     def _new_shard(self, name: str) -> AccountShard:
         return AccountShard(name)
@@ -572,7 +538,8 @@ class ShardedAccountRegistry(ShardedTier):
             raise RecoveryError(f"minted uid {uid!r} already used")
         ishard.commit("idmap.put", {"key": ikey, "uid": uid})
         ushard.commit("account.put", {"uid": uid, "row": _new_row(
-            uid, identity, display_name, email, loa, now)})
+            uid, identity.entity_id, identity.sub, display_name, email, loa,
+            now)})
         if self.graph is not None:
             self.graph.principal(uid)
         return self._materialize(ushard.accounts[uid])
@@ -592,10 +559,11 @@ class ShardedAccountRegistry(ShardedTier):
         row_batches: Dict[str, List[Dict[str, object]]] = {}
         seen: Dict[str, str] = {}
         uids: List[str] = []
+        locate = self._locate
         for entry in entries:
-            identity = LinkedIdentity(entity_id=str(entry["entity_id"]),
-                                      sub=str(entry["sub"]))
-            ishard, ikey = self._identity_shard(identity, record=False)
+            entity_id, sub = str(entry["entity_id"]), str(entry["sub"])
+            ikey = f"{entity_id}\n{sub}"
+            ishard = locate("id:" + ikey, record=False)
             if ikey in seen:
                 uids.append(seen[ikey])
                 continue
@@ -605,10 +573,10 @@ class ShardedAccountRegistry(ShardedTier):
                 uids.append(existing)
                 continue
             uid = self.ids.next("ma") + UID_SUFFIX
-            ushard = self._uid_shard(uid, record=False)
+            ushard = locate("uid:" + uid, record=False)
             id_batches.setdefault(ishard.name, []).append([ikey, uid])
             row_batches.setdefault(ushard.name, []).append(_new_row(
-                uid, identity, str(entry.get("display_name", "")),
+                uid, entity_id, sub, str(entry.get("display_name", "")),
                 str(entry.get("email", "")),
                 entry.get("loa", LevelOfAssurance.CAPPUCCINO), now))
             seen[ikey] = uid
@@ -646,9 +614,12 @@ class ShardedAccountRegistry(ShardedTier):
         return self._materialize(ushard.accounts[uid])
 
     def find(self, identity: LinkedIdentity) -> Optional[Account]:
-        ishard, ikey = self._identity_shard(identity)
-        uid = ishard.idmap.get(ikey)
-        return None if uid is None else self.account(uid)
+        ikey = f"{identity.entity_id}\n{identity.sub}"
+        uid = self._locate("id:" + ikey).idmap.get(ikey)
+        if uid is None:
+            return None
+        record = self._locate("uid:" + uid).accounts.get(uid)
+        return None if record is None else self._materialize(record)
 
     def account(self, uid: str) -> Optional[Account]:
         record = self._uid_shard(uid).accounts.get(uid)

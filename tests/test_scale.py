@@ -1,8 +1,8 @@
 """Unit tests for the scale-out subsystem (repro.scale) and for the
 directory's placement ring (repro.federation.directory.ring).
 
-Covers the ring (deterministic placement, minimal movement on membership
-change), the TTL cache (expiry, negative caching, single-flight stampede
+Covers the ring (deterministic placement, minimal movement on a join),
+the TTL cache (expiry, negative caching, single-flight stampede
 protection, tag and bus invalidation), the replica pool + load balancer
 and failover, and the metric-driven autoscaler.
 """
@@ -87,29 +87,14 @@ class TestBoundedLoadRing:
         # every moved key moved *to* the joining node, nowhere else
         assert all(after[k] == "r4" for k in moved)
 
-    def test_minimal_movement_on_leave(self):
-        members = [f"r{i}" for i in range(5)]
-        ring = HashRing(members)
-        rng = random.Random(11)
-        keys = [f"k{rng.randrange(10**9)}" for _ in range(600)]
-        before = {k: ring.locate(k) for k in keys}
-        ring.remove("r2")
-        after = {k: ring.locate(k) for k in keys}
-        # only the departed member's keys move
-        for k in keys:
-            if before[k] != "r2":
-                assert after[k] == before[k]
-            else:
-                assert after[k] != "r2"
-
     @settings(max_examples=60, deadline=None)
     @given(
         start=st.lists(_member, min_size=1, max_size=5, unique=True),
-        changes=st.lists(st.tuples(st.booleans(), _member), max_size=8),
+        joins=st.lists(_member, max_size=8),
         keys=st.lists(st.text(max_size=8), min_size=1, max_size=20),
         vnodes=st.integers(1, 16),
     )
-    def test_locate_is_the_first_vnode_clockwise(self, start, changes, keys,
+    def test_locate_is_the_first_vnode_clockwise(self, start, joins, keys,
                                                  vnodes):
         """Pure placement against a reference written out here: sort the
         vnodes, take the first one past the key's position (a vnode
@@ -117,13 +102,12 @@ class TestBoundedLoadRing:
         ``(pos, "\uffff")`` gives), wrap at the end."""
         ring = HashRing(start, vnodes=vnodes)
         members = list(start)
-        for join, member in [(True, start[0])] + changes:
-            if join and member not in members:
+        # start[0] is a member already: the first pass checks the ring
+        # as built, each later one the ring after a join
+        for member in [start[0]] + joins:
+            if member not in members:
                 ring.add(member)
                 members.append(member)
-            elif not join and member in members and len(members) > 1:
-                ring.remove(member)
-                members.remove(member)
             vnode_ring = sorted((_position(f"{m}#{v}"), m)
                                 for m in members for v in range(vnodes))
             for key in keys:
