@@ -186,11 +186,8 @@ class ZenithServer(Service):
             registered_by=str(claims["sub"]),
             expires_at=self.clock.now() + self.heartbeat_ttl,
         )
-        if self.session_registry is not None:
-            # heartbeats refresh the same grant (track updates in place)
-            self.session_registry.track(
-                "tunnel", "tunnels", str(claims["sub"]), service,
-                expires_at=self.tunnels[service].expires_at, workload=True)
+        # heartbeats refresh the same grant (track updates in place)
+        self._track(self.tunnels[service])
         # scale mode: a heartbeat re-registration whose token signature
         # was served from the replica cache is stamped CACHED (with the
         # jti) so the SOC's staleness oracle can cross-check it against
@@ -246,10 +243,22 @@ class ZenithServer(Service):
             self.kill_tunnel(service)
 
     def restore_tunnel(self, service: str) -> None:
-        """Lift the kill; the client must still heartbeat to be usable."""
+        """Lift the kill.  A tunnel whose last registration has not
+        expired is usable again at once, and the session registry tracks
+        its grant again (the record's ``registered_by`` and
+        ``expires_at``); an expired one waits for the client's next
+        heartbeat, which tracks it as a registration does."""
         record = self.tunnels.get(service)
         if record is not None:
             record.killed = False
+            if record.usable(self.clock.now()):
+                self._track(record)
+
+    def _track(self, record: TunnelRecord) -> None:
+        if self.session_registry is not None:
+            self.session_registry.track(
+                "tunnel", "tunnels", record.registered_by, record.service,
+                expires_at=record.expires_at, workload=True)
 
     def restore_all_tunnels(self) -> None:
         for service in list(self.tunnels):

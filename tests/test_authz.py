@@ -457,6 +457,25 @@ def test_the_registry_holds_what_the_surfaces_hold(flags):
     agrees("past the RBAC TTL")
 
 
+def test_a_restored_tunnel_is_tracked_again():
+    """``restore_tunnel`` makes a killed tunnel usable at once, so the
+    registry holds its grant again before any heartbeat."""
+    dri = build_isambard(12, authz=True)
+    zenith, reg = dri.zenith, dri.authz.registry
+    record = zenith.tunnels["jupyter"]
+    assert registry_grants(reg)["tunnel"] == {"jupyter"}
+    zenith.kill_tunnel("jupyter")
+    assert registry_grants(reg)["tunnel"] == set()
+    assert surface_grants(dri)["tunnel"] == set()
+    zenith.restore_tunnel("jupyter")
+    assert record.usable(dri.clock.now())
+    assert registry_grants(reg) == surface_grants(dri)
+    [grant] = [g for g in reg.live_grants() if g.kind == "tunnel"]
+    assert (grant.subject, grant.expires_at) == (record.registered_by,
+                                                 record.expires_at)
+    assert "/workload/" in grant.spiffe_id
+
+
 def test_the_registry_holds_only_live_grants():
     """Revoked and expired grants leave the registry: after every
     re-evaluation sweep it holds as many grants as are live."""
