@@ -14,7 +14,7 @@ from __future__ import annotations
 import hashlib
 import struct
 from bisect import bisect_right
-from typing import Iterable, List, Tuple
+from typing import Iterable, List
 
 __all__ = ["HashRing"]
 
@@ -34,20 +34,21 @@ class HashRing:
     def __init__(self, members: Iterable[str] = (), *,
                  vnodes: int = 64) -> None:
         self.vnodes = vnodes
-        # the sorted vnodes; their positions alone for the bisect; their
-        # owners, with the first repeated at the end so that a key past
-        # the last vnode wraps to the first without a modulo
-        self._ring: List[Tuple[int, str]] = []
+        # the sorted vnodes' positions, for the bisect, and their owners,
+        # with the first owner repeated at the end so that a key past the
+        # last vnode wraps to the first without a modulo
         self._positions: List[int] = []
         self._owners: List[str] = []
         for member in members:
             self.add(member)
 
     def add(self, member: str) -> None:
-        self._ring = sorted(self._ring + [(_position(f"{member}#{v}"), member)
-                                          for v in range(self.vnodes)])
-        self._positions = [pos for pos, _ in self._ring]
-        self._owners = [owner for _, owner in self._ring] + [self._ring[0][1]]
+        # zip stops at the last position: the repeated owner stays out
+        ring = sorted([*zip(self._positions, self._owners),
+                       *((_position(f"{member}#{v}"), member)
+                         for v in range(self.vnodes))])
+        self._positions = [pos for pos, _ in ring]
+        self._owners = [owner for _, owner in ring] + [ring[0][1]]
 
     def locate(self, key: str) -> str:
         """The ring owner of ``key``: one digest and one bisect to the first
