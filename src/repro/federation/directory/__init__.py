@@ -10,7 +10,7 @@ working set has to be *partitioned*, *durable per partition*, and
   ring both stores place their keys on;
 * :mod:`~repro.federation.directory.sharding` — the generic
   consistent-hash shard tier (:class:`ShardedTier`), its journal-durable
-  shard base, deterministic key migration on shard add/remove, and the
+  shard base, deterministic key migration when a shard joins, and the
   :class:`ShardedAccountRegistry`;
 * :mod:`~repro.federation.directory.metadata` — the
   :class:`ShardedMetadataStore` with validity windows: stale metadata
