@@ -18,14 +18,11 @@ from typing import Iterable, List
 
 __all__ = ["HashRing"]
 
-_sha256 = hashlib.sha256
-# the first eight bytes of a digest, big-endian — the same integer as
-# ``int.from_bytes(digest[:8], "big")``, read without slicing the digest
+_digest = hashlib.sha256
+# a ring position is the first eight bytes of a sha256 digest, big-endian
+# — the same integer as ``int.from_bytes(digest[:8], "big")``, read
+# without slicing the digest
 _first_u64 = struct.Struct(">Q").unpack_from
-
-
-def _position(text: str) -> int:
-    return _first_u64(_sha256(text.encode()).digest())[0]
 
 
 class HashRing:
@@ -45,7 +42,8 @@ class HashRing:
     def add(self, member: str) -> None:
         # zip stops at the last position: the repeated owner stays out
         ring = sorted([*zip(self._positions, self._owners),
-                       *((_position(f"{member}#{v}"), member)
+                       *((_first_u64(_digest(f"{member}#{v}".encode())
+                                     .digest())[0], member)
                          for v in range(self.vnodes))])
         self._positions = [pos for pos, _ in ring]
         self._owners = [owner for _, owner in ring] + [ring[0][1]]
@@ -55,7 +53,5 @@ class HashRing:
         vnode clockwise of it (a vnode exactly on the key's position
         counts as behind it).  A ring with no members has no owner to
         give (``IndexError``)."""
-        # _position(key) written out: the call would cost a tenth of a
-        # placement, and the directory places every key it touches
         return self._owners[bisect_right(
-            self._positions, _first_u64(_sha256(key.encode()).digest())[0])]
+            self._positions, _first_u64(_digest(key.encode()).digest())[0])]

@@ -140,6 +140,11 @@ def _links(record: Record) -> Iterator[Tuple[str, str]]:
     return zip(record[_LINKS::2], record[_LINKS + 1::2])
 
 
+def _identity_key(entity_id: str, sub: str) -> str:
+    """An external identity's ``idmap`` key (its ring key is ``id:`` + it)."""
+    return f"{entity_id}\n{sub}"
+
+
 def unpack_account(record: Record) -> Dict[str, object]:
     """Stored record -> the JSON row journals, snapshots and migration
     payloads carry (a fresh one: the caller owns it)."""
@@ -500,7 +505,7 @@ class ShardedAccountRegistry(ShardedTier):
     def _identity_shard(self, identity: LinkedIdentity
                         ) -> Tuple[AccountShard, str]:
         """The shard serving ``identity``, and its ``idmap`` key there."""
-        ikey = f"{identity.entity_id}\n{identity.sub}"
+        ikey = _identity_key(identity.entity_id, identity.sub)
         return self._locate("id:" + ikey), ikey
 
     def _uid_shard(self, uid: str) -> AccountShard:
@@ -562,7 +567,7 @@ class ShardedAccountRegistry(ShardedTier):
         locate = self._locate
         for entry in entries:
             entity_id, sub = str(entry["entity_id"]), str(entry["sub"])
-            ikey = f"{entity_id}\n{sub}"
+            ikey = _identity_key(entity_id, sub)
             ishard = locate("id:" + ikey, record=False)
             if ikey in seen:
                 uids.append(seen[ikey])
@@ -614,12 +619,9 @@ class ShardedAccountRegistry(ShardedTier):
         return self._materialize(ushard.accounts[uid])
 
     def find(self, identity: LinkedIdentity) -> Optional[Account]:
-        ikey = f"{identity.entity_id}\n{identity.sub}"
+        ikey = _identity_key(identity.entity_id, identity.sub)
         uid = self._locate("id:" + ikey).idmap.get(ikey)
-        if uid is None:
-            return None
-        record = self._locate("uid:" + uid).accounts.get(uid)
-        return None if record is None else self._materialize(record)
+        return None if uid is None else self.account(uid)
 
     def account(self, uid: str) -> Optional[Account]:
         record = self._uid_shard(uid).accounts.get(uid)
