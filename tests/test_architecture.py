@@ -23,10 +23,13 @@ from __future__ import annotations
 import ast
 import dataclasses
 import inspect
+import sys
 import typing
 from pathlib import Path
 
 import pytest
+
+from tests.test_hop_budget import deployment  # noqa: F401  (a fixture)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 DEPLOYMENT = SRC / "repro" / "core" / "deployment.py"
@@ -36,6 +39,11 @@ MAX_TIER_CONDITIONALS = 20
 # lower these when a change lowers the count; never raise them
 MAX_SETTABLE_VALUES = 49
 MAX_SRC_STATEMENTS = 10_752
+# src/ frames one relogin enters on the hop budget's builds (seed 31)
+MAX_RELOGIN_FRAMES = {
+    "default": 457,     # the count this ratchet started at
+    "all-tiers": 1038,  # the count this ratchet started at
+}
 # concepts that once had two implementations: the loser's name stays gone
 MERGED_AWAY = {"AccountRegistry", "EduGain", "BoundedSpanStore",
                "LatencyTracker", "RoundRobinPolicy", "ConsistentHashPolicy",
@@ -255,6 +263,31 @@ def test_src_statement_count_only_falls():
                                  ast.AsyncFunctionDef)):
                 statements -= ast.get_docstring(node, clean=False) is not None
     assert statements <= MAX_SRC_STATEMENTS
+
+
+def test_a_relogin_enters_at_most_its_src_frames(deployment):
+    """Python frames entered in ``src/`` code while a relogin runs: the
+    ``sys.setprofile`` call events whose code lives under ``src/``, less
+    the ``<...>`` bodies (comprehensions, which 3.12 inlines).  The count
+    is deterministic, so a change that adds per-hop work shows here
+    before any wall-clock does."""
+    build, dri, _ = deployment
+    wf = dri.workflows
+    root, frames = str(SRC), 0
+
+    def profile(frame, event, arg):
+        nonlocal frames
+        code = frame.f_code
+        frames += (event == "call" and code.co_filename.startswith(root)
+                   and not code.co_name.startswith("<"))
+
+    sys.setprofile(profile)
+    try:
+        ok = wf.relogin(wf.personas["res1"]).ok
+    finally:
+        sys.setprofile(None)
+    assert ok
+    assert frames <= MAX_RELOGIN_FRAMES[build], frames
 
 
 def test_src_leaves_the_collector_alone():

@@ -266,11 +266,49 @@ class TestBoundedSpanStore:
         assert store.evicted_spans == 0
         assert len(store) == 30 > self.CFG.max_spans
 
+    def test_compaction_keeps_the_count_and_the_admitted_ids(
+            self, monkeypatch):
+        """After every ``compact()`` on a deployment under a small
+        budget, ``len(store)`` is what the store holds, and every trace
+        it ever admitted, evicted or not, is one it vouches for."""
+        admitted, checked = set(), []
+        add, compact = SpanStore.add, SpanStore.compact
+
+        def adding(store, span):
+            admitted.add(span.trace_id)
+            return add(store, span)
+
+        def compacting(store):
+            compact(store)
+            checked.append(_held_spans(store))
+            assert len(store) == checked[-1]
+
+        monkeypatch.setattr(SpanStore, "add", adding)
+        monkeypatch.setattr(SpanStore, "compact", compacting)
+        dri = build_isambard(seed=5, pipeline=PipelineConfig(max_spans=60))
+        wf = dri.workflows
+        s1 = wf.story1_pi_onboarding("pi")
+        assert s1.ok, s1.steps
+        assert wf.story3_researcher_setup(s1.data["project_id"], "pi",
+                                          "bob").ok
+        for _ in range(5):
+            assert wf.relogin(wf.personas["bob"]).ok
+        store = dri.telemetry.store
+        assert checked and store.evicted_traces
+        assert admitted - {s.trace_id for s in store.spans()}
+        assert all(map(store.has_trace, admitted))
+        assert not store.has_trace("f" * 32)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             PipelineConfig(max_spans=0)
         with pytest.raises(ValueError):
             PipelineConfig(window=0.0)
+
+
+def _held_spans(store):
+    """Every span the store holds, finished or open."""
+    return sum(len(held) for held in store._by_trace.values())
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,8 @@ exactly below.
 from __future__ import annotations
 
 import gc
+import sys
+from collections import Counter
 from collections.abc import Collection
 
 import pytest
@@ -32,6 +34,13 @@ BUILDS = {
 # session an IdP, MyAccessID or the broker opened on the way — nine on
 # either build
 CONTAINER_RECORDS = {"default": 9, "all-tiers": 9}
+
+# bytes the span store alone holds per kept span after the story and 20
+# relogins of its researcher (``_owned_bytes``): 294 and 292 on the
+# flat-tuple records.  Read in a process of its own; whatever else a
+# process keeps alive can only share, and so lower, the count
+MAX_BYTES_PER_SPAN = {"default": 294, "all-tiers": 292}
+RELOGINS = 20
 
 
 def _story(dri, suffix=""):
@@ -99,3 +108,63 @@ def test_the_siem_holds_no_copy_of_the_trail(build):
         held.append((soc, [_held(fw) for fw in dri.forwarders]))
     assert dri.soc.records_ingested > 50
     assert held[1] == held[0], held
+
+
+def _owned_bytes(obj):
+    """``sys.getsizeof`` summed over what ``obj`` holds that nothing
+    else refers to — what dropping it would free — each object once."""
+    found, holders = _reach(obj)
+    # besides its holders inside obj, each object is referred to by
+    # ``found``, by the loop below and by getrefcount's argument
+    return sum(sys.getsizeof(item) for item in found.values()
+               if sys.getrefcount(item) - 3 == holders[id(item)])
+
+
+def _reach(obj):
+    """``({id: object}, {id: references from inside obj})`` over all
+    that ``obj``'s attributes reach through dicts, lists, tuples and
+    sets."""
+    found, holders = {}, Counter()
+    todo = list(vars(obj).values())
+    while todo:
+        item = todo.pop()
+        holders[id(item)] += 1
+        if id(item) not in found:
+            found[id(item)] = item
+            if isinstance(item, dict):
+                todo.extend(item)
+                todo.extend(item.values())
+            elif isinstance(item, (list, tuple, set, frozenset)):
+                todo.extend(item)
+    return found, holders
+
+
+def _shapes(store):
+    """The distinct (name, service, kind, status, error, attrs) of the
+    spans held, read off the views."""
+    return {(s.name, s.service, s.kind, s.status, s.error,
+             repr(sorted(s.attrs.items()))) for s in store.spans()}
+
+
+@pytest.fixture(scope="module", params=list(BUILDS))
+def relogged(request):
+    """The story, then ``RELOGINS`` relogins of its researcher; yields
+    ``(build, store, shape count after each relogin)``."""
+    dri = _run(BUILDS[request.param])
+    wf, store = dri.workflows, dri.telemetry.store
+    shapes = []
+    for _ in range(RELOGINS):
+        assert wf.relogin(wf.personas["bob"]).ok
+        shapes.append(len(_shapes(store)))
+    return request.param, store, shapes
+
+
+def test_a_kept_span_costs_at_most_its_budget(relogged):
+    build, store, _ = relogged
+    assert not store.unfinished()
+    assert _owned_bytes(store) <= MAX_BYTES_PER_SPAN[build] * len(store)
+
+
+def test_a_repeated_relogin_adds_no_shape(relogged):
+    _, _, shapes = relogged
+    assert shapes[1:] == [shapes[0]] * (RELOGINS - 1)
