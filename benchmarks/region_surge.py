@@ -16,7 +16,7 @@ from repro.errors import (
     ServiceUnavailable,
 )
 from repro.net.http import HttpRequest
-from repro.region import RegionConfig
+from repro.region import REGION_NAMES, STALENESS_BOUND
 
 QUICK = os.environ.get("BENCH_QUICK") == "1"
 N_OPS = 240 if QUICK else 2000
@@ -25,8 +25,7 @@ N_PERSONAS = 2 if QUICK else 4  # onboarded users driving the mint slice
 N_APP_TOKENS = 4 if QUICK else 8
 MINT_EVERY = 10                 # every Nth op is a mint (fencing path)
 
-CFG = RegionConfig()            # eu/us, 5 s staleness bound
-BOUND = CFG.staleness_bound
+BOUND = STALENESS_BOUND         # eu/us, 5 s staleness bound
 
 
 def introspect(dri, token, client):
@@ -56,7 +55,7 @@ def onboard(dri, project_name):
         app_tokens.append((token, rec))
     clients = [f"client-{i:02d}" for i in range(8)]
     for i, client in enumerate(clients):
-        dri.geo_router.pin(client, CFG.names[i % len(CFG.names)])
+        dri.geo_router.pin(client, REGION_NAMES[i % len(REGION_NAMES)])
     return project_id, personas, app_tokens, clients
 
 
@@ -95,7 +94,7 @@ def journaled_mint_jtis(dri):
     """Every jti a region journal committed (the split-brain oracle:
     duplicates mean two generations issued the same token)."""
     jtis = []
-    for name in CFG.names:
+    for name in REGION_NAMES:
         journal = dri.durability.stream(f"region-{name}")
         jtis += [str(e.data["jti"]) for e in journal.load()[1]
                  if e.kind == "region.mint"]

@@ -63,7 +63,6 @@ from repro.policy import PolicyEngine, standard_zero_trust_rules
 from repro.portal import UserPortal
 from repro.region import (
     GeoRouter,
-    RegionConfig,
     RegionDirectory,
     ReplicatedInvalidationBus,
     install as region_tier,
@@ -203,7 +202,6 @@ class IsambardDeployment:
     # the region directory); None while the broker serves directly
     broker_front: Optional["object"] = None
     # multi-region tier (repro.region); all None/empty unless regions on
-    region_config: Optional[RegionConfig] = None
     region_directory: Optional[RegionDirectory] = None
     geo_router: Optional[GeoRouter] = None
     region_bus: Optional[ReplicatedInvalidationBus] = None
@@ -403,7 +401,7 @@ def build_isambard(
     failover: bool = False,
     telemetry: bool = True,
     scale: Union[bool, ScaleConfig] = False,
-    regions: Union[bool, RegionConfig] = False,
+    regions: bool = False,
     tail: Union[bool, TailConfig] = False,
     authz: bool = False,
     pipeline: Union[bool, PipelineConfig] = False,
@@ -436,7 +434,7 @@ def build_isambard(
       caches; docs/scaling.md "Replica pools and the load balancer".
     * ``durability`` / ``failover`` (implies durability) —
       docs/architecture.md "Crash recovery & failover".
-    * ``regions`` (:class:`RegionConfig`, implies scale + durability) —
+    * ``regions`` (implies scale + durability) —
       docs/scaling.md "Multi-region active-active".
     * ``authz`` — docs/architecture.md "Continuous authorization".
     * ``directory`` (:class:`DirectoryConfig`) — docs/architecture.md
@@ -444,8 +442,7 @@ def build_isambard(
     """
     # ---------------------------------------------------------- arguments
     # True selects a tier's defaults; a tier that needs another turns it on
-    region_cfg = _config(regions, RegionConfig)
-    scale_cfg = _config(scale or region_cfg is not None, ScaleConfig)
+    scale_cfg = _config(scale or regions, ScaleConfig)
     tail_cfg = _config(tail, TailConfig)
     overload_cfg = _config(overload, OverloadConfig)
     directory_cfg = _config(directory, DirectoryConfig)
@@ -768,14 +765,14 @@ def build_isambard(
             overload=overload_cfg, tail=tail_cfg)
     if scale_cfg is not None:
         scale_tier.install(dri, scale_cfg)
-        if region_cfg is None:
+        if not regions:
             scale_tier.install_pool(dri, scale_cfg)
-    if durability or failover or region_cfg is not None:
+    if durability or failover or regions:
         resilience_tier.install_durability(dri)
     if failover:
         resilience_tier.install_failover(dri)
-    if region_cfg is not None:
-        region_tier.install(dri, region_cfg)
+    if regions:
+        region_tier.install(dri)
     if authz:
         authz_tier.install(dri)
     if directory_cfg is not None:

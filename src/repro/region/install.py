@@ -15,6 +15,8 @@ from ..net.zones import OperatingDomain, Zone
 from ..scale.balancer import pod_admission
 from ..scale.cache import publish_on
 from ..siem.detections import CacheStalenessRule
+from . import (HEARTBEAT_INTERVAL, REGION_NAMES, REPLICATION_DELAY,
+               STALENESS_BOUND)
 from .bus import RegionBusAdapter, ReplicatedInvalidationBus
 from .directory import RegionDirectory
 from .region import Region
@@ -25,13 +27,12 @@ __all__ = ["install"]
 REPLICAS_PER_REGION = 2
 
 
-def install(dri, cfg) -> None:
+def install(dri) -> None:
     clock, tele, scale = dri.clock, dri.telemetry, dri.scale
     if scale.autoscale:
         raise ConfigurationError(
             "the region tier sizes each region's pool itself; "
             "ScaleConfig(autoscale=True) applies to the single-region pool")
-    dri.region_config = cfg
     # One bus shard per region: local publishes stay synchronous
     # (preserving the in-region guarantee) and fan out to peers after
     # replication_delay.  The home shard is the bus the shared caches
@@ -39,26 +40,26 @@ def install(dri, cfg) -> None:
     # home-region traffic; the adapter routes every publish to whichever
     # region is serving the revoking request (falling back to home).
     rbus = dri.region_bus = ReplicatedInvalidationBus(
-        clock, cfg.names, replication_delay=cfg.replication_delay,
-        local_buses={cfg.home: dri.invalidation_bus}, telemetry=tele,
+        clock, REGION_NAMES, replication_delay=REPLICATION_DELAY,
+        local_buses={REGION_NAMES[0]: dri.invalidation_bus}, telemetry=tele,
     )
-    publish_on(RegionBusAdapter(rbus, cfg.home), dri)
+    publish_on(RegionBusAdapter(rbus, REGION_NAMES[0]), dri)
 
     directory = dri.region_directory = RegionDirectory(
         clock, rbus,
-        heartbeat_interval=cfg.heartbeat_interval,
+        heartbeat_interval=HEARTBEAT_INTERVAL,
         audit=dri.logs["fds"], telemetry=tele,
         # recovering regions resync their revocation view from the
         # *active* broker's authoritative token store
         revoked_source=lambda: dri.broker.tokens.revoked_jtis(),
     )
-    for name in cfg.names:
+    for name in REGION_NAMES:
         region = Region(
             name, clock, dri.network, OperatingDomain.FDS, Zone.ACCESS,
             dri.broker, rbus, dri.durability.stream(f"region-{name}"),
             replicas=REPLICAS_PER_REGION,
             max_replicas=scale.max_replicas,
-            staleness_bound=cfg.staleness_bound,
+            staleness_bound=STALENESS_BOUND,
             admission_factory=pod_admission(clock, dri.overload),
             telemetry=tele, audit=dri.logs["fds"],
             breaker_listener=tele and tele.on_breaker_transition,
@@ -74,7 +75,6 @@ def install(dri, cfg) -> None:
     # absorb the load.
     dri.geo_router = GeoRouter(
         "broker", clock, directory,
-        pins=dict(cfg.client_regions),
         audit=dri.logs["fds"], telemetry=tele, tail=dri.tail,
     )
     dri.network.attach(dri.geo_router, OperatingDomain.FDS, Zone.ACCESS,
@@ -88,4 +88,4 @@ def install(dri, cfg) -> None:
     # RegionLagRule takes over past the bound
     for rule in dri.soc.rules:
         if isinstance(rule, CacheStalenessRule):
-            rule.tolerance = cfg.staleness_bound
+            rule.tolerance = STALENESS_BOUND

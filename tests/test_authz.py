@@ -22,6 +22,7 @@ from repro.core import build_isambard
 from repro.errors import ConfigurationError, ServiceUnavailable
 from repro.oidc import make_url
 from repro.policy import PolicyEngine, standard_zero_trust_rules
+from repro import region
 from tests.conftest import capture_ingest
 from tests.test_deployment_fingerprint import OPT_IN
 
@@ -673,8 +674,7 @@ class TestKillswitchAcrossPartition:
         dri = build_isambard(seed=94, authz=True, regions=True)
         from repro.net.http import HttpRequest
 
-        cfg = dri.region_config
-        bound = cfg.staleness_bound
+        bound = region.STALENESS_BOUND
         token, rec = dri.broker.tokens.mint("mallory", "jupyter",
                                             "researcher", ttl=3600)
         dri.geo_router.pin("client-us", "us")

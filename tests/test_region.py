@@ -44,11 +44,12 @@ from repro.net import (
 from repro.region import (
     ACTIVE,
     DOWN,
+    REGION_NAMES,
     STALE,
+    STALENESS_BOUND,
     GeoRouter,
     Region,
     RegionBusAdapter,
-    RegionConfig,
     RegionDirectory,
     ReplicatedInvalidationBus,
 )
@@ -59,30 +60,16 @@ pytestmark = pytest.mark.region
 
 
 # ======================================================================
-# RegionConfig validation
+# the tier's constants
 # ======================================================================
 class TestRegionConfig:
-    def test_needs_two_regions(self):
-        with pytest.raises(ConfigurationError):
-            RegionConfig(names=("solo",))
-
-    def test_rejects_duplicate_names(self):
-        with pytest.raises(ConfigurationError):
-            RegionConfig(names=("eu", "eu"))
-
-    def test_bound_must_exceed_steady_state_lag(self):
-        # steady-state lag ~= replication_delay + heartbeat_interval; a
-        # bound below it would fail healthy regions closed
-        with pytest.raises(ConfigurationError):
-            RegionConfig(replication_delay=2.0, heartbeat_interval=3.0,
-                         staleness_bound=5.0)
-
-    def test_pins_must_reference_known_regions(self):
-        with pytest.raises(ConfigurationError):
-            RegionConfig(client_regions={"jupyter": "mars"})
-
     def test_home_is_first_region(self):
-        assert RegionConfig(names=("ap", "eu", "us")).home == "ap"
+        # the home shard of the replicated bus is the deployment's own
+        # bus, which the shared caches were bound to before the tier
+        dri = build_isambard(seed=600, regions=True)
+        home, peer = REGION_NAMES
+        assert dri.region_bus.local[home] is dri.invalidation_bus
+        assert dri.region_bus.local[peer] is not dri.invalidation_bus
 
 
 # ======================================================================
@@ -533,8 +520,7 @@ class TestRegionDirectory:
 class TestMultiRegionDeployment:
     def test_topology(self):
         dri = build_isambard(seed=601, regions=True)
-        assert dri.region_config is not None
-        assert dri.region_directory.names() == ["eu", "us"]
+        assert dri.region_directory.names() == list(REGION_NAMES)
         assert dri.geo_router is dri.network.endpoint("broker").service
         assert dri.network.endpoint("broker-origin").service is dri.broker
         for name in ("eu", "us"):
@@ -542,8 +528,7 @@ class TestMultiRegionDeployment:
             assert region.pool.size() == 2
             assert f"introspection-{name}" in dri.caches
             # TTL clamp: the load-bearing staleness guarantee
-            assert (region.introspection_cache.ttl
-                    <= dri.region_config.staleness_bound)
+            assert region.introspection_cache.ttl <= STALENESS_BOUND
 
     def test_autoscale_is_refused_not_ignored(self):
         # each region sizes its own pool; nothing would run a per-region
@@ -562,13 +547,12 @@ class TestMultiRegionDeployment:
 
     def test_revocation_is_synchronous_in_origin_region(self):
         dri = build_isambard(seed=603, regions=True)
-        cfg = dri.region_config
         token, rec = dri.broker.tokens.mint("alice", "jupyter", "researcher",
                                             ttl=600)
-        home = dri.region_directory.region(cfg.home)
+        home = dri.region_directory.region(REGION_NAMES[0])
         req = HttpRequest("POST", "/introspect", body={"token": token},
                           source="client-eu")
-        dri.geo_router.pin("client-eu", cfg.home)
+        dri.geo_router.pin("client-eu", REGION_NAMES[0])
         assert dri.geo_router.handle(req).body["active"] is True
         dri.broker.tokens.revoke_jti(rec.jti)
         # same simulated instant, zero staleness in the revoking region
@@ -576,9 +560,8 @@ class TestMultiRegionDeployment:
 
     def test_staleness_bound_holds_across_a_partition(self):
         dri = build_isambard(seed=604, regions=True)
-        cfg = dri.region_config
         clock = dri.clock
-        bound = cfg.staleness_bound
+        bound = STALENESS_BOUND
         token, rec = dri.broker.tokens.mint("alice", "jupyter", "researcher",
                                             ttl=600)
         dri.geo_router.pin("client-us", "us")
@@ -662,12 +645,11 @@ class TestMultiRegionDeployment:
         from repro.siem import CacheStalenessRule, RegionLagRule
 
         dri = build_isambard(seed=608, regions=True)
-        cfg = dri.region_config
         clock = dri.clock
         staleness = [r for r in dri.soc.rules
                      if isinstance(r, CacheStalenessRule)]
         assert staleness and all(
-            r.tolerance == cfg.staleness_bound for r in staleness)
+            r.tolerance == STALENESS_BOUND for r in staleness)
         assert any(isinstance(r, RegionLagRule) for r in dri.soc.rules)
 
         token, rec = dri.broker.tokens.mint("alice", "jupyter", "researcher",
@@ -680,7 +662,7 @@ class TestMultiRegionDeployment:
         dri.broker.tokens.revoke_jti(rec.jti)
         clock.advance(1.0)
         dri.geo_router.handle(req())          # stale serve inside the window
-        clock.advance(cfg.staleness_bound + 2.0)  # watchdog breaches
+        clock.advance(STALENESS_BOUND + 2.0)  # watchdog breaches
         for fw in dri.forwarders:
             fw.flush()
         rules_fired = {a.rule for a in dri.soc.alerts}
