@@ -6,12 +6,15 @@ becomes one :class:`Span` with simulated-clock timestamps.  Spans land
 in a :class:`SpanStore` indexed by trace id, which is what the SIEM's
 trace↔audit correlation and the critical-path analysis read.
 
-A span is mutable only while it is open.  When it ends, the store keeps
-its *record*, one flat tuple of atoms (see :func:`_record`), and every
-read (``trace()``, ``spans()``, ``orphans()``) hands out a fresh
-:class:`Span` built from it — a view: changing one changes nothing
-stored.  The one write after the end, a hedge loser marked cancelled,
-goes through :meth:`Tracer.annotate`, which seals the record again.
+A span is mutable only while it is open.  When it ends, the store packs
+it into one fixed-width binary *row* of its trace — its id, its
+parent's, ``start``, ``end`` and the index of its *shape*, the tuple of
+everything else, which the store holds once however many spans share it
+— and every read (``trace()``, ``spans()``, ``orphans()``) hands out a
+fresh :class:`Span` built from row and shape: a view, so changing one
+changes nothing stored.  The one write after the end, a hedge loser
+marked cancelled, goes through :meth:`Tracer.annotate`, which seals the
+span again.
 
 Determinism: span ids come from plain counters (``{n:032x}``), *not*
 from the deployment's :class:`~repro.ids.IdFactory` or any RNG, and the
@@ -22,6 +25,7 @@ anywhere else in the system — observation stays pure.
 
 from __future__ import annotations
 
+import struct
 from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import chain
@@ -103,37 +107,20 @@ class Span:
         )
 
 
-# A finished span is stored as one flat tuple of atoms,
-# ``(trace_id, span_id, parent_id, name, service, kind, start, end,
-# status, error[, key …, value …])`` — its attr names, then their values,
-# in insertion order (one unpacking each: half the cost of interleaving
-# the pairs); a ``baggage`` dict is stored as a tuple of pairs.  Flat on
-# purpose: the cyclic collector drops such a tuple from its books at the
-# first pass that sees it, so a store of a round's spans adds nothing to a
-# full collection (docs/extending.md, "what you keep a million of must be
-# flat").
-_ATTRS = 10  # index of the first attr name
-
-
-def _record(span: Span) -> Tuple[object, ...]:
-    attrs = span.attrs
-    if "baggage" in attrs:
-        attrs = {**attrs, "baggage": tuple(attrs["baggage"].items())}
-    return (span.trace_id, span.span_id, span.parent_id, span.name,
-            span.service, span.kind, span.start, span.end, span.status,
-            span.error, *attrs, *attrs.values())
-
-
-def _view(held: object) -> Span:
-    """A fresh :class:`Span` read off a stored record; an open span is
-    held as itself."""
-    if type(held) is not tuple:
-        return held  # type: ignore[return-value]
-    values = (len(held) + _ATTRS) // 2
-    attrs = dict(zip(held[_ATTRS:values], held[values:]))
-    if "baggage" in attrs:
-        attrs["baggage"] = dict(attrs["baggage"])
-    return Span(*held[:_ATTRS], attrs)  # type: ignore[arg-type]
+# A finished span is stored as one 36-byte row, ``(ids, start, end, shape
+# index)``: ``ids`` is the 8 bytes the span id's 16 hex digits spell, then
+# the parent's (all zero for none — W3C forbids an all-zero id), decoded
+# in one ``bytes.fromhex`` (a third of the cost of two ``int(…, 16)``),
+# and the times are exact doubles, so every view round-trips.  Its shape is the flat tuple
+# ``(name, service, kind, status, error[, key …, value …])`` — its attr
+# names, then their values, in insertion order, a ``baggage`` dict as a
+# tuple of pairs — held once per store however many spans share it.
+# Rows are bytes and shapes flat tuples of atoms, so the cyclic collector
+# never walks what a round's spans leave behind (docs/extending.md, "what
+# you keep a million of must be flat, and what repeats is held once").
+_ROW = struct.Struct("<16sddI")
+_NO_PARENT = "0" * 16
+_ATTRS = 5  # index of the first attr name in a shape
 
 
 # span statuses that make a whole trace security/incident-relevant
@@ -143,18 +130,27 @@ _PROTECTED_STATUSES = (SpanStatus.ERROR, SpanStatus.SHED, SpanStatus.EXPIRED)
 class SpanStore:
     """All recorded spans, indexed by trace id (the in-process backend).
 
-    A trace holds its open spans as themselves and its finished ones as
-    records; every read returns views (module docstring).  Without a
+    A trace holds its finished spans as the rows of one ``bytearray``
+    over the store's table of shapes, and the store holds the open spans
+    as themselves, by span id; every read returns views (module
+    docstring), in span-id order unless it says otherwise.  Without a
     ``config`` every span is retained.  With a
     :class:`~repro.telemetry.pipeline.PipelineConfig` budget, retention
     is tail-sampled (the classes are listed in that module's docstring):
     crossing ``max_spans`` triggers :meth:`compact`, which evicts whole
     finished traces into RED :attr:`rollups`.
+
+    A shape is interned by equality, so attr values that compare equal
+    across types (``1``, ``1.0`` and ``True``) under one attr name of
+    one shape read back as the first of them the store held.
     """
 
     def __init__(self, config: Optional[PipelineConfig] = None) -> None:
         self.config = config
-        self._by_trace: Dict[str, List[object]] = defaultdict(list)
+        self._by_trace: Dict[str, bytearray] = defaultdict(bytearray)
+        self._open: Dict[str, Span] = {}
+        self._shapes: List[Tuple[object, ...]] = []
+        self._shape_index: Dict[Tuple[object, ...], int] = {}
         self._held = 0
         self._protected: Set[str] = set()
         # ids of evicted traces: an audit record may reach the SOC after
@@ -168,36 +164,74 @@ class SpanStore:
     def add(self, span: Span) -> Span:
         """Admit a span: an open one is held as itself until
         :meth:`seal`, a finished one (:meth:`Tracer.record`) as its
-        record."""
-        self._by_trace[span.trace_id].append(
-            span if span.end is None else _record(span))
+        row."""
+        self._by_trace[span.trace_id]  # a trace is known from its first span
+        self._open[span.span_id] = span
+        if span.end is not None:
+            self.seal(span)
         self._held += 1
         if self.config is not None and self._held > self.config.max_spans:
             self.compact()
         return span
 
-    def seal(self, span: Span, was: object = None) -> None:
-        """Hold ``span``'s record in place of the open span — or, when
-        :meth:`Tracer.annotate` seals an ended span again, in place of
-        ``was``, the record it was sealed as."""
-        held = self._by_trace.get(span.trace_id, ())
-        # the span that ends is almost always one of the last few opened
-        i = len(held)
-        while i:
-            i -= 1
-            if held[i] is span or held[i] == was:
-                held[i] = _record(span)
-                return
+    def seal(self, span: Span) -> None:
+        """Hold an open span's row in place of the span (a span that
+        was not open here is left alone).  The row's shape is interned
+        on first sight."""
+        if self._open.pop(span.span_id, None) is not span:
+            return
+        attrs = span.attrs
+        if "baggage" in attrs:
+            attrs = {**attrs, "baggage": tuple(attrs["baggage"].items())}
+        shape = (span.name, span.service, span.kind, span.status,
+                 span.error, *attrs, *attrs.values())
+        index = self._shape_index.get(shape)
+        if index is None:
+            index = self._shape_index[shape] = len(self._shapes)
+            self._shapes.append(shape)
+        rows = self._by_trace[span.trace_id]
+        rows += _ROW.pack(
+            bytes.fromhex(span.span_id + (span.parent_id or _NO_PARENT)),
+            span.start, span.end, index)
+
+    def reshape(self, span: Span) -> None:
+        """Seal an ended span again, as it is now (:meth:`Tracer.annotate`):
+        its row is written anew, at the end of its trace's."""
+        rows = self._by_trace.get(span.trace_id, bytearray())
+        at = next((at for at in range(0, len(rows), _ROW.size)
+                   if rows[at:at + 8].hex() == span.span_id), None)
+        if at is not None:
+            del rows[at:at + _ROW.size]
+            self._open[span.span_id] = span
+            self.seal(span)
+
+    def _views(self, trace_id: str) -> List[Span]:
+        """One trace's spans: its open ones as themselves, then a fresh
+        :class:`Span` view of each row."""
+        views = [s for s in self._open.values() if s.trace_id == trace_id]
+        for ids, start, end, index in _ROW.iter_unpack(
+                self._by_trace.get(trace_id, b"")):
+            span_id, parent = ids[:8].hex(), ids[8:].hex()
+            shape = self._shapes[index]
+            values = (len(shape) + _ATTRS) // 2
+            attrs = dict(zip(shape[_ATTRS:values], shape[values:]))
+            if "baggage" in attrs:
+                attrs["baggage"] = dict(attrs["baggage"])
+            views.append(Span(
+                trace_id, span_id, None if parent == _NO_PARENT else parent,
+                *shape[:3], start, end, *shape[3:_ATTRS],
+                attrs))  # type: ignore[arg-type]
+        return views
 
     def spans(self) -> List[Span]:
         """Every span held, in the order they were opened (span ids
         count up)."""
-        return sorted(map(_view, chain.from_iterable(self._by_trace.values())),
+        return sorted(chain(*map(self._views, self._by_trace)),
                       key=attrgetter("span_id"))
 
     def trace(self, trace_id: str) -> List[Span]:
         """Spans of one trace still held, in start order."""
-        return sorted(map(_view, self._by_trace.get(trace_id, ())),
+        return sorted(self._views(trace_id),
                       key=lambda s: (s.start, s.span_id))
 
     def has_trace(self, trace_id: str) -> bool:
@@ -212,19 +246,20 @@ class SpanStore:
         is built when that trace is read (a trace has about ten spans)."""
         out: List[Span] = []
         for tid in [trace_id] if trace_id is not None else list(self._by_trace):
-            spans = [_view(held) for held in self._by_trace.get(tid, ())]
+            spans = sorted(self._views(tid), key=attrgetter("span_id"))
             ids = {s.span_id for s in spans}
             out.extend(s for s in spans
                        if s.parent_id is not None and s.parent_id not in ids)
         return out
 
     def unfinished(self) -> List[Span]:
-        return [s for s in self.spans() if not s.finished]
+        return sorted(self._open.values(), key=attrgetter("span_id"))
 
     def _drop_traces(self, trace_ids: Iterable[str]) -> int:
-        """Remove whole traces; returns the number of spans dropped."""
-        dropped = sum(len(self._by_trace.pop(tid, ()))
-                      for tid in set(trace_ids))
+        """Remove whole finished traces; returns the number of spans
+        dropped."""
+        dropped = sum(len(self._by_trace.pop(tid, b""))
+                      for tid in set(trace_ids)) // _ROW.size
         self._held -= dropped
         return dropped
 
@@ -261,12 +296,13 @@ class SpanStore:
         excess = self._held - target
         if excess <= 0:
             return
-        # classify completed traces; unfinished traces (an open span is
-        # held as itself) are untouchable
+        # classify completed traces; a trace with an open span is
+        # untouchable
         candidates: List[Tuple[float, str, List[Span]]] = []
         windows: Dict[int, List[Tuple[float, str]]] = {}
-        for tid, held in self._by_trace.items():
-            if (Span in map(type, held) or self.trace_protected(tid)
+        for tid in self._by_trace:
+            if (any(s.trace_id == tid for s in self._open.values())
+                    or self.trace_protected(tid)
                     or trace_sampled(tid, SAMPLE_RATE)):
                 continue
             spans = self.trace(tid)
@@ -362,7 +398,7 @@ class Tracer:
     def end(self, span: Span, *, error: Optional[BaseException] = None,
             status: Optional[str] = None, **attrs: object) -> Span:
         """Close a span now; status defaults from the error taxonomy.
-        The store keeps its record from here on."""
+        The store keeps its row from here on."""
         span.end = self.clock.now()
         span.attrs.update(attrs)
         if status is not None:
@@ -379,10 +415,9 @@ class Tracer:
     def annotate(self, span: Span, **attrs: object) -> None:
         """Add attrs to a span that has already ended — the one write
         after the end (a hedged call's abandoned attempt is marked the
-        cancelled loser) — and seal its stored record again."""
-        sealed = _record(span)
+        cancelled loser) — and seal it again."""
         span.attrs.update(attrs)
-        self.store.seal(span, sealed)
+        self.store.reshape(span)
 
     # ------------------------------------------------------- retroactive
     def record(self, name: str, *, start: float, end: float, service: str = "",

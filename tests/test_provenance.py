@@ -58,7 +58,7 @@ from repro.telemetry import (
 )
 from repro.telemetry.metrics import DROPPED_LABELS_METRIC, OVERFLOW_LABEL
 from repro.telemetry.pipeline import SAMPLE_RATE, SLOWEST_K
-from repro.telemetry.tracing import SpanStore, classify_error
+from repro.telemetry.tracing import _ROW, SpanStore, classify_error
 
 pytestmark = pytest.mark.pipeline
 
@@ -307,8 +307,10 @@ class TestBoundedSpanStore:
 
 
 def _held_spans(store):
-    """Every span the store holds, finished or open."""
-    return sum(len(held) for held in store._by_trace.values())
+    """Every span the store holds: its rows and its open spans."""
+    rows = sum(map(len, store._by_trace.values()))
+    assert rows % _ROW.size == 0
+    return rows // _ROW.size + len(store._open)
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,17 @@
 """What the telemetry and audit stores keep costs the collector nothing,
-and neither the SIEM nor the provenance ledger keeps a second copy of the
-audit trail.
+neither the SIEM nor the provenance ledger keeps a second copy of the
+audit trail, and a kept span costs a row, not a record.
 
-A finished span, an emitted audit event and a provenance ledger entry are
-each stored as one flat tuple of atoms; CPython's cyclic collector stops
-tracking such a tuple at the first pass that sees it, so a round's trail
-adds nothing to a full collection.  After a relogin and a Jupyter session on a default and an
-all-tiers build, and one ``gc.collect()``, every stored record must be an
-exact, untracked tuple — except the audit records whose attrs hold a list
-or dict (what ``AuditLog._plain`` leaves a container), which are counted
-exactly below.
+A finished span is a 36-byte row of its trace's ``bytearray`` over a
+table of interned shapes; an emitted audit event and a provenance ledger
+entry are each one flat tuple of atoms.  CPython's cyclic collector
+never tracks bytes and stops tracking such a tuple at the first pass
+that sees it, so a round's trail adds nothing to a full collection.
+After a relogin and a Jupyter session on a default and an all-tiers
+build, and one ``gc.collect()``, every span is a row, every shape and
+every stored record an exact, untracked tuple — except the audit records
+whose attrs hold a list or dict (what ``AuditLog._plain`` leaves a
+container), which are counted exactly below.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from collections.abc import Collection
 import pytest
 
 from repro.core import build_isambard
+from repro.telemetry.tracing import _ROW
 from tests.test_deployment_fingerprint import OPT_IN
 
 BUILDS = {
@@ -36,10 +39,13 @@ BUILDS = {
 CONTAINER_RECORDS = {"default": 9, "all-tiers": 9}
 
 # bytes the span store alone holds per kept span after the story and 20
-# relogins of its researcher (``_owned_bytes``): 294 and 292 on the
-# flat-tuple records.  Read in a process of its own; whatever else a
-# process keeps alive can only share, and so lower, the count
-MAX_BYTES_PER_SPAN = {"default": 294, "all-tiers": 292}
+# relogins of its researcher (``_owned_bytes``), read in a process of its
+# own (whatever else a process keeps alive can only share, and so lower,
+# the count); lower these when a change lowers the count
+MAX_BYTES_PER_SPAN = {
+    "default": 122,    # 294 as flat-tuple records; a 36-byte row now
+    "all-tiers": 104,  # 292 as flat-tuple records; a 36-byte row now
+}
 RELOGINS = 20
 
 
@@ -70,10 +76,12 @@ def _held(obj):
 def test_stored_records_are_untracked_flat_tuples(build):
     dri = _run(BUILDS[build])
     store = dri.telemetry.store
-    spans = [held for trace in store._by_trace.values() for held in trace]
-    assert len(spans) == len(store) > 100
-    assert all(type(rec) is tuple for rec in spans)
-    assert not any(map(gc.is_tracked, spans))
+    rows = list(store._by_trace.values())
+    assert not store._open
+    assert sum(map(len, rows)) == _ROW.size * len(store) > _ROW.size * 100
+    assert all(type(trace) is bytearray for trace in rows)
+    assert all(type(shape) is tuple for shape in store._shapes)
+    assert not any(map(gc.is_tracked, store._shapes))
     # the store keeps no per-trace id set (orphans() builds one per read)
     assert not any(isinstance(value, dict)
                    and any(isinstance(v, set) for v in value.values())
@@ -149,13 +157,14 @@ def _shapes(store):
 @pytest.fixture(scope="module", params=list(BUILDS))
 def relogged(request):
     """The story, then ``RELOGINS`` relogins of its researcher; yields
-    ``(build, store, shape count after each relogin)``."""
+    ``(build, store, [(distinct shapes of the views, shapes the store
+    holds)] after each relogin)``."""
     dri = _run(BUILDS[request.param])
     wf, store = dri.workflows, dri.telemetry.store
     shapes = []
     for _ in range(RELOGINS):
         assert wf.relogin(wf.personas["bob"]).ok
-        shapes.append(len(_shapes(store)))
+        shapes.append((len(_shapes(store)), len(store._shapes)))
     return request.param, store, shapes
 
 
