@@ -31,8 +31,8 @@ membership service (etcd, a cloud control plane).  It owns:
 Steady-state lag observed by the watchdog is about
 ``replication_delay + heartbeat_interval`` (the age of the newest
 applied heartbeat just before the next one lands), which is why
-``repro.region.STALENESS_BOUND`` sits comfortably above it — detection must fire on partitions, not on the
-bus working as designed.
+``repro.region.STALENESS_BOUND`` sits comfortably above it — detection
+must fire on partitions, not on the bus working as designed.
 """
 
 from __future__ import annotations

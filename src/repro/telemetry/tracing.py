@@ -111,10 +111,11 @@ class Span:
 # index)``: ``ids`` is the 8 bytes the span id's 16 hex digits spell, then
 # the parent's (all zero for none — W3C forbids an all-zero id), decoded
 # in one ``bytes.fromhex`` (a third of the cost of two ``int(…, 16)``),
-# and the times are exact doubles, so every view round-trips.  Its shape is the flat tuple
-# ``(name, service, kind, status, error[, key …, value …])`` — its attr
-# names, then their values, in insertion order, a ``baggage`` dict as a
-# tuple of pairs — held once per store however many spans share it.
+# and the times are exact doubles, so every view round-trips.  Its shape
+# is the flat tuple ``(name, service, kind, status, error[, key …,
+# value …])`` — its attr names, then their values, in insertion order, a
+# ``baggage`` dict as a tuple of pairs — held once per store however many
+# spans share it.
 # Rows are bytes and shapes flat tuples of atoms, so the cyclic collector
 # never walks what a round's spans leave behind (docs/extending.md, "what
 # you keep a million of must be flat, and what repeats is held once").
@@ -226,7 +227,7 @@ class SpanStore:
     def spans(self) -> List[Span]:
         """Every span held, in the order they were opened (span ids
         count up)."""
-        return sorted(chain(*map(self._views, self._by_trace)),
+        return sorted(chain.from_iterable(map(self._views, self._by_trace)),
                       key=attrgetter("span_id"))
 
     def trace(self, trace_id: str) -> List[Span]:
