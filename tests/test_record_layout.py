@@ -46,6 +46,10 @@ MAX_BYTES_PER_SPAN = {
     "default": 122,    # 294 as flat-tuple records; a 36-byte row now
     "all-tiers": 104,  # 292 as flat-tuple records; a 36-byte row now
 }
+# before 3.11 a str-keyed dict takes 24 bytes an entry, not 16: the
+# store's two (trace ids, open span ids) add about 2 bytes a span here,
+# estimated from the two dicts' sizes on 3.10, not read off a 3.10 run
+PRE_311_BYTES = 3
 RELOGINS = 20
 
 
@@ -171,7 +175,9 @@ def relogged(request):
 def test_a_kept_span_costs_at_most_its_budget(relogged):
     build, store, _ = relogged
     assert not store.unfinished()
-    assert _owned_bytes(store) <= MAX_BYTES_PER_SPAN[build] * len(store)
+    budget = MAX_BYTES_PER_SPAN[build] + PRE_311_BYTES * (
+        sys.version_info < (3, 11))
+    assert _owned_bytes(store) <= budget * len(store)
 
 
 def test_a_repeated_relogin_adds_no_shape(relogged):
