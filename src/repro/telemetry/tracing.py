@@ -115,10 +115,10 @@ class Span:
 # is the flat tuple ``(name, service, kind, status, error[, key …,
 # value …])`` — its attr names, then their values, in insertion order, a
 # ``baggage`` dict as a tuple of pairs — held once per store however many
-# spans share it.
-# Rows are bytes and shapes flat tuples of atoms, so the cyclic collector
-# never walks what a round's spans leave behind (docs/extending.md, "what
-# you keep a million of must be flat, and what repeats is held once").
+# spans share it.  Rows are bytes and shapes flat tuples of atoms, so the
+# cyclic collector never walks what a round's spans leave behind
+# (docs/extending.md, "what you keep a million of must be flat, and what
+# repeats is held once").
 _ROW = struct.Struct("<16sddI")
 _NO_PARENT = "0" * 16
 _ATTRS = 5  # index of the first attr name in a shape

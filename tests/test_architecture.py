@@ -11,9 +11,9 @@ raising the limit.
 The size ratchets at the bottom only ever go down: the number of values
 a caller of ``build_isambard`` can set (read off its annotations, the one
 check that imports rather than parses), the values among them that only
-tests set, the statement count of ``src/``,
-the concepts that have exactly one implementation, the serving path's
-three mechanisms (serve wrapper, attempt bound, retry loop), each of
+tests set, the statement count of ``src/``, the ``src/`` frames a relogin
+enters (counted while one runs), the concepts that have exactly one
+implementation, the serving path's three mechanisms (serve wrapper, attempt bound, retry loop), each of
 which is written once, the one place a trace header is parsed, and the
 one write path of journaled state (``Durable.commit``).
 """
