@@ -97,8 +97,6 @@ class IdentityBroker(OidcProvider):
         self._upstreams: Dict[str, UpstreamIdP] = {}
         self._login_states: Dict[str, str] = {}  # oauth state -> upstream_id
         self._admin_roles: Dict[str, Set[Role]] = {}  # upstream sub -> roles
-        self._portal_service_token: Optional[str] = None
-        self._portal_token_exp: float = 0.0
 
     # ------------------------------------------------------------------
     # wiring (done by the deployment builder)
@@ -357,7 +355,7 @@ class IdentityBroker(OidcProvider):
             raise AuthorizationError(
                 f"{sub} has no active project with cluster access"
             )
-        service_token, _ = self.tokens.mint(
+        service_token, _ = self.tokens.held(
             f"{self.name}-service", self.ssh_ca_endpoint, Role.SERVICE, ttl=60
         )
         resp = self.call(
@@ -412,23 +410,14 @@ class IdentityBroker(OidcProvider):
     # ------------------------------------------------------------------
     # portal authz (server-to-server, service token)
     # ------------------------------------------------------------------
-    def _portal_token(self) -> str:
-        now = self.clock.now()
-        if self._portal_service_token is None or now > self._portal_token_exp - 30:
-            token, record = self.tokens.mint(
-                f"{self.name}-service", self.portal_endpoint, Role.SERVICE,
-                ttl=600,
-            )
-            self._portal_service_token = token
-            self._portal_token_exp = record.expires_at
-        return self._portal_service_token
-
     def _query_portal_authz(self, uid: str, email: str) -> Dict[str, object]:
+        token, _ = self.tokens.held(
+            f"{self.name}-service", self.portal_endpoint, Role.SERVICE, ttl=600)
         resp = self.call(
             self.portal_endpoint,
             HttpRequest(
                 "GET", "/authz",
-                headers={"Authorization": f"Bearer {self._portal_token()}"},
+                headers={"Authorization": f"Bearer {token}"},
                 query={"uid": uid, "email": email},
             ),
         )
@@ -506,8 +495,6 @@ class IdentityBroker(OidcProvider):
         self.tokens.wipe_state()
         self._admin_roles = {}
         self._login_states = {}
-        self._portal_service_token = None
-        self._portal_token_exp = 0.0
 
     def load_state(self, state: Dict[str, object]) -> None:
         super().load_state(state)

@@ -32,6 +32,10 @@ from repro.ids import IdFactory
 
 __all__ = ["IssuedToken", "TokenService", "RbacTokenValidator"]
 
+# a held token is handed out again only while at least this much of its
+# lifetime is left, so a presentation never races its expiry
+HOLD_MARGIN = 30.0
+
 
 @dataclass(frozen=True)
 class IssuedToken:
@@ -81,6 +85,9 @@ class TokenService:
         # its record does and nothing durable ever mentions it
         self._minted: Dict[bytes, str] = {}
         self._revoked: Set[str] = set()
+        # (subject, audience, role) -> the token held for that repeat
+        # infrastructure caller (see held); volatile like _minted
+        self._held: Dict[Tuple[str, str, str], Tuple[str, IssuedToken]] = {}
         # every mint/revoke/purge goes through commit(kind, data): the
         # owning broker's Durable.commit (journal, then apply_entry), or,
         # for a service of its own, apply_entry alone
@@ -182,6 +189,35 @@ class TokenService:
                 ttl=effective_ttl, **extra_audit,
             )
         return token, record
+
+    def held(
+        self,
+        subject: str,
+        audience: str,
+        role: Role | str,
+        *,
+        ttl: float,
+        audit_issue: bool = True,
+    ) -> Tuple[str, IssuedToken]:
+        """The service token an infrastructure caller presents over and
+        over (the broker at the SSH CA and the portal, the log shipper at
+        the SOC, ...): the one held for ``(subject, audience, role)``
+        while it has ``HOLD_MARGIN`` seconds left and its jti is issued
+        and unrevoked, else a fresh :meth:`mint`, held from then on.
+
+        Handing out a held audited token re-runs the PDP guard, so a
+        caller fails closed exactly when a per-call mint would.
+        """
+        held = self._held.get((subject, audience, role))
+        if (held is None
+                or self.clock.now() > held[1].expires_at - HOLD_MARGIN
+                or held[1].jti not in self._issued
+                or held[1].jti in self._revoked):
+            held = self._held[subject, audience, role] = self.mint(
+                subject, audience, role, ttl=ttl, audit_issue=audit_issue)
+        elif self.authz_guard is not None and audit_issue:
+            self.authz_guard.check("tokens", actor=subject)
+        return held
 
     # ------------------------------------------------------------------
     # revocation
@@ -288,11 +324,13 @@ class TokenService:
             jti: IssuedToken(**rec) for jti, rec in state["issued"].items()
         }
         self._minted = {}
+        self._held = {}
         self._revoked = set(state["revoked"])
 
     def wipe_state(self) -> None:
         self._issued = {}
         self._minted = {}
+        self._held = {}
         self._revoked = set()
 
     def apply_entry(self, kind: str, data: Dict[str, object]) -> bool:

@@ -315,7 +315,7 @@ class IsambardDeployment:
     def refresh_tunnels(self) -> None:
         """Heartbeat the Zenith tunnel registrations (the deployment's
         periodic job; call after long simulated-time jumps or after an
-        outage dropped the tunnel — re-enrollment mints a fresh token)."""
+        outage dropped the tunnel — re-enrollment presents a live token)."""
         if self.zenith_client.heartbeat() is None:
             # first registration: the client has nothing to re-enrol yet
             self.zenith_client.register_with(
@@ -634,8 +634,8 @@ def build_isambard(
         "jupyter-sessions", jupyter.close_sessions_for)
     dri.zenith_client = ZenithClient("zenith-client", "jupyter")
     attach(dri.zenith_client, M, Zone.HPC)
-    # re-enrollment after a drop mints a fresh service token each time
-    dri.zenith_client.token_source = lambda: dri.broker.tokens.mint(
+    # re-enrollment after a drop presents the held service token
+    dri.zenith_client.token_source = lambda: dri.broker.tokens.held(
         "mdc-zenith-client", "zenith", Role.SERVICE, ttl=300
     )[0]
     dri.mgmt_node, dri.slurm = management_plane("", dri.pool)
@@ -687,7 +687,7 @@ def build_isambard(
         )
 
     def soc_sink(records):
-        token, _ = dri.broker.tokens.mint(
+        token, _ = dri.broker.tokens.held(
             "log-shipper", "soc", Role.SERVICE, ttl=120, audit_issue=False
         )
         shipper.call("soc", HttpRequest(

@@ -225,13 +225,6 @@ class PuhuriAgent:
         self.portal_endpoint = portal_endpoint
         self.synced: Dict[str, str] = {}  # order_id -> local project id
 
-    def _portal_token(self) -> str:
-        token, _ = self.broker.tokens.mint(
-            "puhuri-agent", self.portal_endpoint, Role.ALLOCATOR, ttl=300,
-            audit_issue=False,
-        )
-        return token
-
     # ------------------------------------------------------------------
     def sync_orders(self) -> List[str]:
         """Provision every pending order locally; returns new project ids."""
@@ -243,9 +236,12 @@ class PuhuriAgent:
             raise AuthenticationError(f"puhuri poll failed: {resp.body}")
         created: List[str] = []
         for order in resp.body.get("orders", []):
+            token, _ = self.broker.tokens.held(
+                "puhuri-agent", self.portal_endpoint, Role.ALLOCATOR,
+                ttl=300, audit_issue=False)
             local = self.shipper.call(self.portal_endpoint, HttpRequest(
                 "POST", "/projects",
-                headers={"Authorization": f"Bearer {self._portal_token()}"},
+                headers={"Authorization": f"Bearer {token}"},
                 body={
                     "name": str(order["project_name"]),
                     "pi_email": str(order["pi_email"]),

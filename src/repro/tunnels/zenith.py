@@ -45,7 +45,7 @@ class ZenithClient(Service):
     """Runs inside the MDC next to one web service; dials out to the server.
 
     ``token_source`` (optional) lets the deployment wire a callable that
-    mints a fresh service token, so :meth:`heartbeat` can re-enroll the
+    hands out a live service token, so :meth:`heartbeat` can re-enroll the
     tunnel on its own after a drop — the resilience layer's re-enrollment
     seam.  Without it, heartbeats replay the last token used.
     """
@@ -76,7 +76,7 @@ class ZenithClient(Service):
         return resp
 
     def heartbeat(self) -> Optional[HttpResponse]:
-        """Re-register the last tunnel, minting a fresh token if wired.
+        """Re-register the last tunnel, with a live token if wired.
 
         Returns ``None`` when the client has never registered.  This is
         what the deployment's tunnel-refresh loop calls, so a tunnel that

@@ -541,6 +541,19 @@ class TestAuthzFaults:
         # denials are audited, not silently dropped
         assert dri.audit.query(action="authz.fail_closed")
 
+    def test_pdp_down_fails_a_relogin_closed(self):
+        """The broker holds its portal token for the token's lifetime,
+        and every hand-out re-runs the guard: past the bound a relogin
+        fails closed however young that token is."""
+        dri = self._onboard(87)
+        dri.faults.pdp_down()
+        dri.clock.advance(STALENESS_BOUND + 1.0)
+        before = dri.authz.guard.fail_closed_denials
+        resp = dri.workflows.relogin(dri.workflows.personas["bob"])
+        assert not resp.ok
+        assert resp.body["error_type"] == ServiceUnavailable.__name__
+        assert dri.authz.guard.fail_closed_denials == before + 1
+
     def test_pdp_down_within_bound_serves_stale(self):
         dri = self._onboard(88)
         bob = dri.workflows.personas["bob"].broker_sub

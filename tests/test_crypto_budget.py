@@ -12,6 +12,7 @@ Counts are per ``kid``; every user and host SSH key is ``user-ssh-key``.
 
 import pytest
 
+from repro.audit import Outcome
 from repro.core import build_isambard
 from repro.net import HttpRequest
 
@@ -70,21 +71,25 @@ def test_ssh_session_first_and_second(deployment, spent):
     dri, _ = deployment
     wf = dri.workflows
     signs, verifies = spent(lambda: wf.story4_ssh_session("res1"))
-    every_session = {
+    assert signs == {
         "broker-k1": 1,       # the broker's 60 s service token for the CA
         "ssh-ca-ca-key": 1,   # the CA signs the user certificate
         "user-ssh-key": 2,    # the user's proof, the login node's proof
     }
-    assert signs == every_session
     assert verifies == {
         "broker-k1": 1,       # the CA: first sight of that service token
         "ssh-ca-ca-key": 2,   # sshd: the user certificate; client: the host's
         "user-ssh-key": 2,    # sshd: the user's proof; client: the host's proof
     }
     signs, verifies = spent(lambda: wf.story4_ssh_session("res1"))
-    assert signs == every_session  # a new certificate every session
+    assert signs == {
+        # the broker presents the service token it holds (more than 30 s
+        # of its 60 s to run): no mint, and the CA's key has verified
+        # those bytes
+        "ssh-ca-ca-key": 1,   # a new certificate every session
+        "user-ssh-key": 2,
+    }
     assert verifies == {
-        "broker-k1": 1,
         "ssh-ca-ca-key": 1,   # the client has verified this host certificate
         "user-ssh-key": 2,    # proofs are never remembered: the challenge is static
     }
@@ -117,3 +122,28 @@ def test_mint_revoke_introspect(deployment, spent):
         lambda: _mint_then_introspect(dri, project_id, revoke=True))
     assert signs == {"broker-k1": 1}
     assert verifies == {}  # inactive by the revocation check, not by the maths
+
+
+def test_ship_logs(deployment, spent):
+    dri, _ = deployment
+    log = dri.logs["fds"]
+
+    def ship():
+        # one record to ship, so every forwarder flush that has one
+        # presents the shipper's RBAC token and a fresh SVID to the SOC
+        log.record(dri.clock.now(), "test", "system", "test.note", "-",
+                   Outcome.INFO)
+        dri.ship_logs()
+
+    dri.clock.advance(120.0)  # the held shipper token has run out
+    signs, verifies = spent(ship)
+    # the shipper's 120 s token for the SOC, and the per-flush SVID
+    assert signs == {"broker-k1": 1, "spire-isambard.example": 1}
+    # the SOC: first sight of the token, and of the SVID
+    assert verifies == {"broker-k1": 1, "spire-isambard.example": 1}
+    dri.clock.advance(1.0)
+    signs, verifies = spent(ship)
+    # the shipper presents the token it holds; the SOC's key has
+    # verified those bytes.  A new SVID every flush
+    assert signs == {"spire-isambard.example": 1}
+    assert verifies == {"spire-isambard.example": 1}

@@ -15,8 +15,13 @@ again, each with a short-lived service token.  Whatever the token is
 import pytest
 
 from repro.authz import STALENESS_BOUND
+from repro.broker.rbac import Role
+from repro.broker.tokens import HOLD_MARGIN, TokenService
+from repro.clock import SimClock
 from repro.core import build_isambard
+from repro.crypto.keys import generate_signing_key
 from repro.errors import ServiceUnavailable
+from repro.ids import IdFactory
 
 
 def _onboarded(**flags):
@@ -82,3 +87,55 @@ def test_a_broker_crash_replays_to_its_journal_and_ssh_still_works():
     assert report is not None
     assert report.state_hash == before == dri.broker.state_hash()
     assert dri.workflows.story4_ssh_session("bob").ok
+
+
+# ---------------------------------------------------------------------------
+# the holder itself
+# ---------------------------------------------------------------------------
+@pytest.fixture()
+def tokens():
+    clock = SimClock(start=0.0)
+    key = generate_signing_key("EdDSA", kid="b1")
+    return TokenService(clock, IdFactory(1), key, "https://broker")
+
+
+def _held(tokens):
+    return tokens.held("svc", "ssh-ca", Role.SERVICE, ttl=60)
+
+
+def test_a_held_token_is_handed_out_until_the_margin(tokens):
+    first = _held(tokens)
+    tokens.clock.advance(60 - HOLD_MARGIN)
+    assert _held(tokens) == first
+    tokens.clock.advance(0.001)
+    second = _held(tokens)
+    assert second[1].jti != first[1].jti
+    assert second[1].expires_at == tokens.clock.now() + 60
+
+
+def test_one_token_per_subject_audience_and_role(tokens):
+    jtis = {_held(tokens)[1].jti,
+            tokens.held("svc", "portal", Role.SERVICE, ttl=60)[1].jti,
+            tokens.held("other", "ssh-ca", Role.SERVICE, ttl=60)[1].jti,
+            tokens.held("svc", "ssh-ca", Role.ALLOCATOR, ttl=60)[1].jti}
+    assert len(jtis) == 4
+
+
+def test_a_revoked_or_forgotten_held_token_is_replaced(tokens):
+    first = _held(tokens)
+    assert tokens.revoke_subject("svc") == 1
+    second = _held(tokens)
+    assert second[1].jti != first[1].jti
+    tokens.apply_entry("rbac.purge", {"jtis": [second[1].jti]})
+    assert _held(tokens)[1].jti not in (first[1].jti, second[1].jti)
+
+
+def test_held_tokens_are_volatile(tokens):
+    jti = _held(tokens)[1].jti
+    state = tokens.durable_state()
+    assert _held(tokens)[1].jti == jti
+    assert tokens.durable_state() == state  # a hand-out writes nothing
+    tokens.load_state(state)
+    assert _held(tokens)[1].jti != jti      # and nothing durable holds it
+    tokens.wipe_state()
+    assert not tokens._held
