@@ -175,8 +175,8 @@ class TokenService:
         self._minted[compact_digest(token)] = jti
         if self.session_registry is not None and audit_issue:
             # infrastructure mints (audit_issue=False) are not tracked as
-            # grants: the log shipper re-mints per shipment, so tracking
-            # them would keep the registry from ever draining to zero
+            # grants: the log shipper re-mints for as long as logs flow,
+            # so tracking them would keep the registry from ever draining
             self.session_registry.track(
                 "rbac-token", "tokens", subject, jti,
                 expires_at=now + effective_ttl,
