@@ -129,8 +129,8 @@ def test_ship_logs(deployment, spent):
     log = dri.logs["fds"]
 
     def ship():
-        # one record to ship, so every forwarder flush that has one
-        # presents the shipper's RBAC token and a fresh SVID to the SOC
+        # one record in the FDS log, so its forwarder's flush presents
+        # the shipper's RBAC token and a fresh SVID to the SOC
         log.record(dri.clock.now(), "test", "system", "test.note", "-",
                    Outcome.INFO)
         dri.ship_logs()
