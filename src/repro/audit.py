@@ -22,7 +22,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from math import isfinite
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
-from repro.resilience.durability import Durable, RecoveryReport, _encode
+from repro.resilience.durability import Durable, RecoveryReport, _compact, _encode
 from repro.errors import RecoveryError
 
 __all__ = ["AuditEvent", "AuditLog", "CombinedAuditView", "Outcome"]
@@ -126,19 +126,16 @@ class AuditEvent:
 
         The keys are known and already in order, so the usual event (see
         :meth:`_quoted`) is written out directly; anything else goes
-        through ``json.dumps`` itself."""
+        through the compact sorted-key encoder."""
         quoted = self._quoted()
         if quoted is None:
-            return json.dumps(
-                {
-                    "time": self.time, "source": self.source,
-                    "actor": self.actor, "action": self.action,
-                    "resource": self.resource, "outcome": self.outcome,
-                    "domain": self.domain, "zone": self.zone,
-                    "attrs": {k: repr(v) for k, v in sorted(self.attrs.items())},
-                },
-                separators=(",", ":"), sort_keys=True,
-            ).encode()
+            return _compact({
+                "time": self.time, "source": self.source,
+                "actor": self.actor, "action": self.action,
+                "resource": self.resource, "outcome": self.outcome,
+                "domain": self.domain, "zone": self.zone,
+                "attrs": {k: repr(v) for k, v in sorted(self.attrs.items())},
+            }).encode()
         action, actor, domain, outcome, resource, source, zone = quoted
         pairs = ",".join([f"{_quote(k)}:{_quote(repr(self.attrs[k]))}"
                           for k in sorted(self.attrs)])

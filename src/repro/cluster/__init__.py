@@ -1,14 +1,11 @@
 """Cluster substrate: nodes, Slurm-style scheduler, Jupyter, storage."""
 
-from repro.cluster.dcim import DcimMonitor, DcimSample
 from repro.cluster.jupyter import JupyterService, JupyterSession
 from repro.cluster.nodes import ComputeNode, ManagementNode, NodePool
 from repro.cluster.slurm import Job, JobState, SlurmScheduler
 from repro.cluster.storage import ParallelFilesystem, ProjectVolume
 
 __all__ = [
-    "DcimMonitor",
-    "DcimSample",
     "ComputeNode",
     "NodePool",
     "ManagementNode",

@@ -36,7 +36,6 @@ from repro.cluster import (
     ParallelFilesystem,
     SlurmScheduler,
 )
-from repro.cluster.dcim import DcimMonitor
 from repro.errors import ConfigurationError
 from repro.federation import (
     AssurancePolicy,
@@ -170,8 +169,6 @@ class IsambardDeployment:
     # revocation, containment and the tiers iterate over
     login_nodes: List[LoginNodeSshd] = field(default_factory=list)
     schedulers: List[SlurmScheduler] = field(default_factory=list)
-    # environmental telemetry (created idle; call .start() to arm sampling)
-    dcim: Optional["object"] = None
     # SPIRE-style workload identity authority for the trust domain
     spire: Optional["object"] = None
     # chaos harness (always attached; inert until faults are scheduled)
@@ -658,11 +655,6 @@ def build_isambard(
     dri.mgmt_node_i3, dri.slurm_i3 = management_plane(
         "-i3", dri.pool_i3,
         charge_units_per_node=1)  # node-hours on the CPU machine
-
-    # environmental telemetry for the AI pod (idle until .start())
-    dri.dcim = DcimMonitor(
-        "dcim-ai", clock, dri.pool, audit=logs["mdc"], rng=ids.rng(),
-    )
 
     # ------------------------------------------------------------------ SEC
     soc = dri.soc = SecurityOperationsCentre(

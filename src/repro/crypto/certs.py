@@ -16,12 +16,9 @@ from typing import Dict
 from repro.crypto.jws import b64url_decode, b64url_encode
 from repro.crypto.keys import HmacKey, SigningKey, VerifyingKey
 from repro.errors import SignatureInvalid
+from repro.resilience.durability import _compact
 
 __all__ = ["SignedDocument", "sign_document", "verify_document"]
-
-
-def _canonical(payload: Dict[str, object]) -> bytes:
-    return json.dumps(payload, separators=(",", ":"), sort_keys=True).encode()
 
 
 @dataclass(frozen=True)
@@ -39,7 +36,7 @@ class SignedDocument:
             "signer_kid": self.signer_kid,
             "signature": self.signature_b64,
         }
-        return b64url_encode(_canonical(body))
+        return b64url_encode(_compact(body).encode())
 
     @classmethod
     def from_wire(cls, wire: str) -> "SignedDocument":
@@ -56,7 +53,7 @@ class SignedDocument:
 
 def sign_document(key: SigningKey | HmacKey, payload: Dict[str, object]) -> SignedDocument:
     """Sign ``payload`` (canonical JSON) with ``key``."""
-    signature = key.sign(_canonical(payload))
+    signature = key.sign(_compact(payload).encode())
     return SignedDocument(
         payload=dict(payload),
         signer_kid=key.kid,
@@ -75,5 +72,5 @@ def verify_document(key: VerifyingKey | HmacKey, doc: SignedDocument) -> Dict[st
         raise SignatureInvalid(
             f"document signed by kid={doc.signer_kid!r}, verifier has {key.kid!r}"
         )
-    key.verify(_canonical(doc.payload), b64url_decode(doc.signature_b64))
+    key.verify(_compact(doc.payload).encode(), b64url_decode(doc.signature_b64))
     return dict(doc.payload)

@@ -10,7 +10,6 @@ content-derived identifiers.
 from __future__ import annotations
 
 import hashlib
-import json
 from typing import Dict, Iterable, List, Optional
 
 from cryptography.hazmat.primitives.asymmetric import ec, ed25519, rsa
@@ -18,6 +17,7 @@ from cryptography.hazmat.primitives.asymmetric import ec, ed25519, rsa
 from repro.crypto.jws import b64url_decode, b64url_encode
 from repro.crypto.keys import HmacKey, VerifyingKey
 from repro.errors import ConfigurationError
+from repro.resilience.durability import _compact
 
 __all__ = ["public_jwk", "jwk_thumbprint", "verifying_key", "JwkSet"]
 
@@ -70,9 +70,7 @@ def jwk_thumbprint(jwk: Dict[str, str]) -> str:
     members = _THUMBPRINT_MEMBERS.get(kty or "")
     if members is None:
         raise ConfigurationError(f"cannot thumbprint kty={kty!r}")
-    canonical = json.dumps(
-        {m: jwk[m] for m in members}, separators=(",", ":"), sort_keys=True
-    )
+    canonical = _compact({m: jwk[m] for m in members})
     return b64url_encode(hashlib.sha256(canonical.encode()).digest())
 
 

@@ -15,18 +15,30 @@ knows* the answer for these exact bytes — the issuer that produced them
 checked them itself — may pass ``vouched=True`` and skip the maths.
 Nothing else is skipped: segments, ``alg`` and ``kid`` are checked on
 every presentation.
+
+The wire bytes are built once.  The protected header is encoded once
+per ``(alg, kid, typ)`` and the signing input built as bytes; a parsed
+header is a pure function of its segment, so it is remembered by the
+exact segment string, read-only, for the last :data:`HEADER_MEMO_SIZE`
+segments (the presenter chooses the segment, so the bound is this
+module's, not a setting).  What a payload means is the caller's: a JWT
+payload that is not a JSON object is :class:`SignatureInvalid` too
+(:class:`~repro.crypto.jwt.JwtValidator`).
 """
 
 from __future__ import annotations
 
-import base64
 import binascii
 import hashlib
 import json
-from typing import Dict, FrozenSet, Iterable, Optional, Tuple, Union
+from binascii import a2b_base64, b2a_base64
+from functools import lru_cache
+from types import MappingProxyType
+from typing import FrozenSet, Iterable, Mapping, Optional, Tuple, Union
 
 from repro.crypto.keys import SUPPORTED_ALGORITHMS, HmacKey, SigningKey, VerifyingKey
 from repro.errors import SignatureInvalid
+from repro.resilience.durability import _compact
 
 __all__ = ["b64url_encode", "b64url_decode", "sign_compact", "verify_compact",
            "acceptable_algs", "compact_digest"]
@@ -34,53 +46,63 @@ __all__ = ["b64url_encode", "b64url_decode", "sign_compact", "verify_compact",
 Signer = Union[SigningKey, HmacKey]
 Verifier = Union[VerifyingKey, HmacKey]
 
+# protected headers remembered: encoded per (alg, kid, typ), parsed per
+# exact segment string
+HEADER_MEMO_SIZE = 256
+
+_TO_URL = bytes.maketrans(b"+/", b"-_")
+_FROM_URL = bytes.maketrans(b"-_", b"+/")
+
 
 def b64url_encode(data: bytes) -> str:
     """Base64url without padding, as JOSE requires."""
-    return base64.urlsafe_b64encode(data).rstrip(b"=").decode("ascii")
+    return b2a_base64(data, newline=False).translate(_TO_URL).rstrip(b"=").decode("ascii")
 
 
 def b64url_decode(text: str) -> bytes:
-    """Inverse of :func:`b64url_encode`; raises ``SignatureInvalid`` on junk."""
-    pad = -len(text) % 4
+    """Inverse of :func:`b64url_encode`; raises ``SignatureInvalid`` on junk.
+    Accepts exactly what ``base64.urlsafe_b64decode`` accepts once padded."""
     try:
-        return base64.urlsafe_b64decode(text + "=" * pad)
+        return a2b_base64(
+            (text + "=" * (-len(text) % 4)).encode("ascii").translate(_FROM_URL))
     except (binascii.Error, ValueError) as exc:
         raise SignatureInvalid("malformed base64url segment") from exc
 
 
-def sign_compact(
-    key: Signer, payload: bytes, extra_header: Optional[Dict[str, object]] = None
-) -> str:
+@lru_cache(maxsize=HEADER_MEMO_SIZE)
+def _protected(alg: str, kid: str, typ: Optional[str]) -> str:
+    header = {"alg": alg, "kid": kid} if typ is None else {
+        "alg": alg, "kid": kid, "typ": typ}
+    return b64url_encode(_compact(header).encode()) + "."
+
+
+def sign_compact(key: Signer, payload: bytes, *, typ: Optional[str] = None) -> str:
     """Produce a compact JWS of ``payload`` signed by ``key``.
 
-    The protected header always carries ``alg`` and ``kid`` from the key;
-    ``extra_header`` may add fields (e.g. ``typ``) but cannot override them.
-    """
-    header: Dict[str, object] = dict(extra_header or {})
-    header["alg"] = key.alg
-    header["kid"] = key.kid
-    signing_input = (
-        b64url_encode(json.dumps(header, separators=(",", ":"), sort_keys=True).encode())
-        + "."
-        + b64url_encode(payload)
-    ).encode("ascii")
-    signature = key.sign(signing_input)
-    return signing_input.decode("ascii") + "." + b64url_encode(signature)
+    The protected header carries ``alg`` and ``kid`` from the key, and
+    ``typ`` when one is given."""
+    head = _protected(key.alg, key.kid, typ) + b64url_encode(payload)
+    return head + "." + b64url_encode(key.sign(head.encode("ascii")))
 
 
-def _parse(token: str) -> Tuple[Dict[str, object], bytes, bytes, bytes]:
-    parts = token.split(".")
-    if len(parts) != 3:
-        raise SignatureInvalid(f"compact JWS must have 3 segments, got {len(parts)}")
-    header_b, payload_b, sig_b = parts
-    header_raw = b64url_decode(header_b)
+@lru_cache(maxsize=HEADER_MEMO_SIZE)
+def _header(segment: str) -> Mapping[str, object]:
+    header_raw = b64url_decode(segment)
     try:
         header = json.loads(header_raw)
     except (ValueError, UnicodeDecodeError) as exc:
         raise SignatureInvalid("protected header is not valid JSON") from exc
     if not isinstance(header, dict):
         raise SignatureInvalid("protected header must be a JSON object")
+    return MappingProxyType(header)
+
+
+def _parse(token: str) -> Tuple[Mapping[str, object], bytes, bytes, bytes]:
+    parts = token.split(".")
+    if len(parts) != 3:
+        raise SignatureInvalid(f"compact JWS must have 3 segments, got {len(parts)}")
+    header_b, payload_b, sig_b = parts
+    header = _header(header_b)
     payload = b64url_decode(payload_b)
     signature = b64url_decode(sig_b)
     signing_input = (header_b + "." + payload_b).encode("ascii")
@@ -111,8 +133,9 @@ def verify_compact(
     allowed_algs: Iterable[str] = _SUPPORTED,
     *,
     vouched: bool = False,
-) -> Tuple[Dict[str, object], bytes]:
-    """Verify a compact JWS and return ``(header, payload)``.
+) -> Tuple[Mapping[str, object], bytes]:
+    """Verify a compact JWS and return ``(header, payload)``; the header
+    is read-only (one parsed object serves every presenter of its bytes).
 
     Parameters
     ----------

@@ -5,12 +5,19 @@ required claims are all checked against the *simulated* clock, because the
 paper's design hinges on tokens being short-lived and per-service
 (audience-scoped).  A small leeway absorbs clock skew between simulated
 components.
+
+``exp`` and ``nbf`` are finite numbers: JSON's ``NaN`` and ``Infinity``
+(or a number past the float range) would make a token that never
+expires, so they are :class:`~repro.errors.ClaimMissing` like a missing
+``exp``.  A signed payload that is not a JSON object is
+:class:`~repro.errors.SignatureInvalid`, as a malformed segment is.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Dict, Iterable, Optional, Sequence, Union
+import sys
+from typing import Dict, Iterable, Optional, Sequence
 
 from repro.clock import SimClock
 from repro.crypto.jws import (
@@ -19,6 +26,7 @@ from repro.crypto.jws import (
     verify_compact,
 )
 from repro.crypto.keys import SUPPORTED_ALGORITHMS
+from repro.resilience.durability import _compact
 from repro.errors import (
     AudienceMismatch,
     ClaimMissing,
@@ -33,17 +41,18 @@ __all__ = ["encode_jwt", "JwtValidator"]
 Claims = Dict[str, object]
 
 
-def encode_jwt(claims: Claims, key, extra_header: Optional[Dict[str, object]] = None) -> str:
+# a time claim outside this range is NaN, ±Infinity or no float at all
+_TIME_MAX = sys.float_info.max
+
+
+def encode_jwt(claims: Claims, key) -> str:
     """Serialize ``claims`` as a signed JWT.
 
     The caller is responsible for populating ``iat``/``exp`` from the
     simulated clock; token *minting policy* lives in
     :mod:`repro.broker.tokens`, not here.
     """
-    header = {"typ": "JWT"}
-    header.update(extra_header or {})
-    payload = json.dumps(claims, separators=(",", ":"), sort_keys=True).encode()
-    return sign_compact(key, payload, header)
+    return sign_compact(key, _compact(claims).encode(), typ="JWT")
 
 
 class JwtValidator:
@@ -97,7 +106,10 @@ class JwtValidator:
         any token."""
         _header, payload = verify_compact(
             token, self.keys, self.allowed_algs, vouched=vouched)
-        claims = json.loads(payload)
+        try:
+            claims = json.loads(payload)
+        except ValueError as exc:
+            raise SignatureInvalid("JWT payload is not JSON") from exc
         if not isinstance(claims, dict):
             raise SignatureInvalid("JWT payload must be a JSON object")
 
@@ -106,8 +118,9 @@ class JwtValidator:
         exp = claims.get("exp")
         if exp is None:
             raise ClaimMissing("token has no 'exp'; unbounded tokens are forbidden")
-        if not isinstance(exp, (int, float)) or isinstance(exp, bool):
-            raise ClaimMissing("'exp' must be numeric")
+        if (not isinstance(exp, (int, float)) or isinstance(exp, bool)
+                or not -_TIME_MAX <= exp <= _TIME_MAX):
+            raise ClaimMissing("'exp' must be a finite number")
         if now > float(exp) + self.leeway:
             raise TokenExpired(
                 f"token expired at t={exp}, now t={now:.1f} (leeway {self.leeway}s)"
@@ -115,8 +128,9 @@ class JwtValidator:
 
         nbf = claims.get("nbf")
         if nbf is not None:
-            if not isinstance(nbf, (int, float)) or isinstance(nbf, bool):
-                raise ClaimMissing("'nbf' must be numeric")
+            if (not isinstance(nbf, (int, float)) or isinstance(nbf, bool)
+                    or not -_TIME_MAX <= nbf <= _TIME_MAX):
+                raise ClaimMissing("'nbf' must be a finite number")
             if now + self.leeway < float(nbf):
                 raise TokenNotYetValid(
                     f"token not valid before t={nbf}, now t={now:.1f}"

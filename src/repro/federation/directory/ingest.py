@@ -29,7 +29,6 @@ classes model that supply chain:
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -42,6 +41,7 @@ from repro.errors import (
     SignatureInvalid,
 )
 from repro.federation.assurance import EntityCategory, LevelOfAssurance
+from repro.resilience.durability import _compact
 
 __all__ = ["FeedDelta", "MetadataFeed", "MetadataIngestor", "FEED_VALIDITY"]
 
@@ -50,8 +50,7 @@ FEED_VALIDITY = 14 * 86400.0  # two-week validity window per publication
 
 def _canonical_digest(payload: object) -> bytes:
     """sha256 over canonical JSON — the byte string registrars sign."""
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).digest()
+    return hashlib.sha256(_compact(payload).encode("utf-8")).digest()
 
 
 @dataclass(frozen=True)

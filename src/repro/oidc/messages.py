@@ -5,14 +5,21 @@ URLs in the simulation are ``https://<endpoint>/<path>?<query>`` where
 :func:`parse_url` convert between the string form (what travels in
 ``Location`` headers and ``redirect_uri`` parameters) and the structured
 form the network layer needs.
+
+Both are written for that grammar rather than through ``urlencode`` /
+``urlsplit``: :func:`make_url` writes what ``urlencode`` writes, and
+:func:`parse_url` reads ``https://<endpoint>[<path>][?<query>]`` as
+``urlsplit`` + ``parse_qsl`` would (``%`` and ``+`` decoded, blank values
+dropped, the last repeated key wins) and refuses anything else.
 """
 
 from __future__ import annotations
 
 import hashlib
+import re
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
-from urllib.parse import parse_qsl, urlencode, urlsplit
+from urllib.parse import quote_plus, unquote
 
 from repro.crypto.jws import b64url_encode
 from repro.errors import ConfigurationError
@@ -26,20 +33,36 @@ __all__ = [
 ]
 
 
+# the characters quote_plus leaves as they are
+_plain = re.compile(r"[A-Za-z0-9_.~-]*").fullmatch
+# no space or control character anywhere (urlsplit would strip them),
+# no fragment, an ASCII endpoint without brackets
+_url = re.compile(r"https://([^\x00-\x20\x7f-\U0010ffff/?#\[\]]+)"
+                  r"(/[^?#\x00-\x20]*)?(?:\?([^#\x00-\x20]*))?").fullmatch
+
+
 def make_url(endpoint: str, path: str, /, **params: object) -> str:
     """Build a simulated https URL pointing at a network endpoint."""
     if not path.startswith("/"):
         raise ConfigurationError(f"path must start with '/', got {path!r}")
-    query = urlencode({k: str(v) for k, v in params.items() if v is not None})
+    pairs = [(k, str(v)) for k, v in params.items() if v is not None]
+    query = "&".join([
+        f"{k if _plain(k) else quote_plus(k)}={v if _plain(v) else quote_plus(v)}"
+        for k, v in pairs])
     return f"https://{endpoint}{path}" + (f"?{query}" if query else "")
 
 
 def parse_url(url: str) -> Tuple[str, str, Dict[str, str]]:
     """Split a simulated URL into (endpoint, path, params)."""
-    parts = urlsplit(url)
-    if parts.scheme != "https" or not parts.netloc:
+    match = _url(url)
+    if match is None:
         raise ConfigurationError(f"not a simulated https URL: {url!r}")
-    return parts.netloc, parts.path or "/", dict(parse_qsl(parts.query))
+    endpoint, path, query = match.groups()
+    pairs = [pair.replace("+", " ").partition("=")
+             for pair in query.split("&")] if query else ()
+    return endpoint, path or "/", {
+        unquote(k) if "%" in k else k: unquote(v) if "%" in v else v
+        for k, _, v in pairs if v}
 
 
 def pkce_challenge(verifier: str) -> str:

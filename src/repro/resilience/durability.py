@@ -73,7 +73,9 @@ REPLAY_COST_PER_ENTRY = 0.0002
 
 
 # built once: json.dumps constructs a fresh encoder per call for any
-# non-default option, and sort_keys is one
+# non-default option, and sort_keys is one.  ``_compact`` is the one
+# compact sorted-key encoder in src: tokens, signed documents and
+# digest inputs are encoded by it too
 _canonical = json.JSONEncoder(sort_keys=True).encode
 _compact = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 

@@ -362,11 +362,14 @@ def hop_counts(monkeypatch):
     (``AuditLog.emit``), ``spans`` (``SpanStore.add``), ``ids``
     (``IdFactory.next``/``secret``/``jti`` calls, as ``perf/``'s
     ``ids.calls`` counts them: a ``jti`` is three), ``json``
-    (``json.dumps``/``loads`` calls) and the W3C header codec,
-    ``from_traceparent`` and ``inject`` — which in-process hops never
-    run."""
+    (``json.dumps``/``loads`` calls, and calls of the one compact
+    sorted-key encoder wherever a module imported it as ``_compact``)
+    and the W3C header codec, ``from_traceparent`` and ``inject`` —
+    which in-process hops never run."""
+    import sys
     from collections import Counter
 
+    from repro.resilience.durability import _compact
     from repro.telemetry import SpanStore, TraceContext
 
     counts = Counter()
@@ -388,6 +391,10 @@ def hop_counts(monkeypatch):
         count(IdFactory, name, "ids")
     for name in ("dumps", "loads"):
         count(json, name, "json")
+    for module in list(sys.modules.values()):
+        if (getattr(module, "__name__", "").startswith("repro.")
+                and getattr(module, "_compact", None) is _compact):
+            count(module, "_compact", "json")
     parse = TraceContext.from_traceparent.__func__
 
     def counting_parse(cls, *args, **kwargs):

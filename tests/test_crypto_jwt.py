@@ -3,7 +3,7 @@
 import pytest
 
 from repro.clock import SimClock
-from repro.crypto import JwkSet, JwtValidator, encode_jwt
+from repro.crypto import JwkSet, JwtValidator, encode_jwt, sign_compact
 from repro.crypto.keys import generate_signing_key
 from repro.errors import (
     AudienceMismatch,
@@ -75,6 +75,36 @@ def test_missing_exp_rejected(validator, key, clock):
 def test_non_numeric_exp_rejected(validator, key, clock):
     with pytest.raises(ClaimMissing):
         validator.validate(mint(key, clock, exp="later"))
+
+
+@pytest.mark.parametrize("exp", [float("inf"), float("nan"), 10 ** 400],
+                         ids=["inf", "nan", "past-float-range"])
+def test_a_token_that_never_expires_is_refused(key, clock, exp):
+    """JSON's ``Infinity``/``NaN`` (and an integer past the float range)
+    compare as never expired: an IdP outside the trust boundary could
+    assert an identity for ever.  Refused like a missing ``exp``."""
+    validator = JwtValidator(clock, "iss", "rp", key.public())
+    token = encode_jwt({"iss": "iss", "aud": "rp", "exp": exp, "sub": "x"}, key)
+    with pytest.raises(ClaimMissing):
+        validator.validate(token)
+    clock.advance(1e9)
+    with pytest.raises(ClaimMissing):
+        validator.validate(token)
+
+
+@pytest.mark.parametrize("nbf", [float("nan"), float("inf"), -float("inf")])
+def test_a_non_finite_not_before_is_refused(validator, key, clock, nbf):
+    with pytest.raises(ClaimMissing):
+        validator.validate(mint(key, clock, nbf=nbf))
+
+
+@pytest.mark.parametrize("payload", [b"data", b"\xff\xfe\x00", b"", b"[1]"])
+def test_a_signed_payload_that_is_not_a_json_object_is_a_bad_token(
+        validator, key, payload):
+    """A well-signed payload that does not parse as a JSON object is
+    refused as a malformed token, never escaping as a parse error."""
+    with pytest.raises(SignatureInvalid):
+        validator.validate(sign_compact(key, payload))
 
 
 def test_nbf_in_future_rejected(validator, key, clock):

@@ -1,11 +1,9 @@
 """Tests for the extension features: the Isambard 3 second cluster,
-step-up re-authentication for admin tokens, and DCIM telemetry."""
+and step-up re-authentication for admin tokens."""
 
 import pytest
 
 from repro.broker import Role
-from repro.clock import SimClock
-from repro.cluster import DcimMonitor, NodePool
 from repro.core import build_isambard
 from repro.net.http import HttpRequest
 from repro.oidc import make_url
@@ -134,51 +132,3 @@ def test_researcher_tokens_not_subject_to_stepup():
     assert resp.ok  # dynamic portal check suffices for user roles
 
 
-# ---------------------------------------------------------------------------
-# DCIM telemetry
-# ---------------------------------------------------------------------------
-def test_dcim_power_tracks_utilisation():
-    clock = SimClock()
-    pool = NodePool("gh", "grace-hopper", 100, gpus_per_node=4)
-    dcim = DcimMonitor("dcim", clock, pool)
-    idle = dcim.sample()
-    pool.allocate(100, "big-job")
-    busy = dcim.sample()
-    assert busy.power_mw > idle.power_mw
-    assert busy.utilisation == 1.0
-    assert busy.power_mw < dcim.power_budget_mw  # within the 5 MW envelope
-
-
-def test_dcim_flow_fault_breaches_thresholds():
-    clock = SimClock()
-    pool = NodePool("gh", "grace-hopper", 10)
-    dcim = DcimMonitor("dcim", clock, pool)
-    dcim.inject_flow_fault()
-    dcim.sample()
-    assert dcim.breaches
-    assert any("flow" in b for b in dcim.breaches)
-    errors = dcim.audit.query(action="dcim.threshold")
-    assert errors
-
-
-def test_dcim_periodic_sampling_on_clock():
-    clock = SimClock()
-    pool = NodePool("gh", "grace-hopper", 4)
-    dcim = DcimMonitor("dcim", clock, pool, sample_interval=60)
-    dcim.start()
-    clock.advance(601)
-    assert len(dcim.samples) == 10
-    dcim.stop()
-    clock.advance(600)
-    assert len(dcim.samples) == 10
-
-
-def test_dcim_breach_reaches_soc_and_alerts():
-    dri = build_isambard(seed=41, forward_interval=2.0)
-    dri.dcim.inject_flow_fault()
-    dri.dcim.sample()
-    dri.ship_logs()
-    env_alerts = [a for a in dri.soc.alerts if a.rule == "environment-critical"]
-    assert env_alerts and env_alerts[0].severity == "medium"
-    # medium severity alerts never auto-contain
-    assert not dri.soc.contained

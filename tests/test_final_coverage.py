@@ -1,5 +1,5 @@
 """Final coverage wave: admin role validation, CLI report command,
-combined-audit accessors, DCIM helpers, tailnet accessors."""
+combined-audit accessors, tailnet accessors."""
 
 import subprocess
 import sys
@@ -7,8 +7,6 @@ import sys
 import pytest
 
 from repro.broker import Role
-from repro.clock import SimClock
-from repro.cluster import DcimMonitor, NodePool
 from repro.core import build_isambard
 from repro.errors import AuthorizationError
 
@@ -44,28 +42,6 @@ def test_combined_audit_accessors():
     merged = dri.audit.events()
     assert merged == sorted(merged, key=lambda e: e.time)
     assert len(dri.audit) == sum(len(v) for v in dri.logs.values())
-
-
-# ---------------------------------------------------------------------------
-# DCIM helpers
-# ---------------------------------------------------------------------------
-def test_dcim_peak_and_fault_recovery():
-    clock = SimClock()
-    pool = NodePool("gh", "grace-hopper", 50)
-    dcim = DcimMonitor("dcim", clock, pool)
-    assert dcim.peak_power_mw() == 0.0
-    dcim.sample()
-    pool.allocate(50, "burn")
-    dcim.sample()
-    peak = dcim.peak_power_mw()
-    assert peak == max(s.power_mw for s in dcim.samples)
-    dcim.inject_flow_fault()
-    dcim.sample()
-    n_breaches = len(dcim.breaches)
-    assert n_breaches > 0
-    dcim.clear_flow_fault()
-    dcim.sample()
-    assert len(dcim.breaches) == n_breaches  # no new breach after recovery
 
 
 # ---------------------------------------------------------------------------

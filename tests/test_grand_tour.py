@@ -41,10 +41,6 @@ def test_grand_tour():
     assert dri.slurm.job(job_ai.job_id).state.value == "completed"
     assert dri.slurm_i3.job(job_i3.job_id).state.value == "completed"
 
-    # --- environmental telemetry ---------------------------------------------
-    sample = dri.dcim.sample()
-    assert 0 < sample.power_mw < dri.dcim.power_budget_mw
-
     # --- an incident, detected and contained ----------------------------------
     tm = ThreatModel(dri)
     containment = tm.containment_time(attack_rate=2.0)

@@ -10,8 +10,11 @@ edit this file and say why.
 ``hops`` are ``Network.request`` calls (delivered or not), ``audit`` every
 record emitted into any log, ``spans`` every span opened, ``ids`` the
 ``IdFactory`` calls (a ``jti`` is three: itself, ``next`` and ``secret``),
-``json`` the ``json.dumps``/``loads`` calls, ``journal`` the write-ahead
-appends by kind (none on a default build: it journals nothing).
+``json`` the ``json.dumps``/``loads`` calls and the compact encoder's
+(a JWT's claims; its protected header is encoded once per key and parsed
+once per segment, so a header costs nothing here), ``journal`` the
+write-ahead appends by kind (none on a default build: it journals
+nothing).
 The W3C header codec (``TraceContext.from_traceparent``/``inject``) never
 runs on a story: between the hops of one process the trace position is an
 object on the request.
@@ -87,14 +90,16 @@ def test_relogin(deployment, spent):
         # and a server span per hop.
         # ids: the broker's state, nonce and PKCE verifier, MyAccessID's
         # code, the broker's session id, the tokens' jti (next + secret).
-        # json: MyAccessID's two JWTs (claims + header each), the session
-        # record's amr list; the header and claims of the id token at the
-        # broker and of the broker's service token at the portal /authz
-        "default": _budget(hops=5, audit=9, spans=11, ids=8, json=9),
+        # json: MyAccessID's two JWTs' claims, the session record's amr
+        # list; the claims of the id token at the broker and of the
+        # broker's service token at the portal /authz (9 → 5: two headers
+        # no longer encoded, two no longer parsed)
+        "default": _budget(hops=5, audit=9, spans=11, ids=8, json=5),
         # both device → broker hops go geo-router → region front →
         # replica: 2 more hops each, a delivery record and two spans per
-        # extra hop; the portal's token validation is a cache hit
-        "all-tiers": _budget(hops=9, audit=13, spans=19, ids=8, json=7, journal={
+        # extra hop; the portal's token validation is a cache hit (7 → 4:
+        # two headers encoded and one parsed fewer)
+        "all-tiers": _budget(hops=9, audit=13, spans=19, ids=8, json=4, journal={
             # every record, in the log it lands in
             "audit.emit": 13,
             # (no fw.accept: a forwarder is a position in its log and
@@ -113,15 +118,17 @@ def test_ssh_session_first_and_second(deployment, spent):
         # are not HTTP flows and carry no trace: root + 2 × 3 spans.
         # Five deliveries, the CA service token's rbac.mint, ca.sign,
         # ssh.cert_issued, the bastion's ssh.connect, the node's session.
-        # ids: the CA service token's jti.  json: that token (2), the
+        # ids: the CA service token's jti.  json: that token's claims, the
         # certificate's canonical form signed, put on the wire and checked
-        # by the bastion and the node (4), two audit list attrs; two RBAC
-        # token checks, at the portal /authz and the CA /sign (2 each),
-        # the certificate parsed by the bastion and the node (2)
-        "default": _budget(hops=5, audit=10, spans=7, ids=3, json=14),
+        # by the bastion and the node (4), two audit list attrs; the
+        # claims of two RBAC token checks, at the portal /authz and the CA
+        # /sign, the certificate parsed by the bastion and the node (2)
+        # (14 → 11: one header encoded and two parsed fewer)
+        "default": _budget(hops=5, audit=10, spans=7, ids=3, json=11),
         # the certificate request crosses geo-router → front → replica;
-        # one service-token validation is a cache hit
-        "all-tiers": _budget(hops=7, audit=12, spans=11, ids=3, json=12, journal={
+        # one service-token validation is a cache hit (12 → 10: one header
+        # encoded and one parsed fewer)
+        "all-tiers": _budget(hops=7, audit=12, spans=11, ids=3, json=10, journal={
             "audit.emit": 12,
             # (no fw.accept: the forwarders read the logs at flush time)
             # the broker's service token for the CA, the CA's signature
@@ -130,9 +137,9 @@ def test_ssh_session_first_and_second(deployment, spent):
     second = {
         # the broker presents the CA service token it holds (more than
         # 30 s of its 60 s to run): no rbac.mint record, no jti, no
-        # token encoded (2)
-        "default": _budget(hops=5, audit=9, spans=7, ids=0, json=12),
-        # and the CA's check of those bytes is a cache hit too (2)
+        # token encoded (1) (12 → 10: two headers parsed fewer)
+        "default": _budget(hops=5, audit=9, spans=7, ids=0, json=10),
+        # and the CA's check of those bytes is a cache hit too (1)
         "all-tiers": _budget(hops=7, audit=11, spans=11, ids=0, json=8, journal={
             "audit.emit": 11,
             # (no fw.accept: the forwarders read the logs at flush time)
@@ -156,12 +163,14 @@ def test_jupyter_notebook(deployment, spent):
         # tunnel + 2 × 11 spans.
         # ids: Zenith's state, nonce and verifier and its session cookie,
         # the broker's code, two jti (3 each), the notebook id.
-        # json: three JWTs (2 each); five validations (header + claims)
-        "default": _budget(hops=11, audit=16, spans=24, ids=12, json=16),
+        # json: three JWTs' claims; five validations' claims (16 → 8:
+        # three headers encoded and five parsed fewer)
+        "default": _budget(hops=11, audit=16, spans=24, ids=12, json=8),
         # six of the eleven are hops to the broker, each two hops longer;
         # the regional introspection is one record more; one validation
-        # is a cache hit
-        "all-tiers": _budget(hops=23, audit=29, spans=48, ids=12, json=14, journal={
+        # is a cache hit (14 → 7: three headers encoded and four parsed
+        # fewer)
+        "all-tiers": _budget(hops=23, audit=29, spans=48, ids=12, json=7, journal={
             "audit.emit": 29,
             # (no fw.accept: the forwarders read the logs at flush time)
             # the broker, as Zenith's provider: the code, its redemption
@@ -187,13 +196,15 @@ def test_mint_then_introspect(deployment, spent):
         # device → broker /tokens → portal /authz, then /introspect sent
         # outside any flow: a hop, untraced.  Three deliveries and the
         # rbac.mint; root + 2 × 2 spans for the mint.
-        # ids: the token's jti.  json: the JWT (2); the device's access
-        # token at the broker and the service token at the portal (2 each)
-        "default": _budget(hops=3, audit=4, spans=5, ids=3, json=6),
+        # ids: the token's jti.  json: the JWT's claims; the claims of the
+        # device's access token at the broker and of the service token at
+        # the portal (6 → 3: one header encoded and two parsed fewer)
+        "default": _budget(hops=3, audit=4, spans=5, ids=3, json=3),
         # both broker hops are two longer (the untraced one adds no
         # span) and the region records its introspection; the portal's
-        # validation is a cache hit
-        "all-tiers": _budget(hops=7, audit=9, spans=9, ids=3, json=4, journal={
+        # validation is a cache hit (4 → 2: one header encoded and one
+        # parsed fewer)
+        "all-tiers": _budget(hops=7, audit=9, spans=9, ids=3, json=2, journal={
             "audit.emit": 9,
             # (no fw.accept: the forwarders read the logs at flush
             # time); introspection journals nothing
