@@ -16,10 +16,10 @@ checked them itself — may pass ``vouched=True`` and skip the maths.
 Nothing else is skipped: segments, ``alg`` and ``kid`` are checked on
 every presentation.
 
-The wire bytes are built once.  The protected header is encoded once
-per ``(alg, kid, typ)`` and the signing input built as bytes; a parsed
-header is a pure function of its segment, so it is remembered by the
-exact segment string, read-only, for the last :data:`HEADER_MEMO_SIZE`
+The wire bytes are built once.  The protected header segment is
+encoded once per ``(alg, kid, typ)``.  A parsed header is a pure
+function of its segment, so it is remembered by the exact segment
+string, as a read-only mapping, for the last :data:`HEADER_MEMO_SIZE`
 segments (the presenter chooses the segment, so the bound is this
 module's, not a setting).  What a payload means is the caller's: a JWT
 payload that is not a JSON object is :class:`SignatureInvalid` too

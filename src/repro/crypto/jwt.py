@@ -26,7 +26,6 @@ from repro.crypto.jws import (
     verify_compact,
 )
 from repro.crypto.keys import SUPPORTED_ALGORITHMS
-from repro.resilience.durability import _compact
 from repro.errors import (
     AudienceMismatch,
     ClaimMissing,
@@ -35,13 +34,15 @@ from repro.errors import (
     TokenExpired,
     TokenNotYetValid,
 )
+from repro.resilience.durability import _compact
 
 __all__ = ["encode_jwt", "JwtValidator"]
 
 Claims = Dict[str, object]
 
 
-# a time claim outside this range is NaN, ±Infinity or no float at all
+# a time claim lies in [-_TIME_MAX, _TIME_MAX]: NaN, ±Infinity and an
+# integer no float can hold do not
 _TIME_MAX = sys.float_info.max
 
 
