@@ -150,7 +150,6 @@ def scale_surge(replicas: int, caching: bool, seed: int,
     — the traffic the distributed cache amortises.
     """
     cfg = ScaleConfig(broker_replicas=replicas, caching=caching,
-                      max_replicas=max(replicas, 8),
                       autoscale=autoscale,
                       autoscale_interval=N_SURGE / ARRIVAL_RATE / 12.0)
     dri = build_isambard(seed=seed, overload=BROKER_CONFIG, scale=cfg)

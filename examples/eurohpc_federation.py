@@ -28,7 +28,10 @@ def main() -> None:
     dri = build_isambard(seed=2026)
 
     print("=== 1. The central allocation order ===")
-    core = PuhuriCore("puhuri", dri.clock, dri.ids)
+    # the core sits outside Isambard: its records land in the external
+    # domain's log, which the SOC's forwarders already collect
+    core = PuhuriCore("puhuri", dri.clock, dri.ids,
+                      audit=dri.logs["external"])
     dri.network.attach(core, OperatingDomain.EXTERNAL, Zone.INTERNET)
     operator_key = core.register_operator("ukri-allocations")
     agent_key = core.register_offering("isambard-ai")

@@ -22,7 +22,7 @@ check never stops.  Three pieces implement that here:
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.audit import AuditLog, Outcome
 from repro.clock import SimClock
@@ -39,14 +39,14 @@ __all__ = ["PolicyDecisionPoint", "AuthzGuard", "ContinuousAuthorizer"]
 class PolicyDecisionPoint:
     """The PDP: one place every continuous-authorization query lands.
 
-    When a provenance ledger is attached (deployment wiring), every
-    evaluation — allow or deny — is recorded with the matched rule, the
-    policy pack version and the decision inputs (assurance, threat
-    score), so ``explain(identity)`` can answer *why* afterwards.
+    Every evaluation — allow or deny — is recorded in the provenance
+    ledger with the matched rule, the policy pack version and the
+    decision inputs (assurance, threat score), so ``explain(identity)``
+    can answer *why* afterwards.
     """
 
     def __init__(self, clock: SimClock, engine: PolicyEngine, *,
-                 provenance=None) -> None:
+                 provenance) -> None:
         self.clock = clock
         self.engine = engine
         self.provenance = provenance
@@ -58,20 +58,19 @@ class PolicyDecisionPoint:
             raise ServiceUnavailable("policy decision point unreachable")
         self.decisions += 1
         decision = self.engine.evaluate(ctx)
-        if self.provenance is not None:
-            self.provenance.record(
-                self.clock.now(),
-                str(ctx.attrs.get("surface", "pdp")),
-                "allow" if decision.allowed else "deny",
-                ctx.subject,
-                spiffe_id=str(ctx.attrs.get("spiffe_id", "")),
-                resource=ctx.resource,
-                rule=decision.rule or "default-deny",
-                reason=decision.reason,
-                pack_version=self.engine.pack_version,
-                loa=ctx.loa,
-                threat_score=ctx.risk_score,
-            )
+        self.provenance.record(
+            self.clock.now(),
+            str(ctx.attrs.get("surface", "pdp")),
+            "allow" if decision.allowed else "deny",
+            ctx.subject,
+            spiffe_id=str(ctx.attrs.get("spiffe_id", "")),
+            resource=ctx.resource,
+            rule=decision.rule or "default-deny",
+            reason=decision.reason,
+            pack_version=self.engine.pack_version,
+            loa=ctx.loa,
+            threat_score=ctx.risk_score,
+        )
         return decision
 
     def down(self) -> None:
@@ -96,9 +95,8 @@ class AuthzGuard:
     """
 
     def __init__(self, clock: SimClock, pdp: PolicyDecisionPoint, *,
-                 staleness_bound: float = STALENESS_BOUND,
-                 audit: Optional[AuditLog] = None,
-                 telemetry=None) -> None:
+                 audit: AuditLog, telemetry,
+                 staleness_bound: float = STALENESS_BOUND) -> None:
         self.clock = clock
         self.pdp = pdp
         self.staleness_bound = staleness_bound
@@ -125,25 +123,21 @@ class AuthzGuard:
             # a stale allow leaves no audit event (the admission itself
             # is audited by the surface), but the provenance ledger must
             # still show the PDP heartbeat age this admission rode on
-            prov = getattr(self.telemetry, "provenance", None)
-            if prov is not None:
-                prov.record(
-                    now, surface, "allow", actor or "?",
-                    reason="stale-allow-within-bound",
-                    pdp_staleness=now - self.last_ok,
-                )
+            self.telemetry.provenance.record(
+                now, surface, "allow", actor or "?",
+                reason="stale-allow-within-bound",
+                pdp_staleness=now - self.last_ok,
+            )
             return
         self.fail_closed_denials += 1
-        if self.telemetry is not None:
-            self.telemetry.authz_fail_closed.inc(surface=surface)
-        if self.audit is not None:
-            self.audit.record(
-                now, "authz-guard", actor or "?", "authz.fail_closed",
-                surface, Outcome.DENIED,
-                reason="pdp-unreachable-past-staleness-bound",
-                age=round(now - self.last_ok, 6),
-                bound=self.staleness_bound,
-            )
+        self.telemetry.authz_fail_closed.inc(surface=surface)
+        self.audit.record(
+            now, "authz-guard", actor or "?", "authz.fail_closed",
+            surface, Outcome.DENIED,
+            reason="pdp-unreachable-past-staleness-bound",
+            age=round(now - self.last_ok, 6),
+            bound=self.staleness_bound,
+        )
         raise ServiceUnavailable(
             f"{surface}: policy decision point unreachable for "
             f"{now - self.last_ok:.1f}s (> {self.staleness_bound:.1f}s "
@@ -169,7 +163,7 @@ class ContinuousAuthorizer:
                  pipeline: RevocationPipeline,
                  pdp: PolicyDecisionPoint,
                  guard: AuthzGuard,
-                 audit: Optional[AuditLog] = None) -> None:
+                 audit: AuditLog) -> None:
         self.clock = clock
         self.registry = registry
         self.pipeline = pipeline
@@ -224,13 +218,12 @@ class ContinuousAuthorizer:
         if decision.allowed:
             return False
         self.revocations_triggered += 1
-        if self.audit is not None:
-            self.audit.record(
-                self.clock.now(), "continuous-authorizer", uid,
-                "authz.reevaluation", spiffe_id, Outcome.DENIED,
-                rule=decision.rule or "default-deny",
-                reason=decision.reason, spiffe_id=spiffe_id,
-            )
+        self.audit.record(
+            self.clock.now(), "continuous-authorizer", uid,
+            "authz.reevaluation", spiffe_id, Outcome.DENIED,
+            rule=decision.rule or "default-deny",
+            reason=decision.reason, spiffe_id=spiffe_id,
+        )
         self.pipeline.revoke(
             spiffe_id=spiffe_id,
             reason=f"policy:{decision.rule or 'default-deny'}",

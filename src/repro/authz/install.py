@@ -43,10 +43,8 @@ def install(dri) -> None:
     clock, tele, logs = dri.clock, dri.telemetry, dri.logs
     graph = IdentityGraph(TRUST_DOMAIN, authority=dri.spire)
     registry = SessionRegistry(clock, graph=graph)
-    pdp = PolicyDecisionPoint(
-        clock, dri.policy_engine,
-        provenance=tele.provenance if tele is not None else None,
-    )
+    pdp = PolicyDecisionPoint(clock, dri.policy_engine,
+                              provenance=tele.provenance)
     guard = AuthzGuard(clock, pdp, audit=logs["fds"], telemetry=tele)
     pipeline = RevocationPipeline(
         clock, registry=registry, audit=logs["sec"], telemetry=tele)
@@ -55,20 +53,19 @@ def install(dri) -> None:
         guard=guard, audit=logs["sec"],
     )
 
-    if tele is not None:
-        # provenance enricher: fields the audit bridge cannot see at
-        # the emitting surface — assurance tier, SOC threat score,
-        # PDP heartbeat age, policy pack version — resolved at
-        # record time from the continuous-authorization state
-        def enrich_decision(subject: str) -> Dict[str, object]:
-            return {
-                "pack_version": dri.policy_engine.pack_version,
-                "loa": authorizer._loa.get(subject, MIN_LOA),
-                "threat_score": authorizer._risk.get(subject, 0.0),
-                "pdp_staleness": round(guard.age(), 6),
-            }
+    # provenance enricher: fields the audit bridge cannot see at the
+    # emitting surface — assurance tier, SOC threat score, PDP heartbeat
+    # age, policy pack version — resolved at record time from the
+    # continuous-authorization state
+    def enrich_decision(subject: str) -> Dict[str, object]:
+        return {
+            "pack_version": dri.policy_engine.pack_version,
+            "loa": authorizer._loa.get(subject, MIN_LOA),
+            "threat_score": authorizer._risk.get(subject, 0.0),
+            "pdp_staleness": round(guard.age(), 6),
+        }
 
-        tele.provenance.enricher = enrich_decision
+    tele.provenance.enricher = enrich_decision
 
     def accounts_of(uid: str) -> List[str]:
         accounts = graph.accounts_of(uid)

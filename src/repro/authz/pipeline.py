@@ -92,8 +92,8 @@ class RevocationPipeline(Durable):
 
     def __init__(self, clock: SimClock, *,
                  registry: SessionRegistry,
-                 audit: Optional[AuditLog] = None,
-                 telemetry=None,
+                 audit: AuditLog,
+                 telemetry,
                  retry_interval: float = RETRY_INTERVAL) -> None:
         self.clock = clock
         self.registry = registry
@@ -156,8 +156,7 @@ class RevocationPipeline(Durable):
             "reason": reason, "by": by, "requested_at": self.clock.now(),
         })
         self.revocations += 1
-        if self.telemetry is not None:
-            self.telemetry.authz_revocations.inc(reason=reason)
+        self.telemetry.authz_revocations.inc(reason=reason)
         self._drive(intent)
         return intent
 
@@ -184,8 +183,7 @@ class RevocationPipeline(Durable):
             self.commit("authz.complete",
                         {"intent_id": intent.intent_id, "completed_at": now})
             ttr = intent.ttr() or 0.0
-            if self.telemetry is not None:
-                self.telemetry.authz_ttr.observe(ttr, time=now)
+            self.telemetry.authz_ttr.observe(ttr, time=now)
             self._audit(intent, Outcome.SUCCESS, ttr=round(ttr, 6))
         elif not intent.complete:
             self._audit(intent, Outcome.INFO,
@@ -306,8 +304,6 @@ class RevocationPipeline(Durable):
 
     # ------------------------------------------------------------ audit
     def _audit(self, intent: RevocationIntent, outcome: str, **attrs) -> None:
-        if self.audit is None:
-            return
         self.audit.record(
             self.clock.now(), self.name, intent.by, "authz.revoked",
             intent.spiffe_id, outcome,

@@ -73,7 +73,7 @@ class IdentityBroker(OidcProvider):
         clock: SimClock,
         ids: IdFactory,
         *,
-        audit: Optional[AuditLog] = None,
+        audit: AuditLog,
         portal_endpoint: str = "portal",
         session_ttl: float = 3600.0,
         rbac_default_ttl: float = 900.0,

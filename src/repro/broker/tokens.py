@@ -68,7 +68,7 @@ class TokenService:
         issuer: str,
         *,
         commit: Optional[Callable[[str, Dict[str, object]], object]] = None,
-        audit: Optional[AuditLog] = None,
+        audit: AuditLog,
         default_ttl: float = 900.0,
         max_ttl: float = 3600.0,
     ) -> None:
@@ -76,7 +76,7 @@ class TokenService:
         self.ids = ids
         self.key = key
         self.issuer = issuer
-        self.audit = audit if audit is not None else AuditLog("token-service")
+        self.audit = audit
         self.default_ttl = default_ttl
         self.max_ttl = max_ttl
         self._issued: Dict[str, IssuedToken] = {}

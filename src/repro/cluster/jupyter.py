@@ -89,7 +89,7 @@ class JupyterService(Service):
         validator: RbacTokenValidator,
         pool: NodePool,
         *,
-        audit: Optional[AuditLog] = None,
+        audit: AuditLog,
         broker_endpoint: Optional[str] = "broker",
         session_ttl: float = 4 * 3600.0,
         staleness_window: float = 60.0,
@@ -99,7 +99,7 @@ class JupyterService(Service):
         self.ids = ids
         self.validator = validator
         self.pool = pool
-        self.audit = audit if audit is not None else AuditLog(f"{name}-audit")
+        self.audit = audit
         self.broker_endpoint = broker_endpoint
         self.session_ttl = session_ttl
         self.staleness_window = staleness_window

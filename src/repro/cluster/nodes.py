@@ -110,14 +110,14 @@ class ManagementNode(Service):
         validator: RbacTokenValidator,
         pool: NodePool,
         *,
-        audit: Optional[AuditLog] = None,
+        audit: AuditLog,
         policy=None,
     ) -> None:
         super().__init__(name)
         self.clock = clock
         self.validator = validator
         self.pool = pool
-        self.audit = audit if audit is not None else AuditLog(f"{name}-audit")
+        self.audit = audit
         # optional dynamic-policy engine (tenet 4): evaluated on top of
         # token validation, so posture rules can deny a formally valid token
         self.policy = policy

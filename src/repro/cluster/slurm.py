@@ -77,7 +77,7 @@ class SlurmScheduler:
         pool: NodePool,
         charge: Callable[[str, float], None],
         *,
-        audit: Optional[AuditLog] = None,
+        audit: AuditLog,
         max_walltime: float = 24 * 3600.0,
         charge_units_per_node: int = 4,
         max_pending: int = 512,
@@ -86,7 +86,7 @@ class SlurmScheduler:
         self.ids = ids
         self.pool = pool
         self.charge = charge
-        self.audit = audit if audit is not None else AuditLog("slurm-audit")
+        self.audit = audit
         self.max_walltime = max_walltime
         # allocation units consumed per node-hour: GPUs on Isambard-AI
         # (Grace-Hopper), plain node-hours on Isambard 3 (Grace-Grace)

@@ -182,6 +182,7 @@ class IsambardDeployment:
     # active-standby supervision; None unless built with failover=True
     failover: Optional[FailoverController] = None
     # tracing + metrics + SLO runtime; None when built telemetry=False
+    # (the base only: every tier needs it)
     telemetry: Optional[Telemetry] = None
     # bounded-retention telemetry pipeline; None when pipeline off
     pipeline_config: Optional[PipelineConfig] = None
@@ -418,7 +419,8 @@ def build_isambard(
     says what each one wires):
 
     * ``telemetry`` (default on, part of the base) — tracing, RED
-      metrics, SLO pages; docs/architecture.md "Observability".
+      metrics, SLO pages; docs/architecture.md "Observability".  Every
+      tier below needs it: ``telemetry=False`` builds the base only.
     * ``pipeline`` (:class:`PipelineConfig`) — bounded span/metric/
       ledger retention inside telemetry; docs/observability.md.
     * ``resilience`` (:class:`RetryPolicy`) — retry/breaker kits on every
@@ -438,6 +440,13 @@ def build_isambard(
       "Federation directory".
     """
     # ---------------------------------------------------------- arguments
+    # telemetry=False builds the base only: every tier counts into it
+    if not telemetry and any((resilience, overload, durability, failover,
+                              scale, regions, tail, authz, pipeline,
+                              directory)):
+        raise ConfigurationError(
+            "telemetry=False builds the base only: every opt-in tier "
+            "needs telemetry")
     # True selects a tier's defaults; a tier that needs another turns it on
     scale_cfg = _config(scale or regions, ScaleConfig)
     tail_cfg = _config(tail, TailConfig)

@@ -2,7 +2,7 @@
 
 from repro.federation.assurance import AssurancePolicy, EntityCategory, LevelOfAssurance
 from repro.federation.cloud_idp import AdminAccount, CloudAdminIdP
-from repro.federation.edugain import IdPMetadata, populate_edugain
+from repro.federation.edugain import IdPMetadata
 from repro.federation.idp import FederatedUser, InstitutionalIdP
 from repro.federation.lastresort import LastResortIdP, LastResortUser
 from repro.federation.mfa import HardwareKey, HardwareKeyRegistration, TotpDevice
@@ -20,7 +20,6 @@ __all__ = [
     "InstitutionalIdP",
     "FederatedUser",
     "IdPMetadata",
-    "populate_edugain",
     "MyAccessID",
     "Account",
     "LinkedIdentity",

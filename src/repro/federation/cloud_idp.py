@@ -52,7 +52,7 @@ class CloudAdminIdP(OidcProvider):
         clock: SimClock,
         ids: IdFactory,
         *,
-        audit: Optional[AuditLog] = None,
+        audit: AuditLog,
         institution: str = "bristol.ac.uk",
         max_admins: int = 20,
         session_ttl: float = 3600.0,

@@ -209,7 +209,7 @@ class MetadataFeed:
 class MetadataIngestor:
     """Polls registered feeds and applies verified deltas to the store."""
 
-    def __init__(self, clock, store, *, audit=None, telemetry=None) -> None:
+    def __init__(self, clock, store, *, audit, telemetry) -> None:
         self.clock = clock
         self.store = store
         self.audit = audit
@@ -235,10 +235,9 @@ class MetadataIngestor:
 
     # -------------------------------------------------------------- polling
     def _count(self, feed: str, result: str, entries: int = 0) -> None:
-        if self.telemetry is not None:
-            self.telemetry.metadata_ingest_batches.inc(feed=feed, result=result)
-            if entries:
-                self.telemetry.metadata_ingest_entries.inc(entries, feed=feed)
+        self.telemetry.metadata_ingest_batches.inc(feed=feed, result=result)
+        if entries:
+            self.telemetry.metadata_ingest_entries.inc(entries, feed=feed)
 
     def _apply(self, delta: FeedDelta) -> int:
         try:
@@ -247,11 +246,10 @@ class MetadataIngestor:
         except SignatureInvalid:
             self.rejected_deltas += 1
             self._count(delta.feed, "rejected")
-            if self.audit is not None:
-                self.audit.record(
-                    self.clock.now(), "directory", delta.feed,
-                    "metadata.delta_rejected", f"seq={delta.seq}",
-                    Outcome.DENIED, reason="bad-signature")
+            self.audit.record(
+                self.clock.now(), "directory", delta.feed,
+                "metadata.delta_rejected", f"seq={delta.seq}",
+                Outcome.DENIED, reason="bad-signature")
             raise FederationError(
                 f"delta seq={delta.seq} from feed {delta.feed!r} failed "
                 "signature verification")
@@ -302,8 +300,7 @@ class MetadataIngestor:
 
     # ------------------------------------------------------------- health
     def _gauge_age(self, name: str) -> None:
-        if self.telemetry is not None:
-            self.telemetry.metadata_feed_age.set(self.feed_age(name), feed=name)
+        self.telemetry.metadata_feed_age.set(self.feed_age(name), feed=name)
 
     def feed_age(self, name: str) -> float:
         """Seconds since this feed's content was last applied."""

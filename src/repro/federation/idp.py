@@ -14,7 +14,7 @@ be deactivated and every later login fails.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from repro.audit import AuditLog, Outcome
 from repro.clock import SimClock
@@ -68,7 +68,7 @@ class InstitutionalIdP(Service):
         categories: Tuple[EntityCategory, ...] = (
             EntityCategory.RESEARCH_AND_SCHOLARSHIP,
         ),
-        audit: Optional[AuditLog] = None,
+        audit: AuditLog,
     ) -> None:
         super().__init__(name)
         self.entity_id = entity_id
@@ -76,7 +76,7 @@ class InstitutionalIdP(Service):
         self.ids = ids
         self.loa = loa
         self.categories = tuple(categories)
-        self.audit = audit if audit is not None else AuditLog(f"{name}-audit")
+        self.audit = audit
         self.key = generate_signing_key("EdDSA", kid=f"{name}-idp-key")
         self._key_generation = 1
         self._users: Dict[str, FederatedUser] = {}
@@ -133,11 +133,10 @@ class InstitutionalIdP(Service):
         self._key_generation += 1
         self.key = generate_signing_key(
             "EdDSA", kid=f"{self.name}-idp-key-g{self._key_generation}")
-        if self.audit is not None:
-            self.audit.record(
-                self.clock.now(), self.name, "registrar", "idp.key_rotated",
-                self.entity_id, Outcome.INFO, generation=self._key_generation,
-            )
+        self.audit.record(
+            self.clock.now(), self.name, "registrar", "idp.key_rotated",
+            self.entity_id, Outcome.INFO, generation=self._key_generation,
+        )
         return self.key.public()
 
     # ------------------------------------------------------------------

@@ -11,7 +11,7 @@ provider does **not** federate onward — the shortcoming §IV.B calls out.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.audit import AuditLog, Outcome
 from repro.clock import SimClock
@@ -51,7 +51,7 @@ class LastResortIdP(OidcProvider):
         clock: SimClock,
         ids: IdFactory,
         *,
-        audit: Optional[AuditLog] = None,
+        audit: AuditLog,
         session_ttl: float = 4 * 3600.0,
     ) -> None:
         super().__init__(name, clock, ids, audit=audit, session_ttl=session_ttl)

@@ -83,7 +83,7 @@ class MyAccessID(OidcProvider):
         registry,
         *,
         policy: Optional[AssurancePolicy] = None,
-        audit: Optional[AuditLog] = None,
+        audit: AuditLog,
         session_ttl: float = 8 * 3600.0,
     ) -> None:
         super().__init__(name, clock, ids, audit=audit, session_ttl=session_ttl)

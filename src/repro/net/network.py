@@ -107,14 +107,14 @@ class Network:
         self,
         clock: SimClock,
         firewall: Optional[Firewall] = None,
-        audit: Optional[AuditLog] = None,
         *,
+        audit: AuditLog,
         hop_latency: float = 0.001,
         faults=None,
     ) -> None:
         self.clock = clock
         self.firewall = firewall if firewall is not None else Firewall()
-        self.audit = audit if audit is not None else AuditLog("network")
+        self.audit = audit
         self.hop_latency = hop_latency
         self.faults = faults
         # optional repro.telemetry.Telemetry: when set, every hop becomes

@@ -89,7 +89,7 @@ class OidcProvider(Service, Durable):
         clock: SimClock,
         ids: IdFactory,
         *,
-        audit: Optional[AuditLog] = None,
+        audit: AuditLog,
         issuer: Optional[str] = None,
         session_ttl: float = 3600.0,
         code_ttl: float = 60.0,
@@ -99,7 +99,7 @@ class OidcProvider(Service, Durable):
         super().__init__(name)
         self.clock = clock
         self.ids = ids
-        self.audit = audit if audit is not None else AuditLog(f"{name}-audit")
+        self.audit = audit
         self.issuer = issuer or f"https://{name}"
         self._key_generation = 1
         self.key = generate_signing_key("EdDSA", kid=f"{name}-k1")

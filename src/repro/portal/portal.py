@@ -74,14 +74,14 @@ class UserPortal(Service, Durable):
         ids: IdFactory,
         validator: RbacTokenValidator,
         *,
-        audit: Optional[AuditLog] = None,
+        audit: AuditLog,
         on_revoke: Optional[Callable[[str, str, str], None]] = None,
     ) -> None:
         super().__init__(name)
         self.clock = clock
         self.ids = ids
         self.validator = validator
-        self.audit = audit if audit is not None else AuditLog(f"{name}-audit")
+        self.audit = audit
         self.on_revoke = on_revoke or (lambda uid, project, account: None)
         self.unix_accounts = UnixAccountRegistry()
         self._projects: Dict[str, Project] = {}

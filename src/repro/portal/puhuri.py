@@ -59,12 +59,12 @@ class PuhuriCore(Service):
         clock: SimClock,
         ids: IdFactory,
         *,
-        audit: Optional[AuditLog] = None,
+        audit: AuditLog,
     ) -> None:
         super().__init__(name)
         self.clock = clock
         self.ids = ids
-        self.audit = audit if audit is not None else AuditLog(f"{name}-audit")
+        self.audit = audit
         self._operator_keys: Dict[str, str] = {}   # operator -> api key
         self._offering_keys: Dict[str, str] = {}   # offering -> agent key
         self._orders: Dict[str, AllocationOrder] = {}

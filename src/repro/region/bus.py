@@ -49,9 +49,9 @@ class ReplicatedInvalidationBus:
         clock: SimClock,
         regions: Sequence[str],
         *,
+        telemetry,
         replication_delay: float = 0.5,
         local_buses: Optional[Dict[str, InvalidationBus]] = None,
-        telemetry=None,
     ) -> None:
         if len(regions) < 2:
             raise ConfigurationError("a replicated bus needs >= 2 regions")
@@ -144,9 +144,8 @@ class ReplicatedInvalidationBus:
         self._observe(origin, dest, "replicated")
 
     def _observe(self, origin: str, dest: str, event: str) -> None:
-        tele = self.telemetry
-        if tele is not None:
-            tele.region_bus_events.inc(origin=origin, dest=dest, event=event)
+        self.telemetry.region_bus_events.inc(
+            origin=origin, dest=dest, event=event)
 
     # ------------------------------------------------------------------
     # partitions

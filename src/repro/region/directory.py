@@ -57,11 +57,11 @@ class RegionDirectory:
         clock,
         rbus,
         *,
+        audit,
+        telemetry,
         heartbeat_interval: float = 1.0,
         lag_check_interval: float = LAG_CHECK_INTERVAL,
-        audit=None,
         audit_source: str = "region-directory",
-        telemetry=None,
         revoked_source: Optional[Callable[[], Iterable[str]]] = None,
     ) -> None:
         self.clock = clock
@@ -149,8 +149,7 @@ class RegionDirectory:
             origins = [n for n in alive if n != region.name]
             lag = self.rbus.lag(region.name, origins=origins)
             measured[region.name] = lag
-            if self.telemetry is not None:
-                self.telemetry.region_lag.set(lag, region=region.name)
+            self.telemetry.region_lag.set(lag, region=region.name)
             if lag > region.staleness_bound:
                 self.lag_breaches += 1
                 self._record("region.lag", region.name, Outcome.ERROR,
@@ -267,13 +266,11 @@ class RegionDirectory:
 
     # ------------------------------------------------------------------
     def _gauge_state(self, region: Region) -> None:
-        if self.telemetry is not None:
-            value = {ACTIVE: 1.0, STALE: 0.5, DOWN: 0.0}[region.state]
-            self.telemetry.region_state.set(value, region=region.name)
+        value = {ACTIVE: 1.0, STALE: 0.5, DOWN: 0.0}[region.state]
+        self.telemetry.region_state.set(value, region=region.name)
 
     def _record(self, action: str, resource: str, outcome: str,
                 **attrs: object) -> None:
-        if self.audit is not None:
-            self.audit.record(
-                self.clock.now(), self.audit_source, "", action, resource,
-                outcome, **attrs)
+        self.audit.record(
+            self.clock.now(), self.audit_source, "", action, resource,
+            outcome, **attrs)

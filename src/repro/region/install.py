@@ -57,12 +57,10 @@ def install(dri) -> None:
         region = Region(
             name, clock, dri.network, OperatingDomain.FDS, Zone.ACCESS,
             dri.broker, rbus, dri.durability.stream(f"region-{name}"),
+            audit=dri.logs["fds"], telemetry=tele,
             replicas=REPLICAS_PER_REGION,
-            max_replicas=scale.max_replicas,
             staleness_bound=STALENESS_BOUND,
             admission_factory=pod_admission(clock, dri.overload),
-            telemetry=tele, audit=dri.logs["fds"],
-            breaker_listener=tele and tele.on_breaker_transition,
             tail=dri.tail,
         )
         directory.add(region)

@@ -185,12 +185,11 @@ class RegionWorker(ReplicaWorker):
             body = {"active": False}
             region.view_overrides += 1
             cached = False
-        if self.audit is not None:
-            self.log_event(
-                str(body.get("sub", "") or "system"), "region.introspect",
-                jti or "-", Outcome.CACHED if cached else Outcome.SUCCESS,
-                jti=jti, active=bool(body.get("active")),
-            )
+        self.log_event(
+            str(body.get("sub", "") or "system"), "region.introspect",
+            jti or "-", Outcome.CACHED if cached else Outcome.SUCCESS,
+            jti=jti, active=bool(body.get("active")),
+        )
         return HttpResponse.json(body)
 
 
@@ -208,15 +207,13 @@ class Region:
         rbus,
         journal: ServiceJournal,
         *,
+        audit,
+        telemetry,
         replicas: int = 2,
         min_replicas: int = 1,
-        max_replicas: int = 8,
         introspection_ttl: float = 30.0,
         staleness_bound: float = 5.0,
         admission_factory: Optional[Callable[[str], object]] = None,
-        telemetry=None,
-        audit=None,
-        breaker_listener=None,
         tail=None,
     ) -> None:
         self.name = name
@@ -257,13 +254,13 @@ class Region:
 
         self.pool = ReplicaPool(
             f"broker-{name}", network, domain, zone, origin,
-            min_replicas=min_replicas, max_replicas=max_replicas,
+            min_replicas=min_replicas,
             admission_factory=admission_factory, worker_factory=_factory,
         )
         self.pool.scale_to(replicas)
         self.lb = LoadBalancer(
             f"broker-{name}", clock, self.pool, audit=audit,
-            breaker_listener=breaker_listener, tail=tail, telemetry=telemetry,
+            telemetry=telemetry, tail=tail,
         )
         self.lb.region_name = name
         network.attach(self.lb, domain, zone, name=f"broker-{name}")

@@ -58,10 +58,10 @@ class GeoRouter(Service):
         clock,
         directory,
         *,
+        audit,
+        telemetry,
         inter_region_latency: float = INTER_REGION_LATENCY,
         pins: Optional[Dict[str, str]] = None,
-        audit=None,
-        telemetry=None,
         tail: Optional[TailConfig] = None,
     ) -> None:
         super().__init__(name)
@@ -85,11 +85,9 @@ class GeoRouter(Service):
         self.gray_detours = 0
 
     def _on_reinstate(self, region: str) -> None:
-        if self.telemetry is not None:
-            self.telemetry.tail_reinstatements.inc(pool="regions")
-            self.telemetry.tail_ejected.set(0.0, member=region)
-        if self.audit is not None:
-            self.log_event("system", "region.ungray", region, Outcome.INFO)
+        self.telemetry.tail_reinstatements.inc(pool="regions")
+        self.telemetry.tail_ejected.set(0.0, member=region)
+        self.log_event("system", "region.ungray", region, Outcome.INFO)
 
     # ------------------------------------------------------------------
     def home_region(self, source: str) -> str:
@@ -119,12 +117,10 @@ class GeoRouter(Service):
                 self.ejector.is_ejected(home, order):
             order = order[1:] + [home]
             self.gray_detours += 1
-            if self.telemetry is not None:
-                self.telemetry.gray_detours.inc(home=home)
-            if self.audit is not None:
-                self.log_event(
-                    request.source or "system", "region.gray_detour", home,
-                    Outcome.INFO, path=request.path)
+            self.telemetry.gray_detours.inc(home=home)
+            self.log_event(
+                request.source or "system", "region.gray_detour", home,
+                Outcome.INFO, path=request.path)
         return order
 
     def _score(self, rname: str, elapsed: float, ok: bool,
@@ -134,17 +130,14 @@ class GeoRouter(Service):
             return
         until = self.ejector.score(rname, elapsed, ok, fleet)
         if until is not None:
-            if self.telemetry is not None:
-                self.telemetry.tail_ejections.inc(
-                    pool="regions", replica=rname)
-                self.telemetry.tail_ejected.set(1.0, member=rname)
-            if self.audit is not None:
-                lat = self.ejector.latency_ewma(rname)
-                self.log_event(
-                    "system", "region.gray", rname, Outcome.INFO,
-                    until=round(until, 6),
-                    latency_ewma=round(lat if lat is not None else 0.0, 6),
-                    error_ewma=round(self.ejector.error_ewma(rname), 6))
+            self.telemetry.tail_ejections.inc(pool="regions", replica=rname)
+            self.telemetry.tail_ejected.set(1.0, member=rname)
+            lat = self.ejector.latency_ewma(rname)
+            self.log_event(
+                "system", "region.gray", rname, Outcome.INFO,
+                until=round(until, 6),
+                latency_ewma=round(lat if lat is not None else 0.0, 6),
+                error_ewma=round(self.ejector.error_ewma(rname), 6))
 
     def _route(self, request: HttpRequest) -> HttpResponse:
         home = self.home_region(request.source or "")
@@ -162,13 +155,10 @@ class GeoRouter(Service):
                 # honest latency: a detour crosses the inter-region link
                 self.clock.advance(self.inter_region_latency)
                 self.reroutes += 1
-                if self.telemetry is not None:
-                    self.telemetry.region_reroutes.inc(
-                        home=home, served_by=rname)
-                if self.audit is not None:
-                    self.log_event(
-                        request.source or "system", "region.reroute", rname,
-                        Outcome.INFO, home=home, path=request.path)
+                self.telemetry.region_reroutes.inc(home=home, served_by=rname)
+                self.log_event(
+                    request.source or "system", "region.reroute", rname,
+                    Outcome.INFO, home=home, path=request.path)
             started = self.clock.now()
             try:
                 response = self.call(region.endpoint_name, request)

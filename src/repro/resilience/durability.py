@@ -223,11 +223,11 @@ class ServiceJournal:
 class DurabilityStore:
     """The deployment's durable store: one journal stream per service."""
 
-    def __init__(self, clock: SimClock) -> None:
+    def __init__(self, clock: SimClock, telemetry) -> None:
         self.clock = clock
-        # optional repro.telemetry.Telemetry (duck-typed to avoid an
-        # import cycle): recoveries report themselves here when set
-        self.telemetry = None
+        # a repro.telemetry.Telemetry (duck-typed to avoid an import
+        # cycle): recoveries report themselves here
+        self.telemetry = telemetry
         self._streams: Dict[str, ServiceJournal] = {}
 
     def stream(self, name: str) -> ServiceJournal:
@@ -405,9 +405,7 @@ class Durable:
             state_hash=self.state_hash(),
         )
         self.verify_recovery(report)
-        telemetry = getattr(self.journal.store, "telemetry", None)
-        if telemetry is not None:
-            telemetry.record_recovery(report, started=started)
+        self.journal.store.telemetry.record_recovery(report, started=started)
         return report
 
     # --------------------------------------------------------------- hash

@@ -64,9 +64,10 @@ class FailoverController:
         clock: SimClock,
         network,
         *,
+        audit,
+        telemetry,
         check_interval: float = 2.0,
         failure_threshold: int = 2,
-        audit=None,
     ) -> None:
         if check_interval <= 0 or failure_threshold < 1:
             raise ConfigurationError(
@@ -76,9 +77,9 @@ class FailoverController:
         self.check_interval = check_interval
         self.failure_threshold = failure_threshold
         self.audit = audit
-        # optional repro.telemetry.Telemetry (duck-typed): promotions are
+        # a repro.telemetry.Telemetry (duck-typed): promotions are
         # counted and back-filled as spans covering the outage window
-        self.telemetry = None
+        self.telemetry = telemetry
         self.pairs: Dict[str, FailoverPair] = {}
         self.promotions = 0
         self.probes = 0
@@ -153,19 +154,17 @@ class FailoverController:
         pair.report = report
         self.promotions += 1
         pair.on_promote(pair.standby)
-        if self.telemetry is not None:
-            self.telemetry.record_failover(
-                pair.name, report, down_since=pair.down_since)
-        if self.audit is not None:
-            from repro.audit import Outcome  # lazy: avoids an import cycle
+        self.telemetry.record_failover(
+            pair.name, report, down_since=pair.down_since)
+        from repro.audit import Outcome  # lazy: avoids an import cycle
 
-            self.audit.record(
-                self.clock.now(), "failover", "failover-controller",
-                "failover.promote", pair.name, Outcome.INFO,
-                standby=pair.standby_name, epoch=report.epoch,
-                entries_replayed=report.entries_replayed,
-                down_since=pair.down_since,
-            )
+        self.audit.record(
+            self.clock.now(), "failover", "failover-controller",
+            "failover.promote", pair.name, Outcome.INFO,
+            standby=pair.standby_name, epoch=report.epoch,
+            entries_replayed=report.entries_replayed,
+            down_since=pair.down_since,
+        )
         return report
 
     def rejoin(self, name: str, instance) -> RecoveryReport:
@@ -188,12 +187,11 @@ class FailoverController:
         pair.promoted = False
         pair.failures = 0
         pair.down_since = None
-        if self.audit is not None:
-            from repro.audit import Outcome  # lazy: avoids an import cycle
+        from repro.audit import Outcome  # lazy: avoids an import cycle
 
-            self.audit.record(
-                self.clock.now(), "failover", "failover-controller",
-                "failover.rejoin", pair.name, Outcome.INFO,
-                standby=pair.standby_name,
-            )
+        self.audit.record(
+            self.clock.now(), "failover", "failover-controller",
+            "failover.rejoin", pair.name, Outcome.INFO,
+            standby=pair.standby_name,
+        )
         return report

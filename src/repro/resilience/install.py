@@ -41,16 +41,12 @@ def install(dri, rng, *, policy: Optional[RetryPolicy] = None,
     control to be backpressure rather than hard failure, which is why
     overload implies this runtime.  With ``tail`` the kits share one
     tail controller (adaptive deadlines, hedging, retry budgets)."""
+    # retry-budget refusals audit into FDS, where the SOC's forwarders
+    # already collect
     runtime = dri.resilience = ResilienceRuntime(
-        dri.clock, rng, policy=policy, overload=overload, tail=tail)
+        dri.clock, rng, policy=policy, overload=overload, tail=tail,
+        audit=dri.logs["fds"], telemetry=dri.telemetry)
     dri.overload, dri.tail = overload, tail
-    if dri.telemetry is not None:
-        runtime.breaker_listener = dri.telemetry.on_breaker_transition
-    if runtime.tail_controller is not None:
-        # budget refusals audit into FDS (where the SOC's forwarders
-        # already collect) and count into telemetry
-        runtime.tail_controller.audit = dri.logs["fds"]
-        runtime.tail_controller.telemetry = dri.telemetry
     for svc in (dri.broker, dri.portal, dri.zenith, dri.edge, dri.jupyter,
                 dri.zenith_client,
                 dri.network.endpoint("log-shipper").service,
@@ -73,8 +69,7 @@ def install_durability(dri) -> None:
     lossless recovery.  Journals attach *after* construction so every
     build-time registration (clients, upstreams, host certificates)
     lands in the baseline snapshot."""
-    store = dri.durability = DurabilityStore(dri.clock)
-    store.telemetry = dri.telemetry
+    store = dri.durability = DurabilityStore(dri.clock, dri.telemetry)
     for domain, log in dri.logs.items():
         log.attach_journal(store.stream(f"audit-{domain}"))
     for svc in (dri.broker, dri.lastresort, dri.ssh_ca, dri.portal,
@@ -147,8 +142,7 @@ def install_failover(dri) -> None:
         dri.ssh_ca = standby
 
     controller = dri.failover = FailoverController(
-        dri.clock, dri.network, audit=logs["sec"])
-    controller.telemetry = dri.telemetry
+        dri.clock, dri.network, audit=logs["sec"], telemetry=dri.telemetry)
     # behind a fleet the supervised endpoint is the state backend's
     controller.register(
         broker.endpoint.name, broker, broker_standby,

@@ -355,6 +355,8 @@ class ResilienceRuntime:
         clock: SimClock,
         rng,
         *,
+        audit,
+        telemetry,
         policy: Optional[RetryPolicy] = None,
         failure_threshold: int = 8,
         recovery_time: float = 5.0,
@@ -373,14 +375,13 @@ class ResilienceRuntime:
         self.overload = overload
         # with a TailConfig, every kit shares one TailController: the
         # latency histogram, hedge budget and retry budget are deployment
-        # state, not per-client state
-        self.tail_controller = \
-            TailController(clock, tail) if tail is not None else None
-        # optional (name, from_state, to_state, now) callback wired onto
-        # every breaker this runtime creates; read lazily at breaker
-        # construction, so setting it after kits exist still works (the
-        # breakers themselves are created per-destination on first use)
-        self.breaker_listener = None
+        # state, not per-client state.  Its budget refusals audit into
+        # ``audit`` and count into ``telemetry``
+        self.tail_controller = TailController(
+            clock, tail, audit=audit, telemetry=telemetry,
+        ) if tail is not None else None
+        # every breaker this runtime creates reports its transitions
+        self.breaker_listener = telemetry.on_breaker_transition
         self._clients: Dict[str, Resilience] = {}
 
     def _limiter_factory(self) -> Optional[Callable[[str], AimdLimiter]]:

@@ -336,12 +336,13 @@ class TailController:
     keyed ``client->destination``; each
     :class:`~repro.scale.LoadBalancer` owns one keyed by its pool.
 
-    ``audit`` (an :class:`~repro.audit.AuditLog`, wired by the
-    deployment) receives a ``retry.budget_exhausted`` record per refused
-    retry — the raw material for the SOC's ``RetryStormRule``.
+    ``audit`` (an :class:`~repro.audit.AuditLog`) receives a
+    ``retry.budget_exhausted`` record per refused retry — the raw
+    material for the SOC's ``RetryStormRule`` — and ``telemetry``
+    counts it.
     """
 
-    def __init__(self, clock, cfg: TailConfig) -> None:
+    def __init__(self, clock, cfg: TailConfig, *, audit, telemetry) -> None:
         self.clock = clock
         self.cfg = cfg
         self.latency = Histogram("tail_latency_seconds",
@@ -349,8 +350,8 @@ class TailController:
                                  buckets=TAIL_BUCKETS)
         self.budget = RetryBudget(RETRY_BUDGET_RATIO, RETRY_BUDGET_CAP)
         self.hedge_budget = HedgeBudget(HEDGE_BUDGET_RATIO)
-        self.audit = None        # AuditLog, wired by the deployment
-        self.telemetry = None    # Telemetry, wired by the deployment
+        self.audit = audit
+        self.telemetry = telemetry
 
     # ------------------------------------------------------------------
     def hedge_delay(self, key: str) -> Optional[float]:
@@ -416,13 +417,11 @@ class TailController:
             return True
         if self.budget.try_retry(key):
             return True
-        if self.telemetry is not None:
-            self.telemetry.retry_budget_exhausted.inc(key=key)
-        if self.audit is not None:
-            client, _, dst = key.partition("->")
-            self.audit.record(
-                self.clock.now(), "resilience", client,
-                "retry.budget_exhausted", dst or key, "error",
-                key=key, refused=self.budget.exhausted_by_key.get(key, 0),
-            )
+        self.telemetry.retry_budget_exhausted.inc(key=key)
+        client, _, dst = key.partition("->")
+        self.audit.record(
+            self.clock.now(), "resilience", client,
+            "retry.budget_exhausted", dst or key, "error",
+            key=key, refused=self.budget.exhausted_by_key.get(key, 0),
+        )
         return False

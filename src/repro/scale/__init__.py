@@ -16,11 +16,12 @@ See ``docs/scaling.md`` for the design; the short version:
 from dataclasses import dataclass
 
 from .autoscaler import Autoscaler, ScaleDecision
-from .balancer import LoadBalancer, ReplicaPool, ReplicaWorker
+from .balancer import MAX_REPLICAS, LoadBalancer, ReplicaPool, ReplicaWorker
 from .cache import CacheStats, InvalidationBus, LoadInFlight, TtlCache
 
 __all__ = [
     "ScaleConfig",
+    "MAX_REPLICAS",
     "Autoscaler",
     "ScaleDecision",
     "LoadBalancer",
@@ -39,12 +40,11 @@ class ScaleConfig:
 
     Passed as ``build_isambard(scale=ScaleConfig(...))``; ``scale=True``
     selects these defaults.  The balancer runs least-outstanding, pools
-    never shrink below one replica, and the cache TTLs are constants of
-    :mod:`repro.scale.install`.
+    never shrink below one replica nor grow past :data:`MAX_REPLICAS`,
+    and the cache TTLs are constants of :mod:`repro.scale.install`.
     """
 
     broker_replicas: int = 2
     caching: bool = True               # off = pool/LB only (ablation arm)
     autoscale: bool = False
-    max_replicas: int = 8
     autoscale_interval: float = 5.0

@@ -20,6 +20,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..audit import Outcome
 from ..clock import SimClock
+from .balancer import MAX_REPLICAS
 
 __all__ = ["Autoscaler", "ScaleDecision"]
 
@@ -57,13 +58,13 @@ class Autoscaler:
         pool,
         telemetry,
         *,
+        audit,
         interval: float = 5.0,
         loss_up: float = 0.02,
         loss_down: float = 0.002,
         down_after: int = 3,
         step: int = 1,
         watch_services: Tuple[str, ...] = (),
-        audit=None,
     ) -> None:
         self.clock = clock
         self.pool = pool
@@ -132,13 +133,13 @@ class Autoscaler:
         size = self.pool.size()
         direction, to_n, reason = "hold", size, "within thresholds"
 
-        if self._paged and size < self.pool.max_replicas:
+        if self._paged and size < MAX_REPLICAS:
             direction = "grow"
-            to_n = min(size + self.step, self.pool.max_replicas)
+            to_n = min(size + self.step, MAX_REPLICAS)
             reason = "slo burn-rate page"
-        elif loss > self.loss_up and size < self.pool.max_replicas:
+        elif loss > self.loss_up and size < MAX_REPLICAS:
             direction = "grow"
-            to_n = min(size + self.step, self.pool.max_replicas)
+            to_n = min(size + self.step, MAX_REPLICAS)
             reason = f"loss {loss:.1%} above {self.loss_up:.1%}"
         elif loss < self.loss_down and total > 0:
             self._quiet_windows += 1
@@ -159,13 +160,12 @@ class Autoscaler:
                                          pool=self.pool.name)
             self.telemetry.autoscale_decisions.inc(
                 pool=self.pool.name, direction=direction)
-            if self.audit is not None:
-                self.audit.record(
-                    self.clock.now(), "autoscaler", "system",
-                    f"autoscale.{direction}", self.pool.name, Outcome.INFO,
-                    from_replicas=size, to_replicas=to_n,
-                    loss_rate=round(loss, 4), reason=reason,
-                )
+            self.audit.record(
+                self.clock.now(), "autoscaler", "system",
+                f"autoscale.{direction}", self.pool.name, Outcome.INFO,
+                from_replicas=size, to_replicas=to_n,
+                loss_rate=round(loss, 4), reason=reason,
+            )
         decision = ScaleDecision(
             time=self.clock.now(), pool=self.pool.name, direction=direction,
             from_replicas=size, to_replicas=to_n, loss_rate=loss,

@@ -38,11 +38,15 @@ from ..resilience.overload import AdmissionController
 from ..resilience.tail import OutlierEjector, TailConfig, TailController
 
 __all__ = [
+    "MAX_REPLICAS",
     "ReplicaWorker",
     "ReplicaPool",
     "LoadBalancer",
     "pod_admission",
 ]
+
+# the most workers one pool runs; the autoscaler grows up to it
+MAX_REPLICAS = 8
 
 
 class ReplicaWorker(Service):
@@ -84,7 +88,6 @@ class ReplicaPool:
         origin: Service,
         *,
         min_replicas: int = 1,
-        max_replicas: int = 8,
         admission_factory: Optional[Callable[[str], object]] = None,
         worker_factory: Optional[Callable[[str, Service], ReplicaWorker]] = None,
     ) -> None:
@@ -94,7 +97,6 @@ class ReplicaPool:
         self.zone = zone
         self.origin = origin
         self.min_replicas = min_replicas
-        self.max_replicas = max_replicas
         self.admission_factory = admission_factory
         self.worker_factory = worker_factory
         self._workers: Dict[str, ReplicaWorker] = {}
@@ -117,9 +119,9 @@ class ReplicaPool:
 
     # ------------------------------------------------------------------
     def add_replica(self) -> str:
-        if self.size() >= self.max_replicas:
+        if self.size() >= MAX_REPLICAS:
             raise ValueError(f"pool {self.name} already at max "
-                             f"({self.max_replicas}) replicas")
+                             f"({MAX_REPLICAS}) replicas")
         self._next_index += 1
         name = f"{self.name}-r{self._next_index}"
         factory = self.worker_factory or ReplicaWorker
@@ -145,7 +147,7 @@ class ReplicaPool:
         return name
 
     def scale_to(self, n: int) -> int:
-        n = max(self.min_replicas, min(self.max_replicas, n))
+        n = max(self.min_replicas, min(MAX_REPLICAS, n))
         while self.size() < n:
             self.add_replica()
         while self.size() > n:
@@ -218,20 +220,19 @@ class LoadBalancer(Service):
         clock: SimClock,
         pool: ReplicaPool,
         *,
-        audit=None,
+        audit,
+        telemetry,
         failure_threshold: int = 5,
         recovery_time: float = 30.0,
-        breaker_listener: Optional[Callable] = None,
         tail: Optional[TailConfig] = None,
-        telemetry=None,
     ) -> None:
         super().__init__(name)
         self.clock = clock
         self.pool = pool
         self.audit = audit
+        self.telemetry = telemetry
         self.failure_threshold = failure_threshold
         self.recovery_time = recovery_time
-        self.breaker_listener = breaker_listener
         self.outstanding: Dict[str, int] = {}
         self._served: Dict[str, int] = {}   # attempts so far, the tie-break
         self.routed = 0
@@ -245,9 +246,9 @@ class LoadBalancer(Service):
         # replica looks like, not what the gray one does; per-replica
         # scoring lives in the ejector's EWMAs instead
         self.tail = tail
-        self.telemetry = telemetry
-        self.controller = \
-            TailController(clock, tail) if tail is not None else None
+        self.controller = TailController(
+            clock, tail, audit=audit, telemetry=telemetry,
+        ) if tail is not None else None
         self.ejector = OutlierEjector(clock) if tail is not None else None
         self.hedge_budget = \
             self.controller.hedge_budget if tail is not None else None
@@ -259,12 +260,10 @@ class LoadBalancer(Service):
         pool.on_membership(self._on_membership)
 
     def _on_reinstate(self, replica: str) -> None:
-        if self.telemetry is not None:
-            self.telemetry.tail_reinstatements.inc(pool=self.pool.name)
-            self.telemetry.tail_ejected.set(0.0, member=replica)
-        if self.audit is not None:
-            self.log_event("system", "lb.reinstate", replica, Outcome.INFO,
-                           pool=self.pool.name)
+        self.telemetry.tail_reinstatements.inc(pool=self.pool.name)
+        self.telemetry.tail_ejected.set(0.0, member=replica)
+        self.log_event("system", "lb.reinstate", replica, Outcome.INFO,
+                       pool=self.pool.name)
 
     def _on_membership(self, event: str, replica: str) -> None:
         """Membership hygiene: a departed replica must not leave counters,
@@ -286,7 +285,7 @@ class LoadBalancer(Service):
                 name=f"{self.name}->{replica}",
                 failure_threshold=self.failure_threshold,
                 recovery_time=self.recovery_time,
-                listener=self.breaker_listener,
+                listener=self.telemetry.on_breaker_transition,
             )
             self._breakers[replica] = br
         return br
@@ -325,10 +324,9 @@ class LoadBalancer(Service):
                     hedge_is_next = False
                 else:
                     self.failovers += 1
-                    if self.audit is not None:
-                        self.log_event("system", "lb.failover", replica,
-                                       Outcome.INFO, pool=self.pool.name,
-                                       attempt=tried + 1)
+                    self.log_event("system", "lb.failover", replica,
+                                   Outcome.INFO, pool=self.pool.name,
+                                   attempt=tried + 1)
             tried += 1
             # arm this attempt's transport bound, sized from the POOL's
             # successful latencies; a hedge only makes sense when
@@ -362,9 +360,8 @@ class LoadBalancer(Service):
                     self.controller.hedge_fired(exc)
                 else:
                     self.attempt_timeouts += 1
-                    if self.telemetry is not None:
-                        self.telemetry.tail_attempt_timeouts.inc(
-                            pool=self.pool.name)
+                    self.telemetry.tail_attempt_timeouts.inc(
+                        pool=self.pool.name)
                     breaker.record_failure()
                 self._score(replica, elapsed, ok=False, fleet=candidates)
                 last_exc = exc
@@ -394,8 +391,7 @@ class LoadBalancer(Service):
             self._score(replica, elapsed, ok=True, fleet=candidates)
             if hedged:
                 self.hedge_wins += 1
-                if self.telemetry is not None:
-                    self.telemetry.tail_hedge_wins.inc(pool=self.pool.name)
+                self.telemetry.tail_hedge_wins.inc(pool=self.pool.name)
             self.routed += 1
             return response
         self.exhausted += 1
@@ -423,16 +419,14 @@ class LoadBalancer(Service):
     def _record_hedge(self, request: HttpRequest, abandoned: str,
                       attempt_started: float) -> None:
         self.hedges += 1
-        if self.telemetry is not None:
-            self.telemetry.tail_hedges.inc(pool=self.pool.name)
-            self.telemetry.tracer.record(
-                "lb.hedge", start=attempt_started, end=self.clock.now(),
-                service=self.name, kind="internal",
-                ctx=request.trace,
-                pool=self.pool.name, abandoned=abandoned)
-        if self.audit is not None:
-            self.log_event("system", "lb.hedge", abandoned, Outcome.INFO,
-                           pool=self.pool.name)
+        self.telemetry.tail_hedges.inc(pool=self.pool.name)
+        self.telemetry.tracer.record(
+            "lb.hedge", start=attempt_started, end=self.clock.now(),
+            service=self.name, kind="internal",
+            ctx=request.trace,
+            pool=self.pool.name, abandoned=abandoned)
+        self.log_event("system", "lb.hedge", abandoned, Outcome.INFO,
+                       pool=self.pool.name)
 
     def _score(self, replica: str, elapsed: float, *, ok: bool,
                fleet: List[str]) -> None:
@@ -442,18 +436,16 @@ class LoadBalancer(Service):
             return
         until = self.ejector.score(replica, elapsed, ok, fleet)
         if until is not None:
-            if self.telemetry is not None:
-                self.telemetry.tail_ejections.inc(
-                    pool=self.pool.name, replica=replica)
-                self.telemetry.tail_ejected.set(1.0, member=replica)
-                self.telemetry.tracer.record(
-                    "lb.eject", start=self.clock.now(), end=until,
-                    service=self.name, kind="internal",
-                    pool=self.pool.name, replica=replica)
-            if self.audit is not None:
-                lat = self.ejector.latency_ewma(replica)
-                self.log_event(
-                    "system", "lb.eject", replica, Outcome.INFO,
-                    pool=self.pool.name, until=round(until, 6),
-                    latency_ewma=round(lat if lat is not None else 0.0, 6),
-                    error_ewma=round(self.ejector.error_ewma(replica), 6))
+            self.telemetry.tail_ejections.inc(
+                pool=self.pool.name, replica=replica)
+            self.telemetry.tail_ejected.set(1.0, member=replica)
+            self.telemetry.tracer.record(
+                "lb.eject", start=self.clock.now(), end=until,
+                service=self.name, kind="internal",
+                pool=self.pool.name, replica=replica)
+            lat = self.ejector.latency_ewma(replica)
+            self.log_event(
+                "system", "lb.eject", replica, Outcome.INFO,
+                pool=self.pool.name, until=round(until, 6),
+                latency_ewma=round(lat if lat is not None else 0.0, 6),
+                error_ewma=round(self.ejector.error_ewma(replica), 6))

@@ -98,10 +98,10 @@ class TtlCache:
         clock: SimClock,
         *,
         ttl: float,
+        telemetry,
         negative_ttl: Optional[float] = None,
         negative_errors: Tuple[type, ...] = (),
         max_entries: int = 4096,
-        telemetry: Optional[object] = None,
     ) -> None:
         self.name = name
         self.clock = clock
@@ -343,9 +343,7 @@ class TtlCache:
                     del self._by_tag[tag]
 
     def _observe(self, event: str, n: int = 1) -> None:
-        tele = self.telemetry
-        if tele is not None:
-            tele.observe_cache(self.name, event, n)
+        self.telemetry.observe_cache(self.name, event, n)
 
 
 @dataclass

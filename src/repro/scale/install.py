@@ -101,20 +101,18 @@ def install_pool(dri, cfg) -> None:
     dri.jupyter.introspection_cache = dri.caches.get("introspection")
     pool = dri.broker_pool = ReplicaPool(
         "broker", dri.network, OperatingDomain.FDS, Zone.ACCESS, dri.broker,
-        max_replicas=cfg.max_replicas,
         admission_factory=pod_admission(dri.clock, dri.overload),
     )
     pool.scale_to(cfg.broker_replicas)
     dri.broker_lb = LoadBalancer(
-        "broker", dri.clock, pool, audit=dri.logs["fds"],
-        breaker_listener=tele and tele.on_breaker_transition,
-        tail=dri.tail, telemetry=tele,
+        "broker", dri.clock, pool, audit=dri.logs["fds"], telemetry=tele,
+        tail=dri.tail,
     )
     dri.network.attach(dri.broker_lb, OperatingDomain.FDS, Zone.ACCESS,
                        name="broker")
     dri.edge.register_origin("broker", dri.broker_lb)
     dri.front_broker(pool)
-    if cfg.autoscale and tele is not None:
+    if cfg.autoscale:
         dri.autoscaler = Autoscaler(
             dri.clock, pool, tele, interval=cfg.autoscale_interval,
             watch_services=("broker",), audit=dri.logs["fds"],

@@ -38,9 +38,9 @@ class ContainmentRecord:
 class KillSwitchController:
     """Registry of containment levers, operable by the external SOC."""
 
-    def __init__(self, clock: SimClock, *, audit: Optional[AuditLog] = None) -> None:
+    def __init__(self, clock: SimClock, *, audit: AuditLog) -> None:
         self.clock = clock
-        self.audit = audit if audit is not None else AuditLog("killswitch-audit")
+        self.audit = audit
         # name -> callable(principal) -> summary (per-user levers)
         self._user_actions: Dict[str, Callable[[str], object]] = {}
         # name -> callable() (whole-service levers), plus its restore

@@ -54,7 +54,7 @@ class SecurityOperationsCentre(Service):
         clock: SimClock,
         validator: RbacTokenValidator,
         *,
-        audit: Optional[AuditLog] = None,
+        audit: AuditLog,
         rules: Optional[List[DetectionRule]] = None,
         escalate: Optional[Callable[[Alert], None]] = None,
         killswitch: Optional[KillSwitchController] = None,
@@ -64,7 +64,7 @@ class SecurityOperationsCentre(Service):
         super().__init__(name)
         self.clock = clock
         self.validator = validator
-        self.audit = audit if audit is not None else AuditLog(f"{name}-audit")
+        self.audit = audit
         self.rules = rules if rules is not None else standard_rules()
         self.escalate = escalate
         self.killswitch = killswitch

@@ -76,10 +76,10 @@ class TraceAnomalyScanner:
     # policy working, not being bypassed
     _POLICY_ERRORS = ("ConnectionBlocked", "EncryptionRequired")
 
-    def __init__(self, network, store, *, severity: str = "high",
-                 telemetry=None, audit=None) -> None:
+    def __init__(self, network, *, telemetry, audit,
+                 severity: str = "high") -> None:
         self.network = network
-        self.store = store
+        self.store = telemetry.store
         self.severity = severity
         self.telemetry = telemetry
         self.audit = audit
@@ -111,15 +111,13 @@ class TraceAnomalyScanner:
                 # every such span is counted and audited so the SOC can
                 # see how much of the window went unchecked.
                 self.skipped_spans += 1
-                if self.telemetry is not None:
-                    self.telemetry.tracewatch_skips.inc()
-                if self.audit is not None:
-                    self.audit.record(
-                        span.end if span.end is not None else span.start,
-                        "tracewatch", src or "?", "tracewatch.skip",
-                        span.span_id, Outcome.INFO,
-                        reason="topology-changed", dst=dst,
-                    )
+                self.telemetry.tracewatch_skips.inc()
+                self.audit.record(
+                    span.end if span.end is not None else span.start,
+                    "tracewatch", src or "?", "tracewatch.skip",
+                    span.span_id, Outcome.INFO,
+                    reason="topology-changed", dst=dst,
+                )
                 continue
             port = int(span.attrs.get("port", 443))
             if self.network.reachable(src, dst, port):

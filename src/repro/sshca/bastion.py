@@ -19,7 +19,7 @@ internet-accessible service in SWS (port 22 only).  Behaviours modelled:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Set
 
 from repro.audit import AuditLog, Outcome
 from repro.clock import SimClock
@@ -47,7 +47,7 @@ class BastionSet(Service):
         name: str,
         clock: SimClock,
         *,
-        audit: Optional[AuditLog] = None,
+        audit: AuditLog,
         vm_count: int = 2,
         image_version: str = "v1",
     ) -> None:
@@ -55,7 +55,7 @@ class BastionSet(Service):
         if vm_count < 1:
             raise ConfigurationError("a bastion set needs at least one VM")
         self.clock = clock
-        self.audit = audit if audit is not None else AuditLog(f"{name}-audit")
+        self.audit = audit
         self.vms: List[BastionVm] = [
             BastionVm(vm_id=f"{name}-vm{i}", image_version=image_version)
             for i in range(vm_count)

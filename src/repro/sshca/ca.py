@@ -15,7 +15,7 @@ the broker routed to it, bounded by its maximum certificate lifetime.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Set
 
 from repro.audit import AuditLog, Outcome
 from repro.broker.rbac import require_capability
@@ -57,14 +57,14 @@ class SshCertificateAuthority(Service, Durable):
         clock: SimClock,
         validator: RbacTokenValidator,
         *,
-        audit: Optional[AuditLog] = None,
+        audit: AuditLog,
         cert_ttl: float = 4 * 3600.0,
         max_cert_ttl: float = 12 * 3600.0,
     ) -> None:
         super().__init__(name)
         self.clock = clock
         self.validator = validator
-        self.audit = audit if audit is not None else AuditLog(f"{name}-audit")
+        self.audit = audit
         self.cert_ttl = cert_ttl
         self.max_cert_ttl = max_cert_ttl
         self.ca_key = generate_signing_key("EdDSA", kid=f"{name}-ca-key")

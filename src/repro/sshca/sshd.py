@@ -63,14 +63,14 @@ class LoginNodeSshd(Service):
         ca_public_key: VerifyingKey,
         account_exists: Callable[[str], bool],
         *,
-        audit: Optional[AuditLog] = None,
+        audit: AuditLog,
         session_ttl: float = 8 * 3600.0,
     ) -> None:
         super().__init__(name)
         self.clock = clock
         self.ca_public_key = ca_public_key
         self.account_exists = account_exists
-        self.audit = audit if audit is not None else AuditLog(f"{name}-audit")
+        self.audit = audit
         self.session_ttl = session_ttl
         self._sessions: Dict[str, SshSession] = {}
         self._next_session = 0

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, Optional, Set
+from typing import Deque, Dict, Set
 
 from repro.audit import AuditLog, Outcome
 from repro.clock import SimClock
@@ -50,14 +50,14 @@ class CloudflareEdge(Service):
         name: str,
         clock: SimClock,
         *,
-        audit: Optional[AuditLog] = None,
+        audit: AuditLog,
         window: float = 10.0,
         rate_limit: int = 50,
         block_threshold: int = 3,
     ) -> None:
         super().__init__(name)
         self.clock = clock
-        self.audit = audit if audit is not None else AuditLog(f"{name}-audit")
+        self.audit = audit
         self.window = window
         self.rate_limit = rate_limit
         self.block_threshold = block_threshold

@@ -103,14 +103,14 @@ class TailnetCoordinator(Service):
         ids: IdFactory,
         validator: RbacTokenValidator,
         *,
-        audit: Optional[AuditLog] = None,
+        audit: AuditLog,
         key_ttl: float = 24 * 3600.0,
     ) -> None:
         super().__init__(name)
         self.clock = clock
         self.ids = ids
         self.validator = validator
-        self.audit = audit if audit is not None else AuditLog(f"{name}-audit")
+        self.audit = audit
         self.key_ttl = key_ttl
         self.acl = TailnetAcl()
         self._nodes: Dict[str, TailnetNode] = {}

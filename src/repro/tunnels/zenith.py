@@ -128,7 +128,7 @@ class ZenithServer(Service):
         ids: IdFactory,
         validator: RbacTokenValidator,
         *,
-        audit: Optional[AuditLog] = None,
+        audit: AuditLog,
         heartbeat_ttl: float = 120.0,
         broker_endpoint: str = "broker",
     ) -> None:
@@ -136,7 +136,7 @@ class ZenithServer(Service):
         self.clock = clock
         self.ids = ids
         self.validator = validator
-        self.audit = audit if audit is not None else AuditLog(f"{name}-audit")
+        self.audit = audit
         self.heartbeat_ttl = heartbeat_ttl
         self.broker_endpoint = broker_endpoint
         self.tunnels: Dict[str, TunnelRecord] = {}

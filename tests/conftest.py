@@ -14,8 +14,31 @@ from repro.clock import SimClock
 from repro.ids import IdFactory
 from repro.net import HttpRequest, HttpResponse, Network, OperatingDomain, Service, Zone, route
 from repro.oidc import OidcProvider, RelyingParty, UserAgent, make_url
+from repro.telemetry import Telemetry
 
 GOLDEN = Path(__file__).parent / "golden"
+
+
+class Wiring(dict):
+    """The collaborators a deployment hands each component it builds,
+    fresh for one test: an ``audit`` log and, given the clock, the
+    ``telemetry`` a tier's component also needs.  Spread it into a
+    constructor, ``LoadBalancer(..., **Wiring(clock))``, take the one a
+    component needs, ``TtlCache(..., telemetry=Wiring(clock).telemetry)``,
+    or keep it to read what the component recorded."""
+
+    def __init__(self, clock=None) -> None:
+        super().__init__(audit=AuditLog("test"))
+        if clock is not None:
+            self["telemetry"] = Telemetry(clock)
+
+    @property
+    def audit(self) -> AuditLog:
+        return self["audit"]
+
+    @property
+    def telemetry(self) -> Telemetry:
+        return self["telemetry"]
 
 
 def golden(name: str, value):
@@ -341,7 +364,7 @@ def real_crypto(monkeypatch):
 def oidc_world(sim):
     """Provider + RP app + user agent, wired and registered."""
     clock, ids, network = sim
-    provider = PasswordProvider("op", clock, ids)
+    provider = PasswordProvider("op", clock, ids, **Wiring())
     provider.add_user("alice", "pw-alice", name="Alice", email="alice@example.org")
     app = CallbackApp.__new__(CallbackApp)  # construct after client registration
     client_cfg = provider.register_client(

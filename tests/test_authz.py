@@ -23,7 +23,7 @@ from repro.errors import ConfigurationError, ServiceUnavailable
 from repro.oidc import make_url
 from repro.policy import PolicyEngine, standard_zero_trust_rules
 from repro import region
-from tests.conftest import capture_ingest
+from tests.conftest import Wiring, capture_ingest
 from tests.test_deployment_fingerprint import OPT_IN
 
 pytestmark = pytest.mark.authz
@@ -107,7 +107,7 @@ def _pipeline(retry_interval=2.0):
     clock = SimClock(start=0.0)
     reg = SessionRegistry(clock)
     pipe = RevocationPipeline(clock, registry=reg,
-                              retry_interval=retry_interval)
+                              retry_interval=retry_interval, **Wiring(clock))
     torn = {s: 0 for s in SURFACES}
 
     def point(surface):
@@ -181,7 +181,8 @@ class TestRevocationPipeline:
     def test_failing_enforcement_point_stays_pending(self):
         clock = SimClock(start=0.0)
         reg = SessionRegistry(clock)
-        pipe = RevocationPipeline(clock, registry=reg, retry_interval=1.0)
+        pipe = RevocationPipeline(clock, registry=reg, retry_interval=1.0,
+                                  **Wiring(clock))
         attempts = {"n": 0}
 
         def flaky(intent):
@@ -204,8 +205,9 @@ class TestAuthzGuard:
     def test_fail_closed_past_staleness_bound(self):
         clock = SimClock(start=0.0)
         pdp = PolicyDecisionPoint(
-            clock, standard_zero_trust_rules(PolicyEngine()))
-        guard = AuthzGuard(clock, pdp, staleness_bound=30.0)
+            clock, standard_zero_trust_rules(PolicyEngine()),
+            provenance=Wiring(clock).telemetry.provenance)
+        guard = AuthzGuard(clock, pdp, staleness_bound=30.0, **Wiring(clock))
 
         guard.check("tokens")           # PDP up: refreshes the heartbeat
         pdp.down()
@@ -724,8 +726,7 @@ class TestTracewatchSkipVisibility:
         dri = build_isambard(seed=95)
         assert dri.workflows.story1_pi_onboarding("alice").ok
         scanner = TraceAnomalyScanner(
-            dri.network, dri.telemetry.store,
-            telemetry=dri.telemetry, audit=dri.logs["sec"])
+            dri.network, telemetry=dri.telemetry, audit=dri.logs["sec"])
         assert scanner.scan() == []
 
         # a boundary-crossing span whose source endpoint has vanished

@@ -23,6 +23,7 @@ from repro.ids import IdFactory
 from repro.net import HttpRequest
 from repro.tunnels.tailnet import NODE_HEADER
 from repro.tunnels.zenith import TOKEN_HEADER
+from tests.conftest import Wiring
 
 ISS = "https://broker"
 
@@ -72,7 +73,7 @@ def slurm(clock, pool):
             raise QuotaExceeded(f"{project} exhausted")
         budget[project] -= hours
 
-    sched = SlurmScheduler(clock, IdFactory(2), pool, charge)
+    sched = SlurmScheduler(clock, IdFactory(2), pool, charge, **Wiring())
     return sched, budget
 
 
@@ -147,12 +148,13 @@ def test_cancel_account_sweep(slurm):
 def jupyter(clock, pool):
     ids = IdFactory(4)
     key = generate_signing_key("EdDSA", kid="bk")
-    tokens = TokenService(clock, ids, key, ISS)
+    tokens = TokenService(clock, ids, key, ISS, **Wiring())
     validator = RbacTokenValidator(
         clock, ISS, "jupyter", JwkSet([key.public()]), tokens.is_revoked
     )
     service = JupyterService(
-        "jupyter", clock, ids, validator, pool, broker_endpoint=None
+        "jupyter", clock, ids, validator, pool, broker_endpoint=None,
+        **Wiring()
     )
     return service, tokens
 
@@ -264,11 +266,11 @@ def test_jupyter_close_sessions_for_subject(jupyter):
 def mgmt(clock, pool):
     ids = IdFactory(6)
     key = generate_signing_key("EdDSA", kid="bk")
-    tokens = TokenService(clock, ids, key, ISS)
+    tokens = TokenService(clock, ids, key, ISS, **Wiring())
     validator = RbacTokenValidator(
         clock, ISS, "mgmt-node", JwkSet([key.public()]), tokens.is_revoked
     )
-    node = ManagementNode("mgmt-node", clock, validator, pool)
+    node = ManagementNode("mgmt-node", clock, validator, pool, **Wiring())
     return node, tokens
 
 

@@ -23,6 +23,7 @@ import json
 import pytest
 
 from repro.core import build_isambard
+from repro.errors import ConfigurationError
 from repro.oidc import make_url
 from tests.conftest import golden
 
@@ -107,6 +108,15 @@ def test_wiring_matches_the_recorded_fingerprint(recorded, name):
     for key in want:
         assert got[key] == want[key], f"{name}: {key} moved"
     assert got.keys() == want.keys()
+
+
+@pytest.mark.parametrize("flag", OPT_IN)
+def test_a_tier_needs_telemetry(flag):
+    """``telemetry=False`` builds the base only (the ``no-telemetry``
+    row above): every tier audits and counts into telemetry, so a tier
+    flag beside it is refused rather than built half-observed."""
+    with pytest.raises(ConfigurationError, match="telemetry"):
+        build_isambard(seed=42, telemetry=False, **{flag: True})
 
 
 def test_default_build_runs_the_one_store_with_the_tier_extras_off():

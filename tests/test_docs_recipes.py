@@ -30,6 +30,7 @@ def test_recipe_add_institutional_idp(dri):
         "idp-oslo", "https://idp.uio.no", dri.clock, dri.ids,
         loa=LevelOfAssurance.CAPPUCCINO,
         categories=(EntityCategory.RESEARCH_AND_SCHOLARSHIP,),
+        audit=dri.logs["external"],
     )
     idp.add_user("kari", "pw", "Kari Nordmann", "kari@uio.no")
     dri.edugain.register_idp(idp, federation="FEIDE", display_name="U. Oslo")
@@ -43,6 +44,10 @@ def test_recipe_add_institutional_idp(dri):
                for c in disco.body["idps"])
     s1 = dri.workflows.story1_pi_onboarding("kari", project_name="oslo-proj")
     assert s1.ok, s1.steps
+    # the IdP records into the trail the SOC's forwarders ship
+    idp.rotate_key()
+    assert any(e.source == "idp-oslo" and e.action == "idp.key_rotated"
+               for e in dri.logs["external"].events())
 
 
 def test_recipe_publish_service_via_zenith(dri):

@@ -44,6 +44,7 @@ from repro.errors import (
     TokenNotYetValid,
     TokenRevoked,
 )
+from tests.conftest import Wiring
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +132,7 @@ def test_token_service_raises_revoked_and_authorization():
 
     clock = SimClock()
     key = generate_signing_key("EdDSA", "b")
-    ts = TokenService(clock, IdFactory(1), key, "https://broker")
+    ts = TokenService(clock, IdFactory(1), key, "https://broker", **Wiring())
     tok, rec = ts.mint("u", "portal", Role.RESEARCHER)
     validator = RbacTokenValidator(
         clock, "https://broker", "portal", JwkSet([key.public()]),
@@ -188,7 +189,7 @@ def test_edge_rate_limit_raises_ratelimited():
     from repro.tunnels import CloudflareEdge
 
     clock = SimClock()
-    edge = CloudflareEdge("edge", clock, rate_limit=2, window=10.0)
+    edge = CloudflareEdge("edge", clock, rate_limit=2, window=10.0, **Wiring())
     edge.enforce("laptop", "/broker/x", clock.now())
     edge.enforce("laptop", "/broker/x", clock.now())
     with pytest.raises(RateLimited):
@@ -304,10 +305,10 @@ def test_killswitch_and_configuration_classes():
     from repro.sshca import BastionSet
 
     clock = SimClock()
-    bastion = BastionSet("bastion", clock, vm_count=1)
+    bastion = BastionSet("bastion", clock, vm_count=1, **Wiring())
     bastion.kill_service()
     with pytest.raises(KillSwitchActive):
         bastion.connect(HttpRequest("POST", "/connect",
                                     body={"principal": "u", "target": "t"}))
     with pytest.raises(ConfigurationError):
-        BastionSet("b2", clock, vm_count=0)
+        BastionSet("b2", clock, vm_count=0, **Wiring())

@@ -29,6 +29,7 @@ from repro.federation.directory import (
 )
 from repro.net import HttpRequest, OperatingDomain, Zone
 from repro.oidc import UserAgent, make_url
+from tests.conftest import Wiring
 
 
 @pytest.fixture()
@@ -40,12 +41,13 @@ def fed_world(sim):
         src_domain=OperatingDomain.EXTERNAL,
         dst_domain=OperatingDomain.EXTERNAL,
     )
-    idp = InstitutionalIdP("idp-bristol", "https://idp.bristol.ac.uk", clock, ids)
+    idp = InstitutionalIdP("idp-bristol", "https://idp.bristol.ac.uk", clock, ids,
+                           **Wiring())
     idp.add_user("alice", "pw", "Alice Smith", "alice@bristol.ac.uk")
     edugain = ShardedMetadataStore(clock, shards=1)
     edugain.register_idp(idp, federation="UKAMF", display_name="University of Bristol")
     ma = MyAccessID("myaccessid", clock, ids, edugain,
-                    ShardedAccountRegistry(clock, ids, shards=1))
+                    ShardedAccountRegistry(clock, ids, shards=1), **Wiring())
     agent = UserAgent("laptop")
     network.attach(idp, OperatingDomain.EXTERNAL, Zone.INTERNET)
     network.attach(ma, OperatingDomain.EXTERNAL, Zone.INTERNET)
@@ -100,7 +102,8 @@ def test_idp_requires_sp_audience(fed_world):
 def test_non_rns_idp_releases_only_sub(sim):
     clock, ids, network = sim
     idp = InstitutionalIdP(
-        "idp-min", "https://idp.min.example", clock, ids, categories=()
+        "idp-min", "https://idp.min.example", clock, ids, categories=(),
+        **Wiring()
     )
     idp.add_user("bob", "pw", "Bob", "bob@min.example")
     resp = idp.handle(HttpRequest(
@@ -147,7 +150,7 @@ def test_discovery_lists_acceptable_idps(fed_world):
     clock, ids, network, idp, edugain, ma, agent = fed_world
     low = InstitutionalIdP(
         "idp-low", "https://idp.low.example", clock, ids,
-        loa=LevelOfAssurance.LOW, categories=(),
+        loa=LevelOfAssurance.LOW, categories=(), **Wiring(),
     )
     network.attach(low, OperatingDomain.EXTERNAL, Zone.INTERNET)
     edugain.register_idp(low, federation="SomeFed")
@@ -199,7 +202,7 @@ def test_low_assurance_idp_rejected_at_assert(fed_world):
     clock, ids, network, idp, edugain, ma, agent = fed_world
     low = InstitutionalIdP(
         "idp-low", "https://idp.low.example", clock, ids,
-        loa=LevelOfAssurance.LOW, categories=(),
+        loa=LevelOfAssurance.LOW, categories=(), **Wiring(),
     )
     low.add_user("eve", "pw", "Eve", "eve@low.example")
     network.attach(low, OperatingDomain.EXTERNAL, Zone.INTERNET)
@@ -214,7 +217,8 @@ def test_low_assurance_idp_rejected_at_assert(fed_world):
 
 def test_assertion_from_unregistered_idp_rejected(fed_world):
     clock, ids, network, idp, edugain, ma, agent = fed_world
-    rogue = InstitutionalIdP("idp-rogue", "https://rogue.example", clock, ids)
+    rogue = InstitutionalIdP("idp-rogue", "https://rogue.example", clock, ids,
+                             **Wiring())
     rogue.add_user("eve", "pw", "Eve", "eve@rogue.example")
     network.attach(rogue, OperatingDomain.EXTERNAL, Zone.INTERNET)
     assertion = idp_assertion(agent, idp_name="idp-rogue", username="eve").body["assertion"]
@@ -250,7 +254,8 @@ def test_expired_assertion_rejected(fed_world):
 
 def test_identity_linking(fed_world):
     clock, ids, network, idp, edugain, ma, agent = fed_world
-    second = InstitutionalIdP("idp-tartu", "https://idp.ut.ee", clock, ids)
+    second = InstitutionalIdP("idp-tartu", "https://idp.ut.ee", clock, ids,
+                              **Wiring())
     second.add_user("alice2", "pw", "Alice Smith", "alice@ut.ee")
     network.attach(second, OperatingDomain.EXTERNAL, Zone.INTERNET)
     edugain.register_idp(second, federation="TAAT")
@@ -304,7 +309,7 @@ def test_link_already_owned_identity_rejected(fed_world):
 @pytest.fixture()
 def last_resort(sim):
     clock, ids, network = sim
-    lr = LastResortIdP("idp-lastresort", clock, ids)
+    lr = LastResortIdP("idp-lastresort", clock, ids, **Wiring())
     agent = UserAgent("vendor-laptop")
     network.firewall.allow(
         "internet-to-lr",
@@ -397,7 +402,7 @@ def test_last_resort_deactivation_blocks_login(last_resort):
 @pytest.fixture()
 def admin_world(sim):
     clock, ids, network = sim
-    idp = CloudAdminIdP("idp-admin", clock, ids, max_admins=3)
+    idp = CloudAdminIdP("idp-admin", clock, ids, max_admins=3, **Wiring())
     agent = UserAgent("admin-laptop")
     network.attach(idp, OperatingDomain.FDS, Zone.ACCESS)
     network.attach(agent, OperatingDomain.EXTERNAL, Zone.INTERNET)

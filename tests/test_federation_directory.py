@@ -63,7 +63,7 @@ from repro.ids import IdFactory
 from repro.net.http import HttpRequest
 from repro.oidc import make_url
 from repro.resilience.durability import DurabilityStore
-from tests.conftest import golden
+from tests.conftest import Wiring, golden
 
 pytestmark = pytest.mark.directory
 
@@ -124,7 +124,7 @@ def test_uid_uniqueness_at_width():
 
 def test_register_batch_one_journal_entry_per_shard():
     reg, clock = _registry(shards=4)
-    store = DurabilityStore(clock)
+    store = DurabilityStore(clock, Wiring(clock).telemetry)
     for name, shard in reg.shards.items():
         shard.attach_journal(store.stream(f"dir-{name}"))
     entries = [{"entity_id": "https://idp.bulk", "sub": f"u{i}",
@@ -387,7 +387,7 @@ def test_downed_shard_fails_its_key_range_closed():
 
 def test_shard_crash_recovers_bit_identically_from_its_own_journal():
     reg, clock = _registry(shards=4)
-    store = DurabilityStore(clock)
+    store = DurabilityStore(clock, Wiring(clock).telemetry)
     for name, shard in reg.shards.items():
         shard.attach_journal(store.stream(f"dir-{name}"))
     for i in range(120):
@@ -432,7 +432,8 @@ def _md_store(shards=4):
 
 def test_metadata_validity_window_fails_login_closed():
     store, clock, ids = _md_store()
-    idp = InstitutionalIdP("idp-f", "https://idp-f.example", clock, ids)
+    idp = InstitutionalIdP("idp-f", "https://idp-f.example", clock, ids,
+                           **Wiring())
     store.register_idp(idp, federation="fed-a", valid_for=100.0)
     assert store.get(idp.entity_id).version == 1
     clock.advance(150.0)
@@ -450,7 +451,7 @@ def test_metadata_validity_window_fails_login_closed():
 def test_directly_registered_idps_never_expire():
     store, clock, ids = _md_store()
     idp = InstitutionalIdP("idp-anchor", "https://idp-anchor.example",
-                           clock, ids)
+                           clock, ids, **Wiring())
     store.register_idp(idp, federation="fed-a")
     clock.advance(10 * 365 * 86400.0)
     assert store.get(idp.entity_id).valid_until is None
@@ -458,7 +459,8 @@ def test_directly_registered_idps_never_expire():
 
 def test_refresh_idp_bumps_version_and_rotates_verifier():
     store, clock, ids = _md_store()
-    idp = InstitutionalIdP("idp-r", "https://idp-r.example", clock, ids)
+    idp = InstitutionalIdP("idp-r", "https://idp-r.example", clock, ids,
+                           **Wiring())
     store.register_idp(idp, federation="fed-a")
     old = store.get(idp.entity_id)
     idp.rotate_key()
@@ -467,14 +469,16 @@ def test_refresh_idp_bumps_version_and_rotates_verifier():
     assert new.verifier.kid != old.verifier.kid
     assert [md.federation for md in store.idps()] == ["fed-b"]
     # refreshing an unknown entity is an error, not an implicit insert
-    stranger = InstitutionalIdP("idp-s", "https://idp-s.example", clock, ids)
+    stranger = InstitutionalIdP("idp-s", "https://idp-s.example", clock, ids,
+                                **Wiring())
     with pytest.raises(FederationError):
         store.refresh_idp(stranger)
 
 
 def test_stale_version_upsert_is_ignored():
     store, clock, ids = _md_store()
-    idp = InstitutionalIdP("idp-v", "https://idp-v.example", clock, ids)
+    idp = InstitutionalIdP("idp-v", "https://idp-v.example", clock, ids,
+                           **Wiring())
     store.register_idp(idp, federation="fed-a")
     store.refresh_idp(idp)  # version 2
     # a delayed replay of the version-1 row must not roll back
@@ -492,10 +496,11 @@ def test_stale_version_upsert_is_ignored():
 # ---------------------------------------------------------------------------
 def test_signed_delta_applies_and_tampered_delta_is_rejected():
     store, clock, ids = _md_store()
-    ing = MetadataIngestor(clock, store)
+    ing = MetadataIngestor(clock, store, **Wiring(clock))
     feed = MetadataFeed("fed-aa", clock, valid_for=200.0)
     ing.register_feed(feed)
-    idp = InstitutionalIdP("idp-aa-0", "https://idp-aa-0.example", clock, ids)
+    idp = InstitutionalIdP("idp-aa-0", "https://idp-aa-0.example", clock, ids,
+                           **Wiring())
     _stage(feed, idp)
     feed.flush()
     assert ing.poll() == {"fed-aa": 1}
@@ -515,10 +520,11 @@ def test_signed_delta_applies_and_tampered_delta_is_rejected():
 
 def test_feed_outage_ages_entries_to_fail_closed_then_recovers():
     store, clock, ids = _md_store()
-    ing = MetadataIngestor(clock, store)
+    ing = MetadataIngestor(clock, store, **Wiring(clock))
     feed = MetadataFeed("fed-bb", clock, valid_for=100.0)
     ing.register_feed(feed)
-    idp = InstitutionalIdP("idp-bb-0", "https://idp-bb-0.example", clock, ids)
+    idp = InstitutionalIdP("idp-bb-0", "https://idp-bb-0.example", clock, ids,
+                           **Wiring())
     _stage(feed, idp)
     feed.flush()
     ing.poll()
@@ -540,10 +546,10 @@ def test_feed_outage_ages_entries_to_fail_closed_then_recovers():
 
 def test_feed_removals_and_batched_per_shard_commits():
     store, clock, ids = _md_store(shards=4)
-    wal = DurabilityStore(clock)
+    wal = DurabilityStore(clock, Wiring(clock).telemetry)
     for name, shard in store.shards.items():
         shard.attach_journal(wal.stream(f"dir-{name}"))
-    ing = MetadataIngestor(clock, store)
+    ing = MetadataIngestor(clock, store, **Wiring(clock))
     feed = MetadataFeed("fed-cc", clock, valid_for=500.0)
     ing.register_feed(feed)
     for i in range(40):
@@ -567,7 +573,7 @@ def test_feed_removals_and_batched_per_shard_commits():
 
 def test_metadata_shard_migration_under_feed_load():
     store, clock, ids = _md_store(shards=3)
-    ing = MetadataIngestor(clock, store)
+    ing = MetadataIngestor(clock, store, **Wiring(clock))
     feed = MetadataFeed("fed-dd", clock, valid_for=1000.0)
     ing.register_feed(feed)
     for i in range(120):

@@ -22,6 +22,7 @@ from repro.core import build_isambard
 from repro.crypto.keys import generate_signing_key
 from repro.errors import ServiceUnavailable
 from repro.ids import IdFactory
+from tests.conftest import Wiring
 
 
 def _onboarded(**flags):
@@ -96,7 +97,7 @@ def test_a_broker_crash_replays_to_its_journal_and_ssh_still_works():
 def tokens():
     clock = SimClock(start=0.0)
     key = generate_signing_key("EdDSA", kid="b1")
-    return TokenService(clock, IdFactory(1), key, "https://broker")
+    return TokenService(clock, IdFactory(1), key, "https://broker", **Wiring())
 
 
 def _held(tokens):

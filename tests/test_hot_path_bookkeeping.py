@@ -36,7 +36,7 @@ from repro.oidc import make_url
 from repro.telemetry import SloMonitor
 from repro.telemetry.pipeline import PipelineConfig
 from repro.telemetry.slo import BurnRateAlert, burn_rate
-from tests.conftest import capture_ingest
+from tests.conftest import Wiring, capture_ingest
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +339,7 @@ def test_claims_are_rechecked_on_every_presentation():
     clock = SimClock(start=0.0)
     key = generate_signing_key("EdDSA", kid="b1")
     service = TokenService(clock, IdFactory(1), key, ISS,
-                           default_ttl=900, max_ttl=3600)
+                           default_ttl=900, max_ttl=3600, **Wiring())
     jwks = JwkSet([key.public()])
     verifier, counter = jwks.get("b1"), None
     verifier._public = counter = CountingPublicKey(verifier._public)

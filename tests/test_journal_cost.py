@@ -31,6 +31,7 @@ from repro.ids import IdFactory
 from repro.resilience import durability
 from repro.resilience.durability import Durable, DurabilityStore, ServiceJournal
 from tests.test_oidc import full_flow, login
+from tests.conftest import Wiring
 
 pytestmark = pytest.mark.durability
 
@@ -139,7 +140,7 @@ class Side:
 
     def __init__(self, log_cls, journal_cls, cadence, pre_attach):
         self.clock = SimClock()
-        self.store = DurabilityStore(self.clock)
+        self.store = DurabilityStore(self.clock, Wiring(self.clock).telemetry)
         self.journal = journal_cls(self.store, "audit-test")
         self.store._streams["audit-test"] = self.journal
         self.log_cls, self.cadence = log_cls, cadence
@@ -244,7 +245,8 @@ def test_audit_checkpoint_cost_does_not_grow_with_the_log(
         monkeypatch, encoded_bytes):
     clock = SimClock()
     log = AuditLog("cost")
-    log.attach_journal(DurabilityStore(clock).stream("audit-cost"))
+    store = DurabilityStore(clock, Wiring(clock).telemetry)
+    log.attach_journal(store.stream("audit-cost"))
     journal = log.journal
     full_states = []
     real_state = AuditLog.durable_state
@@ -309,7 +311,9 @@ def test_mutable_service_still_snapshots_full_state():
             self.n = 0
 
     counter = Counter()
-    counter.attach_journal(DurabilityStore(SimClock()).stream("counter"))
+    clock = SimClock()
+    counter.attach_journal(
+        DurabilityStore(clock, Wiring(clock).telemetry).stream("counter"))
     for expected in range(1, 9):
         counter.bump()
         snap, entries = counter.journal.load()
@@ -324,7 +328,8 @@ def test_mutable_service_still_snapshots_full_state():
 # admission and isolation
 # ---------------------------------------------------------------------------
 def test_live_object_is_refused_at_append():
-    journal = DurabilityStore(SimClock()).stream("svc")
+    clock = SimClock()
+    journal = DurabilityStore(clock, Wiring(clock).telemetry).stream("svc")
     with pytest.raises(ConfigurationError):
         journal.append("bad", {"key": object()})
     with pytest.raises(ConfigurationError):
@@ -334,7 +339,8 @@ def test_live_object_is_refused_at_append():
 
 
 def test_append_normalises_keys_and_tuples_and_cuts_aliases():
-    journal = DurabilityStore(SimClock()).stream("svc")
+    clock = SimClock()
+    journal = DurabilityStore(clock, Wiring(clock).telemetry).stream("svc")
     payload = {"ids": (1, 2), "by_serial": {7: "seven"},
                "nested": {"list": [1]}}
     entry = journal.append("k", payload)
@@ -350,7 +356,8 @@ def test_nothing_load_returns_aliases_the_journal():
     log = AuditLog("iso")
     log.snapshot_every = 4
     log.record(0.0, "svc", "alice", "act", "res", "info", tags=["pre"])
-    log.attach_journal(DurabilityStore(clock).stream("audit-iso"))
+    log.attach_journal(
+        DurabilityStore(clock, Wiring(clock).telemetry).stream("audit-iso"))
     for i in range(6):                          # one sealed checkpoint + tail
         log.record(float(i), "svc", "alice", "act", "res", "info", tags=[i])
     pristine = log.journal.load()
@@ -404,7 +411,9 @@ event_attrs = st.dictionaries(
 def test_emit_writes_what_json_dumps_wrote(time, fields, outcome, attrs):
     source, actor, action, resource, domain, zone = fields
     log = AuditLog("wire")
-    log.attach_journal(DurabilityStore(SimClock()).stream("audit-wire"))
+    clock = SimClock()
+    log.attach_journal(
+        DurabilityStore(clock, Wiring(clock).telemetry).stream("audit-wire"))
     event = log.emit(AuditEvent(
         time=time, source=source, actor=actor, action=action,
         resource=resource, outcome=outcome, domain=domain, zone=zone,
@@ -424,7 +433,8 @@ def test_field_maps_encode_as_asdict_did(oidc_world):
     clock, _, _, provider, app, agent = oidc_world
     provider.add_user("carol", "pw-carol", name="Cärol",
                       projects={"p1": {"roles": ["pi"], "gpu": [1.5, None]}})
-    provider.attach_journal(DurabilityStore(clock).stream("op"))
+    provider.attach_journal(
+        DurabilityStore(clock, Wiring(clock).telemetry).stream("op"))
     client = provider.register_client(
         "cli", ["https://cli/cb", "https://cli/two"], confidential=True)
     assert login(agent, username="carol", password="pw-carol").ok
@@ -443,7 +453,7 @@ def test_field_maps_encode_as_asdict_did(oidc_world):
 
 def test_issued_token_encodes_as_asdict_did():
     clock = SimClock()
-    journal = DurabilityStore(clock).stream("tokens")
+    journal = DurabilityStore(clock, Wiring(clock).telemetry).stream("tokens")
 
     def commit(kind, data):
         journal.append(kind, data)
@@ -451,7 +461,7 @@ def test_issued_token_encodes_as_asdict_did():
 
     tokens = TokenService(clock, IdFactory(seed=3),
                           generate_signing_key("EdDSA", kid="k"), "https://b",
-                          commit=commit)
+                          commit=commit, **Wiring())
     issued = [tokens.mint("alice", "portal", Role.PI, project="p1")[1],
               tokens.mint("bob", "jupyter", Role.RESEARCHER)[1]]
     assert [e.record for e in journal.load()[1]] == [

@@ -382,14 +382,14 @@ def test_provider_checks_no_signature_on_its_own_access_token(oidc_world):
 
 def test_provider_recognition_is_private_and_volatile(oidc_world):
     from repro.errors import SignatureInvalid
-    from tests.conftest import PasswordProvider
+    from tests.conftest import PasswordProvider, Wiring
     from tests.test_hot_path_bookkeeping import count_real_verifications
 
     clock, ids, network, provider, app, agent = oidc_world
     token = _access_token(provider, app, agent)
     assert "_minted" not in str(provider.durable_state())
     # another instance under the same name, issuer and kid: not its bytes
-    twin = PasswordProvider("op", clock, ids)
+    twin = PasswordProvider("op", clock, ids, **Wiring())
     assert twin.issuer == provider.issuer and twin.key.kid == provider.key.kid
     assert not twin._recognises(token)
     with pytest.raises(SignatureInvalid):

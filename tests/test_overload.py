@@ -41,6 +41,7 @@ from repro.resilience import (
 )
 from repro.siem.timeline import IncidentTimeline, TimelineEntry, build_timeline
 from repro.tunnels import CloudflareEdge
+from tests.conftest import Wiring
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +368,7 @@ def test_aimd_limiter_paces_resilience_calls_and_learns_from_sheds():
     clock = SimClock()
     runtime = ResilienceRuntime(
         clock, random.Random(3), overload=OverloadConfig(
-            aimd_initial_rate=10.0, aimd_min_rate=0.5))
+            aimd_initial_rate=10.0, aimd_min_rate=0.5), **Wiring(clock))
     kit = runtime.for_client("laptop")
     for _ in range(5):
         kit.call(lambda: "ok", dst="broker")
@@ -391,7 +392,7 @@ def test_aimd_limiter_paces_resilience_calls_and_learns_from_sheds():
 def test_edge_rate_limit_always_carries_retry_after():
     clock = SimClock()
     edge = CloudflareEdge("edge", clock, window=10.0, rate_limit=3,
-                          block_threshold=99)
+                          block_threshold=99, **Wiring())
     for _ in range(3):
         edge.enforce("laptop", "/broker/x", clock.now())
     with pytest.raises(RateLimited) as err:
@@ -408,7 +409,7 @@ def test_edge_rate_limit_always_carries_retry_after():
 def test_edge_admin_bypasses_rate_limit_but_never_threat_intel():
     clock = SimClock()
     edge = CloudflareEdge("edge", clock, window=10.0, rate_limit=2,
-                          block_threshold=99)
+                          block_threshold=99, **Wiring())
     for _ in range(2):
         edge.enforce("soc-runbook", "/broker/revoke", clock.now())
     # over the limit: interactive is refused, admin still lands
@@ -426,7 +427,7 @@ def test_edge_admin_bypasses_rate_limit_but_never_threat_intel():
 def test_edge_429_response_carries_the_hint_in_the_body():
     clock = SimClock()
     edge = CloudflareEdge("edge", clock, window=10.0, rate_limit=1,
-                          block_threshold=99)
+                          block_threshold=99, **Wiring())
     edge.register_origin("origin", Origin("origin"))
     assert edge.handle(HttpRequest("GET", "/origin/echo", source="laptop")).ok
     resp = edge.handle(HttpRequest("GET", "/origin/echo", source="laptop"))
@@ -436,7 +437,7 @@ def test_edge_429_response_carries_the_hint_in_the_body():
 
 def test_edge_forwards_priority_and_deadline_over_the_tunnel():
     clock = SimClock()
-    edge = CloudflareEdge("edge", clock, rate_limit=50)
+    edge = CloudflareEdge("edge", clock, rate_limit=50, **Wiring())
     edge.register_origin("origin", Origin("origin"))
     resp = edge.handle(HttpRequest(
         "GET", "/origin/echo", source="laptop",
@@ -459,7 +460,7 @@ def test_slurm_queue_overflow_sheds_with_honest_retry_after():
     clock = SimClock()
     slurm = SlurmScheduler(
         clock, IdFactory(seed=9), NodePool("gh", "grace-hopper", 1),
-        lambda project, hours: None, max_pending=2)
+        lambda project, hours: None, max_pending=2, **Wiring())
     running = slurm.submit("u1", "proj", nodes=1, walltime=100.0)
     slurm.submit("u1", "proj", nodes=1, walltime=100.0)
     slurm.submit("u1", "proj", nodes=1, walltime=100.0)
@@ -483,7 +484,7 @@ def test_slurm_rejects_nonpositive_queue_bound():
     with pytest.raises(SchedulerError):
         SlurmScheduler(SimClock(), IdFactory(seed=9),
                        NodePool("gh", "grace-hopper", 1),
-                       lambda p, h: None, max_pending=0)
+                       lambda p, h: None, max_pending=0, **Wiring())
 
 
 # ---------------------------------------------------------------------------

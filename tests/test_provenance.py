@@ -59,6 +59,7 @@ from repro.telemetry import (
 from repro.telemetry.metrics import DROPPED_LABELS_METRIC, OVERFLOW_LABEL
 from repro.telemetry.pipeline import SAMPLE_RATE, SLOWEST_K
 from repro.telemetry.tracing import _ROW, SpanStore, classify_error
+from tests.conftest import Wiring
 
 pytestmark = pytest.mark.pipeline
 
@@ -387,7 +388,7 @@ def test_hedge_loser_span_is_marked_cancelled():
 
     clock = SimClock()
     faults = FaultInjector(clock, random.Random(5))
-    network = Network(clock, faults=faults)
+    network = Network(clock, faults=faults, **Wiring())
     network.telemetry = Telemetry(clock)
     srv, client = Responder("srv"), Service("client")
     for s in (srv, client):
@@ -396,7 +397,8 @@ def test_hedge_loser_span_is_marked_cancelled():
                      policy=RetryPolicy(max_attempts=3, base_delay=0.01,
                                         jitter=0.0))
     kit.tail = TailController(clock, TailConfig(
-        adaptive_deadlines=False, ejection=False, retry_budget=False))
+        adaptive_deadlines=False, ejection=False, retry_budget=False),
+        **Wiring(clock))
     client.resilience = kit
 
     tele = network.telemetry

@@ -22,7 +22,7 @@ from repro.errors import (
 )
 from repro.ids import IdFactory
 from repro.net import HttpRequest
-from tests.conftest import BrokerWorld
+from tests.conftest import BrokerWorld, Wiring
 from tests.test_hot_path_bookkeeping import count_real_verifications
 
 ISS = "https://broker"
@@ -38,7 +38,7 @@ def svc():
     clock = SimClock(start=0.0)
     key = generate_signing_key("EdDSA", kid="b1")
     service = TokenService(clock, IdFactory(1), key, ISS,
-                           default_ttl=900, max_ttl=3600)
+                           default_ttl=900, max_ttl=3600, **Wiring())
     return clock, key, service
 
 
@@ -169,7 +169,8 @@ def test_token_carries_exact_role_caps(svc):
 def test_property_expiry_never_exceeds_max_ttl(ttl):
     clock = SimClock()
     key = generate_signing_key("EdDSA", kid="p")
-    service = TokenService(clock, IdFactory(1), key, ISS, max_ttl=3600)
+    service = TokenService(clock, IdFactory(1), key, ISS, max_ttl=3600,
+                           **Wiring())
     _, record = service.mint("s", "a", Role.RESEARCHER, ttl=ttl)
     assert record.expires_at - record.issued_at <= 3600
 

@@ -55,6 +55,7 @@ from repro.region import (
 )
 from repro.resilience.durability import DurabilityStore
 from repro.scale import ScaleConfig
+from tests.conftest import Wiring
 
 pytestmark = pytest.mark.region
 
@@ -79,7 +80,8 @@ class TestReplicatedBus:
     def _bus(self, **kw):
         clock = SimClock()
         rbus = ReplicatedInvalidationBus(
-            clock, ["eu", "us"], replication_delay=kw.pop("delay", 0.5), **kw)
+            clock, ["eu", "us"], replication_delay=kw.pop("delay", 0.5),
+            telemetry=Wiring(clock).telemetry, **kw)
         return clock, rbus
 
     def test_local_delivery_is_synchronous_peer_is_delayed(self):
@@ -164,10 +166,11 @@ class TestReplicatedBus:
 
     def test_rejects_unknown_and_duplicate_regions(self):
         clock = SimClock()
+        telemetry = Wiring(clock).telemetry
         with pytest.raises(ConfigurationError):
-            ReplicatedInvalidationBus(clock, ["only"])
+            ReplicatedInvalidationBus(clock, ["only"], telemetry=telemetry)
         with pytest.raises(ConfigurationError):
-            ReplicatedInvalidationBus(clock, ["a", "a"])
+            ReplicatedInvalidationBus(clock, ["a", "a"], telemetry=telemetry)
         _, rbus = self._bus()
         with pytest.raises(ConfigurationError):
             rbus.publish("mars", "t")
@@ -209,14 +212,16 @@ def _region_fixture(staleness_bound: float = 5.0,
     network = Network(clock, audit=AuditLog("net"))
     origin = StubBroker("broker-origin", clock)
     network.attach(origin, OperatingDomain.FDS, Zone.ACCESS)
+    wired = Wiring(clock)
     rbus = ReplicatedInvalidationBus(clock, ["eu", "us"],
-                                     replication_delay=0.5)
-    store = DurabilityStore(clock)
+                                     replication_delay=0.5,
+                                     telemetry=wired.telemetry)
+    store = DurabilityStore(clock, wired.telemetry)
     region = Region(
         "eu", clock, network, OperatingDomain.FDS, Zone.ACCESS,
         origin, rbus, store.stream("region-eu"),
         replicas=2, staleness_bound=staleness_bound,
-        introspection_ttl=introspection_ttl,
+        introspection_ttl=introspection_ttl, **wired,
     )
     return clock, network, origin, rbus, region
 
@@ -333,17 +338,20 @@ def _router_fixture(pins=None):
     network = Network(clock, audit=AuditLog("net"))
     origin = StubBroker("broker-origin", clock)
     network.attach(origin, OperatingDomain.FDS, Zone.ACCESS)
+    wired = Wiring(clock)
     rbus = ReplicatedInvalidationBus(clock, ["eu", "us"],
-                                     replication_delay=0.5)
-    store = DurabilityStore(clock)
-    directory = RegionDirectory(clock, rbus)
+                                     replication_delay=0.5,
+                                     telemetry=wired.telemetry)
+    store = DurabilityStore(clock, wired.telemetry)
+    directory = RegionDirectory(clock, rbus, **wired)
     for name in ("eu", "us"):
         directory.add(Region(
             name, clock, network, OperatingDomain.FDS, Zone.ACCESS,
             origin, rbus, store.stream(f"region-{name}"), replicas=1,
+            **wired,
         ))
     router = GeoRouter("broker", clock, directory,
-                       inter_region_latency=0.06, pins=pins)
+                       inter_region_latency=0.06, pins=pins, **wired)
     network.attach(router, OperatingDomain.FDS, Zone.ACCESS, name="broker")
     return clock, network, directory, router
 
@@ -420,15 +428,17 @@ class TestRegionDirectory:
         network = Network(clock, audit=AuditLog("net"))
         origin = StubBroker("broker-origin", clock)
         network.attach(origin, OperatingDomain.FDS, Zone.ACCESS)
+        wired = Wiring(clock)
         rbus = ReplicatedInvalidationBus(clock, ["eu", "us"],
-                                         replication_delay=0.5)
-        store = DurabilityStore(clock)
-        directory = RegionDirectory(clock, rbus, **cfg_kw)
+                                         replication_delay=0.5,
+                                         telemetry=wired.telemetry)
+        store = DurabilityStore(clock, wired.telemetry)
+        directory = RegionDirectory(clock, rbus, **wired, **cfg_kw)
         for name in ("eu", "us"):
             directory.add(Region(
                 name, clock, network, OperatingDomain.FDS, Zone.ACCESS,
                 origin, rbus, store.stream(f"region-{name}"), replicas=1,
-                staleness_bound=5.0,
+                staleness_bound=5.0, **wired,
             ))
         return clock, network, directory, rbus
 

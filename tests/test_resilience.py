@@ -38,6 +38,7 @@ from repro.resilience import (
     RetryPolicy,
 )
 from repro.siem import LogForwarder
+from tests.conftest import Wiring
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +291,7 @@ def test_open_breaker_sheds_without_calling():
 
 def test_runtime_aggregates_and_caches_kits():
     clock = SimClock()
-    runtime = ResilienceRuntime(clock, random.Random(1))
+    runtime = ResilienceRuntime(clock, random.Random(1), **Wiring(clock))
     assert runtime.for_client("a") is runtime.for_client("a")
     kit = runtime.for_client("a")
     kit.call(lambda: "ok", dst="svc")
@@ -307,6 +308,7 @@ def test_service_call_retries_through_brownout(chaos_net):
     runtime = ResilienceRuntime(
         clock, random.Random(11),
         policy=RetryPolicy(max_attempts=8, jitter=0.0), failure_threshold=20,
+        **Wiring(clock),
     )
     client.resilience = runtime.for_client("laptop")
     faults.brownout("broker", 0.5)
@@ -413,7 +415,7 @@ def degraded_world():
     broker = StubBroker()
     network.attach(broker, OperatingDomain.FDS, Zone.ACCESS)
     jupyter = JupyterService(
-        "jupyter", clock, None, None, None, staleness_window=60.0)
+        "jupyter", clock, None, None, None, staleness_window=60.0, **Wiring())
     network.attach(jupyter, OperatingDomain.MDC, Zone.HPC)
     return clock, network, broker, jupyter
 

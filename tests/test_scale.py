@@ -31,6 +31,7 @@ from repro.net import (
     route,
 )
 from repro.scale import (
+    MAX_REPLICAS,
     Autoscaler,
     InvalidationBus,
     LoadBalancer,
@@ -38,7 +39,7 @@ from repro.scale import (
     ReplicaPool,
     TtlCache,
 )
-from repro.telemetry import Telemetry
+from tests.conftest import Wiring
 
 _member = st.sampled_from([f"m{i}" for i in range(8)])
 
@@ -136,7 +137,8 @@ class Loader:
 class TestTtlCache:
     def test_hit_then_ttl_expiry(self):
         clock = SimClock()
-        cache = TtlCache("t", clock, ttl=10.0)
+        cache = TtlCache("t", clock, ttl=10.0,
+                         telemetry=Wiring(clock).telemetry)
         loader = Loader()
         assert cache.get_or_load("k", loader) == "v"
         assert cache.get_or_load("k", loader) == "v"
@@ -151,7 +153,8 @@ class TestTtlCache:
         # the CI cache-stampede regression: N concurrent (same-instant)
         # misses on one key resolve to exactly one upstream load
         clock = SimClock()
-        cache = TtlCache("t", clock, ttl=60.0)
+        cache = TtlCache("t", clock, ttl=60.0,
+                         telemetry=Wiring(clock).telemetry)
         loader = Loader()
         results = [cache.get_or_load("hot", loader) for _ in range(10)]
         assert results == ["v"] * 10
@@ -163,7 +166,8 @@ class TestTtlCache:
         # N callers demanding min_fresh_at=now at the same instant (the
         # JWKS-rotation storm) produce exactly one upstream fetch
         clock = SimClock()
-        cache = TtlCache("t", clock, ttl=600.0)
+        cache = TtlCache("t", clock, ttl=600.0,
+                         telemetry=Wiring(clock).telemetry)
         loader = Loader()
         cache.get_or_load("jwks", loader)
         clock.advance(5.0)
@@ -178,7 +182,8 @@ class TestTtlCache:
     def test_negative_caching(self):
         clock = SimClock()
         cache = TtlCache("t", clock, ttl=60.0, negative_ttl=5.0,
-                         negative_errors=(SignatureInvalid,))
+                         negative_errors=(SignatureInvalid,),
+                         telemetry=Wiring(clock).telemetry)
         loader = Loader()
         loader.exc = SignatureInvalid("forged")
         with pytest.raises(SignatureInvalid):
@@ -195,7 +200,8 @@ class TestTtlCache:
     def test_unexpected_errors_never_cached(self):
         clock = SimClock()
         cache = TtlCache("t", clock, ttl=60.0,
-                         negative_errors=(SignatureInvalid,))
+                         negative_errors=(SignatureInvalid,),
+                         telemetry=Wiring(clock).telemetry)
         loader = Loader()
         loader.exc = ServiceUnavailable("upstream down")
         with pytest.raises(ServiceUnavailable):
@@ -206,7 +212,8 @@ class TestTtlCache:
 
     def test_reentrant_load_raises_in_flight(self):
         clock = SimClock()
-        cache = TtlCache("t", clock, ttl=60.0)
+        cache = TtlCache("t", clock, ttl=60.0,
+                         telemetry=Wiring(clock).telemetry)
 
         def recursive():
             return cache.get_or_load("k", recursive_loader)
@@ -219,14 +226,16 @@ class TestTtlCache:
 
     def test_ttl_of_bounds_entry_lifetime(self):
         clock = SimClock()
-        cache = TtlCache("t", clock, ttl=600.0)
+        cache = TtlCache("t", clock, ttl=600.0,
+                         telemetry=Wiring(clock).telemetry)
         cache.get_or_load("k", lambda: "v", ttl_of=lambda v: 3.0)
         clock.advance(3.0)
         assert cache.peek("k") is None
 
     def test_tag_invalidation(self):
         clock = SimClock()
-        cache = TtlCache("t", clock, ttl=60.0)
+        cache = TtlCache("t", clock, ttl=60.0,
+                         telemetry=Wiring(clock).telemetry)
         cache.get_or_load("tok1", lambda: "a", tags_of=lambda v: ("jti-1",))
         cache.get_or_load("tok2", lambda: "b", tags_of=lambda v: ("jti-2",))
         assert cache.invalidate_tag("jti-1") == 1
@@ -240,8 +249,10 @@ class TestTtlCache:
         heard = []
         for topic in ("token.revoked", "jwks.rotated"):
             bus.subscribe(topic, lambda key, topic=topic: heard.append(topic))
-        tagged = TtlCache("tokens", clock, ttl=60.0)
-        keyed = TtlCache("jwks", clock, ttl=600.0)
+        tagged = TtlCache("tokens", clock, ttl=60.0,
+                          telemetry=Wiring(clock).telemetry)
+        keyed = TtlCache("jwks", clock, ttl=600.0,
+                         telemetry=Wiring(clock).telemetry)
         tagged.bind(bus, "token.revoked", by_tag=True)
         keyed.bind(bus, "jwks.rotated", by_tag=False)
         tagged.get_or_load("tok", lambda: "v", tags_of=lambda v: ("jti-9",))
@@ -262,7 +273,8 @@ class TestTtlCache:
 
     def test_deterministic_eviction_at_capacity(self):
         clock = SimClock()
-        cache = TtlCache("t", clock, ttl=100.0, max_entries=2)
+        cache = TtlCache("t", clock, ttl=100.0, max_entries=2,
+                         telemetry=Wiring(clock).telemetry)
         cache.get_or_load("soon", lambda: 1, ttl=5.0)
         cache.get_or_load("late", lambda: 2, ttl=50.0)
         cache.get_or_load("new", lambda: 3)
@@ -295,13 +307,13 @@ class Client(Service):
 
 def _fabric():
     clock = SimClock()
-    network = Network(clock)
+    network = Network(clock, **Wiring())
     origin = Origin("origin", clock)
     network.attach(origin, OperatingDomain.FDS, Zone.ACCESS)
     client = Client("client")
     network.attach(client, OperatingDomain.FDS, Zone.ACCESS)
     pool = ReplicaPool("svc", network, OperatingDomain.FDS, Zone.ACCESS,
-                       origin, max_replicas=8)
+                       origin)
     return clock, network, origin, client, pool
 
 
@@ -319,10 +331,10 @@ class TestReplicaPoolAndBalancer:
         assert events == [("join", "svc-r1"), ("join", "svc-r2"),
                           ("join", "svc-r3"), ("leave", "svc-r3"),
                           ("leave", "svc-r2")]
-        assert pool.scale_to(99) == pool.max_replicas
+        assert pool.scale_to(99) == MAX_REPLICAS
 
     def _balanced(self, pool, network, clock):
-        lb = LoadBalancer("svc-lb", clock, pool)
+        lb = LoadBalancer("svc-lb", clock, pool, **Wiring(clock))
         network.attach(lb, OperatingDomain.FDS, Zone.ACCESS)
         return lb
 
@@ -383,9 +395,11 @@ class TestAutoscaler:
     def _setup(self, **kwargs):
         clock, network, origin, client, pool = _fabric()
         pool.scale_to(1)
-        tele = Telemetry(clock)
-        scaler = Autoscaler(clock, pool, tele, loss_up=0.02,
-                            loss_down=0.002, down_after=2, **kwargs)
+        wired = Wiring(clock)
+        tele = wired.telemetry
+        scaler = Autoscaler(clock, pool, tele, audit=wired.audit,
+                            loss_up=0.02, loss_down=0.002, down_after=2,
+                            **kwargs)
         return clock, pool, tele, scaler
 
     def test_grows_on_loss_and_shrinks_when_quiet(self):
@@ -445,7 +459,8 @@ class TestCacheInvalidationHygiene:
         # tags, so a revocation for that tag still evicts it.
         clock = SimClock()
         cache = TtlCache("t", clock, ttl=5.0, negative_ttl=60.0,
-                         negative_errors=(SignatureInvalid,))
+                         negative_errors=(SignatureInvalid,),
+                         telemetry=Wiring(clock).telemetry)
         cache.get_or_load("tok", lambda: "ok", tags_of=lambda v: ("jti-1",))
         clock.advance(6.0)  # ALLOW expired
 
@@ -468,7 +483,8 @@ class TestCacheInvalidationHygiene:
     def test_negative_tags_of_tags_a_first_load_failure(self):
         clock = SimClock()
         cache = TtlCache("t", clock, ttl=60.0,
-                         negative_errors=(SignatureInvalid,))
+                         negative_errors=(SignatureInvalid,),
+                         telemetry=Wiring(clock).telemetry)
 
         def bad():
             raise SignatureInvalid("forged: jti-9")
@@ -482,7 +498,8 @@ class TestCacheInvalidationHygiene:
     def test_clear_counts_negative_purges(self):
         clock = SimClock()
         cache = TtlCache("t", clock, ttl=60.0,
-                         negative_errors=(SignatureInvalid,))
+                         negative_errors=(SignatureInvalid,),
+                         telemetry=Wiring(clock).telemetry)
         cache.get_or_load("a", lambda: 1)
 
         def bad():
@@ -499,13 +516,15 @@ class TestCacheInvalidationHygiene:
         # a new one: the dead instance stops hearing events
         clock = SimClock()
         bus = InvalidationBus()
-        old = TtlCache("introspection", clock, ttl=60.0)
+        old = TtlCache("introspection", clock, ttl=60.0,
+                       telemetry=Wiring(clock).telemetry)
         old.bind(bus, "token.revoked", by_tag=True)
         old.get_or_load("tok", lambda: "stale", tags_of=lambda v: ("j1",))
         assert bus.subscriber_count("token.revoked") == 1
 
         for _ in range(3):
-            rebuilt = TtlCache("introspection", clock, ttl=60.0)
+            rebuilt = TtlCache("introspection", clock, ttl=60.0,
+                               telemetry=Wiring(clock).telemetry)
             rebuilt.bind(bus, "token.revoked", by_tag=True)
         assert bus.subscriber_count("token.revoked") == 1
 
@@ -518,7 +537,8 @@ class TestCacheInvalidationHygiene:
     def test_rebind_same_cache_is_idempotent(self):
         clock = SimClock()
         bus = InvalidationBus()
-        cache = TtlCache("jwks", clock, ttl=60.0)
+        cache = TtlCache("jwks", clock, ttl=60.0,
+                         telemetry=Wiring(clock).telemetry)
         cache.bind(bus, "jwks.rotated", by_tag=False)
         cache.bind(bus, "jwks.rotated", by_tag=False)
         assert bus.subscriber_count("jwks.rotated") == 1
@@ -526,7 +546,8 @@ class TestCacheInvalidationHygiene:
     def test_unbind_removes_every_subscription(self):
         clock = SimClock()
         bus = InvalidationBus()
-        cache = TtlCache("c", clock, ttl=60.0)
+        cache = TtlCache("c", clock, ttl=60.0,
+                         telemetry=Wiring(clock).telemetry)
         cache.bind(bus, "token.revoked", by_tag=True)
         cache.bind(bus, "jwks.rotated", by_tag=False)
         assert cache.unbind() == 2
@@ -553,7 +574,7 @@ class TestBalancerBookkeepingUnderTail:
     def test_ring_load_released_on_breaker_guarded_failure(self):
         clock, network, origin, client, pool = _fabric()
         pool.scale_to(3)
-        lb = LoadBalancer("svc-lb", clock, pool)
+        lb = LoadBalancer("svc-lb", clock, pool, **Wiring(clock))
         network.attach(lb, OperatingDomain.FDS, Zone.ACCESS)
 
         def explode(request):

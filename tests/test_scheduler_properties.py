@@ -7,13 +7,14 @@ from hypothesis import strategies as st
 from repro.clock import SimClock
 from repro.cluster import JobState, NodePool, SlurmScheduler
 from repro.ids import IdFactory
+from tests.conftest import Wiring
 
 
 def make_scheduler(nodes=8):
     clock = SimClock()
     pool = NodePool("n", "grace-hopper", nodes)
     sched = SlurmScheduler(clock, IdFactory(3), pool,
-                           charge=lambda p, h: None)
+                           charge=lambda p, h: None, **Wiring())
     return clock, pool, sched
 
 
@@ -112,7 +113,7 @@ def test_edge_routes_nested_paths():
             return HttpResponse.json({"path_ok": True,
                                       "q": request.query.get("k", "")})
 
-    edge = CloudflareEdge("edge", _C())
+    edge = CloudflareEdge("edge", _C(), **Wiring())
     edge.register_origin("api", Api("api"))
     req = HttpRequest("GET", "/api/v1/items", query={"k": "v"})
     req.source = "laptop"
@@ -130,7 +131,7 @@ def test_edge_root_of_origin():
         def home(self, request):
             return HttpResponse.json({"home": True})
 
-    edge = CloudflareEdge("edge", _C())
+    edge = CloudflareEdge("edge", _C(), **Wiring())
     edge.register_origin("root", Root("root"))
     req = HttpRequest("GET", "/root")
     req.source = "laptop"

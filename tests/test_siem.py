@@ -19,6 +19,7 @@ from repro.siem import (
     ThresholdRule,
     standard_rules,
 )
+from tests.conftest import Wiring
 
 ISS = "https://broker"
 
@@ -169,7 +170,7 @@ def test_assessment_broken_probe_fails_closed():
 # ---------------------------------------------------------------------------
 def test_killswitch_contain_user_runs_all_levers():
     clock = SimClock(start=100.0)
-    ks = KillSwitchController(clock)
+    ks = KillSwitchController(clock, **Wiring())
     hits = []
     ks.register_user_action("bastion", lambda p: hits.append(("bastion", p)) or 1)
     ks.register_user_action("broker", lambda p: hits.append(("broker", p)) or 2)
@@ -181,7 +182,7 @@ def test_killswitch_contain_user_runs_all_levers():
 
 def test_killswitch_emergency_stop_and_restore():
     clock = SimClock()
-    ks = KillSwitchController(clock)
+    ks = KillSwitchController(clock, **Wiring())
     state = {"up": True}
     ks.register_stop_action(
         "bastion",
@@ -202,17 +203,18 @@ def soc_world():
     clock = SimClock()
     ids = IdFactory(9)
     key = generate_signing_key("EdDSA", kid="bk")
-    tokens = TokenService(clock, ids, key, ISS)
+    tokens = TokenService(clock, ids, key, ISS, **Wiring())
     validator = RbacTokenValidator(
         clock, ISS, "soc", JwkSet([key.public()]), tokens.is_revoked
     )
-    ks = KillSwitchController(clock)
+    ks = KillSwitchController(clock, **Wiring())
     contained = []
     ks.register_user_action("trace", lambda p: contained.append(p))
     escalations = []
     soc = SecurityOperationsCentre(
         "soc", clock, validator,
         escalate=escalations.append, killswitch=ks, auto_contain=True,
+        **Wiring(),
     )
     return clock, tokens, soc, escalations, contained
 
@@ -279,13 +281,14 @@ def test_soc_broken_escalation_hook_does_not_break_ingest():
     clock = SimClock()
     ids = IdFactory(10)
     key = generate_signing_key("EdDSA", kid="bk")
-    tokens = TokenService(clock, ids, key, ISS)
+    tokens = TokenService(clock, ids, key, ISS, **Wiring())
     validator = RbacTokenValidator(
         clock, ISS, "soc", JwkSet([key.public()]), tokens.is_revoked)
 
     def broken(alert):
         raise RuntimeError("NCC endpoint down")
 
-    soc = SecurityOperationsCentre("soc", clock, validator, escalate=broken)
+    soc = SecurityOperationsCentre("soc", clock, validator, escalate=broken,
+                                   **Wiring())
     alerts = soc.ingest_batch([record(float(i), "idp.login") for i in range(6)])
     assert len(alerts) == 1  # alert still recorded locally

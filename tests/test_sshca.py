@@ -22,6 +22,7 @@ from repro.sshca import (
     issue_certificate,
     validate_certificate,
 )
+from tests.conftest import Wiring
 
 ISS = "https://broker"
 
@@ -156,11 +157,11 @@ def test_empty_validity_window_refused(ca_key):
 def ca_world(clock):
     ids = IdFactory(3)
     broker_key = generate_signing_key("EdDSA", kid="broker-key")
-    tokens = TokenService(clock, ids, broker_key, ISS)
+    tokens = TokenService(clock, ids, broker_key, ISS, **Wiring())
     validator = RbacTokenValidator(
         clock, ISS, "ssh-ca", JwkSet([broker_key.public()]), tokens.is_revoked
     )
-    ca = SshCertificateAuthority("ssh-ca", clock, validator)
+    ca = SshCertificateAuthority("ssh-ca", clock, validator, **Wiring())
     return clock, ids, tokens, ca
 
 
@@ -241,7 +242,7 @@ def test_ca_refuses_empty_principals(ca_world):
 @pytest.fixture()
 def ssh_net(clock, ca_key):
     ids = IdFactory(5)
-    network = Network(clock)
+    network = Network(clock, **Wiring())
     fw = network.firewall
     fw.allow("internet-to-bastion", src_domain=OperatingDomain.EXTERNAL,
              dst_domain=OperatingDomain.SWS, dst_zone=Zone.ACCESS, port=22)
@@ -249,9 +250,10 @@ def ssh_net(clock, ca_key):
              dst_domain=OperatingDomain.MDC, dst_zone=Zone.HPC, port=22)
 
     accounts = {"alice.proj1"}
-    bastion = BastionSet("bastion", clock, vm_count=2)
+    bastion = BastionSet("bastion", clock, vm_count=2, **Wiring())
     sshd = LoginNodeSshd(
-        "login-node", clock, ca_key.public(), lambda u: u in accounts
+        "login-node", clock, ca_key.public(), lambda u: u in accounts,
+        **Wiring()
     )
     from repro.oidc import UserAgent
 

@@ -18,7 +18,6 @@ import random
 
 import pytest
 
-from repro.audit import AuditLog
 from repro.clock import SimClock
 from repro.errors import (
     AttemptTimeout,
@@ -60,6 +59,7 @@ from repro.resilience.tail import (
 )
 from repro.scale import LoadBalancer, ReplicaPool
 from repro.siem import RetryStormRule
+from tests.conftest import Wiring
 
 pytestmark = pytest.mark.tail
 
@@ -95,7 +95,9 @@ class TestLatencyTracker:
     class became)."""
 
     def test_quantiles_deterministic_across_instances(self):
-        a, b = (TailController(SimClock(), TailConfig()) for _ in range(2))
+        clock = SimClock()
+        a, b = (TailController(clock, TailConfig(), **Wiring(clock))
+                for _ in range(2))
         rng = random.Random(3)
         samples = [rng.uniform(0.001, 0.3) for _ in range(200)]
         for s in samples:
@@ -115,7 +117,8 @@ class TestBoundFor:
     READ, WRITE = HttpRequest("GET", "/ping"), HttpRequest("POST", "/token")
 
     def _controller(self, samples):
-        tc = TailController(SimClock(), TailConfig())
+        clock = SimClock()
+        tc = TailController(clock, TailConfig(), **Wiring(clock))
         for _ in range(samples):
             tc.observe("k", 0.004)
         return tc
@@ -287,7 +290,7 @@ def _pong_fabric():
     """A chaos-wired network with one ``srv`` and one ``client``."""
     clock = SimClock()
     faults = FaultInjector(clock, random.Random(5))
-    network = Network(clock, faults=faults)
+    network = Network(clock, faults=faults, **Wiring())
     srv, client = Pong("srv"), Service("client")
     for s in (srv, client):
         network.attach(s, OperatingDomain.FDS, Zone.ACCESS)
@@ -311,7 +314,7 @@ class TestTransportAttemptDeadline:
 
     def test_bound_covers_one_hop_not_nested_calls(self):
         clock = SimClock()
-        network = Network(clock)
+        network = Network(clock, **Wiring())
         front, back, client = Front("front"), Pong("back"), Service("client")
         for s in (front, back, client):
             network.attach(s, OperatingDomain.FDS, Zone.ACCESS)
@@ -331,7 +334,7 @@ def _kit_fabric(cfg, *, max_attempts=3):
     kit = Resilience("client", clock, random.Random(7),
                      policy=RetryPolicy(max_attempts=max_attempts,
                                         base_delay=0.01, jitter=0.0))
-    kit.tail = TailController(clock, cfg)
+    kit.tail = TailController(clock, cfg, **Wiring(clock))
     client.resilience = kit
     return clock, faults, srv, client, kit
 
@@ -386,8 +389,6 @@ class TestResilienceKitTail:
         cfg = TailConfig(adaptive_deadlines=False, hedging=False,
                          ejection=False)
         clock, faults, srv, client, kit = _kit_fabric(cfg, max_attempts=10)
-        audit = AuditLog("resilience")
-        kit.tail.audit = audit
         faults.outage("srv")
         with pytest.raises(ServiceUnavailable):
             client.call("srv", HttpRequest("GET", "/ping"))
@@ -395,7 +396,7 @@ class TestResilienceKitTail:
         # was refused outright
         assert kit.metrics.attempts == 1 + RETRY_BUDGET_CAP
         assert kit.metrics.budget_exhausted == 1
-        events = [e for e in audit.events()
+        events = [e for e in kit.tail.audit.events()
                   if e.action == "retry.budget_exhausted"]
         assert len(events) == 1
         assert events[0].resource == "srv"
@@ -417,9 +418,10 @@ class TestResilienceKitTail:
 def _lb_fabric(cfg, *, replicas=3, **lb_kw):
     clock, faults, network, origin, client = _pong_fabric()
     pool = ReplicaPool("svc", network, OperatingDomain.FDS, Zone.ACCESS,
-                       origin, max_replicas=8)
+                       origin)
     pool.scale_to(replicas)
-    lb = LoadBalancer("svc-lb", clock, pool, tail=cfg, **lb_kw)
+    lb = LoadBalancer("svc-lb", clock, pool, tail=cfg, **Wiring(clock),
+                      **lb_kw)
     network.attach(lb, OperatingDomain.FDS, Zone.ACCESS)
     return clock, faults, origin, client, pool, lb
 
@@ -709,7 +711,7 @@ class FakeDirectory:
 class TestGeoRouterGrayDetour:
     def _fabric(self):
         clock = SimClock()
-        network = Network(clock)
+        network = Network(clock, **Wiring())
         eu = RegionFront("eu-front", clock, delay=0.2)
         us = RegionFront("us-front", clock)
         directory = FakeDirectory({"eu": FakeRegion("eu-front"),
@@ -718,7 +720,7 @@ class TestGeoRouterGrayDetour:
                          retry_budget=False)
         router = GeoRouter("geo", clock, directory,
                            pins={"client-eu": "eu", "client-us": "us"},
-                           tail=cfg)
+                           tail=cfg, **Wiring(clock))
         client_eu, client_us = Service("client-eu"), Service("client-us")
         for s in (eu, us, router, client_eu, client_us):
             network.attach(s, OperatingDomain.FDS, Zone.ACCESS)

@@ -60,6 +60,7 @@ from repro.telemetry import (
     critical_path_breakdown,
     render_tree,
 )
+from tests.conftest import Wiring
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +415,8 @@ def test_the_caller_gets_its_own_context_back_after_retry_hedge_and_timeout():
                      policy=RetryPolicy(max_attempts=3, base_delay=0.01,
                                         jitter=0.0))
     kit.tail = TailController(clock, TailConfig(
-        adaptive_deadlines=False, ejection=False, retry_budget=False))
+        adaptive_deadlines=False, ejection=False, retry_budget=False),
+        **Wiring(clock))
     client.resilience = kit
     ctx = tele.tracer.start_trace("hedge", service="client").context()
     for _ in range(MIN_SAMPLES):
@@ -624,7 +626,8 @@ def test_trace_integrity_rule_fires_only_on_unknown_trace_ids(traced_workshop):
 def test_trace_anomaly_scanner_flags_firewall_bypass():
     dri = build_isambard(seed=44)
     assert dri.workflows.rsecon_workshop(1).ok
-    scanner = TraceAnomalyScanner(dri.network, dri.telemetry.store)
+    scanner = TraceAnomalyScanner(
+        dri.network, telemetry=dri.telemetry, audit=dri.logs["sec"])
     # all genuine traffic (including the reverse tunnel) is clean
     assert scanner.scan() == []
 
@@ -654,7 +657,8 @@ def test_trace_anomaly_scanner_flags_firewall_bypass():
     assert scanner.scan() == []
 
     # raise_into hands anomalies to the SOC
-    fresh = TraceAnomalyScanner(dri.network, dri.telemetry.store)
+    fresh = TraceAnomalyScanner(
+        dri.network, telemetry=dri.telemetry, audit=dri.logs["sec"])
     raised = fresh.raise_into(dri.soc)
     assert len(raised) == 1
     assert any(a.rule == "trace-zone-anomaly" for a in dri.soc.alerts)

@@ -36,7 +36,7 @@ from repro.resilience import FaultInjector, Resilience, RetryPolicy
 from repro.resilience.tail import MIN_SAMPLES, TailConfig, TailController
 from repro.scale.balancer import LoadBalancer, ReplicaPool
 from repro.telemetry import Telemetry
-from tests.conftest import golden
+from tests.conftest import Wiring, golden
 from tests.test_deployment_fingerprint import OPT_IN
 
 BUILDS = {
@@ -164,7 +164,8 @@ def kit_hedged_call_shape() -> dict:
                      policy=RetryPolicy(max_attempts=3, base_delay=0.01,
                                         jitter=0.0))
     kit.tail = TailController(clock, TailConfig(
-        adaptive_deadlines=False, ejection=False, retry_budget=False))
+        adaptive_deadlines=False, ejection=False, retry_budget=False),
+        **Wiring(clock))
     client.resilience = kit
     rec = _Recorder(network.telemetry, {"net": network.audit})
     for i in range(MIN_SAMPLES):
@@ -180,7 +181,7 @@ def balancer_hedged_call_shape() -> dict:
     clock, faults, network, client = _fabric(5)
     lb_audit = AuditLog("lb")
     pool = ReplicaPool("svc", network, OperatingDomain.FDS, Zone.ACCESS,
-                       network.endpoint("srv").service, max_replicas=8)
+                       network.endpoint("srv").service)
     pool.scale_to(3)
     lb = LoadBalancer(
         "svc-lb", clock, pool, audit=lb_audit,

@@ -28,6 +28,7 @@ from repro.tunnels import (
     ZenithClient,
     ZenithServer,
 )
+from tests.conftest import Wiring
 
 ISS = "https://broker"
 
@@ -50,7 +51,8 @@ class Hello(Service):
 @pytest.fixture()
 def edge():
     clock = SimClock()
-    e = CloudflareEdge("edge", clock, window=10, rate_limit=5, block_threshold=2)
+    e = CloudflareEdge("edge", clock, window=10, rate_limit=5, block_threshold=2,
+                       **Wiring())
     e.register_origin("web", Hello("web"))
     return clock, e
 
@@ -113,7 +115,7 @@ def test_edge_manual_block_and_unblock(edge):
 def zenith_world():
     clock = SimClock()
     ids = IdFactory(11)
-    network = Network(clock)
+    network = Network(clock, **Wiring())
     fw = network.firewall
     fw.allow("mdc-out-to-fds", src_domain=OperatingDomain.MDC,
              dst_domain=OperatingDomain.FDS, port=443)
@@ -121,11 +123,12 @@ def zenith_world():
              dst_domain=OperatingDomain.FDS, port=443)
 
     broker_key = generate_signing_key("EdDSA", kid="bk")
-    tokens = TokenService(clock, ids, broker_key, ISS)
+    tokens = TokenService(clock, ids, broker_key, ISS, **Wiring())
     validator = RbacTokenValidator(
         clock, ISS, "zenith", JwkSet([broker_key.public()]), tokens.is_revoked
     )
-    server = ZenithServer("zenith", clock, ids, validator, heartbeat_ttl=120)
+    server = ZenithServer("zenith", clock, ids, validator, heartbeat_ttl=120,
+                          **Wiring())
     app = Hello("jupyter-app")
     client = ZenithClient("zenith-client", "jupyter-app")
     network.attach(server, OperatingDomain.FDS, Zone.ACCESS)
@@ -189,7 +192,7 @@ def test_zenith_unregistered_service_unreachable(zenith_world):
 def tailnet_world():
     clock = SimClock()
     ids = IdFactory(13)
-    network = Network(clock)
+    network = Network(clock, **Wiring())
     fw = network.firewall
     fw.allow("internet-to-sws-tailnet", src_domain=OperatingDomain.EXTERNAL,
              dst_domain=OperatingDomain.SWS, dst_zone=Zone.MANAGEMENT, port=443)
@@ -198,11 +201,12 @@ def tailnet_world():
              dst_zone=Zone.MANAGEMENT, port=443)
 
     broker_key = generate_signing_key("EdDSA", kid="bk")
-    tokens = TokenService(clock, ids, broker_key, ISS)
+    tokens = TokenService(clock, ids, broker_key, ISS, **Wiring())
     validator = RbacTokenValidator(
         clock, ISS, "tailnet", JwkSet([broker_key.public()]), tokens.is_revoked
     )
-    coord = TailnetCoordinator("tailnet", clock, ids, validator, key_ttl=3600)
+    coord = TailnetCoordinator("tailnet", clock, ids, validator, key_ttl=3600,
+                               **Wiring())
     mgmt = Hello("mgmt-node")
     network.attach(coord, OperatingDomain.SWS, Zone.MANAGEMENT)
     network.attach(mgmt, OperatingDomain.MDC, Zone.MANAGEMENT)
