@@ -4,8 +4,8 @@ revocation pipeline, and the re-evaluation loop.
 This package closes the paper's revocation gap: federated SSO makes it
 easy to *grant* access across IdP, SSH CA, Zenith and the schedulers,
 but until a single pipeline owned teardown, revoking meant chasing each
-surface by hand.  Here every live grant is registered under one
-canonical SPIFFE identity, one journaled pipeline fans ``revoke()`` out
+surface by hand.  Here every live grant is read off its surface under
+one canonical SPIFFE identity, one journaled pipeline fans ``revoke()`` out
 to all four enforcement surfaces with bounded time-to-revoke, and a
 continuous loop re-checks every session against policy — failing closed
 when the decision point is unreachable past the staleness bound.

@@ -81,6 +81,13 @@ class IdentityGraph:
         uid = self._accounts.get(subject, subject)
         return self.principal(uid)
 
+    def identities(self, users, workloads) -> set:
+        """The canonical ids of many subjects at once: ``identity_of``
+        of each user subject and of each workload name."""
+        principals, accounts = self._principals, self._accounts
+        return ({principals.get(accounts.get(s, s)) or self.identity_of(s)
+                 for s in users} | {self.workload(w) for w in workloads})
+
     def uid_of(self, spiffe: str) -> str:
         """The bare subject behind a canonical id (last path segment)."""
         return spiffe.rsplit("/", 1)[-1] if "/" in spiffe else spiffe

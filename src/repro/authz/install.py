@@ -42,7 +42,7 @@ def install(dri) -> None:
     admission path and every revocation source of the deployment."""
     clock, tele, logs = dri.clock, dri.telemetry, dri.logs
     graph = IdentityGraph(TRUST_DOMAIN, authority=dri.spire)
-    registry = SessionRegistry(clock, graph=graph)
+    registry = SessionRegistry(dri, graph)
     pdp = PolicyDecisionPoint(clock, dri.policy_engine,
                               provenance=tele.provenance)
     guard = AuthzGuard(clock, pdp, audit=logs["fds"], telemetry=tele)
@@ -102,12 +102,15 @@ def install(dri) -> None:
     pipeline.register_point("tunnels", teardown_tunnels)
     pipeline.register_point("compute", teardown_compute)
 
-    # every admission path tracks its grant and fails closed when
-    # the PDP is unreachable past the staleness bound
-    dri.ssh_ca.session_registry = registry
+    # the surfaces that stamp a canonical identity into what they grant
+    # or audit read it off the graph; every admission path fails closed
+    # when the PDP is unreachable past the staleness bound.  The registry
+    # reads the grants themselves off the surfaces when asked
+    for surface in (dri.broker.tokens, dri.ssh_ca, dri.jupyter,
+                    *dri.login_nodes, dri.portal):
+        surface.identity_graph = graph
     for surface in (dri.broker.tokens, dri.zenith, dri.jupyter,
                     *dri.login_nodes, *dri.schedulers):
-        surface.session_registry = registry
         surface.authz_guard = guard
     # without durability the sshds have no issuance registry wired;
     # the CA-side revocation set must still bite on live certs
@@ -120,7 +123,6 @@ def install(dri) -> None:
     # portal: principals get canonical ids at onboarding, revocations
     # ride the pipeline (one intent, four surfaces, crash-safe), and its
     # recovery resync re-drives any teardown a crash interrupted
-    dri.portal.session_registry = registry
     dri.portal.on_revoke = (
         lambda uid, project, account: pipeline.revoke(
             uid=uid, project=project, reason="portal-revocation",

@@ -24,10 +24,10 @@ links.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set
+from typing import Dict, Optional, Set
 
 from repro.audit import AuditLog, Outcome
-from repro.broker.rbac import Role, capabilities_for
+from repro.broker.rbac import Role
 from repro.broker.tokens import TokenService
 from repro.clock import SimClock
 from repro.errors import (

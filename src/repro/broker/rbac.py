@@ -16,7 +16,7 @@ services".
 from __future__ import annotations
 
 import enum
-from typing import Dict, FrozenSet, Iterable
+from typing import Dict, FrozenSet
 
 from repro.errors import AuthorizationError
 

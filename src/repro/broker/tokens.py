@@ -48,6 +48,10 @@ class IssuedToken:
     project: Optional[str]
     issued_at: float
     expires_at: float
+    # an infrastructure mint (audit_issue=False): never a grant.  The
+    # fact is journaled with the mint, so it outlives a crash, a restart
+    # and a failover promotion
+    infra: bool = False
 
 
 class TokenService:
@@ -85,6 +89,11 @@ class TokenService:
         # its record does and nothing durable ever mentions it
         self._minted: Dict[bytes, str] = {}
         self._revoked: Set[str] = set()
+        # (subject, service role?) -> {jti: record}, in mint order: the
+        # issued records by holder, so the session registry's sweep
+        # reads one live record per holder (see grants); volatile like
+        # _minted, rebuilt from _issued
+        self._by_holder: Dict[Tuple[str, bool], Dict[str, IssuedToken]] = {}
         # (subject, audience, role) -> the token held for that repeat
         # infrastructure caller (see held); volatile like _minted
         self._held: Dict[Tuple[str, str, str], Tuple[str, IssuedToken]] = {}
@@ -98,11 +107,11 @@ class TokenService:
         # call returns) so no replica cache still holds the token by the
         # time anyone observes the revocation
         self.bus = None
-        # continuous authorization: a repro.authz.SessionRegistry that
-        # tracks every live token as a grant under the subject's SPIFFE
-        # id, and an AuthzGuard that fails minting closed when the policy
-        # decision point has been unreachable past the staleness bound
-        self.session_registry = None
+        # continuous authorization: the repro.authz.IdentityGraph whose
+        # canonical SPIFFE id every token carries, and an AuthzGuard that
+        # fails minting closed when the policy decision point has been
+        # unreachable past the staleness bound
+        self.identity_graph = None
         self.authz_guard = None
 
     # ------------------------------------------------------------------
@@ -155,10 +164,10 @@ class TokenService:
             claims["project"] = project
         claims.update(extra_claims or {})
         spiffe = ""
-        if self.session_registry is not None:
+        if self.identity_graph is not None:
             # stamp the canonical identity into the token itself, so
             # every downstream surface agrees who this credential is
-            spiffe = self.session_registry.graph.identity_of(
+            spiffe = self.identity_graph.identity_of(
                 subject, workload=role_value == Role.SERVICE.value)
             claims.setdefault("spiffe_id", spiffe)
         token = encode_jwt(claims, self.key)
@@ -170,17 +179,12 @@ class TokenService:
             "project": project,
             "issued_at": now,
             "expires_at": now + effective_ttl,
+            # the log shipper re-mints for as long as logs flow: were its
+            # tokens grants, the session registry would never drain
+            "infra": not audit_issue,
         })
         record = self._issued[jti]
         self._minted[compact_digest(token)] = jti
-        if self.session_registry is not None and audit_issue:
-            # infrastructure mints (audit_issue=False) are not tracked as
-            # grants: the log shipper re-mints for as long as logs flow,
-            # so tracking them would keep the registry from ever draining
-            self.session_registry.track(
-                "rbac-token", "tokens", subject, jti,
-                expires_at=now + effective_ttl,
-                workload=role_value == Role.SERVICE.value)
         if audit_issue:
             extra_audit = {"spiffe_id": spiffe} if spiffe else {}
             self.audit.record(
@@ -228,8 +232,6 @@ class TokenService:
         self.commit("rbac.revoke", {"jti": jti})
         if self.bus is not None:
             self.bus.publish("token.revoked", key=jti)
-        if self.session_registry is not None:
-            self.session_registry.close("rbac-token", jti)
         # trace_id correlates the revocation with the containment action
         # that ordered it — the telemetry pipeline pins that trace
         # against tail-sampling eviction for post-mortem replay
@@ -255,9 +257,6 @@ class TokenService:
         if self.bus is not None:
             for jti in hit:
                 self.bus.publish("token.revoked", key=jti, subject=subject)
-        if self.session_registry is not None:
-            for jti in hit:
-                self.session_registry.close("rbac-token", jti)
         n = len(hit)
         if n:
             self.audit.record(
@@ -265,6 +264,22 @@ class TokenService:
                 Outcome.INFO, count=n, project=project or "",
             )
         return n
+
+    def grants(self, now: float, skip=()):
+        """Every token live at ``now`` — unrevoked, unexpired, not an
+        infrastructure mint — as the session registry reads it (see
+        ``SessionRegistry``); a service token is a workload's grant."""
+        revoked = self._revoked
+        for (subject, workload), held in self._by_holder.items():
+            if workload or subject not in skip:
+                # newest first: the likeliest to be live
+                for rec in reversed(held.values()):
+                    if (rec.expires_at > now and not rec.infra
+                            and rec.jti not in revoked):
+                        yield ("rbac-token", rec.jti, subject, rec.expires_at,
+                               workload)
+                        if not workload and subject in skip:
+                            break
 
     def is_revoked(self, jti: str) -> bool:
         return jti in self._revoked
@@ -323,15 +338,26 @@ class TokenService:
         self._issued = {
             jti: IssuedToken(**rec) for jti, rec in state["issued"].items()
         }
+        self._index()
         self._minted = {}
         self._held = {}
         self._revoked = set(state["revoked"])
 
     def wipe_state(self) -> None:
         self._issued = {}
+        self._by_holder = {}
         self._minted = {}
         self._held = {}
         self._revoked = set()
+
+    def _index(self) -> None:
+        self._by_holder = {}
+        for rec in self._issued.values():
+            self._hold(rec)
+
+    def _hold(self, rec: IssuedToken) -> None:
+        self._by_holder.setdefault(
+            (rec.subject, rec.role == Role.SERVICE.value), {})[rec.jti] = rec
 
     def apply_entry(self, kind: str, data: Dict[str, object]) -> bool:
         """Apply one mutation, live or replayed; returns False for
@@ -339,6 +365,7 @@ class TokenService:
         if kind == "rbac.mint":
             record = IssuedToken(**data)
             self._issued[record.jti] = record
+            self._hold(record)
         elif kind == "rbac.revoke":
             self._revoked.add(data["jti"])
         elif kind == "rbac.revoke_subject":
@@ -347,6 +374,7 @@ class TokenService:
             for jti in data["jtis"]:
                 self._issued.pop(jti, None)
                 self._revoked.discard(jti)
+            self._index()
             self._minted = {digest: jti for digest, jti in self._minted.items()
                             if jti in self._issued}
         else:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List
 
 __all__ = ["SimClock", "ScheduledEvent"]
 

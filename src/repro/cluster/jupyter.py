@@ -124,9 +124,10 @@ class JupyterService(Service):
         # uncached so a refusal is always a fresh broker verdict.
         self.introspection_cache = None
         self.introspection_hit = False
-        # continuous authorization: notebook sessions tracked as grants;
-        # spawns fail closed when the PDP is unreachable too long
-        self.session_registry = None
+        # continuous authorization: the repro.authz.IdentityGraph whose
+        # canonical SPIFFE id each spawn is audited under; spawns fail
+        # closed when the PDP is unreachable too long
+        self.identity_graph = None
         self.authz_guard = None
 
     # ------------------------------------------------------------------
@@ -240,11 +241,9 @@ class JupyterService(Service):
             self._latest[subject] = session
             self.spawns += 1
             extra_audit: Dict[str, object] = {}
-            if self.session_registry is not None:
-                grant = self.session_registry.track(
-                    "jupyter", "compute", subject, session.session_id,
-                    expires_at=session.expires_at)
-                extra_audit["spiffe_id"] = grant.spiffe_id
+            if self.identity_graph is not None:
+                extra_audit["spiffe_id"] = self.identity_graph.identity_of(
+                    subject)
             self.log_event(subject, "jupyter.spawn",
                               session.session_id, Outcome.SUCCESS,
                               node=node.node_id, account=account,
@@ -269,14 +268,20 @@ class JupyterService(Service):
         return [s for s in self._sessions.values()
                 if not active_only or s.active(now)]
 
+    def grants(self, now: float, skip=()):
+        """Every notebook session live at ``now``, as the session
+        registry reads it (see ``SessionRegistry``): only a subject's
+        latest session can be live."""
+        for s in self._latest.values():
+            if s.subject not in skip and s.active(now):
+                yield "jupyter", s.session_id, s.subject, s.expires_at, False
+
     def close_session(self, session_id: str) -> bool:
         s = self._sessions.get(session_id)
         if s is None or s.closed:
             return False
         s.closed = True
         self.pool.release(s.session_id)
-        if self.session_registry is not None:
-            self.session_registry.close("jupyter", s.session_id)
         return True
 
     def close_sessions_for(self, subject: str) -> int:

@@ -11,8 +11,8 @@ management plane of a cluster".
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from dataclasses import dataclass
+from typing import Dict, List, Optional
 
 from repro.audit import AuditLog, Outcome
 from repro.broker.rbac import require_capability

@@ -17,13 +17,13 @@ co-design touches:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 from repro.audit import AuditLog, Outcome
 from repro.clock import SimClock
 from repro.cluster.nodes import NodePool
-from repro.errors import QuotaExceeded, RateLimited, SchedulerError
+from repro.errors import RateLimited, SchedulerError
 from repro.ids import IdFactory
 
 __all__ = ["JobState", "Job", "SlurmScheduler"]
@@ -97,10 +97,8 @@ class SlurmScheduler:
         self.submissions_shed = 0
         self._jobs: Dict[str, Job] = {}
         self._queue: List[str] = []
-        # continuous authorization: pending/running jobs tracked as
-        # grants; submissions fail closed when the PDP is unreachable
-        # past the staleness bound
-        self.session_registry = None
+        # continuous authorization: submissions fail closed when the PDP
+        # is unreachable past the staleness bound
         self.authz_guard = None
 
     # ------------------------------------------------------------------
@@ -145,9 +143,6 @@ class SlurmScheduler:
         self.charge(project_id, job.gpu_hours(self.charge_units_per_node))
         self._jobs[job.job_id] = job
         self._queue.append(job.job_id)
-        if self.session_registry is not None:
-            self.session_registry.track(
-                "slurm-job", "compute", account, job.job_id)
         self.audit.record(
             self.clock.now(), "slurm", account, "job.submit", job.job_id,
             Outcome.SUCCESS, project=project_id, nodes=nodes, walltime=walltime,
@@ -195,8 +190,6 @@ class SlurmScheduler:
         job.state = JobState.COMPLETED
         job.finished_at = self.clock.now()
         self.pool.release(job.job_id)
-        if self.session_registry is not None:
-            self.session_registry.close("slurm-job", job.job_id)
         self.audit.record(
             self.clock.now(), "slurm", job.account, "job.complete", job.job_id,
             Outcome.SUCCESS,
@@ -212,8 +205,6 @@ class SlurmScheduler:
             self.pool.release(job.job_id)
         job.state = JobState.CANCELLED
         job.finished_at = self.clock.now()
-        if self.session_registry is not None:
-            self.session_registry.close("slurm-job", job.job_id)
         self.audit.record(
             self.clock.now(), "slurm", by, "job.cancel", job.job_id, Outcome.INFO,
         )
@@ -235,6 +226,15 @@ class SlurmScheduler:
 
     def jobs(self, state: Optional[JobState] = None) -> List[Job]:
         return [j for j in self._jobs.values() if state is None or j.state == state]
+
+    def grants(self, now: float, skip=()):
+        """Every pending or running job, as the session registry reads
+        it (see ``SessionRegistry``; a job's grant ends when it does,
+        not at a set time)."""
+        for job in self._jobs.values():
+            if (job.account not in skip
+                    and job.state in (JobState.PENDING, JobState.RUNNING)):
+                yield "slurm-job", job.job_id, job.account, None, False
 
     def queue_length(self) -> int:
         return sum(1 for j in self._jobs.values() if j.state == JobState.PENDING)

@@ -11,7 +11,7 @@ and is asserted off in the CAF assessment.)
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Optional
 
 from repro.errors import AuthorizationError, QuotaExceeded
 

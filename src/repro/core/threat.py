@@ -17,7 +17,7 @@ resources").  This module turns them into measurements:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set
 
 from repro.errors import ReproError, TokenError

@@ -16,7 +16,7 @@ from typing import Dict, List, Optional
 from repro.broker import Role
 from repro.errors import ReproError
 from repro.federation import HardwareKey, TotpDevice
-from repro.net.http import HttpRequest, HttpResponse
+from repro.net.http import HttpResponse
 from repro.oidc import UserAgent, make_url
 from repro.net import OperatingDomain, Zone
 from repro.sshca import SshCertClient

@@ -16,7 +16,7 @@ compliance.  This module models both axes:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import FrozenSet, Iterable
 
 from repro.errors import AssuranceTooLow

@@ -9,7 +9,7 @@ group (~20 people).  Leaving the group revokes access.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.audit import AuditLog, Outcome

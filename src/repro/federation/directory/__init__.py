@@ -27,7 +27,6 @@ crash targets to them, and exposes the lot as the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.federation.directory.ingest import (
     FEED_VALIDITY,

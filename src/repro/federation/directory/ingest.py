@@ -40,7 +40,7 @@ from repro.errors import (
     ServiceUnavailable,
     SignatureInvalid,
 )
-from repro.federation.assurance import EntityCategory, LevelOfAssurance
+from repro.federation.assurance import EntityCategory
 from repro.resilience.durability import _compact
 
 __all__ = ["FeedDelta", "MetadataFeed", "MetadataIngestor", "FEED_VALIDITY"]

@@ -13,7 +13,7 @@ be deactivated and every later login fails.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Tuple
 
 from repro.audit import AuditLog, Outcome

@@ -18,7 +18,7 @@ import hashlib
 import hmac
 import struct
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Set
+from typing import Dict
 
 from repro.clock import SimClock
 from repro.crypto.keys import SigningKey, generate_signing_key

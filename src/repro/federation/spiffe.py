@@ -20,7 +20,7 @@ is rejected anywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from repro.clock import SimClock
 from repro.crypto.certs import SignedDocument, sign_document, verify_document

@@ -12,7 +12,7 @@ and harden these practices").
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from repro.net.firewall import Firewall, FirewallRule
 from repro.net.network import Network

@@ -11,8 +11,8 @@ heartbeats outbound from MDC, log shipping to SEC...).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List, Optional
 
 from repro.net.zones import OperatingDomain, Zone
 

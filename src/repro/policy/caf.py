@@ -17,7 +17,7 @@ not a perfect scorecard.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List
+from typing import Dict, List
 
 __all__ = ["OutcomeResult", "assess_caf", "CAF_OBJECTIVES"]
 

@@ -24,7 +24,6 @@ policy lists want.
 
 from __future__ import annotations
 
-import re
 import shlex
 from typing import Callable, List
 

@@ -11,7 +11,7 @@ exhibit each tenet?".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List
+from typing import List
 
 __all__ = ["TenetReport", "TENET_TITLES", "check_tenets"]
 

@@ -13,8 +13,6 @@ import re
 from dataclasses import dataclass
 from typing import Dict, Optional, Set, Tuple
 
-from repro.errors import ConfigurationError
-
 __all__ = ["UnixAccount", "UnixAccountRegistry"]
 
 _SAFE = re.compile(r"[^a-z0-9]")

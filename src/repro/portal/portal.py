@@ -94,7 +94,7 @@ class UserPortal(Service, Durable):
         # idempotent re-drive verify_recovery calls for every revoked
         # membership, closing the crash window between the teardown
         # journal entry and enforcement reaching the surfaces
-        self.session_registry = None
+        self.identity_graph = None
         self.authz_resync: Optional[Callable[[str, str, str], None]] = None
 
     # ------------------------------------------------------------------
@@ -269,13 +269,12 @@ class UserPortal(Service, Durable):
                      "name": str(claims.get("name", "")), "first_seen": now},
         })
         extra_audit: Dict[str, object] = {}
-        if self.session_registry is not None:
+        if self.identity_graph is not None:
             # onboarding mints the canonical identity and binds the new
             # UNIX account as an alias, so revocation by federated uid
             # reaches sessions opened under the per-project account
-            spiffe = self.session_registry.graph.principal(uid)
-            self.session_registry.graph.bind_account(username, uid)
-            extra_audit["spiffe_id"] = spiffe
+            extra_audit["spiffe_id"] = self.identity_graph.principal(uid)
+            self.identity_graph.bind_account(username, uid)
         self._record(uid, "invitation.accept", project.project_id, Outcome.SUCCESS,
                      role=str(invitation.role), unix_account=username,
                      **extra_audit)

@@ -3,8 +3,8 @@
 The :class:`GeoRouter` owns the public ``broker`` endpoint name in a
 multi-region deployment: every URL-based caller (the edge, Jupyter's
 introspection, the portal's authz queries) lands here untouched, is
-assigned a **home region** (an explicit pin from the deployment's
-``client_regions`` map, else a stable hash of the calling endpoint) and
+assigned a **home region** (an explicit :meth:`~GeoRouter.pin`, else a
+stable hash of the calling endpoint) and
 is forwarded to that region's balancer.  When the home region is down,
 fail-closed, or unreachable across a partition, the router *re-routes*
 to the next serving region — charging the cross-region latency so the
@@ -60,16 +60,13 @@ class GeoRouter(Service):
         *,
         audit,
         telemetry,
-        inter_region_latency: float = INTER_REGION_LATENCY,
-        pins: Optional[Dict[str, str]] = None,
         tail: Optional[TailConfig] = None,
     ) -> None:
         super().__init__(name)
         self.clock = clock
         self.directory = directory
-        self.inter_region_latency = float(inter_region_latency)
         # endpoint name -> region pin; unpinned callers hash
-        self.pins: Dict[str, str] = dict(pins or {})
+        self.pins: Dict[str, str] = {}
         self.audit = audit
         self.telemetry = telemetry
         self.routed = 0
@@ -153,7 +150,7 @@ class GeoRouter(Service):
                 continue
             if rname != home:
                 # honest latency: a detour crosses the inter-region link
-                self.clock.advance(self.inter_region_latency)
+                self.clock.advance(INTER_REGION_LATENCY)
                 self.reroutes += 1
                 self.telemetry.region_reroutes.inc(home=home, served_by=rname)
                 self.log_event(

@@ -13,7 +13,6 @@ behaviour is deterministic and measurable in the chaos ablation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 from repro.clock import SimClock

@@ -53,7 +53,7 @@ from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro.clock import SimClock
-from repro.errors import ConfigurationError, EpochFenced, RecoveryError
+from repro.errors import ConfigurationError, EpochFenced
 
 __all__ = [
     "JournalEntry",

@@ -113,16 +113,17 @@ def install_failover(dri) -> None:
                        name="ssh-ca-standby")
 
     def promote_broker(standby) -> None:
-        # the promoted instance keeps publishing invalidations, tracking
-        # grants, shedding and retrying where its predecessor did, or
-        # caches and the session registry would go quietly stale and the
-        # overload and retry tiers would drop out after a failover
+        # the promoted instance keeps publishing invalidations, stamping
+        # canonical identities, shedding and retrying where its
+        # predecessor did, or caches would go quietly stale, tokens would
+        # lose their spiffe_id and the overload and retry tiers would
+        # drop out after a failover
         deposed = dri.broker
         standby.admission = deposed.admission
         standby.resilience = deposed.resilience
         standby.invalidation_bus = deposed.invalidation_bus
         standby.tokens.bus = deposed.tokens.bus
-        standby.tokens.session_registry = deposed.tokens.session_registry
+        standby.tokens.identity_graph = deposed.tokens.identity_graph
         standby.tokens.authz_guard = deposed.tokens.authz_guard
         dri.broker = standby
         if dri.broker_front is None:
@@ -138,7 +139,7 @@ def install_failover(dri) -> None:
 
     def promote_ca(standby) -> None:
         standby.admission = dri.ssh_ca.admission
-        standby.session_registry = dri.ssh_ca.session_registry
+        standby.identity_graph = dri.ssh_ca.identity_graph
         dri.ssh_ca = standby
 
     controller = dri.failover = FailoverController(

@@ -16,7 +16,7 @@ scaling decisions are fully deterministic and replayable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ..audit import Outcome
 from ..clock import SimClock

@@ -9,8 +9,8 @@ an auditor (or the CAF baseline assessment the paper plans next) reads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from dataclasses import dataclass
+from typing import Callable, List
 
 from repro.net.zones import OperatingDomain, Zone
 

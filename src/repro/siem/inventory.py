@@ -8,7 +8,7 @@ joins the two.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 __all__ = ["Asset", "Advisory", "AssetInventory"]

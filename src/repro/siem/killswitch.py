@@ -17,7 +17,7 @@ did and when, so time-to-containment is measurable (ablation ABL3).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 from repro.audit import AuditLog, Outcome

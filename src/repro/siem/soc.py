@@ -15,7 +15,6 @@ have a module; this service ties them together and adds:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Set
 
 from repro.audit import AuditLog, Outcome

@@ -12,7 +12,7 @@ account in SSH/bastion events, the jti links a mint to later denials.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterable, List, Optional, Set
+from typing import List, Optional, Set
 
 from repro.audit import AuditEvent
 

@@ -18,8 +18,8 @@ internet-accessible service in SWS (port 22 only).  Behaviours modelled:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Set
+from dataclasses import dataclass
+from typing import List, Set
 
 from repro.audit import AuditLog, Outcome
 from repro.clock import SimClock

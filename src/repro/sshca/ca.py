@@ -15,7 +15,7 @@ the broker routed to it, bounded by its maximum certificate lifetime.
 
 from __future__ import annotations
 
-from typing import Dict, List, Set
+from typing import Dict, Set
 
 from repro.audit import AuditLog, Outcome
 from repro.broker.rbac import require_capability
@@ -77,8 +77,9 @@ class SshCertificateAuthority(Service, Durable):
         # cert_registered() refuses them, so revocation reaches even
         # sessions that have not been opened yet
         self._revoked_serials: Set[int] = set()
-        # continuous-authorization plumbing (wired by the deployment)
-        self.session_registry = None
+        # continuous authorization: the repro.authz.IdentityGraph whose
+        # canonical SPIFFE id each signing is audited under
+        self.identity_graph = None
 
     def ca_public_key(self) -> VerifyingKey:
         """The key login nodes trust (provisioned at cluster build time)."""
@@ -145,11 +146,8 @@ class SshCertificateAuthority(Service, Durable):
             extensions={"issued_via": str(claims["sub"])},
         )
         extra_audit: Dict[str, object] = {}
-        if self.session_registry is not None:
-            grant = self.session_registry.track(
-                "ssh-cert", "ssh", key_id, str(self._serial),
-                expires_at=now + ttl)
-            extra_audit["spiffe_id"] = grant.spiffe_id
+        if self.identity_graph is not None:
+            extra_audit["spiffe_id"] = self.identity_graph.identity_of(key_id)
         self.log_event(key_id, "ca.sign", f"serial-{self._serial}",
             Outcome.SUCCESS, principals=list(principals), ttl=ttl,
             **extra_audit,
@@ -188,12 +186,19 @@ class SshCertificateAuthority(Service, Durable):
         if not hit:
             return 0
         self.commit("ca.revoke", {"serials": hit, "key_id": key_id})
-        if self.session_registry is not None:
-            for s in hit:
-                self.session_registry.close("ssh-cert", str(s))
         self.log_event("authz-pipeline", "ca.revoke", key_id, Outcome.INFO,
                        count=len(hit))
         return len(hit)
+
+    def grants(self, now: float, skip=()):
+        """Every user certificate live at ``now`` (unrevoked, unexpired),
+        as the session registry reads it (see ``SessionRegistry``)."""
+        revoked = self._revoked_serials
+        for serial, rec in self._issued_certs.items():
+            if (rec["key_id"] not in skip and rec["kind"] == "user"
+                    and rec["valid_before"] > now and serial not in revoked):
+                yield ("ssh-cert", str(serial), rec["key_id"],
+                       rec["valid_before"], False)
 
     # ------------------------------------------------------------------
     # durability

@@ -19,11 +19,11 @@ signature that the login-node sshd verifies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.crypto.jwk import verifying_key
-from repro.errors import AuthenticationError, CertificateError
+from repro.errors import CertificateError
 from repro.net.http import HttpRequest, HttpResponse
 from repro.oidc.client import UserAgent
 from repro.oidc.messages import make_url

@@ -93,9 +93,10 @@ class LoginNodeSshd(Service):
         # check run fresh on every connection, so a cached entry can
         # never admit what a fresh validation would refuse.
         self.cert_cache = None
-        # continuous authorization: live sessions tracked as grants, and
+        # continuous authorization: the repro.authz.IdentityGraph whose
+        # canonical SPIFFE id each session is audited under, and
         # admissions fail closed when the PDP is unreachable too long
-        self.session_registry = None
+        self.identity_graph = None
         self.authz_guard = None
 
     def install_host_certificate(self, wire: str) -> None:
@@ -166,11 +167,9 @@ class LoginNodeSshd(Service):
         )
         self._sessions[session.session_id] = session
         extra_audit: Dict[str, object] = {}
-        if self.session_registry is not None:
-            grant = self.session_registry.track(
-                "ssh-session", "ssh", principal, session.session_id,
-                expires_at=session.expires_at)
-            extra_audit["spiffe_id"] = grant.spiffe_id
+        if self.identity_graph is not None:
+            extra_audit["spiffe_id"] = self.identity_graph.identity_of(
+                principal)
         self.log_event(principal, "ssh.session", session.session_id,
             Outcome.CACHED if cached_hit else Outcome.SUCCESS,
             key_id=cert.key_id, serial=cert.serial, **extra_audit,
@@ -197,6 +196,14 @@ class LoginNodeSshd(Service):
             if not active_only or s.active(now)
         ]
 
+    def grants(self, now: float, skip=()):
+        """Every session open at ``now``, as the session registry reads
+        it (see ``SessionRegistry``)."""
+        for s in self._sessions.values():
+            if s.principal not in skip and s.active(now):
+                yield ("ssh-session", s.session_id, s.principal,
+                       s.expires_at, False)
+
     def close_sessions_for(self, principal: str) -> int:
         """Sever live sessions of a principal (kill-switch follow-through)."""
         n = 0
@@ -204,8 +211,6 @@ class LoginNodeSshd(Service):
         for s in self._sessions.values():
             if s.principal == principal and s.active(now):
                 s.closed = True
-                if self.session_registry is not None:
-                    self.session_registry.close("ssh-session", s.session_id)
                 n += 1
         if n:
             self.log_event("killswitch", "ssh.sessions_closed", principal,

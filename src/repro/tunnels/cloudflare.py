@@ -19,12 +19,11 @@ The edge terminates all public traffic:
 from __future__ import annotations
 
 from collections import defaultdict, deque
-from dataclasses import dataclass, field
 from typing import Deque, Dict, Set
 
 from repro.audit import AuditLog, Outcome
 from repro.clock import SimClock
-from repro.errors import RateLimited, ServiceUnavailable
+from repro.errors import RateLimited
 from repro.net.http import HttpRequest, HttpResponse, Service
 from repro.resilience.overload import Priority
 from repro.telemetry.tracing import SpanStatus

@@ -21,8 +21,8 @@ Modelled pieces:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, List, Optional
 
 from repro.audit import AuditLog, Outcome
 from repro.broker.rbac import require_capability

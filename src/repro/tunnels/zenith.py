@@ -146,10 +146,8 @@ class ZenithServer(Service):
         # zenith session cookie -> {token, expires_at, sub}
         self._web_sessions: Dict[str, Dict[str, object]] = {}
         self.requests_routed = 0
-        # continuous authorization: tunnels and web sessions tracked as
-        # grants; routing fails closed when the PDP is unreachable past
-        # the staleness bound
-        self.session_registry = None
+        # continuous authorization: routing fails closed when the PDP is
+        # unreachable past the staleness bound
         self.authz_guard = None
 
     def configure_rp(self, client_cfg: ClientConfig) -> None:
@@ -186,8 +184,6 @@ class ZenithServer(Service):
             registered_by=str(claims["sub"]),
             expires_at=self.clock.now() + self.heartbeat_ttl,
         )
-        # heartbeats refresh the same grant (track updates in place)
-        self._track(self.tunnels[service])
         # scale mode: a heartbeat re-registration whose token signature
         # was served from the replica cache is stamped CACHED (with the
         # jti) so the SOC's staleness oracle can cross-check it against
@@ -205,8 +201,6 @@ class ZenithServer(Service):
         record = self.tunnels.get(service)
         if record is not None:
             record.killed = True
-            if self.session_registry is not None:
-                self.session_registry.close("tunnel", service)
             self.log_event("killswitch", "zenith.kill", service,
                 Outcome.INFO,
             )
@@ -230,8 +224,6 @@ class ZenithServer(Service):
                      if s.get("sub") == subject)
         for sid in hit:
             del self._web_sessions[sid]
-            if self.session_registry is not None:
-                self.session_registry.close("web-session", sid)
         if hit:
             self.log_event("authz-pipeline", "zenith.sessions_revoked",
                 subject, Outcome.INFO, count=len(hit),
@@ -244,21 +236,22 @@ class ZenithServer(Service):
 
     def restore_tunnel(self, service: str) -> None:
         """Lift the kill.  A tunnel whose last registration has not
-        expired is usable again at once, and the session registry tracks
-        its grant again (the record's ``registered_by`` and
-        ``expires_at``); an expired one waits for the client's next
-        heartbeat, which tracks it as a registration does."""
+        expired is usable again at once; an expired one waits for the
+        client's next heartbeat."""
         record = self.tunnels.get(service)
         if record is not None:
             record.killed = False
-            if record.usable(self.clock.now()):
-                self._track(record)
 
-    def _track(self, record: TunnelRecord) -> None:
-        if self.session_registry is not None:
-            self.session_registry.track(
-                "tunnel", "tunnels", record.registered_by, record.service,
-                expires_at=record.expires_at, workload=True)
+    def grants(self, now: float, skip=()):
+        """Every tunnel usable and every web session unexpired at
+        ``now``, as the session registry reads them (see
+        ``SessionRegistry``): a tunnel is the registering workload's."""
+        for service, t in self.tunnels.items():
+            if t.usable(now):
+                yield "tunnel", service, t.registered_by, t.expires_at, True
+        for sid, s in self._web_sessions.items():
+            if s["sub"] not in skip and now < s["expires_at"]:
+                yield "web-session", sid, s["sub"], s["expires_at"], False
 
     def restore_all_tunnels(self) -> None:
         for service in list(self.tunnels):
@@ -353,10 +346,6 @@ class ZenithServer(Service):
             "expires_at": mint.body["expires_at"],
             "sub": tokens["id_claims"]["sub"],
         }
-        if self.session_registry is not None:
-            self.session_registry.track(
-                "web-session", "tunnels", str(tokens["id_claims"]["sub"]),
-                sid, expires_at=float(mint.body["expires_at"]))
         resp = HttpResponse.redirect(
             make_url(self.name, "/app", service=service, path=pending["path"])
         )

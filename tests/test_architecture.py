@@ -39,9 +39,9 @@ MAX_TIER_CONDITIONALS = 20
 # lower these when a change lowers the count; never raise them
 # 44; ScaleConfig.max_replicas is the constant repro.scale.MAX_REPLICAS
 MAX_SETTABLE_VALUES = 43
-# 10,679; the None guards and private logs of optional collaborators
-# and populate_edugain went
-MAX_SRC_STATEMENTS = 10_606
+# 10,606; the session registry reads the surfaces: its writes and the
+# 18 guards on it went, each surface's grants read came in
+MAX_SRC_STATEMENTS = 10_603
 # src/ frames one relogin enters on the hop budget's builds (seed 31)
 MAX_RELOGIN_FRAMES = {
     # 446; each mint and each validation enters one b64url_* frame fewer
@@ -297,6 +297,36 @@ def test_src_leaves_the_collector_alone():
     much as import ``gc``."""
     for path in sorted(SRC.rglob("*.py")):
         assert "gc" not in _imports(path), path
+
+
+def test_src_imports_only_what_it_uses():
+    """A name a ``src/`` module imports at its top level is read in it:
+    as a name, in a string annotation, or in ``__all__`` (a package
+    re-exports).  Neither pyflakes nor ruff is a dependency, so the
+    check is this AST walk."""
+    unused = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        read = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                try:  # a string annotation, or any string that parses
+                    expr = ast.parse(node.value, mode="eval")
+                except SyntaxError:
+                    continue
+                read.update(n.id for n in ast.walk(expr)
+                            if isinstance(n, ast.Name))
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                unused += [f"{path.relative_to(SRC)}: {alias.name}"
+                           for alias in node.names
+                           if (alias.asname or alias.name).split(".")[0]
+                           not in read]
+    assert not unused, unused
 
 
 def test_recognition_never_leaves_the_issuer():

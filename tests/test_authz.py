@@ -3,6 +3,8 @@ registry, the journaled revocation pipeline, fail-closed PDP guards, the
 continuous re-evaluation loop, and the pdp_down / teardown_stuck /
 revocation_storm chaos faults."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.authz import (
@@ -16,6 +18,7 @@ from repro.authz import (
     RevocationPipeline,
     SessionRegistry,
 )
+from repro.broker import Role
 from repro.clock import SimClock
 from repro.cluster.slurm import JobState
 from repro.core import build_isambard
@@ -56,56 +59,97 @@ class TestIdentityGraph:
 
 
 # ---------------------------------------------------------------------------
-# session registry
+# session registry: every query reads the surfaces, nothing is written
 # ---------------------------------------------------------------------------
 class TestSessionRegistry:
-    def _registry(self):
-        clock = SimClock(start=0.0)
-        return clock, SessionRegistry(clock)
-
-    def test_track_close_and_queries(self):
-        clock, reg = self._registry()
-        g = reg.track("rbac-token", "tokens", "alice", "jti-1",
-                      expires_at=600.0)
-        reg.track("ssh-session", "ssh", "alice", "sess-1")
-        assert g.live(clock.now())
+    def test_queries_read_the_surfaces(self):
+        dri = build_isambard(seed=61, authz=True)
+        reg, tokens = dri.authz.registry, dri.broker.tokens
+        _, one = tokens.mint("alice", "jupyter", "researcher", ttl=600.0)
+        _, two = tokens.mint("alice", "portal", "researcher", ttl=600.0)
         spiffe = reg.graph.identity_of("alice")
-        assert len(reg.live_grants(spiffe)) == 2
-        assert reg.surfaces_of(spiffe) == ["tokens", "ssh"]
-        assert reg.identities_with_live_grants() == [spiffe]
+        assert {(g.kind, g.surface, g.subject, g.resource, g.expires_at)
+                for g in reg.live_grants(spiffe)} == {
+            ("rbac-token", "tokens", "alice", r.jti, r.expires_at)
+            for r in (one, two)}
+        assert reg.surfaces_of(spiffe) == ["tokens"]
+        assert spiffe in reg.identities_with_live_grants()
 
-        assert reg.close("rbac-token", "jti-1")
-        assert not reg.close("rbac-token", "jti-1")  # idempotent
-        assert reg.surfaces_of(spiffe) == ["ssh"]
+        # the surface ends a grant; nothing tells the registry
+        assert tokens.revoke_jti(one.jti)
+        assert [g.resource for g in reg.live_grants(spiffe)] == [two.jti]
+        tokens.revoke_subject("alice")
+        assert reg.surfaces_of(spiffe) == []
+        assert spiffe not in reg.identities_with_live_grants()
 
     def test_expiry_ends_grants_without_revocation(self):
-        clock, reg = self._registry()
-        reg.track("rbac-token", "tokens", "alice", "jti-1", expires_at=10.0)
-        clock.advance(11.0)
-        assert reg.live_grants() == []
-        assert reg.identities_with_live_grants() == []
+        dri = build_isambard(seed=62, authz=True)
+        reg, tokens = dri.authz.registry, dri.broker.tokens
+        _, record = tokens.mint("alice", "jupyter", "researcher", ttl=10.0)
+        spiffe = reg.graph.identity_of("alice")
+        assert reg.live_grants(spiffe)
+        dri.clock.advance(11.0)
+        assert reg.live_grants(spiffe) == []
+        assert spiffe not in reg.identities_with_live_grants()
+        assert not tokens.is_revoked(record.jti)
 
     def test_reregistration_refreshes_in_place(self):
-        clock, reg = self._registry()
-        reg.track("tunnel", "tunnels", "svc", "jupyter",
-                  expires_at=100.0, workload=True)
-        reg.track("tunnel", "tunnels", "svc", "jupyter",
-                  expires_at=200.0, workload=True)  # the heartbeat
-        [grant] = reg.live_grants()
-        assert grant.expires_at == 200.0
+        dri = build_isambard(seed=63, authz=True)
+        reg, zenith = dri.authz.registry, dri.zenith
 
-    def test_unknown_surface_rejected(self):
-        _, reg = self._registry()
-        with pytest.raises(ConfigurationError):
-            reg.track("rbac-token", "warp-core", "alice", "x")
+        def tunnel_grants():
+            return [(g.resource, g.expires_at) for g in reg.live_grants()
+                    if g.kind == "tunnel"]
+
+        assert tunnel_grants() == [
+            ("jupyter", zenith.tunnels["jupyter"].expires_at)]
+        dri.clock.advance(30.0)
+        assert dri.zenith_client.heartbeat().ok
+        assert tunnel_grants() == [
+            ("jupyter", zenith.tunnels["jupyter"].expires_at)]
+        assert zenith.tunnels["jupyter"].expires_at == (
+            dri.clock.now() + zenith.heartbeat_ttl)
+
+    def test_every_kind_reads_from_one_surface(self, authz_dri):
+        surface_of = {"rbac-token": "tokens", "ssh-cert": "ssh",
+                      "ssh-session": "ssh", "tunnel": "tunnels",
+                      "web-session": "tunnels", "jupyter": "compute",
+                      "slurm-job": "compute"}
+        grants = authz_dri.authz.registry.live_grants()
+        assert {g.kind for g in grants} >= set(surface_of) - {"slurm-job"}
+        assert all(g.surface == surface_of[g.kind] for g in grants)
 
 
 # ---------------------------------------------------------------------------
 # revocation pipeline (unit: in-memory outbox)
 # ---------------------------------------------------------------------------
+class _Surface(dict):
+    """A stand-in enforcement surface: resource -> subject, held until a
+    teardown of the subject ends it."""
+
+    def __init__(self, kind):
+        super().__init__()
+        self.kind = kind
+
+    def grants(self, now):
+        for resource, subject in self.items():
+            yield self.kind, resource, subject, None, False
+
+
+def _surfaces(clock):
+    """A registry over one stand-in per surface; the stand-ins by surface."""
+    held = {s: _Surface(kind) for s, kind in zip(
+        SURFACES, ("rbac-token", "ssh-session", "web-session", "jupyter"))}
+    dri = SimpleNamespace(
+        clock=clock, broker=SimpleNamespace(tokens=held["tokens"]),
+        ssh_ca=held["ssh"], login_nodes=[], zenith=held["tunnels"],
+        jupyter=held["compute"], schedulers=[])
+    return SessionRegistry(dri, IdentityGraph()), held
+
+
 def _pipeline(retry_interval=2.0):
     clock = SimClock(start=0.0)
-    reg = SessionRegistry(clock)
+    reg, held = _surfaces(clock)
     pipe = RevocationPipeline(clock, registry=reg,
                               retry_interval=retry_interval, **Wiring(clock))
     torn = {s: 0 for s in SURFACES}
@@ -114,21 +158,21 @@ def _pipeline(retry_interval=2.0):
         # like a real surface, a teardown ends the grants it holds
         def action(intent):
             torn[surface] += 1
-            for grant in reg.live_grants(intent.spiffe_id):
-                if grant.surface == surface:
-                    reg.close(grant.kind, grant.resource)
+            for resource, subject in list(held[surface].items()):
+                if subject == intent.uid:
+                    del held[surface][resource]
             return 1
         return action
 
     for s in SURFACES:
         pipe.register_point(s, point(s))
-    return clock, reg, pipe, torn
+    return clock, reg, pipe, torn, held
 
 
 class TestRevocationPipeline:
     def test_revoke_fans_out_and_completes(self):
-        clock, reg, pipe, torn = _pipeline()
-        reg.track("rbac-token", "tokens", "alice", "jti-1")
+        clock, reg, pipe, torn, held = _pipeline()
+        held["tokens"]["jti-1"] = "alice"
         intent = pipe.revoke(uid="alice", reason="test")
         assert intent.complete and intent.ttr() == 0.0
         assert set(intent.done) == set(SURFACES)
@@ -136,13 +180,13 @@ class TestRevocationPipeline:
         assert reg.live_grants() == []
 
     def test_needs_a_subject(self):
-        _, _, pipe, _ = _pipeline()
+        _, _, pipe, _, _ = _pipeline()
         with pytest.raises(ConfigurationError):
             pipe.revoke(reason="nobody")
 
     def test_stuck_surface_retries_until_converged(self):
-        clock, reg, pipe, torn = _pipeline(retry_interval=2.0)
-        reg.track("jupyter", "compute", "alice", "jup-1")
+        clock, reg, pipe, torn, held = _pipeline(retry_interval=2.0)
+        held["compute"]["jup-1"] = "alice"
         pipe.stick("compute")
         intent = pipe.revoke(uid="alice", reason="incident")
         assert intent.pending == ["compute"]
@@ -157,8 +201,8 @@ class TestRevocationPipeline:
         assert reg.live_grants() == []
 
     def test_identical_pending_intents_coalesce(self):
-        clock, reg, pipe, torn = _pipeline()
-        reg.track("rbac-token", "tokens", "alice", "jti-1")
+        clock, reg, pipe, torn, held = _pipeline()
+        held["tokens"]["jti-1"] = "alice"
         pipe.stick("tokens")
         first = pipe.revoke(uid="alice", reason="storm")
         for _ in range(9):
@@ -170,8 +214,8 @@ class TestRevocationPipeline:
         assert first.complete
 
     def test_completed_intents_do_not_absorb_new_revocations(self):
-        clock, reg, pipe, torn = _pipeline()
-        reg.track("rbac-token", "tokens", "alice", "jti-1")
+        clock, reg, pipe, torn, held = _pipeline()
+        held["tokens"]["jti-1"] = "alice"
         first = pipe.revoke(uid="alice", reason="one")
         assert first.complete
         second = pipe.revoke(uid="alice", reason="two")
@@ -180,7 +224,7 @@ class TestRevocationPipeline:
 
     def test_failing_enforcement_point_stays_pending(self):
         clock = SimClock(start=0.0)
-        reg = SessionRegistry(clock)
+        reg, _ = _surfaces(clock)
         pipe = RevocationPipeline(clock, registry=reg, retry_interval=1.0,
                                   **Wiring(clock))
         attempts = {"n": 0}
@@ -479,39 +523,62 @@ def test_a_restored_tunnel_is_tracked_again():
     assert "/workload/" in grant.spiffe_id
 
 
-def test_the_registry_holds_only_live_grants():
-    """Revoked and expired grants leave the registry: after every
-    re-evaluation sweep it holds as many grants as are live."""
-    dri = build_isambard(seed=97, **{flag: True for flag in OPT_IN})
-    reg, wf, tokens = dri.authz.registry, dri.workflows, dri.broker.tokens
-    authorizer = dri.authz.authorizer
-    sweep, sweeps = authorizer.reevaluate_all, []
+def test_the_sweep_names_the_identities_the_grants_name():
+    """The re-evaluation sweep passes over subjects it has seen and
+    resolves each once; it still names exactly the identities the live
+    grants name, a subject that holds both a user and a workload grant
+    included."""
+    dri = build_isambard(seed=95, **{flag: True for flag in OPT_IN})
+    reg, wf = dri.authz.registry, dri.workflows
 
-    def counted_sweep():
-        revoked = sweep()
-        held = len(reg._grants)
-        sweeps.append((held, len(reg.live_grants())))
-        return revoked
+    def agrees():
+        assert reg.identities_with_live_grants() == sorted(
+            {g.spiffe_id for g in reg.live_grants()})
 
-    authorizer.reevaluate_all = counted_sweep
-    s1 = wf.story1_pi_onboarding("pi")
-    assert s1.ok, s1.steps
-    for n in range(3):
-        name = f"res{n}"
-        assert wf.relogin(wf.personas["pi"]).ok
-        assert wf.story3_researcher_setup(
-            s1.data["project_id"], "pi", name).ok
-        assert wf.story6_jupyter(name).ok
-        sub = wf.personas[name].broker_sub
-        _, record = tokens.mint(sub, "jupyter", "researcher", ttl=60.0)
-        tokens.mint(sub, "jupyter", "researcher", ttl=120.0)
-        tokens.revoke_jti(record.jti)
-        if n:
-            dri.authz.pipeline.revoke(
-                uid=wf.personas[f"res{n - 1}"].broker_sub, reason="test")
-        dri.clock.advance(tokens.max_ttl + REEVAL_INTERVAL)
-    assert len(sweeps) >= 3
-    assert all(held == live for held, live in sweeps), sweeps
+    assert wf.rsecon_workshop(n_trainees=3).ok
+    agrees()
+    sub = wf.personas["trainee00"].broker_sub
+    dri.broker.tokens.mint(sub, "zenith", Role.SERVICE)
+    assert {reg.graph.principal(sub), reg.graph.workload(sub)} <= set(
+        reg.identities_with_live_grants())
+    agrees()
+    dri.authz.pipeline.revoke(uid=wf.personas["trainee01"].broker_sub,
+                              reason="test")
+    agrees()
+    dri.clock.advance(dri.broker.tokens.max_ttl + REEVAL_INTERVAL)
+    agrees()
+
+
+def _shipper_is_no_grant(dri):
+    """The log shipper holds a live token, and it is no grant."""
+    now, tokens = dri.clock.now(), dri.broker.tokens
+    assert [r for r in tokens._issued.values()
+            if r.subject == "log-shipper" and r.expires_at > now]
+    shipper = dri.authz.registry.graph.workload("log-shipper")
+    assert shipper not in dri.authz.registry.identities_with_live_grants()
+
+
+def test_the_log_shipper_is_never_a_grant_across_a_restart():
+    """An infrastructure mint is journaled as one, so the broker a crash
+    and restart replays still knows it is no grant."""
+    dri = build_isambard(seed=98, authz=True, durability=True)
+    dri.ship_logs()
+    _shipper_is_no_grant(dri)
+    dri.crash("broker")
+    dri.restart("broker")
+    _shipper_is_no_grant(dri)
+
+
+def test_the_log_shipper_is_never_a_grant_after_a_promotion():
+    dri = build_isambard(seed=99, authz=True, failover=True)
+    dri.ship_logs()
+    _shipper_is_no_grant(dri)
+    broker = dri.broker
+    dri.crash("broker")
+    dri.clock.advance(dri.failover.budget + 0.5)
+    assert dri.broker is not broker
+    dri.ship_logs()
+    _shipper_is_no_grant(dri)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.audit import Outcome
 from repro.broker import Role
 from repro.core import build_isambard
 from repro.federation import EntityCategory, InstitutionalIdP, LevelOfAssurance
@@ -32,18 +33,22 @@ def test_recipe_add_institutional_idp(dri):
         categories=(EntityCategory.RESEARCH_AND_SCHOLARSHIP,),
         audit=dri.logs["external"],
     )
-    idp.add_user("kari", "pw", "Kari Nordmann", "kari@uio.no")
     dri.edugain.register_idp(idp, federation="FEIDE", display_name="U. Oslo")
     dri.network.attach(idp, OperatingDomain.EXTERNAL, Zone.INTERNET)
     dri.idps["idp-oslo"] = idp
+    dri.workflows.create_researcher("kari", idp="idp-oslo")
 
-    # kari shows up in discovery and can be onboarded as a PI
+    # the IdP shows up in discovery, and kari is onboarded as a PI by
+    # logging in federated through it
     agent = dri.workflows._new_agent("probe")
     disco, _ = agent.get(make_url("myaccessid", "/discovery"))
     assert any(c["entity_id"] == "https://idp.uio.no" and c["acceptable"]
                for c in disco.body["idps"])
     s1 = dri.workflows.story1_pi_onboarding("kari", project_name="oslo-proj")
     assert s1.ok, s1.steps
+    assert any(e.source == "idp-oslo" and e.actor == "kari"
+               and e.action == "idp.login" and e.outcome == Outcome.SUCCESS
+               for e in dri.logs["external"].events())
     # the IdP records into the trail the SOC's forwarders ship
     idp.rotate_key()
     assert any(e.source == "idp-oslo" and e.action == "idp.key_rotated"

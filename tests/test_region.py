@@ -350,8 +350,9 @@ def _router_fixture(pins=None):
             origin, rbus, store.stream(f"region-{name}"), replicas=1,
             **wired,
         ))
-    router = GeoRouter("broker", clock, directory,
-                       inter_region_latency=0.06, pins=pins, **wired)
+    router = GeoRouter("broker", clock, directory, **wired)
+    for source, region in (pins or {}).items():
+        router.pin(source, region)
     network.attach(router, OperatingDomain.FDS, Zone.ACCESS, name="broker")
     return clock, network, directory, router
 

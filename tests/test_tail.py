@@ -718,9 +718,9 @@ class TestGeoRouterGrayDetour:
                                    "us": FakeRegion("us-front")})
         cfg = TailConfig(adaptive_deadlines=False, hedging=False,
                          retry_budget=False)
-        router = GeoRouter("geo", clock, directory,
-                           pins={"client-eu": "eu", "client-us": "us"},
-                           tail=cfg, **Wiring(clock))
+        router = GeoRouter("geo", clock, directory, tail=cfg, **Wiring(clock))
+        router.pin("client-eu", "eu")
+        router.pin("client-us", "us")
         client_eu, client_us = Service("client-eu"), Service("client-us")
         for s in (eu, us, router, client_eu, client_us):
             network.attach(s, OperatingDomain.FDS, Zone.ACCESS)
