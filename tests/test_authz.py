@@ -131,9 +131,10 @@ class _Surface(dict):
         super().__init__()
         self.kind = kind
 
-    def grants(self, now):
+    def grants(self, now, skip=()):
         for resource, subject in self.items():
-            yield self.kind, resource, subject, None, False
+            if subject not in skip:
+                yield self.kind, resource, subject, None, False
 
 
 def _surfaces(clock):
