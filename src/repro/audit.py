@@ -9,8 +9,9 @@ ship it to the SOC, exactly as §III.B/§III.D of the paper describe.
 Events are append-only and queryable; tests and the NIST-tenet checker
 treat the audit trail as ground truth for "did an access decision happen,
 and was it observed".  A log stores each event as one flat tuple of atoms
-(:func:`_stored`); ``events()``, ``query()``, ``read()`` and the chain
-check hand out fresh :class:`AuditEvent` views of those records.
+(:func:`_stored`); ``events()``, ``query()``, ``at()`` and the chain
+check hand out fresh :class:`AuditEvent` views of those records, and
+``read()`` the forwarders' wire records, built off the same tuples.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import json
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _quote
 from math import isfinite
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import AbstractSet, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.resilience.durability import Durable, RecoveryReport, _compact, _encode
 from repro.errors import RecoveryError
@@ -304,13 +305,24 @@ class AuditLog(Durable):
         were wiped by a cold restart."""
         return self._first + len(self._events)
 
-    def read(self, position: int,
-             prefixes: Tuple[str, ...] = ("",)) -> List[AuditEvent]:
-        """Views of the held records from ``position`` on whose action
-        starts with one of ``prefixes``, in emission order (the filter
-        reads the stored action: a record it keeps out is never built)."""
-        return [_view(r) for r in self._events[max(position - self._first, 0):]
-                if r[_ACTION].startswith(prefixes)]
+    def read(self, position: int, prefixes: Tuple[str, ...],
+             attrs: AbstractSet[str]) -> List[Dict[str, object]]:
+        """The wire records of the held records from ``position`` on whose
+        action starts with one of ``prefixes``, in emission order: the
+        fixed fields, and the attrs named in ``attrs``.  Each is built
+        straight off its stored record, in one pass; a record the filter
+        keeps out is never built."""
+        out: List[Dict[str, object]] = []
+        for r in self._events[max(position - self._first, 0):]:
+            if r[_ACTION].startswith(prefixes):
+                values = (len(r) + _ATTRS) // 2
+                out.append({
+                    "time": r[0], "source": r[1], "actor": r[2],
+                    "action": r[3], "resource": r[4], "outcome": r[5],
+                    "domain": r[6], "zone": r[7],
+                    "attrs": {k: v for k, v in zip(r[_ATTRS:values], r[values:])
+                              if k in attrs}})
+        return out
 
     def at(self, position: int) -> Optional[AuditEvent]:
         """A view of the record at ``position``; None once a cold restart

@@ -36,7 +36,7 @@ from repro.cluster import (
     ParallelFilesystem,
     SlurmScheduler,
 )
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ReproError
 from repro.federation import (
     AssurancePolicy,
     CloudAdminIdP,
@@ -688,17 +688,22 @@ def build_isambard(
         )
 
     def soc_sink(records):
+        # the shipper presents the token and the SVID it holds; a batch
+        # the SOC does not accept raises, so it stays in the log
         token, _ = dri.broker.tokens.held(
             "log-shipper", "soc", Role.SERVICE, ttl=120, audit_issue=False
         )
-        shipper.call("soc", HttpRequest(
+        reply = shipper.call("soc", HttpRequest(
             "POST", "/ingest",
             headers={
                 "Authorization": f"Bearer {token}",
-                "X-Workload-SVID": spire.issue_svid("sws/log-shipper"),
+                "X-Workload-SVID": spire.held("sws/log-shipper"),
             },
             body={"records": records},
         ))
+        if not reply.ok:
+            raise ReproError(
+                f"soc refused the batch: {reply.status} {reply.body}")
 
     # network-device logs ship only denials/violations — the delivered-
     # message firehose stays local (and would otherwise echo the log

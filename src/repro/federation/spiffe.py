@@ -98,6 +98,8 @@ class TrustDomainAuthority:
         self._bundle = self._key.public()
         # attested workloads: path -> selectors (domain/zone/endpoint facts)
         self._registry: Dict[str, Tuple[str, ...]] = {}
+        # volatile: path -> (instant past which it is re-issued, the SVID)
+        self._held: Dict[str, Tuple[float, str]] = {}
         self.issued_count = 0
 
     # ------------------------------------------------------------------
@@ -144,6 +146,18 @@ class TrustDomainAuthority:
         })
         self.issued_count += 1
         return doc.to_wire()
+
+    def held(self, path: str) -> str:
+        """The SVID a workload presents over and over (the log shipper at
+        the SOC): the one held for ``path`` until half its lifetime has
+        passed, then a fresh :meth:`issue_svid`, held from then on.  The
+        same bytes each time, so a peer's verifying key answers a repeat
+        from its memo; the peer still validates the SVID on every use."""
+        held = self._held.get(path)
+        if held is None or self.clock.now() > held[0]:
+            held = self._held[path] = (self.clock.now() + self.svid_ttl / 2,
+                                       self.issue_svid(path))
+        return held[1]
 
     def validate_svid(self, wire: str) -> WorkloadIdentity:
         """Peer-side validation against the trust bundle + clock."""

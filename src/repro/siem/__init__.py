@@ -12,7 +12,7 @@ from repro.siem.detections import (
     UnexplainedDecisionRule,
     standard_rules,
 )
-from repro.siem.forwarder import LogForwarder, event_to_record
+from repro.siem.forwarder import SHIPPED_ATTRS, LogForwarder
 from repro.siem.inventory import Advisory, Asset, AssetInventory
 from repro.siem.killswitch import KillSwitchController
 from repro.siem.soc import SecurityOperationsCentre
@@ -27,7 +27,7 @@ from repro.siem.tracewatch import TraceAnomalyScanner, TraceIntegrityRule
 
 __all__ = [
     "LogForwarder",
-    "event_to_record",
+    "SHIPPED_ATTRS",
     "Alert",
     "DetectionRule",
     "ThresholdRule",

@@ -4,6 +4,10 @@ The SOC's task 1 is to "aggregate and scan logs from across MDCs, SWS
 and FDS to identify potential attacks and raise alerts".  Rules here are
 windowed counters over the limited record format; each produces an
 :class:`Alert` with a severity and the principal to contain.
+
+Every rule says which records it reads, on their action and outcome
+alone (:meth:`DetectionRule.reads`): the SOC routes each record to the
+rules that read it, so a record costs only the rules that can fire on it.
 """
 
 from __future__ import annotations
@@ -37,16 +41,43 @@ class Alert:
 
 class DetectionRule:
     """Base class: feed records, maybe emit alerts.  Subclasses define a
-    ``name`` attribute identifying the rule in alerts."""
+    ``name`` attribute identifying the rule in alerts, say which records
+    they read (:meth:`reads`) and handle one they read (:meth:`see`)."""
 
-    def observe(self, record: Dict[str, object]) -> Optional[Alert]:  # pragma: no cover
+    def reads(self, action: str, outcome: str) -> bool:
+        """Does the rule read a record with this action and outcome (each
+        as ``str``)?  The answer may depend on nothing else: the SOC asks
+        once per pair and routes every such record by it.  By default a
+        rule reads every record."""
+        return True
+
+    def see(self, record: Dict[str, object]) -> Optional[Alert]:  # pragma: no cover
+        """Handle one record the rule reads; maybe alert."""
         raise NotImplementedError
+
+    def observe(self, record: Dict[str, object]) -> Optional[Alert]:
+        """Feed any one record: the rule sees it if it reads it."""
+        return (self.see(record) if self.reads(
+            str(record.get("action", "")), str(record.get("outcome", "")))
+            else None)
+
+
+def _quiet(last_alert: Dict[str, float], key: str, t: float,
+           window: float) -> bool:
+    """May ``key`` alert at ``t``: has it gone ``window`` seconds without
+    one (no alert storms)?  If so, ``t`` is its last alert from now on."""
+    if key in last_alert and t - last_alert[key] < window:
+        return False
+    last_alert[key] = t
+    return True
 
 
 @dataclass
 class ThresholdRule(DetectionRule):
-    """Alert when ``count`` matching records from one actor land within
-    ``window`` seconds.  One alert per actor per window (no alert storms).
+    """Alert when ``count`` matching records with one key (the actor, by
+    default) land within ``window`` seconds.  One alert per key per
+    window (no alert storms).  ``predicate(action, outcome)`` says which
+    records match: it is the rule's :meth:`reads`.
     """
 
     name: str
@@ -54,76 +85,55 @@ class ThresholdRule(DetectionRule):
     window: float
     count: int
     summary: str
-    predicate: Callable[[Dict[str, object]], bool]
+    predicate: Callable[[str, str], bool]
     key: Callable[[Dict[str, object]], str] = field(
         default=lambda r: str(r.get("actor", "")))
-    _hits: Dict[str, Deque[float]] = field(default_factory=lambda: defaultdict(deque))
+    # key -> the (time, resource) of its matching records in the window
+    _hits: Dict[str, Deque[Tuple[float, str]]] = field(
+        default_factory=lambda: defaultdict(deque))
     _last_alert: Dict[str, float] = field(default_factory=dict)
 
-    def observe(self, record: Dict[str, object]) -> Optional[Alert]:
-        if not self.predicate(record):
-            return None
-        actor = self.key(record)
+    def reads(self, action: str, outcome: str) -> bool:
+        return self.predicate(action, outcome)
+
+    def evidence(self, hits: Deque[Tuple[float, str]]) -> int:
+        """What the hits in the window count for: one each."""
+        return len(hits)
+
+    def culprit(self, key: str) -> str:
+        """The principal an alert names for containment: the key."""
+        return key
+
+    def see(self, record: Dict[str, object]) -> Optional[Alert]:
+        key = self.key(record)
         t = float(record.get("time", 0.0))
-        hits = self._hits[actor]
-        hits.append(t)
-        while hits and hits[0] <= t - self.window:
+        hits = self._hits[key]
+        hits.append((t, str(record.get("resource", ""))))
+        while hits and hits[0][0] <= t - self.window:
             hits.popleft()
-        if len(hits) < self.count:
+        count = self.evidence(hits)
+        if count < self.count or not _quiet(self._last_alert, key, t,
+                                            self.window):
             return None
-        last = self._last_alert.get(actor)
-        if last is not None and t - last < self.window:
-            return None
-        self._last_alert[actor] = t
         return Alert(
             time=t,
             rule=self.name,
             severity=self.severity,
-            actor=actor,
-            summary=self.summary.format(actor=actor, count=len(hits)),
-            evidence_count=len(hits),
+            actor=self.culprit(key),
+            summary=self.summary.format(actor=key, count=count),
+            evidence_count=count,
         )
 
 
 @dataclass
-class DistinctTargetsRule(DetectionRule):
+class DistinctTargetsRule(ThresholdRule):
     """Alert when one actor touches ``count`` *distinct* resources
     matching the predicate within ``window`` seconds — the signature of
     scanning/lateral probing rather than repeated failures at one place.
     """
 
-    name: str
-    severity: str
-    window: float
-    count: int
-    summary: str
-    predicate: Callable[[Dict[str, object]], bool]
-    _seen: Dict[str, Deque[Tuple[float, str]]] = field(
-        default_factory=lambda: defaultdict(deque))
-    _last_alert: Dict[str, float] = field(default_factory=dict)
-
-    def observe(self, record: Dict[str, object]) -> Optional[Alert]:
-        if not self.predicate(record):
-            return None
-        actor = str(record.get("actor", ""))
-        t = float(record.get("time", 0.0))
-        resource = str(record.get("resource", ""))
-        seen = self._seen[actor]
-        seen.append((t, resource))
-        while seen and seen[0][0] <= t - self.window:
-            seen.popleft()
-        distinct = {r for _, r in seen}
-        if len(distinct) < self.count:
-            return None
-        last = self._last_alert.get(actor)
-        if last is not None and t - last < self.window:
-            return None
-        self._last_alert[actor] = t
-        return Alert(
-            time=t, rule=self.name, severity=self.severity, actor=actor,
-            summary=self.summary.format(actor=actor, count=len(distinct)),
-            evidence_count=len(distinct),
-        )
+    def evidence(self, hits: Deque[Tuple[float, str]]) -> int:
+        return len({resource for _, resource in hits})
 
 
 @dataclass
@@ -164,17 +174,19 @@ class CacheStalenessRule(DetectionRule):
 
     REVOCATION_ACTIONS = ("rbac.revoke", "token.revoke")
 
-    def observe(self, record: Dict[str, object]) -> Optional[Alert]:
-        action = str(record.get("action", ""))
+    def reads(self, action: str, outcome: str) -> bool:
+        return action.startswith(self.REVOCATION_ACTIONS) or outcome == "cached"
+
+    def see(self, record: Dict[str, object]) -> Optional[Alert]:
         t = float(record.get("time", 0.0))
         attrs = record.get("attrs") or {}
         jti = str(attrs.get("jti", "") if isinstance(attrs, dict) else "")
-        if any(action.startswith(p) for p in self.REVOCATION_ACTIONS):
+        if str(record.get("action", "")).startswith(self.REVOCATION_ACTIONS):
             revoked = jti or str(record.get("resource", ""))
             if revoked and revoked not in self._revoked_at:
                 self._revoked_at[revoked] = t
             return None
-        if record.get("outcome") != "cached" or not jti:
+        if not jti:             # a cached serve that names no token
             return None
         revoked_at = self._revoked_at.get(jti)
         if revoked_at is None or t < revoked_at:
@@ -220,9 +232,10 @@ class RegionLagRule(DetectionRule):
     summary: str = "region {region} replication lag {lag:.1f}s exceeds bound {bound:.1f}s"
     _last_alert: Dict[str, float] = field(default_factory=dict)
 
-    def observe(self, record: Dict[str, object]) -> Optional[Alert]:
-        if str(record.get("action", "")) != "region.lag":
-            return None
+    def reads(self, action: str, outcome: str) -> bool:
+        return action == "region.lag"
+
+    def see(self, record: Dict[str, object]) -> Optional[Alert]:
         attrs = record.get("attrs") or {}
         if not isinstance(attrs, dict):
             return None
@@ -235,10 +248,8 @@ class RegionLagRule(DetectionRule):
         if bound <= 0.0 or lag <= bound:
             return None
         t = float(record.get("time", 0.0))
-        last = self._last_alert.get(region)
-        if last is not None and t - last < self.window:
+        if not _quiet(self._last_alert, region, t, self.window):
             return None
-        self._last_alert[region] = t
         return Alert(
             time=t,
             rule=self.name,
@@ -250,7 +261,7 @@ class RegionLagRule(DetectionRule):
 
 
 @dataclass
-class RetryStormRule(DetectionRule):
+class RetryStormRule(ThresholdRule):
     """Alert when the retry-storm guard keeps refusing retries toward one
     destination.
 
@@ -262,42 +273,23 @@ class RetryStormRule(DetectionRule):
     storm in progress that only the budgets are containing.  Keyed by
     destination (not actor): the storm is a property of the dependency,
     contributed to by many clients.  One alert per destination per
-    ``window`` seconds.
+    ``window`` seconds: a :class:`ThresholdRule` keyed by the resource,
+    whose alerts name no principal.
     """
 
     name: str = "retry-storm"
     severity: str = "high"
     window: float = 30.0
     count: int = 10
-    summary: str = ("retry storm toward {dst}: {count} retries refused "
+    summary: str = ("retry storm toward {actor}: {count} retries refused "
                     "by budget in 30s")
-    _hits: Dict[str, Deque[float]] = field(
-        default_factory=lambda: defaultdict(deque))
-    _last_alert: Dict[str, float] = field(default_factory=dict)
+    predicate: Callable[[str, str], bool] = (
+        lambda action, _: action == "retry.budget_exhausted")
+    key: Callable[[Dict[str, object]], str] = (
+        lambda r: str(r.get("resource", "")))
 
-    def observe(self, record: Dict[str, object]) -> Optional[Alert]:
-        if str(record.get("action", "")) != "retry.budget_exhausted":
-            return None
-        dst = str(record.get("resource", ""))
-        t = float(record.get("time", 0.0))
-        hits = self._hits[dst]
-        hits.append(t)
-        while hits and hits[0] <= t - self.window:
-            hits.popleft()
-        if len(hits) < self.count:
-            return None
-        last = self._last_alert.get(dst)
-        if last is not None and t - last < self.window:
-            return None
-        self._last_alert[dst] = t
-        return Alert(
-            time=t,
-            rule=self.name,
-            severity=self.severity,
-            actor="",   # dependency saturation: no principal to contain
-            summary=self.summary.format(dst=dst, count=len(hits)),
-            evidence_count=len(hits),
-        )
+    def culprit(self, key: str) -> str:
+        return ""   # dependency saturation: no principal to contain
 
 
 class UnexplainedDecisionRule(DetectionRule):
@@ -330,12 +322,12 @@ class UnexplainedDecisionRule(DetectionRule):
         self.unexplained = 0
         self._alerted: set = set()
 
-    def observe(self, record: Dict[str, object]) -> Optional[Alert]:
+    def reads(self, action: str, outcome: str) -> bool:
+        return (action in self.DECISION_ACTIONS
+                and outcome in self.DECISION_OUTCOMES)
+
+    def see(self, record: Dict[str, object]) -> Optional[Alert]:
         action = str(record.get("action", ""))
-        if action not in self.DECISION_ACTIONS:
-            return None
-        if record.get("outcome") not in self.DECISION_OUTCOMES:
-            return None
         self.checked += 1
         actor = str(record.get("actor", "") or "")
         attrs = record.get("attrs", {}) or {}
@@ -358,11 +350,9 @@ class UnexplainedDecisionRule(DetectionRule):
         )
 
 
-def _denied(action_prefix: str):
-    def pred(r: Dict[str, object]) -> bool:
-        return (str(r.get("action", "")).startswith(action_prefix)
-                and r.get("outcome") == "denied")
-    return pred
+def _denied(action_prefix: str) -> Callable[[str, str], bool]:
+    return lambda action, outcome: (action.startswith(action_prefix)
+                                    and outcome == "denied")
 
 
 def standard_rules() -> List[DetectionRule]:
@@ -374,10 +364,8 @@ def standard_rules() -> List[DetectionRule]:
             window=60.0,
             count=5,
             summary="{count} failed authentications for {actor} in 60s",
-            predicate=lambda r: (
-                str(r.get("action", "")).endswith(".login")
-                and r.get("outcome") == "denied"
-            ),
+            predicate=lambda action, outcome: (
+                action.endswith(".login") and outcome == "denied"),
         ),
         ThresholdRule(
             name="segmentation-probe",
@@ -393,7 +381,7 @@ def standard_rules() -> List[DetectionRule]:
             window=300.0,
             count=1,
             summary="authorization-code replay detected for {actor}",
-            predicate=lambda r: str(r.get("action", "")) == "token.code_replayed",
+            predicate=lambda action, _: action == "token.code_replayed",
         ),
         ThresholdRule(
             name="mgmt-access-denied",
@@ -401,13 +389,8 @@ def standard_rules() -> List[DetectionRule]:
             window=60.0,
             count=2,
             summary="{count} denied management-plane accesses by {actor}",
-            predicate=lambda r: (
-                str(r.get("action", "")).startswith("mgmt.")
-                and r.get("outcome") == "denied"
-            ) or (
-                str(r.get("action", "")) == "tailnet.relay"
-                and r.get("outcome") == "denied"
-            ),
+            predicate=lambda action, outcome: outcome == "denied" and (
+                action.startswith("mgmt.") or action == "tailnet.relay"),
         ),
         DistinctTargetsRule(
             name="lateral-probe",
@@ -423,7 +406,7 @@ def standard_rules() -> List[DetectionRule]:
             window=600.0,
             count=1,
             summary="DCIM threshold breach: {actor}",
-            predicate=lambda r: str(r.get("action", "")) == "dcim.threshold",
+            predicate=lambda action, _: action == "dcim.threshold",
             key=lambda r: str(r.get("resource", r.get("actor", ""))),
         ),
         ThresholdRule(
@@ -432,10 +415,8 @@ def standard_rules() -> List[DetectionRule]:
             window=120.0,
             count=4,
             summary="{count} rejected SSH sessions for {actor} in 2 min",
-            predicate=lambda r: (
-                str(r.get("action", "")) == "ssh.session"
-                and r.get("outcome") == "denied"
-            ),
+            predicate=lambda action, outcome: (
+                action == "ssh.session" and outcome == "denied"),
         ),
         # inert without the scale subsystem (seed mode never emits a
         # "cached" outcome), so it ships in the default pack

@@ -14,7 +14,7 @@ SOC's detection latency is the forwarding interval plus rule evaluation
 A forwarder keeps no copy of the trail: it is a *position* in its
 domain's :class:`~repro.audit.AuditLog`, and a flush ships what the log
 holds after it.  If the sink raises (SOC endpoint down, network
-partition), the position stays put and the same records go on a later
+partition, or the SOC refusing the batch), the position stays put and the same records go on a later
 flush, so an audit record is only ever lost when the backlog outgrows
 the bound or a cold restart of the log wipes it unshipped — and then it
 is *counted* (``lost``), never silently discarded.  The chaos ablation
@@ -25,33 +25,18 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.audit import AuditEvent, AuditLog
+from repro.audit import AuditLog
 from repro.clock import SimClock
 from repro.errors import ReproError
 from repro.resilience.durability import Durable
 
-__all__ = ["event_to_record", "LogForwarder"]
+__all__ = ["SHIPPED_ATTRS", "LogForwarder"]
 
 # the attrs the security team agreed to receive; nothing else is shipped
+# (a record on the wire is its fixed fields and these: AuditLog.read)
 SHIPPED_ATTRS = frozenset({
     "reason", "rule", "port", "via", "node", "trace_id", "jti", "region",
     "lag", "bound", "spiffe_id"})
-
-
-def event_to_record(event: AuditEvent) -> Dict[str, object]:
-    """The agreed, limited wire format (no free-form payload fields)."""
-    return {
-        "time": event.time,
-        "source": event.source,
-        "actor": event.actor,
-        "action": event.action,
-        "resource": event.resource,
-        "outcome": event.outcome,
-        "domain": event.domain,
-        "zone": event.zone,
-        "attrs": {k: v for k, v in event.attrs.items()
-                  if k in SHIPPED_ATTRS},
-    }
 
 
 class LogForwarder(Durable):
@@ -72,8 +57,11 @@ class LogForwarder(Durable):
     ----------
     sink:
         Callable receiving a list of records (the SOC's ingest, possibly
-        via the network).  May raise :class:`ReproError` when the SOC is
-        unreachable; the batch then stays in the log for a later flush.
+        via the network).  It raises :class:`ReproError` when the SOC is
+        unreachable *or refuses the batch* (any reply but a 2xx): a batch
+        the SOC did not accept is not shipped, so it stays in the log,
+        counts in ``sink_failures`` and ships once on a later flush that
+        the SOC accepts.
     interval:
         Flush period in seconds.
     actions_filter:
@@ -127,9 +115,9 @@ class LogForwarder(Durable):
         self._log = log
         self.position = log.position
 
-    def _backlog(self) -> Tuple[List[AuditEvent], int, int, int]:
-        """What a flush now takes: the accepted records after the
-        position (the newest ``max_buffer``), how many records after the
+    def _backlog(self) -> Tuple[List[Dict[str, object]], int, int, int]:
+        """What a flush now takes: the wire records of the accepted
+        records after the position (the newest ``max_buffer``), how many records after the
         position it gives up (wiped by a cold restart of the log, or over
         the bound), how many it reads and filters out, and the position
         it moves to."""
@@ -138,10 +126,10 @@ class LogForwarder(Durable):
             return [], 0, 0, start
         end = log.position
         first = end - len(log)  # the records before it were wiped
-        events = log.read(start, self.actions_filter)
-        over = max(len(events) - self.max_buffer, 0)
-        return (events[over:], over + max(first - self.position, 0),
-                end - max(start, first) - len(events), end)
+        records = log.read(start, self.actions_filter, SHIPPED_ATTRS)
+        over = max(len(records) - self.max_buffer, 0)
+        return (records[over:], over + max(first - self.position, 0),
+                end - max(start, first) - len(records), end)
 
     def buffered(self) -> int:
         """Records currently awaiting shipment."""
@@ -181,8 +169,7 @@ class LogForwarder(Durable):
         """
         if self._flushing:
             return 0
-        events, gone, filtered, end = self._backlog()
-        batch = [event_to_record(e) for e in events]
+        batch, gone, filtered, end = self._backlog()
         if batch:
             self._flushing = True
             try:

@@ -15,7 +15,8 @@ have a module; this service ties them together and adds:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Set
+from operator import is_not
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.audit import AuditLog, Outcome
 from repro.broker.rbac import require_capability
@@ -65,6 +66,10 @@ class SecurityOperationsCentre(Service):
         self.validator = validator
         self.audit = audit
         self.rules = rules if rules is not None else standard_rules()
+        # the rules each (action, outcome) pair is routed to, for the pack
+        # they were read off (ingest_batch re-reads them when rules change)
+        self._rule_pack: Tuple[DetectionRule, ...] = ()
+        self._rule_routes: Dict[Tuple[str, str], Tuple[DetectionRule, ...]] = {}
         self.escalate = escalate
         self.killswitch = killswitch
         self.auto_contain = auto_contain
@@ -97,15 +102,32 @@ class SecurityOperationsCentre(Service):
     # ingest (called by forwarders, over the network or directly)
     # ------------------------------------------------------------------
     def ingest_batch(self, records: List[Dict[str, object]]) -> List[Alert]:
-        """Run every record through the rule pack; handle new alerts."""
+        """Show every record to the rules that read it, in pack order;
+        handle new alerts.
+
+        A record is routed on its ``(str(action), str(outcome))`` pair
+        (:meth:`DetectionRule.reads`); the route of each pair is worked
+        out once and cached, and the cache starts over whenever
+        ``self.rules`` no longer holds the very rules it was read off."""
+        rules, pack = self.rules, self._rule_pack
+        if len(rules) != len(pack) or any(map(is_not, rules, pack)):
+            pack = self._rule_pack = tuple(rules)
+            self._rule_routes = {}
+        routes = self._rule_routes
         new_alerts: List[Alert] = []
         for record in records:
             self.domains.add(str(record.get("domain", "")))
-            self.records_ingested += 1
-            for rule in self.rules:
-                alert = rule.observe(record)
+            pair = (str(record.get("action", "")),
+                    str(record.get("outcome", "")))
+            route = routes.get(pair)
+            if route is None:
+                route = routes[pair] = tuple(
+                    rule for rule in pack if rule.reads(*pair))
+            for rule in route:
+                alert = rule.see(record)
                 if alert is not None:
                     new_alerts.append(alert)
+        self.records_ingested += len(records)
         for alert in new_alerts:
             self._handle_alert(alert)
         return new_alerts

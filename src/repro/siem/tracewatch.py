@@ -27,7 +27,8 @@ __all__ = ["TraceIntegrityRule", "TraceAnomalyScanner"]
 
 
 class TraceIntegrityRule(DetectionRule):
-    """Fires on an audit record whose trace id the span store never saw."""
+    """Fires on an audit record whose trace id the span store never saw.
+    A trace id can ride any record, so the rule reads every one."""
 
     name = "trace-unknown"
 
@@ -36,7 +37,7 @@ class TraceIntegrityRule(DetectionRule):
         self.severity = severity
         self._alerted: Set[str] = set()
 
-    def observe(self, record: Dict[str, object]) -> Optional[Alert]:
+    def see(self, record: Dict[str, object]) -> Optional[Alert]:
         attrs = record.get("attrs")
         if not isinstance(attrs, dict):
             return None

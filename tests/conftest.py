@@ -14,6 +14,7 @@ from repro.clock import SimClock
 from repro.ids import IdFactory
 from repro.net import HttpRequest, HttpResponse, Network, OperatingDomain, Service, Zone, route
 from repro.oidc import OidcProvider, RelyingParty, UserAgent, make_url
+from repro.siem import SHIPPED_ATTRS
 from repro.telemetry import Telemetry
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -54,6 +55,19 @@ def golden(name: str, value):
             encoding="utf-8")
     text = path.read_text(encoding="utf-8")
     return json.loads(text) if name.endswith(".json") else text
+
+
+def wire_record(event) -> dict:
+    """The agreed wire record of an :class:`AuditEvent` (or a view of a
+    stored one): its fixed fields and the shipped attrs.  A reference the
+    forwarder's row-level read (``AuditLog.read``) is held to."""
+    return {
+        "time": event.time, "source": event.source, "actor": event.actor,
+        "action": event.action, "resource": event.resource,
+        "outcome": event.outcome, "domain": event.domain, "zone": event.zone,
+        "attrs": {k: v for k, v in event.attrs.items()
+                  if k in SHIPPED_ATTRS},
+    }
 
 
 def capture_ingest(soc) -> list:

@@ -130,20 +130,23 @@ def test_ship_logs(deployment, spent):
 
     def ship():
         # one record in the FDS log, so its forwarder's flush presents
-        # the shipper's RBAC token and a fresh SVID to the SOC
+        # the shipper's RBAC token and its SVID to the SOC
         log.record(dri.clock.now(), "test", "system", "test.note", "-",
                    Outcome.INFO)
         dri.ship_logs()
 
-    dri.clock.advance(120.0)  # the held shipper token has run out
+    # the held shipper token and the held SVID have both run out
+    dri.clock.advance(dri.spire.svid_ttl)
     signs, verifies = spent(ship)
-    # the shipper's 120 s token for the SOC, and the per-flush SVID
+    # the shipper's 120 s token for the SOC, and a fresh SVID
     assert signs == {"broker-k1": 1, "spire-isambard.example": 1}
     # the SOC: first sight of the token, and of the SVID
     assert verifies == {"broker-k1": 1, "spire-isambard.example": 1}
     dri.clock.advance(1.0)
     signs, verifies = spent(ship)
-    # the shipper presents the token it holds; the SOC's key has
-    # verified those bytes.  A new SVID every flush
-    assert signs == {"spire-isambard.example": 1}
-    assert verifies == {"spire-isambard.example": 1}
+    # the shipper presents the token and the SVID it holds; the SOC's
+    # keys have verified those bytes.  Was one spire signature and one
+    # verification: an SVID was issued per flush, and the log shipper now
+    # holds its SVID until half its lifetime has passed
+    assert signs == {}
+    assert verifies == {}

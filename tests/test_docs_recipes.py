@@ -98,7 +98,7 @@ def test_recipe_detection_rule(dri):
     dri.soc.rules.append(ThresholdRule(
         name="cert-mint-burst", severity="medium", window=60, count=3,
         summary="{actor} minted {count} SSH certs in a minute",
-        predicate=lambda r: r.get("action") == "ca.sign",
+        predicate=lambda action, outcome: action == "ca.sign",
     ))
     s1 = dri.workflows.story1_pi_onboarding("carl")
     carl = dri.workflows.personas["carl"]

@@ -17,13 +17,14 @@ the crash/recovery ablation (ABL8):
 
 import pytest
 
+from repro.audit import Outcome
 from repro.core import build_isambard
 from repro.errors import ConfigurationError, EpochFenced, ServiceUnavailable
 from repro.net.http import HttpRequest
-from repro.siem import event_to_record
+from repro.siem import SHIPPED_ATTRS
 from repro.sshca.certificate import SshKeyPair, issue_certificate
 from repro.tunnels.zenith import TOKEN_HEADER
-from tests.conftest import capture_ingest
+from tests.conftest import capture_ingest, wire_record
 
 pytestmark = pytest.mark.durability
 
@@ -213,12 +214,12 @@ def _ship_once(scenario):
     for name, fw in fws.items():
         log = dri.logs[name[len("fw-"):]]
         starts[name] = fw.position
-        emitted[name] = [event_to_record(e)
-                         for e in log.read(fw.position, fw.actions_filter)]
+        emitted[name] = log.read(fw.position, fw.actions_filter,
+                                 SHIPPED_ATTRS)
 
         def collect(event, name=name, prefixes=fw.actions_filter):
             if event.action.startswith(prefixes):
-                emitted[name].append(event_to_record(event))
+                emitted[name].append(wire_record(event))
         log.subscribe(collect)
 
     assert wf.story1_pi_onboarding("pi").ok
@@ -277,6 +278,30 @@ def test_every_accepted_record_reaches_the_soc_once(scenario):
     each accepted record is shipped exactly once, in emission order; only
     what a cold restart wiped unshipped is lost, and it is counted."""
     _ship_once(scenario)
+
+
+def test_a_batch_the_soc_refuses_stays_in_the_log():
+    """A refusal is not a shipment: a batch the SOC answers with a 403
+    stays in the log and counts as a sink failure, and it ships once
+    when the SOC accepts again."""
+    dri = build_isambard(seed=7)
+    fw = next(f for f in dri.forwarders if f.name == "fw-fds")
+    received = capture_ingest(dri.soc)
+    allowed = dri.soc.allowed_svid_prefixes
+    dri.soc.allowed_svid_prefixes = ("spiffe://isambard.example/nobody",)
+    shipped, ingested = fw.shipped, dri.soc.records_ingested
+    dri.logs["fds"].record(dri.clock.now(), "test", "system", "test.note",
+                           "-", Outcome.INFO)
+    dri.clock.advance(30.0)
+    assert (fw.shipped, dri.soc.records_ingested) == (shipped, ingested)
+    assert fw.sink_failures > 0 and "403" in fw.last_sink_error
+    waiting = fw.buffered()
+    assert waiting > 0 and fw.lost == 0
+    dri.soc.allowed_svid_prefixes = allowed
+    dri.clock.advance(30.0)
+    assert (fw.shipped, fw.buffered()) == (shipped + waiting, 0)
+    assert [r["action"] for r in received if r["source"] == "test"] == [
+        "test.note"]
 
 
 @pytest.mark.parametrize("retain", [True, False], ids=["retained", "dropped"])

@@ -26,7 +26,7 @@ from repro.core.workflows import Workflows
 from repro.errors import ServiceUnavailable, TokenRevoked
 from repro.net.http import HttpRequest
 from repro.scale import ScaleConfig
-from repro.siem import CacheStalenessRule, build_timeline, event_to_record
+from repro.siem import SHIPPED_ATTRS, CacheStalenessRule, build_timeline
 from repro.tunnels.zenith import TOKEN_HEADER
 
 pytestmark = pytest.mark.scale
@@ -216,8 +216,9 @@ def test_staleness_oracle_flags_cached_decision_after_revocation():
                Outcome.INFO, jti="jti-y")
 
     rule = CacheStalenessRule()
-    alerts = [a for a in (rule.observe(event_to_record(e))
-                          for e in log.events()) if a is not None]
+    alerts = [a for a in (rule.observe(r)
+                          for r in log.read(0, ("",), SHIPPED_ATTRS))
+              if a is not None]
     assert len(alerts) == 1  # one alert per stale jti, no storm
     alert = alerts[0]
     assert alert.severity == "critical"

@@ -107,7 +107,7 @@ def test_bruteforce_window_expires():
 def test_rule_no_alert_storm():
     rule = ThresholdRule(
         name="t", severity="high", window=60, count=2,
-        summary="{actor}", predicate=lambda r: True,
+        summary="{actor}", predicate=lambda action, outcome: True,
     )
     fired = [rule.observe(record(float(i), "x")) for i in range(10)]
     assert sum(1 for a in fired if a) == 1  # suppressed within the window

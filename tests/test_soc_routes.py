@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from repro.audit import AuditEvent, AuditLog, Outcome
 from repro.clock import SimClock
 from repro.siem import (
+    SHIPPED_ATTRS,
     LogForwarder,
     SecurityOperationsCentre,
     ThresholdRule,
@@ -23,7 +24,7 @@ from repro.siem import (
     UnexplainedDecisionRule,
     standard_rules,
 )
-from repro.siem.forwarder import SHIPPED_ATTRS
+from tests.conftest import wire_record
 
 # every action the standard pack, the trace rule and the provenance rule
 # read, a prefix match of each, and some no rule reads
@@ -69,7 +70,7 @@ def _late_rule():
     return ThresholdRule(
         name="late-mint-burst", severity="low", window=30.0, count=2,
         summary="{actor} minted {count}",
-        predicate=lambda r: str(r.get("action", "")).startswith("rbac."))
+        predicate=lambda action, outcome: action.startswith("rbac."))
 
 
 # fields that are not strings are rarer than the strings the rules
@@ -186,17 +187,6 @@ def test_ingest_shows_each_record_to_the_rules_that_read_it(stream):
     assert soc.records_ingested == sum(map(len, batches))
 
 
-def _wire(event):
-    """The agreed wire record, built off a view of the stored record."""
-    return {
-        "time": event.time, "source": event.source, "actor": event.actor,
-        "action": event.action, "resource": event.resource,
-        "outcome": event.outcome, "domain": event.domain, "zone": event.zone,
-        "attrs": {k: v for k, v in event.attrs.items()
-                  if k in SHIPPED_ATTRS},
-    }
-
-
 _json = st.recursive(
     st.none() | st.booleans() | st.integers() | st.text(max_size=4),
     lambda inner: st.lists(inner, max_size=3)
@@ -212,7 +202,8 @@ _names = st.sampled_from(sorted(SHIPPED_ATTRS) + ["amr", "detail", "scope"])
                 max_size=8))
 def test_a_flush_ships_the_agreed_wire_form(attr_sets):
     """List and dict attrs included, each shipped record equals the wire
-    form of a view of the record stored, in emission order."""
+    form of a view of the record stored, in emission order: the row-level
+    read equals the view-built reference."""
     clock, log, shipped = SimClock(), AuditLog("fds"), []
     fw = LogForwarder("fw-fds", clock, shipped.extend)
     fw.watch(log)
@@ -220,4 +211,5 @@ def test_a_flush_ships_the_agreed_wire_form(attr_sets):
         log.emit(AuditEvent(float(i), "svc", "alice", f"act.{i % 3}", "r",
                             Outcome.SUCCESS, "fds", "access", attrs))
     assert fw.flush() == len(attr_sets)
-    assert shipped == [_wire(e) for e in log.events()]
+    assert shipped == [wire_record(e) for e in log.events()]
+    assert log.read(0, ("",), SHIPPED_ATTRS) == shipped

@@ -62,6 +62,21 @@ def test_svid_expires_and_rotates(authority):
     assert tda.issued_count == 2
 
 
+def test_a_held_svid_is_reissued_past_half_its_lifetime(authority):
+    """A repeat presenter gets the same bytes until half the SVID's
+    lifetime has passed, so it is always at least half-life from expiry;
+    then one fresh SVID, held from then on."""
+    clock, tda = authority
+    first = tda.held("fds/zenith")
+    clock.advance(300.0)
+    assert tda.held("fds/zenith") == first and tda.issued_count == 1
+    clock.advance(0.5)
+    second = tda.held("fds/zenith")
+    assert second != first and tda.issued_count == 2
+    assert tda.validate_svid(second).expires_at == clock.now() + 600
+    assert tda.held("fds/zenith") == second and tda.issued_count == 2
+
+
 def test_foreign_trust_domain_rejected():
     clock = SimClock()
     ours = TrustDomainAuthority("isambard.example", clock)
