@@ -71,7 +71,7 @@ def survivors(dri, uids) -> int:
     for uid in uids:
         spiffe = reg.graph.identity_of(uid)
         n += len(reg.live_grants(spiffe))
-        accounts = reg.graph.accounts_of(uid)
+        _, accounts = dri.portal.unix_accounts.resolve(uid)
         n += len([s for s in dri.login_sshd.sessions()
                   if s.principal in accounts])
         n += len([s for s in dri.jupyter.sessions() if s.subject == uid])
@@ -151,7 +151,7 @@ def arm_pdp_down(seed: int):
     resp = dri.workflows.mint(dri.workflows.personas["res0"],
                               "jupyter", "researcher")
     assert not resp.ok and resp.status == 403
-    acct = dri.authz.registry.graph.accounts_of(uids[0])[0]
+    acct = dri.portal.unix_accounts.resolve(uids[0])[1][0]
     ssh = dri.workflows.personas["res0"].ssh_client.ssh_direct(acct)
     assert ssh.status != 200
     denials = guard.fail_closed_denials - denied_before

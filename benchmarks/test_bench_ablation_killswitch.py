@@ -12,6 +12,7 @@ observation window.
 
 import pytest
 
+from repro.authz import SURFACES
 from repro.core import ThreatModel, build_isambard
 from repro.core.metrics import format_table
 
@@ -51,22 +52,27 @@ def test_ablation_killswitch(report):
     for interval in INTERVALS:
         assert times[interval] <= interval + 15  # detection adds seconds
 
-    # containment severs *everything* the principal has
-    dri2 = build_isambard(seed=76)
-    s1 = dri2.workflows.story1_pi_onboarding("mallory")
-    dri2.workflows.story4_ssh_session("mallory")
-    dri2.workflows.story6_jupyter("mallory")
-    account = s1.data["unix_account"]
-    record = dri2.killswitch.contain_user(account)
-    sub = dri2.workflows.personas["mallory"].broker_sub
-    record2 = dri2.killswitch.contain_user(sub)
-    severed_rows = [
-        [lever, str(record.details.get(lever)), str(record2.details.get(lever))]
-        for lever in sorted(record.details)
-    ]
-    assert not [s for s in dri2.login_sshd.sessions()
-                if s.principal == account]
-    assert not [s for s in dri2.jupyter.sessions() if s.subject == sub]
+    # containment severs *everything* the principal has, whichever form
+    # names it: each column contains mallory on a fresh build
+    columns = []
+    for form in ("account", "sub"):
+        dri2 = build_isambard(seed=76)
+        s1 = dri2.workflows.story1_pi_onboarding("mallory")
+        dri2.workflows.story4_ssh_session("mallory")
+        dri2.workflows.story6_jupyter("mallory")
+        account = s1.data["unix_account"]
+        sub = dri2.workflows.personas["mallory"].broker_sub
+        record = dri2.killswitch.contain_user(
+            account if form == "account" else sub)
+        now = dri2.clock.now()
+        assert not [g for _, holder in dri2.surfaces()
+                    for g in holder.grants(now) if g[2] in (account, sub)]
+        flagged = account in dri2.bastion.flagged_principals
+        columns.append({"bastion-flag": "flagged" if flagged else "-",
+                        **{s: str(record.details[s]) for s in SURFACES}})
+    assert columns[0] == columns[1]
+    severed_rows = [[row, *(column[row] for column in columns)]
+                    for row in columns[0]]
 
     # emergency stop is instantaneous and total
     t0 = dri2.clock.now()
@@ -80,7 +86,8 @@ def test_ablation_killswitch(report):
         format_table(["log-forwarding interval (s)", "containment mode",
                       "time to containment (s)"], rows,
                      title="ABL3a: brute-force attacker, detection to containment"),
-        format_table(["lever", f"contain({account})", f"contain({sub[:20]}...)"],
+        format_table(["surface", f"contain({account})",
+                      f"contain({sub[:20]}...)"],
                      severed_rows,
                      title="ABL3b: what one containment severs"),
         format_table(["services stopped", "elapsed (s)"], emergency_rows,

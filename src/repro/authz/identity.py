@@ -4,18 +4,19 @@
 Infrastructure" argues for exactly one identity graph behind every
 enforcement hop.  The repro's enforcement points each speak their own
 subject dialect — the broker speaks federated uids, sshd speaks UNIX
-accounts, Zenith speaks service-token subjects — and before this layer a
-revocation had to know every dialect.  :class:`IdentityGraph` is the
-translation table: principals are minted a ``spiffe://<td>/user/<uid>``
-id at onboarding, workloads get ``workload/<name>``, and aliases (the
-per-project UNIX accounts the portal allocates) are bound to the owning
-principal, so ``revoke(identity)`` can reach a live SSH session opened
-under ``proj1-alice`` from the federated uid ``alice`` alone.
+accounts, Zenith speaks service-token subjects.  :class:`IdentityGraph`
+is the translation table: principals are minted a
+``spiffe://<td>/user/<uid>`` id at onboarding, workloads get
+``workload/<name>``, and aliases (the per-project UNIX accounts the
+portal allocates) are bound to the owning principal, so a live SSH
+session opened under ``proj1-alice`` is read as a grant of the
+federated uid ``alice`` and ``revoke(identity)`` names it by that uid
+alone (the sever itself finds the accounts in the portal's registry).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.federation.spiffe import (
     TrustDomainAuthority,
@@ -91,7 +92,3 @@ class IdentityGraph:
     def uid_of(self, spiffe: str) -> str:
         """The bare subject behind a canonical id (last path segment)."""
         return spiffe.rsplit("/", 1)[-1] if "/" in spiffe else spiffe
-
-    def accounts_of(self, uid: str) -> List[str]:
-        """Every UNIX account aliased to ``uid``, sorted for determinism."""
-        return sorted(a for a, u in self._accounts.items() if u == uid)

@@ -8,7 +8,7 @@ durability tier, if on) exists.  See ``docs/architecture.md``,
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict
 
 from repro.authz import AuthzRuntime
 from repro.authz.authorizer import (
@@ -16,7 +16,7 @@ from repro.authz.authorizer import (
     ContinuousAuthorizer,
     PolicyDecisionPoint,
 )
-from repro.authz.config import MIN_LOA, TRUST_DOMAIN
+from repro.authz.config import MIN_LOA, SURFACES, TRUST_DOMAIN
 from repro.authz.identity import IdentityGraph
 from repro.authz.pipeline import RevocationPipeline
 from repro.authz.registry import SessionRegistry
@@ -67,40 +67,13 @@ def install(dri) -> None:
 
     tele.provenance.enricher = enrich_decision
 
-    def accounts_of(uid: str) -> List[str]:
-        accounts = graph.accounts_of(uid)
-        return accounts if accounts else [uid]
-
-    # the four enforcement fans, in SURFACES order (tokens first so
-    # a revoked principal cannot re-mint while later fans run)
-    def teardown_tokens(intent) -> int:
-        # whole-user: a pipeline teardown severs the principal, not
-        # one project — intent.project stays as audit metadata only
-        summary = dri.broker.revoke_user_access(intent.uid, None)
-        return sum(int(v) for v in summary.values())
-
-    def teardown_ssh(intent) -> int:
-        n = dri.ssh_ca.revoke_certificates_for(intent.uid)
-        for acct in accounts_of(intent.uid):
-            for sshd in dri.login_nodes:
-                n += sshd.close_sessions_for(acct)
-        return n
-
-    def teardown_tunnels(intent) -> int:
-        return (dri.zenith.revoke_web_sessions_for(intent.uid)
-                + dri.zenith.kill_tunnels_registered_by(intent.uid))
-
-    def teardown_compute(intent) -> int:
-        n = dri.jupyter.close_sessions_for(intent.uid)
-        for acct in accounts_of(intent.uid):
-            for slurm in dri.schedulers:
-                n += slurm.cancel_account(acct, by="revocation-pipeline")
-        return n
-
-    pipeline.register_point("tokens", teardown_tokens)
-    pipeline.register_point("ssh", teardown_ssh)
-    pipeline.register_point("tunnels", teardown_tunnels)
-    pipeline.register_point("compute", teardown_compute)
+    # each enforcement point is the deployment's walk restricted to one
+    # surface, whole-user: intent.project stays audit metadata only
+    for surface in SURFACES:
+        pipeline.register_point(
+            surface, lambda intent, surface=surface: dri.sever(
+                intent.uid, by="revocation-pipeline",
+                surface=surface)[surface])
 
     # the surfaces that stamp a canonical identity into what they grant
     # or audit read it off the graph; every admission path fails closed
@@ -132,9 +105,15 @@ def install(dri) -> None:
             uid=uid, project=project,
             reason="portal-recovery-resync", by="portal-recovery"))
 
-    # kill switch delegates to the pipeline; SOC alerts feed the
+    # the kill switch severs through the pipeline; SOC alerts feed the
     # threat score the containment policy rule denies on
-    dri.killswitch.pipeline = pipeline
+    def contain(principal: str) -> Dict[str, object]:
+        intent = pipeline.revoke(
+            uid=principal, reason="killswitch.contain_user", by="soc")
+        pending = {"pending": intent.pending} if intent.pending else {}
+        return {"pipeline": intent.intent_id, **intent.done, **pending}
+
+    dri.killswitch.sever = contain
     dri.killswitch.on_contain = authorizer.note_containment
     dri.soc.escalate = authorizer.on_alert
 

@@ -1,16 +1,17 @@
-"""The revocation pipeline: one journaled outbox, four enforcement fans.
+"""The revocation pipeline: one journaled outbox over the one sever.
 
-Before this layer the repro had *three* unrelated teardown paths — the
-portal's ``on_revoke`` closure, the SOC kill switch's lever list, and
-ad-hoc per-service ``close_sessions_for`` calls — each with its own idea
-of which surfaces exist and none of them crash-safe.  The
-:class:`RevocationPipeline` replaces them with a single entry point:
+A principal is severed by one walk, ``IsambardDeployment.sever``: every
+holder in ``dri.surfaces()`` (the list the session registry reads) is
+called for the uid and each of its UNIX accounts.  The portal, the kill
+switch and this pipeline all run that walk; the pipeline adds only what
+a crash-safe teardown needs on top of it:
 
-* ``revoke(uid=..., reason=...)`` (or by credential / project) resolves
-  the canonical SPIFFE id, journals a :class:`RevocationIntent` into a
-  write-ahead outbox, *then* fans out to the registered enforcement
-  points in :data:`~repro.authz.config.SURFACES` order;
-* each surface's enforcement is idempotent, so retries and replays are
+* ``revoke(uid=..., reason=...)`` (or by spiffe id) resolves the
+  canonical SPIFFE id, journals a :class:`RevocationIntent` into a
+  write-ahead outbox, *then* drives the registered enforcement points in
+  :data:`~repro.authz.config.SURFACES` order — each point is the walk
+  restricted to one surface, whole-user (``project`` is audit metadata);
+* each surface's sever is idempotent, so retries and replays are
   harmless;
 * a surface that fails (or is stuck — see the ``teardown_stuck`` fault)
   leaves the intent pending; a retry timer re-drives it until every
@@ -81,8 +82,8 @@ class RevocationPipeline(Durable):
     ----------
     clock, registry, audit, telemetry:
         The usual simulation plumbing; registry resolves identities and
-        names the ones a storm hits (each surface's teardown drops the
-        grants it ends from it).
+        names the ones a storm hits (a grant a surface severs is gone
+        from it at once).
     retry_interval:
         How long to wait before re-driving intents left pending by a
         failed or stuck surface.

@@ -10,8 +10,9 @@ owning principal's (or workload's) SPIFFE id, grouped under the four
 enforcement surfaces the revocation pipeline fans out to.
 
 It keeps no copy.  Each surface says what it holds live (``grants``,
-next to the state it reads), and every query walks the deployment's
-surfaces as they are at call time — so a revoked, killed, cancelled or
+next to the state it reads, and next to the ``sever`` every teardown
+calls), and every query walks ``dri.surfaces()`` as it is at call time
+— the list the deployment's one sever walks too — so a revoked, killed, cancelled or
 expired grant is gone the moment its surface lets it go, and a standby
 promoted by failover is read the moment it serves.  What must survive a
 crash is the surfaces' own journaled state and the revocation *intent*
@@ -21,7 +22,7 @@ in the pipeline's outbox; there is nothing here to recover.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from repro.authz.config import SURFACES
 from repro.authz.identity import IdentityGraph
@@ -57,19 +58,10 @@ class SessionRegistry:
         self.dri = dri
         self.graph = graph
 
-    def _holders(self) -> Tuple[Tuple[str, object], ...]:
-        """``(surface, holder)`` in SURFACES order, read off the
-        deployment now."""
-        dri = self.dri
-        return (("tokens", dri.broker.tokens), ("ssh", dri.ssh_ca),
-                *(("ssh", sshd) for sshd in dri.login_nodes),
-                ("tunnels", dri.zenith), ("compute", dri.jupyter),
-                *(("compute", slurm) for slurm in dri.schedulers))
-
     def live_grants(self, spiffe_id: Optional[str] = None) -> List[Grant]:
         """Every live grant (of one identity)."""
         now, out = self.dri.clock.now(), []
-        for surface, holder in self._holders():
+        for surface, holder in self.dri.surfaces():
             for kind, resource, subject, expires_at, workload in (
                     holder.grants(now)):
                 spiffe = self.graph.identity_of(subject, workload=workload)
@@ -83,7 +75,7 @@ class SessionRegistry:
         subject is resolved once, and no :class:`Grant` is built."""
         now, users, workloads = self.dri.clock.now(), set(), set()
         # the token service last: most of its holders are seen by then
-        for _, holder in reversed(self._holders()):
+        for _, holder in reversed(self.dri.surfaces()):
             for _, _, subject, _, workload in holder.grants(now, users):
                 (workloads if workload else users).add(subject)
         return sorted(self.graph.identities(users, workloads))

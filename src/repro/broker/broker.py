@@ -135,7 +135,7 @@ class IdentityBroker(OidcProvider):
             return
         self.commit("broker.admin_revoke", {
             "sub": upstream_sub, "role": None if role is None else role.value})
-        self.revoke_user_access(upstream_sub, None)
+        self.sever(upstream_sub, "broker")
 
     # ------------------------------------------------------------------
     # Fig. 2: the login page and upstream brokering
@@ -428,11 +428,17 @@ class IdentityBroker(OidcProvider):
         return resp.body
 
     # ------------------------------------------------------------------
-    # revocation (portal hooks + kill switch)
+    # the token surface (``IsambardDeployment.surfaces``)
     # ------------------------------------------------------------------
-    def revoke_user_access(self, uid: str, project: Optional[str]) -> Dict[str, int]:
-        """Sever a user's live access: RBAC tokens and (for whole-user
-        revocations) broker sessions and OIDC access tokens."""
+    def grants(self, now: float, skip=()):
+        """The token surface's live grants: its RBAC tokens (see
+        ``TokenService.grants``)."""
+        return self.tokens.grants(now, skip)
+
+    def sever(self, uid: str, by: str, project: Optional[str] = None) -> int:
+        """Sever a user's live access: RBAC tokens (of ``project`` only,
+        when given) and, for a whole-user sever, broker sessions and OIDC
+        access tokens.  Returns how many were ended."""
         revoked_tokens = self.tokens.revoke_subject(uid, project=project)
         revoked_sessions = 0
         revoked_access = 0
@@ -452,11 +458,7 @@ class IdentityBroker(OidcProvider):
         self._audit("system", "access.revoked", uid, Outcome.INFO,
                     project=project or "*", rbac=revoked_tokens,
                     sessions=revoked_sessions, oidc=revoked_access)
-        return {
-            "rbac_tokens": revoked_tokens,
-            "sessions": revoked_sessions,
-            "oidc_tokens": revoked_access,
-        }
+        return revoked_tokens + revoked_sessions + revoked_access
 
     # ------------------------------------------------------------------
     # unified access-token validation (OIDC + RBAC)

@@ -284,7 +284,8 @@ class JupyterService(Service):
         self.pool.release(s.session_id)
         return True
 
-    def close_sessions_for(self, subject: str) -> int:
+    def sever(self, subject: str, by: str) -> int:
+        """Close every open notebook session of ``subject``."""
         n = 0
         for s in list(self._sessions.values()):
             if s.subject == subject and not s.closed:

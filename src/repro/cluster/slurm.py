@@ -211,7 +211,7 @@ class SlurmScheduler:
         self._schedule()
         return True
 
-    def cancel_account(self, account: str, *, by: str = "killswitch") -> int:
+    def sever(self, account: str, by: str) -> int:
         """Cancel everything belonging to one UNIX account."""
         n = 0
         for job in list(self._jobs.values()):

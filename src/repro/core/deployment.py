@@ -22,10 +22,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.audit import AuditLog, CombinedAuditView
-from repro.authz import AuthzRuntime, install as authz_tier
+from repro.authz import SURFACES, AuthzRuntime, install as authz_tier
 from repro.broker import IdentityBroker, RbacTokenValidator, Role
 from repro.clock import SimClock
 from repro.core.workflows import Workflows
@@ -225,15 +225,36 @@ class IsambardDeployment:
         return (tokens.is_invalid if self.durability is not None
                 else tokens.is_revoked)(jti)
 
-    def revoke_everywhere(self, uid: str, project: str, account: str) -> None:
-        """The portal's revocation hook: sever one member's tokens,
-        SSH sessions, jobs and notebooks on every cluster."""
-        self.broker.revoke_user_access(uid, project)
-        if account:
-            for sshd, slurm in zip(self.login_nodes, self.schedulers):
-                sshd.close_sessions_for(account)
-                slurm.cancel_account(account, by="portal-revocation")
-        self.jupyter.close_sessions_for(uid)
+    def surfaces(self) -> Tuple[Tuple[str, object], ...]:
+        """``(surface, holder)`` for every enforcement point that holds a
+        grant, in SURFACES order, read off the deployment now (failover
+        re-points ``broker`` and ``ssh_ca``).  A holder reads what it
+        holds live with ``grants(now, skip)`` (the session registry) and
+        ends a subject's grants with ``sever(subject, by)`` (the walk)."""
+        return (("tokens", self.broker), ("ssh", self.ssh_ca),
+                *(("ssh", sshd) for sshd in self.login_nodes),
+                ("tunnels", self.zenith), ("compute", self.jupyter),
+                *(("compute", slurm) for slurm in self.schedulers))
+
+    def sever(self, principal: str, project: Optional[str] = None, *,
+              by: str, surface: Optional[str] = None) -> Dict[str, int]:
+        """The one teardown: end every grant of ``principal`` (a uid or
+        one of its UNIX accounts) on every surface, or on ``surface``
+        only.  Every holder is called for the uid and for each of its
+        accounts, tombstoned ones included.  ``project`` narrows the
+        token surface to that project's RBAC tokens and the accounts to
+        that project's; a grant keyed by uid (a certificate, a web
+        session, a notebook) is severed whole.  Returns ``{surface:
+        count}`` in SURFACES order."""
+        uid, accounts = self.portal.unix_accounts.resolve(principal, project)
+        severed = {name: 0 for name in SURFACES if surface in (None, name)}
+        for name, holder in self.surfaces():
+            if name in severed:
+                for subject in (uid, *accounts):
+                    severed[name] += (
+                        holder.sever(subject, by, project) if name == "tokens"
+                        else holder.sever(subject, by))
+        return severed
 
     # ------------------------------------------------------------------
     def add_crash_target(self, name: str, component, set_up) -> None:
@@ -540,7 +561,8 @@ def build_isambard(
 
     portal = dri.portal = UserPortal(
         "portal", clock, ids, dri.validator_for("portal"), audit=logs["fds"],
-        on_revoke=dri.revoke_everywhere,
+        on_revoke=lambda uid, project, account: dri.sever(
+            uid, project, by="portal-revocation"),
     )
     attach(portal, F, Zone.ACCESS)
 
@@ -584,13 +606,19 @@ def build_isambard(
         authz_tier.add_assurance_floor(dri.policy_engine)
     standard_zero_trust_rules(dri.policy_engine)
 
-    # kill-switch levers: one principal, severed everywhere — every
-    # surface below adds its own lever as it is built
+    def flag(principal: str) -> List[str]:
+        # the principal as named and every account of its uid are
+        # refused at the bastion
+        _, accounts = portal.unix_accounts.resolve(principal)
+        flagged = sorted({principal, *accounts})
+        for subject in flagged:
+            bastion.flag_principal(subject)
+        return flagged
+
+    # the kill switch severs one principal everywhere through the walk
     killswitch = dri.killswitch = KillSwitchController(
-        clock, audit=logs["sec"])
-    killswitch.register_user_action("bastion-flag", bastion.flag_principal)
-    killswitch.register_user_action(
-        "broker-revoke", lambda p: dri.broker.revoke_user_access(p, None))
+        clock, audit=logs["sec"], flag=flag,
+        sever=lambda principal: dri.sever(principal, by="killswitch"))
 
     # ------------------------------------------------------------------ MDC
     def login_node(suffix: str) -> LoginNodeSshd:
@@ -603,8 +631,6 @@ def build_isambard(
             sshd.name, sshd.host_keypair.public_jwk()))
         attach(sshd, M, Zone.HPC)
         dri.login_nodes.append(sshd)
-        killswitch.register_user_action(
-            f"ssh-sessions{suffix}", sshd.close_sessions_for)
         return sshd
 
     def management_plane(suffix: str, pool: NodePool, **slurm_kwargs):
@@ -618,8 +644,6 @@ def build_isambard(
         slurm = SlurmScheduler(clock, ids, pool, portal.record_usage,
                                audit=logs["mdc"], **slurm_kwargs)
         dri.schedulers.append(slurm)
-        killswitch.register_user_action(
-            f"slurm-jobs{suffix}", slurm.cancel_account)
         return mgmt, slurm
 
     dri.pool = NodePool("gh", "grace-hopper", AI_NODES, gpus_per_node=4)
@@ -636,8 +660,6 @@ def build_isambard(
         staleness_window=staleness_window,
     )
     attach(jupyter, M, Zone.HPC)
-    killswitch.register_user_action(
-        "jupyter-sessions", jupyter.close_sessions_for)
     dri.zenith_client = ZenithClient("zenith-client", "jupyter")
     attach(dri.zenith_client, M, Zone.HPC)
     # re-enrollment after a drop presents the held service token

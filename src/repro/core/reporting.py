@@ -82,7 +82,7 @@ def operations_report(dri) -> str:
             ["alerts raised", len(dri.soc.alerts)],
             ["principals contained", len(dri.soc.contained)],
             ["kill-switch levers",
-             f"{len(dri.killswitch.user_levers())} per-user, "
+             f"{len(dri.surfaces())} per-user, "
              f"{len(dri.killswitch.stop_levers())} whole-service"],
         ]))
     failing = [c for c in checks if not c.passed]

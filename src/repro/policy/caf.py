@@ -115,7 +115,7 @@ def assess_caf(dri) -> List[OutcomeResult]:
     ))
 
     # --- Objective D: minimising impact ------------------------------------
-    levers = len(dri.killswitch.user_levers()) + len(dri.killswitch.stop_levers())
+    levers = len(dri.surfaces()) + len(dri.killswitch.stop_levers())
     results.append(OutcomeResult(
         "D1", "D", "Response and recovery planning",
         ACHIEVED if levers >= 3 else PARTIAL,

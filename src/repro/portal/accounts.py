@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Dict, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 __all__ = ["UnixAccount", "UnixAccountRegistry"]
 
@@ -77,6 +77,16 @@ class UnixAccountRegistry:
 
     def is_tombstoned(self, username: str) -> bool:
         return username in self._tombstones
+
+    def resolve(self, principal: str,
+                project: Optional[str] = None) -> Tuple[str, List[str]]:
+        """The uid behind ``principal`` (a uid, or one of its accounts)
+        and that uid's accounts, of ``project`` only when given,
+        tombstoned ones included, sorted."""
+        account = self._by_username.get(principal)
+        uid = principal if account is None else account.uid
+        return uid, sorted(a.username for a in self._by_username.values()
+                           if a.uid == uid and project in (None, a.project_id))
 
     # ------------------------------------------------------------------
     # durability support (the owning portal's snapshots)

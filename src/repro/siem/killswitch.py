@@ -2,28 +2,31 @@
 
 §III.B: the design "makes implementation of an externally managed 'kill
 switch' easier in case of a threat and attack, without waiting for a
-direct intervention from the Isambard team".  The controller aggregates
-every containment lever in the deployment behind two verbs:
+direct intervention from the Isambard team".  The controller puts the
+deployment's containment behind two verbs:
 
-* :meth:`contain_user` — sever one principal everywhere: flag at the
-  bastions, revoke broker tokens/sessions, close SSH/Jupyter sessions,
-  cancel jobs;
+* :meth:`contain_user` — sever one principal everywhere: flag it (and
+  every UNIX account of its uid) at the bastions, then run the one
+  sever the deployment hands it — the walk over every enforcement
+  surface (``IsambardDeployment.sever``), or with continuous
+  authorization the journaled revocation pipeline, which drives the
+  same walk one surface at a time;
 * :meth:`emergency_stop` — shut the whole front door: bastion service
   down, tailnet down, Zenith tunnels killed.
 
-Actions are registered by the deployment; the controller records what it
-did and when, so time-to-containment is measurable (ablation ABL3).
+The controller records what it did and when, so time-to-containment is
+measurable (ablation ABL3).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Mapping, Optional
 
 from repro.audit import AuditLog, Outcome
 from repro.clock import SimClock
 
-__all__ = ["ContainmentAction", "KillSwitchController"]
+__all__ = ["ContainmentRecord", "KillSwitchController"]
 
 
 @dataclass(frozen=True)
@@ -36,76 +39,57 @@ class ContainmentRecord:
 
 
 class KillSwitchController:
-    """Registry of containment levers, operable by the external SOC."""
+    """The containment verbs the external SOC operates.
 
-    def __init__(self, clock: SimClock, *, audit: AuditLog) -> None:
+    ``flag(principal)`` refuses a principal at the bastions and returns
+    the subjects it flagged; ``sever(principal)`` ends its grants and
+    returns what it severed, by surface.  ``on_contain`` (continuous
+    authorization) pins the principal's risk score so re-admission stays
+    denied after the teardown.
+    """
+
+    def __init__(self, clock: SimClock, *, audit: AuditLog,
+                 flag: Callable[[str], List[str]],
+                 sever: Callable[[str], Mapping[str, object]]) -> None:
         self.clock = clock
         self.audit = audit
-        # name -> callable(principal) -> summary (per-user levers)
-        self._user_actions: Dict[str, Callable[[str], object]] = {}
+        self.flag = flag
+        self.sever = sever
         # name -> callable() (whole-service levers), plus its restore
         self._stop_actions: Dict[str, Callable[[], None]] = {}
         self._restore_actions: Dict[str, Callable[[], None]] = {}
         self.history: List[ContainmentRecord] = []
         self.engaged = False
-        # continuous authorization: when a RevocationPipeline is wired,
-        # contain_user delegates to it — one journaled, retried, fenced
-        # teardown instead of a best-effort lever sweep.  on_contain lets
-        # the continuous authorizer pin the principal's risk score so
-        # re-admission stays denied after the teardown.
-        self.pipeline = None
         self.on_contain: Optional[Callable[[str], None]] = None
 
     # ------------------------------------------------------------------
-    def register_user_action(self, name: str, action: Callable[[str], object]) -> None:
-        self._user_actions[name] = action
-
     def register_stop_action(
         self, name: str, stop: Callable[[], None], restore: Callable[[], None]
     ) -> None:
         self._stop_actions[name] = stop
         self._restore_actions[name] = restore
 
-    def user_levers(self) -> List[str]:
-        return sorted(self._user_actions)
-
     def stop_levers(self) -> List[str]:
         return sorted(self._stop_actions)
 
     # ------------------------------------------------------------------
     def contain_user(self, principal: str) -> ContainmentRecord:
-        """Sever one principal across every registered lever.
-
-        With the revocation pipeline wired, the severing is one journaled
-        intent fanned across the enforcement surfaces (crash-safe,
-        retried, idempotent); without it, the legacy per-lever sweep runs.
-        """
+        """Flag one principal at the bastions, then sever it everywhere."""
         if self.on_contain is not None:
             self.on_contain(principal)
-        details: Dict[str, object] = {}
-        if self.pipeline is not None:
-            intent = self.pipeline.revoke(
-                uid=principal, reason="killswitch.contain_user", by="soc")
-            details["pipeline"] = intent.intent_id
-            details.update(intent.done)
-            if not intent.complete:
-                details["pending"] = list(intent.pending)
-            actions_run = len(intent.done)
-        else:
-            for name, action in self._user_actions.items():
-                details[name] = action(principal)
-            actions_run = len(details)
+        details: Dict[str, object] = {"bastion-flag": self.flag(principal)}
+        details.update(self.sever(principal))
         record = ContainmentRecord(
             time=self.clock.now(),
             verb="contain_user",
             target=principal,
-            actions_run=actions_run,
+            actions_run=len(details),
             details=details,
         )
         self.history.append(record)
         self.audit.record(
             self.clock.now(), "killswitch", "soc", "killswitch.contain_user",
-            principal, Outcome.INFO, actions=actions_run,
+            principal, Outcome.INFO, actions=len(details),
         )
         return record
 

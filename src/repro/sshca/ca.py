@@ -168,7 +168,7 @@ class SshCertificateAuthority(Service, Durable):
     # ------------------------------------------------------------------
     # revocation (continuous authorization)
     # ------------------------------------------------------------------
-    def revoke_certificates_for(self, key_id: str) -> int:
+    def sever(self, key_id: str, by: str) -> int:
         """Revoke every still-valid user certificate issued to ``key_id``.
 
         Revoked serials fail :meth:`cert_registered`, so a certificate

@@ -204,8 +204,8 @@ class LoginNodeSshd(Service):
                 yield ("ssh-session", s.session_id, s.principal,
                        s.expires_at, False)
 
-    def close_sessions_for(self, principal: str) -> int:
-        """Sever live sessions of a principal (kill-switch follow-through)."""
+    def sever(self, principal: str, by: str) -> int:
+        """Close the live sessions of a principal (a UNIX account)."""
         n = 0
         now = self.clock.now()
         for s in self._sessions.values():

@@ -205,21 +205,13 @@ class ZenithServer(Service):
                 Outcome.INFO,
             )
 
-    def kill_tunnels_registered_by(self, subject: str) -> int:
-        """Kill every tunnel ``subject`` itself registered (workload
-        revocation).  A *user* revocation never lands here for tunnels a
-        service account registered, so tearing down one researcher does
-        not sever the shared Jupyter tunnel."""
-        n = 0
-        for service, record in sorted(self.tunnels.items()):
-            if record.registered_by == subject and not record.killed:
-                self.kill_tunnel(service)
-                n += 1
-        return n
-
-    def revoke_web_sessions_for(self, subject: str) -> int:
+    def sever(self, subject: str, by: str) -> int:
         """Drop every authenticated web session of ``subject`` — their
-        browser is back to the login redirect on the next request."""
+        browser is back to the login redirect on the next request — and
+        kill every tunnel ``subject`` itself registered (a workload).  A
+        user's sever never reaches a tunnel a service account
+        registered, so tearing down one researcher does not sever the
+        shared Jupyter tunnel."""
         hit = sorted(sid for sid, s in self._web_sessions.items()
                      if s.get("sub") == subject)
         for sid in hit:
@@ -228,7 +220,12 @@ class ZenithServer(Service):
             self.log_event("authz-pipeline", "zenith.sessions_revoked",
                 subject, Outcome.INFO, count=len(hit),
             )
-        return len(hit)
+        n = len(hit)
+        for service, record in sorted(self.tunnels.items()):
+            if record.registered_by == subject and not record.killed:
+                self.kill_tunnel(service)
+                n += 1
+        return n
 
     def kill_all_tunnels(self) -> None:
         for service in list(self.tunnels):

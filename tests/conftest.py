@@ -220,7 +220,7 @@ class BrokerWorld:
             "portal", self.clock, self.ids, validator,
             audit=self.audit,
             on_revoke=lambda uid, project, account:
-                self.broker.revoke_user_access(uid, project),
+                self.broker.sever(uid, "portal-revocation", project),
         )
 
         self.network.attach(self.idp, OperatingDomain.EXTERNAL, Zone.INTERNET)

@@ -39,11 +39,11 @@ MAX_TIER_CONDITIONALS = 20
 # lower these when a change lowers the count; never raise them
 # 44; ScaleConfig.max_replicas is the constant repro.scale.MAX_REPLICAS
 MAX_SETTABLE_VALUES = 43
-# 10,603; the SOC routes records to the rules that read them and the
-# forwarder ships rows read straight off the log: the distinct-targets
-# and retry-storm rules became ThresholdRules and event_to_record went,
-# the route, the row-level read and the held SVID came in
-MAX_SRC_STATEMENTS = 10_592
+# 10,592; one walk severs a principal on every surface the registry
+# reads: revoke_everywhere, the kill switch's seven user levers and its
+# pipeline branch, the pipeline's four teardown closures and
+# IdentityGraph.accounts_of went
+MAX_SRC_STATEMENTS = 10_564
 # src/ frames one relogin enters on the hop budget's builds (seed 31)
 MAX_RELOGIN_FRAMES = {
     # 446; each mint and each validation enters one b64url_* frame fewer

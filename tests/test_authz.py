@@ -49,7 +49,6 @@ class TestIdentityGraph:
         assert graph.identity_of("alice.proj-0001") == alice
         assert graph.identity_of("ma-0001@myaccessid") == alice
         assert graph.uid_of(alice) == "ma-0001@myaccessid"
-        assert graph.accounts_of("ma-0001@myaccessid") == ["alice.proj-0001"]
 
     def test_unknown_subject_mints_on_demand(self):
         graph = IdentityGraph("isambard.example")
@@ -142,9 +141,7 @@ def _surfaces(clock):
     held = {s: _Surface(kind) for s, kind in zip(
         SURFACES, ("rbac-token", "ssh-session", "web-session", "jupyter"))}
     dri = SimpleNamespace(
-        clock=clock, broker=SimpleNamespace(tokens=held["tokens"]),
-        ssh_ca=held["ssh"], login_nodes=[], zenith=held["tunnels"],
-        jupyter=held["compute"], schedulers=[])
+        clock=clock, surfaces=lambda: tuple(held.items()))
     return SessionRegistry(dri, IdentityGraph()), held
 
 
@@ -319,7 +316,7 @@ class TestDeploymentGrants:
         dri = authz_dri
         reg = dri.authz.registry
         bob = dri.workflows.personas["bob"].broker_sub
-        accounts = reg.graph.accounts_of(bob)
+        _, accounts = dri.portal.unix_accounts.resolve(bob)
         assert accounts and accounts[0].startswith("bob.")
         assert reg.graph.identity_of(accounts[0]) == (
             reg.graph.identity_of(bob))
@@ -354,7 +351,7 @@ class TestDeploymentRevocation:
         dri = self._onboard(82)
         reg = dri.authz.registry
         bob = dri.workflows.personas["bob"].broker_sub
-        account = reg.graph.accounts_of(bob)[0]
+        account = dri.portal.unix_accounts.resolve(bob)[1][0]
         spiffe = reg.graph.identity_of(bob)
         assert reg.surfaces_of(spiffe) == list(SURFACES)
 
@@ -484,7 +481,7 @@ def test_the_registry_holds_what_the_surfaces_hold(flags):
         assert wf.story4_ssh_session(persona.name).ok
     agrees("ssh sessions")
     for persona in trainees[:2]:
-        account = reg.graph.accounts_of(persona.broker_sub)[0]
+        account = dri.portal.unix_accounts.resolve(persona.broker_sub)[1][0]
         for slurm in dri.schedulers:
             slurm.submit(account, project_id, nodes=1, walltime=600.0)
     agrees("slurm jobs")
@@ -596,7 +593,7 @@ class TestAuthzFaults:
     def test_pdp_down_fails_every_surface_closed(self):
         dri = self._onboard(87)
         bob = dri.workflows.personas["bob"].broker_sub
-        account = dri.authz.registry.graph.accounts_of(bob)[0]
+        account = dri.portal.unix_accounts.resolve(bob)[1][0]
         bound = STALENESS_BOUND
 
         dri.faults.pdp_down()

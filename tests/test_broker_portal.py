@@ -298,3 +298,31 @@ def test_revoke_one_of_two_admin_roles():
     wf.relogin(dual)
     assert wf.mint(dual, "tailnet", "admin-infra").ok
     assert wf.mint(dual, "soc", "admin-security").status == 403
+
+
+# ---------------------------------------------------------------------------
+# step-up re-authentication for administrative tokens
+# ---------------------------------------------------------------------------
+def test_admin_token_requires_fresh_authentication():
+    dri = build_isambard(seed=31)
+    dri.broker.admin_max_auth_age = 600.0
+    wf = dri.workflows
+    admin = wf.create_admin("ops1", Role.ADMIN_INFRA)
+    wf.login(admin)
+    assert wf.mint(admin, "tailnet", "admin-infra").ok
+    dri.clock.advance(700)  # session still alive (1h) but auth is stale
+    stale = wf.mint(admin, "tailnet", "admin-infra")
+    assert stale.status == 403 and "re-authentication" in stale.body["error"]
+    wf.relogin(admin)
+    assert wf.mint(admin, "tailnet", "admin-infra").ok
+
+
+def test_researcher_tokens_not_subject_to_stepup():
+    dri = build_isambard(seed=37)
+    dri.broker.admin_max_auth_age = 600.0
+    s1 = dri.workflows.story1_pi_onboarding("pat")
+    pat = dri.workflows.personas["pat"]
+    dri.clock.advance(700)
+    resp = dri.workflows.mint(pat, "portal", "pi",
+                              project=s1.data["project_id"])
+    assert resp.ok  # dynamic portal check suffices for user roles

@@ -137,7 +137,7 @@ def test_cancel_account_sweep(slurm):
     sched.submit("mallory.proj1", "proj1", nodes=2, walltime=1000)
     sched.submit("mallory.proj1", "proj1", nodes=2, walltime=1000)
     sched.submit("alice.proj1", "proj1", nodes=2, walltime=1000)
-    assert sched.cancel_account("mallory.proj1") == 2
+    assert sched.sever("mallory.proj1", "killswitch") == 2
     assert len(sched.jobs(JobState.CANCELLED)) == 2
 
 
@@ -208,7 +208,7 @@ def test_live_session_lookup_does_not_grow_with_sessions_ever_opened(
     assert service._live_session("nobody") is None
     assert len(looked_at) == 2
     # the latest session is the only candidate: close it, reopen, expire
-    assert service.close_sessions_for("ma-1") == 1
+    assert service.sever("ma-1", "killswitch") == 1
     assert service._live_session("ma-1") is None
     again = service.handle(notebook_request(
         tokens.mint("ma-1", "jupyter", Role.RESEARCHER)[0])).body
@@ -255,7 +255,7 @@ def test_jupyter_close_sessions_for_subject(jupyter):
     service, tokens = jupyter
     token, _ = tokens.mint("ma-1", "jupyter", Role.RESEARCHER)
     service.handle(notebook_request(token))
-    assert service.close_sessions_for("ma-1") == 1
+    assert service.sever("ma-1", "killswitch") == 1
     assert service.sessions() == []
 
 

@@ -72,7 +72,8 @@ def fingerprint(flags) -> dict:
         "firewall_rules": [r.name for r in dri.network.firewall.rules()],
         "crash_targets": list(dri.crash_targets),
         "soc_rules": [type(r).__name__ for r in dri.soc.rules],
-        "killswitch": {"user": dri.killswitch.user_levers(),
+        "killswitch": {"user": [f"{surface} {type(holder).__name__}"
+                                for surface, holder in dri.surfaces()],
                        "stop": dri.killswitch.stop_levers()},
         "pack_version": dri.policy_engine.pack_version,
         "pending_events": dri.clock.pending_events(),

@@ -183,3 +183,78 @@ def test_flat_network_baseline_exposes_everything():
     tm = ThreatModel(flat)
     report = tm.reachable_from("dave-laptop")
     assert {"login-node", "mgmt-node", "jupyter", "soc"} <= set(report.reachable)
+
+
+# ---------------------------------------------------------------------------
+# Isambard 3: one IAM fabric, two clusters
+# ---------------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def dual():
+    dri = build_isambard(seed=23)
+    s1 = dri.workflows.story1_pi_onboarding("iris")
+    return dri, s1
+
+
+def test_isambard3_built_by_default(dual):
+    dri, _ = dual
+    assert dri.pool_i3 is not None
+    assert dri.network.has_endpoint("login-node-i3")
+    assert dri.network.has_endpoint("mgmt-node-i3")
+    assert all(n.kind == "grace-grace" and n.gpus == 0
+               for n in dri.pool_i3.nodes())
+
+
+def test_one_certificate_opens_both_clusters(dual):
+    """The same short-lived certificate (one CA, one identity fabric)
+    logs into Isambard-AI and Isambard 3."""
+    dri, s1 = dual
+    iris = dri.workflows.personas["iris"]
+    client = iris.ssh_client
+    resp = client.request_certificate(
+        login_nodes={"ai.isambard": "login-node", "3.isambard": "login-node-i3"})
+    assert resp.ok
+    aliases = sorted(client.ssh_config)
+    assert len(aliases) == 2
+    for alias in aliases:
+        session = client.ssh(alias)
+        assert session.ok, (alias, session.body)
+    assert len(dri.login_sshd.sessions()) == 1
+    assert len(dri.login_sshd_i3.sessions()) == 1
+
+
+def test_i3_charges_node_hours_not_gpu_hours(dual):
+    dri, s1 = dual
+    project_id = s1.data["project_id"]
+    account = s1.data["unix_account"]
+    before = dri.portal.project(project_id).allocation.gpu_hours_used
+    job = dri.slurm_i3.submit(account, project_id, nodes=4, walltime=3600)
+    after = dri.portal.project(project_id).allocation.gpu_hours_used
+    assert after - before == pytest.approx(4.0)  # 4 node-hours, no GPU factor
+
+
+def test_i3_mgmt_plane_via_tailnet(dual):
+    dri, _ = dual
+    result = dri.workflows.story5_privileged_operation(
+        "ops-i3", operation="status", target="")
+    assert result.ok
+    # the same admin token audience does NOT work across mgmt nodes
+    admin = dri.workflows.personas["ops-i3"]
+    token = dri.workflows.mint(admin, "mgmt-node-i3",
+                               Role.ADMIN_INFRA.value).body["token"]
+    node_id = str(result.data["node_id"])
+    relay, _ = admin.agent.post(
+        make_url("tailnet", "/relay"),
+        {"node_id": node_id, "target": "mgmt-node-i3", "port": 443,
+         "request": {"method": "POST", "path": "/operate",
+                     "headers": {"Authorization": f"Bearer {token}"},
+                     "body": {"operation": "status", "target": ""}}},
+    )
+    assert relay.ok, relay.body
+    wrong, _ = admin.agent.post(
+        make_url("tailnet", "/relay"),
+        {"node_id": node_id, "target": "mgmt-node", "port": 443,
+         "request": {"method": "POST", "path": "/operate",
+                     "headers": {"Authorization": f"Bearer {token}"},
+                     "body": {"operation": "status", "target": ""}}},
+    )
+    assert wrong.status == 403  # audience 'mgmt-node-i3' refused at 'mgmt-node'

@@ -116,9 +116,38 @@ def test_recipe_firewall_gate(dri):
     assert report.exposes_protected  # CI would reject this change
 
 
-def test_recipe_containment_lever(dri):
-    closed = []
-    dri.killswitch.register_user_action(
-        "dashboard-sessions", lambda p: closed.append(p) or 1)
-    dri.killswitch.contain_user("mallory")
-    assert closed == ["mallory"]
+class DashboardSessions:
+    """The recipe's surface: web dashboard sessions keyed by uid."""
+
+    def __init__(self):
+        self.sessions = {}
+
+    def grants(self, now, skip=()):
+        for sid, s in self.sessions.items():
+            if s["sub"] not in skip and now < s["expires_at"]:
+                yield "dashboard", sid, s["sub"], s["expires_at"], False
+
+    def sever(self, subject, by):
+        hit = [sid for sid, s in self.sessions.items() if s["sub"] == subject]
+        for sid in hit:
+            del self.sessions[sid]
+        return len(hit)
+
+
+def test_recipe_enforcement_surface():
+    """One entry in ``dri.surfaces()`` is read by the session registry
+    and ended by every teardown: the kill switch, the portal and the
+    pipeline."""
+    dri = build_isambard(seed=101, authz=True)
+    dashboard = DashboardSessions()
+    surfaces = dri.surfaces
+    dri.surfaces = lambda: (*surfaces(), ("tunnels", dashboard))
+    for sid, sub in (("d1", "mallory"), ("d2", "mallory"), ("d3", "eve")):
+        dashboard.sessions[sid] = {"sub": sub, "expires_at": 3600.0}
+    reg = dri.authz.registry
+    mallory = reg.graph.identity_of("mallory")
+    assert {g.resource for g in reg.live_grants(mallory)} == {"d1", "d2"}
+    record = dri.killswitch.contain_user("mallory")
+    assert record.details["tunnels"] == 2
+    assert list(dashboard.sessions) == ["d3"]
+    assert reg.live_grants(mallory) == []

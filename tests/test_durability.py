@@ -769,7 +769,7 @@ def test_admin_revoke_and_access_revoke_survive_a_broker_restart():
     broker.revoke_admin_role(admin, Role.ADMIN_SECURITY)   # one role ...
     assert broker._admin_roles[admin] == {Role.ADMIN_INFRA}
     broker.revoke_admin_role(admin)                        # ... then all
-    broker.revoke_user_access(res1, None)
+    broker.sever(res1, "killswitch")
     kinds = [e.kind for e in broker.journal.load()[1]]
     assert kinds.count("broker.admin_revoke") == 2
     assert "broker.revoke_access" in kinds

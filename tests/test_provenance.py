@@ -634,8 +634,8 @@ def pipeline_world():
     s6 = dri.workflows.story6_jupyter("bob")
     assert s6.ok, s6.steps
     # a batch job puts a decision on the compute surface
-    account = dri.authz.registry.graph.accounts_of(
-        dri.workflows.personas["bob"].broker_sub)[0]
+    account = dri.portal.unix_accounts.resolve(
+        dri.workflows.personas["bob"].broker_sub)[1][0]
     dri.slurm.submit(account, s1.data["project_id"], nodes=1, walltime=60)
     # one denial for the ledger: bob asks for a PI role he does not hold
     denied = dri.workflows.mint(dri.workflows.personas["bob"], "portal", "pi")
@@ -670,7 +670,7 @@ def test_every_live_grant_and_denial_is_explained(pipeline_world):
     surfaces = {r.surface for r in records}
     assert {"tokens", "ssh", "tunnels"} <= surfaces
     # the batch job landed on the compute surface under the unix account
-    account = dri.authz.registry.graph.accounts_of(uid)[0]
+    account = dri.portal.unix_accounts.resolve(uid)[1][0]
     job = led.grant_record(account, "compute")
     assert job is not None and job.rule == ""  # slurm grants role-lessly
     # grants carry the matched role and the policy pack version (via the

@@ -89,3 +89,28 @@ def test_portal_revocation_severs_the_members_certificate_and_web_session():
     assert [g for g in left if g[0] != "rbac-token"] == []
     for _, jti, _ in left:
         assert dri.broker.tokens.issued(jti).project != project
+
+
+def test_revocation_sweeps_both_clusters():
+    """Closing a project severs its member's sessions on Isambard-AI and
+    on Isambard 3 alike: one certificate opened both."""
+    dri = build_isambard(seed=23)
+    s1 = dri.workflows.story1_pi_onboarding("iris")
+    project_id, account = s1.data["project_id"], s1.data["unix_account"]
+    client = dri.workflows.personas["iris"].ssh_client
+    assert client.request_certificate(login_nodes={
+        "ai.isambard": "login-node", "3.isambard": "login-node-i3"}).ok
+    for alias in sorted(client.ssh_config):
+        assert client.ssh(alias).ok
+    assert all(sshd.sessions() for sshd in dri.login_nodes)
+    # the allocator closes the project
+    alloc = dri.workflows.personas["allocator"]
+    dri.workflows.login(alloc)
+    token = dri.workflows.mint(alloc, "portal", "allocator").body["token"]
+    resp, _ = alloc.agent.post(
+        make_url("portal", "/close_project"), {"project_id": project_id},
+        headers={"Authorization": f"Bearer {token}"},
+    )
+    assert resp.ok
+    for sshd in dri.login_nodes:
+        assert not [s for s in sshd.sessions() if s.principal == account]

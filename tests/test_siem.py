@@ -169,20 +169,26 @@ def test_assessment_broken_probe_fails_closed():
 # kill switch
 # ---------------------------------------------------------------------------
 def test_killswitch_contain_user_runs_all_levers():
+    """Containment flags the principal at the bastion, then runs the
+    one sever it was handed, and records both."""
     clock = SimClock(start=100.0)
-    ks = KillSwitchController(clock, **Wiring())
     hits = []
-    ks.register_user_action("bastion", lambda p: hits.append(("bastion", p)) or 1)
-    ks.register_user_action("broker", lambda p: hits.append(("broker", p)) or 2)
+    ks = KillSwitchController(
+        clock, flag=lambda p: hits.append(("flag", p)) or [p],
+        sever=lambda p: hits.append(("sever", p)) or {"tokens": 2, "ssh": 1},
+        **Wiring())
     record = ks.contain_user("mallory.proj1")
-    assert record.actions_run == 2
-    assert ("bastion", "mallory.proj1") in hits
+    assert hits == [("flag", "mallory.proj1"), ("sever", "mallory.proj1")]
+    assert record.details == {"bastion-flag": ["mallory.proj1"],
+                              "tokens": 2, "ssh": 1}
+    assert record.actions_run == 3
     assert record.time == 100.0
 
 
 def test_killswitch_emergency_stop_and_restore():
     clock = SimClock()
-    ks = KillSwitchController(clock, **Wiring())
+    ks = KillSwitchController(clock, flag=lambda p: [p],
+                              sever=lambda p: {}, **Wiring())
     state = {"up": True}
     ks.register_stop_action(
         "bastion",
@@ -207,9 +213,10 @@ def soc_world():
     validator = RbacTokenValidator(
         clock, ISS, "soc", JwkSet([key.public()]), tokens.is_revoked
     )
-    ks = KillSwitchController(clock, **Wiring())
     contained = []
-    ks.register_user_action("trace", lambda p: contained.append(p))
+    ks = KillSwitchController(
+        clock, flag=lambda p: [p],
+        sever=lambda p: contained.append(p) or {}, **Wiring())
     escalations = []
     soc = SecurityOperationsCentre(
         "soc", clock, validator,

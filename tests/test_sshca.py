@@ -400,7 +400,7 @@ def test_session_close_for_principal(ssh_net, ca_key, clock):
     wire = make_cert(ca_key, kp, clock)
     ssh_connect(agent, kp, wire)
     ssh_connect(agent, kp, wire)
-    assert sshd.close_sessions_for("alice.proj1") == 2
+    assert sshd.sever("alice.proj1", "killswitch") == 2
     assert sshd.sessions() == []
 
 

@@ -72,9 +72,9 @@ def test_deprovision_removes_account_and_links():
     revoked = []
     removed = dri.myaccessid.deprovision_account(
         uid, on_deprovision=lambda u: revoked.append(
-            dri.broker.revoke_user_access(u, None)))
+            dri.sever(u, by="deprovision")))
     assert removed == 1
-    assert revoked and revoked[0]["sessions"] >= 0
+    assert revoked and revoked[0]["tokens"] > 0
     assert dri.myaccessid.registry.account(uid) is None
 
 
@@ -94,7 +94,7 @@ def test_fresh_account_after_deprovision_gets_new_uid():
     identity = dri.myaccessid.registry.account(old_uid).linked[0]
     dri.myaccessid.deprovision_account(
         old_uid,
-        on_deprovision=lambda u: dri.broker.revoke_user_access(u, None))
+        on_deprovision=lambda u: dri.sever(u, by="deprovision"))
     hal.agent.clear_cookies("myaccessid")
     hal.agent.clear_cookies("broker")
     resp = dri.workflows.login(hal)
