@@ -12,11 +12,12 @@ enforcement surfaces the revocation pipeline fans out to.
 It keeps no copy.  Each surface says what it holds live (``grants``,
 next to the state it reads, and next to the ``sever`` every teardown
 calls), and every query walks ``dri.surfaces()`` as it is at call time
-— the list the deployment's one sever walks too — so a revoked, killed, cancelled or
-expired grant is gone the moment its surface lets it go, and a standby
-promoted by failover is read the moment it serves.  What must survive a
-crash is the surfaces' own journaled state and the revocation *intent*
-in the pipeline's outbox; there is nothing here to recover.
+— the list the deployment's one sever walks too — so a revoked,
+killed, cancelled or expired grant is gone the moment its surface lets
+it go, and a standby promoted by failover is read the moment it serves.
+What must survive a crash is the surfaces' own journaled state and the
+revocation *intent* in the pipeline's outbox; there is nothing here to
+recover.
 """
 
 from __future__ import annotations
