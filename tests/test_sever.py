@@ -77,6 +77,9 @@ def test_portal_revocation_severs_the_members_certificate_and_web_session():
     bob, account = wf.personas["bob"].broker_sub, s3.data["unix_account"]
     for slurm in dri.schedulers:
         slurm.submit(account, project, nodes=1, walltime=3600)
+    held = {kind for kind, _, _ in live(dri, {bob, account})}
+    assert {"ssh-cert", "ssh-session", "web-session", "jupyter",
+            "slurm-job"} <= held, held
     pi = wf.personas["mallory"]
     token = wf.mint(pi, "portal", "pi", project=project).body["token"]
     resp, _ = pi.agent.post(
