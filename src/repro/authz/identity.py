@@ -10,13 +10,13 @@ is the translation table: principals are minted a
 ``workload/<name>``, and aliases (the per-project UNIX accounts the
 portal allocates) are bound to the owning principal, so a live SSH
 session opened under ``proj1-alice`` is read as a grant of the
-federated uid ``alice`` and ``revoke(identity)`` names it by that uid
-alone (the sever itself finds the accounts in the portal's registry).
+federated uid ``alice``, and a sever named by that uid alone finds the
+account here (``resolve``) even while the portal is down.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.federation.spiffe import (
     TrustDomainAuthority,
@@ -88,6 +88,13 @@ class IdentityGraph:
         principals, accounts = self._principals, self._accounts
         return ({principals.get(accounts.get(s, s)) or self.identity_of(s)
                  for s in users} | {self.workload(w) for w in workloads})
+
+    def resolve(self, principal: str) -> Tuple[str, List[str]]:
+        """The uid behind ``principal`` (a uid, or an account aliased to
+        one) and every account aliased to that uid, sorted.  Nothing
+        unbinds an alias, so a revoked account is still listed."""
+        uid = self._accounts.get(principal, principal)
+        return uid, sorted(a for a, u in self._accounts.items() if u == uid)
 
     def uid_of(self, spiffe: str) -> str:
         """The bare subject behind a canonical id (last path segment)."""

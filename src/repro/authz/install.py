@@ -105,15 +105,11 @@ def install(dri) -> None:
             uid=uid, project=project,
             reason="portal-recovery-resync", by="portal-recovery"))
 
-    # the kill switch severs through the pipeline; SOC alerts feed the
-    # threat score the containment policy rule denies on
-    def contain(principal: str) -> Dict[str, object]:
-        intent = pipeline.revoke(
-            uid=principal, reason="killswitch.contain_user", by="soc")
-        pending = {"pending": intent.pending} if intent.pending else {}
-        return {"pipeline": intent.intent_id, **intent.done, **pending}
-
-    dri.killswitch.sever = contain
+    # the kill switch severs through the pipeline (a surface it has not
+    # reached yet stays pending there); SOC alerts feed the threat score
+    # the containment policy rule denies on
+    dri.killswitch.sever = lambda principal: dict(pipeline.revoke(
+        uid=principal, reason="killswitch.contain_user", by="soc").done)
     dri.killswitch.on_contain = authorizer.note_containment
     dri.soc.escalate = authorizer.on_alert
 

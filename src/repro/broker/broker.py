@@ -438,13 +438,16 @@ class IdentityBroker(OidcProvider):
     def sever(self, uid: str, by: str, project: Optional[str] = None) -> int:
         """Sever a user's live access: RBAC tokens (of ``project`` only,
         when given) and, for a whole-user sever, broker sessions and OIDC
-        access tokens.  Returns how many were ended."""
+        access tokens.  Returns how many were ended; a sever that ends
+        nothing journals and records nothing, as on every surface (the
+        walk also calls it for UNIX accounts, which hold no token)."""
         revoked_tokens = self.tokens.revoke_subject(uid, project=project)
-        revoked_sessions = 0
-        revoked_access = 0
+        revoked_sessions = revoked_access = 0
         if project is None:
-            revoked_sessions = self.commit("oidc.session_revoke_subject",
-                                           {"subject": uid})
+            if any(s.subject == uid and not s.revoked
+                   for s in self.sessions.export_sessions()):
+                revoked_sessions = self.commit("oidc.session_revoke_subject",
+                                               {"subject": uid})
             hit = [jti for jti, record in self._issued.items()
                    if record.get("subject") == uid
                    and jti not in self._revoked_jtis]
@@ -455,10 +458,12 @@ class IdentityBroker(OidcProvider):
                     self.invalidation_bus.publish("token.revoked", key=jti,
                                                   subject=uid)
             revoked_access = len(hit)
-        self._audit("system", "access.revoked", uid, Outcome.INFO,
-                    project=project or "*", rbac=revoked_tokens,
-                    sessions=revoked_sessions, oidc=revoked_access)
-        return revoked_tokens + revoked_sessions + revoked_access
+        severed = revoked_tokens + revoked_sessions + revoked_access
+        if severed:
+            self._audit("system", "access.revoked", uid, Outcome.INFO,
+                        project=project or "*", rbac=revoked_tokens,
+                        sessions=revoked_sessions, oidc=revoked_access)
+        return severed
 
     # ------------------------------------------------------------------
     # unified access-token validation (OIDC + RBAC)

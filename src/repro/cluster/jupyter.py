@@ -284,11 +284,11 @@ class JupyterService(Service):
         self.pool.release(s.session_id)
         return True
 
-    def sever(self, subject: str, by: str) -> int:
+    def sever(self, subject: str, by: str,
+              project: Optional[str] = None) -> int:
         """Close every open notebook session of ``subject``."""
-        n = 0
-        for s in list(self._sessions.values()):
-            if s.subject == subject and not s.closed:
-                self.close_session(s.session_id)
-                n += 1
-        return n
+        hit = [s.session_id for s in self._sessions.values()
+               if s.subject == subject and not s.closed]
+        for session_id in hit:
+            self.close_session(session_id)
+        return len(hit)

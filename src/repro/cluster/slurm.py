@@ -211,14 +211,15 @@ class SlurmScheduler:
         self._schedule()
         return True
 
-    def sever(self, account: str, by: str) -> int:
+    def sever(self, account: str, by: str,
+              project: Optional[str] = None) -> int:
         """Cancel everything belonging to one UNIX account."""
-        n = 0
-        for job in list(self._jobs.values()):
-            if job.account == account and job.state in (JobState.PENDING, JobState.RUNNING):
-                self.cancel(job.job_id, by=by)
-                n += 1
-        return n
+        hit = [job.job_id for job in self._jobs.values()
+               if job.account == account
+               and job.state in (JobState.PENDING, JobState.RUNNING)]
+        for job_id in hit:
+            self.cancel(job_id, by=by)
+        return len(hit)
 
     # ------------------------------------------------------------------
     def job(self, job_id: str) -> Optional[Job]:

@@ -230,11 +230,26 @@ class IsambardDeployment:
         grant, in SURFACES order, read off the deployment now (failover
         re-points ``broker`` and ``ssh_ca``).  A holder reads what it
         holds live with ``grants(now, skip)`` (the session registry) and
-        ends a subject's grants with ``sever(subject, by)`` (the walk)."""
+        ends a subject's grants with ``sever(subject, by, project)`` (the
+        walk): ``by`` is the actor where a surface records one (a
+        cancelled job), ``project`` narrows where a surface holds
+        project-scoped grants (RBAC tokens); the rest ignore them."""
         return (("tokens", self.broker), ("ssh", self.ssh_ca),
                 *(("ssh", sshd) for sshd in self.login_nodes),
                 ("tunnels", self.zenith), ("compute", self.jupyter),
                 *(("compute", slurm) for slurm in self.schedulers))
+
+    def resolve(self, principal: str,
+                project: Optional[str] = None) -> Tuple[str, List[str]]:
+        """The uid behind ``principal`` (a uid or one of its UNIX
+        accounts) and that uid's accounts (of ``project`` only, when
+        given), tombstoned ones included.  A whole-user resolve reads the
+        identity graph where there is one (authz): its aliases outlive a
+        portal crash and a cold restart, which empty the portal's
+        account registry."""
+        if self.authz is not None and project is None:
+            return self.authz.graph.resolve(principal)
+        return self.portal.unix_accounts.resolve(principal, project)
 
     def sever(self, principal: str, project: Optional[str] = None, *,
               by: str, surface: Optional[str] = None) -> Dict[str, int]:
@@ -246,14 +261,12 @@ class IsambardDeployment:
         that project's; a grant keyed by uid (a certificate, a web
         session, a notebook) is severed whole.  Returns ``{surface:
         count}`` in SURFACES order."""
-        uid, accounts = self.portal.unix_accounts.resolve(principal, project)
+        uid, accounts = self.resolve(principal, project)
         severed = {name: 0 for name in SURFACES if surface in (None, name)}
         for name, holder in self.surfaces():
             if name in severed:
                 for subject in (uid, *accounts):
-                    severed[name] += (
-                        holder.sever(subject, by, project) if name == "tokens"
-                        else holder.sever(subject, by))
+                    severed[name] += holder.sever(subject, by, project)
         return severed
 
     # ------------------------------------------------------------------
@@ -609,7 +622,7 @@ def build_isambard(
     def flag(principal: str) -> List[str]:
         # the principal as named and every account of its uid are
         # refused at the bastion
-        _, accounts = portal.unix_accounts.resolve(principal)
+        _, accounts = dri.resolve(principal)
         flagged = sorted({principal, *accounts})
         for subject in flagged:
             bastion.flag_principal(subject)

@@ -43,9 +43,10 @@ class KillSwitchController:
 
     ``flag(principal)`` refuses a principal at the bastions and returns
     the subjects it flagged; ``sever(principal)`` ends its grants and
-    returns what it severed, by surface.  ``on_contain`` (continuous
-    authorization) pins the principal's risk score so re-admission stays
-    denied after the teardown.
+    returns ``{surface: count}`` for each surface it severed.  A
+    containment's ``actions_run`` counts the flag and those surfaces.
+    ``on_contain`` (continuous authorization) pins the principal's risk
+    score so re-admission stays denied after the teardown.
     """
 
     def __init__(self, clock: SimClock, *, audit: AuditLog,
@@ -77,8 +78,8 @@ class KillSwitchController:
         """Flag one principal at the bastions, then sever it everywhere."""
         if self.on_contain is not None:
             self.on_contain(principal)
-        details: Dict[str, object] = {"bastion-flag": self.flag(principal)}
-        details.update(self.sever(principal))
+        details: Dict[str, object] = {"bastion-flag": self.flag(principal),
+                                      **self.sever(principal)}
         record = ContainmentRecord(
             time=self.clock.now(),
             verb="contain_user",

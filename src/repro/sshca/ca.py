@@ -15,7 +15,7 @@ the broker routed to it, bounded by its maximum certificate lifetime.
 
 from __future__ import annotations
 
-from typing import Dict, Set
+from typing import Dict, Optional, Set
 
 from repro.audit import AuditLog, Outcome
 from repro.broker.rbac import require_capability
@@ -168,7 +168,8 @@ class SshCertificateAuthority(Service, Durable):
     # ------------------------------------------------------------------
     # revocation (continuous authorization)
     # ------------------------------------------------------------------
-    def sever(self, key_id: str, by: str) -> int:
+    def sever(self, key_id: str, by: str,
+              project: Optional[str] = None) -> int:
         """Revoke every still-valid user certificate issued to ``key_id``.
 
         Revoked serials fail :meth:`cert_registered`, so a certificate

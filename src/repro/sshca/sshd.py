@@ -204,16 +204,16 @@ class LoginNodeSshd(Service):
                 yield ("ssh-session", s.session_id, s.principal,
                        s.expires_at, False)
 
-    def sever(self, principal: str, by: str) -> int:
+    def sever(self, principal: str, by: str,
+              project: Optional[str] = None) -> int:
         """Close the live sessions of a principal (a UNIX account)."""
-        n = 0
         now = self.clock.now()
-        for s in self._sessions.values():
-            if s.principal == principal and s.active(now):
-                s.closed = True
-                n += 1
-        if n:
+        hit = [s for s in self._sessions.values()
+               if s.principal == principal and s.active(now)]
+        for s in hit:
+            s.closed = True
+        if hit:
             self.log_event("killswitch", "ssh.sessions_closed", principal,
-                Outcome.INFO, count=n,
+                Outcome.INFO, count=len(hit),
             )
-        return n
+        return len(hit)

@@ -205,7 +205,8 @@ class ZenithServer(Service):
                 Outcome.INFO,
             )
 
-    def sever(self, subject: str, by: str) -> int:
+    def sever(self, subject: str, by: str,
+              project: Optional[str] = None) -> int:
         """Drop every authenticated web session of ``subject`` — their
         browser is back to the login redirect on the next request — and
         kill every tunnel ``subject`` itself registered (a workload).  A

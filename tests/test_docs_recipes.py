@@ -127,7 +127,7 @@ class DashboardSessions:
             if s["sub"] not in skip and now < s["expires_at"]:
                 yield "dashboard", sid, s["sub"], s["expires_at"], False
 
-    def sever(self, subject, by):
+    def sever(self, subject, by, project=None):
         hit = [sid for sid, s in self.sessions.items() if s["sub"] == subject]
         for sid in hit:
             del self.sessions[sid]

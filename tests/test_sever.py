@@ -58,9 +58,31 @@ def test_contain_user_leaves_no_live_grant(build):
     names: the broker sub or the UNIX account."""
     for form in ("sub", "account"):
         dri, sub, account = world(BUILDS[build])
-        dri.killswitch.contain_user(sub if form == "sub" else account)
+        record = dri.killswitch.contain_user(sub if form == "sub" else account)
         assert live(dri, {sub, account}) == [], form
         assert account in dri.bastion.flagged_principals, form
+        # the flag and one entry per surface: nothing else is an action
+        assert record.actions_run == 5 == len(record.details), form
+        # the broker records the sever of the uid it issued to, and none
+        # for the account the walk also hands it
+        revoked = dri.broker.audit.query(action="access.revoked")
+        assert [e.resource for e in revoked] == [sub], form
+
+
+@pytest.mark.parametrize("outage", ["portal-down", "portal-cold-restart"])
+def test_containment_reaches_the_accounts_while_the_portal_is_empty(outage):
+    """A crashed portal, and one restarted without a journal, hold no
+    UNIX account; containment by uid still ends the account's login-node
+    session and jobs, through the identity graph's aliases (authz)."""
+    dri, sub, account = world(BUILDS["authz"])
+    dri.crash("portal")
+    if outage == "portal-cold-restart":
+        dri.restart("portal")
+    assert dri.portal.unix_accounts.resolve(sub) == (sub, [])
+    record = dri.killswitch.contain_user(sub)
+    assert live(dri, {sub, account}) == []
+    assert account in dri.bastion.flagged_principals
+    assert record.details["ssh"] >= 2 and record.details["compute"] >= 3
 
 
 def test_portal_revocation_severs_the_members_certificate_and_web_session():
