@@ -438,9 +438,10 @@ class IdentityBroker(OidcProvider):
     def sever(self, uid: str, by: str, project: Optional[str] = None) -> int:
         """Sever a user's live access: RBAC tokens (of ``project`` only,
         when given) and, for a whole-user sever, broker sessions and OIDC
-        access tokens.  Returns how many were ended; a sever that ends
-        nothing journals and records nothing, as on every surface (the
-        walk also calls it for UNIX accounts, which hold no token)."""
+        access tokens.  Returns how many live ones were ended (an expired
+        session or access token is revoked uncounted); a sever that ends
+        nothing live records nothing, as on every surface (the walk also
+        calls it for UNIX accounts, which hold no token)."""
         revoked_tokens = self.tokens.revoke_subject(uid, project=project)
         revoked_sessions = revoked_access = 0
         if project is None:
@@ -457,7 +458,8 @@ class IdentityBroker(OidcProvider):
                 for jti in hit:
                     self.invalidation_bus.publish("token.revoked", key=jti,
                                                   subject=uid)
-            revoked_access = len(hit)
+            revoked_access = sum(self._issued[jti]["exp"] > self.clock.now()
+                                 for jti in hit)
         severed = revoked_tokens + revoked_sessions + revoked_access
         if severed:
             self._audit("system", "access.revoked", uid, Outcome.INFO,

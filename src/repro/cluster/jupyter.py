@@ -260,8 +260,13 @@ class JupyterService(Service):
 
     # ------------------------------------------------------------------
     def _live_session(self, subject: str) -> Optional[JupyterSession]:
+        """The subject's latest session if it is live.  An expired one is
+        closed here, so its node goes back to the pool before a respawn
+        and the latest is the only session a subject can leave open."""
         s = self._latest.get(subject)
-        return s if s is not None and s.active(self.clock.now()) else None
+        if s is None or s.active(self.clock.now()):
+            return s
+        self.close_session(s.session_id)
 
     def sessions(self, *, active_only: bool = True) -> List[JupyterSession]:
         now = self.clock.now()
@@ -286,9 +291,8 @@ class JupyterService(Service):
 
     def sever(self, subject: str, by: str,
               project: Optional[str] = None) -> int:
-        """Close every open notebook session of ``subject``."""
-        hit = [s.session_id for s in self._sessions.values()
-               if s.subject == subject and not s.closed]
-        for session_id in hit:
-            self.close_session(session_id)
-        return len(hit)
+        """Close ``subject``'s notebook session: only the latest can be
+        open, and it counts only if it was live (an expired one is closed
+        uncounted)."""
+        live = self._live_session(subject)
+        return int(live is not None and self.close_session(live.session_id))

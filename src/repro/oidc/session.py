@@ -82,12 +82,13 @@ class SessionStore:
         return True
 
     def revoke_subject(self, subject: str) -> int:
-        """Sever every session belonging to ``subject`` (kill switch path)."""
+        """Sever every session belonging to ``subject`` (kill switch path);
+        returns how many of them were still active."""
         n = 0
         for session in self._sessions.values():
             if session.subject == subject and not session.revoked:
+                n += session.active(self.clock.now())
                 session.revoked = True
-                n += 1
         return n
 
     def active_sessions(self) -> List[Session]:

@@ -212,20 +212,23 @@ class ZenithServer(Service):
         kill every tunnel ``subject`` itself registered (a workload).  A
         user's sever never reaches a tunnel a service account
         registered, so tearing down one researcher does not sever the
-        shared Jupyter tunnel."""
-        hit = sorted(sid for sid, s in self._web_sessions.items()
-                     if s.get("sub") == subject)
-        for sid in hit:
-            del self._web_sessions[sid]
-        if hit:
+        shared Jupyter tunnel.  Only what ``grants`` lists is counted and
+        audited: an expired session is dropped and an expired tunnel
+        killed (a heartbeat would revive it) without either."""
+        hit = [sid for sid, s in self._web_sessions.items()
+               if s.get("sub") == subject]
+        n = sum(self._web_sessions.pop(sid)["expires_at"] > self.clock.now()
+                for sid in hit)
+        if n:
             self.log_event("authz-pipeline", "zenith.sessions_revoked",
-                subject, Outcome.INFO, count=len(hit),
+                subject, Outcome.INFO, count=n,
             )
-        n = len(hit)
         for service, record in sorted(self.tunnels.items()):
-            if record.registered_by == subject and not record.killed:
+            if record.registered_by == subject and record.usable(
+                    self.clock.now()):
                 self.kill_tunnel(service)
                 n += 1
+            record.killed |= record.registered_by == subject
         return n
 
     def kill_all_tunnels(self) -> None:

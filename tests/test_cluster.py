@@ -218,6 +218,20 @@ def test_live_session_lookup_does_not_grow_with_sessions_ever_opened(
     assert service._live_session("ma-1") is None
 
 
+def test_a_respawn_frees_the_expired_notebooks_node(jupyter, clock, pool):
+    """An expired notebook gives its compute node back when its subject
+    respawns; the last one, never respawned, keeps it until a sever."""
+    service, tokens = jupyter
+    for _ in range(3):
+        opened = service.handle(notebook_request(
+            tokens.mint("ma-1", "jupyter", Role.RESEARCHER)[0]))
+        assert opened.ok
+        clock.advance(service.session_ttl + 10)
+    assert service.sessions() == []
+    assert [n.allocated_to for n in pool.nodes() if n.allocated_to] == \
+        [opened.body["session_id"]]
+
+
 def test_jupyter_requires_token_header(jupyter):
     service, _ = jupyter
     resp = service.handle(HttpRequest("GET", "/"))

@@ -139,3 +139,29 @@ def test_revocation_sweeps_both_clusters():
     assert resp.ok
     for sshd in dri.login_nodes:
         assert not [s for s in sshd.sessions() if s.principal == account]
+
+
+@pytest.mark.parametrize("expired", [False, True], ids=["live", "expired"])
+@pytest.mark.parametrize("at", range(len(holders(build_isambard(seed=31)))))
+def test_a_sever_counts_and_audits_only_what_was_live(at, expired):
+    """Each holder's ``sever`` returns how many of the subject's grants
+    its ``grants(now)`` listed just before, and one that counts none
+    writes no audit record.  The broker also ends the SSO sessions and
+    OIDC access tokens the registry does not read, counted while live."""
+    dri, sub, account = world({})
+    if expired:
+        dri.clock.advance(dri.jupyter.session_ttl + 10)
+    holder = dri.surfaces()[at][1]
+    broker = dri.broker
+    for subject in (sub, account):
+        now = dri.clock.now()
+        listed = sum(grant[2] == subject for grant in holder.grants(now))
+        if holder is broker:
+            listed += sum(s.subject == subject and s.active(now)
+                          for s in broker.sessions.export_sessions())
+            listed += sum(r["subject"] == subject and r["exp"] > now
+                          and jti not in broker._revoked_jtis
+                          for jti, r in broker._issued.items())
+        records = len(dri.audit)
+        assert holder.sever(subject, "test") == listed
+        assert listed or len(dri.audit) == records
