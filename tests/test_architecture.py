@@ -11,9 +11,9 @@ raising the limit.
 The size ratchets at the bottom only ever go down: the number of values
 a caller of ``build_isambard`` can set (read off its annotations, the one
 check that imports rather than parses), the values among them that only
-tests set, the statement count of ``src/``, the ``src/`` frames a relogin
-enters (counted while one runs), the concepts that have exactly one
-implementation, the serving path's three mechanisms (serve wrapper, attempt bound, retry loop), each of
+tests set, the statement count of ``src/`` (the ``src/`` frames each
+story enters are capped in ``test_story_cost.py``), the concepts that
+have exactly one implementation, the serving path's three mechanisms (serve wrapper, attempt bound, retry loop), each of
 which is written once, the one place a trace header is parsed, and the
 one write path of journaled state (``Durable.commit``).
 """
@@ -23,13 +23,10 @@ from __future__ import annotations
 import ast
 import dataclasses
 import inspect
-import sys
 import typing
 from pathlib import Path
 
 import pytest
-
-from tests.test_hop_budget import deployment  # noqa: F401  (a fixture)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 DEPLOYMENT = SRC / "repro" / "core" / "deployment.py"
@@ -44,14 +41,6 @@ MAX_SETTABLE_VALUES = 43
 # pipeline branch and the pipeline's four teardown closures went; the
 # holders' severs collect what they end before ending it
 MAX_SRC_STATEMENTS = 10_562
-# src/ frames one relogin enters on the hop budget's builds (seed 31)
-MAX_RELOGIN_FRAMES = {
-    # 446; each mint and each validation enters one b64url_* frame fewer
-    # (the header is encoded once per key and parsed once per segment)
-    "default": 442,
-    # 1021; the same, for two mints and one validation (one is cached)
-    "all-tiers": 1018,
-}
 # concepts that once had two implementations: the loser's name stays gone
 MERGED_AWAY = {"AccountRegistry", "EduGain", "BoundedSpanStore",
                "LatencyTracker", "RoundRobinPolicy", "ConsistentHashPolicy",
@@ -265,31 +254,6 @@ def test_src_statement_count_only_falls():
                                  ast.AsyncFunctionDef)):
                 statements -= ast.get_docstring(node, clean=False) is not None
     assert statements <= MAX_SRC_STATEMENTS
-
-
-def test_a_relogin_enters_at_most_its_src_frames(deployment):
-    """Python frames entered in ``src/`` code while a relogin runs: the
-    ``sys.setprofile`` call events whose code lives under ``src/``, less
-    the ``<...>`` bodies (comprehensions, which 3.12 inlines).  The count
-    is deterministic, so a change that adds per-hop work shows here
-    before any wall-clock does."""
-    build, dri, _ = deployment
-    wf = dri.workflows
-    root, frames = str(SRC), 0
-
-    def profile(frame, event, arg):
-        nonlocal frames
-        code = frame.f_code
-        frames += (event == "call" and code.co_filename.startswith(root)
-                   and not code.co_name.startswith("<"))
-
-    sys.setprofile(profile)
-    try:
-        ok = wf.relogin(wf.personas["res1"]).ok
-    finally:
-        sys.setprofile(None)
-    assert ok
-    assert frames <= MAX_RELOGIN_FRAMES[build], frames
 
 
 def test_src_leaves_the_collector_alone():
