@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.audit import AuditEvent, AuditLog, Outcome
+from repro.core import build_isambard
 
 
 def make_event(**overrides):
@@ -160,3 +161,11 @@ def test_canonical_of_the_usual_event_and_of_the_odd_ones():
                 make_event(time=float("nan")), make_event(zone=_Zone.ACCESS),
                 make_event(attrs={1: "x", 2: "y"})):
         assert odd.canonical() == _reference_canonical(odd)
+
+
+def test_combined_audit_accessors():
+    dri = build_isambard(seed=134)
+    dri.workflows.story1_pi_onboarding("kit")
+    merged = dri.audit.events()
+    assert merged == sorted(merged, key=lambda e: e.time)
+    assert len(dri.audit) == sum(len(v) for v in dri.logs.values())

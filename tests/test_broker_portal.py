@@ -5,6 +5,7 @@ import pytest
 
 from repro.broker import Role
 from repro.core import build_isambard
+from repro.errors import AuthorizationError
 from repro.oidc import make_url
 
 
@@ -326,3 +327,9 @@ def test_researcher_tokens_not_subject_to_stepup():
     resp = dri.workflows.mint(pat, "portal", "pi",
                               project=s1.data["project_id"])
     assert resp.ok  # dynamic portal check suffices for user roles
+
+
+def test_grant_admin_role_validates_role():
+    dri = build_isambard(seed=133)
+    with pytest.raises(AuthorizationError):
+        dri.broker.grant_admin_role("idp-admin:x", Role.RESEARCHER)

@@ -1,8 +1,10 @@
-"""Unit tests for the simulated clock and its event scheduler."""
+"""Unit tests for the simulated clock, its event scheduler and the id
+factory, the two sources a seed makes deterministic."""
 
 import pytest
 
 from repro.clock import SimClock
+from repro.ids import IdFactory
 
 
 def test_starts_at_given_time():
@@ -142,3 +144,28 @@ def test_event_schedule_is_deterministic():
         return trace, clock.now()
 
     assert drive() == drive()
+
+
+def test_ids_deterministic_per_seed():
+    a, b = IdFactory(7), IdFactory(7)
+    assert [a.next("x") for _ in range(3)] == [b.next("x") for _ in range(3)]
+    assert a.secret(16) == b.secret(16)
+    assert IdFactory(8).secret(16) != IdFactory(9).secret(16)
+
+
+def test_ids_namespaced_counters():
+    ids = IdFactory(1)
+    assert ids.next("user") == "user-0001"
+    assert ids.next("proj") == "proj-0001"
+    assert ids.next("user") == "user-0002"
+
+
+def test_ids_jti_unique():
+    ids = IdFactory(1)
+    jtis = {ids.jti() for _ in range(100)}
+    assert len(jtis) == 100
+
+
+def test_ids_secret_validation():
+    with pytest.raises(ValueError):
+        IdFactory(1).secret(0)

@@ -312,3 +312,18 @@ def test_killswitch_and_configuration_classes():
                                     body={"principal": "u", "target": "t"}))
     with pytest.raises(ConfigurationError):
         BastionSet("b2", clock, vm_count=0, **Wiring())
+
+
+def test_every_error_is_a_repro_error():
+    import repro.errors as E
+
+    for name in E.__all__:
+        cls = getattr(E, name)
+        assert issubclass(cls, ReproError)
+        assert issubclass(cls, Exception)
+
+
+def test_token_error_hierarchy():
+    assert issubclass(TokenExpired, TokenError)
+    with pytest.raises(TokenError):
+        raise TokenExpired("x")

@@ -165,3 +165,13 @@ def test_cli_workshop_small():
     )
     assert proc.returncode == 0, proc.stderr[-1500:]
     assert "[rsecon] ok" in proc.stdout
+
+
+def test_cli_report_command():
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro", "--seed", "9", "report"],
+        capture_output=True, text=True, timeout=180,
+    )
+    assert proc.returncode == 0, proc.stderr[-1500:]
+    assert "OPERATIONS AND COMPLIANCE REPORT" in proc.stdout
+    assert "NIST SP 800-207 tenets" in proc.stdout

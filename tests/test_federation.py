@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.core import build_isambard
 from repro.crypto import JwkSet, JwtValidator
 from repro.crypto.jws import b64url_decode
 from repro.errors import (
@@ -524,3 +525,57 @@ def test_admin_no_password_only_path(admin_world):
                          {"username": "ops1", "password": "x" * 20})
     assert resp.ok and resp.body.get("mfa_required") is True
     assert "Set-Cookie" not in resp.headers
+
+
+def test_lastresort_user_full_ssh_journey():
+    dri = build_isambard(seed=95)
+    s1 = dri.workflows.story1_pi_onboarding(
+        "vendor-pi", via="lastresort", project_name="proj-aisi")
+    assert s1.ok, s1.steps
+    s4 = dri.workflows.story4_ssh_session("vendor-pi")
+    assert s4.ok, s4.steps
+    assert s4.data["principal"].startswith("vendorpi.")
+    # and Jupyter works for them too
+    s6 = dri.workflows.story6_jupyter("vendor-pi")
+    assert s6.ok, s6.steps
+
+
+def test_institution_change_with_identity_linking():
+    """A researcher moves from Bristol to Tartu mid-project.  Linking the
+    new institutional identity to their MyAccessID account preserves the
+    persistent uid — projects, unix accounts and roles survive the move.
+    """
+    dri = build_isambard(seed=96)
+    s1 = dri.workflows.story1_pi_onboarding("remy")
+    remy = dri.workflows.personas["remy"]
+    uid = remy.broker_sub
+
+    # new identity at Tartu
+    tartu = dri.idps["idp-tartu"]
+    tartu.add_user("remy.t", "pw-new", "Remy", "remy@idp.ut.ee")
+
+    # while still logged in at MyAccessID, link the Tartu identity
+    login, _ = remy.agent.post(
+        make_url("idp-tartu", "/login"),
+        {"username": "remy.t", "password": "pw-new",
+         "sp": dri.myaccessid.entity_id},
+    )
+    link, _ = remy.agent.post(
+        make_url("myaccessid", "/link"),
+        {"entity_id": tartu.entity_id, "assertion": login.body["assertion"]},
+    )
+    assert link.ok, link.body
+
+    # Bristol de-affiliates them; fresh login via Tartu still maps to the
+    # same account, so the project role is intact
+    dri.idps["idp-bristol"].deactivate_user("remy")
+    remy.agent.clear_cookies("broker")
+    remy.agent.clear_cookies("myaccessid")
+    remy.idp_endpoint = "idp-tartu"
+    remy.username, remy.password = "remy.t", "pw-new"
+    resp = dri.workflows.login(remy)
+    assert resp.ok, resp.body
+    assert resp.body["sub"] == uid
+    mint = dri.workflows.mint(remy, "portal", "pi",
+                              project=s1.data["project_id"])
+    assert mint.ok

@@ -3,8 +3,8 @@
 import pytest
 
 from repro.errors import AuthenticationError, ConfigurationError, TokenRevoked
-from repro.net import HttpRequest
-from repro.oidc import make_url, parse_url, pkce_challenge
+from repro.net import HttpRequest, HttpResponse, OperatingDomain, Service, Zone, route
+from repro.oidc import UserAgent, make_url, parse_url, pkce_challenge
 
 
 def login(agent, provider_name="op", username="alice", password="pw-alice"):
@@ -418,3 +418,48 @@ def test_relying_party_builds_its_validator_once_per_key_set(oidc_world):
     assert full_flow(app, agent)[0].ok
     assert app.rp._validator is not validator
     assert app.rp._validator.keys is app.rp._jwks
+
+
+class Bouncer(Service):
+    @route("GET", "/loop")
+    def loop(self, request):
+        return HttpResponse.redirect(make_url(self.name, "/loop"))
+
+    @route("GET", "/here")
+    def here(self, request):
+        return HttpResponse.json({"cookie": request.headers.get("Cookie", "")})
+
+
+@pytest.fixture()
+def agent_net(sim):
+    clock, ids, network = sim
+    network.attach(Bouncer("svc"), OperatingDomain.FDS, Zone.ACCESS)
+    agent = UserAgent("ua", max_hops=5)
+    network.attach(agent, OperatingDomain.EXTERNAL, Zone.INTERNET)
+    return agent
+
+
+def test_agent_detects_redirect_loops(agent_net):
+    with pytest.raises(ConfigurationError) as err:
+        agent_net.get(make_url("svc", "/loop"))
+    assert "redirect loop" in str(err.value)
+
+
+def test_agent_history_records_hops(agent_net):
+    agent_net.get(make_url("svc", "/here"))
+    assert agent_net.history[-1].startswith("GET https://svc/here")
+
+
+def test_agent_clear_cookies_selective(agent_net):
+    agent_net.cookies["svc"] = {"sid": "x"}
+    agent_net.cookies["other"] = {"sid": "y"}
+    agent_net.clear_cookies("svc")
+    assert "svc" not in agent_net.cookies and "other" in agent_net.cookies
+    agent_net.clear_cookies()
+    assert not agent_net.cookies
+
+
+def test_agent_sends_stored_cookies(agent_net):
+    agent_net.cookies["svc"] = {"sid": "abc"}
+    resp, _ = agent_net.get(make_url("svc", "/here"))
+    assert resp.body["cookie"] == "sid=abc"

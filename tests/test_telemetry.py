@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 from repro.audit import AuditLog, Outcome
 from repro.clock import SimClock
 from repro.core import build_isambard
-from repro.core.metrics import latency_stats
+from repro.core.metrics import format_table, latency_stats
 from repro.errors import (ConnectionBlocked, DeadlineExceeded, RateLimited,
                           ServiceUnavailable)
 from repro.net import (
@@ -740,3 +740,20 @@ def test_latency_stats_percentiles_are_numpys_bit_for_bit(samples):
     for key in ("p50", "p95", "p99", "max"):
         at = int(np.abs(arr - stats[key]).argmin())
         assert stats["exemplars"][key] == at + 1
+
+
+def test_latency_stats_empty_and_filled():
+    empty = latency_stats([])
+    assert empty["n"] == 0 and empty["p95"] == 0.0
+    stats = latency_stats([1.0, 2.0, 3.0, 4.0])
+    assert stats["n"] == 4
+    assert stats["min"] == 1.0 and stats["max"] == 4.0
+    assert stats["p50"] == pytest.approx(2.5)
+
+
+def test_format_table_alignment():
+    out = format_table(["a", "long-header"], [["xx", 1], ["y", 22]],
+                       title="t")
+    lines = out.splitlines()
+    assert lines[0] == "t"
+    assert all(len(line) == len(lines[1]) for line in lines[1:])

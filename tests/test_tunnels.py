@@ -4,6 +4,7 @@ import pytest
 
 from repro.broker import RbacTokenValidator, Role, TokenService
 from repro.clock import SimClock
+from repro.core import build_isambard
 from repro.crypto import JwkSet
 from repro.crypto.keys import generate_signing_key
 from repro.errors import (
@@ -304,3 +305,19 @@ def test_mgmt_node_unreachable_from_internet(tailnet_world):
     clock, ids, network, tokens, coord, agent = tailnet_world
     with pytest.raises(ConnectionBlocked):
         agent.call("mgmt-node", HttpRequest("GET", "/status"))
+
+
+def test_tailnet_accessors_and_resume_operation():
+    dri = build_isambard(seed=135)
+    result = dri.workflows.story5_privileged_operation(
+        "ops1", operation="drain_node", target="gh-0005")
+    assert result.ok
+    assert not dri.pool.node("gh-0005").up
+    node = dri.tailnet.node(str(result.data["node_id"]))
+    assert node is not None and node.hostname == "ops1-laptop"
+    assert len(dri.tailnet.acl.rules()) >= 2
+
+    resumed = dri.workflows.story5_privileged_operation(
+        "ops1", operation="resume_node", target="gh-0005")
+    assert resumed.ok
+    assert dri.pool.node("gh-0005").up
