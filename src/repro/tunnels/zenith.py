@@ -228,6 +228,8 @@ class ZenithServer(Service):
                     self.clock.now()):
                 self.kill_tunnel(service)
                 n += 1
+            # an expired one is killed too, uncounted: a heartbeat would
+            # revive it
             record.killed |= record.registered_by == subject
         return n
 

@@ -142,7 +142,7 @@ def test_revocation_sweeps_both_clusters():
 
 
 @pytest.mark.parametrize("expired", [False, True], ids=["live", "expired"])
-@pytest.mark.parametrize("at", range(len(holders(build_isambard(seed=31)))))
+@pytest.mark.parametrize("at", range(len(build_isambard(seed=31).surfaces())))
 def test_a_sever_counts_and_audits_only_what_was_live(at, expired):
     """Each holder's ``sever`` returns how many of the subject's grants
     its ``grants(now)`` listed just before, and one that counts none
