@@ -86,15 +86,19 @@ def _ship_logs(advance):
     return story
 
 
-def _run(name):
+def _run(name, persona=False):
     def story(dri, _):
-        return lambda: getattr(dri.workflows, name)("res1")
+        wf = dri.workflows
+
+        def op():
+            assert getattr(wf, name)(
+                wf.personas["res1"] if persona else "res1").ok
+        return op
     return story
 
 
 STORIES = {
-    "relogin": lambda dri, _: lambda: dri.workflows.relogin(
-        dri.workflows.personas["res1"]),
+    "relogin": _run("relogin", persona=True),
     "ssh-first": _run("story4_ssh_session"),
     # a remembered host certificate saves a signature check, not a message
     "ssh-second": _run("story4_ssh_session"),
