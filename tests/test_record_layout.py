@@ -1,6 +1,7 @@
 """What the telemetry and audit stores keep costs the collector nothing,
-neither the SIEM nor the provenance ledger keeps a second copy of the
-audit trail, and a kept span costs a row, not a record.
+neither the SIEM, the provenance ledger nor the audit journal keeps a
+second copy of the audit trail, and a kept span costs a row, not a
+record.
 
 A finished span is a 36-byte row of its trace's ``bytearray`` over a
 table of interned shapes; an emitted audit event and a provenance ledger
@@ -17,6 +18,7 @@ container), which are counted exactly below.
 from __future__ import annotations
 
 import gc
+import struct
 import sys
 from collections import Counter
 from collections.abc import Collection
@@ -51,6 +53,10 @@ MAX_BYTES_PER_SPAN = {
 # estimated from the two dicts' sizes on 3.10, not read off a 3.10 run
 PRE_311_BYTES = 3
 RELOGINS = 20
+# bytes the ``audit-*`` journal streams own per journaled record after
+# the all-tiers story and 20 relogins (``_journal_bytes``); lower it when
+# a change lowers the count
+MAX_JOURNAL_BYTES_PER_AUDIT_RECORD = 487  # 486.4: each record's JSON text
 
 
 def _story(dri, suffix=""):
@@ -120,6 +126,42 @@ def test_the_siem_holds_no_copy_of_the_trail(build):
         held.append((soc, [_held(fw) for fw in dri.forwarders]))
     assert dri.soc.records_ingested > 50
     assert held[1] == held[0], held
+
+
+def _journal_bytes(dri):
+    """``(bytes, records)`` of the ``audit-*`` journal streams: each
+    pending entry's tuple, its ``seq``, ``time`` and record, and each
+    sealed slot plus its item.  An item that is a log's own row is the
+    log's, so the stream owns only its slot or entry."""
+    rows = {id(row) for log in dri.logs.values() for row in log._events}
+
+    def owned(item):
+        return 0 if id(item) in rows else sys.getsizeof(item)
+
+    total = records = 0
+    for name, journal in dri.durability._streams.items():
+        if name.startswith("audit-"):
+            for e in journal._entries:
+                total += (sys.getsizeof(e) + sys.getsizeof(e.seq)
+                          + sys.getsizeof(e.time) + owned(e[4]))
+            total += sum(struct.calcsize("P") + owned(item)
+                         for item in journal._sealed)
+            records += len(journal._entries) + len(journal._sealed)
+    return total, records
+
+
+def test_the_journal_holds_no_second_copy_of_the_trail():
+    """With durability on, each audit log journals its records: the
+    stream holds what a replay needs, and no more than the budget per
+    record beside the log's own rows."""
+    dri = _run(BUILDS["all-tiers"])
+    wf = dri.workflows
+    for _ in range(RELOGINS):
+        assert wf.relogin(wf.personas["bob"]).ok
+    total, records = _journal_bytes(dri)
+    assert records > 300
+    assert total <= MAX_JOURNAL_BYTES_PER_AUDIT_RECORD * records, (
+        total / records)
 
 
 def _owned_bytes(obj):
