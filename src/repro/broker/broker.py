@@ -439,27 +439,30 @@ class IdentityBroker(OidcProvider):
         """Sever a user's live access: RBAC tokens (of ``project`` only,
         when given) and, for a whole-user sever, broker sessions and OIDC
         access tokens.  Returns how many live ones were ended (an expired
-        session or access token is revoked uncounted); a sever that ends
-        nothing live records nothing, as on every surface (the walk also
-        calls it for UNIX accounts, which hold no token)."""
+        session or access token is revoked uncounted, along with a live
+        one); a sever that ends nothing live journals and records nothing,
+        as on every surface (the walk also calls it for UNIX accounts,
+        which hold no token)."""
         revoked_tokens = self.tokens.revoke_subject(uid, project=project)
         revoked_sessions = revoked_access = 0
         if project is None:
-            if any(s.subject == uid and not s.revoked
+            # journal a revocation only when it ends something live: one
+            # of nothing but expired grants would change no decision
+            if any(s.subject == uid and s.active(self.clock.now())
                    for s in self.sessions.export_sessions()):
                 revoked_sessions = self.commit("oidc.session_revoke_subject",
                                                {"subject": uid})
             hit = [jti for jti, record in self._issued.items()
                    if record.get("subject") == uid
                    and jti not in self._revoked_jtis]
-            if hit:
+            revoked_access = sum(self._issued[jti]["exp"] > self.clock.now()
+                                 for jti in hit)
+            if revoked_access:
                 self.commit("broker.revoke_access", {"subject": uid, "jtis": hit})
             if self.invalidation_bus is not None:
                 for jti in hit:
                     self.invalidation_bus.publish("token.revoked", key=jti,
                                                   subject=uid)
-            revoked_access = sum(self._issued[jti]["exp"] > self.clock.now()
-                                 for jti in hit)
         severed = revoked_tokens + revoked_sessions + revoked_access
         if severed:
             self._audit("system", "access.revoked", uid, Outcome.INFO,

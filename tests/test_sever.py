@@ -165,3 +165,24 @@ def test_a_sever_counts_and_audits_only_what_was_live(at, expired):
         records = len(dri.audit)
         assert holder.sever(subject, "test") == listed
         assert listed or len(dri.audit) == records
+
+
+@pytest.mark.durability
+def test_a_sever_after_expiry_journals_nothing():
+    """Once every grant has expired, a whole-user sever of each persona
+    ends nothing, so the broker journals nothing: no session revocation
+    and no access-token revocation for grants no decision would honour."""
+    dri = build_isambard(seed=7, durability=True)
+    wf = dri.workflows
+    s1 = wf.story1_pi_onboarding("pi")
+    assert s1.ok, s1.steps
+    assert wf.story3_researcher_setup(s1.data["project_id"], "pi", "res1").ok
+    assert wf.story6_jupyter("res1").ok
+    broker = dri.broker
+    dri.clock.advance(max(broker.sessions.ttl, broker.access_ttl,
+                          dri.jupyter.session_ttl) + 10)
+    appends = broker.journal.appends
+    for persona in ("allocator", "pi", "res1"):
+        severed = dri.sever(wf.personas[persona].broker_sub, by="x")
+        assert set(severed.values()) == {0}, (persona, severed)
+    assert broker.journal.appends == appends
