@@ -23,7 +23,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from math import isfinite
 from typing import AbstractSet, Callable, Dict, Iterator, List, Optional, Tuple
 
-from repro.resilience.durability import Durable, RecoveryReport, _compact, _encode
+from repro.resilience.durability import Durable, RecoveryReport, _compact
 from repro.errors import RecoveryError
 
 __all__ = ["AuditEvent", "AuditLog", "CombinedAuditView", "Outcome"]
@@ -244,24 +244,36 @@ class AuditLog(Durable):
 
         The event keeps its attrs dict unless a value needs coercing to
         plain data (:meth:`_plain`); then it gets a coerced copy.  The log
-        stores the event's record; the event itself is the caller's."""
+        stores the event's record; the event itself is the caller's.
+
+        A journaled log hands its journal the very record it stores when
+        the event is the usual one (see :meth:`AuditEvent._quoted`) with
+        every attr value a JSON scalar: an immutable row of atoms, whose
+        text (its :meth:`row_payload`, encoded) is written only when the
+        journal is read.  Any other event goes in as that payload, encoded
+        at append — a container attr so that no edit through a view
+        reaches the journal, an unusual field so that it meets the
+        encoder's admission filter."""
         if event.outcome not in Outcome.ALL:
             raise ValueError(f"unknown outcome {event.outcome!r}")
         if self.down:
             self.lost_while_down += 1
             return event
-        if not _JSON_SCALARS.issuperset(map(type, event.attrs.values())):
+        if not (scalar := _JSON_SCALARS.issuperset(
+                map(type, event.attrs.values()))):
             object.__setattr__(event, "attrs", {
                 k: self._plain(v) for k, v in event.attrs.items()})
         digest = hashlib.sha256(
             self._head.encode() + event.canonical()
         ).hexdigest()
         object.__setattr__(event, "digest", digest)
+        row = _stored(event)
         if self.journal is not None:
             # write-ahead: a fenced emit raises here, chain untouched
-            self._jpublish("audit.emit", self._record_of(event))
+            self._jpublish("audit.emit", row if scalar and event._quoted()
+                           is not None else self.row_payload(row))
         self._head = digest
-        self._events.append(_stored(event))
+        self._events.append(row)
         dead: List[Callable[[AuditEvent], None]] = []
         for sub in self._subscribers:
             try:
@@ -380,36 +392,22 @@ class AuditLog(Durable):
     # durability (crash recovery of the log store itself)
     # ------------------------------------------------------------------
     @staticmethod
-    def _record_of(event: AuditEvent) -> "str | Dict[str, object]":
-        """The ``audit.emit`` record: for the usual event (see
-        :meth:`AuditEvent._quoted`) its text, written out directly and byte
-        for byte what ``json.dumps(_event_dict(event), sort_keys=True)``
-        writes; for any other event that dict, for the journal to encode."""
-        quoted = event._quoted()
-        if quoted is None:
-            return AuditLog._event_dict(event)
-        action, actor, domain, outcome, resource, source, zone = quoted
-        return (f'{{"action": {action}, "actor": {actor}, '
-                f'"attrs": {_encode(event.attrs)}, "digest": "{event.digest}", '
-                f'"domain": {domain}, "outcome": {outcome}, '
-                f'"resource": {resource}, "source": {source}, '
-                f'"time": {float.__repr__(event.time)}, "zone": {zone}}}')
-
-    @staticmethod
-    def _event_dict(event: AuditEvent) -> Dict[str, object]:
+    def row_payload(record: Tuple[object, ...]) -> Dict[str, object]:
+        """The ``audit.emit`` payload of a stored record, as
+        ``durable_state()`` lists it: the event's fields, its attrs as an
+        object and its digest (the journal writes a row's text from it)."""
+        values = (len(record) + _ATTRS) // 2
         return {
-            "time": event.time, "source": event.source, "actor": event.actor,
-            "action": event.action, "resource": event.resource,
-            "outcome": event.outcome, "domain": event.domain,
-            "zone": event.zone, "attrs": dict(event.attrs),
-            "digest": event.digest,
+            "time": record[0], "source": record[1], "actor": record[2],
+            "action": record[3], "resource": record[4], "outcome": record[5],
+            "domain": record[6], "zone": record[7],
+            "attrs": dict(zip(record[_ATTRS:values], record[values:])),
+            "digest": record[_DIGEST],
         }
 
     def durable_state(self) -> Dict[str, object]:
-        return {
-            "head": self._head,
-            "events": [self._event_dict(e) for e in map(_view, self._events)],
-        }
+        return {"head": self._head,
+                "events": list(map(self.row_payload, self._events))}
 
     def checkpoint(self) -> None:
         """Seal instead of re-encoding the trail: every pending entry is
@@ -464,11 +462,7 @@ class CombinedAuditView:
         self._logs = dict(logs)
 
     def events(self) -> List[AuditEvent]:
-        merged: List[AuditEvent] = []
-        for log in self._logs.values():
-            merged.extend(log.events())
-        merged.sort(key=lambda e: e.time)
-        return merged
+        return self.query()
 
     def query(self, **kwargs) -> List[AuditEvent]:
         merged: List[AuditEvent] = []

@@ -11,14 +11,19 @@ This module gives the simulation the same guarantees, deterministically:
   stores: the payload is encoded to canonical JSON once, at append, and
   decoded only when read (recovery, standby catch-up, tests).  Encoding
   is the admission filter — only plain, replayable data gets in — and
-  every read decodes afresh, so nothing handed out aliases the log.
+  every read decodes afresh, so nothing handed out aliases the log.  An
+  appender that keeps its own immutable rows (the audit log) may hand
+  the journal such a row instead: the journal holds that very row, and
+  its text — the payload the appender's ``row_payload`` builds from it,
+  encoded — is written only when read.
 * Snapshots — :meth:`ServiceJournal.snapshot` checkpoints the durable
   state and truncates the entries it makes redundant; recovery is
   "load snapshot, replay the tail".  A *full* snapshot encodes the whole
   state (mutable services, and every attach-time baseline).  A *sealed*
   one is for append-only state: the pending entries' records — already
-  encoded — move onto a named run of the snapshot, so the checkpoint
-  costs what is pending, not what has accumulated.  Either way the
+  encoded, or rows already held — move onto a named run of the
+  snapshot, so the checkpoint costs what is pending, not what has
+  accumulated.  Either way the
   checkpoint is taken *before* the entry that trips the cadence is
   appended: WAL-disciplined services mutate after the append returns,
   so only then does live state equal snapshot + journaled entries.
@@ -50,7 +55,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.clock import SimClock
 from repro.errors import ConfigurationError, EpochFenced
@@ -99,18 +104,27 @@ def _encode(data, *, compact: bool = False) -> str:
 
 
 class JournalEntry(NamedTuple):
-    """One committed mutation: (sequence, time, writer epoch, kind, record).
+    """One committed mutation: (sequence, time, writer epoch, kind, body,
+    row payload).
 
-    A tuple of atoms.  ``record`` is the payload as encoded at append;
-    :attr:`data` decodes it afresh on every read, so no reader can edit
-    the log.
+    ``body`` is the payload as encoded at append, or the appender's own
+    immutable row, held as it stands; ``row_payload`` builds a row's
+    payload.  :attr:`record` is the text either way, written afresh on
+    every read of a row, and :attr:`data` decodes it afresh, so no
+    reader can edit the log.
     """
 
     seq: int
     time: float
     epoch: int
     kind: str
-    record: str
+    body: object
+    row_payload: Optional[Callable[[tuple], Dict[str, object]]] = None
+
+    @property
+    def record(self) -> str:
+        return (self.body if type(self.body) is str
+                else _encode(self.row_payload(self.body)))
 
     @property
     def data(self) -> Dict[str, object]:
@@ -127,9 +141,13 @@ class ServiceJournal:
         # the snapshot, as encoded text: the last full state, then — for
         # an append-only service — the last sealed checkpoint's (run
         # name, other fields) and the records sealed onto that run since
+        # (each its text, or a row held as it stands: see ``text``)
         self._snapshot: Optional[str] = None
         self._seal: Optional[Tuple[str, str]] = None
-        self._sealed: List[str] = []
+        self._sealed: List[object] = []
+        # the payload of a row appended as it stands, set by the writer
+        # that keeps such rows (see ``Durable.attach_journal``)
+        self.row_payload: Optional[Callable[[tuple], Dict[str, object]]] = None
         self._snapshot_seq = 0
         self._seq = 0
         self._epoch = 0
@@ -150,14 +168,15 @@ class ServiceJournal:
         return self._epoch
 
     # ------------------------------------------------------------- writes
-    def append(self, kind: str, data: "Dict[str, object] | str", *,
+    def append(self, kind: str, data: "Dict[str, object] | tuple", *,
                epoch: Optional[int] = None) -> JournalEntry:
-        """Commit one mutation.  ``data`` is the payload, encoded here, or
-        — a ``str`` — its record already written by the caller in the
-        form :func:`_encode` gives, stored as it stands.  ``epoch`` is the
-        writer's fencing epoch; presenting a stale one raises
-        :class:`EpochFenced` (and nothing is written — the deposed
-        writer's mutation never happened)."""
+        """Commit one mutation.  ``data`` is the payload, encoded here —
+        or, on a stream with a :attr:`row_payload`, a ``tuple``: the
+        appender's own immutable row, held as it stands (the appender
+        keeps the same object), whose payload is built and encoded only
+        when read.  ``epoch`` is the writer's fencing epoch; presenting a
+        stale one raises :class:`EpochFenced` (and nothing is written —
+        the deposed writer's mutation never happened)."""
         if epoch is not None and epoch != self._epoch:
             self.fenced_appends += 1
             raise EpochFenced(
@@ -167,7 +186,8 @@ class ServiceJournal:
         self._seq += 1
         entry = JournalEntry(
             self._seq, self.store.clock.now(), self._epoch, kind,
-            data if type(data) is str else _encode(data))
+            data if type(data) is tuple and self.row_payload else _encode(data),
+            self.row_payload)
         self._entries.append(entry)
         self.appends += 1
         return entry
@@ -179,14 +199,15 @@ class ServiceJournal:
         By default ``state`` is the full durable state.  With ``seal``,
         ``state`` holds every field *except* the append-only run named
         ``seal``: each pending entry's record is one more item of that
-        run and is moved onto it as it stands, so the cost is that of
-        the pending entries however long the run has grown.
+        run and is moved onto it as it stands (its text, or its row), so
+        the cost is that of the pending entries however long the run has
+        grown.
         """
         if seal is None:
             self._snapshot, self._seal, self._sealed = _encode(state), None, []
         else:
             self._seal = (seal, _encode(state))
-            self._sealed.extend(e.record for e in self._entries)
+            self._sealed.extend(e.body for e in self._entries)
         self._snapshot_seq = self._seq
         self._entries = []
         self.snapshots += 1
@@ -200,8 +221,13 @@ class ServiceJournal:
             run, fields = self._seal
             snap = {**(snap or {}), **json.loads(fields)}
             snap.setdefault(run, []).extend(
-                json.loads("[%s]" % ",".join(self._sealed)))
+                json.loads("[%s]" % ",".join(map(self.text, self._sealed))))
         return snap, list(self._entries)
+
+    def text(self, item: object) -> str:
+        """The record text of an entry's body or a sealed item: the text
+        it holds, or the payload of the row it holds, encoded afresh."""
+        return item if type(item) is str else _encode(self.row_payload(item))
 
     @property
     def snapshot_seq(self) -> int:
@@ -278,12 +304,13 @@ class Durable:
     volatile memos) stays in the live method.
 
     One service keeps its own path: :meth:`AuditLog.emit
-    <repro.audit.AuditLog.emit>` journals the event's record as text
-    written once from the event (``ServiceJournal.append`` takes it as
-    it stands) and stores the event itself; applying it through a
-    decoded dict on every emit would re-build what the text was written
-    to avoid.  Its replay is held to the live path by the differential
-    in ``tests/test_journal_cost.py``.
+    <repro.audit.AuditLog.emit>` journals the very row it stores (a usual
+    event with scalar attrs; any other event goes in as its payload dict)
+    and then stores it; applying it through a decoded dict on every emit
+    would rebuild the row it already holds.  A row's text is written only
+    when the journal is read, from the service's ``row_payload``.  Its
+    replay is held to the live path by the differentials in
+    ``tests/test_journal_cost.py``.
     """
 
     journal: Optional[ServiceJournal] = None
@@ -323,8 +350,12 @@ class Durable:
     # ------------------------------------------------------------- attach
     def attach_journal(self, journal: ServiceJournal) -> None:
         """Become the journal's writer and baseline-snapshot current state
-        (covers mutations made during construction, before attach)."""
+        (covers mutations made during construction, before attach).  A
+        service that appends its own rows (see
+        :meth:`ServiceJournal.append`) gives the journal its
+        ``row_payload``, how a row becomes its payload."""
         self.journal = journal
+        journal.row_payload = getattr(self, "row_payload", None)
         self.fencing_epoch = journal.acquire_epoch()
         self.seal_keys(journal)
         journal.snapshot(self.durable_state())
@@ -343,10 +374,10 @@ class Durable:
         self._jpublish(kind, data)
         return self.apply_entry(kind, data)
 
-    def _jpublish(self, kind: str, record: "Dict[str, object] | str") -> None:
+    def _jpublish(self, kind: str, record: "Dict[str, object] | tuple") -> None:
         """WAL append for one mutation; no-op when not journaled.
 
-        ``record`` is the payload dict, or its text already written (see
+        ``record`` is the payload dict, or the service's own row (see
         :meth:`ServiceJournal.append`).  At the cadence the checkpoint
         comes *first*: the mutation is applied only after this returns,
         so before the append live state equals snapshot + every journaled

@@ -383,8 +383,8 @@ def test_durable_state_is_written_once():
     then ``apply_entry`` — the code replay runs.  Every kind an
     ``apply_entry`` handles is committed somewhere (no replay-only
     branch, no live twin beside it), and the only appends outside
-    ``commit`` are the audit log's own (``AuditLog.emit`` writes its
-    record as text; see ``Durable``'s docstring)."""
+    ``commit`` are the audit log's own (``AuditLog.emit`` journals the
+    row it stores; see ``Durable``'s docstring)."""
     handled, committed, appenders = set(), set(), set()
     for path in sorted(SRC.rglob("*.py")):
         tree = ast.parse(path.read_text())

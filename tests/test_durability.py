@@ -848,8 +848,8 @@ def _introspect(dri, token):
 
 def _journaled_bytes(dri):
     return {
-        name: (journal._snapshot, tuple(journal._sealed),
-               tuple((e.seq, e.time, e.epoch, e.kind, e.record)
+        name: (journal._snapshot, tuple(map(journal.text, journal._sealed)),
+               tuple((e.seq, e.time, e.epoch, e.kind, journal.text(e.body))
                      for e in journal._entries))
         for name, journal in sorted(dri.durability._streams.items())}
 

@@ -46,9 +46,10 @@ CADENCE_MINTS = 270
 def _stream_hash(journal) -> str:
     digest = hashlib.sha256()
     for e in journal._entries:
-        digest.update(repr((e.seq, e.time, e.epoch, e.kind, e.record)).encode())
+        digest.update(repr((e.seq, e.time, e.epoch, e.kind,
+                            journal.text(e.body))).encode())
     digest.update(repr((journal._snapshot, journal._seal,
-                        journal._sealed)).encode())
+                        [*map(journal.text, journal._sealed)])).encode())
     return digest.hexdigest()
 
 

@@ -1,13 +1,14 @@
 """The journal is a write-ahead log: what durability costs, and that the
 cheap form loses nothing.
 
-``ServiceJournal`` holds encoded records and an append-only service
+``ServiceJournal`` holds encoded records — or, for the audit log, the
+log's own rows, written as text when read — and an append-only service
 checkpoints by sealing its pending records onto the snapshot.  The
-differential below pins that against the journal it replaced — live
+differentials below pin that against the journal it replaced — live
 dicts, every checkpoint the whole ``durable_state()`` through a JSON
 round trip — kept here as a test-only reference.  The cost tests have no
-clock in them: they count the bytes encoded.  A record is written once,
-from the live object; the last differentials pin that text to what
+clock in them: they count the bytes encoded.  A record is written from
+the live object; the last differentials pin that text to what
 ``json.dumps`` wrote from the dicts it was once repacked into.
 """
 
@@ -21,8 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import audit
-from repro.audit import AuditEvent, AuditLog, Outcome
+from repro.audit import _JSON_SCALARS, AuditEvent, AuditLog, Outcome
 from repro.broker import Role, TokenService
 from repro.clock import SimClock
 from repro.crypto.keys import generate_signing_key
@@ -40,6 +40,17 @@ pytestmark = pytest.mark.durability
 # the reference: the journal as it was
 # ---------------------------------------------------------------------------
 RefEntry = namedtuple("RefEntry", "seq time epoch kind data")
+FIELDS = ("time", "source", "actor", "action", "resource", "outcome",
+          "domain", "zone", "digest")
+
+
+def row_dict(row):
+    """The event dict an audit log's row stands for, read off the row's
+    layout — the fixed fields, the attr names, then their values."""
+    names = (len(row) - len(FIELDS)) // 2
+    attrs = row[len(FIELDS):]
+    return {**dict(zip(FIELDS, row)),
+            "attrs": dict(zip(attrs[:names], attrs[names:]))}
 
 
 def jsonable(data):
@@ -70,8 +81,8 @@ class RoundTripJournal:
         if epoch is not None and epoch != self._epoch:
             self.fenced_appends += 1
             raise EpochFenced(self.name)
-        if isinstance(data, str):               # a record written as text
-            data = json.loads(data)
+        if type(data) is tuple:                 # an audit log's own row
+            data = row_dict(data)
         self._seq += 1
         self._entries.append(RefEntry(self._seq, self.store.clock.now(),
                                       self._epoch, kind, jsonable(data)))
@@ -220,12 +231,97 @@ def test_sealed_journal_equals_full_snapshot_reference(cadence, pre_attach,
 
 
 # ---------------------------------------------------------------------------
+# differential: the log's rows in the journal, against the text it held
+# ---------------------------------------------------------------------------
+scalars = (st.none() | st.booleans() | st.integers(-10 ** 6, 10 ** 6)
+           | st.floats(allow_nan=False) | st.text(max_size=4))
+containers = (st.lists(st.integers(), max_size=2)
+              | st.dictionaries(st.text(max_size=2), scalars, max_size=2))
+row_emits = st.tuples(
+    st.just("emit"),
+    # usual; usual with a container attr; an int time; an enum field
+    st.sampled_from(["usual", "usual", "container", "int-time", "enum"]),
+    st.dictionaries(st.sampled_from(["a", "b", "jti"]), scalars, max_size=3),
+    containers)
+row_steps = st.lists(row_emits | st.just(("fence",)) | st.just(("tick",)),
+                     max_size=24)
+
+
+def emit_shaped(side, shape, attrs, container):
+    now = side.clock.now()
+    if shape == "container":
+        attrs = {**attrs, "amr": container}
+    time = int(now) if shape == "int-time" else now
+    action = Tag.ACCESS if shape == "enum" else "act"
+    try:
+        return side.log.record(time, "src", "alice", action, "res",
+                               "info", **attrs).digest
+    except EpochFenced:
+        return "fenced"
+
+
+def journal_text(journal):
+    """Every record of ``journal`` as text, through its text accessor."""
+    return ([*map(journal.text, journal._sealed)],
+            [(e.seq, e.time, e.epoch, e.kind, journal.text(e.body))
+             for e in journal._entries])
+
+
+def held(side):
+    log = side.log
+    return (log.events(), log._head, log.verify_chain(),
+            log.state_hash(), journal_text(side.journal))
+
+
+def is_row(event):
+    return (event._quoted() is not None
+            and _JSON_SCALARS.issuperset(map(type, event.attrs.values())))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(history=row_steps, crash_at=st.integers(0, 24))
+def test_journaled_rows_read_as_the_text_did(history, crash_at):
+    """A usual event with scalar attrs journals the log's own row; any
+    other its text.  Through a crash at any point, the journal reads as
+    the text-era reference does, and recovery rebuilds the live log."""
+    new = Side(AuditLog, ServiceJournal, 4, [])
+    ref = Side(FullSnapshotLog, RoundTripJournal, 4, [])
+    for i, step in enumerate([*history[:crash_at], ("crash",),
+                              *history[crash_at:]]):
+        if step[0] == "emit":
+            before = held(new)
+            digests = [emit_shaped(side, *step[1:]) for side in (new, ref)]
+            assert digests[0] == digests[1]
+            if digests[0] == "fenced":
+                assert held(new) == before
+                for side in (new, ref):
+                    side.apply(("recover",))
+            else:
+                entry, row = new.journal._entries[-1], new.log._events[-1]
+                assert (entry.body is row) is is_row(new.log.events()[-1])
+        elif step[0] == "crash":
+            live = held(new)
+            for side in (new, ref):
+                side.apply(("crash",))
+                side.apply(("recover",))
+            assert held(new) == live
+        else:
+            assert new.apply(step) == ref.apply(step)
+        snap, entries = new.journal.load()
+        ref_snap, ref_entries = ref.journal.load()
+        assert snap == ref_snap and new.observe() == ref.observe(), i
+        assert [(e.record, e.data) for e in entries] == [
+            (json.dumps(r.data, sort_keys=True), r.data) for r in ref_entries]
+        assert new.log._events == ref.log._events
+
+
+# ---------------------------------------------------------------------------
 # cost shape: a checkpoint costs the pending records, not the history
 # ---------------------------------------------------------------------------
 @pytest.fixture
 def encoded_bytes(monkeypatch):
     """Total length of every text ``json.dumps`` or the journal's own
-    encoder (``_encode``, wherever it is called from) returned so far."""
+    encoder (``_encode``, which only the journal calls) returned so far."""
     total = [0]
 
     def counting(real):
@@ -236,8 +332,7 @@ def encoded_bytes(monkeypatch):
         return counted
 
     monkeypatch.setattr(json, "dumps", counting(json.dumps))
-    for module in (durability, audit):
-        monkeypatch.setattr(module, "_encode", counting(module._encode))
+    monkeypatch.setattr(durability, "_encode", counting(durability._encode))
     return lambda: total[0]
 
 
@@ -351,7 +446,9 @@ def test_append_normalises_keys_and_tuples_and_cuts_aliases():
 
 def test_nothing_load_returns_aliases_the_journal():
     """``load()`` used to hand out the journal's own entry dicts: editing
-    ``load()[1][0].data`` rewrote the write-ahead log."""
+    ``load()[1][0].data`` rewrote the write-ahead log.  A scalar-attr
+    event's entry is the log's own row, so an edit there would reach the
+    log too."""
     clock = SimClock()
     log = AuditLog("iso")
     log.snapshot_every = 4
@@ -360,23 +457,28 @@ def test_nothing_load_returns_aliases_the_journal():
         DurabilityStore(clock, Wiring(clock).telemetry).stream("audit-iso"))
     for i in range(6):                          # one sealed checkpoint + tail
         log.record(float(i), "svc", "alice", "act", "res", "info", tags=[i])
-    pristine = log.journal.load()
+        log.record(float(i), "svc", "alice", "act", "res", "info", n=i)
+    pristine, rows = log.journal.load(), list(log._events)
     snap, entries = log.journal.load()
-    assert len(snap["events"]) == 5 and len(entries) == 2
+    assert len(snap["events"]) == 9 and len(entries) == 4
+    assert sum(e.body is row for e, row in zip(log.journal._entries,
+                                               rows[-4:])) == 2
 
     snap["head"] = "f" * 64
     for event in snap["events"]:
         event["actor"] = "mallory"
-        event["attrs"]["tags"].append("edited")
+        event["attrs"].setdefault("tags", []).append("edited")
     snap["events"].clear()
     for entry in entries:
         entry.data["actor"] = "mallory"
-        entry.data["attrs"]["tags"].append("edited")
+        entry.data["attrs"]["n"] = "edited"
+        entry.data["attrs"].setdefault("tags", []).append("edited")
     entries.clear()
 
     again = log.journal.load()
     assert again == pristine
     assert [e.data for e in again[1]] == [e.data for e in pristine[1]]
+    assert log._events == rows
     before = log.state_hash()
     log.wipe_state()
     assert log.recover().state_hash == before
@@ -419,8 +521,9 @@ def test_emit_writes_what_json_dumps_wrote(time, fields, outcome, attrs):
         resource=resource, outcome=outcome, domain=domain, zone=zone,
         attrs=attrs))
     (entry,) = log.journal.load()[1]
-    assert entry.record == json.dumps(AuditLog._event_dict(event),
-                                      sort_keys=True)
+    assert entry.record == json.dumps(
+        {**{f: getattr(event, f) for f in FIELDS}, "attrs": event.attrs},
+        sort_keys=True)
 
 
 def _dumped(value):
