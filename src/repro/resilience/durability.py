@@ -23,10 +23,10 @@ This module gives the simulation the same guarantees, deterministically:
   one is for append-only state: the pending entries' records — already
   encoded, or rows already held — move onto a named run of the
   snapshot, so the checkpoint costs what is pending, not what has
-  accumulated.  Either way the
-  checkpoint is taken *before* the entry that trips the cadence is
-  appended: WAL-disciplined services mutate after the append returns,
-  so only then does live state equal snapshot + journaled entries.
+  accumulated.  Either way the checkpoint is taken *before* the entry
+  that trips the cadence is appended: WAL-disciplined services mutate
+  after the append returns, so only then does live state equal
+  snapshot + journaled entries.
 * Fencing epochs — the journal tracks the epoch of its single legitimate
   writer.  :meth:`ServiceJournal.acquire_epoch` bumps it (promotion,
   restart); an append presenting a stale epoch raises

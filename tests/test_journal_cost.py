@@ -243,8 +243,10 @@ row_emits = st.tuples(
     st.sampled_from(["usual", "usual", "container", "int-time", "enum"]),
     st.dictionaries(st.sampled_from(["a", "b", "jti"]), scalars, max_size=3),
     containers)
-row_steps = st.lists(row_emits | st.just(("fence",)) | st.just(("tick",)),
-                     max_size=24)
+# mostly emits, so that most histories seal at the cadence of 4
+row_steps = st.lists(st.one_of(row_emits, row_emits, row_emits, row_emits,
+                               st.just(("fence",)), st.just(("tick",))),
+                     min_size=8, max_size=24)
 
 
 def emit_shaped(side, shape, attrs, container):
@@ -278,7 +280,7 @@ def is_row(event):
             and _JSON_SCALARS.issuperset(map(type, event.attrs.values())))
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
+@settings(max_examples=100, deadline=None, derandomize=True)
 @given(history=row_steps, crash_at=st.integers(0, 24))
 def test_journaled_rows_read_as_the_text_did(history, crash_at):
     """A usual event with scalar attrs journals the log's own row; any
