@@ -110,7 +110,8 @@ class TestSessionRegistry:
             dri.clock.now() + zenith.heartbeat_ttl)
 
     def test_every_kind_reads_from_one_surface(self, authz_dri):
-        surface_of = {"rbac-token": "tokens", "ssh-cert": "ssh",
+        surface_of = {"rbac-token": "tokens", "sso-session": "tokens",
+                      "access-token": "tokens", "ssh-cert": "ssh",
                       "ssh-session": "ssh", "tunnel": "tunnels",
                       "web-session": "tunnels", "jupyter": "compute",
                       "slurm-job": "compute"}
@@ -433,11 +434,17 @@ def surface_grants(dri):
     """Every grant the enforcement surfaces themselves hold live, by kind
     (the log shipper's unaudited service mints are never tracked)."""
     now = dri.clock.now()
-    tokens, ca, zenith = dri.broker.tokens, dri.ssh_ca, dri.zenith
+    broker, ca, zenith = dri.broker, dri.ssh_ca, dri.zenith
+    tokens = broker.tokens
     return {
         "rbac-token": {jti for jti, rec in tokens._issued.items()
                        if rec.expires_at > now and not tokens.is_revoked(jti)
                        and rec.subject != "log-shipper"},
+        "sso-session": {s.sid for s in broker.sessions.export_sessions()
+                        if not s.revoked and now < s.expires_at},
+        "access-token": {jti for jti, rec in broker._issued.items()
+                         if rec["exp"] > now
+                         and jti not in broker._revoked_jtis},
         "ssh-cert": {str(serial) for serial, rec in ca._issued_certs.items()
                      if rec["kind"] == "user" and rec["valid_before"] > now
                      and serial not in ca._revoked_serials},
@@ -455,7 +462,8 @@ def surface_grants(dri):
 
 
 def registry_grants(reg):
-    held = {kind: set() for kind in ("rbac-token", "ssh-cert", "ssh-session",
+    held = {kind: set() for kind in ("rbac-token", "sso-session",
+                                     "access-token", "ssh-cert", "ssh-session",
                                      "web-session", "tunnel", "jupyter",
                                      "slurm-job")}
     for grant in reg.live_grants():

@@ -12,6 +12,7 @@ from repro.cluster import (
     ParallelFilesystem,
     SlurmScheduler,
 )
+from repro.core import build_isambard
 from repro.crypto import JwkSet
 from repro.crypto.keys import generate_signing_key
 from repro.errors import (
@@ -219,17 +220,34 @@ def test_live_session_lookup_does_not_grow_with_sessions_ever_opened(
 
 
 def test_a_respawn_frees_the_expired_notebooks_node(jupyter, clock, pool):
-    """An expired notebook gives its compute node back when its subject
-    respawns; the last one, never respawned, keeps it until a sever."""
+    """An expired notebook gives its compute node back at expiry, before
+    its subject respawns and whether or not they ever do."""
     service, tokens = jupyter
     for _ in range(3):
         opened = service.handle(notebook_request(
             tokens.mint("ma-1", "jupyter", Role.RESEARCHER)[0]))
         assert opened.ok
+        assert [n.allocated_to for n in pool.nodes() if n.allocated_to] == \
+            [opened.body["session_id"]]
         clock.advance(service.session_ttl + 10)
-    assert service.sessions() == []
-    assert [n.allocated_to for n in pool.nodes() if n.allocated_to] == \
-        [opened.body["session_id"]]
+        assert service.sessions() == []
+        assert not [n for n in pool.nodes() if n.allocated_to]
+
+
+def test_an_expired_notebook_frees_its_node_without_a_respawn():
+    """A researcher who never opens another notebook does not keep the
+    expired one's compute node."""
+    dri = build_isambard(seed=7)
+    wf = dri.workflows
+    s1 = wf.story1_pi_onboarding("pi")
+    assert s1.ok, s1.steps
+    assert wf.story3_researcher_setup(s1.data["project_id"], "pi", "res1").ok
+    for _ in range(3):
+        assert wf.story6_jupyter("res1").ok
+    dri.clock.advance(dri.jupyter.session_ttl + 10)
+    assert wf.relogin(wf.personas["res1"]).status == 200
+    assert dri.jupyter.sessions() == []
+    assert dri.jupyter.pool.node("gh-0000").allocated_to is None
 
 
 def test_jupyter_requires_token_header(jupyter):
