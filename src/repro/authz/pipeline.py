@@ -103,10 +103,8 @@ class RevocationPipeline(Durable):
         self.retry_interval = retry_interval
         # surface -> enforcement action(intent) -> count torn down
         self._points: Dict[str, Callable[[RevocationIntent], int]] = {}
-        self._intents: Dict[str, RevocationIntent] = {}
-        self._next_intent = 0
         self._stuck: Set[str] = set()
-        self._retry_armed = False
+        self.wipe_state()
         # counters for benches / invariants
         self.revocations = 0
         self.enforcements = 0
@@ -291,7 +289,7 @@ class RevocationPipeline(Durable):
         return None
 
     def wipe_state(self) -> None:
-        self._intents = {}
+        self._intents: Dict[str, RevocationIntent] = {}
         self._next_intent = 0
         self._retry_armed = False
 

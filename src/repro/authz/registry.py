@@ -35,8 +35,9 @@ __all__ = ["Grant", "SessionRegistry"]
 class Grant:
     """One live authorisation artefact at one enforcement surface."""
 
-    kind: str          # rbac-token | ssh-cert | ssh-session | tunnel |
-                       # web-session | jupyter | slurm-job
+    kind: str          # rbac-token | sso-session | access-token |
+                       # ssh-cert | ssh-session | tunnel | web-session |
+                       # jupyter | slurm-job
     surface: str       # tokens | ssh | tunnels | compute
     spiffe_id: str
     subject: str       # the surface's own subject dialect (uid/account/...)

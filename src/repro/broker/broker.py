@@ -432,32 +432,28 @@ class IdentityBroker(OidcProvider):
     # ------------------------------------------------------------------
     def grants(self, now: float, skip=()):
         """The token surface's live grants: its RBAC tokens (see
-        ``TokenService.grants``)."""
-        return self.tokens.grants(now, skip)
+        ``TokenService.grants``), SSO sessions and OIDC access tokens."""
+        yield from self.tokens.grants(now, skip)
+        yield from self.sessions.grants(now, skip)
+        yield from self._granted.grants("access-token", now, skip)
 
     def sever(self, uid: str, by: str, project: Optional[str] = None) -> int:
         """Sever a user's live access: RBAC tokens (of ``project`` only,
-        when given) and, for a whole-user sever, broker sessions and OIDC
-        access tokens.  Returns how many live ones were ended (an expired
-        session or access token is revoked uncounted, along with a live
-        one); a sever that ends nothing live journals and records nothing,
-        as on every surface (the walk also calls it for UNIX accounts,
-        which hold no token)."""
+        when given) and, for a whole-user sever, SSO sessions and OIDC
+        access tokens — what ``grants`` lists.  Returns how many were
+        ended; a sever that ends nothing journals and records nothing, as
+        on every surface (the walk also calls it for UNIX accounts, which
+        hold no grant here)."""
         revoked_tokens = self.tokens.revoke_subject(uid, project=project)
         revoked_sessions = revoked_access = 0
         if project is None:
-            # journal a revocation only when it ends something live: one
-            # of nothing but expired grants would change no decision
-            if any(s.subject == uid and s.active(self.clock.now())
-                   for s in self.sessions.export_sessions()):
+            sids = self.sessions.live_sids(uid)
+            if sids:
                 revoked_sessions = self.commit("oidc.session_revoke_subject",
-                                               {"subject": uid})
-            hit = [jti for jti, record in self._issued.items()
-                   if record.get("subject") == uid
-                   and jti not in self._revoked_jtis]
-            revoked_access = sum(self._issued[jti]["exp"] > self.clock.now()
-                                 for jti in hit)
-            if revoked_access:
+                                               {"subject": uid, "sids": sids})
+            hit = [e[0] for e in self._granted.of(uid, self.clock.now())]
+            revoked_access = len(hit)
+            if hit:
                 self.commit("broker.revoke_access", {"subject": uid, "jtis": hit})
             if self.invalidation_bus is not None:
                 for jti in hit:
@@ -531,7 +527,7 @@ class IdentityBroker(OidcProvider):
                 else:
                     roles.discard(Role(data["role"]))
         elif kind == "broker.revoke_access":
-            self._revoked_jtis.update(data["jtis"])
+            self._revoke_access(data["jtis"])
         else:
             result = super().apply_entry(kind, data)
             if kind == "oidc.key_rotated":

@@ -28,6 +28,7 @@ from repro.errors import (
     TokenExpired,
     TokenRevoked,
 )
+from repro.grants import GrantTable
 from repro.ids import IdFactory
 
 __all__ = ["IssuedToken", "TokenService", "RbacTokenValidator"]
@@ -83,20 +84,7 @@ class TokenService:
         self.audit = audit
         self.default_ttl = default_ttl
         self.max_ttl = max_ttl
-        self._issued: Dict[str, IssuedToken] = {}
-        # digest of each token this very instance signed -> its jti (see
-        # recognises); volatile, bounded by _issued: an entry goes when
-        # its record does and nothing durable ever mentions it
-        self._minted: Dict[bytes, str] = {}
-        self._revoked: Set[str] = set()
-        # (subject, service role?) -> {jti: record}, in mint order: the
-        # issued records by holder, so the session registry's sweep
-        # reads one live record per holder (see grants); volatile like
-        # _minted, rebuilt from _issued
-        self._by_holder: Dict[Tuple[str, bool], Dict[str, IssuedToken]] = {}
-        # (subject, audience, role) -> the token held for that repeat
-        # infrastructure caller (see held); volatile like _minted
-        self._held: Dict[Tuple[str, str, str], Tuple[str, IssuedToken]] = {}
+        self.wipe_state()
         # every mint/revoke/purge goes through commit(kind, data): the
         # owning broker's Durable.commit (journal, then apply_entry), or,
         # for a service of its own, apply_entry alone
@@ -243,43 +231,33 @@ class TokenService:
         return True
 
     def revoke_subject(self, subject: str, *, project: Optional[str] = None) -> int:
-        """Revoke every live token of ``subject`` (optionally one project).
+        """Revoke every live token of ``subject`` (optionally one project)
+        that is a grant: an infrastructure mint is not one.
 
         Returns the number of tokens revoked — the kill switch reports it.
         """
         now = self.clock.now()
-        hit = [jti for jti, rec in self._issued.items()
-               if rec.subject == subject and jti not in self._revoked
-               and (project is None or rec.project == project)
-               and rec.expires_at > now]
+        hit = [jti for jti, _, _, rec in self._granted.of(subject, now)
+               if project is None or rec.project == project]
         if hit:
             self.commit("rbac.revoke_subject", {"subject": subject, "jtis": hit})
-        if self.bus is not None:
-            for jti in hit:
-                self.bus.publish("token.revoked", key=jti, subject=subject)
-        n = len(hit)
-        if n:
+            if self.bus is not None:
+                for jti in hit:
+                    self.bus.publish("token.revoked", key=jti, subject=subject)
             self.audit.record(
                 now, "token-service", "system", "rbac.revoke_subject", subject,
-                Outcome.INFO, count=n, project=project or "",
+                Outcome.INFO, count=len(hit), project=project or "",
             )
-        return n
+        return len(hit)
 
     def grants(self, now: float, skip=()):
         """Every token live at ``now`` — unrevoked, unexpired, not an
         infrastructure mint — as the session registry reads it (see
         ``SessionRegistry``); a service token is a workload's grant."""
-        revoked = self._revoked
-        for (subject, workload), held in self._by_holder.items():
+        for jti, subject, expires_at, rec in self._granted.live(now):
+            workload = rec.role == Role.SERVICE.value
             if workload or subject not in skip:
-                # newest first: the likeliest to be live
-                for rec in reversed(held.values()):
-                    if (rec.expires_at > now and not rec.infra
-                            and rec.jti not in revoked):
-                        yield ("rbac-token", rec.jti, subject, rec.expires_at,
-                               workload)
-                        if not workload and subject in skip:
-                            break
+                yield "rbac-token", jti, subject, expires_at, workload
 
     def is_revoked(self, jti: str) -> bool:
         return jti in self._revoked
@@ -335,29 +313,28 @@ class TokenService:
         }
 
     def load_state(self, state: Dict[str, object]) -> None:
+        self.wipe_state()
         self._issued = {
             jti: IssuedToken(**rec) for jti, rec in state["issued"].items()
         }
-        self._index()
-        self._minted = {}
-        self._held = {}
         self._revoked = set(state["revoked"])
+        for rec in self._issued.values():
+            if not rec.infra and rec.jti not in self._revoked:
+                self._granted.add(rec.jti, rec.subject, rec.expires_at, rec)
 
     def wipe_state(self) -> None:
-        self._issued = {}
-        self._by_holder = {}
-        self._minted = {}
-        self._held = {}
-        self._revoked = set()
-
-    def _index(self) -> None:
-        self._by_holder = {}
-        for rec in self._issued.values():
-            self._hold(rec)
-
-    def _hold(self, rec: IssuedToken) -> None:
-        self._by_holder.setdefault(
-            (rec.subject, rec.role == Role.SERVICE.value), {})[rec.jti] = rec
+        self._issued: Dict[str, IssuedToken] = {}
+        # digest of each token this very instance signed -> its jti (see
+        # recognises); volatile, bounded by _issued: an entry goes when
+        # its record does and nothing durable ever mentions it
+        self._minted: Dict[bytes, str] = {}
+        self._revoked: Set[str] = set()
+        # the live tokens that are grants (not infrastructure mints) by
+        # subject; volatile like _minted, rebuilt from _issued
+        self._granted = GrantTable()
+        # (subject, audience, role) -> the token held for that repeat
+        # infrastructure caller (see held); volatile like _minted
+        self._held: Dict[Tuple[str, str, str], Tuple[str, IssuedToken]] = {}
 
     def apply_entry(self, kind: str, data: Dict[str, object]) -> bool:
         """Apply one mutation, live or replayed; returns False for
@@ -365,16 +342,18 @@ class TokenService:
         if kind == "rbac.mint":
             record = IssuedToken(**data)
             self._issued[record.jti] = record
-            self._hold(record)
-        elif kind == "rbac.revoke":
-            self._revoked.add(data["jti"])
-        elif kind == "rbac.revoke_subject":
-            self._revoked.update(data["jtis"])
+            if not record.infra:
+                self._granted.add(record.jti, record.subject,
+                                  record.expires_at, record)
+        elif kind in ("rbac.revoke", "rbac.revoke_subject"):
+            jtis = data["jtis"] if "jtis" in data else [data["jti"]]
+            self._revoked.update(jtis)
+            self._granted.end(*jtis)
         elif kind == "rbac.purge":
             for jti in data["jtis"]:
                 self._issued.pop(jti, None)
                 self._revoked.discard(jti)
-            self._index()
+                self._granted.end(jti)
             self._minted = {digest: jti for digest, jti in self._minted.items()
                             if jti in self._issued}
         else:

@@ -42,6 +42,7 @@ from repro.errors import (
     ServiceUnavailable,
     TokenRevoked,
 )
+from repro.grants import GrantTable
 from repro.ids import IdFactory
 from repro.net.http import HttpRequest, HttpResponse, Service, route
 from repro.tunnels.zenith import TOKEN_HEADER
@@ -58,9 +59,6 @@ class JupyterSession:
     started_at: float
     expires_at: float
     closed: bool = False
-
-    def active(self, now: float) -> bool:
-        return not self.closed and now < self.expires_at
 
 
 class JupyterService(Service):
@@ -104,10 +102,9 @@ class JupyterService(Service):
         self.session_ttl = session_ttl
         self.staleness_window = staleness_window
         self._sessions: Dict[str, JupyterSession] = {}
-        # subject -> the session opened for them last.  A subject has at
-        # most one live session (a new one is spawned only when none is
-        # live), so the latest is the only one that can be
-        self._latest: Dict[str, JupyterSession] = {}
+        # the live sessions by subject: at most one each, since a new one
+        # is spawned only when none is live
+        self._granted = GrantTable()
         # jti -> (introspection time, active?) for degraded-mode validation
         self._introspection_cache: Dict[str, Tuple[float, bool]] = {}
         self.spawns = 0
@@ -219,14 +216,15 @@ class JupyterService(Service):
             self.log_event(subject, "jupyter.auth", str(claims["jti"]),
                            Outcome.CACHED, jti=str(claims["jti"]))
 
-        session = self._live_session(subject)
+        # the subject's live session, if any: at most one
+        session = next((e[3] for e in self._granted.of(subject, now)), None)
         if session is None:
-            free = self.pool.free_nodes()
-            if not free:
+            # the first free node, not a list of every free one
+            node = next((n for n in self.pool.nodes() if n.free), None)
+            if node is None:
                 self.log_event(subject, "jupyter.spawn", "",
                                   Outcome.ERROR, reason="no-free-nodes")
                 raise SchedulerError("no free compute node for the notebook")
-            node = free[0]
             session = JupyterSession(
                 session_id=self.ids.next("jup"),
                 subject=subject,
@@ -238,7 +236,13 @@ class JupyterService(Service):
             )
             node.allocated_to = session.session_id
             self._sessions[session.session_id] = session
-            self._latest[subject] = session
+            self._granted.add(session.session_id, subject,
+                              session.expires_at, session)
+            # the node goes back to the pool at expiry, as a job's does
+            # at its walltime (a closed session's is already back)
+            self.clock.call_at(session.expires_at,
+                               lambda sid=session.session_id:
+                               self.pool.release(sid))
             self.spawns += 1
             extra_audit: Dict[str, object] = {}
             if self.identity_graph is not None:
@@ -259,40 +263,27 @@ class JupyterService(Service):
         )
 
     # ------------------------------------------------------------------
-    def _live_session(self, subject: str) -> Optional[JupyterSession]:
-        """The subject's latest session if it is live.  An expired one is
-        closed here, so its node goes back to the pool before a respawn
-        and the latest is the only session a subject can leave open."""
-        s = self._latest.get(subject)
-        if s is None or s.active(self.clock.now()):
-            return s
-        self.close_session(s.session_id)
-
     def sessions(self, *, active_only: bool = True) -> List[JupyterSession]:
-        now = self.clock.now()
-        return [s for s in self._sessions.values()
-                if not active_only or s.active(now)]
+        """The live sessions, or every session ever spawned."""
+        return ([e[3] for e in self._granted.live(self.clock.now())]
+                if active_only else list(self._sessions.values()))
 
     def grants(self, now: float, skip=()):
         """Every notebook session live at ``now``, as the session
-        registry reads it (see ``SessionRegistry``): only a subject's
-        latest session can be live."""
-        for s in self._latest.values():
-            if s.subject not in skip and s.active(now):
-                yield "jupyter", s.session_id, s.subject, s.expires_at, False
+        registry reads it (see ``SessionRegistry``)."""
+        return self._granted.grants("jupyter", now, skip)
 
     def close_session(self, session_id: str) -> bool:
         s = self._sessions.get(session_id)
         if s is None or s.closed:
             return False
         s.closed = True
+        self._granted.end(session_id)
         self.pool.release(s.session_id)
         return True
 
     def sever(self, subject: str, by: str,
               project: Optional[str] = None) -> int:
-        """Close ``subject``'s notebook session: only the latest can be
-        open, and it counts only if it was live (an expired one is closed
-        uncounted)."""
-        live = self._live_session(subject)
-        return int(live is not None and self.close_session(live.session_id))
+        """Close ``subject``'s live notebook session."""
+        return sum(self.close_session(session_id) for session_id, *_ in
+                   self._granted.of(subject, self.clock.now()))

@@ -24,6 +24,7 @@ from repro.audit import AuditLog, Outcome
 from repro.clock import SimClock
 from repro.cluster.nodes import NodePool
 from repro.errors import RateLimited, SchedulerError
+from repro.grants import GrantTable
 from repro.ids import IdFactory
 
 __all__ = ["JobState", "Job", "SlurmScheduler"]
@@ -96,6 +97,9 @@ class SlurmScheduler:
         self.max_pending = max_pending
         self.submissions_shed = 0
         self._jobs: Dict[str, Job] = {}
+        # pending and running jobs by account: a job's grant ends when it
+        # does, not at a set time
+        self._granted = GrantTable()
         self._queue: List[str] = []
         # continuous authorization: submissions fail closed when the PDP
         # is unreachable past the staleness bound
@@ -142,6 +146,7 @@ class SlurmScheduler:
         # reserve allocation before the job is ever eligible to run
         self.charge(project_id, job.gpu_hours(self.charge_units_per_node))
         self._jobs[job.job_id] = job
+        self._granted.add(job.job_id, account, None, job)
         self._queue.append(job.job_id)
         self.audit.record(
             self.clock.now(), "slurm", account, "job.submit", job.job_id,
@@ -156,14 +161,9 @@ class SlurmScheduler:
         running the queue will drain as soon as the pool frees up, so
         suggest a token backoff instead."""
         now = self.clock.now()
-        finishes = [
-            j.started_at + j.walltime - now
-            for j in self._jobs.values()
-            if j.state == JobState.RUNNING and j.started_at is not None
-        ]
-        if not finishes:
-            return 1.0
-        return max(min(finishes), 0.0)
+        return max(min((j.started_at + j.walltime - now
+                        for _, _, _, j in self._granted.live(now)
+                        if j.state == JobState.RUNNING), default=1.0), 0.0)
 
     def _schedule(self) -> None:
         """Start queued jobs while nodes are free (FIFO, no skip)."""
@@ -189,6 +189,7 @@ class SlurmScheduler:
             return
         job.state = JobState.COMPLETED
         job.finished_at = self.clock.now()
+        self._granted.end(job.job_id)
         self.pool.release(job.job_id)
         self.audit.record(
             self.clock.now(), "slurm", job.account, "job.complete", job.job_id,
@@ -205,6 +206,7 @@ class SlurmScheduler:
             self.pool.release(job.job_id)
         job.state = JobState.CANCELLED
         job.finished_at = self.clock.now()
+        self._granted.end(job.job_id)
         self.audit.record(
             self.clock.now(), "slurm", by, "job.cancel", job.job_id, Outcome.INFO,
         )
@@ -214,12 +216,8 @@ class SlurmScheduler:
     def sever(self, account: str, by: str,
               project: Optional[str] = None) -> int:
         """Cancel everything belonging to one UNIX account."""
-        hit = [job.job_id for job in self._jobs.values()
-               if job.account == account
-               and job.state in (JobState.PENDING, JobState.RUNNING)]
-        for job_id in hit:
-            self.cancel(job_id, by=by)
-        return len(hit)
+        return sum(self.cancel(job_id, by=by) for job_id, *_ in
+                   self._granted.of(account, self.clock.now()))
 
     # ------------------------------------------------------------------
     def job(self, job_id: str) -> Optional[Job]:
@@ -230,12 +228,9 @@ class SlurmScheduler:
 
     def grants(self, now: float, skip=()):
         """Every pending or running job, as the session registry reads
-        it (see ``SessionRegistry``; a job's grant ends when it does,
-        not at a set time)."""
-        for job in self._jobs.values():
-            if (job.account not in skip
-                    and job.state in (JobState.PENDING, JobState.RUNNING)):
-                yield "slurm-job", job.job_id, job.account, None, False
+        it (see ``SessionRegistry``)."""
+        return self._granted.grants("slurm-job", now, skip)
 
     def queue_length(self) -> int:
-        return sum(1 for j in self._jobs.values() if j.state == JobState.PENDING)
+        return sum(j.state == JobState.PENDING
+                   for _, _, _, j in self._granted.live(self.clock.now()))

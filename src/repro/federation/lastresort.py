@@ -70,7 +70,9 @@ class LastResortIdP(OidcProvider):
 
     def deactivate(self, username: str) -> None:
         if username in self._users:
-            self.commit("lastresort.deactivate", {"username": username})
+            self.commit("lastresort.deactivate", {
+                "username": username,
+                "sids": self.sessions.live_sids(f"{self.name}:{username}")})
 
     # ------------------------------------------------------------------
     # registration and login
@@ -183,7 +185,8 @@ class LastResortIdP(OidcProvider):
             user = self._users.get(data["username"])
             if user is not None:
                 user.active = False
-            self.sessions.revoke_subject(f"{self.name}:{data['username']}")
+            for sid in data["sids"]:
+                self.sessions.revoke(sid)
         else:
             return super().apply_entry(kind, data)
         return None

@@ -34,6 +34,7 @@ from repro.clock import SimClock
 from repro.crypto import JwkSet, JwtValidator, compact_digest, encode_jwt
 from repro.crypto.keys import generate_signing_key
 from repro.errors import ConfigurationError, TokenRevoked
+from repro.grants import GrantTable
 from repro.ids import IdFactory
 from repro.net.http import HttpRequest, HttpResponse, Service, route
 from repro.oidc.messages import (
@@ -108,20 +109,7 @@ class OidcProvider(Service, Durable):
         self.code_ttl = code_ttl
         self.access_ttl = access_ttl
         self.id_ttl = id_ttl
-        self._clients: Dict[str, ClientConfig] = {}
-        self._codes: Dict[str, AuthorizationCode] = {}
-        # jti -> (subject, claims dict, expiry); doubles as the userinfo store
-        self._issued: Dict[str, Dict[str, object]] = {}
-        # digest of each access token this very instance signed -> its
-        # jti: the strings _validate_access accepts without re-running
-        # the signature maths.  Private and volatile — never journaled,
-        # snapshotted, hashed or handed to a standby; a restarted or
-        # promoted instance starts empty and verifies for real
-        self._minted: Dict[bytes, str] = {}
-        self._revoked_jtis: set[str] = set()
-        self._code_tokens: Dict[str, List[str]] = {}  # code -> jtis minted from it
-        self._device_flows: Dict[str, DeviceAuthorization] = {}  # device_code ->
-        self._device_by_user_code: Dict[str, str] = {}
+        OidcProvider.wipe_state(self)  # a subclass's own state is not set up yet
         self.device_code_ttl = 600.0
         # scale-out hooks: the deployment's InvalidationBus (key rotations
         # and revocations fan out to replica caches through it) and the
@@ -649,14 +637,22 @@ class OidcProvider(Service, Durable):
         the vault (KMS model); without a journal the keys also survive in
         this object — real pods re-fetch them from the secret store."""
         self.sessions.wipe()
-        self._clients = {}
-        self._codes = {}
-        self._issued = {}
-        self._minted = {}
-        self._revoked_jtis = set()
-        self._code_tokens = {}
-        self._device_flows = {}
-        self._device_by_user_code = {}
+        self._clients: Dict[str, ClientConfig] = {}
+        self._codes: Dict[str, AuthorizationCode] = {}
+        # jti -> (subject, claims dict, expiry); doubles as the userinfo store
+        self._issued: Dict[str, Dict[str, object]] = {}
+        # digest of each access token this very instance signed -> its
+        # jti: the strings _validate_access accepts without re-running
+        # the signature maths.  Private and volatile — never journaled,
+        # snapshotted, hashed or handed to a standby; a restarted or
+        # promoted instance starts empty and verifies for real
+        self._minted: Dict[bytes, str] = {}
+        self._revoked_jtis: set[str] = set()
+        # the live access tokens by subject
+        self._granted = GrantTable()
+        self._code_tokens: Dict[str, List[str]] = {}  # code -> jtis minted from it
+        self._device_flows: Dict[str, DeviceAuthorization] = {}  # device_code ->
+        self._device_by_user_code: Dict[str, str] = {}
 
     def load_state(self, state: Dict[str, object]) -> None:
         self._key_generation = int(state["key_generation"])
@@ -669,9 +665,15 @@ class OidcProvider(Service, Durable):
             c: AuthorizationCode(**d) for c, d in state["codes"].items()
         }
         self._issued = dict(state["issued"])
-        self._minted = {}
         self._revoked_jtis = set(state["revoked_jtis"])
+        for jti, record in self._issued.items():
+            if jti not in self._revoked_jtis:
+                self._granted.add(jti, record["subject"], record["exp"], record)
         self._code_tokens = {c: list(j) for c, j in state["code_tokens"].items()}
+
+    def _revoke_access(self, jtis: List[str]) -> None:
+        self._revoked_jtis.update(jtis)
+        self._granted.end(*jtis)
 
     @staticmethod
     def _client_from(data: Dict[str, object]) -> ClientConfig:
@@ -691,7 +693,7 @@ class OidcProvider(Service, Durable):
             self.sessions.restore(session)
             return session
         if kind == "oidc.session_revoke_subject":
-            return self.sessions.revoke_subject(data["subject"])
+            return sum(map(self.sessions.revoke, data["sids"]))
         if kind == "oidc.client":
             cfg = self._client_from(data)
             self._clients[cfg.client_id] = cfg
@@ -705,12 +707,14 @@ class OidcProvider(Service, Durable):
             code = self._codes.get(data["code"])
             if code is not None:
                 code.used = True
-            self._issued[data["jti"]] = data["record"]
+            record = self._issued[data["jti"]] = data["record"]
+            self._granted.add(data["jti"], record["subject"], record["exp"],
+                              record)
             self._code_tokens.setdefault(data["code"], []).append(data["jti"])
         elif kind == "oidc.code_replayed":
-            self._revoked_jtis.update(self._code_tokens.get(data["code"], []))
+            self._revoke_access(self._code_tokens.get(data["code"], []))
         elif kind == "oidc.jti_revoked":
-            self._revoked_jtis.add(data["jti"])
+            self._revoke_access([data["jti"]])
         elif kind == "oidc.key_rotated":
             self._key_generation = data["generation"]
             self._adopt_active_key(data["kid"])

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.clock import SimClock
+from repro.grants import GrantTable
 from repro.ids import IdFactory
 
 __all__ = ["Session", "SessionStore"]
@@ -30,9 +31,6 @@ class Session:
     revoked: bool = False
     amr: List[str] = field(default_factory=list)  # authentication methods used
 
-    def active(self, now: float) -> bool:
-        return not self.revoked and now < self.expires_at
-
 
 class SessionStore:
     """Sessions keyed by unguessable ``sid`` cookie values."""
@@ -41,7 +39,7 @@ class SessionStore:
         self.clock = clock
         self.ids = ids
         self.ttl = ttl
-        self._sessions: Dict[str, Session] = {}
+        self.wipe()
 
     def create(
         self,
@@ -66,11 +64,10 @@ class SessionStore:
         }
 
     def get(self, sid: Optional[str]) -> Optional[Session]:
-        """Return the session if it exists and is still active."""
-        if sid is None:
-            return None
+        """Return the session if it exists, unrevoked and unexpired."""
         session = self._sessions.get(sid)
-        if session is None or not session.active(self.clock.now()):
+        if (session is None or session.revoked
+                or self.clock.now() >= session.expires_at):
             return None
         return session
 
@@ -79,21 +76,22 @@ class SessionStore:
         if session is None:
             return False
         session.revoked = True
+        self._granted.end(sid)
         return True
 
-    def revoke_subject(self, subject: str) -> int:
-        """Sever every session belonging to ``subject`` (kill switch path);
-        returns how many of them were still active."""
-        n = 0
-        for session in self._sessions.values():
-            if session.subject == subject and not session.revoked:
-                n += session.active(self.clock.now())
-                session.revoked = True
-        return n
+    def live_sids(self, subject: str) -> List[str]:
+        """The sids of ``subject``'s live sessions: what a journaled
+        revocation names, so a replay at a later time ends the same."""
+        return [e[0] for e in self._granted.of(subject, self.clock.now())]
 
-    def active_sessions(self) -> List[Session]:
-        now = self.clock.now()
-        return [s for s in self._sessions.values() if s.active(now)]
+    def revoke_subject(self, subject: str) -> int:
+        """Sever every live session of ``subject`` (kill switch path);
+        returns how many."""
+        return sum(map(self.revoke, self.live_sids(subject)))
+
+    def grants(self, now: float, skip=()):
+        """Every live session, as the session registry reads it."""
+        return self._granted.grants("sso-session", now, skip)
 
     # ------------------------------------------------------------------
     # durability support (the owning provider's journal)
@@ -106,6 +104,12 @@ class SessionStore:
     def restore(self, session: Session) -> None:
         """Store a session exactly as journaled (sid preserved)."""
         self._sessions[session.sid] = session
+        if not session.revoked:
+            self._granted.add(session.sid, session.subject,
+                              session.expires_at, session)
 
     def wipe(self) -> None:
-        self._sessions = {}
+        self._sessions: Dict[str, Session] = {}
+        # the live sessions by subject; the journal holds every session
+        # in _sessions
+        self._granted = GrantTable()

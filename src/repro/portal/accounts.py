@@ -30,9 +30,7 @@ class UnixAccountRegistry:
     """Allocates unique, never-reused cluster usernames."""
 
     def __init__(self, *, first_uid_number: int = 20000) -> None:
-        self._by_username: Dict[str, UnixAccount] = {}
-        self._by_key: Dict[Tuple[str, str], str] = {}  # (uid, project) -> username
-        self._tombstones: Set[str] = set()
+        self.wipe()
         self._next_uid_number = first_uid_number
 
     @staticmethod
@@ -119,6 +117,6 @@ class UnixAccountRegistry:
         self._next_uid_number = int(state["next_uid_number"])
 
     def wipe(self) -> None:
-        self._by_username = {}
-        self._by_key = {}
-        self._tombstones = set()
+        self._by_username: Dict[str, UnixAccount] = {}
+        self._by_key: Dict[Tuple[str, str], str] = {}  # (uid, project) -> username
+        self._tombstones: Set[str] = set()

@@ -84,10 +84,7 @@ class UserPortal(Service, Durable):
         self.audit = audit
         self.on_revoke = on_revoke or (lambda uid, project, account: None)
         self.unix_accounts = UnixAccountRegistry()
-        self._projects: Dict[str, Project] = {}
-        self._invitations: Dict[str, Invitation] = {}
-        self._users: Dict[str, PortalUser] = {}
-        self._reset_authz_index()
+        self.wipe_state()
         # continuous authorization: the identity graph mints the user's
         # canonical SPIFFE id at onboarding and aliases their per-project
         # UNIX accounts to it; authz_resync(uid, project, account) is the
@@ -567,9 +564,9 @@ class UserPortal(Service, Durable):
         }
 
     def wipe_state(self) -> None:
-        self._projects = {}
-        self._invitations = {}
-        self._users = {}
+        self._projects: Dict[str, Project] = {}
+        self._invitations: Dict[str, Invitation] = {}
+        self._users: Dict[str, PortalUser] = {}
         self._reset_authz_index()
         self.unix_accounts.wipe()
 

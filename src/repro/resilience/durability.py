@@ -371,11 +371,13 @@ class Durable:
     def commit(self, kind: str, data: Dict[str, object]) -> object:
         """The write path: journal ``data`` as a ``kind`` entry, then
         apply it with :meth:`apply_entry`; returns what that returns."""
-        self._jpublish(kind, data)
+        if self.journal is not None:
+            self._jpublish(kind, data)
         return self.apply_entry(kind, data)
 
     def _jpublish(self, kind: str, record: "Dict[str, object] | tuple") -> None:
-        """WAL append for one mutation; no-op when not journaled.
+        """WAL append for one mutation; its callers enter it only when
+        the service is journaled, as ``AuditLog.emit`` does.
 
         ``record`` is the payload dict, or the service's own row (see
         :meth:`ServiceJournal.append`).  At the cadence the checkpoint
@@ -386,8 +388,6 @@ class Durable:
         its append is about to be refused.
         """
         journal = self.journal
-        if journal is None:
-            return
         if (journal.pending_entries() >= self.snapshot_every
                 and journal.epoch == self.fencing_epoch):
             self.checkpoint()

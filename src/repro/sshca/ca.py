@@ -23,6 +23,7 @@ from repro.broker.tokens import RbacTokenValidator
 from repro.clock import SimClock
 from repro.crypto.keys import VerifyingKey, generate_signing_key
 from repro.errors import AuthenticationError, CertificateError, RecoveryError
+from repro.grants import GrantTable
 from repro.net.http import HttpRequest, HttpResponse, Service, route
 from repro.resilience.durability import Durable, RecoveryReport, ServiceJournal
 from repro.sshca.certificate import issue_certificate
@@ -68,15 +69,7 @@ class SshCertificateAuthority(Service, Durable):
         self.cert_ttl = cert_ttl
         self.max_cert_ttl = max_cert_ttl
         self.ca_key = generate_signing_key("EdDSA", kid=f"{name}-ca-key")
-        self._serial = 0
-        self.certificates_issued = 0
-        # serial -> {key_id, kind, valid_before}; the durable issuance
-        # registry sshds consult when durability is enabled
-        self._issued_certs: Dict[int, Dict[str, object]] = {}
-        # serials explicitly revoked before expiry (continuous authz):
-        # cert_registered() refuses them, so revocation reaches even
-        # sessions that have not been opened yet
-        self._revoked_serials: Set[int] = set()
+        self.wipe_state()
         # continuous authorization: the repro.authz.IdentityGraph whose
         # canonical SPIFFE id each signing is audited under
         self.identity_graph = None
@@ -177,29 +170,18 @@ class SshCertificateAuthority(Service, Durable):
         session.  Committed (write-ahead), and idempotent: already-revoked
         serials are not counted again.
         """
-        now = self.clock.now()
-        hit = sorted(
-            s for s, rec in self._issued_certs.items()
-            if rec["key_id"] == key_id and rec["kind"] == "user"
-            and s not in self._revoked_serials
-            and float(rec["valid_before"]) > now  # type: ignore[arg-type]
-        )
-        if not hit:
-            return 0
-        self.commit("ca.revoke", {"serials": hit, "key_id": key_id})
-        self.log_event("authz-pipeline", "ca.revoke", key_id, Outcome.INFO,
-                       count=len(hit))
+        hit = sorted(int(serial) for serial, *_ in
+                     self._granted.of(key_id, self.clock.now()))
+        if hit:
+            self.commit("ca.revoke", {"serials": hit, "key_id": key_id})
+            self.log_event("authz-pipeline", "ca.revoke", key_id,
+                           Outcome.INFO, count=len(hit))
         return len(hit)
 
     def grants(self, now: float, skip=()):
         """Every user certificate live at ``now`` (unrevoked, unexpired),
         as the session registry reads it (see ``SessionRegistry``)."""
-        revoked = self._revoked_serials
-        for serial, rec in self._issued_certs.items():
-            if (rec["key_id"] not in skip and rec["kind"] == "user"
-                    and rec["valid_before"] > now and serial not in revoked):
-                yield ("ssh-cert", str(serial), rec["key_id"],
-                       rec["valid_before"], False)
+        return self._granted.grants("ssh-cert", now, skip)
 
     # ------------------------------------------------------------------
     # durability
@@ -234,8 +216,16 @@ class SshCertificateAuthority(Service, Durable):
     def wipe_state(self) -> None:
         self._serial = 0
         self.certificates_issued = 0
-        self._issued_certs = {}
-        self._revoked_serials = set()
+        # serial -> {key_id, kind, valid_before}; the durable issuance
+        # registry sshds consult when durability is enabled
+        self._issued_certs: Dict[int, Dict[str, object]] = {}
+        # serials explicitly revoked before expiry (continuous authz):
+        # cert_registered() refuses them, so revocation reaches even
+        # sessions that have not been opened yet
+        self._revoked_serials: Set[int] = set()
+        # the live user certificates by key id (the id as a string); fed
+        # by apply_entry, so a recovery rebuilds it, and never journaled
+        self._granted = GrantTable()
 
     def load_state(self, state: Dict[str, object]) -> None:
         self._serial = int(state["serial"])
@@ -245,19 +235,26 @@ class SshCertificateAuthority(Service, Durable):
         # .get: snapshots written before revocation existed lack the key
         self._revoked_serials = {
             int(s) for s in state.get("revoked_serials", [])}
+        for serial, rec in self._issued_certs.items():
+            if rec["kind"] == "user" and serial not in self._revoked_serials:
+                self._granted.add(str(serial), rec["key_id"],
+                                  rec["valid_before"], rec)
 
     def apply_entry(self, kind: str, data: Dict[str, object]) -> None:
         if kind == "ca.sign":
             serial = data["serial"]
             self._serial = max(self._serial, serial)
-            self._issued_certs[serial] = {
+            rec = self._issued_certs[serial] = {
                 "key_id": data["key_id"], "kind": data["kind"],
                 "valid_before": data["valid_before"],
             }
             if data["kind"] == "user":
                 self.certificates_issued += 1
+                self._granted.add(str(serial), rec["key_id"],
+                                  rec["valid_before"], rec)
         elif kind == "ca.revoke":
             self._revoked_serials.update(data["serials"])
+            self._granted.end(*map(str, data["serials"]))
 
     def verify_recovery(self, report: RecoveryReport) -> None:
         """Serial monotonicity: the recovered counter must sit at or past

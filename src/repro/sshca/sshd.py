@@ -17,6 +17,7 @@ from repro.audit import AuditLog, Outcome
 from repro.clock import SimClock
 from repro.crypto.keys import VerifyingKey
 from repro.errors import CertificateError
+from repro.grants import GrantTable
 from repro.net.http import HttpRequest, HttpResponse, Service, route
 from repro.sshca.certificate import (
     check_certificate,
@@ -37,9 +38,6 @@ class SshSession:
     opened_at: float
     expires_at: float
     closed: bool = False
-
-    def active(self, now: float) -> bool:
-        return not self.closed and now < self.expires_at
 
 
 class LoginNodeSshd(Service):
@@ -73,6 +71,9 @@ class LoginNodeSshd(Service):
         self.audit = audit
         self.session_ttl = session_ttl
         self._sessions: Dict[str, SshSession] = {}
+        # the open sessions, by the uid each certificate was issued to
+        # (its key id), so a sever by uid needs no account resolution
+        self._granted = GrantTable()
         self._next_session = 0
         # host identity: the node's own keypair plus a CA-signed host
         # certificate (installed by install_host_certificate at build time)
@@ -166,6 +167,8 @@ class LoginNodeSshd(Service):
             expires_at=min(now + self.session_ttl, cert.valid_before),
         )
         self._sessions[session.session_id] = session
+        self._granted.add(session.session_id, session.key_id,
+                          session.expires_at, session)
         extra_audit: Dict[str, object] = {}
         if self.identity_graph is not None:
             extra_audit["spiffe_id"] = self.identity_graph.identity_of(
@@ -190,30 +193,26 @@ class LoginNodeSshd(Service):
 
     # ------------------------------------------------------------------
     def sessions(self, *, active_only: bool = True) -> List[SshSession]:
-        now = self.clock.now()
-        return [
-            s for s in self._sessions.values()
-            if not active_only or s.active(now)
-        ]
+        """The open sessions, or every session ever opened."""
+        return ([e[3] for e in self._granted.live(self.clock.now())]
+                if active_only else list(self._sessions.values()))
 
     def grants(self, now: float, skip=()):
-        """Every session open at ``now``, as the session registry reads
-        it (see ``SessionRegistry``)."""
-        for s in self._sessions.values():
-            if s.principal not in skip and s.active(now):
-                yield ("ssh-session", s.session_id, s.principal,
-                       s.expires_at, False)
+        """Every session open at ``now``, under the uid its certificate
+        was issued to, as the session registry reads it (see
+        ``SessionRegistry``)."""
+        return self._granted.grants("ssh-session", now, skip)
 
-    def sever(self, principal: str, by: str,
+    def sever(self, uid: str, by: str,
               project: Optional[str] = None) -> int:
-        """Close the live sessions of a principal (a UNIX account)."""
-        now = self.clock.now()
-        hit = [s for s in self._sessions.values()
-               if s.principal == principal and s.active(now)]
-        for s in hit:
-            s.closed = True
+        """Close the live sessions opened with a certificate issued to
+        ``uid``, whichever accounts they run as."""
+        hit = self._granted.of(uid, self.clock.now())
+        for session_id, _, _, session in hit:
+            self._granted.end(session_id)
+            session.closed = True
         if hit:
-            self.log_event("killswitch", "ssh.sessions_closed", principal,
+            self.log_event("killswitch", "ssh.sessions_closed", uid,
                 Outcome.INFO, count=len(hit),
             )
         return len(hit)

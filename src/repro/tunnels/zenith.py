@@ -31,6 +31,7 @@ from repro.errors import (
     KillSwitchActive,
     ServiceUnavailable,
 )
+from repro.grants import GrantTable
 from repro.ids import IdFactory
 from repro.net.http import HttpRequest, HttpResponse, Service, route
 from repro.oidc.client import RelyingParty
@@ -143,8 +144,11 @@ class ZenithServer(Service):
         self._rp: Optional[RelyingParty] = None
         # state -> (service, original path) while the login flow runs
         self._pending: Dict[str, Dict[str, str]] = {}
-        # zenith session cookie -> {token, expires_at, sub}
+        # zenith session cookie -> {token, expires_at, sub}, and the
+        # unexpired ones by sub.  Tunnels keep their own dict: few, keyed
+        # by service, and revived by a heartbeat or restore_tunnel
         self._web_sessions: Dict[str, Dict[str, object]] = {}
+        self._granted = GrantTable()
         self.requests_routed = 0
         # continuous authorization: routing fails closed when the PDP is
         # unreachable past the staleness bound
@@ -213,12 +217,13 @@ class ZenithServer(Service):
         user's sever never reaches a tunnel a service account
         registered, so tearing down one researcher does not sever the
         shared Jupyter tunnel.  Only what ``grants`` lists is counted and
-        audited: an expired session is dropped and an expired tunnel
-        killed (a heartbeat would revive it) without either."""
-        hit = [sid for sid, s in self._web_sessions.items()
-               if s.get("sub") == subject]
-        n = sum(self._web_sessions.pop(sid)["expires_at"] > self.clock.now()
-                for sid in hit)
+        audited: an expired tunnel is killed uncounted (a heartbeat would
+        revive it)."""
+        hit = self._granted.of(subject, self.clock.now())
+        for sid, *_ in hit:
+            self._granted.end(sid)
+            del self._web_sessions[sid]
+        n = len(hit)
         if n:
             self.log_event("authz-pipeline", "zenith.sessions_revoked",
                 subject, Outcome.INFO, count=n,
@@ -252,9 +257,7 @@ class ZenithServer(Service):
         for service, t in self.tunnels.items():
             if t.usable(now):
                 yield "tunnel", service, t.registered_by, t.expires_at, True
-        for sid, s in self._web_sessions.items():
-            if s["sub"] not in skip and now < s["expires_at"]:
-                yield "web-session", sid, s["sub"], s["expires_at"], False
+        yield from self._granted.grants("web-session", now, skip)
 
     def restore_all_tunnels(self) -> None:
         for service in list(self.tunnels):
@@ -344,11 +347,12 @@ class ZenithServer(Service):
                 403, f"portal denied access to {service}: {mint.body.get('error')}"
             )
         sid = self.ids.secret(24)
-        self._web_sessions[sid] = {
+        session = self._web_sessions[sid] = {
             "token": mint.body["token"],
             "expires_at": mint.body["expires_at"],
             "sub": tokens["id_claims"]["sub"],
         }
+        self._granted.add(sid, session["sub"], session["expires_at"], session)
         resp = HttpResponse.redirect(
             make_url(self.name, "/app", service=service, path=pending["path"])
         )

