@@ -6,6 +6,7 @@ from repro.audit import Outcome
 from repro.broker import Role
 from repro.core import build_isambard
 from repro.federation import EntityCategory, InstitutionalIdP, LevelOfAssurance
+from repro.grants import GrantTable
 from repro.net import (
     FirewallRule,
     HttpResponse,
@@ -119,18 +120,19 @@ def test_recipe_firewall_gate(dri):
 class DashboardSessions:
     """The recipe's surface: web dashboard sessions keyed by uid."""
 
-    def __init__(self):
-        self.sessions = {}
+    def __init__(self, clock):
+        self.clock = clock
+        self._granted = GrantTable()
+
+    def open(self, sid, uid, expires_at, record):
+        self._granted.add(sid, uid, expires_at, record)
 
     def grants(self, now, skip=()):
-        for sid, s in self.sessions.items():
-            if s["sub"] not in skip and now < s["expires_at"]:
-                yield "dashboard", sid, s["sub"], s["expires_at"], False
+        return self._granted.grants("dashboard", now, skip)
 
     def sever(self, subject, by, project=None):
-        hit = [sid for sid, s in self.sessions.items() if s["sub"] == subject]
-        for sid in hit:
-            del self.sessions[sid]
+        hit = self._granted.of(subject, self.clock.now())
+        self._granted.end(*(sid for sid, *_ in hit))
         return len(hit)
 
 
@@ -139,15 +141,16 @@ def test_recipe_enforcement_surface():
     and ended by every teardown: the kill switch, the portal and the
     pipeline."""
     dri = build_isambard(seed=101, authz=True)
-    dashboard = DashboardSessions()
+    dashboard = DashboardSessions(dri.clock)
     surfaces = dri.surfaces
     dri.surfaces = lambda: (*surfaces(), ("tunnels", dashboard))
     for sid, sub in (("d1", "mallory"), ("d2", "mallory"), ("d3", "eve")):
-        dashboard.sessions[sid] = {"sub": sub, "expires_at": 3600.0}
+        dashboard.open(sid, sub, 3600.0, {"sub": sub})
     reg = dri.authz.registry
     mallory = reg.graph.identity_of("mallory")
     assert {g.resource for g in reg.live_grants(mallory)} == {"d1", "d2"}
     record = dri.killswitch.contain_user("mallory")
     assert record.details["tunnels"] == 2
-    assert list(dashboard.sessions) == ["d3"]
+    assert [sid for sid, *_ in dashboard._granted.live(dri.clock.now())] \
+        == ["d3"]
     assert reg.live_grants(mallory) == []
