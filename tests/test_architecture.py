@@ -36,8 +36,7 @@ MAX_TIER_CONDITIONALS = 20
 # lower these when a change lowers the count; never raise them
 # 44; ScaleConfig.max_replicas is the constant repro.scale.MAX_REPLICAS
 MAX_SETTABLE_VALUES = 43
-# 10,560; every holder's grants and sever read one GrantTable instead of
-# walking its history, and a Durable declares its wiped state once
+# 10,560; every holder's grants and sever read one GrantTable, not history
 MAX_SRC_STATEMENTS = 10_557
 # concepts that once had two implementations: the loser's name stays gone
 MERGED_AWAY = {"AccountRegistry", "EduGain", "BoundedSpanStore",
