@@ -219,7 +219,6 @@ class JupyterService(Service):
         # the subject's live session, if any: at most one
         session = next((e[3] for e in self._granted.of(subject, now)), None)
         if session is None:
-            # the first free node, not a list of every free one
             node = next((n for n in self.pool.nodes() if n.free), None)
             if node is None:
                 self.log_event(subject, "jupyter.spawn", "",
